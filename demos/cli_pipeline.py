@@ -1,5 +1,5 @@
 """Drive the full command-line pipeline in a scratch directory:
-scenario files -> video dirs -> pooled flow -> checkpoint -> reports.
+scenario files -> video dirs -> checkpoint -> reports.
 
 Every command is echoed before it runs, so this doubles as a cheat
 sheet for the `fvl` executable.
@@ -38,7 +38,6 @@ def main():
 
         data = tmp / "videos"
         run("generate", *scenes, "--out", data, "--tau", "4", "--delta", "3")
-        run("pool", "--dataset", data, "--pool-n", "3")
 
         checkpoint = tmp / "model.fvlw"
         run("train", "--dataset", data, "--out", checkpoint,

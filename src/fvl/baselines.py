@@ -13,21 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import as_box_matrix
 from .errors import ValidationError
 
 __all__ = ["PolyFit", "fit_boxes", "fit_extrapolate", "BASELINE_DEGREES"]
 
 BASELINE_DEGREES = {"linear": 1, "constaccel": 2}
-
-
-def _as_matrix(boxes) -> np.ndarray:
-    rows = [b if isinstance(b, np.ndarray) else b.as_array() for b in boxes]
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != 4:
-        raise ValidationError(
-            f"expected a sequence of [cx, cy, w, h] boxes, got shape "
-            f"{matrix.shape}")
-    return matrix
 
 
 @dataclass(frozen=True)
@@ -50,7 +41,7 @@ class PolyFit:
 def fit_boxes(past, degree: int) -> PolyFit:
     if degree not in (1, 2):
         raise ValidationError(f"baseline degree must be 1 or 2, got {degree}")
-    matrix = _as_matrix(past)
+    matrix = as_box_matrix(past)
     tau = matrix.shape[0]
     if tau < degree + 1:
         raise ValidationError(

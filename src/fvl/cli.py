@@ -1,7 +1,7 @@
 """Command line tying the pipeline together.
 
-Subcommands: generate (scenario files to video directories), pool
-(precompute ROI flow features), train, evaluate, predict, gradcheck.
+Subcommands: generate (scenario files to video directories), train,
+evaluate, predict, gradcheck.
 Every run is a pure function of its flags: all randomness flows from
 --seed, and --workers only fans work out over threads whose results are
 concatenated in input order, so any worker count gives identical bytes.
@@ -28,7 +28,6 @@ from .dataio import (
     read_scenario_file,
     read_video_dir,
     windows_from_video,
-    write_pooled_table,
     write_video_dir,
 )
 from .errors import DataFormatError, NumericFailure, ValidationError
@@ -77,21 +76,11 @@ def _build_parser() -> _Parser:
                      help="scenario description files (key=value text)")
     gen.add_argument("--out", required=True,
                      help="parent directory; each file lands in <out>/<stem>")
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--tau", type=_positive(int), default=10,
                      help="observed window recorded in the video meta")
     gen.add_argument("--delta", type=_positive(int), default=10,
                      help="prediction horizon recorded in the video meta")
     gen.set_defaults(func=cmd_generate)
-
-    pool = sub.add_parser(
-        "pool", help="precompute pooled ROI flow for every track frame")
-    pool.add_argument("--dataset", required=True,
-                      help="a video directory or a directory of them")
-    pool.add_argument("--roi-expand", type=_positive(float), default=1.5)
-    pool.add_argument("--pool-n", type=_positive(int), default=5)
-    pool.add_argument("--workers", type=_positive(int), default=1)
-    pool.set_defaults(func=cmd_pool)
 
     train = sub.add_parser("train", help="train a forecaster checkpoint")
     train.add_argument("--dataset", required=True,
@@ -208,24 +197,10 @@ def cmd_generate(args) -> int:
     out_root = Path(args.out)
     for scenario_path in args.scenarios:
         scenario = read_scenario_file(scenario_path)
-        video = generate_scenario(scenario, seed=args.seed)
+        video = generate_scenario(scenario)
         target = out_root / Path(scenario_path).stem
         write_video_dir(video, target, tau=args.tau, delta=args.delta)
         print(f"wrote {target}")
-    return 0
-
-
-def cmd_pool(args) -> int:
-    dirs = _video_dirs(Path(args.dataset))
-
-    def pool_one(directory):
-        write_pooled_table(read_video_dir(directory),
-                           expand=args.roi_expand, n=args.pool_n)
-        return directory
-
-    with ThreadPoolExecutor(max_workers=args.workers) as executor:
-        for directory in executor.map(pool_one, dirs):
-            print(f"pooled {directory}")
     return 0
 
 

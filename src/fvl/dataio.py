@@ -42,7 +42,7 @@ from .boxes import BoundingBox
 from .egomotion import EgoFeature, EgoStep, compose, read_ego_log, \
     rotation_matrix, write_ego_log, yaw_to_step
 from .errors import DataFormatError, ValidationError
-from .flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_grid, \
+from .flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_patch, \
     roi_pool, write_flow_grid
 from .rng import Xoshiro256
 
@@ -196,7 +196,31 @@ def _heading_vector(heading: float) -> np.ndarray:
     return np.array([math.cos(heading), math.sin(heading)])
 
 
-class VideoData:
+class _FlowSource:
+    """Flow access shared by generated and loaded videos.
+
+    Subclasses supply `width`, `height` and `flow_patch(t, ix0, iy0, ix1,
+    iy1)`, the float64 flow over the pixel-index rectangle [ix0, ix1) x
+    [iy0, iy1); full grids and pooled ROIs are both built from patches.
+    """
+
+    def flow_grid(self, t: int) -> FlowGrid:
+        data = self.flow_patch(t, 0, 0, self.width, self.height)
+        return FlowGrid(width=self.width, height=self.height, data=data)
+
+    def pooled_flow(self, t: int, roi: BoundingBox, n: int) -> PooledFlow:
+        """ROI-pool frame t's flow without materializing the whole grid."""
+        x0, y0, x1, y1 = roi.corners()
+        ix0 = max(0, math.floor(x0) - 2)
+        iy0 = max(0, math.floor(y0) - 2)
+        ix1 = min(self.width, math.ceil(x1) + 2)
+        iy1 = min(self.height, math.ceil(y1) + 2)
+        patch = self.flow_patch(t, ix0, iy0, ix1, iy1)
+        local = FlowGrid(width=ix1 - ix0, height=iy1 - iy0, data=patch)
+        return roi_pool(local, roi, n, origin=(ix0, iy0))
+
+
+class VideoData(_FlowSource):
     """Generator output for one video: boxes, ego log, and on-demand flow.
 
     Flow grids are computed lazily (full frames or sub-rectangles), so a
@@ -228,10 +252,6 @@ class VideoData:
     @property
     def fps(self) -> float:
         return self.scenario.fps
-
-    def flow_grid(self, t: int) -> FlowGrid:
-        data = self.flow_patch(t, 0, 0, self.width, self.height)
-        return FlowGrid(width=self.width, height=self.height, data=data)
 
     def flow_patch(self, t: int, ix0: int, iy0: int, ix1: int, iy1: int) -> np.ndarray:
         """Flow over the pixel-index rectangle [ix0, ix1) x [iy0, iy1)."""
@@ -305,17 +325,6 @@ class VideoData:
                 region[..., 0] = disp[0]
                 region[..., 1] = disp[1]
 
-    def pooled_flow(self, t: int, roi: BoundingBox, n: int) -> PooledFlow:
-        """ROI-pool frame t's flow without materializing the whole grid."""
-        x0, y0, x1, y1 = roi.corners()
-        ix0 = max(0, math.floor(x0) - 2)
-        iy0 = max(0, math.floor(y0) - 2)
-        ix1 = min(self.width, math.ceil(x1) + 2)
-        iy1 = min(self.height, math.ceil(y1) + 2)
-        patch = self.flow_patch(t, ix0, iy0, ix1, iy1)
-        local = FlowGrid(width=ix1 - ix0, height=iy1 - iy0, data=patch)
-        return roi_pool(local, roi, n, origin=(ix0, iy0))
-
 
 def _project_actor(camera: CameraSpec, ego_heading: float,
                    ego_position: np.ndarray, center: np.ndarray,
@@ -351,12 +360,11 @@ def _project_actor(camera: CameraSpec, ego_heading: float,
     return BoundingBox.from_corners(x0, y0, x1, y1), center_depth
 
 
-def generate_scenario(scenario: Scenario, seed: int = 0) -> VideoData:
+def generate_scenario(scenario: Scenario) -> VideoData:
     """Render a scenario into boxes, an ego log, and lazy flow.
 
-    The simulation is fully determined by the scenario; `seed` is part
-    of the interface for forward compatibility but nothing here draws
-    random numbers.
+    The simulation is fully determined by the scenario; nothing here
+    draws random numbers.
     """
     frames = scenario.frames
     ego_steps = [yaw_to_step(float(rate), float(speed))
@@ -546,7 +554,7 @@ def read_dataset(path) -> list[Sample]:
         try:
             record = json.loads(line)
             n = record["flow"]["n"]
-            samples.append(Sample(
+            sample = Sample(
                 track=record["track"],
                 past=tuple(BoundingBox.from_array(b) for b in record["past"]),
                 future=tuple(BoundingBox.from_array(b) for b in record["future"]),
@@ -555,7 +563,13 @@ def read_dataset(path) -> list[Sample]:
                 flow=tuple(PooledFlow(values=np.asarray(v), n=n)
                            for v in record["flow"]["values"]),
                 width=record["width"],
-                height=record["height"]))
+                height=record["height"])
+            # json accepts NaN and Infinity; boxes reject them on their own
+            numbers = [f.values for f in sample.flow]
+            numbers += [e.as_vector() for e in sample.ego]
+            if not all(np.all(np.isfinite(v)) for v in numbers):
+                raise ValueError("flow and ego values must be finite")
+            samples.append(sample)
         except (KeyError, IndexError, TypeError, ValueError, ValidationError) as exc:
             raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
     return samples
@@ -564,8 +578,8 @@ def read_dataset(path) -> list[Sample]:
 # --- video directories --------------------------------------------------------
 #
 # One directory per video: `meta` (key=value), `boxes.jsonl` (one line
-# per frame per track), `ego.txt` (see egomotion), `flow/NNNNNN.ffgr`
-# grids, and optionally `pooled.jsonl` written by the pooling pass.
+# per frame per track), `ego.txt` (see egomotion), and `flow/NNNNNN.ffgr`
+# grids.
 
 
 def _write_meta(path: Path, video, tau: int, delta: int) -> None:
@@ -612,15 +626,14 @@ def write_video_dir(video, path, tau: int = 10, delta: int = 10,
             write_flow_grid(flow_dir / f"{t:06d}.ffgr", video.flow_grid(t))
 
 
-class LoadedVideo:
+class LoadedVideo(_FlowSource):
     """A video directory re-opened for windowing and evaluation.
 
-    Presents the same surface as VideoData; flow comes from the `.ffgr`
-    files (or the pooled table when `pooled.jsonl` exists and matches
-    the requested lattice size).
+    Presents the same surface as VideoData; a flow patch reads only its
+    rows and columns of the frame's `.ffgr` file.
     """
 
-    def __init__(self, path: Path, meta: dict, ego_steps, tracks, pooled):
+    def __init__(self, path: Path, meta: dict, ego_steps, tracks):
         self.path = path
         self.width = int(meta["width"])
         self.height = int(meta["height"])
@@ -630,17 +643,10 @@ class LoadedVideo:
         self.delta = int(meta.get("delta", 10))
         self.ego_steps = ego_steps
         self.tracks = tracks
-        self._pooled = pooled
 
-    def flow_grid(self, t: int) -> FlowGrid:
-        return read_flow_grid(self.path / "flow" / f"{t:06d}.ffgr")
-
-    def pooled_flow(self, t: int, roi: BoundingBox, n: int) -> PooledFlow:
-        key = (round(roi.cx, 6), round(roi.cy, 6), t, n)
-        hit = self._pooled.get(key)
-        if hit is not None:
-            return hit
-        return roi_pool(self.flow_grid(t), roi, n)
+    def flow_patch(self, t: int, ix0: int, iy0: int, ix1: int, iy1: int) -> np.ndarray:
+        return read_flow_patch(self.path / "flow" / f"{t:06d}.ffgr",
+                               ix0, iy0, ix1, iy1, self.width, self.height)
 
 
 def read_video_dir(path) -> LoadedVideo:
@@ -659,38 +665,7 @@ def read_video_dir(path) -> LoadedVideo:
             tracks.setdefault(record["track"], {})[record["frame"]] = box
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataFormatError(f"{boxes_path}:{lineno + 1}: {exc}") from None
-    pooled = {}
-    pooled_path = path / "pooled.jsonl"
-    if pooled_path.exists():
-        for lineno, line in enumerate(pooled_path.read_text().splitlines()):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key = (round(record["cx"], 6), round(record["cy"], 6),
-                       record["frame"], record["n"])
-                pooled[key] = PooledFlow(values=np.asarray(record["values"]),
-                                         n=record["n"])
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise DataFormatError(
-                    f"{pooled_path}:{lineno + 1}: {exc}") from None
-    return LoadedVideo(path, meta, ego_steps, tracks, pooled)
-
-
-def write_pooled_table(video: LoadedVideo, expand: float, n: int) -> None:
-    """Precompute pooled flow for every track frame into pooled.jsonl."""
-    lines = []
-    for track in sorted(video.tracks):
-        for frame in sorted(video.tracks[track]):
-            box = video.tracks[track][frame]
-            roi = expand_roi(box, expand, video.width, video.height)
-            pooled = roi_pool(video.flow_grid(frame), roi, n)
-            lines.append(json.dumps(
-                {"track": track, "frame": frame, "n": n,
-                 "cx": roi.cx, "cy": roi.cy,
-                 "values": pooled.values.tolist()}, separators=(",", ":")))
-    (video.path / "pooled.jsonl").write_text(
-        "\n".join(lines) + ("\n" if lines else ""))
+    return LoadedVideo(path, meta, ego_steps, tracks)
 
 
 # --- scenario files -----------------------------------------------------------

@@ -15,6 +15,7 @@ center clamp to the border pixel.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ __all__ = [
     "expand_roi",
     "roi_pool",
     "read_flow_grid",
+    "read_flow_patch",
     "write_flow_grid",
     "FLOW_MAGIC",
 ]
@@ -164,20 +166,39 @@ def write_flow_grid(path, grid: FlowGrid) -> None:
         FLOW_MAGIC + struct.pack("<II", grid.width, grid.height) + payload)
 
 
-def read_flow_grid(path) -> FlowGrid:
+def read_flow_patch(path, ix0: int = 0, iy0: int = 0, ix1=None, iy1=None,
+                    width=None, height=None) -> np.ndarray:
+    """Flow over the pixel-index rectangle [ix0, ix1) x [iy0, iy1) as f64.
+
+    The magic, the header and the file length are checked first, then only
+    the rectangle's rows and columns are read through a memory map.  `ix1`
+    and `iy1` default to the grid's extent; `width` and `height`, when
+    given, are the dims the header must hold.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != FLOW_MAGIC:
-        raise DataFormatError(
-            f"{path}: bad magic {blob[:4]!r} at offset 0, expected {FLOW_MAGIC!r}")
-    if len(blob) < 12:
-        raise DataFormatError(f"{path}: truncated header at offset {len(blob)}")
-    width, height = struct.unpack_from("<II", blob, 4)
-    expected = 12 + 8 * width * height
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"{path}: payload for {width}x{height} grid should end at offset "
-            f"{expected}, file has {len(blob)} bytes")
-    data = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
-    return FlowGrid(width=width, height=height,
-                    data=data.reshape(height, width, 2))
+    with path.open("rb") as handle:
+        head = handle.read(12)
+        if head[:4] != FLOW_MAGIC:
+            raise DataFormatError(
+                f"{path}: bad magic {head[:4]!r} at offset 0, expected {FLOW_MAGIC!r}")
+        if len(head) < 12:
+            raise DataFormatError(f"{path}: truncated header at offset {len(head)}")
+        file_width, file_height = struct.unpack_from("<II", head, 4)
+        if width is not None and (file_width, file_height) != (width, height):
+            raise DataFormatError(
+                f"{path}: header holds a {file_width}x{file_height} grid, "
+                f"expected {width}x{height}")
+        expected = 12 + 8 * file_width * file_height
+        size = os.fstat(handle.fileno()).st_size
+        if size != expected:
+            raise DataFormatError(
+                f"{path}: payload for {file_width}x{file_height} grid should end "
+                f"at offset {expected}, file has {size} bytes")
+        grid = np.memmap(handle, dtype="<f4", mode="r", offset=12,
+                         shape=(file_height, file_width, 2))
+    return np.array(grid[iy0:iy1, ix0:ix1], dtype=np.float64)
+
+
+def read_flow_grid(path) -> FlowGrid:
+    data = read_flow_patch(path)
+    return FlowGrid(width=data.shape[1], height=data.shape[0], data=data)

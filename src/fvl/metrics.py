@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import as_box_matrix
 from .errors import ValidationError
 
 __all__ = [
@@ -27,19 +28,10 @@ __all__ = [
 ]
 
 
-def _as_matrix(boxes) -> np.ndarray:
-    rows = [b if isinstance(b, np.ndarray) else b.as_array() for b in boxes]
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != 4:
-        raise ValidationError(
-            f"expected [delta x 4] boxes, got shape {matrix.shape}")
-    return matrix
-
-
 def displacement_errors(pred, truth) -> tuple[float, float]:
     """(FDE, ADE): center error at the last step, and averaged over all."""
-    pred = _as_matrix(pred)
-    truth = _as_matrix(truth)
+    pred = as_box_matrix(pred)
+    truth = as_box_matrix(truth)
     if pred.shape != truth.shape:
         raise ValidationError(
             f"prediction and truth lengths differ: {pred.shape} vs {truth.shape}")
@@ -139,8 +131,8 @@ def build_reports(predictions, truths, reference_fdes=None) -> dict:
             f"{len(predictions)} predictions for {len(truths)} truths")
     records = []
     for i, (pred, truth) in enumerate(zip(predictions, truths)):
-        pred = _as_matrix(pred)
-        truth = _as_matrix(truth)
+        pred = as_box_matrix(pred)
+        truth = as_box_matrix(truth)
         fde, ade = displacement_errors(pred, truth)
         records.append(SampleResult(index=i, fde=fde, ade=ade,
                                     fiou=final_iou(pred[-1], truth[-1])))

@@ -208,6 +208,8 @@ def load_params(path) -> dict[str, np.ndarray]:
 
     if data[:4] != CHECKPOINT_MAGIC:
         fail(0, f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+    if len(data) < 12:
+        fail(len(data), "truncated header")
     version, count = struct.unpack_from("<II", data, 4)
     if version != CHECKPOINT_VERSION:
         fail(4, f"unsupported checkpoint version {version}")

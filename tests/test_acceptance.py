@@ -235,7 +235,6 @@ def test_determinism(overfit_run, tmp_path, capsys):
     assert cli_main(["generate", str(tmp_path / "scene2.scn"),
                      str(tmp_path / "scene4.scn"), "--out", str(data),
                      "--tau", "4", "--delta", "3"]) == 0
-    assert cli_main(["pool", "--dataset", str(data), "--pool-n", "3"]) == 0
     flags = ["--variant", "xo", "--hidden", "6", "--embed", "5",
              "--tau", "4", "--delta", "3", "--epochs", "2", "--batch", "8",
              "--pool-n", "3"]

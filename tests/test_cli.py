@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: the pipeline, exit codes, determinism."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from fvl.egomotion import EgoFeature
 from fvl.flowfeat import PooledFlow
 from fvl.fvlmodel import load_model
 from fvl.metrics import build_reports, displacement_errors, reports_to_json
+from fvl.nnkit import save_params
 from fvl.rng import Xoshiro256
 
 SCENE_SEEDS = (2, 4)
@@ -45,9 +47,7 @@ def make_suite(root: Path) -> Path:
 
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
-    data = make_suite(tmp_path_factory.mktemp("cli_suite"))
-    assert main(["pool", "--dataset", str(data), "--pool-n", "3"]) == 0
-    return data
+    return make_suite(tmp_path_factory.mktemp("cli_suite"))
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +65,6 @@ def test_generate_writes_video_dirs(suite):
         assert (video_dir / "ego.txt").exists()
         assert (video_dir / "boxes.jsonl").exists()
         assert (video_dir / "flow" / "000000.ffgr").exists()
-        assert (video_dir / "pooled.jsonl").exists()
-
-
-def test_pool_is_idempotent_and_worker_invariant(suite):
-    pooled = suite / f"scene{SCENE_SEEDS[0]}" / "pooled.jsonl"
-    before = pooled.read_bytes()
-    assert main(["pool", "--dataset", str(suite), "--pool-n", "3",
-                 "--workers", "4"]) == 0
-    assert pooled.read_bytes() == before
 
 
 def test_train_writes_checkpoint_and_loss_curve(checkpoint):
@@ -179,7 +170,8 @@ def test_usage_errors_exit_1(capsys):
     assert main(["train", "--dataset", "somewhere"]) == 1  # missing --out
     assert main(["train", "--dataset", "d", "--out", "m",
                  "--epochs", "many"]) == 1
-    assert main(["pool", "--dataset", "d", "--pool-n", "0"]) == 1
+    assert main(["train", "--dataset", "d", "--out", "m",
+                 "--pool-n", "0"]) == 1
     assert main(["train", "--dataset", "d", "--out", "m",
                  "--variant", "xyz"]) == 1
     capsys.readouterr()
@@ -199,7 +191,30 @@ def test_data_errors_exit_2(tmp_path, capsys):
     scn = tmp_path / "bad.scn"
     scn.write_text("frames=ten\n")
     assert main(["generate", str(scn), "--out", str(tmp_path / "out")]) == 2
+
+    # a checkpoint cut inside its 12-byte header
+    cut = tmp_path / "cut.fvlw"
+    save_params(cut, {"w": np.zeros(2)})
+    cut.write_bytes(cut.read_bytes()[:8])
+    Path(f"{cut}.cfg").write_text(
+        "variant=x\nhidden=2\nembed=2\ntau=2\ndelta=1\npooled_dim=2\n")
+    assert main(["evaluate", str(cut), "--dataset", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "swap_dims"])
+def test_bad_flow_file_exits_2(suite, tmp_path, damage, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(suite, data)
+    for grid in data.glob("*/flow/*.ffgr"):
+        blob = grid.read_bytes()
+        if damage == "truncate":
+            grid.write_bytes(blob[:-8])
+        else:  # same payload length, but the header disagrees with meta
+            grid.write_bytes(blob[:4] + blob[8:12] + blob[4:8] + blob[12:])
+    assert main(["train", "--dataset", str(data),
+                 "--out", str(tmp_path / "m.fvlw"), *TRAIN_FLAGS]) == 2
+    assert ".ffgr" in capsys.readouterr().err
 
 
 def _tiny_samples(huge_future: bool):

@@ -1,5 +1,6 @@
+import json
 import math
-import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
                         normalize_sample, random_scenario, read_dataset,
                         read_scenario_file, read_video_dir, split_videos,
                         window_track, windows_from_video, write_dataset,
-                        write_pooled_table, write_scenario_file,
-                        write_video_dir)
+                        write_scenario_file, write_video_dir)
 from fvl.egomotion import EgoFeature, compose, rotation_matrix, wrap_angle, \
     yaw_to_step
 from fvl.errors import DataFormatError, ValidationError
-from fvl.flowfeat import PooledFlow, expand_roi, roi_pool
+from fvl.flowfeat import PooledFlow, expand_roi, read_flow_grid, roi_pool
 
 
 def small_camera() -> CameraSpec:
@@ -183,10 +183,10 @@ def test_first_visible_frame_paints_zero_flow():
         video.flow_patch(10, 0, 0, 4, 4)
 
 
-def test_generator_ignores_seed_and_repeats_exactly():
+def test_generator_repeats_exactly():
     scenario = moving_scenario()
-    a = generate_scenario(scenario, seed=0)
-    b = generate_scenario(scenario, seed=123)
+    a = generate_scenario(scenario)
+    b = generate_scenario(scenario)
     assert set(a.tracks) == set(b.tracks)
     for track in a.tracks:
         assert a.tracks[track] == b.tracks[track]
@@ -361,6 +361,12 @@ def test_read_dataset_reports_line_numbers(tmp_path):
     path.write_text(good + "\n{not json}\n")
     with pytest.raises(DataFormatError, match="bad.jsonl:2"):
         read_dataset(path)
+    for bad in (good.replace("0.25", "NaN"),
+                good.replace("1.0,0.0]", "Infinity,0.0]")):
+        assert bad != good
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(DataFormatError, match="bad.jsonl:2: .*finite"):
+            read_dataset(path)
     path.write_text(good + "\n")
     sample = read_dataset(path)[0]
     assert sample.past[0].cx == 5.0
@@ -387,22 +393,56 @@ def test_video_dir_roundtrip(tmp_path):
                           grid.data.astype("<f4").astype(np.float64))
 
 
-def test_pooled_table_hit_avoids_grids(tmp_path):
+def test_windowing_ignores_a_leftover_pooled_table(tmp_path):
+    # Older versions kept a pooled-flow table in the video directory, keyed
+    # without the ROI extent; windowing must pool fresh for any expand/n.
+    video = generate_scenario(rich_scenario())
+    root = tmp_path / "video"
+    write_video_dir(video, root)
+    flow_file = root / "flow" / "{:06d}.ffgr"
+    lines = []
+    for track, frames in sorted(video.tracks.items()):
+        for t, box in sorted(frames.items()):
+            roi = expand_roi(box, 1.5, video.width, video.height)
+            values = roi_pool(read_flow_grid(str(flow_file).format(t)), roi, 2)
+            lines.append(json.dumps(
+                {"track": track, "frame": t, "n": 2, "cx": roi.cx, "cy": roi.cy,
+                 "values": values.values.tolist()}))
+    (root / "pooled.jsonl").write_text("\n".join(lines) + "\n")
+
+    frame_of = {(track, box): t for track, frames in video.tracks.items()
+                for t, box in frames.items()}
+    loaded = read_video_dir(root)
+    clipped = 0
+    for n in (2, 3):
+        samples, _ = windows_from_video(loaded, tau=2, delta=1, expand=2.5, n=n)
+        assert samples
+        for sample in samples:
+            for box, pooled in zip(sample.past, sample.flow):
+                t = frame_of[sample.track, box]
+                clipped += (box.cx - 1.25 * box.w < 0.0 or box.cy - 1.25 * box.h < 0.0
+                            or box.cx + 1.25 * box.w > video.width
+                            or box.cy + 1.25 * box.h > video.height)
+                roi = expand_roi(box, 2.5, video.width, video.height)
+                fresh = roi_pool(read_flow_grid(str(flow_file).format(t)), roi, n)
+                assert np.array_equal(pooled.values, fresh.values)
+    assert clipped
+
+
+@pytest.mark.parametrize("header", [None, (160, 320), (321, 160), (320, 159)])
+def test_bad_flow_file_raises_data_format_error(tmp_path, header):
     video = generate_scenario(moving_scenario())
     root = tmp_path / "video"
     write_video_dir(video, root)
-    loaded = read_video_dir(root)
-    write_pooled_table(loaded, expand=1.5, n=2)
-    again = read_video_dir(root)
-    track = sorted(again.tracks)[0]
-    frame = sorted(again.tracks[track])[3]
-    roi = expand_roi(again.tracks[track][frame], 1.5, again.width, again.height)
-    direct = roi_pool(again.flow_grid(frame), roi, 2)
-    shutil.rmtree(root / "flow")
-    hit = again.pooled_flow(frame, roi, 2)  # served from the table
-    assert np.array_equal(hit.values, direct.values)
-    with pytest.raises(FileNotFoundError):
-        again.pooled_flow(frame, roi, 3)  # other lattice sizes need grids
+    for grid in (root / "flow").glob("*.ffgr"):
+        blob = grid.read_bytes()
+        if header is None:
+            blob = blob[:-1]
+        else:  # (160, 320) keeps the payload length and differs only from meta
+            blob = blob[:4] + struct.pack("<II", *header) + blob[12:]
+        grid.write_bytes(blob)
+    with pytest.raises(DataFormatError, match="ffgr"):
+        windows_from_video(read_video_dir(root), tau=4, delta=3)
 
 
 def test_scenario_file_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from fvl.boxes import BoundingBox
 from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, read_flow_grid,
-                          roi_pool, write_flow_grid)
+                          read_flow_patch, roi_pool, write_flow_grid)
 from fvl.rng import Xoshiro256
 from oracles import pool_oracle
 
@@ -161,6 +161,21 @@ def test_flow_file_rejects_corruption(tmp_path):
     with pytest.raises(DataFormatError, match="magic"):
         read_flow_grid(path)
 
-    path.write_bytes(blob[:-7])
-    with pytest.raises(DataFormatError, match="offset"):
-        read_flow_grid(path)
+    for cut in (6, len(blob) - 7):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataFormatError, match="offset"):
+            read_flow_grid(path)
+
+
+def test_flow_patch_reads_a_window_of_the_grid(tmp_path):
+    grid = random_grid(seed=63, width=20, height=10)
+    path = tmp_path / "grid.ffgr"
+    write_flow_grid(path, grid)
+    full = read_flow_grid(path).data
+    patch = read_flow_patch(path, 3, 2, 9, 7, width=20, height=10)
+    assert patch.dtype == np.float64
+    np.testing.assert_array_equal(patch, full[2:7, 3:9])
+    np.testing.assert_array_equal(read_flow_patch(path), full)
+    # same payload length, but the header disagrees with the expected dims
+    with pytest.raises(DataFormatError, match="10x20"):
+        read_flow_patch(path, 0, 0, 2, 2, width=10, height=20)

@@ -231,9 +231,10 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     save_params(path, {"w": np.arange(6.0).reshape(2, 3)})
     blob = path.read_bytes()
 
-    path.write_bytes(blob[:-4])
-    with pytest.raises(DataFormatError, match="offset"):
-        load_params(path)
+    for cut in [*range(12), len(blob) - 4]:  # every header cut, then a record cut
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataFormatError, match="offset"):
+            load_params(path)
 
     path.write_bytes(blob + b"xx")
     with pytest.raises(DataFormatError, match="trailing"):
