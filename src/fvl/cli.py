@@ -246,8 +246,8 @@ def cmd_evaluate(args) -> int:
         degree = BASELINE_DEGREES[args.model]
         predictions = [fit_extrapolate(s.past, degree, delta) for s in samples]
     else:
-        predictions = [forecaster.predict(s).pixel_boxes(s.width, s.height)
-                       for s in samples]
+        predictions = [p.pixel_boxes(s.width, s.height) for s, p in
+                       zip(samples, forecaster.predict_batch(samples))]
     references = None
     if not args.no_split:
         references = [
@@ -275,11 +275,10 @@ def cmd_predict(args) -> int:
     if bad:
         raise ValidationError(
             f"sample ids out of range: {bad} (dataset has {len(samples)})")
+    picked = [samples[i] for i in ids]
     lines = []
-    for i in ids:
-        sample = samples[i]
-        boxes = forecaster.predict(sample).pixel_boxes(sample.width,
-                                                       sample.height)
+    for i, sample, pred in zip(ids, picked, forecaster.predict_batch(picked)):
+        boxes = pred.pixel_boxes(sample.width, sample.height)
         lines.append(json.dumps(
             {"index": i, "track": sample.track,
              "boxes": [[float(v) for v in row] for row in boxes]},

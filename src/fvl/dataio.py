@@ -61,6 +61,7 @@ __all__ = [
     "denormalize_sample",
     "read_dataset",
     "write_dataset",
+    "read_key_values",
     "write_video_dir",
     "read_video_dir",
     "read_scenario_file",
@@ -553,6 +554,12 @@ def read_dataset(path) -> list[Sample]:
             continue
         try:
             record = json.loads(line)
+            for key in ("width", "height"):
+                dim = record[key]
+                # json yields Infinity as a float and true as a bool (an int)
+                if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+                    raise ValueError(
+                        f"image {key} must be a positive integer, got {dim!r}")
             n = record["flow"]["n"]
             sample = Sample(
                 track=record["track"],
@@ -589,16 +596,26 @@ def _write_meta(path: Path, video, tau: int, delta: int) -> None:
     path.write_text(text)
 
 
-def _read_meta(path: Path) -> dict:
-    meta = {}
-    for lineno, line in enumerate(path.read_text().splitlines()):
+def read_key_values(path) -> dict[str, str]:
+    """Parse a text file of `key=value` lines into a dict of strings.
+
+    Blank lines and lines starting with `#` are skipped; any other line
+    without `=` raises DataFormatError naming `path:line`.
+    """
+    fields = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines()):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno + 1}: expected key=value")
         key, value = line.split("=", 1)
-        meta[key.strip()] = value.strip()
+        fields[key.strip()] = value.strip()
+    return fields
+
+
+def _read_meta(path: Path) -> dict:
+    meta = read_key_values(path)
     for key in ("width", "height", "frames"):
         if key not in meta:
             raise DataFormatError(f"{path}: missing required key {key!r}")

@@ -5,10 +5,17 @@ tape that records one backward closure per primitive, replayed in reverse
 order by :meth:`Tape.backward`.  It is deliberately small.  Supported
 primitives are matrix products, a handful of elementwise functions
 (add, sub, mul, sigmoid, tanh, relu), concatenation, row tiling,
-transpose, and full reductions.  Broadcasting is restricted to exact
-shape match or scalar-with-array so every backward rule stays auditable;
-the one structural exception is :func:`tile_rows`, an explicit primitive
-whose adjoint is a row sum.
+transpose, full reductions, and two fused layer kernels that the model
+path runs on row-stacked [B x n] batches:
+
+    affine(x, W, b)     x @ W.T + b, one node
+    gru_step(x, h, ...) one reset-before-candidate GRU update, one node
+
+Each fused kernel has a closed-form backward, so a GRU step records one
+tape node instead of a chain of about twenty.  Broadcasting is
+restricted to exact shape match or scalar-with-array so every backward
+rule stays auditable; the structural exceptions are :func:`tile_rows`
+and the bias rows of the fused kernels, whose adjoints are row sums.
 
 Gradient semantics follow the usual tape convention: leaf adjoints
 accumulate across repeated :meth:`Tape.backward` calls, intermediate
@@ -42,6 +49,8 @@ __all__ = [
     "concat_last",
     "tile_rows",
     "transpose",
+    "affine",
+    "gru_step",
     "sum_all",
     "mean_all",
     "grad_check",
@@ -268,12 +277,16 @@ def mul(a, b):
     return out
 
 
+def _sigmoid_value(xv: np.ndarray) -> np.ndarray:
+    """Stable logistic function: 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) below, evaluated with one exp(-|x|) that
+    cannot overflow, so the result is finite for any float input."""
+    e = np.exp(-np.abs(xv))
+    return np.where(xv >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x):
-    xv = _value(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.where(xv >= 0.0,
-                     1.0 / (1.0 + np.exp(-xv)),
-                     np.exp(xv) / (1.0 + np.exp(xv)))
+    s = _sigmoid_value(_value(x))
     tape = _context(x)
     if tape is None:
         return s
@@ -407,6 +420,91 @@ def transpose(x):
 
     def backward():
         _accumulate(x, out.grad.T)
+
+    tape._record(backward)
+    return out
+
+
+def affine(x, w, b):
+    """Row-stacked affine map ``x @ w.T + b`` for x [B x in], w [out x in]
+    and b [out], recorded as one node."""
+    xv, wv, bv = _value(x), _value(w), _value(b)
+    if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]
+            or bv.shape != wv.shape[:1]):
+        raise DimensionError(
+            f"affine expects x [B x in], W [out x in] and b [out], got "
+            f"shapes {xv.shape}, {wv.shape} and {bv.shape}")
+    tape = _context(x, w, b)
+    out_value = xv @ wv.T + bv
+    if tape is None:
+        return out_value
+    out = tape._intermediate(out_value)
+
+    def backward():
+        g = out.grad
+        _accumulate(x, g @ wv)
+        _accumulate(w, g.T @ xv)
+        _accumulate(b, g.sum(axis=0))
+
+    tape._record(backward)
+    return out
+
+
+def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
+    """One reset-before-candidate GRU update over row-stacked batches.
+
+    With xh = [x, h] and xrh = [x, r * h]:
+
+        z = sigmoid(xh @ w_update.T + b_update)
+        r = sigmoid(xh @ w_reset.T + b_reset)
+        c = tanh(xrh @ w_cand.T + b_cand)
+        out = (1 - z) * h + z * c
+
+    x is [B x in], h is [B x hidden], each weight [hidden x (in + hidden)]
+    and each bias [hidden].  The whole update is one node whose backward
+    is the closed-form adjoint of the lines above.
+    """
+    xv, hv = _value(x), _value(h)
+    wz, wr, wc = _value(w_update), _value(w_reset), _value(w_cand)
+    bz, br, bc = _value(b_update), _value(b_reset), _value(b_cand)
+    if xv.ndim != 2 or hv.ndim != 2 or xv.shape[0] != hv.shape[0]:
+        raise DimensionError(
+            f"gru_step expects x [B x in] and h [B x hidden], got shapes "
+            f"{xv.shape} and {hv.shape}")
+    n_in, hidden = xv.shape[1], hv.shape[1]
+    if not (wz.shape == wr.shape == wc.shape == (hidden, n_in + hidden)
+            and bz.shape == br.shape == bc.shape == (hidden,)):
+        raise DimensionError(
+            f"gru_step weights must be [{hidden} x {n_in + hidden}] and biases "
+            f"[{hidden}], got {wz.shape}, {wr.shape}, {wc.shape} and "
+            f"{bz.shape}, {br.shape}, {bc.shape}")
+    xh = np.concatenate([xv, hv], axis=1)
+    z = _sigmoid_value(xh @ wz.T + bz)
+    r = _sigmoid_value(xh @ wr.T + br)
+    xrh = np.concatenate([xv, r * hv], axis=1)
+    c = np.tanh(xrh @ wc.T + bc)
+    out_value = (1.0 - z) * hv + z * c
+    tape = _context(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand)
+    if tape is None:
+        return out_value
+    out = tape._intermediate(out_value)
+
+    def backward():
+        g = out.grad
+        d_cand = g * z * (1.0 - c * c)
+        d_xrh = d_cand @ wc
+        d_rh = d_xrh[:, n_in:]
+        d_update = g * (c - hv) * z * (1.0 - z)
+        d_reset = d_rh * hv * r * (1.0 - r)
+        d_xh = d_update @ wz + d_reset @ wr
+        _accumulate(x, d_xh[:, :n_in] + d_xrh[:, :n_in])
+        _accumulate(h, d_xh[:, n_in:] + d_rh * r + g * (1.0 - z))
+        _accumulate(w_update, d_update.T @ xh)
+        _accumulate(w_reset, d_reset.T @ xh)
+        _accumulate(w_cand, d_cand.T @ xrh)
+        _accumulate(b_update, d_update.sum(axis=0))
+        _accumulate(b_reset, d_reset.sum(axis=0))
+        _accumulate(b_cand, d_cand.sum(axis=0))
 
     tape._record(backward)
     return out

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from .dataio import Sample, normalize_sample
+from .dataio import Sample, normalize_sample, read_key_values
 from .diffcore import DiffArray, GradCheckReport, Tape, grad_check
 from .errors import DataFormatError, NumericFailure, ValidationError
 from .nnkit import Adam, GruCell, Projection, load_params, mse_loss, save_params
@@ -205,53 +205,48 @@ class BoxForecaster:
     # --- forward passes ---------------------------------------------------
 
     def encode(self, boxes, flows=None):
-        """Fused hidden state of the past window.
+        """Fused hidden state [batch x hidden] of the past windows.
 
-        `boxes` is [tau x 4] or [batch x tau x 4]; `flows` ([tau x pooled]
-        or [batch x tau x pooled]) must be given exactly when the variant
-        has a flow stream.
+        The model path is batch-only: `boxes` is [batch x tau x 4] and
+        `flows` ([batch x tau x pooled]) must be given exactly when the
+        variant has a flow stream.  A single sample is a batch of one.
         """
         c = self.config
         boxes = np.asarray(boxes, dtype=np.float64)
-        if boxes.ndim not in (2, 3) or boxes.shape[-2:] != (c.tau, 4):
+        if boxes.ndim != 3 or boxes.shape[1:] != (c.tau, 4):
             raise ValidationError(
-                f"expected past boxes shaped [{c.tau} x 4], got {boxes.shape}")
+                f"expected past boxes shaped [batch x {c.tau} x 4], "
+                f"got {boxes.shape}")
         if c.uses_flow and flows is None:
             raise ValidationError(
                 f"variant {c.variant!r} needs the pooled-flow stream")
         if not c.uses_flow and flows is not None:
             raise ValidationError(
                 f"variant {c.variant!r} does not take a flow stream")
-        batched = boxes.ndim == 3
-        h = self._run_encoder(self.box_embed, self.box_encoder, boxes, batched)
+        h = self._run_encoder(self.box_embed, self.box_encoder, boxes)
         if c.uses_flow:
             flows = np.asarray(flows, dtype=np.float64)
-            if (flows.ndim != boxes.ndim
-                    or flows.shape[-2:] != (c.tau, c.pooled_dim)
-                    or (batched and flows.shape[0] != boxes.shape[0])):
+            if flows.shape != (boxes.shape[0], c.tau, c.pooled_dim):
                 raise ValidationError(
-                    f"expected pooled flow shaped [{c.tau} x {c.pooled_dim}] "
-                    f"matching the boxes, got {flows.shape}")
-            h_flow = self._run_encoder(self.flow_embed, self.flow_encoder,
-                                       flows, batched)
+                    f"expected pooled flow shaped [batch x {c.tau} x "
+                    f"{c.pooled_dim}] matching the boxes, got {flows.shape}")
+            h_flow = self._run_encoder(self.flow_embed, self.flow_encoder, flows)
             h = 0.5 * (h + h_flow)
         return self.fuse(h)
 
-    def _run_encoder(self, embed, cell, series, batched):
-        if batched:
-            h = np.zeros((series.shape[0], self.config.hidden))
-        else:
-            h = np.zeros(self.config.hidden)
+    def _run_encoder(self, embed, cell, series):
+        h = np.zeros((series.shape[0], self.config.hidden))
         for t in range(self.config.tau):
-            x = series[:, t, :] if batched else series[t]
-            h = cell.step(embed(x), h)
+            h = cell.step(embed(series[:, t, :]), h)
         return h
 
     def decode_steps(self, fused, ego=None) -> list:
-        """Unroll the decoder; one residual per future step.
+        """Unroll the decoder; one [batch x 4] residual per future step.
 
-        This is the differentiable core behind decode/predict: while the
-        tape is recording, the entries are DiffArrays.
+        Batch-only like `encode`: `fused` is [batch x hidden] and `ego`
+        [batch x delta x 3].  This is the differentiable core behind
+        training and prediction: while the tape is recording, the
+        entries are DiffArrays.
         """
         c = self.config
         if c.uses_ego and ego is None:
@@ -260,56 +255,40 @@ class BoxForecaster:
         if not c.uses_ego and ego is not None:
             raise ValidationError(
                 f"variant {c.variant!r} does not take ego features")
-        value = fused.value if isinstance(fused, DiffArray) else np.asarray(fused)
-        batched = value.ndim == 2
         if ego is not None:
             ego = np.asarray(ego, dtype=np.float64)
-            expected = 3 if batched else 2
-            if ego.ndim != expected or ego.shape[-2:] != (c.delta, 3):
+            if ego.ndim != 3 or ego.shape[1:] != (c.delta, 3):
                 raise ValidationError(
-                    f"expected {c.delta} ego features of width 3, "
+                    f"expected {c.delta} ego features of width 3 per sample, "
                     f"got shape {ego.shape}")
-            if batched and ego.shape[0] != value.shape[0]:
+            if ego.shape[0] != np.shape(fused)[0]:
                 raise ValidationError(
-                    f"{ego.shape[0]} ego rows for {value.shape[0]} samples")
+                    f"{ego.shape[0]} ego rows for {np.shape(fused)[0]} samples")
         h = fused
         residuals = []
         for i in range(c.delta):
             inp = self.state_embed(h)
             if ego is not None:
-                step_ego = ego[:, i, :] if batched else ego[i]
-                inp = 0.5 * (inp + self.ego_embed(step_ego))
+                inp = 0.5 * (inp + self.ego_embed(ego[:, i, :]))
             h = self.decoder.step(inp, h)
             residuals.append(self.head(h))
         return residuals
 
-    def decode(self, fused, anchor, ego=None) -> Prediction:
-        """Inference wrapper around decode_steps for a single sample."""
-        anchor = np.asarray(anchor, dtype=np.float64)
-        with self.tape.no_grad():
-            steps = self.decode_steps(fused, ego)
-        residuals = np.stack([np.asarray(s) for s in steps])
-        return Prediction(anchor=anchor, residuals=residuals,
-                          absolute=anchor + residuals)
-
     def predict(self, sample: Sample) -> Prediction:
         """Pure inference on one dataio sample (pixels in, normalized out)."""
-        c = self.config
-        if sample.tau != c.tau or sample.delta != c.delta:
-            raise ValidationError(
-                f"sample window ({sample.tau}, {sample.delta}) does not "
-                f"match config ({c.tau}, {c.delta})")
-        norm = normalize_sample(sample, sample.width, sample.height)
-        boxes = np.array([b.as_array() for b in norm.past])
-        flows = _flow_matrix(norm, c) if c.uses_flow else None
-        ego = np.array([e.as_vector() for e in norm.ego]) if c.uses_ego else None
+        return self.predict_batch([sample])[0]
+
+    def predict_batch(self, samples) -> list[Prediction]:
+        """Inference on many samples in one batched forward pass."""
+        samples = list(samples)
+        if not samples:
+            return []
+        data = _prepare(self.config, samples)
         with self.tape.no_grad():
-            fused = self.encode(boxes, flows)
-            steps = self.decode_steps(fused, ego)
-        residuals = np.stack([np.asarray(s) for s in steps])
-        anchor = norm.past[-1].as_array()
-        return Prediction(anchor=anchor, residuals=residuals,
-                          absolute=anchor + residuals)
+            steps = _forward(self, data, slice(None))
+        residuals = np.stack(steps, axis=1)
+        return [Prediction(anchor=anchor, residuals=r, absolute=anchor + r)
+                for anchor, r in zip(data["anchors"], residuals)]
 
 
 def _flow_matrix(sample: Sample, config: ModelConfig) -> np.ndarray:
@@ -359,13 +338,18 @@ def _prepare(config: ModelConfig, samples) -> dict:
     }
 
 
+def _forward(model: BoxForecaster, data: dict, idx) -> list:
+    """Encode and decode the indexed rows of `_prepare` output."""
+    c = model.config
+    fused = model.encode(data["boxes"][idx],
+                         data["flows"][idx] if c.uses_flow else None)
+    return model.decode_steps(fused, data["egos"][idx] if c.uses_ego else None)
+
+
 def _batch_loss(model: BoxForecaster, data: dict, indices):
     c = model.config
     idx = np.asarray(indices, dtype=int)
-    fused = model.encode(data["boxes"][idx],
-                         data["flows"][idx] if c.uses_flow else None)
-    steps = model.decode_steps(fused,
-                               data["egos"][idx] if c.uses_ego else None)
+    steps = _forward(model, data, idx)
     target = data["targets"][idx]
     total = mse_loss(steps[0], target[:, 0, :])
     for i in range(1, c.delta):
@@ -375,14 +359,10 @@ def _batch_loss(model: BoxForecaster, data: dict, indices):
 
 def _pixel_ade(model: BoxForecaster, data: dict, indices) -> float:
     """Mean center displacement error in pixels over the indexed samples."""
-    c = model.config
     idx = np.asarray(indices, dtype=int)
     with model.tape.no_grad():
-        fused = model.encode(data["boxes"][idx],
-                             data["flows"][idx] if c.uses_flow else None)
-        steps = model.decode_steps(fused,
-                                   data["egos"][idx] if c.uses_ego else None)
-    residuals = np.stack([np.asarray(s) for s in steps], axis=1)
+        steps = _forward(model, data, idx)
+    residuals = np.stack(steps, axis=1)
     absolute = data["anchors"][idx][:, None, :] + residuals
     pred_px = absolute * data["scales"][idx][:, None, :]
     truth = data["future_px"][idx]
@@ -491,15 +471,7 @@ def load_model(path) -> BoxForecaster:
     if not cfg_path.exists():
         raise DataFormatError(
             f"{cfg_path}: missing config header for checkpoint {path}")
-    fields = {}
-    for lineno, line in enumerate(cfg_path.read_text().splitlines()):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{cfg_path}:{lineno + 1}: expected key=value")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+    fields = read_key_values(cfg_path)
     try:
         config = ModelConfig(variant=fields["variant"],
                              hidden=int(fields["hidden"]),
@@ -515,22 +487,17 @@ def load_model(path) -> BoxForecaster:
 def gradient_check_model(config: ModelConfig, seed: int = 7,
                          step: float = 1e-6,
                          tolerance: float = 1e-4) -> GradCheckReport:
-    """Check the full encode-decode gradient on one random sample."""
+    """Check the full encode-decode gradient on one random sample, run as
+    a batch of one through the training loss."""
     model = BoxForecaster(config, seed=seed)
     rng = Xoshiro256(seed ^ _DATA_STREAM)
-    boxes = rng.uniforms((config.tau, 4), 0.1, 0.9)
-    flows = (rng.uniforms((config.tau, config.pooled_dim), -0.2, 0.2)
-             if config.uses_flow else None)
-    ego = (rng.uniforms((config.delta, 3), -0.5, 0.5)
-           if config.uses_ego else None)
-    target = rng.uniforms((config.delta, 4), -0.3, 0.3)
-
-    def f():
-        fused = model.encode(boxes, flows)
-        steps = model.decode_steps(fused, ego)
-        total = mse_loss(steps[0], target[0])
-        for i in range(1, config.delta):
-            total = dc.add(total, mse_loss(steps[i], target[i]))
-        return dc.mul(total, 1.0 / config.delta)
-
-    return grad_check(f, model.params, step=step, tolerance=tolerance)
+    c = config
+    data = {
+        "boxes": rng.uniforms((1, c.tau, 4), 0.1, 0.9),
+        "flows": (rng.uniforms((1, c.tau, c.pooled_dim), -0.2, 0.2)
+                  if c.uses_flow else None),
+        "egos": rng.uniforms((1, c.delta, 3), -0.5, 0.5) if c.uses_ego else None,
+        "targets": rng.uniforms((1, c.delta, 4), -0.3, 0.3),
+    }
+    return grad_check(lambda: _batch_loss(model, data, [0]), model.params,
+                      step=step, tolerance=tolerance)

@@ -2,9 +2,10 @@
 
 A :class:`GruCell` and :class:`Projection` cover every learnable piece of
 the forecasting models; :class:`Adam` trains them; :func:`mse_loss` scores
-them.  Cells and projections operate on single vectors or on row-stacked
-batches, dispatching on input rank, so the same code path serves
-per-sample inference and batched training.
+them.  Cells and projections take row-stacked [B x n] batches only
+(a single sample is a batch of one), and each call records one fused
+tape node: :func:`fvl.diffcore.affine` for a projection (plus a relu
+node when it has one) and :func:`fvl.diffcore.gru_step` for a GRU step.
 
 Parameter initialization is uniform fan-in: weights are drawn from
 U(-1/sqrt(fan_in), +1/sqrt(fan_in)) elementwise in row-major order from a
@@ -47,7 +48,8 @@ def uniform_fan_in(rng: Xoshiro256, out_size: int, in_size: int) -> np.ndarray:
 
 
 class Projection:
-    """Linear map with optional relu: y = act(W x + b)."""
+    """Linear map with optional relu over row-stacked inputs:
+    y = act(x W^T + b) for x [B x in]."""
 
     def __init__(self, tape: Tape, rng: Xoshiro256, in_size: int, out_size: int,
                  activation: str = "relu", name: str = "proj"):
@@ -66,11 +68,7 @@ class Projection:
         return {p.name: p for p in (self.weight, self.bias)}
 
     def __call__(self, x):
-        if _rank(x) == 1:
-            y = self.weight @ x + self.bias
-        else:
-            rows = _rows(x)
-            y = dc.matmul(x, dc.transpose(self.weight)) + dc.tile_rows(self.bias, rows)
+        y = dc.affine(x, self.weight, self.bias)
         return dc.relu(y) if self.activation == "relu" else y
 
 
@@ -103,31 +101,17 @@ class GruCell:
                                     self.b_update, self.b_reset, self.b_cand)}
 
     def step(self, x, h_prev):
-        """One recurrence update; returns the next hidden state.
-
-        Accepts a single step ([input] with [hidden]) or a row-stacked
-        batch ([B x input] with [B x hidden]).
-        """
-        if _last_dim(x) != self.input_size or _last_dim(h_prev) != self.hidden_size:
+        """One recurrence update of a row-stacked batch ([B x input] with
+        [B x hidden]); returns the next hidden state [B x hidden]."""
+        x_shape, h_shape = np.shape(x), np.shape(h_prev)
+        if (len(x_shape) != 2 or len(h_shape) != 2
+                or x_shape[1] != self.input_size or h_shape[1] != self.hidden_size):
             raise DimensionError(
                 f"{self.name}: expected input width {self.input_size} and hidden "
-                f"width {self.hidden_size}, got {_shape(x)} and {_shape(h_prev)}")
-        xh = dc.concat_last(x, h_prev)
-        if _rank(x) == 1:
-            z = dc.sigmoid(self.w_update @ xh + self.b_update)
-            r = dc.sigmoid(self.w_reset @ xh + self.b_reset)
-            xrh = dc.concat_last(x, r * h_prev)
-            h_cand = dc.tanh(self.w_cand @ xrh + self.b_cand)
-        else:
-            rows = _rows(x)
-            z = dc.sigmoid(dc.matmul(xh, dc.transpose(self.w_update))
-                           + dc.tile_rows(self.b_update, rows))
-            r = dc.sigmoid(dc.matmul(xh, dc.transpose(self.w_reset))
-                           + dc.tile_rows(self.b_reset, rows))
-            xrh = dc.concat_last(x, r * h_prev)
-            h_cand = dc.tanh(dc.matmul(xrh, dc.transpose(self.w_cand))
-                             + dc.tile_rows(self.b_cand, rows))
-        return (1.0 - z) * h_prev + z * h_cand
+                f"width {self.hidden_size} as [B x n] batches, got {x_shape} "
+                f"and {h_shape}")
+        return dc.gru_step(x, h_prev, self.w_update, self.w_reset, self.w_cand,
+                           self.b_update, self.b_reset, self.b_cand)
 
 
 class Adam:
@@ -234,19 +218,3 @@ def load_params(path) -> dict[str, np.ndarray]:
     if offset != len(data):
         fail(offset, f"{len(data) - offset} trailing bytes")
     return params
-
-
-def _rank(x) -> int:
-    return (x.value if isinstance(x, DiffArray) else np.asarray(x)).ndim
-
-
-def _rows(x) -> int:
-    return (x.value if isinstance(x, DiffArray) else np.asarray(x)).shape[0]
-
-
-def _shape(x):
-    return (x.value if isinstance(x, DiffArray) else np.asarray(x)).shape
-
-
-def _last_dim(x) -> int:
-    return _shape(x)[-1]

@@ -302,10 +302,10 @@ def test_ablation_trend(capsys):
                                  **ABLATION_RUN)
             model = BoxForecaster(config, params=result.best_params)
             ades = []
-            for sample, truth in zip(test_samples, truths):
-                pred = model.predict(sample).pixel_boxes(sample.width,
-                                                         sample.height)
-                ades.append(displacement_errors(pred, truth)[1])
+            for sample, truth, pred in zip(test_samples, truths,
+                                           model.predict_batch(test_samples)):
+                pixels = pred.pixel_boxes(sample.width, sample.height)
+                ades.append(displacement_errors(pixels, truth)[1])
             ades = np.array(ades)
             per_seed.append(ades.mean())
             per_seed_challenging.append(ades[challenging].mean())

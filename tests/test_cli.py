@@ -111,8 +111,8 @@ def test_evaluate_matches_library_composition(suite, checkpoint, tmp_path):
         found, _ = windows_from_video(video, tau=4, delta=3, expand=1.5, n=3)
         samples.extend(found)
     truths = [np.array([b.as_array() for b in s.future]) for s in samples]
-    predictions = [forecaster.predict(s).pixel_boxes(s.width, s.height)
-                   for s in samples]
+    predictions = [p.pixel_boxes(s.width, s.height)
+                   for s, p in zip(samples, forecaster.predict_batch(samples))]
     references = [displacement_errors(fit_extrapolate(s.past, 2, 3), truth)[0]
                   for s, truth in zip(samples, truths)]
     manual = build_reports(predictions, truths, reference_fdes=references)

@@ -367,6 +367,14 @@ def test_read_dataset_reports_line_numbers(tmp_path):
         path.write_text(good + "\n" + bad + "\n")
         with pytest.raises(DataFormatError, match="bad.jsonl:2: .*finite"):
             read_dataset(path)
+    for bad in (good.replace('"width":64', '"width":Infinity'),
+                good.replace('"height":64', '"height":64.5'),
+                good.replace('"width":64', '"width":true')):
+        assert bad != good
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(DataFormatError,
+                           match="bad.jsonl:2: .*positive integer"):
+            read_dataset(path)
     path.write_text(good + "\n")
     sample = read_dataset(path)[0]
     assert sample.past[0].cx == 5.0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fvl import diffcore as dc
 from fvl.diffcore import Tape, grad_check
 from fvl.errors import DimensionError, ValidationError
+from fvl.fvlmodel import VARIANTS, BoxForecaster, ModelConfig, _batch_loss
 from fvl.rng import Xoshiro256
 
 
@@ -50,6 +51,19 @@ def test_sigmoid_extreme_inputs_stay_finite():
     s = dc.sigmoid(x).value
     assert np.all(np.isfinite(s))
     assert s[0] == 0.0 and s[1] == 1.0
+
+
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
+    # The kernel evaluates one exp(-|x|); it must round exactly like
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below.
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.standard_normal(4000) * s
+                        for s in (1e-8, 1.0, 10.0, 100.0, 800.0)]
+                       + [[0.0, -0.0, 709.0, 710.0, -745.0, -746.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-x)),
+                            np.exp(x) / (1.0 + np.exp(x)))
+    assert np.array_equal(dc.sigmoid(x), expected)
 
 
 def test_relu_gradient_at_kink_is_zero():
@@ -296,3 +310,113 @@ def test_gradient_of_composite_matches_finite_differences(values):
     report = grad_check(
         lambda: dc.mean_all(dc.mul(dc.tanh(x), dc.sigmoid(x))), {"x": x})
     assert report.passed
+
+
+def _gru_inputs(tape, rng, rows=3, n_in=3, hidden=4):
+    """x, h, the three gate weights and the three gate biases as leaves."""
+    joint = n_in + hidden
+    return [tape.leaf(rng.uniforms(shape, -1.0, 1.0), name=name)
+            for name, shape in (("x", (rows, n_in)), ("h", (rows, hidden)),
+                                ("w_update", (hidden, joint)),
+                                ("w_reset", (hidden, joint)),
+                                ("w_cand", (hidden, joint)),
+                                ("b_update", (hidden,)), ("b_reset", (hidden,)),
+                                ("b_cand", (hidden,)))]
+
+
+def _affine_inputs(tape, rng, rows=3, n_in=4, n_out=2):
+    return [tape.leaf(rng.uniforms(shape, -1.0, 1.0), name=name)
+            for name, shape in (("x", (rows, n_in)), ("w", (n_out, n_in)),
+                                ("b", (n_out,)))]
+
+
+def _affine_reference(x, w, b):
+    return dc.add(dc.matmul(x, dc.transpose(w)), dc.tile_rows(b, x.shape[0]))
+
+
+def _gru_reference(x, h, wz, wr, wc, bz, br, bc):
+    rows = x.shape[0]
+    xh = dc.concat_last(x, h)
+    z = dc.sigmoid(dc.add(dc.matmul(xh, dc.transpose(wz)), dc.tile_rows(bz, rows)))
+    r = dc.sigmoid(dc.add(dc.matmul(xh, dc.transpose(wr)), dc.tile_rows(br, rows)))
+    xrh = dc.concat_last(x, dc.mul(r, h))
+    c = dc.tanh(dc.add(dc.matmul(xrh, dc.transpose(wc)), dc.tile_rows(bc, rows)))
+    return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, c))
+
+
+# (fused kernel, its chain of remaining primitives, leaf builder)
+FUSED = {"affine": (dc.affine, _affine_reference, _affine_inputs),
+         "gru_step": (dc.gru_step, _gru_reference, _gru_inputs)}
+
+
+@pytest.mark.parametrize("label", FUSED)
+def test_fused_kernels_match_finite_differences(label):
+    fused, _, build = FUSED[label]
+    tape = Tape()
+    rng = Xoshiro256(31)
+    leaves = build(tape, rng)
+    weights = rng.uniforms(fused(*leaves).shape, -1.0, 1.0)
+    tape.reset()
+    report = grad_check(lambda: _weighted(fused(*leaves), weights),
+                        {leaf.name: leaf for leaf in leaves})
+    assert report.passed, report.summary()
+    assert report.max_rel_error < 1e-4
+
+
+@pytest.mark.parametrize("label", FUSED)
+def test_fused_kernels_match_primitive_chain(label):
+    fused, reference, build = FUSED[label]
+    tape = Tape()
+    rng = Xoshiro256(37)
+    leaves = build(tape, rng)
+    weights = rng.uniforms(fused(*leaves).shape, -1.0, 1.0)
+    results = []
+    for op in (fused, reference):
+        tape.reset()
+        out = op(*leaves)
+        tape.backward(_weighted(out, weights))
+        results.append((out.value, [leaf.grad.copy() for leaf in leaves]))
+    (fused_out, fused_grads), (ref_out, ref_grads) = results
+    np.testing.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-12)
+    for leaf, got, want in zip(leaves, fused_grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                   err_msg=f"{label} adjoint of {leaf.name}")
+
+
+def test_fused_kernels_reject_mismatched_shapes():
+    tape = Tape()
+    rng = Xoshiro256(41)
+    x, w, b = _affine_inputs(tape, rng)
+    with pytest.raises(DimensionError, match="affine"):
+        dc.affine(x.value[0], w, b)
+    with pytest.raises(DimensionError, match="affine"):
+        dc.affine(x, w, b.value[:1])
+    gru = _gru_inputs(tape, rng)
+    with pytest.raises(DimensionError, match="gru_step"):
+        dc.gru_step(gru[0], gru[1].value[:2], *gru[2:])
+    with pytest.raises(DimensionError, match="gru_step weights"):
+        dc.gru_step(gru[0], gru[1], gru[2].value[:, 1:], *gru[3:])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_loss_gradients_match_finite_differences_at_batch_three(variant):
+    # The bias adjoints of the fused kernels are row sums, so a wrong one
+    # only shows with more than one row; gradient_check_model runs at one.
+    # grad_check divides by max(1, |gradient|), so the loss is scaled up
+    # until its adjoints are O(1) and the 1e-4 tolerance acts as relative.
+    config = ModelConfig(variant=variant, hidden=4, embed=3, tau=3, delta=2,
+                         pooled_dim=8)
+    model = BoxForecaster(config, seed=3)
+    rng = Xoshiro256(43)
+    rows = 3
+    data = {
+        "boxes": rng.uniforms((rows, config.tau, 4), 0.1, 0.9),
+        "flows": rng.uniforms((rows, config.tau, config.pooled_dim), -0.2, 0.2),
+        "egos": rng.uniforms((rows, config.delta, 3), -0.5, 0.5),
+        "targets": rng.uniforms((rows, config.delta, 4), -1.0, 1.0),
+    }
+    report = grad_check(
+        lambda: dc.mul(_batch_loss(model, data, range(rows)), 1000.0),
+        model.params)
+    assert report.passed, report.summary()
+    assert report.max_rel_error < 1e-4

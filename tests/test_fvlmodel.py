@@ -76,19 +76,23 @@ def test_zero_parameters_give_zero_fused_state():
     # exactly zero, so the fused state is the zero vector, not noise.
     model = BoxForecaster(small_config("xo"), seed=1)
     model.load_values(zero_params(model))
-    boxes = np.zeros((SMALL["tau"], 4))
-    flows = np.zeros((SMALL["tau"], SMALL["pooled_dim"]))
+    boxes = np.zeros((1, SMALL["tau"], 4))
+    flows = np.zeros((1, SMALL["tau"], SMALL["pooled_dim"]))
     with model.tape.no_grad():
         fused = model.encode(boxes, flows)
-    assert np.array_equal(np.asarray(fused), np.zeros(SMALL["hidden"]))
+    assert np.array_equal(np.asarray(fused), np.zeros((1, SMALL["hidden"])))
 
 
 def test_zero_parameters_decode_to_anchor():
     model = BoxForecaster(small_config("xe"), seed=1)
     model.load_values(zero_params(model))
     anchor = np.array([0.4, 0.5, 0.1, 0.2])
-    ego = np.zeros((SMALL["delta"], 3))
-    pred = model.decode(np.zeros(SMALL["hidden"]), anchor, ego)
+    ego = np.zeros((1, SMALL["delta"], 3))
+    with model.tape.no_grad():
+        steps = model.decode_steps(np.zeros((1, SMALL["hidden"])), ego)
+    residuals = np.concatenate(steps)
+    pred = Prediction(anchor=anchor, residuals=residuals,
+                      absolute=anchor + residuals)
     assert np.array_equal(pred.residuals, np.zeros((SMALL["delta"], 4)))
     assert np.array_equal(pred.absolute, np.tile(anchor, (SMALL["delta"], 1)))
     scaled = pred.pixel_boxes(320.0, 160.0)
@@ -132,7 +136,7 @@ def test_first_horizon_matches_shorter_decoder():
     long_model = BoxForecaster(long_cfg, seed=2)
     short_model = BoxForecaster(dataclasses.replace(long_cfg, delta=1),
                                 params=long_model.parameter_values())
-    boxes = Xoshiro256(8).uniforms((SMALL["tau"], 4), 0.1, 0.9)
+    boxes = Xoshiro256(8).uniforms((1, SMALL["tau"], 4), 0.1, 0.9)
     with long_model.tape.no_grad():
         long_steps = long_model.decode_steps(long_model.encode(boxes))
     with short_model.tape.no_grad():
@@ -144,11 +148,11 @@ def test_future_ego_cannot_reach_earlier_horizons():
     cfg = small_config(delta=4)
     model = BoxForecaster(cfg, seed=5)
     rng = Xoshiro256(9)
-    boxes = rng.uniforms((cfg.tau, 4), 0.1, 0.9)
-    flows = rng.uniforms((cfg.tau, cfg.pooled_dim), -0.2, 0.2)
-    ego = rng.uniforms((cfg.delta, 3), -0.4, 0.4)
+    boxes = rng.uniforms((1, cfg.tau, 4), 0.1, 0.9)
+    flows = rng.uniforms((1, cfg.tau, cfg.pooled_dim), -0.2, 0.2)
+    ego = rng.uniforms((1, cfg.delta, 3), -0.4, 0.4)
     altered = ego.copy()
-    altered[2:] += 10.0  # horizons 3 and 4 only
+    altered[:, 2:] += 10.0  # horizons 3 and 4 only
     with model.tape.no_grad():
         fused = model.encode(boxes, flows)
         base = model.decode_steps(fused, ego)
@@ -169,13 +173,13 @@ def test_zero_flow_stream_halves_box_state():
             values[name] = np.zeros_like(values[name])
     model.load_values(values)
     rng = Xoshiro256(6)
-    boxes = rng.uniforms((cfg.tau, 4), 0.1, 0.9)
-    flows = rng.uniforms((cfg.tau, cfg.pooled_dim), -0.5, 0.5)
+    boxes = rng.uniforms((1, cfg.tau, 4), 0.1, 0.9)
+    flows = rng.uniforms((1, cfg.tau, cfg.pooled_dim), -0.5, 0.5)
     with model.tape.no_grad():
         fused = model.encode(boxes, flows)
-        h = np.zeros(cfg.hidden)
+        h = np.zeros((1, cfg.hidden))
         for t in range(cfg.tau):
-            h = model.box_encoder.step(model.box_embed(boxes[t]), h)
+            h = model.box_encoder.step(model.box_embed(boxes[:, t]), h)
         halved = model.fuse(0.5 * h)
         unhalved = model.fuse(h)
     assert np.array_equal(np.asarray(fused), np.asarray(halved))
@@ -208,9 +212,9 @@ def test_streams_feed_matching_variants_only():
 
 def test_stream_argument_validation():
     rng = Xoshiro256(3)
-    boxes = rng.uniforms((SMALL["tau"], 4), 0.1, 0.9)
-    flows = rng.uniforms((SMALL["tau"], SMALL["pooled_dim"]), -0.2, 0.2)
-    ego = rng.uniforms((SMALL["delta"], 3), -0.4, 0.4)
+    boxes = rng.uniforms((1, SMALL["tau"], 4), 0.1, 0.9)
+    flows = rng.uniforms((1, SMALL["tau"], SMALL["pooled_dim"]), -0.2, 0.2)
+    ego = rng.uniforms((1, SMALL["delta"], 3), -0.4, 0.4)
 
     with_flow = BoxForecaster(small_config("xo"), seed=1)
     with pytest.raises(ValidationError, match="pooled-flow"):
@@ -219,7 +223,7 @@ def test_stream_argument_validation():
     with pytest.raises(ValidationError, match="does not take a flow"):
         box_only.encode(boxes, flows)
     with pytest.raises(ValidationError, match="past boxes"):
-        box_only.encode(boxes[:2])
+        box_only.encode(boxes[:, :2])
 
     with_ego = BoxForecaster(small_config("xe"), seed=1)
     with with_ego.tape.no_grad():
@@ -227,7 +231,7 @@ def test_stream_argument_validation():
         with pytest.raises(ValidationError, match="ego features"):
             with_ego.decode_steps(fused)
         with pytest.raises(ValidationError, match="ego features of width 3"):
-            with_ego.decode_steps(fused, np.vstack([ego, ego[:1]]))
+            with_ego.decode_steps(fused, np.hstack([ego, ego[:, :1]]))
     with box_only.tape.no_grad():
         fused = box_only.encode(boxes)
         with pytest.raises(ValidationError, match="does not take ego"):
@@ -252,12 +256,29 @@ def test_batched_forward_matches_single():
     with model.tape.no_grad():
         batch_steps = model.decode_steps(model.encode(boxes, flows), ego)
         for row in range(3):
-            steps = model.decode_steps(model.encode(boxes[row], flows[row]),
-                                       ego[row])
+            steps = model.decode_steps(
+                model.encode(boxes[row:row + 1], flows[row:row + 1]),
+                ego[row:row + 1])
             for i in range(cfg.delta):
                 np.testing.assert_allclose(np.asarray(batch_steps[i])[row],
-                                           np.asarray(steps[i]),
+                                           np.asarray(steps[i])[0],
                                            rtol=0.0, atol=1e-12)
+
+
+def test_predict_batch_matches_per_sample_predict():
+    samples = make_samples(43, 5)
+    for variant in VARIANTS:
+        model = BoxForecaster(small_config(variant), seed=17)
+        batch = model.predict_batch(samples)
+        assert len(batch) == len(samples)
+        for sample, pred in zip(samples, batch):
+            single = model.predict(sample)
+            assert np.array_equal(pred.anchor, single.anchor)
+            np.testing.assert_allclose(pred.residuals, single.residuals,
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(pred.absolute, single.absolute,
+                                       rtol=0.0, atol=1e-12)
+    assert model.predict_batch([]) == []
 
 
 def test_gradients_match_finite_differences_for_every_variant():

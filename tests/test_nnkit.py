@@ -14,9 +14,9 @@ from fvl.rng import Xoshiro256
 def test_projection_matches_manual_affine():
     tape = Tape()
     proj = Projection(tape, Xoshiro256(3), in_size=4, out_size=3, activation="none")
-    x = np.array([0.5, -1.0, 2.0, 0.25])
+    x = np.array([[0.5, -1.0, 2.0, 0.25]])
     out = proj(tape.leaf(x))
-    expected = proj.weight.value @ x + proj.bias.value
+    expected = x @ proj.weight.value.T + proj.bias.value
     np.testing.assert_allclose(out.value, expected, rtol=0, atol=1e-15)
 
 
@@ -26,16 +26,16 @@ def test_projection_batch_rows_match_single_calls():
     batch = Xoshiro256(5).uniforms((6, 4), -2.0, 2.0)
     with tape.no_grad():
         stacked = proj(tape.leaf(batch))
-        singles = [proj(tape.leaf(row)) for row in batch]
-    np.testing.assert_allclose(stacked, np.stack(singles), rtol=0, atol=1e-12)
+        singles = [proj(tape.leaf(row[None])) for row in batch]
+    np.testing.assert_allclose(stacked, np.vstack(singles), rtol=0, atol=1e-12)
 
 
 def test_projection_relu_clamps_negative():
     tape = Tape()
     proj = Projection(tape, Xoshiro256(3), in_size=2, out_size=2, activation="relu")
     proj.weight.value[...] = [[1.0, 0.0], [-1.0, 0.0]]
-    out = proj(tape.leaf(np.array([3.0, 0.0])))
-    np.testing.assert_array_equal(out.value, [3.0, 0.0])
+    out = proj(tape.leaf(np.array([[3.0, 0.0]])))
+    np.testing.assert_array_equal(out.value, [[3.0, 0.0]])
 
 
 def test_gru_zero_weights_halve_the_hidden_state():
@@ -45,8 +45,8 @@ def test_gru_zero_weights_halve_the_hidden_state():
     cell = GruCell(tape, Xoshiro256(0), input_size=3, hidden_size=4)
     for p in cell.params.values():
         p.value[...] = 0.0
-    h_prev = np.array([1.0, -2.0, 0.5, 4.0])
-    out = cell.step(tape.leaf(np.array([9.0, 9.0, 9.0])), tape.leaf(h_prev))
+    h_prev = np.array([[1.0, -2.0, 0.5, 4.0]])
+    out = cell.step(tape.leaf(np.array([[9.0, 9.0, 9.0]])), tape.leaf(h_prev))
     np.testing.assert_array_equal(out.value, 0.5 * h_prev)
 
 
@@ -58,17 +58,18 @@ def test_gru_batch_matches_per_row_steps():
     hs = rng.uniforms((4, 5), -1.0, 1.0)
     with tape.no_grad():
         batched = cell.step(tape.leaf(xs), tape.leaf(hs))
-        singles = [cell.step(tape.leaf(x), tape.leaf(h)) for x, h in zip(xs, hs)]
-    np.testing.assert_allclose(batched, np.stack(singles), rtol=0, atol=1e-12)
+        singles = [cell.step(tape.leaf(x[None]), tape.leaf(h[None]))
+                   for x, h in zip(xs, hs)]
+    np.testing.assert_allclose(batched, np.vstack(singles), rtol=0, atol=1e-12)
 
 
 def test_gru_step_gradients_match_finite_differences():
     tape = Tape()
     cell = GruCell(tape, Xoshiro256(7), input_size=3, hidden_size=4)
     rng = Xoshiro256(8)
-    x = tape.leaf(rng.uniforms((3,), -1.0, 1.0), name="x")
-    h = tape.leaf(rng.uniforms((4,), -1.0, 1.0), name="h")
-    target = rng.uniforms((4,), -0.5, 0.5)
+    x = tape.leaf(rng.uniforms((1, 3), -1.0, 1.0), name="x")
+    h = tape.leaf(rng.uniforms((1, 4), -1.0, 1.0), name="h")
+    target = rng.uniforms((1, 4), -0.5, 0.5)
     params = dict(cell.params)
     params["x"] = x
     params["h"] = h
@@ -81,9 +82,9 @@ def test_gru_rejects_mismatched_widths():
     tape = Tape()
     cell = GruCell(tape, Xoshiro256(1), input_size=3, hidden_size=4)
     with pytest.raises(DimensionError, match="input width 3"):
-        cell.step(tape.leaf(np.zeros(5)), tape.leaf(np.zeros(4)))
+        cell.step(tape.leaf(np.zeros((1, 5))), tape.leaf(np.zeros((1, 4))))
     with pytest.raises(DimensionError):
-        cell.step(tape.leaf(np.zeros(3)), tape.leaf(np.zeros(2)))
+        cell.step(tape.leaf(np.zeros((1, 3))), tape.leaf(np.zeros((1, 2))))
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,8 +96,8 @@ def test_gru_hidden_state_never_escapes_unit_envelope(seed, scale):
     tape = Tape()
     cell = GruCell(tape, Xoshiro256(seed), input_size=2, hidden_size=3)
     rng = Xoshiro256(seed ^ 0xABCDEF)
-    x = rng.uniforms((2,), -scale, scale)
-    h = rng.uniforms((3,), -scale, scale)
+    x = rng.uniforms((1, 2), -scale, scale)
+    h = rng.uniforms((1, 3), -scale, scale)
     with tape.no_grad():
         out = cell.step(tape.leaf(x), tape.leaf(h))
     bound = np.maximum(np.abs(h), 1.0)
