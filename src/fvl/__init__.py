@@ -7,7 +7,7 @@ forecaster (fvlmodel), polynomial extrapolation baselines (baselines),
 displacement/overlap metrics (metrics), planar ego-motion tools
 (egomotion), ROI flow pooling (flowfeat), and a deterministic synthetic
 scenario generator with file formats (dataio).  The `fvl` console
-script ties them into a generate/pool/train/evaluate pipeline.
+script ties them into a generate/train/evaluate/predict pipeline.
 """
 
 from .boxes import BoundingBox
@@ -17,7 +17,6 @@ from .dataio import (
     Scenario,
     VideoData,
     generate_scenario,
-    normalize_sample,
     random_scenario,
     windows_from_video,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "generate_scenario",
     "gradient_check_model",
     "load_model",
-    "normalize_sample",
     "random_scenario",
     "save_model",
     "train_model",

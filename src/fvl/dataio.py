@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .boxes import BoundingBox
-from .egomotion import EgoFeature, EgoStep, compose, read_ego_log, \
-    rotation_matrix, write_ego_log, yaw_to_step
+from .egomotion import EgoFeature, compose, read_ego_log, rotation_matrix, \
+    write_ego_log, yaw_to_step
 from .errors import DataFormatError, ValidationError
 from .flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_patch, \
     roi_pool, write_flow_grid
@@ -57,8 +57,6 @@ __all__ = [
     "generate_scenario",
     "window_track",
     "windows_from_video",
-    "normalize_sample",
-    "denormalize_sample",
     "read_dataset",
     "write_dataset",
     "read_key_values",
@@ -476,50 +474,6 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
     return samples, skipped
 
 
-# --- normalization ----------------------------------------------------------
-
-
-def _scale_box(box: BoundingBox, sx: float, sy: float) -> BoundingBox:
-    return BoundingBox(cx=box.cx * sx, cy=box.cy * sy,
-                       w=box.w * sx, h=box.h * sy)
-
-
-def _scale_flow(flow: PooledFlow, sx: float, sy: float) -> PooledFlow:
-    values = flow.values.copy()
-    values[0::2] *= sx
-    values[1::2] *= sy
-    return PooledFlow(values=values, n=flow.n)
-
-
-def normalize_sample(sample: Sample, width: float, height: float) -> Sample:
-    """Rescale pixel quantities to image fractions.
-
-    Box cx/w divide by width and cy/h by height; pooled flow u/v divide
-    the same way (keeping the two streams on comparable scales); ego
-    features are already metric and stay untouched.
-    """
-    if width <= 0 or height <= 0:
-        raise ValidationError(
-            f"image dims must be positive, got {width}x{height}")
-    sx, sy = 1.0 / width, 1.0 / height
-    return replace(
-        sample,
-        past=tuple(_scale_box(b, sx, sy) for b in sample.past),
-        future=tuple(_scale_box(b, sx, sy) for b in sample.future),
-        flow=tuple(_scale_flow(f, sx, sy) for f in sample.flow))
-
-
-def denormalize_sample(sample: Sample, width: float, height: float) -> Sample:
-    if width <= 0 or height <= 0:
-        raise ValidationError(
-            f"image dims must be positive, got {width}x{height}")
-    return replace(
-        sample,
-        past=tuple(_scale_box(b, width, height) for b in sample.past),
-        future=tuple(_scale_box(b, width, height) for b in sample.future),
-        flow=tuple(_scale_flow(f, width, height) for f in sample.flow))
-
-
 # --- sample files ------------------------------------------------------------
 #
 # A dataset of windowed samples is a JSONL file: one object per line with
@@ -614,16 +568,35 @@ def read_key_values(path) -> dict[str, str]:
     return fields
 
 
+# key -> (parse, default); None marks a required key
+_META_FIELDS = {"width": (int, None), "height": (int, None),
+                "frames": (int, None), "fps": (float, 10.0),
+                "tau": (int, 10), "delta": (int, 10)}
+
+
 def _read_meta(path: Path) -> dict:
-    meta = read_key_values(path)
-    for key in ("width", "height", "frames"):
-        if key not in meta:
-            raise DataFormatError(f"{path}: missing required key {key!r}")
+    """The video meta fields, each parsed and checked to be positive
+    (and, for fps, finite)."""
+    raw = read_key_values(path)
+    meta = {}
+    for key, (parse, default) in _META_FIELDS.items():
+        if key not in raw:
+            if default is None:
+                raise DataFormatError(f"{path}: missing required key {key!r}")
+            meta[key] = default
+            continue
+        try:
+            meta[key] = parse(raw[key])
+            if not 0 < meta[key] < math.inf:
+                raise ValueError
+        except ValueError:
+            kind = "integer" if parse is int else "finite number"
+            raise DataFormatError(
+                f"{path}: {key} must be a positive {kind}, got {raw[key]!r}") from None
     return meta
 
 
-def write_video_dir(video, path, tau: int = 10, delta: int = 10,
-                    write_flow: bool = True) -> None:
+def write_video_dir(video, path, tau: int = 10, delta: int = 10) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     _write_meta(path / "meta", video, tau, delta)
@@ -636,11 +609,10 @@ def write_video_dir(video, path, tau: int = 10, delta: int = 10,
                 {"frame": frame, "track": track, "cx": box.cx, "cy": box.cy,
                  "w": box.w, "h": box.h}, separators=(",", ":")))
     (path / "boxes.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    if write_flow:
-        flow_dir = path / "flow"
-        flow_dir.mkdir(exist_ok=True)
-        for t in range(video.frames):
-            write_flow_grid(flow_dir / f"{t:06d}.ffgr", video.flow_grid(t))
+    flow_dir = path / "flow"
+    flow_dir.mkdir(exist_ok=True)
+    for t in range(video.frames):
+        write_flow_grid(flow_dir / f"{t:06d}.ffgr", video.flow_grid(t))
 
 
 class LoadedVideo(_FlowSource):
@@ -652,12 +624,12 @@ class LoadedVideo(_FlowSource):
 
     def __init__(self, path: Path, meta: dict, ego_steps, tracks):
         self.path = path
-        self.width = int(meta["width"])
-        self.height = int(meta["height"])
-        self.frames = int(meta["frames"])
-        self.fps = float(meta.get("fps", 10.0))
-        self.tau = int(meta.get("tau", 10))
-        self.delta = int(meta.get("delta", 10))
+        self.width = meta["width"]
+        self.height = meta["height"]
+        self.frames = meta["frames"]
+        self.fps = meta["fps"]
+        self.tau = meta["tau"]
+        self.delta = meta["delta"]
         self.ego_steps = ego_steps
         self.tracks = tracks
 
@@ -677,9 +649,17 @@ def read_video_dir(path) -> LoadedVideo:
             continue
         try:
             record = json.loads(line)
+            track, frame = record["track"], record["frame"]
+            for key, value in (("track", track), ("frame", frame)):
+                # json yields true as a bool, which is an int
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{key} must be an integer, got {value!r}")
+            if not 0 <= frame < meta["frames"]:
+                raise ValueError(
+                    f"frame {frame} outside the video's {meta['frames']} frames")
             box = BoundingBox(cx=record["cx"], cy=record["cy"],
                               w=record["w"], h=record["h"])
-            tracks.setdefault(record["track"], {})[record["frame"]] = box
+            tracks.setdefault(track, {})[frame] = box
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataFormatError(f"{boxes_path}:{lineno + 1}: {exc}") from None
     return LoadedVideo(path, meta, ego_steps, tracks)

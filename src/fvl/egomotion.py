@@ -1,8 +1,8 @@
 """Planar ego-motion: per-frame relative poses and their composition.
 
 The vehicle moves on a ground plane.  Its pose change from frame t to
-frame t+1 is an :class:`EgoStep`, a 2x2 rotation plus a translation
-expressed in the frame-t coordinate system (heading along positive x).
+frame t+1 is an :class:`EgoStep`, a yaw plus a translation expressed
+in the frame-t coordinate system (heading along positive x).
 Chaining steps yields the pose of each future frame in the coordinates
 of the anchor frame; :func:`compose` reduces that pose to the
 :class:`EgoFeature` triple (yaw, x, z) the forecaster conditions on.
@@ -32,8 +32,6 @@ __all__ = [
     "write_ego_log",
 ]
 
-ORTHONORMAL_TOL = 1e-9
-
 
 def rotation_matrix(angle: float) -> np.ndarray:
     """Counterclockwise planar rotation by `angle` radians."""
@@ -53,42 +51,30 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EgoStep:
-    """Relative pose from one frame to the next: rotation then translation,
-    both in the earlier frame's coordinates.
-
-    ``yaw`` is the rotation's angle.  It is kept as an explicit field
-    (rather than recovered with atan2 on demand) so that values parsed
-    from an ego log survive a write/read cycle bit-for-bit; the atan2 of
-    a reconstructed matrix can differ from the original angle in the
-    last ulp.
+    """Relative pose from one frame to the next, exactly the fields of an
+    ego-log line: the turn `yaw` (radians, positive left) and then the
+    `translation` (x, z) in the earlier frame's coordinates.
     """
 
-    rotation: np.ndarray
+    yaw: float
     translation: np.ndarray
-    yaw: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation",
-                           np.asarray(self.rotation, dtype=np.float64))
+        object.__setattr__(self, "yaw", float(self.yaw))
         object.__setattr__(self, "translation",
                            np.asarray(self.translation, dtype=np.float64))
-        if self.rotation.shape != (2, 2):
-            raise ValidationError(
-                f"EgoStep rotation must be 2x2, got shape {self.rotation.shape}")
         if self.translation.shape != (2,):
             raise ValidationError(
                 f"EgoStep translation must be a 2-vector, got shape "
                 f"{self.translation.shape}")
-        recovered = math.atan2(self.rotation[1, 0], self.rotation[0, 0])
-        if self.yaw is None:
-            object.__setattr__(self, "yaw", recovered)
-        elif abs(wrap_angle(self.yaw - recovered)) > 1e-6:
+        if not (math.isfinite(self.yaw) and np.all(np.isfinite(self.translation))):
             raise ValidationError(
-                f"yaw {self.yaw} does not match the rotation's angle {recovered}")
+                f"EgoStep needs a finite yaw and translation, got "
+                f"({self.yaw}, {self.translation.tolist()})")
 
-    def orthonormality_defect(self) -> float:
-        r = self.rotation
-        return float(np.abs(r.T @ r - np.eye(2)).max())
+    @property
+    def rotation(self) -> np.ndarray:
+        return rotation_matrix(self.yaw)
 
 
 @dataclass(frozen=True)
@@ -104,14 +90,6 @@ class EgoFeature:
         return np.array([self.yaw, self.x, self.z])
 
 
-def _check_step(step: EgoStep, index: int) -> None:
-    defect = step.orthonormality_defect()
-    if defect > ORTHONORMAL_TOL or np.linalg.det(step.rotation) <= 0.0:
-        raise ValidationError(
-            f"step {index}: rotation is not orthonormal with determinant +1 "
-            f"(defect {defect:.3e})")
-
-
 def compose(steps) -> list[EgoFeature]:
     """Chain relative steps into anchor-frame features, one per horizon.
 
@@ -119,9 +97,6 @@ def compose(steps) -> list[EgoFeature]:
     rotations; each step's translation is rotated into the anchor frame
     by the rotation accumulated *before* that step, then added on.
     """
-    steps = list(steps)
-    for i, step in enumerate(steps):
-        _check_step(step, i)
     rotation = np.eye(2)
     translation = np.zeros(2)
     features = []
@@ -137,12 +112,9 @@ def compose(steps) -> list[EgoFeature]:
 def yaw_to_step(yaw_rate: float, speed: float) -> EgoStep:
     """Build the step for one frame of turning at `yaw_rate` rad/frame
     while advancing `speed` meters/frame along the current heading."""
-    if not (math.isfinite(yaw_rate) and math.isfinite(speed)):
-        raise ValidationError(
-            f"yaw_to_step needs finite inputs, got ({yaw_rate}, {speed})")
-    yaw = wrap_angle(yaw_rate)
-    return EgoStep(rotation=rotation_matrix(yaw),
-                   translation=np.array([speed, 0.0]), yaw=yaw)
+    if not math.isfinite(yaw_rate):
+        raise ValidationError(f"yaw_to_step needs a finite yaw rate, got {yaw_rate}")
+    return EgoStep(yaw=wrap_angle(yaw_rate), translation=np.array([speed, 0.0]))
 
 
 # The ego log is a text file with one line per frame transition:
@@ -154,7 +126,7 @@ def write_ego_log(path, steps) -> None:
     lines = []
     for i, step in enumerate(steps):
         tx, ty = (float(v) for v in step.translation)
-        lines.append(f"{i} {float(step.yaw)!r} {tx!r} {ty!r}\n")
+        lines.append(f"{i} {step.yaw!r} {tx!r} {ty!r}\n")
     Path(path).write_text("".join(lines))
 
 
@@ -172,12 +144,12 @@ def read_ego_log(path) -> list[EgoStep]:
         try:
             index = int(parts[0])
             yaw, tx, ty = (float(p) for p in parts[1:])
+            step = EgoStep(yaw=yaw, translation=np.array([tx, ty]))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
         if index != len(steps):
             raise DataFormatError(
                 f"{path}:{lineno + 1}: frame index {index} out of order, "
                 f"expected {len(steps)}")
-        steps.append(EgoStep(rotation=rotation_matrix(yaw),
-                             translation=np.array([tx, ty]), yaw=yaw))
+        steps.append(step)
     return steps

@@ -64,11 +64,6 @@ class FlowGrid:
         data[..., 1] = v
         return cls(width=width, height=height, data=data)
 
-    @classmethod
-    def zeros(cls, width: int, height: int) -> "FlowGrid":
-        return cls(width=width, height=height,
-                   data=np.zeros((height, width, 2)))
-
 
 @dataclass(frozen=True)
 class PooledFlow:

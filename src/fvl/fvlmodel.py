@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
-from .dataio import Sample, normalize_sample, read_key_values
+from .dataio import Sample, read_key_values
 from .diffcore import DiffArray, GradCheckReport, Tape, grad_check
 from .errors import DataFormatError, NumericFailure, ValidationError
 from .nnkit import Adam, GruCell, Projection, load_params, mse_loss, save_params
@@ -291,50 +291,49 @@ class BoxForecaster:
                 for anchor, r in zip(data["anchors"], residuals)]
 
 
-def _flow_matrix(sample: Sample, config: ModelConfig) -> np.ndarray:
-    mat = np.array([f.values for f in sample.flow])
-    if mat.shape != (config.tau, config.pooled_dim):
-        raise ValidationError(
-            f"pooled flow is {mat.shape[-1]} wide, config expects "
-            f"{config.pooled_dim} (lattice mismatch?)")
-    return mat
-
-
 # --- training -----------------------------------------------------------------
 
 
 def _prepare(config: ModelConfig, samples) -> dict:
-    """Stack normalized samples into training tensors, validating shapes."""
-    boxes, anchors, targets = [], [], []
-    flows, egos, future_px, scales = [], [], [], []
+    """Stack pixel-unit samples into model tensors, validating shapes.
+
+    This is the one place where pixels become model units (image
+    fractions): box cx and w and flow u are multiplied by 1/width, box cy
+    and h and flow v by 1/height, each row by its own sample's dims.  Ego
+    features are metric and stay as they are.
+    """
     for i, sample in enumerate(samples):
         if sample.tau != config.tau or sample.delta != config.delta:
             raise ValidationError(
                 f"sample {i}: window ({sample.tau}, {sample.delta}) does not "
                 f"match config ({config.tau}, {config.delta})")
-        norm = normalize_sample(sample, sample.width, sample.height)
-        past = np.array([b.as_array() for b in norm.past])
-        future = np.array([b.as_array() for b in norm.future])
-        boxes.append(past)
-        anchors.append(past[-1])
-        targets.append(future - past[-1])
         if config.uses_flow:
-            try:
-                flows.append(_flow_matrix(norm, config))
-            except ValidationError as exc:
-                raise ValidationError(f"sample {i}: {exc}") from None
-        if config.uses_ego:
-            egos.append(np.array([e.as_vector() for e in norm.ego]))
-        future_px.append(np.array([b.as_array() for b in sample.future]))
-        scales.append((sample.width, sample.height, sample.width, sample.height))
+            for f in sample.flow:
+                if f.values.size != config.pooled_dim:
+                    raise ValidationError(
+                        f"sample {i}: pooled flow is {f.values.size} wide, "
+                        f"config expects {config.pooled_dim} (lattice mismatch?)")
+    # [B x 4] rows (w, h, w, h) and their [B x 1 x 4] reciprocals
+    scales = np.array([(s.width, s.height) * 2 for s in samples], dtype=np.float64)
+    inverse = (1.0 / scales)[:, None, :]
+    past = np.array([[b.as_array() for b in s.past] for s in samples]) * inverse
+    future_px = np.array([[b.as_array() for b in s.future] for s in samples])
+    anchors = past[:, -1]
+    flows = egos = None
+    if config.uses_flow:
+        # interleaved u, v columns take (1/w, 1/h) in turn
+        flows = (np.array([[f.values for f in s.flow] for s in samples])
+                 * np.tile(inverse[..., :2], config.pooled_dim // 2))
+    if config.uses_ego:
+        egos = np.array([[e.as_vector() for e in s.ego] for s in samples])
     return {
-        "boxes": np.stack(boxes),
-        "anchors": np.stack(anchors),
-        "targets": np.stack(targets),
-        "flows": np.stack(flows) if config.uses_flow else None,
-        "egos": np.stack(egos) if config.uses_ego else None,
-        "future_px": np.stack(future_px),
-        "scales": np.asarray(scales, dtype=np.float64),
+        "boxes": past,
+        "anchors": anchors,
+        "targets": future_px * inverse - anchors[:, None, :],
+        "flows": flows,
+        "egos": egos,
+        "future_px": future_px,
+        "scales": scales,
     }
 
 

@@ -192,6 +192,20 @@ def test_data_errors_exit_2(tmp_path, capsys):
     scn.write_text("frames=ten\n")
     assert main(["generate", str(scn), "--out", str(tmp_path / "out")]) == 2
 
+    # a video directory whose ego log holds an infinite yaw, then whose
+    # meta holds a non-integer width
+    video = tmp_path / "video"
+    video.mkdir()
+    (video / "meta").write_text("width=320\nheight=160\nframes=3\n")
+    (video / "ego.txt").write_text("0 0.0 1.0 0.0\n1 inf 1.0 0.0\n")
+    (video / "boxes.jsonl").write_text("")
+    assert main(["train", "--dataset", str(video),
+                 "--out", str(tmp_path / "m.fvlw")]) == 2
+    assert "ego.txt:2" in capsys.readouterr().err
+    (video / "meta").write_text("width=abc\nheight=160\nframes=3\n")
+    assert main(["evaluate", "constaccel", "--dataset", str(video)]) == 2
+    assert "width" in capsys.readouterr().err
+
     # a checkpoint cut inside its 12-byte header
     cut = tmp_path / "cut.fvlw"
     save_params(cut, {"w": np.zeros(2)})

@@ -7,8 +7,7 @@ import pytest
 
 from fvl.boxes import BoundingBox
 from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
-                        denormalize_sample, generate_scenario,
-                        normalize_sample, random_scenario, read_dataset,
+                        generate_scenario, random_scenario, read_dataset,
                         read_scenario_file, read_video_dir, split_videos,
                         window_track, windows_from_video, write_dataset,
                         write_scenario_file, write_video_dir)
@@ -288,47 +287,6 @@ def test_scenario_validation():
         CameraSpec(focal=-10.0)
 
 
-# --- normalization ------------------------------------------------------------
-
-
-def test_normalize_example_and_roundtrip():
-    sample = Sample(track=0,
-                    past=(BoundingBox(cx=640.0, cy=320.0, w=128.0, h=64.0),),
-                    flow=(PooledFlow(values=np.array([64.0, 32.0]), n=1),),
-                    future=(BoundingBox(cx=660.0, cy=330.0, w=130.0, h=66.0),),
-                    ego=(EgoFeature(yaw=0.1, x=2.0, z=0.3),),
-                    width=1280, height=640)
-    normalized = normalize_sample(sample, 1280.0, 640.0)
-    assert normalized.past[0] == BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
-    assert np.array_equal(normalized.flow[0].values, [0.05, 0.05])
-    assert normalized.ego == sample.ego  # metric features stay put
-    back = denormalize_sample(normalized, 1280.0, 640.0)
-    for orig, redo in zip(sample.past + sample.future,
-                          back.past + back.future):
-        for name in ("cx", "cy", "w", "h"):
-            assert getattr(redo, name) == pytest.approx(
-                getattr(orig, name), rel=0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        normalize_sample(sample, 0.0, 640.0)
-    with pytest.raises(ValidationError):
-        denormalize_sample(sample, 1280.0, -5.0)
-
-
-def test_normalize_roundtrip_on_generated_samples():
-    video = generate_scenario(random_scenario(13, frames=14))
-    samples, _ = windows_from_video(video, tau=3, delta=2, n=2)
-    assert samples
-    for sample in samples[:3]:
-        normalized = normalize_sample(sample, 1280.0, 640.0)
-        back = denormalize_sample(normalized, 1280.0, 640.0)
-        assert back.ego == sample.ego
-        for orig, redo in zip(sample.past + sample.future,
-                              back.past + back.future):
-            assert np.max(np.abs(redo.as_array() - orig.as_array())) < 1e-12
-        for orig, redo in zip(sample.flow, back.flow):
-            assert np.max(np.abs(redo.values - orig.values)) < 1e-12
-
-
 # --- files ----------------------------------------------------------------------
 
 
@@ -435,6 +393,58 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path):
                 fresh = roi_pool(read_flow_grid(str(flow_file).format(t)), roi, n)
                 assert np.array_equal(pooled.values, fresh.values)
     assert clipped
+
+
+GOOD_META = {"width": "320", "height": "160", "fps": "10.0", "frames": "12",
+             "tau": "4", "delta": "3"}
+
+
+def test_video_dir_meta_defaults_optional_keys(tmp_path):
+    (tmp_path / "meta").write_text("width=320\nheight=160\nframes=12\n")
+    (tmp_path / "ego.txt").write_text("")
+    (tmp_path / "boxes.jsonl").write_text("")
+    loaded = read_video_dir(tmp_path)
+    assert (loaded.width, loaded.height, loaded.frames) == (320, 160, 12)
+    assert (loaded.fps, loaded.tau, loaded.delta) == (10.0, 10, 10)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("width", "abc"), ("width", "320.0"), ("width", "-320"), ("height", "0"),
+    ("frames", "x"), ("tau", "x"), ("delta", "0"), ("fps", "abc"),
+    ("fps", "nan"), ("fps", "inf"), ("fps", "-10.0"),
+])
+def test_video_dir_meta_rejects_bad_values(tmp_path, key, value):
+    meta = {**GOOD_META, key: value}
+    (tmp_path / "meta").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+    with pytest.raises(DataFormatError, match=f"meta: {key} must be a positive"):
+        read_video_dir(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def video_dir_files(tmp_path_factory):
+    """meta, ego.txt and boxes.jsonl text of one written video."""
+    root = tmp_path_factory.mktemp("video_files")
+    write_video_dir(generate_scenario(moving_scenario()), root, tau=4, delta=3)
+    return {name: (root / name).read_text()
+            for name in ("meta", "ego.txt", "boxes.jsonl")}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("frame", '"3"'), ("track", '"0"'), ("frame", "3.5"), ("frame", "true"),
+    ("track", "false"), ("frame", "-1"), ("frame", "12"), ("frame", "99"),
+])
+def test_boxes_file_rejects_bad_track_and_frame(tmp_path, video_dir_files,
+                                               field, value):
+    for name, text in video_dir_files.items():
+        (tmp_path / name).write_text(text)
+    lines = video_dir_files["boxes.jsonl"].splitlines()
+    record = json.loads(lines[1])
+    lines[1] = lines[1].replace(f'"{field}":{record[field]}',
+                                f'"{field}":{value}', 1)
+    assert f'"{field}":{value},' in lines[1]
+    (tmp_path / "boxes.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=f"boxes.jsonl:2: .*{field}"):
+        read_video_dir(tmp_path)
 
 
 @pytest.mark.parametrize("header", [None, (160, 320), (321, 160), (320, 159)])

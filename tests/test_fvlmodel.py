@@ -16,6 +16,7 @@ from fvl.fvlmodel import (
     BoxForecaster,
     ModelConfig,
     Prediction,
+    _prepare,
     gradient_check_model,
     load_model,
     save_model,
@@ -263,6 +264,36 @@ def test_batched_forward_matches_single():
                 np.testing.assert_allclose(np.asarray(batch_steps[i])[row],
                                            np.asarray(steps[i])[0],
                                            rtol=0.0, atol=1e-12)
+
+
+def test_prepare_scales_each_row_by_its_own_dims_bit_for_bit():
+    # A broadcast bug across rows would not show at batch 1 or with equal
+    # dims, so the batch mixes two image sizes.
+    rng = Xoshiro256(44)
+    samples = [make_sample(rng, track=i, width=w, height=h)
+               for i, (w, h) in enumerate([(320, 160), (1280, 640),
+                                           (1280, 640), (320, 160)])]
+    data = _prepare(small_config(), samples)
+    for i, sample in enumerate(samples):
+        sx, sy = 1.0 / sample.width, 1.0 / sample.height
+
+        def model_units(b):
+            return [b.cx * sx, b.cy * sy, b.w * sx, b.h * sy]
+
+        anchor = model_units(sample.past[-1])
+        assert data["boxes"][i].tolist() == [model_units(b) for b in sample.past]
+        assert data["anchors"][i].tolist() == anchor
+        assert data["targets"][i].tolist() == [
+            [a - b for a, b in zip(model_units(f), anchor)] for f in sample.future]
+        assert data["flows"][i].tolist() == [
+            [v * (sx if k % 2 == 0 else sy) for k, v in enumerate(f.values.tolist())]
+            for f in sample.flow]
+        assert data["egos"][i].tolist() == [[e.yaw, e.x, e.z] for e in sample.ego]
+        assert data["future_px"][i].tolist() == [
+            [b.cx, b.cy, b.w, b.h] for b in sample.future]
+        assert data["scales"][i].tolist() == [sample.width, sample.height] * 2
+    with pytest.raises(ValidationError, match="sample 2: .*lattice"):
+        _prepare(small_config(), samples[:2] + [make_sample(rng, n=3)])
 
 
 def test_predict_batch_matches_per_sample_predict():
