@@ -26,7 +26,9 @@ boxes overlap); every other pixel below the horizon carries the
 reprojected displacement of the static ground point it images; pixels at
 or above the horizon carry zero.  The one-pixel pad guarantees that
 bilinear samples taken anywhere inside the box read the displacement
-exactly, including samples within a pixel of the box edge.
+exactly, including samples within a pixel of the box edge.  Ground flow
+is computed only for the rows below the horizon, in blocks of rows that
+fit in cache; the rows above keep the zeros they start with.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ NEAR_PLANE_M = 0.5
 HORIZON_MARGIN_PX = 0.5
 MIN_BOX_PX = 1.0
 PAINT_PAD_PX = 1.0
+GROUND_BLOCK_PX = 32768
 
 
 @dataclass(frozen=True)
@@ -265,41 +268,23 @@ class VideoData(_FlowSource):
         return out
 
     def _background_flow(self, t, ix0, iy0, ix1, iy1, out) -> None:
+        """Write the static ground's flow into the zeroed `out`.
+
+        `dv` rises row by row, so the ground rows (dv > HORIZON_MARGIN_PX)
+        are a suffix of the patch; rows at or above the horizon keep
+        their zeros and are never computed.  The ground rows go in blocks
+        of about GROUND_BLOCK_PX pixels, so the temporaries stay in cache.
+        """
         cam = self.scenario.camera
-        u = (np.arange(ix0, ix1) + 0.5)[None, :]
-        v = (np.arange(iy0, iy1) + 0.5)[:, None]
-        dv = v - cam.ppy
-        ground = dv > HORIZON_MARGIN_PX
-        safe_dv = np.where(ground, dv, 1.0)
-        depth = cam.focal * cam.cam_height / safe_dv
-        x_cam = (u - cam.ppx) * depth / cam.focal
-        # ground point in the frame-t ego frame, then in the world frame
-        d_fwd, d_left = depth, -x_cam
-        rot_t = rotation_matrix(self._headings[t])
-        pos_t = self._positions[t]
-        gx = pos_t[0] + rot_t[0, 0] * d_fwd + rot_t[0, 1] * d_left
-        gz = pos_t[1] + rot_t[1, 0] * d_fwd + rot_t[1, 1] * d_left
-
-        # Reproject that world point through both poses with the same
-        # expression chain.  When the two poses are bit-identical (a
-        # parked ego) the projections cancel exactly and the flow is a
-        # true zero, not rounding noise.
-        def reproject(frame):
-            rot = rotation_matrix(self._headings[frame])
-            pos = self._positions[frame]
-            rx, rz = gx - pos[0], gz - pos[1]
-            fwd = rot[0, 0] * rx + rot[1, 0] * rz
-            left = rot[0, 1] * rx + rot[1, 1] * rz
-            safe = np.where(fwd > NEAR_PLANE_M, fwd, 1.0)
-            u_px = cam.focal * (-left) / safe + cam.ppx
-            v_px = cam.focal * cam.cam_height / safe + cam.ppy
-            return fwd, u_px, v_px
-
-        fwd_now, u_now, v_now = reproject(t)
-        fwd_prev, u_prev, v_prev = reproject(t - 1)
-        visible = ground & (fwd_prev > NEAR_PLANE_M) & (fwd_now > NEAR_PLANE_M)
-        out[..., 0] = np.where(visible, u_now - u_prev, 0.0)
-        out[..., 1] = np.where(visible, v_now - v_prev, 0.0)
+        du = np.arange(ix0, ix1) + 0.5 - cam.ppx
+        dv = np.arange(iy0, iy1) + 0.5 - cam.ppy
+        first = int(np.searchsorted(dv, HORIZON_MARGIN_PX, side="right"))
+        now, prev = [(rotation_matrix(self._headings[f]), self._positions[f])
+                     for f in (t, t - 1)]
+        rows = max(1, GROUND_BLOCK_PX // du.size)
+        for row in range(first, dv.size, rows):
+            _ground_flow(cam, now, prev, du, dv[row:row + rows],
+                         out[row:row + rows])
 
     def _paint_actors(self, t, ix0, iy0, ix1, iy1, out) -> None:
         # far to near, so the nearest actor wins overlaps
@@ -323,6 +308,55 @@ class VideoData(_FlowSource):
                              col0 - ix0:col1 + 1 - ix0]
                 region[..., 0] = disp[0]
                 region[..., 1] = disp[1]
+
+
+def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
+                 dv: np.ndarray, out: np.ndarray) -> None:
+    """Flow of the ground points imaged by pixel offsets (du, dv), dv > 0,
+    from pose `prev` to pose `now` (each a (rotation, position) pair).
+
+    Works in place on a few block-sized arrays; `r * (-x)` is written as
+    `(-r) * x`, which rounds identically.
+    """
+    depth = (camera.focal * camera.cam_height / dv)[:, None]
+    x_cam = du * depth
+    x_cam /= camera.focal
+    # ground point (d_fwd, d_left) = (depth, -x_cam) in the `now` ego
+    # frame, then in the world frame
+    rot_now, pos_now = now
+    gx = x_cam * -rot_now[0, 1]
+    gx += pos_now[0] + rot_now[0, 0] * depth
+    gz = x_cam * -rot_now[1, 1]
+    gz += pos_now[1] + rot_now[1, 0] * depth
+
+    # Reproject that world point through both poses with the same
+    # expression chain.  When the two poses are bit-identical (a parked
+    # ego) the projections cancel exactly and the flow is a true zero,
+    # not rounding noise.
+    def reproject(rot, pos):
+        rx = gx - pos[0]
+        rz = gz - pos[1]
+        fwd = rx * rot[0, 0]
+        fwd += rz * rot[1, 0]
+        ahead = fwd > NEAR_PLANE_M
+        np.copyto(fwd, 1.0, where=~ahead)
+        # rx becomes u_px = (-focal) * left / fwd + ppx, rz becomes v_px
+        rx *= rot[0, 1]
+        rx += rz * rot[1, 1]
+        rx *= -camera.focal
+        rx /= fwd
+        rx += camera.ppx
+        np.divide(camera.focal * camera.cam_height, fwd, out=rz)
+        rz += camera.ppy
+        return ahead, rx, rz
+
+    ahead_now, u_now, v_now = reproject(*now)
+    ahead_prev, u_prev, v_prev = reproject(*prev)
+    visible = ahead_now & ahead_prev
+    u_now -= u_prev
+    v_now -= v_prev
+    np.copyto(out[..., 0], u_now, where=visible)
+    np.copyto(out[..., 1], v_now, where=visible)
 
 
 def _project_actor(camera: CameraSpec, ego_heading: float,
@@ -642,6 +676,10 @@ def read_video_dir(path) -> LoadedVideo:
     path = Path(path)
     meta = _read_meta(path / "meta")
     ego_steps = read_ego_log(path / "ego.txt")
+    if len(ego_steps) != meta["frames"] - 1:
+        raise DataFormatError(
+            f"{path / 'ego.txt'}: holds {len(ego_steps)} steps, but a "
+            f"{meta['frames']}-frame video needs {meta['frames'] - 1}")
     tracks: dict[int, dict[int, BoundingBox]] = {}
     boxes_path = path / "boxes.jsonl"
     for lineno, line in enumerate(boxes_path.read_text().splitlines()):
@@ -657,6 +695,8 @@ def read_video_dir(path) -> LoadedVideo:
             if not 0 <= frame < meta["frames"]:
                 raise ValueError(
                     f"frame {frame} outside the video's {meta['frames']} frames")
+            if frame in tracks.get(track, ()):
+                raise ValueError(f"track {track} frame {frame} appears twice")
             box = BoundingBox(cx=record["cx"], cy=record["cy"],
                               w=record["w"], h=record["h"])
             tracks.setdefault(track, {})[frame] = box

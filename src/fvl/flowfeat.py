@@ -156,9 +156,9 @@ def roi_pool(grid: FlowGrid, roi: BoundingBox, n: int,
 
 
 def write_flow_grid(path, grid: FlowGrid) -> None:
-    payload = grid.data.astype("<f4").tobytes()
-    Path(path).write_bytes(
-        FLOW_MAGIC + struct.pack("<II", grid.width, grid.height) + payload)
+    with Path(path).open("wb") as handle:
+        handle.write(FLOW_MAGIC + struct.pack("<II", grid.width, grid.height))
+        handle.write(grid.data.astype("<f4", order="C"))
 
 
 def read_flow_patch(path, ix0: int = 0, iy0: int = 0, ix1=None, iy1=None,

@@ -65,3 +65,50 @@ def pool_oracle(grid, roi, n):
             v = bilinear_at(grid.data[:, :, 1].tolist(), sx, sy)
             out.extend([u, v])
     return np.asarray(out)
+
+
+def background_flow_oracle(camera, headings, positions, t, ix0, iy0, ix1, iy1):
+    """Ground flow over the pixel rectangle [ix0, ix1) x [iy0, iy1) of
+    frame t, computed over every pixel and then masked to the ground rows
+    and to points ahead of both cameras.
+
+    Unlike the generator it never skips rows or works in place, but each
+    pixel goes through the same operations in the same order, so the
+    generator must match it bit for bit.  `headings` and `positions`
+    hold the simulated ego pose of each frame.
+    """
+    def rotation(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s], [s, c]])
+
+    out = np.zeros((iy1 - iy0, ix1 - ix0, 2))
+    u = (np.arange(ix0, ix1) + 0.5)[None, :]
+    v = (np.arange(iy0, iy1) + 0.5)[:, None]
+    dv = v - camera.ppy
+    ground = dv > 0.5
+    safe_dv = np.where(ground, dv, 1.0)
+    depth = camera.focal * camera.cam_height / safe_dv
+    x_cam = (u - camera.ppx) * depth / camera.focal
+    d_fwd, d_left = depth, -x_cam
+    rot_t = rotation(headings[t])
+    pos_t = positions[t]
+    gx = pos_t[0] + rot_t[0, 0] * d_fwd + rot_t[0, 1] * d_left
+    gz = pos_t[1] + rot_t[1, 0] * d_fwd + rot_t[1, 1] * d_left
+
+    def reproject(frame):
+        rot = rotation(headings[frame])
+        pos = positions[frame]
+        rx, rz = gx - pos[0], gz - pos[1]
+        fwd = rot[0, 0] * rx + rot[1, 0] * rz
+        left = rot[0, 1] * rx + rot[1, 1] * rz
+        safe = np.where(fwd > 0.5, fwd, 1.0)
+        u_px = camera.focal * (-left) / safe + camera.ppx
+        v_px = camera.focal * camera.cam_height / safe + camera.ppy
+        return fwd, u_px, v_px
+
+    fwd_now, u_now, v_now = reproject(t)
+    fwd_prev, u_prev, v_prev = reproject(t - 1)
+    visible = ground & (fwd_prev > 0.5) & (fwd_now > 0.5)
+    out[..., 0] = np.where(visible, u_now - u_prev, 0.0)
+    out[..., 1] = np.where(visible, v_now - v_prev, 0.0)
+    return out

@@ -205,6 +205,18 @@ def test_data_errors_exit_2(tmp_path, capsys):
     (video / "meta").write_text("width=abc\nheight=160\nframes=3\n")
     assert main(["evaluate", "constaccel", "--dataset", str(video)]) == 2
     assert "width" in capsys.readouterr().err
+    # an ego log one step short of frames - 1, then a repeated box line
+    (video / "meta").write_text("width=320\nheight=160\nframes=3\n")
+    (video / "ego.txt").write_text("0 0.0 1.0 0.0\n")
+    assert main(["train", "--dataset", str(video),
+                 "--out", str(tmp_path / "m.fvlw")]) == 2
+    err = capsys.readouterr().err
+    assert "ego.txt" in err and "1 steps" in err and "needs 2" in err
+    (video / "ego.txt").write_text("0 0.0 1.0 0.0\n1 0.0 1.0 0.0\n")
+    line = '{"frame":1,"track":0,"cx":50.0,"cy":60.0,"w":10.0,"h":8.0}\n'
+    (video / "boxes.jsonl").write_text(line + line)
+    assert main(["evaluate", "constaccel", "--dataset", str(video)]) == 2
+    assert "boxes.jsonl:2" in capsys.readouterr().err
 
     # a checkpoint cut inside its 12-byte header
     cut = tmp_path / "cut.fvlw"

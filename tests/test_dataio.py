@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from fvl import dataio
 from fvl.boxes import BoundingBox
 from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
                         generate_scenario, random_scenario, read_dataset,
@@ -15,6 +16,8 @@ from fvl.egomotion import EgoFeature, compose, rotation_matrix, wrap_angle, \
     yaw_to_step
 from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import PooledFlow, expand_roi, read_flow_grid, roi_pool
+from fvl.rng import Xoshiro256
+from oracles import background_flow_oracle
 
 
 def small_camera() -> CameraSpec:
@@ -125,6 +128,71 @@ def test_background_flow_matches_reprojection_oracle():
         patch = video.flow_patch(t, col, row, col + 1, row + 1)
         assert abs(patch[0, 0, 0] - (u - u_prev)) < 1e-9
         assert abs(patch[0, 0, 1] - (v - v_prev)) < 1e-9
+
+
+def _ego_poses(video):
+    """Each frame's simulated (heading, position), chained step by step."""
+    headings, positions = [0.0], [np.zeros(2)]
+    for step in video.ego_steps:
+        positions.append(
+            positions[-1] + rotation_matrix(headings[-1]) @ step.translation)
+        headings.append(headings[-1] + step.yaw)
+    return headings, positions
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("block", [dataio.GROUND_BLOCK_PX, 700, 1])
+@pytest.mark.parametrize("ppx, ppy", [
+    (160.0, 80.0),     # horizon inside the image
+    (161.37, 80.0),    # non-integer principal point
+    (160.0, -12.5),    # horizon above the image: every row is ground
+    (160.0, 171.0),    # horizon below the image: no row is ground
+    (97.25, 3.6),
+])
+def test_background_flow_equals_full_frame_oracle_bit_for_bit(
+        monkeypatch, block, ppx, ppy):
+    monkeypatch.setattr(dataio, "GROUND_BLOCK_PX", block)
+    camera = CameraSpec(focal=250.0, ppx=ppx, ppy=ppy, cam_height=1.4)
+    # the reversing step puts near ground points behind the earlier camera
+    scenario = Scenario(frames=4, camera=camera,
+                        ego_yaw_rates=[0.03, -0.2, 0.05],
+                        ego_speeds=[0.7, -5.0, 1.5], width=320, height=160)
+    video = generate_scenario(scenario)
+    headings, positions = _ego_poses(video)
+    rng = Xoshiro256(5)
+    rects = [(0, 0, 320, 160)]
+    for _ in range(8):
+        ix0, iy0 = int(rng.uniform(0, 320)), int(rng.uniform(0, 160))
+        rects.append((ix0, iy0, int(rng.uniform(ix0 + 1, 321)),
+                      int(rng.uniform(iy0 + 1, 161))))
+    for t in (1, 2, 3):
+        for rect in rects:
+            want = background_flow_oracle(camera, headings, positions, t, *rect)
+            assert_bit_equal(video.flow_patch(t, *rect), want)
+    # the bottom row is ground: it moves at frame 1 and is masked at frame 2
+    bottom = [video.flow_grid(t).data[-1] for t in (1, 2)]
+    assert np.all(bottom[0][:, 1] != 0.0) == (ppy < 160)
+    assert not np.any(bottom[1])
+
+
+def test_parked_ego_gives_positive_zero_flow():
+    scenario = Scenario(frames=4, camera=small_camera(),
+                        ego_yaw_rates=[0.03, 0.0, 0.0],
+                        ego_speeds=[0.7, 0.0, 0.0], width=320, height=160)
+    video = generate_scenario(scenario)
+    headings, positions = _ego_poses(video)
+    assert headings[1] != 0.0 and headings[3] == headings[1]
+    for t in (2, 3):
+        data = video.flow_grid(t).data
+        assert not np.any(data) and not np.any(np.signbit(data))
+        want = background_flow_oracle(scenario.camera, headings, positions,
+                                      t, 0, 0, 320, 160)
+        assert_bit_equal(data, want)
 
 
 def test_patch_pooling_matches_full_grid():
@@ -401,7 +469,8 @@ GOOD_META = {"width": "320", "height": "160", "fps": "10.0", "frames": "12",
 
 def test_video_dir_meta_defaults_optional_keys(tmp_path):
     (tmp_path / "meta").write_text("width=320\nheight=160\nframes=12\n")
-    (tmp_path / "ego.txt").write_text("")
+    (tmp_path / "ego.txt").write_text(
+        "".join(f"{i} 0.0 0.0 0.0\n" for i in range(11)))
     (tmp_path / "boxes.jsonl").write_text("")
     loaded = read_video_dir(tmp_path)
     assert (loaded.width, loaded.height, loaded.frames) == (320, 160, 12)
@@ -432,6 +501,7 @@ def video_dir_files(tmp_path_factory):
 @pytest.mark.parametrize("field, value", [
     ("frame", '"3"'), ("track", '"0"'), ("frame", "3.5"), ("frame", "true"),
     ("track", "false"), ("frame", "-1"), ("frame", "12"), ("frame", "99"),
+    ("frame", "0"),  # repeats line 1's (track 0, frame 0)
 ])
 def test_boxes_file_rejects_bad_track_and_frame(tmp_path, video_dir_files,
                                                field, value):
@@ -444,6 +514,20 @@ def test_boxes_file_rejects_bad_track_and_frame(tmp_path, video_dir_files,
     assert f'"{field}":{value},' in lines[1]
     (tmp_path / "boxes.jsonl").write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match=f"boxes.jsonl:2: .*{field}"):
+        read_video_dir(tmp_path)
+
+
+@pytest.mark.parametrize("keep", [6, 10, 12])
+def test_video_dir_rejects_ego_log_of_wrong_length(tmp_path, video_dir_files,
+                                                   keep):
+    for name, text in video_dir_files.items():
+        (tmp_path / name).write_text(text)
+    lines = video_dir_files["ego.txt"].splitlines()[:keep]
+    while len(lines) < keep:
+        lines.append(f"{len(lines)} 0.0 0.5 0.0")
+    (tmp_path / "ego.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError,
+                       match=f"ego.txt: holds {keep} steps, .* needs 11"):
         read_video_dir(tmp_path)
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,19 @@ def test_flow_file_round_trip(tmp_path):
     write_flow_grid(path, loaded)
     again = read_flow_grid(path)
     np.testing.assert_array_equal(again.data, loaded.data)
+
+
+def test_flow_file_bytes_are_header_then_f32_payload(tmp_path):
+    # a transposed, so not C-contiguous, array must still go out row-major
+    data = Xoshiro256(64).uniforms((2, 7, 3), -5.0, 5.0).transpose(2, 1, 0)
+    grid = FlowGrid(width=7, height=3, data=data)
+    path = tmp_path / "grid.ffgr"
+    write_flow_grid(path, grid)
+    assert path.read_bytes() == (b"FFGR" + struct.pack("<II", 7, 3)
+                                 + data.astype("<f4").tobytes())
+    np.testing.assert_array_equal(
+        read_flow_patch(path, width=7, height=3),
+        data.astype("<f4").astype(np.float64))
 
 
 def test_flow_file_rejects_corruption(tmp_path):
