@@ -21,7 +21,8 @@ def main():
     # a 3 -> 8 -> 1 regression net, built from two Projection layers
     hidden = Projection(tape, rng, 3, 8, activation="relu", name="hidden")
     out = Projection(tape, rng, 8, 1, activation="none", name="out")
-    params = {**hidden.params, **out.params}
+    # the tape registers every layer's leaves: it is the parameter set
+    params = tape.params
 
     inputs = rng.uniforms((32, 3), -1.0, 1.0)
     targets = np.sin(inputs.sum(axis=1, keepdims=True))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -714,12 +714,13 @@ def read_video_dir(path) -> LoadedVideo:
 # entry per frame transition.
 
 
-_SCENARIO_DEFAULTS = {
-    "width": 1280, "height": 640, "fps": 10.0, "focal": 1000.0,
-    "ppx": 640.0, "ppy": 320.0, "cam_height": 1.4,
-    "ego_yaw_rate": "0.0", "ego_speed": "0.0",
-}
-_ACTOR_DEFAULTS = {"accel": 0.0, "length": 4.5, "width": 1.8, "height": 1.5}
+# top-level key -> parse; the camera keys are CameraSpec's fields
+_SCENARIO_KEYS = {"frames": int, "width": int, "height": int, "fps": float,
+                  "ego_yaw_rate": str, "ego_speed": str,
+                  **{f.name: float for f in fields(CameraSpec)}}
+# rate-list key -> Scenario field
+_RATE_KEYS = {"ego_yaw_rate": "ego_yaw_rates", "ego_speed": "ego_speeds"}
+_ACTOR_KEYS = {f.name for f in fields(ActorSpec)}
 
 
 def _parse_rate_list(text: str, steps: int, what: str) -> np.ndarray:
@@ -734,46 +735,50 @@ def _parse_rate_list(text: str, steps: int, what: str) -> np.ndarray:
 
 
 def read_scenario_file(path) -> Scenario:
+    """Parse a scenario file.  A key that is not set takes the default of
+    its :class:`Scenario`, :class:`CameraSpec` or :class:`ActorSpec`
+    field; an unknown or repeated key is a DataFormatError."""
     path = Path(path)
-    top = dict(_SCENARIO_DEFAULTS)
-    actors: list[dict] = []
-    current = top
-    for lineno, raw in enumerate(path.read_text().splitlines()):
+    top: dict[str, str] = {}
+    actors: list[tuple[int, dict]] = []  # (line of the [actor] header, keys)
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[actor]":
-            actors.append(dict(_ACTOR_DEFAULTS))
-            current = actors[-1]
+            actors.append((lineno, {}))
             continue
         if "=" not in line:
             raise DataFormatError(
-                f"{path}:{lineno + 1}: expected key=value or [actor], got {raw!r}")
+                f"{path}:{lineno}: expected key=value or [actor], got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        section, current, known = (("[actor]", actors[-1][1], _ACTOR_KEYS) if actors
+                                   else ("top-level", top, _SCENARIO_KEYS))
+        if key not in known:
+            raise DataFormatError(f"{path}:{lineno}: unknown {section} key {key!r}")
+        if key in current:
+            raise DataFormatError(f"{path}:{lineno}: repeated {section} key {key!r}")
         current[key] = value
+    if "frames" not in top:
+        raise DataFormatError(f"{path}: missing required key 'frames'")
+    for lineno, actor in actors:
+        missing = [f.name for f in fields(ActorSpec)
+                   if f.default is MISSING and f.name not in actor]
+        if missing:
+            raise DataFormatError(
+                f"{path}:{lineno}: [actor] is missing {', '.join(missing)}")
     try:
-        frames = int(top["frames"])
-    except KeyError:
-        raise DataFormatError(f"{path}: missing required key 'frames'") from None
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    try:
-        camera = CameraSpec(focal=float(top["focal"]), ppx=float(top["ppx"]),
-                            ppy=float(top["ppy"]),
-                            cam_height=float(top["cam_height"]))
-        yaw_rates = _parse_rate_list(str(top["ego_yaw_rate"]), frames - 1,
-                                     "ego_yaw_rate")
-        speeds = _parse_rate_list(str(top["ego_speed"]), frames - 1, "ego_speed")
-        specs = tuple(
-            ActorSpec(x=float(a["x"]), z=float(a["z"]),
-                      heading=float(a["heading"]), speed=float(a["speed"]),
-                      accel=float(a["accel"]), length=float(a["length"]),
-                      width=float(a["width"]), height=float(a["height"]))
-            for a in actors)
-        return Scenario(frames=frames, camera=camera, ego_yaw_rates=yaw_rates,
-                        ego_speeds=speeds, actors=specs, fps=float(top["fps"]),
-                        width=int(top["width"]), height=int(top["height"]))
-    except (KeyError, ValueError, ValidationError) as exc:
+        values = {key: _SCENARIO_KEYS[key](text) for key, text in top.items()}
+        frames = values.pop("frames")
+        camera = CameraSpec(**{f.name: values.pop(f.name)
+                               for f in fields(CameraSpec) if f.name in values})
+        for key, name in _RATE_KEYS.items():
+            if key in values:
+                values[name] = _parse_rate_list(values.pop(key), frames - 1, key)
+        specs = tuple(ActorSpec(**{key: float(text) for key, text in actor.items()})
+                      for _, actor in actors)
+        return Scenario(frames=frames, camera=camera, actors=specs, **values)
+    except (ValueError, ValidationError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
@@ -784,18 +789,14 @@ def write_scenario_file(path, scenario: Scenario) -> None:
         f"width={scenario.width}",
         f"height={scenario.height}",
         f"fps={float(scenario.fps)!r}",
-        f"focal={float(cam.focal)!r}",
-        f"ppx={float(cam.ppx)!r}",
-        f"ppy={float(cam.ppy)!r}",
-        f"cam_height={float(cam.cam_height)!r}",
+        *(f"{f.name}={float(getattr(cam, f.name))!r}" for f in fields(CameraSpec)),
         "ego_yaw_rate=" + ",".join(repr(float(v)) for v in scenario.ego_yaw_rates),
         "ego_speed=" + ",".join(repr(float(v)) for v in scenario.ego_speeds),
     ]
     for actor in scenario.actors:
         lines.append("[actor]")
-        for key in ("x", "z", "heading", "speed", "accel",
-                    "length", "width", "height"):
-            lines.append(f"{key}={float(getattr(actor, key))!r}")
+        lines.extend(f"{f.name}={float(getattr(actor, f.name))!r}"
+                     for f in fields(ActorSpec))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

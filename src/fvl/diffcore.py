@@ -17,6 +17,18 @@ restricted to exact shape match or scalar-with-array so every backward
 rule stays auditable; the structural exceptions are :func:`tile_rows`
 and the bias rows of the fused kernels, whose adjoints are row sums.
 
+A primitive records through one entry point.  It checks its operands,
+computes its forward value, and hands that value to ``_emit`` with a
+``backward(g)`` function and the operands.  The first DiffArray operand
+decides: if its tape is recording, the value becomes a new node whose
+``backward`` receives the node's adjoint ``g`` during
+:meth:`Tape.backward` and adds each operand's share through
+``_accumulate``, which skips operands that are not DiffArrays.
+Otherwise the bare ndarray is returned and nothing is recorded.
+
+The tape is also the parameter registry: :attr:`Tape.params` holds the
+named leaves in the order they were registered.
+
 Gradient semantics follow the usual tape convention: leaf adjoints
 accumulate across repeated :meth:`Tape.backward` calls, intermediate
 adjoints are recomputed fresh on each call, and :meth:`Tape.reset`
@@ -64,18 +76,17 @@ class DiffArray:
     pays for adjoint storage.
     """
 
-    __slots__ = ("value", "_grad", "tape", "node_id", "is_leaf", "name")
+    __slots__ = ("value", "_grad", "tape", "is_leaf", "name")
 
     # Keep numpy from absorbing us in mixed expressions like `ndarray + leaf`;
     # returning NotImplemented routes those through our reflected operators.
     __array_ufunc__ = None
 
-    def __init__(self, value: np.ndarray, tape: "Tape", node_id: int,
-                 is_leaf: bool, name: str | None = None):
+    def __init__(self, value: np.ndarray, tape: "Tape", is_leaf: bool,
+                 name: str | None = None):
         self.value = value
         self._grad: np.ndarray | None = None
         self.tape = tape
-        self.node_id = node_id
         self.is_leaf = is_leaf
         self.name = name
 
@@ -99,7 +110,7 @@ class DiffArray:
 
     def __repr__(self) -> str:
         tag = self.name or ("leaf" if self.is_leaf else "node")
-        return f"DiffArray({tag}#{self.node_id}, shape={self.shape})"
+        return f"DiffArray({tag}, shape={self.shape})"
 
     # Arithmetic sugar; delegates to the module-level primitives.
     def __add__(self, other):
@@ -134,27 +145,28 @@ class Tape:
 
     def __init__(self):
         self._leaves: list[DiffArray] = []
-        self._nodes: list[DiffArray] = []
-        self._backward_ops: list = []
-        self._next_id = 0
+        # (node, backward) per recorded primitive, in forward order
+        self._ops: list[tuple[DiffArray, object]] = []
         self.recording = True
 
     def leaf(self, value, name: str | None = None) -> DiffArray:
         """Register a persistent differentiable array (a parameter)."""
-        arr = np.array(value, dtype=np.float64)
-        node = DiffArray(arr, self, self._next_id, is_leaf=True, name=name)
-        self._next_id += 1
+        node = DiffArray(np.array(value, dtype=np.float64), self,
+                         is_leaf=True, name=name)
         self._leaves.append(node)
         return node
 
-    def _intermediate(self, value: np.ndarray) -> DiffArray:
-        node = DiffArray(value, self, self._next_id, is_leaf=False)
-        self._next_id += 1
-        self._nodes.append(node)
-        return node
+    @property
+    def params(self) -> dict[str, DiffArray]:
+        """The named leaves by name, in registration order."""
+        return {p.name: p for p in self._leaves if p.name is not None}
 
-    def _record(self, backward_fn) -> None:
-        self._backward_ops.append(backward_fn)
+    def _node(self, value: np.ndarray, backward) -> DiffArray:
+        """Record an intermediate; :meth:`backward` calls ``backward(g)``
+        with its adjoint ``g``."""
+        node = DiffArray(value, self, is_leaf=False)
+        self._ops.append((node, backward))
+        return node
 
     @contextmanager
     def no_grad(self):
@@ -178,18 +190,17 @@ class Tape:
         if loss.shape != ():
             raise ValidationError(
                 f"backward requires a scalar loss, got shape {loss.shape}")
-        for node in self._nodes:
+        for node, _ in self._ops:
             node.zero_grad()
         loss.grad[...] += 1.0
-        for fn in reversed(self._backward_ops):
-            fn()
+        for node, backward in reversed(self._ops):
+            backward(node.grad)
 
     def reset(self) -> None:
         """Drop the recording and restore every adjoint to exactly zero."""
         for node in self._leaves:
             node.zero_grad()
-        self._nodes.clear()
-        self._backward_ops.clear()
+        self._ops.clear()
 
 
 def _value(x) -> np.ndarray:
@@ -198,21 +209,29 @@ def _value(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _context(*args) -> Tape | None:
-    """The recording tape of the first DiffArray argument, if any."""
-    for a in args:
+def _emit(value: np.ndarray, backward, *operands):
+    """Record one primitive application; the single entry point.
+
+    The first DiffArray among ``operands`` decides: if its tape is
+    recording, ``value`` becomes a node on it whose adjoint reaches
+    ``backward(g)``; otherwise, or with no DiffArray operand, the bare
+    ndarray is returned.
+    """
+    for a in operands:
         if isinstance(a, DiffArray):
-            return a.tape if a.tape.recording else None
-    return None
+            return a.tape._node(value, backward) if a.tape.recording else value
+    return value
 
 
 def _accumulate(x, g: np.ndarray) -> None:
-    """Add an adjoint contribution, reducing over a scalar operand."""
+    """Add an adjoint contribution to a DiffArray operand.  Unequal shapes
+    mean one side is a scalar: a scalar operand takes the sum of an
+    array adjoint, and a 0-d adjoint spreads over an array operand."""
     if not isinstance(x, DiffArray):
         return
     if x.shape == g.shape:
         x.grad += g
-    else:  # scalar operand against an array result
+    else:
         x.grad += g.sum()
 
 
@@ -226,55 +245,34 @@ def _check_elementwise(av: np.ndarray, bv: np.ndarray, op: str) -> None:
 def add(a, b):
     av, bv = _value(a), _value(b)
     _check_elementwise(av, bv, "add")
-    tape = _context(a, b)
-    out_value = av + bv
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
-    tape._record(backward)
-    return out
+    return _emit(av + bv, backward, a, b)
 
 
 def sub(a, b):
     av, bv = _value(a), _value(b)
     _check_elementwise(av, bv, "sub")
-    tape = _context(a, b)
-    out_value = av - bv
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    tape._record(backward)
-    return out
+    return _emit(av - bv, backward, a, b)
 
 
 def mul(a, b):
     av, bv = _value(a), _value(b)
     _check_elementwise(av, bv, "mul")
-    tape = _context(a, b)
-    out_value = av * bv
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(a, g * bv)
         _accumulate(b, g * av)
 
-    tape._record(backward)
-    return out
+    return _emit(av * bv, backward, a, b)
 
 
 def _sigmoid_value(xv: np.ndarray) -> np.ndarray:
@@ -287,48 +285,30 @@ def _sigmoid_value(xv: np.ndarray) -> np.ndarray:
 
 def sigmoid(x):
     s = _sigmoid_value(_value(x))
-    tape = _context(x)
-    if tape is None:
-        return s
-    out = tape._intermediate(s)
 
-    def backward():
-        _accumulate(x, out.grad * s * (1.0 - s))
+    def backward(g):
+        _accumulate(x, g * s * (1.0 - s))
 
-    tape._record(backward)
-    return out
+    return _emit(s, backward, x)
 
 
 def tanh(x):
-    xv = _value(x)
-    t = np.tanh(xv)
-    tape = _context(x)
-    if tape is None:
-        return t
-    out = tape._intermediate(t)
+    t = np.tanh(_value(x))
 
-    def backward():
-        _accumulate(x, out.grad * (1.0 - t * t))
+    def backward(g):
+        _accumulate(x, g * (1.0 - t * t))
 
-    tape._record(backward)
-    return out
+    return _emit(t, backward, x)
 
 
 def relu(x):
     xv = _value(x)
-    tape = _context(x)
-    out_value = np.maximum(xv, 0.0)
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
-    # relu'(0) is defined as 0: the mask is strict.
-    mask = xv > 0.0
 
-    def backward():
-        _accumulate(x, out.grad * mask)
+    def backward(g):
+        # relu'(0) is defined as 0: the mask is strict.
+        _accumulate(x, g * (xv > 0.0))
 
-    tape._record(backward)
-    return out
+    return _emit(np.maximum(xv, 0.0), backward, x)
 
 
 def matmul(a, b):
@@ -341,21 +321,12 @@ def matmul(a, b):
     if av.shape[1] != bv.shape[0]:
         raise DimensionError(
             f"matmul inner dimensions differ: {av.shape} vs {bv.shape}")
-    tape = _context(a, b)
-    out_value = av @ bv
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        g = out.grad
-        if isinstance(a, DiffArray):
-            a.grad += g @ bv.T if bv.ndim == 2 else np.outer(g, bv)
-        if isinstance(b, DiffArray):
-            b.grad += av.T @ g
+    def backward(g):
+        _accumulate(a, g @ bv.T if bv.ndim == 2 else np.outer(g, bv))
+        _accumulate(b, av.T @ g)
 
-    tape._record(backward)
-    return out
+    return _emit(av @ bv, backward, a, b)
 
 
 def concat_last(a, b):
@@ -369,20 +340,13 @@ def concat_last(a, b):
     if av.ndim == 2 and av.shape[0] != bv.shape[0]:
         raise DimensionError(
             f"concat_last row counts differ: {av.shape} vs {bv.shape}")
-    tape = _context(a, b)
-    out_value = np.concatenate([av, bv], axis=-1)
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
     split = av.shape[-1]
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(a, g[..., :split])
         _accumulate(b, g[..., split:])
 
-    tape._record(backward)
-    return out
+    return _emit(np.concatenate([av, bv], axis=-1), backward, a, b)
 
 
 def tile_rows(x, count: int):
@@ -396,33 +360,22 @@ def tile_rows(x, count: int):
         raise DimensionError(f"tile_rows expects a vector, got shape {xv.shape}")
     if count < 1:
         raise ValidationError(f"tile_rows count must be >= 1, got {count}")
-    tape = _context(x)
-    out_value = np.tile(xv, (count, 1))
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        _accumulate(x, out.grad.sum(axis=0))
+    def backward(g):
+        _accumulate(x, g.sum(axis=0))
 
-    tape._record(backward)
-    return out
+    return _emit(np.tile(xv, (count, 1)), backward, x)
 
 
 def transpose(x):
     xv = _value(x)
     if xv.ndim != 2:
         raise DimensionError(f"transpose expects a matrix, got shape {xv.shape}")
-    tape = _context(x)
-    if tape is None:
-        return xv.T.copy()
-    out = tape._intermediate(xv.T.copy())
 
-    def backward():
-        _accumulate(x, out.grad.T)
+    def backward(g):
+        _accumulate(x, g.T)
 
-    tape._record(backward)
-    return out
+    return _emit(xv.T.copy(), backward, x)
 
 
 def affine(x, w, b):
@@ -434,20 +387,13 @@ def affine(x, w, b):
         raise DimensionError(
             f"affine expects x [B x in], W [out x in] and b [out], got "
             f"shapes {xv.shape}, {wv.shape} and {bv.shape}")
-    tape = _context(x, w, b)
-    out_value = xv @ wv.T + bv
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(x, g @ wv)
         _accumulate(w, g.T @ xv)
         _accumulate(b, g.sum(axis=0))
 
-    tape._record(backward)
-    return out
+    return _emit(xv @ wv.T + bv, backward, x, w, b)
 
 
 def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
@@ -483,14 +429,8 @@ def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
     r = _sigmoid_value(xh @ wr.T + br)
     xrh = np.concatenate([xv, r * hv], axis=1)
     c = np.tanh(xrh @ wc.T + bc)
-    out_value = (1.0 - z) * hv + z * c
-    tape = _context(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand)
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         d_cand = g * z * (1.0 - c * c)
         d_xrh = d_cand @ wc
         d_rh = d_xrh[:, n_in:]
@@ -506,43 +446,28 @@ def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
         _accumulate(b_reset, d_reset.sum(axis=0))
         _accumulate(b_cand, d_cand.sum(axis=0))
 
-    tape._record(backward)
-    return out
+    return _emit((1.0 - z) * hv + z * c, backward,
+                 x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand)
 
 
 def sum_all(x):
     """Sum of all elements, as a 0-d scalar."""
-    xv = _value(x)
-    tape = _context(x)
-    out_value = np.asarray(xv.sum())
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        if isinstance(x, DiffArray):
-            x.grad += out.grad  # 0-d broadcasts over the operand
+    def backward(g):
+        _accumulate(x, g)
 
-    tape._record(backward)
-    return out
+    return _emit(np.asarray(_value(x).sum()), backward, x)
 
 
 def mean_all(x):
     """Mean of all elements, as a 0-d scalar."""
     xv = _value(x)
     n = xv.size
-    tape = _context(x)
-    out_value = np.asarray(xv.sum() / n)
-    if tape is None:
-        return out_value
-    out = tape._intermediate(out_value)
 
-    def backward():
-        if isinstance(x, DiffArray):
-            x.grad += out.grad / n
+    def backward(g):
+        _accumulate(x, g / n)
 
-    tape._record(backward)
-    return out
+    return _emit(np.asarray(xv.sum() / n), backward, x)
 
 
 @dataclass

@@ -103,25 +103,26 @@ def expand_roi(box: BoundingBox, factor: float, image_width: float,
     return BoundingBox.from_corners(x0, y0, x1, y1)
 
 
-def _bilinear(plane: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample a 2-d array at continuous points, border-clamped.
+def _bilinear(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sample a [rows x cols x channels] array at continuous points,
+    border-clamped; returns [points x channels].
 
-    `plane` is indexed [row, col]; a point (x, y) reads column x, row y,
-    with pixel centers at half-integer coordinates.
+    A point (x, y) reads column x, row y, with pixel centers at
+    half-integer coordinates.
     """
-    height, width = plane.shape
+    height, width = data.shape[:2]
     gx = xs - 0.5
     gy = ys - 0.5
     x0 = np.floor(gx)
     y0 = np.floor(gy)
-    fx = gx - x0
-    fy = gy - y0
+    fx = (gx - x0)[:, None]
+    fy = (gy - y0)[:, None]
     c0 = np.clip(x0, 0, width - 1).astype(int)
     c1 = np.clip(x0 + 1, 0, width - 1).astype(int)
     r0 = np.clip(y0, 0, height - 1).astype(int)
     r1 = np.clip(y0 + 1, 0, height - 1).astype(int)
-    top = plane[r0, c0] * (1.0 - fx) + plane[r0, c1] * fx
-    bottom = plane[r1, c0] * (1.0 - fx) + plane[r1, c1] * fx
+    top = data[r0, c0] * (1.0 - fx) + data[r0, c1] * fx
+    bottom = data[r1, c0] * (1.0 - fx) + data[r1, c1] * fx
     return top * (1.0 - fy) + bottom * fy
 
 
@@ -143,11 +144,8 @@ def roi_pool(grid: FlowGrid, roi: BoundingBox, n: int,
     xs = x0 + offsets * (x1 - x0) - origin[0]
     ys = y0 + offsets * (y1 - y0) - origin[1]
     grid_x, grid_y = np.meshgrid(xs, ys)
-    u = _bilinear(grid.data[..., 0], grid_x.ravel(), grid_y.ravel())
-    v = _bilinear(grid.data[..., 1], grid_x.ravel(), grid_y.ravel())
-    values = np.empty(2 * n * n)
-    values[0::2] = u
-    values[1::2] = v
+    # [n*n x 2] rows of (u, v) ravel into the interleaved vector
+    values = _bilinear(grid.data, grid_x.ravel(), grid_y.ravel()).ravel()
     return PooledFlow(values=values, n=n)
 
 

@@ -135,18 +135,27 @@ class TrainResult:
     val_indices: tuple
 
 
+class _NoDraws:
+    """Stands in for the weight stream when checkpoint values will
+    overwrite every weight: the layers get zeros instead of draws."""
+
+    @staticmethod
+    def uniforms(shape, low=0.0, high=1.0) -> np.ndarray:
+        return np.zeros(shape)
+
+
 class BoxForecaster:
     """One model instance: parameter leaves on a private tape.
 
     Construction order fixes the weight-draw order, so the initial state
-    is a pure function of (config, seed).  Pass `params` to overwrite the
-    random initialization with checkpoint values.
+    is a pure function of (config, seed).  Pass `params` to load
+    checkpoint values instead; then no weights are drawn.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, params=None):
         self.config = config
         self.tape = Tape()
-        rng = Xoshiro256(seed)
+        rng = Xoshiro256(seed) if params is None else _NoDraws()
         c = config
         self.box_embed = Projection(self.tape, rng, 4, c.embed,
                                     "relu", "box_embed")
@@ -171,17 +180,8 @@ class BoxForecaster:
 
     @property
     def params(self) -> dict[str, DiffArray]:
-        modules = [self.box_embed, self.box_encoder]
-        if self.config.uses_flow:
-            modules += [self.flow_embed, self.flow_encoder]
-        modules += [self.fuse, self.state_embed]
-        if self.config.uses_ego:
-            modules.append(self.ego_embed)
-        modules += [self.decoder, self.head]
-        merged: dict[str, DiffArray] = {}
-        for module in modules:
-            merged.update(module.params)
-        return merged
+        """Every parameter leaf by name, in construction order."""
+        return self.tape.params
 
     def parameter_values(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self.params.items()}

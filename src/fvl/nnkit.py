@@ -11,7 +11,9 @@ Parameter initialization is uniform fan-in: weights are drawn from
 U(-1/sqrt(fan_in), +1/sqrt(fan_in)) elementwise in row-major order from a
 single :class:`fvl.rng.Xoshiro256` stream, biases start at zero.  The
 draw order is fixed by construction order, which makes a model's initial
-state a pure function of its seed.
+state a pure function of its seed.  Each layer registers its leaves on
+the tape it is given, named ``<layer>.<part>``, so
+:attr:`fvl.diffcore.Tape.params` lists every parameter in that order.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ class Projection:
                                 name=f"{name}.weight")
         self.bias = tape.leaf(np.zeros(out_size), name=f"{name}.bias")
 
-    @property
-    def params(self) -> dict[str, DiffArray]:
-        return {p.name: p for p in (self.weight, self.bias)}
-
     def __call__(self, x):
         y = dc.affine(x, self.weight, self.bias)
         return dc.relu(y) if self.activation == "relu" else y
@@ -94,11 +92,6 @@ class GruCell:
         self.b_update = tape.leaf(np.zeros(hidden_size), name=f"{name}.b_update")
         self.b_reset = tape.leaf(np.zeros(hidden_size), name=f"{name}.b_reset")
         self.b_cand = tape.leaf(np.zeros(hidden_size), name=f"{name}.b_cand")
-
-    @property
-    def params(self) -> dict[str, DiffArray]:
-        return {p.name: p for p in (self.w_update, self.w_reset, self.w_cand,
-                                    self.b_update, self.b_reset, self.b_cand)}
 
     def step(self, x, h_prev):
         """One recurrence update of a row-stacked batch ([B x input] with

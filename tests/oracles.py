@@ -112,3 +112,37 @@ def background_flow_oracle(camera, headings, positions, t, ix0, iy0, ix1, iy1):
     out[..., 0] = np.where(visible, u_now - u_prev, 0.0)
     out[..., 1] = np.where(visible, v_now - v_prev, 0.0)
     return out
+
+
+def two_plane_pool(grid, roi, n, origin=(0, 0)):
+    """ROI pooling that samples the u and v planes in two separate
+    vectorized bilinear passes and then interleaves them.
+
+    Each element goes through the same IEEE operations as the library's
+    one-pass [h x w x 2] sampling, so the two must agree bit for bit.
+    """
+    def bilinear(plane, xs, ys):
+        height, width = plane.shape
+        gx = xs - 0.5
+        gy = ys - 0.5
+        x0 = np.floor(gx)
+        y0 = np.floor(gy)
+        fx = gx - x0
+        fy = gy - y0
+        c0 = np.clip(x0, 0, width - 1).astype(int)
+        c1 = np.clip(x0 + 1, 0, width - 1).astype(int)
+        r0 = np.clip(y0, 0, height - 1).astype(int)
+        r1 = np.clip(y0 + 1, 0, height - 1).astype(int)
+        top = plane[r0, c0] * (1.0 - fx) + plane[r0, c1] * fx
+        bottom = plane[r1, c0] * (1.0 - fx) + plane[r1, c1] * fx
+        return top * (1.0 - fy) + bottom * fy
+
+    x0, y0, x1, y1 = roi.corners()
+    offsets = (np.arange(n) + 0.5) / n
+    xs = x0 + offsets * (x1 - x0) - origin[0]
+    ys = y0 + offsets * (y1 - y0) - origin[1]
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    values = np.empty(2 * n * n)
+    values[0::2] = bilinear(grid.data[..., 0], grid_x.ravel(), grid_y.ravel())
+    values[1::2] = bilinear(grid.data[..., 1], grid_x.ravel(), grid_y.ravel())
+    return values

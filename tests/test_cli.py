@@ -191,6 +191,9 @@ def test_data_errors_exit_2(tmp_path, capsys):
     scn = tmp_path / "bad.scn"
     scn.write_text("frames=ten\n")
     assert main(["generate", str(scn), "--out", str(tmp_path / "out")]) == 2
+    scn.write_text("frames=4\nego_speeds=1.0\n")
+    assert main(["generate", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert "bad.scn:2" in capsys.readouterr().err
 
     # a video directory whose ego log holds an infinite yaw, then whose
     # meta holds a non-integer width

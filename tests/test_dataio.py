@@ -593,6 +593,25 @@ def test_scenario_file_errors(tmp_path):
     path.write_text("frames=6\n[actor]\nx=1\nz=0\nheading=oops\nspeed=1\n")
     with pytest.raises(DataFormatError):
         read_scenario_file(path)
+    # unknown and repeated keys name the line; before, a misspelt key
+    # silently left its field at the default (a parked ego, accel 0)
+    actor = "[actor]\nx=1\nz=0\nheading=0\nspeed=1\n"
+    for text, message in [
+            ("frames=6\nego_speeds=1.0\n",
+             "bad.scn:2: unknown top-level key 'ego_speeds'"),
+            ("frames=6\n" + actor + "accell=0.3\n",
+             r"bad.scn:7: unknown \[actor\] key 'accell'"),
+            ("frames=6\n" + actor + "fps=5\n",
+             r"bad.scn:7: unknown \[actor\] key 'fps'"),
+            ("frames=6\nwidth=320\n# again\nwidth=640\n",
+             "bad.scn:4: repeated top-level key 'width'"),
+            ("frames=6\n" + actor + "x=2\n",
+             r"bad.scn:7: repeated \[actor\] key 'x'"),
+            ("frames=6\n" + actor + "[actor]\nx=1\nspeed=1\n",
+             r"bad.scn:7: \[actor\] is missing z, heading")]:
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            read_scenario_file(path)
 
 
 def test_split_videos_deterministic_and_disjoint():

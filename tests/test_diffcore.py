@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvl import diffcore as dc
-from fvl.diffcore import Tape, grad_check
+from fvl.diffcore import DiffArray, Tape, grad_check
 from fvl.errors import DimensionError, ValidationError
 from fvl.fvlmodel import VARIANTS, BoxForecaster, ModelConfig, _batch_loss
 from fvl.rng import Xoshiro256
@@ -263,6 +263,65 @@ def test_no_grad_returns_plain_arrays():
     # nothing was recorded, so backward on real work is unaffected
     tape.backward(dc.sum_all(x))
     np.testing.assert_array_equal(x.grad, 1.0)
+
+
+# The array operand shapes of every primitive in diffcore.__all__, and
+# the non-array arguments that follow them.
+PRIMITIVE_OPERANDS = {
+    "add": [(3,), (3,)], "sub": [(3,), (3,)], "mul": [(3,), (3,)],
+    "sigmoid": [(3,)], "tanh": [(3,)], "relu": [(3,)],
+    "matmul": [(2, 3), (3, 2)], "concat_last": [(2, 3), (2, 2)],
+    "tile_rows": [(3,)], "transpose": [(2, 3)],
+    "affine": [(2, 3), (4, 3), (4,)],
+    "gru_step": [(2, 3), (2, 4), (4, 7), (4, 7), (4, 7), (4,), (4,), (4,)],
+    "sum_all": [(3,)], "mean_all": [(3,)],
+}
+EXTRA_ARGS = {"tile_rows": (4,)}
+PRIMITIVES = [name for name in dc.__all__
+              if name not in ("DiffArray", "Tape", "GradCheckReport", "grad_check")]
+
+
+def _apply(name, tape, plain_first=False):
+    """Call a primitive on seeded operands, all leaves of `tape` except,
+    with `plain_first`, the first, which stays an ndarray."""
+    rng = np.random.default_rng(71)
+    values = [rng.uniform(-1.0, 1.0, size=shape) for shape in PRIMITIVE_OPERANDS[name]]
+    operands = [v if plain_first and i == 0 else tape.leaf(v)
+                for i, v in enumerate(values)]
+    return operands, getattr(dc, name)(*operands, *EXTRA_ARGS.get(name, ()))
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_every_primitive_records_one_node_through_the_entry_point(name):
+    tape = Tape()
+    with tape.no_grad():
+        _, out = _apply(name, tape)
+    assert isinstance(out, np.ndarray) and not tape._ops
+    leaves, out = _apply(name, tape)
+    assert isinstance(out, DiffArray) and len(tape._ops) == 1
+    if len(leaves) == 1:
+        return
+    # A plain first operand does not hide the later leaves' tape, gets no
+    # adjoint, and leaves theirs as they are when every operand is a leaf.
+    tape.backward(dc.sum_all(out))
+    want = [leaf.grad.copy() for leaf in leaves[1:]]
+    tape = Tape()
+    operands, out = _apply(name, tape, plain_first=True)
+    assert isinstance(out, DiffArray) and len(tape._ops) == 1
+    first = operands[0].copy()
+    tape.backward(dc.sum_all(out))
+    assert np.array_equal(operands[0], first)
+    for leaf, grad in zip(operands[1:], want):
+        assert np.array_equal(leaf.grad, grad)
+
+
+def test_tape_params_are_the_named_leaves_in_registration_order():
+    tape = Tape()
+    b = tape.leaf(np.zeros(2), name="b")
+    tape.leaf(np.ones(3))
+    a = tape.leaf(np.ones(1), name="a")
+    dc.add(a, 1.0)
+    assert list(tape.params.items()) == [("b", b), ("a", a)]
 
 
 def test_grad_check_passes_on_smooth_function():

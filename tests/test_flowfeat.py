@@ -8,7 +8,7 @@ from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, read_flow_grid,
                           read_flow_patch, roi_pool, write_flow_grid)
 from fvl.rng import Xoshiro256
-from oracles import pool_oracle
+from oracles import pool_oracle, two_plane_pool
 
 
 def random_grid(seed, width=32, height=32):
@@ -78,6 +78,28 @@ def test_pool_matches_independent_oracle():
         pooled = roi_pool(grid, roi, n=5)
         expected = pool_oracle(grid, roi, n=5)
         assert np.abs(pooled.values - expected).max() < 1e-6
+
+
+def test_pool_equals_two_plane_oracle_bit_for_bit():
+    # One bilinear pass over [h x w x 2] against separate u and v passes.
+    # ROIs reach past every border, windows sit at nonzero origins, and
+    # some grid values are +0.0 or -0.0, so sign bits are compared too.
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        height, width = rng.integers(1, 40, size=2)
+        data = rng.uniform(-5.0, 5.0, size=(height, width, 2))
+        data[rng.uniform(size=data.shape) < 0.1] = 0.0
+        data[rng.uniform(size=data.shape) < 0.1] = -0.0
+        grid = FlowGrid(width=int(width), height=int(height), data=data)
+        origin = tuple(int(v) for v in rng.integers(0, 30, size=2))
+        x0, y0 = rng.uniform(-10.0, 40.0, size=2) + origin
+        roi = BoundingBox.from_corners(x0, y0, x0 + rng.uniform(0.5, 30.0),
+                                       y0 + rng.uniform(0.5, 30.0))
+        n = int(rng.integers(1, 8))
+        got = roi_pool(grid, roi, n, origin=origin).values
+        want = two_plane_pool(grid, roi, n, origin=origin)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_pool_is_linear_in_the_grid():

@@ -414,6 +414,27 @@ def test_checkpoint_roundtrip(tmp_path):
                           loaded.predict(sample).absolute)
 
 
+def test_loading_values_draws_no_initial_weights(monkeypatch):
+    # every drawn weight would be overwritten, so none is drawn
+    cfg = small_config()
+    values = BoxForecaster(cfg, seed=13).parameter_values()
+    draws = []
+    next_u64 = Xoshiro256.next_u64
+
+    def counting(self):
+        draws.append(1)
+        return next_u64(self)
+
+    monkeypatch.setattr(Xoshiro256, "next_u64", counting)
+    model = BoxForecaster(cfg, params=values)
+    assert not draws
+    for name, value in values.items():
+        assert np.array_equal(model.params[name].value, value)
+    assert np.array_equal(BoxForecaster(cfg, seed=13).params["head.weight"].value,
+                          values["head.weight"])
+    assert draws
+
+
 def test_checkpoint_mismatches_are_rejected(tmp_path):
     cfg = small_config()
     model = BoxForecaster(cfg, seed=13)

@@ -43,7 +43,7 @@ def test_gru_zero_weights_halve_the_hidden_state():
     # next hidden state is exactly half the previous one.
     tape = Tape()
     cell = GruCell(tape, Xoshiro256(0), input_size=3, hidden_size=4)
-    for p in cell.params.values():
+    for p in tape.params.values():
         p.value[...] = 0.0
     h_prev = np.array([[1.0, -2.0, 0.5, 4.0]])
     out = cell.step(tape.leaf(np.array([[9.0, 9.0, 9.0]])), tape.leaf(h_prev))
@@ -70,10 +70,8 @@ def test_gru_step_gradients_match_finite_differences():
     x = tape.leaf(rng.uniforms((1, 3), -1.0, 1.0), name="x")
     h = tape.leaf(rng.uniforms((1, 4), -1.0, 1.0), name="h")
     target = rng.uniforms((1, 4), -0.5, 0.5)
-    params = dict(cell.params)
-    params["x"] = x
-    params["h"] = h
-    report = grad_check(lambda: mse_loss(cell.step(x, h), target), params)
+    # the tape's named leaves: the cell's six, then x and h
+    report = grad_check(lambda: mse_loss(cell.step(x, h), target), tape.params)
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4
 
@@ -178,13 +176,13 @@ def test_mse_loss_rejects_shape_mismatch():
 
 
 def test_initialization_is_a_pure_function_of_the_seed():
-    cells = []
+    tapes = []
     for _ in range(2):
-        tape = Tape()
-        cells.append(GruCell(tape, Xoshiro256(42), input_size=3, hidden_size=4))
-    for name in cells[0].params:
-        np.testing.assert_array_equal(cells[0].params[name].value,
-                                      cells[1].params[name].value)
+        tapes.append(Tape())
+        GruCell(tapes[-1], Xoshiro256(42), input_size=3, hidden_size=4)
+    for name in tapes[0].params:
+        np.testing.assert_array_equal(tapes[0].params[name].value,
+                                      tapes[1].params[name].value)
 
 
 def test_initialization_respects_fan_in_bound():
@@ -215,7 +213,7 @@ def test_checkpoint_accepts_diffarray_values(tmp_path):
     tape = Tape()
     proj = Projection(tape, Xoshiro256(2), in_size=3, out_size=2)
     path = tmp_path / "proj.fvlw"
-    save_params(path, proj.params)
+    save_params(path, tape.params)
     loaded = load_params(path)
     np.testing.assert_array_equal(loaded["proj.weight"], proj.weight.value)
 

@@ -1,10 +1,14 @@
-"""The benchmark tracer must still find every name it wraps in fvl.
+"""The benchmark tracer must still find every name it wraps in fvl, and
+still see the tape.
 
 `perfbench/tracer.py` patches fvl functions and methods by name; deleting
-or renaming one of them breaks `perfbench/run.py --trace 1`.  It patches
-fvl globally, so it is installed in a child process.
+or renaming one of them breaks `perfbench/run.py --trace 1`.  It counts
+tape nodes by wrapping the diffcore primitives, so one training epoch
+under it must still report the primitive nodes of a batch.  It patches
+fvl globally, so it runs in a child process.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,12 +16,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# One xoe epoch (h32 e24, tau = delta = 5, 3x3 pooling) on 36 windows:
+# 4 are held out, so the 32 left make exactly one batch.
+CHILD = """
+import json
+from tracer import Tracer
+tracer = Tracer().install()
+from fvl import dataio
+from fvl.fvlmodel import ModelConfig, train_model
+
+samples, seed = [], 0
+while len(samples) < 36:
+    scenario = dataio.random_scenario(seed, frames=24, width=320, height=160)
+    samples += dataio.windows_from_video(dataio.generate_scenario(scenario),
+                                         5, 5, expand=1.5, n=3)[0]
+    seed += 1
+config = ModelConfig(variant="xoe", hidden=32, embed=24, tau=5, delta=5,
+                     pooled_dim=18)
+train_model(config, samples[:36], epochs=1, batch_size=32, seed=0)
+print(json.dumps(tracer.layer_metrics(1)))
+"""
+
 
 def test_tracer_installs_on_the_current_package():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "perfbench"), str(ROOT / "src")]))
-    code = "from tracer import Tracer; Tracer().install(); print('installed')"
-    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    result = subprocess.run([sys.executable, "-c", CHILD], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "installed"
+    metrics = json.loads(result.stdout.splitlines()[-1])
+    # the unfused primitives of one batch; the tracer does not see the
+    # fused affine and gru_step nodes
+    assert metrics["diffcore.nodes_per_batch"] == 53
+    for prim in ("add", "sub", "mul", "relu", "mean_all"):
+        assert metrics[f"diffcore.prim.{prim}.calls"] > 0, prim
