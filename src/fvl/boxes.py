@@ -39,14 +39,6 @@ class BoundingBox:
         return (self.cx - half_w, self.cy - half_h,
                 self.cx + half_w, self.cy + half_h)
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.cx, self.cy])
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h])
 

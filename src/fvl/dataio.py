@@ -43,7 +43,7 @@ import numpy as np
 from .boxes import BoundingBox
 from .egomotion import EgoFeature, compose, read_ego_log, rotation_matrix, \
     write_ego_log, yaw_to_step
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, text_lines
 from .flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_patch, \
     roi_pool, write_flow_grid
 from .rng import Xoshiro256
@@ -118,6 +118,14 @@ class Sample:
         return len(self.future)
 
 
+def _require_finite(spec) -> None:
+    """Reject a camera or actor with a non-finite field."""
+    for f in fields(spec):
+        if not math.isfinite(getattr(spec, f.name)):
+            raise ValidationError(f"{type(spec).__name__} {f.name} must be "
+                                  f"finite, got {getattr(spec, f.name)}")
+
+
 @dataclass(frozen=True)
 class CameraSpec:
     """Forward-facing pinhole camera rigidly mounted on the ego vehicle."""
@@ -128,6 +136,7 @@ class CameraSpec:
     cam_height: float = 1.4
 
     def __post_init__(self):
+        _require_finite(self)
         if self.focal <= 0 or self.cam_height <= 0:
             raise ValidationError(
                 f"camera needs positive focal length and height, got "
@@ -152,6 +161,7 @@ class ActorSpec:
     height: float = 1.5
 
     def __post_init__(self):
+        _require_finite(self)
         if self.length <= 0 or self.width <= 0 or self.height <= 0:
             raise ValidationError(
                 f"actor dimensions must be positive, got "
@@ -181,6 +191,8 @@ class Scenario:
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(
                 f"image dims must be positive, got {self.width}x{self.height}")
+        if not 0 < self.fps < math.inf:
+            raise ValidationError(f"fps must be positive and finite, got {self.fps}")
         steps = self.frames - 1
         for name in ("ego_yaw_rates", "ego_speeds"):
             raw = np.asarray(getattr(self, name), dtype=np.float64)
@@ -535,11 +547,8 @@ def write_dataset(samples, path) -> None:
 
 
 def read_dataset(path) -> list[Sample]:
-    path = Path(path)
     samples = []
-    for lineno, line in enumerate(path.read_text().splitlines()):
-        if not line.strip():
-            continue
+    for lineno, line in text_lines(path):
         try:
             record = json.loads(line)
             for key in ("width", "height"):
@@ -566,15 +575,16 @@ def read_dataset(path) -> list[Sample]:
                 raise ValueError("flow and ego values must be finite")
             samples.append(sample)
         except (KeyError, IndexError, TypeError, ValueError, ValidationError) as exc:
-            raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return samples
 
 
 # --- video directories --------------------------------------------------------
 #
-# One directory per video: `meta` (key=value), `boxes.jsonl` (one line
-# per frame per track), `ego.txt` (see egomotion), and `flow/NNNNNN.ffgr`
-# grids.
+# One directory per video: `meta`, `boxes.jsonl` (one line per frame
+# per track), `ego.txt` (see egomotion), and `flow/NNNNNN.ffgr` grids.
+# `meta`, checkpoint `.cfg` and scenario `.scn` files share one parser,
+# `read_key_values`, and one comment rule: `#` starts a comment anywhere.
 
 
 def _write_meta(path: Path, video, tau: int, delta: int) -> None:
@@ -584,22 +594,43 @@ def _write_meta(path: Path, video, tau: int, delta: int) -> None:
     path.write_text(text)
 
 
-def read_key_values(path) -> dict[str, str]:
-    """Parse a text file of `key=value` lines into a dict of strings.
+def read_key_values(path, keys, sections=None) -> dict:
+    """Parse `key=value` lines into a dict of strings.
 
-    Blank lines and lines starting with `#` are skipped; any other line
-    without `=` raises DataFormatError naming `path:line`.
+    `keys` maps each key the file may set to whether it must.  `#` starts
+    a comment.  A `[name]` line opens a section when `sections` maps
+    `name` to its own keys; each section's dict is appended to a list
+    under `name`.  A malformed line, or an unknown, repeated or missing
+    key, raises DataFormatError naming the file and line.
     """
-    fields = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines()):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    sections = sections or {}
+    result = {name: [] for name in sections}
+    # (where, label, keys, values) for the top level, then each section
+    blocks = [(str(path), "top-level", keys, result)]
+    for lineno, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        name = line[1:-1]
+        if line == f"[{name}]" and name in sections:
+            result[name].append({})
+            blocks.append((f"{path}:{lineno}", line, sections[name], result[name][-1]))
             continue
         if "=" not in line:
-            raise DataFormatError(f"{path}:{lineno + 1}: expected key=value")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    return fields
+            raise DataFormatError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        _, label, known, values = blocks[-1]
+        if key not in known:
+            raise DataFormatError(f"{path}:{lineno}: unknown {label} key {key!r}")
+        if key in values:
+            raise DataFormatError(f"{path}:{lineno}: repeated {label} key {key!r}")
+        values[key] = value
+    for where, label, known, values in blocks:
+        missing = [key for key, required in known.items()
+                   if required and key not in values]
+        if missing:
+            raise DataFormatError(f"{where}: {label} is missing {', '.join(missing)}")
+    return result
 
 
 # key -> (parse, default); None marks a required key
@@ -611,12 +642,11 @@ _META_FIELDS = {"width": (int, None), "height": (int, None),
 def _read_meta(path: Path) -> dict:
     """The video meta fields, each parsed and checked to be positive
     (and, for fps, finite)."""
-    raw = read_key_values(path)
+    raw = read_key_values(path, {key: default is None
+                                 for key, (_, default) in _META_FIELDS.items()})
     meta = {}
     for key, (parse, default) in _META_FIELDS.items():
         if key not in raw:
-            if default is None:
-                raise DataFormatError(f"{path}: missing required key {key!r}")
             meta[key] = default
             continue
         try:
@@ -682,9 +712,7 @@ def read_video_dir(path) -> LoadedVideo:
             f"{meta['frames']}-frame video needs {meta['frames'] - 1}")
     tracks: dict[int, dict[int, BoundingBox]] = {}
     boxes_path = path / "boxes.jsonl"
-    for lineno, line in enumerate(boxes_path.read_text().splitlines()):
-        if not line.strip():
-            continue
+    for lineno, line in text_lines(boxes_path):
         try:
             record = json.loads(line)
             track, frame = record["track"], record["frame"]
@@ -701,17 +729,17 @@ def read_video_dir(path) -> LoadedVideo:
                               w=record["w"], h=record["h"])
             tracks.setdefault(track, {})[frame] = box
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise DataFormatError(f"{boxes_path}:{lineno + 1}: {exc}") from None
+            raise DataFormatError(f"{boxes_path}:{lineno}: {exc}") from None
     return LoadedVideo(path, meta, ego_steps, tracks)
 
 
 # --- scenario files -----------------------------------------------------------
 #
-# Text format: top-level `key=value` lines for the camera, image, and
-# ego plan, then one `[actor]` header per actor followed by its own
-# key=value lines.  Rates and speeds are per frame.  `ego_yaw_rate` and
-# `ego_speed` accept either a scalar or a comma-separated list with one
-# entry per frame transition.
+# Text format, read by `read_key_values` like `meta` and `.cfg`: top-level
+# `key=value` lines for the camera, image, and ego plan, then one `[actor]`
+# header per actor followed by its own key=value lines.  Rates and speeds
+# are per frame.  `ego_yaw_rate` and `ego_speed` accept either a scalar or
+# a comma-separated list with one entry per frame transition.
 
 
 # top-level key -> parse; the camera keys are CameraSpec's fields
@@ -720,7 +748,8 @@ _SCENARIO_KEYS = {"frames": int, "width": int, "height": int, "fps": float,
                   **{f.name: float for f in fields(CameraSpec)}}
 # rate-list key -> Scenario field
 _RATE_KEYS = {"ego_yaw_rate": "ego_yaw_rates", "ego_speed": "ego_speeds"}
-_ACTOR_KEYS = {f.name for f in fields(ActorSpec)}
+# actor key -> whether an [actor] must set it
+_ACTOR_KEYS = {f.name: f.default is MISSING for f in fields(ActorSpec)}
 
 
 def _parse_rate_list(text: str, steps: int, what: str) -> np.ndarray:
@@ -738,35 +767,9 @@ def read_scenario_file(path) -> Scenario:
     """Parse a scenario file.  A key that is not set takes the default of
     its :class:`Scenario`, :class:`CameraSpec` or :class:`ActorSpec`
     field; an unknown or repeated key is a DataFormatError."""
-    path = Path(path)
-    top: dict[str, str] = {}
-    actors: list[tuple[int, dict]] = []  # (line of the [actor] header, keys)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[actor]":
-            actors.append((lineno, {}))
-            continue
-        if "=" not in line:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected key=value or [actor], got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        section, current, known = (("[actor]", actors[-1][1], _ACTOR_KEYS) if actors
-                                   else ("top-level", top, _SCENARIO_KEYS))
-        if key not in known:
-            raise DataFormatError(f"{path}:{lineno}: unknown {section} key {key!r}")
-        if key in current:
-            raise DataFormatError(f"{path}:{lineno}: repeated {section} key {key!r}")
-        current[key] = value
-    if "frames" not in top:
-        raise DataFormatError(f"{path}: missing required key 'frames'")
-    for lineno, actor in actors:
-        missing = [f.name for f in fields(ActorSpec)
-                   if f.default is MISSING and f.name not in actor]
-        if missing:
-            raise DataFormatError(
-                f"{path}:{lineno}: [actor] is missing {', '.join(missing)}")
+    top = read_key_values(path, {key: key == "frames" for key in _SCENARIO_KEYS},
+                          {"actor": _ACTOR_KEYS})
+    actors = top.pop("actor")
     try:
         values = {key: _SCENARIO_KEYS[key](text) for key, text in top.items()}
         frames = values.pop("frames")
@@ -776,7 +779,7 @@ def read_scenario_file(path) -> Scenario:
             if key in values:
                 values[name] = _parse_rate_list(values.pop(key), frames - 1, key)
         specs = tuple(ActorSpec(**{key: float(text) for key, text in actor.items()})
-                      for _, actor in actors)
+                      for actor in actors)
         return Scenario(frames=frames, camera=camera, actors=specs, **values)
     except (ValueError, ValidationError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None

@@ -508,16 +508,14 @@ def grad_check(f, params, step: float = 1e-6,
     """Compare analytic gradients of ``f`` against central finite differences.
 
     ``f`` takes no arguments, reads the given parameter leaves, and returns
-    a scalar loss.  ``params`` is a mapping of names to leaves (or a plain
-    sequence).  Parameter values are perturbed in place and restored
+    a scalar loss.  ``params`` is a mapping of names to leaves, such as
+    ``Tape.params``.  Parameter values are perturbed in place and restored
     bit-exactly.  The caller is responsible for keeping relu inputs away
     from their kink; points within finite-difference reach of 0 make the
     numeric estimate meaningless.
     """
     if step <= 0:
         raise ValidationError(f"finite-difference step must be positive, got {step}")
-    if not isinstance(params, dict):
-        params = {f"param{i}": p for i, p in enumerate(params)}
     if not params:
         raise ValidationError("grad_check needs at least one parameter")
     tape = next(iter(params.values())).tape

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, text_lines
 
 __all__ = [
     "EgoStep",
@@ -131,25 +131,22 @@ def write_ego_log(path, steps) -> None:
 
 
 def read_ego_log(path) -> list[EgoStep]:
-    path = Path(path)
     steps = []
-    for lineno, line in enumerate(path.read_text().splitlines()):
-        if not line.strip():
-            continue
+    for lineno, line in text_lines(path):
         parts = line.split()
         if len(parts) != 4:
             raise DataFormatError(
-                f"{path}:{lineno + 1}: expected 4 fields "
+                f"{path}:{lineno}: expected 4 fields "
                 f"'frame yaw_rate tx ty', got {len(parts)}")
         try:
             index = int(parts[0])
             yaw, tx, ty = (float(p) for p in parts[1:])
             step = EgoStep(yaw=yaw, translation=np.array([tx, ty]))
         except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         if index != len(steps):
             raise DataFormatError(
-                f"{path}:{lineno + 1}: frame index {index} out of order, "
+                f"{path}:{lineno}: frame index {index} out of order, "
                 f"expected {len(steps)}")
         steps.append(step)
     return steps

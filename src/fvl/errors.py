@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and `text_lines`, the one
+way any reader gets at the lines of a text file.
 
 The CLI maps these onto process exit codes: usage problems exit 1,
 `DataFormatError` and `ValidationError` exit 2, `NumericFailure` exits 3.
 """
+
+from pathlib import Path
 
 
 class ValidationError(ValueError):
@@ -19,3 +22,15 @@ class DataFormatError(ValueError):
 
 class NumericFailure(ArithmeticError):
     """A computation produced non-finite values and cannot continue."""
+
+
+def text_lines(path) -> list[tuple[int, str]]:
+    """(line number from 1, line) for each non-blank line of a UTF-8 text
+    file; bytes that do not decode raise DataFormatError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()]

@@ -20,7 +20,7 @@ dataset) triple reproduces a training run bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -455,13 +455,8 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
 
 def save_model(path, config: ModelConfig, params) -> None:
     save_params(path, params)
-    header = (f"variant={config.variant}\n"
-              f"hidden={config.hidden}\n"
-              f"embed={config.embed}\n"
-              f"tau={config.tau}\n"
-              f"delta={config.delta}\n"
-              f"pooled_dim={config.pooled_dim}\n")
-    Path(f"{path}.cfg").write_text(header)
+    Path(f"{path}.cfg").write_text("".join(
+        f"{f.name}={getattr(config, f.name)}\n" for f in fields(ModelConfig)))
 
 
 def load_model(path) -> BoxForecaster:
@@ -470,15 +465,12 @@ def load_model(path) -> BoxForecaster:
     if not cfg_path.exists():
         raise DataFormatError(
             f"{cfg_path}: missing config header for checkpoint {path}")
-    fields = read_key_values(cfg_path)
+    # every key is required; each parses as the type of its default
+    raw = read_key_values(cfg_path, {f.name: True for f in fields(ModelConfig)})
     try:
-        config = ModelConfig(variant=fields["variant"],
-                             hidden=int(fields["hidden"]),
-                             embed=int(fields["embed"]),
-                             tau=int(fields["tau"]),
-                             delta=int(fields["delta"]),
-                             pooled_dim=int(fields["pooled_dim"]))
-    except (KeyError, ValueError, ValidationError) as exc:
+        config = ModelConfig(**{f.name: type(f.default)(raw[f.name])
+                                for f in fields(ModelConfig)})
+    except (ValueError, ValidationError) as exc:
         raise DataFormatError(f"{cfg_path}: {exc}") from None
     return BoxForecaster(config, params=load_params(path))
 

@@ -194,6 +194,15 @@ def test_data_errors_exit_2(tmp_path, capsys):
     scn.write_text("frames=4\nego_speeds=1.0\n")
     assert main(["generate", str(scn), "--out", str(tmp_path / "out")]) == 2
     assert "bad.scn:2" in capsys.readouterr().err
+    # a non-finite camera value or a bad fps; before, these generated
+    # empty tracks, all-zero flow, or a meta no reader accepts
+    scene = ("frames=4\nwidth=320\nheight=160\nego_speed=0.5\n"
+             "[actor]\nx=12\nz=0\nheading=0\nspeed=0\n")
+    for bad, name in (("", None), ("fps=nan\n", "fps"), ("ppy=inf\n", "ppy")):
+        scn.write_text(bad + scene)
+        code = main(["generate", str(scn), "--out", str(tmp_path / "scene")])
+        assert code == (0 if name is None else 2)
+        assert name is None or name in capsys.readouterr().err
 
     # a video directory whose ego log holds an infinite yaw, then whose
     # meta holds a non-integer width
@@ -208,6 +217,12 @@ def test_data_errors_exit_2(tmp_path, capsys):
     (video / "meta").write_text("width=abc\nheight=160\nframes=3\n")
     assert main(["evaluate", "constaccel", "--dataset", str(video)]) == 2
     assert "width" in capsys.readouterr().err
+    # a misspelt meta key, then a repeated one
+    for meta, where in (("width=320\nfsp=5\nheight=160\nframes=3\n", "meta:2"),
+                        ("width=320\nheight=160\nframes=3\nwidth=640\n", "meta:4")):
+        (video / "meta").write_text(meta)
+        assert main(["evaluate", "constaccel", "--dataset", str(video)]) == 2
+        assert where in capsys.readouterr().err
     # an ego log one step short of frames - 1, then a repeated box line
     (video / "meta").write_text("width=320\nheight=160\nframes=3\n")
     (video / "ego.txt").write_text("0 0.0 1.0 0.0\n")
@@ -215,6 +230,11 @@ def test_data_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "m.fvlw")]) == 2
     err = capsys.readouterr().err
     assert "ego.txt" in err and "1 steps" in err and "needs 2" in err
+    # an ego log that is not UTF-8 text
+    (video / "ego.txt").write_bytes(b"0 0.0 1.0 0.0\n1 0.0 1.0 \xff0.0\n")
+    assert main(["evaluate", "constaccel", "--dataset", str(video)]) == 2
+    assert "ego.txt: not UTF-8 text: invalid start byte at byte 24" in \
+        capsys.readouterr().err
     (video / "ego.txt").write_text("0 0.0 1.0 0.0\n1 0.0 1.0 0.0\n")
     line = '{"frame":1,"track":0,"cx":50.0,"cy":60.0,"w":10.0,"h":8.0}\n'
     (video / "boxes.jsonl").write_text(line + line)

@@ -353,6 +353,20 @@ def test_scenario_validation():
         ActorSpec(x=0.0, z=0.0, heading=0.0, speed=0.0, length=-1.0)
     with pytest.raises(ValidationError):
         CameraSpec(focal=-10.0)
+    # non-finite values rendered as empty tracks or all-zero flow, and a
+    # bad fps was written into a meta that no reader accepts
+    for name in ("focal", "ppx", "ppy", "cam_height"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match=f"CameraSpec {name} must be finite"):
+                CameraSpec(**{name: value})
+    actor = dict(x=12.0, z=0.0, heading=0.0, speed=0.5)
+    for name in ("x", "z", "heading", "speed", "accel", "length", "width", "height"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match=f"ActorSpec {name} must be finite"):
+                ActorSpec(**{**actor, name: value})
+    for fps in (math.nan, math.inf, 0.0, -5.0):
+        with pytest.raises(ValidationError, match="fps must be positive and finite"):
+            Scenario(frames=4, fps=fps)
 
 
 # --- files ----------------------------------------------------------------------
@@ -468,13 +482,16 @@ GOOD_META = {"width": "320", "height": "160", "fps": "10.0", "frames": "12",
 
 
 def test_video_dir_meta_defaults_optional_keys(tmp_path):
-    (tmp_path / "meta").write_text("width=320\nheight=160\nframes=12\n")
     (tmp_path / "ego.txt").write_text(
         "".join(f"{i} 0.0 0.0 0.0\n" for i in range(11)))
     (tmp_path / "boxes.jsonl").write_text("")
-    loaded = read_video_dir(tmp_path)
-    assert (loaded.width, loaded.height, loaded.frames) == (320, 160, 12)
-    assert (loaded.fps, loaded.tau, loaded.delta) == (10.0, 10, 10)
+    # `#` starts a comment anywhere on a line, as in scenario files
+    for meta in ("width=320\nheight=160\nframes=12\n",
+                 "# video\nwidth=320  # pixels\nheight=160\nframes=12#all\n"):
+        (tmp_path / "meta").write_text(meta)
+        loaded = read_video_dir(tmp_path)
+        assert (loaded.width, loaded.height, loaded.frames) == (320, 160, 12)
+        assert (loaded.fps, loaded.tau, loaded.delta) == (10.0, 10, 10)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -486,6 +503,25 @@ def test_video_dir_meta_rejects_bad_values(tmp_path, key, value):
     meta = {**GOOD_META, key: value}
     (tmp_path / "meta").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
     with pytest.raises(DataFormatError, match=f"meta: {key} must be a positive"):
+        read_video_dir(tmp_path)
+
+
+@pytest.mark.parametrize("meta, message", [
+    # before, a misspelt key left its field at the default and a repeated
+    # key replaced the earlier value
+    ("width=320\nfsp=5\nheight=160\nframes=12\n",
+     "meta:2: unknown top-level key 'fsp'"),
+    ("width=320\nheight=160\nframes=12\nwidth=640\n",
+     "meta:4: repeated top-level key 'width'"),
+    ("width=320\n\nframes=12\n", "meta: top-level is missing height"),
+    ("[actor]\nwidth=320\nheight=160\nframes=12\n", "meta:1: expected key=value"),
+])
+def test_video_dir_meta_rejects_unknown_repeated_and_missing_keys(
+        tmp_path, video_dir_files, meta, message):
+    for name, text in video_dir_files.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "meta").write_text(meta)
+    with pytest.raises(DataFormatError, match=message):
         read_video_dir(tmp_path)
 
 

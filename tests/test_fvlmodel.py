@@ -452,6 +452,17 @@ def test_checkpoint_mismatches_are_rejected(tmp_path):
     cfg_path.write_text("variant=xoe\nno equals sign here\n")
     with pytest.raises(DataFormatError, match="key=value"):
         load_model(path)
+    # a misspelt or repeated key names its line; before, `hiden` was
+    # ignored and a second `hidden` replaced the first
+    cfg_path.write_text(header.replace("hidden=6", "hiden=6"))
+    with pytest.raises(DataFormatError, match="cfg:2: unknown top-level key 'hiden'"):
+        load_model(path)
+    cfg_path.write_text(header + "hidden=6\n")
+    with pytest.raises(DataFormatError, match="cfg:7: repeated top-level key 'hidden'"):
+        load_model(path)
+    cfg_path.write_text(header.replace("embed=", "# embed="))
+    with pytest.raises(DataFormatError, match="cfg: top-level is missing embed"):
+        load_model(path)
     cfg_path.unlink()
     with pytest.raises(DataFormatError, match="missing config header"):
         load_model(path)
