@@ -546,15 +546,23 @@ def write_dataset(samples, path) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _is_json_int(value) -> bool:
+    """Whether a parsed JSON value is an integer; json yields true as a
+    bool, which Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_dataset(path) -> list[Sample]:
     samples = []
     for lineno, line in text_lines(path):
         try:
             record = json.loads(line)
+            if not _is_json_int(record["track"]):
+                raise ValueError(
+                    f"track must be an integer, got {record['track']!r}")
             for key in ("width", "height"):
                 dim = record[key]
-                # json yields Infinity as a float and true as a bool (an int)
-                if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
+                if not _is_json_int(dim) or dim <= 0:
                     raise ValueError(
                         f"image {key} must be a positive integer, got {dim!r}")
             n = record["flow"]["n"]
@@ -717,8 +725,7 @@ def read_video_dir(path) -> LoadedVideo:
             record = json.loads(line)
             track, frame = record["track"], record["frame"]
             for key, value in (("track", track), ("frame", frame)):
-                # json yields true as a bool, which is an int
-                if isinstance(value, bool) or not isinstance(value, int):
+                if not _is_json_int(value):
                     raise ValueError(f"{key} must be an integer, got {value!r}")
             if not 0 <= frame < meta["frames"]:
                 raise ValueError(

@@ -5,17 +5,25 @@ tape that records one backward closure per primitive, replayed in reverse
 order by :meth:`Tape.backward`.  It is deliberately small.  Supported
 primitives are matrix products, a handful of elementwise functions
 (add, sub, mul, sigmoid, tanh, relu), concatenation, row tiling,
-transpose, full reductions, and two fused layer kernels that the model
-path runs on row-stacked [B x n] batches:
+transpose, full reductions, and three fused kernels that the model path
+runs on row-stacked [B x n] batches:
 
-    affine(x, W, b)     x @ W.T + b, one node
-    gru_step(x, h, ...) one reset-before-candidate GRU update, one node
+    affine(x, W, b)           x @ W.T + b, one node
+    gru_sequence(xs, h0, ...) a whole GRU encoder unroll, one node
+    gru_decoder(h0, ego, ...) state embed, ego embed, GRU and head over
+                              every decoder step, one node
 
-Each fused kernel has a closed-form backward, so a GRU step records one
-tape node instead of a chain of about twenty.  Broadcasting is
-restricted to exact shape match or scalar-with-array so every backward
-rule stays auditable; the structural exceptions are :func:`tile_rows`
-and the bias rows of the fused kernels, whose adjoints are row sums.
+Each fused kernel has a closed-form backward (backpropagation through
+time for the two GRU kernels, which share one gate forward/backward
+pair).  Following Appleyard et al. 2016 (arXiv:1604.01946), work that
+does not depend on the previous step leaves the recurrence: the encoder
+computes the input half of every gate for all timesteps in one product,
+the decoder embeds ego motion before its loop and applies the head after
+it, and both stack the update and reset matrices, so a step makes one
+recurrent product for the two gates.  Broadcasting is restricted to exact shape match or
+scalar-with-array so every backward rule stays auditable; the structural
+exceptions are :func:`tile_rows` and the bias rows of the fused kernels,
+whose adjoints are row sums.
 
 A primitive records through one entry point.  It checks its operands,
 computes its forward value, and hands that value to ``_emit`` with a
@@ -62,7 +70,8 @@ __all__ = [
     "tile_rows",
     "transpose",
     "affine",
-    "gru_step",
+    "gru_sequence",
+    "gru_decoder",
     "sum_all",
     "mean_all",
     "grad_check",
@@ -396,58 +405,212 @@ def affine(x, w, b):
     return _emit(xv @ wv.T + bv, backward, x, w, b)
 
 
-def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
-    """One reset-before-candidate GRU update over row-stacked batches.
-
-    With xh = [x, h] and xrh = [x, r * h]:
-
-        z = sigmoid(xh @ w_update.T + b_update)
-        r = sigmoid(xh @ w_reset.T + b_reset)
-        c = tanh(xrh @ w_cand.T + b_cand)
-        out = (1 - z) * h + z * c
-
-    x is [B x in], h is [B x hidden], each weight [hidden x (in + hidden)]
-    and each bias [hidden].  The whole update is one node whose backward
-    is the closed-form adjoint of the lines above.
-    """
-    xv, hv = _value(x), _value(h)
+def _gru_split(name, n_in, hidden, w_update, w_reset, w_cand,
+               b_update, b_reset, b_cand):
+    """Check the six gate parameters and slice the stored [hidden x
+    (in + hidden)] weights into the stacked input part w_x [3*hidden x
+    in] with its bias [3*hidden], and the recurrent parts w_zr
+    [2*hidden x hidden] (update and reset stacked) and w_c [hidden x
+    hidden].  Gate blocks are ordered update, reset, candidate."""
     wz, wr, wc = _value(w_update), _value(w_reset), _value(w_cand)
     bz, br, bc = _value(b_update), _value(b_reset), _value(b_cand)
-    if xv.ndim != 2 or hv.ndim != 2 or xv.shape[0] != hv.shape[0]:
-        raise DimensionError(
-            f"gru_step expects x [B x in] and h [B x hidden], got shapes "
-            f"{xv.shape} and {hv.shape}")
-    n_in, hidden = xv.shape[1], hv.shape[1]
     if not (wz.shape == wr.shape == wc.shape == (hidden, n_in + hidden)
             and bz.shape == br.shape == bc.shape == (hidden,)):
         raise DimensionError(
-            f"gru_step weights must be [{hidden} x {n_in + hidden}] and biases "
+            f"{name} weights must be [{hidden} x {n_in + hidden}] and biases "
             f"[{hidden}], got {wz.shape}, {wr.shape}, {wc.shape} and "
             f"{bz.shape}, {br.shape}, {bc.shape}")
-    xh = np.concatenate([xv, hv], axis=1)
-    z = _sigmoid_value(xh @ wz.T + bz)
-    r = _sigmoid_value(xh @ wr.T + br)
-    xrh = np.concatenate([xv, r * hv], axis=1)
-    c = np.tanh(xrh @ wc.T + bc)
+    w_x = np.concatenate([wz[:, :n_in], wr[:, :n_in], wc[:, :n_in]])
+    w_zr = np.concatenate([wz[:, n_in:], wr[:, n_in:]])
+    return w_x, np.concatenate([bz, br, bc]), w_zr, wc[:, n_in:]
+
+
+def _gru_forward(gx, h, w_zr, w_c):
+    """One reset-before-candidate GRU update of h [B x hidden] from its
+    input gate terms gx = x @ w_x.T + b [B x 3*hidden]:
+
+        z, r = sigmoid(gx[update, reset] + h @ w_zr.T)
+        c = tanh(gx[cand] + (r * h) @ w_c.T)
+        out = (1 - z) * h + z * c
+
+    Returns out and what :func:`_gru_backward` needs."""
+    hidden = h.shape[1]
+    zr = _sigmoid_value(gx[:, :2 * hidden] + h @ w_zr.T)
+    z = zr[:, :hidden]
+    rh = zr[:, hidden:] * h
+    c = np.tanh(gx[:, 2 * hidden:] + rh @ w_c.T)
+    return (1.0 - z) * h + z * c, (h, zr, rh, c)
+
+
+def _gru_backward(g, saved, w_zr, w_c):
+    """Adjoints of one :func:`_gru_forward` update for the adjoint g of
+    its output: (the gate pre-activations' [B x 3*hidden], h's)."""
+    h, zr, _, c = saved
+    hidden = h.shape[1]
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    d_cand = g * z * (1.0 - c * c)
+    d_rh = d_cand @ w_c
+    d_zr = np.concatenate([g * (c - h) * z * (1.0 - z),
+                           d_rh * h * r * (1.0 - r)], axis=1)
+    d_h = g * (1.0 - z) + d_rh * r + d_zr @ w_zr
+    return np.concatenate([d_zr, d_cand], axis=1), d_h
+
+
+def _accumulate_gru(params, d_gates, xs, saved):
+    """Add the gate weight and bias adjoints, each summed over all rows
+    in one product.  Row i of d_gates [N x 3*hidden] and of the inputs
+    xs [N x in] is sample i // steps at step i % steps, with steps =
+    len(saved); ``saved`` holds each step's :func:`_gru_forward` record."""
+    w_update, w_reset, w_cand, b_update, b_reset, b_cand = params
+    rows = d_gates.shape[0]
+    h = np.stack([s[0] for s in saved], axis=1).reshape(rows, -1)
+    rh = np.stack([s[2] for s in saved], axis=1).reshape(rows, -1)
+    hidden = h.shape[1]
+    d_x = d_gates.T @ xs
+    d_zr = d_gates[:, :2 * hidden].T @ h
+    _accumulate(w_update, np.hstack([d_x[:hidden], d_zr[:hidden]]))
+    _accumulate(w_reset, np.hstack([d_x[hidden:2 * hidden], d_zr[hidden:]]))
+    _accumulate(w_cand, np.hstack([d_x[2 * hidden:],
+                                   d_gates[:, 2 * hidden:].T @ rh]))
+    d_b = d_gates.sum(axis=0)
+    _accumulate(b_update, d_b[:hidden])
+    _accumulate(b_reset, d_b[hidden:2 * hidden])
+    _accumulate(b_cand, d_b[2 * hidden:])
+
+
+def gru_sequence(xs, h0, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
+    """A whole GRU unroll over row-stacked sequences, recorded as one node.
+
+    xs is [B*tau x in], holding sample b's input at step t in row
+    b*tau + t (``series.reshape(B*tau, in)``); h0 is [B x hidden]; each
+    weight is [hidden x (in + hidden)] over [x; h], each bias [hidden].
+    Returns the final hidden state [B x hidden].  The input half of all
+    three gates is one product over every row; each step then makes one
+    recurrent product for update and reset and one for the candidate.
+    The backward runs the steps in reverse and sums each weight's
+    adjoint over all of them in one product.
+    """
+    xv, hv = _value(xs), _value(h0)
+    if (xv.ndim != 2 or hv.ndim != 2 or hv.shape[0] < 1
+            or xv.shape[0] < hv.shape[0] or xv.shape[0] % hv.shape[0]):
+        raise DimensionError(
+            f"gru_sequence expects xs [B*tau x in] and h0 [B x hidden] with "
+            f"tau >= 1, got shapes {xv.shape} and {hv.shape}")
+    params = (w_update, w_reset, w_cand, b_update, b_reset, b_cand)
+    batch, hidden = hv.shape
+    w_x, b, w_zr, w_c = _gru_split("gru_sequence", xv.shape[1], hidden, *params)
+    tau = xv.shape[0] // batch
+    gx = (xv @ w_x.T + b).reshape(batch, tau, 3 * hidden)
+    h, saved = hv, []
+    for t in range(tau):
+        h, record = _gru_forward(gx[:, t], h, w_zr, w_c)
+        saved.append(record)
 
     def backward(g):
-        d_cand = g * z * (1.0 - c * c)
-        d_xrh = d_cand @ wc
-        d_rh = d_xrh[:, n_in:]
-        d_update = g * (c - hv) * z * (1.0 - z)
-        d_reset = d_rh * hv * r * (1.0 - r)
-        d_xh = d_update @ wz + d_reset @ wr
-        _accumulate(x, d_xh[:, :n_in] + d_xrh[:, :n_in])
-        _accumulate(h, d_xh[:, n_in:] + d_rh * r + g * (1.0 - z))
-        _accumulate(w_update, d_update.T @ xh)
-        _accumulate(w_reset, d_reset.T @ xh)
-        _accumulate(w_cand, d_cand.T @ xrh)
-        _accumulate(b_update, d_update.sum(axis=0))
-        _accumulate(b_reset, d_reset.sum(axis=0))
-        _accumulate(b_cand, d_cand.sum(axis=0))
+        d_gates = np.empty_like(gx)
+        for t in reversed(range(tau)):
+            d_gates[:, t], g = _gru_backward(g, saved[t], w_zr, w_c)
+        d_gates = d_gates.reshape(batch * tau, 3 * hidden)
+        _accumulate(xs, d_gates @ w_x)
+        _accumulate(h0, g)
+        _accumulate_gru(params, d_gates, xv, saved)
 
-    return _emit((1.0 - z) * hv + z * c, backward,
-                 x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand)
+    return _emit(h, backward, xs, h0, *params)
+
+
+def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
+                w_cand, b_update, b_reset, b_cand, head_w, head_b, steps: int):
+    """A whole GRU decoder unroll, recorded as one node.
+
+    From h = h0 [B x hidden], each step t of ``steps`` runs
+
+        x = relu(h @ state_w.T + state_b)                  [B x embed]
+        x = 0.5 * (x + relu(ego[:, t] @ ego_w.T + ego_b))  with ego only
+        h = the GRU update of h by x                       (see gru_sequence)
+        y[:, t] = h @ head_w.T + head_b                    [B x out]
+
+    and returns y [B x steps x out].  ego is [B x steps x e], or None
+    together with ego_w and ego_b.  The ego embedding runs once over
+    all steps before the loop and the head once over the stacked hidden
+    states after it.
+    """
+    hv = _value(h0)
+    ws, bs = _value(state_w), _value(state_b)
+    wh, bh = _value(head_w), _value(head_b)
+    if (hv.ndim != 2 or ws.ndim != 2 or wh.ndim != 2 or steps < 1
+            or ws.shape[1] != hv.shape[1] or bs.shape != ws.shape[:1]
+            or wh.shape[1] != hv.shape[1] or bh.shape != wh.shape[:1]):
+        raise DimensionError(
+            f"gru_decoder expects h0 [B x hidden], state_w [embed x hidden], "
+            f"state_b [embed], head_w [out x hidden], head_b [out] and "
+            f"steps >= 1, got shapes {hv.shape}, {ws.shape}, {bs.shape}, "
+            f"{wh.shape}, {bh.shape} and steps {steps}")
+    if ego is None and (ego_w is not None or ego_b is not None):
+        raise DimensionError("gru_decoder takes ego_w and ego_b only with ego")
+    params = (w_update, w_reset, w_cand, b_update, b_reset, b_cand)
+    batch, hidden = hv.shape
+    embed = ws.shape[0]
+    w_x, b, w_zr, w_c = _gru_split("gru_decoder", embed, hidden, *params)
+    if ego is not None:
+        ev, we, be = _value(ego), _value(ego_w), _value(ego_b)
+        if (ev.ndim != 3 or ev.shape[:2] != (batch, steps) or we.ndim != 2
+                or we.shape != (embed, ev.shape[2]) or be.shape != (embed,)):
+            raise DimensionError(
+                f"gru_decoder ego must be [{batch} x {steps} x e] with ego_w "
+                f"[{embed} x e] and ego_b [{embed}], got shapes {ev.shape}, "
+                f"{we.shape} and {be.shape}")
+        ego_rows = ev.reshape(batch * steps, -1)
+        ego_pre = (ego_rows @ we.T + be).reshape(batch, steps, embed)
+        ego_x = np.maximum(ego_pre, 0.0)
+    h, saved, state_pre, xs = hv, [], [], []
+    for t in range(steps):
+        pre = h @ ws.T + bs
+        x = np.maximum(pre, 0.0)
+        if ego is not None:
+            x = 0.5 * (x + ego_x[:, t])
+        h, record = _gru_forward(x @ w_x.T + b, h, w_zr, w_c)
+        saved.append(record)
+        state_pre.append(pre)
+        xs.append(x)
+    hs = np.stack([s[0] for s in saved[1:]] + [h], axis=1).reshape(
+        batch * steps, hidden)
+    y = (hs @ wh.T + bh).reshape(batch, steps, -1)
+
+    def backward(g):
+        g_rows = g.reshape(batch * steps, -1)
+        d_hs = (g_rows @ wh).reshape(batch, steps, hidden)
+        d_gates = np.empty((batch, steps, 3 * hidden))
+        d_xs = np.empty((batch, steps, embed))
+        d_state = np.empty((batch, steps, embed))
+        d_h = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            d_gates[:, t], d_h = _gru_backward(d_h + d_hs[:, t], saved[t],
+                                               w_zr, w_c)
+            d_x = d_gates[:, t] @ w_x
+            if ego is not None:
+                d_x = 0.5 * d_x
+            d_xs[:, t] = d_x
+            d_state[:, t] = d_s = d_x * (state_pre[t] > 0.0)
+            d_h = d_h + d_s @ ws
+        rows = batch * steps
+        d_gates = d_gates.reshape(rows, 3 * hidden)
+        d_state = d_state.reshape(rows, embed)
+        _accumulate(h0, d_h)
+        h_prev = np.stack([s[0] for s in saved], axis=1).reshape(rows, hidden)
+        _accumulate(state_w, d_state.T @ h_prev)
+        _accumulate(state_b, d_state.sum(axis=0))
+        if ego is not None:
+            d_ego = (d_xs * (ego_pre > 0.0)).reshape(rows, embed)
+            _accumulate(ego, (d_ego @ we).reshape(ev.shape))
+            _accumulate(ego_w, d_ego.T @ ego_rows)
+            _accumulate(ego_b, d_ego.sum(axis=0))
+        _accumulate_gru(params, d_gates,
+                        np.stack(xs, axis=1).reshape(rows, embed), saved)
+        _accumulate(head_w, g_rows.T @ hs)
+        _accumulate(head_b, g_rows.sum(axis=0))
+
+    return _emit(y, backward, h0, ego, state_w, state_b, ego_w, ego_b,
+                 *params, head_w, head_b)
 
 
 def sum_all(x):

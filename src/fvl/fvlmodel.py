@@ -13,8 +13,11 @@ each future box as a residual against the last observed box.  Variants:
     xo   boxes + pooled flow
     xoe  boxes + pooled flow + future ego-motion
 
-Everything runs in float64 with explicit seeds, so one (config, seed,
-dataset) triple reproduces a training run bit-for-bit.
+Each encoder stream is one embed `affine`+`relu` over all of its
+[batch*tau] rows and one `gru_sequence` tape node; the whole decoder,
+head included, is one `gru_decoder` node that returns the residuals as
+[batch x delta x 4].  Everything runs in float64 with explicit seeds, so
+one (config, seed, dataset) triple reproduces a training run bit-for-bit.
 """
 
 from __future__ import annotations
@@ -235,18 +238,17 @@ class BoxForecaster:
         return self.fuse(h)
 
     def _run_encoder(self, embed, cell, series):
-        h = np.zeros((series.shape[0], self.config.hidden))
-        for t in range(self.config.tau):
-            h = cell.step(embed(series[:, t, :]), h)
-        return h
+        batch, tau, width = series.shape
+        return cell.unroll(embed(series.reshape(batch * tau, width)),
+                           np.zeros((batch, self.config.hidden)))
 
-    def decode_steps(self, fused, ego=None) -> list:
-        """Unroll the decoder; one [batch x 4] residual per future step.
+    def decode_steps(self, fused, ego=None):
+        """Unroll the decoder into residuals [batch x delta x 4].
 
         Batch-only like `encode`: `fused` is [batch x hidden] and `ego`
         [batch x delta x 3].  This is the differentiable core behind
-        training and prediction: while the tape is recording, the
-        entries are DiffArrays.
+        training and prediction: while the tape is recording, the result
+        is one DiffArray, the `gru_decoder` node.
         """
         c = self.config
         if c.uses_ego and ego is None:
@@ -264,15 +266,12 @@ class BoxForecaster:
             if ego.shape[0] != np.shape(fused)[0]:
                 raise ValidationError(
                     f"{ego.shape[0]} ego rows for {np.shape(fused)[0]} samples")
-        h = fused
-        residuals = []
-        for i in range(c.delta):
-            inp = self.state_embed(h)
-            if ego is not None:
-                inp = 0.5 * (inp + self.ego_embed(ego[:, i, :]))
-            h = self.decoder.step(inp, h)
-            residuals.append(self.head(h))
-        return residuals
+        ego_layer = ((self.ego_embed.weight, self.ego_embed.bias)
+                     if ego is not None else (None, None))
+        return dc.gru_decoder(fused, ego, self.state_embed.weight,
+                              self.state_embed.bias, *ego_layer,
+                              *self.decoder.params, self.head.weight,
+                              self.head.bias, c.delta)
 
     def predict(self, sample: Sample) -> Prediction:
         """Pure inference on one dataio sample (pixels in, normalized out)."""
@@ -285,8 +284,7 @@ class BoxForecaster:
             return []
         data = _prepare(self.config, samples)
         with self.tape.no_grad():
-            steps = _forward(self, data, slice(None))
-        residuals = np.stack(steps, axis=1)
+            residuals = _forward(self, data, slice(None))
         return [Prediction(anchor=anchor, residuals=r, absolute=anchor + r)
                 for anchor, r in zip(data["anchors"], residuals)]
 
@@ -337,8 +335,9 @@ def _prepare(config: ModelConfig, samples) -> dict:
     }
 
 
-def _forward(model: BoxForecaster, data: dict, idx) -> list:
-    """Encode and decode the indexed rows of `_prepare` output."""
+def _forward(model: BoxForecaster, data: dict, idx):
+    """Residuals [batch x delta x 4] of the indexed rows of `_prepare`
+    output."""
     c = model.config
     fused = model.encode(data["boxes"][idx],
                          data["flows"][idx] if c.uses_flow else None)
@@ -346,22 +345,15 @@ def _forward(model: BoxForecaster, data: dict, idx) -> list:
 
 
 def _batch_loss(model: BoxForecaster, data: dict, indices):
-    c = model.config
     idx = np.asarray(indices, dtype=int)
-    steps = _forward(model, data, idx)
-    target = data["targets"][idx]
-    total = mse_loss(steps[0], target[:, 0, :])
-    for i in range(1, c.delta):
-        total = dc.add(total, mse_loss(steps[i], target[:, i, :]))
-    return dc.mul(total, 1.0 / c.delta)
+    return mse_loss(_forward(model, data, idx), data["targets"][idx])
 
 
 def _pixel_ade(model: BoxForecaster, data: dict, indices) -> float:
     """Mean center displacement error in pixels over the indexed samples."""
     idx = np.asarray(indices, dtype=int)
     with model.tape.no_grad():
-        steps = _forward(model, data, idx)
-    residuals = np.stack(steps, axis=1)
+        residuals = _forward(model, data, idx)
     absolute = data["anchors"][idx][:, None, :] + residuals
     pred_px = absolute * data["scales"][idx][:, None, :]
     truth = data["future_px"][idx]
@@ -478,17 +470,32 @@ def load_model(path) -> BoxForecaster:
 def gradient_check_model(config: ModelConfig, seed: int = 7,
                          step: float = 1e-6,
                          tolerance: float = 1e-4) -> GradCheckReport:
-    """Check the full encode-decode gradient on one random sample, run as
-    a batch of one through the training loss."""
+    """Check the full encode-decode gradient of the training loss on a
+    batch of three random samples.
+
+    Bias adjoints are sums over rows, so an error in one shows only with
+    several rows.  grad_check divides by max(1, |gradient|); the loss is
+    scaled by 1000 so that most adjoints exceed 1 and the tolerance acts
+    as a relative one.  The weights are the seed's initial ones, but the
+    biases are drawn at random: zero biases put a relu input exactly on
+    its kink whenever the row feeding it is all zero, where finite
+    differences cannot agree with any one-sided derivative.
+    """
     model = BoxForecaster(config, seed=seed)
     rng = Xoshiro256(seed ^ _DATA_STREAM)
+    for p in model.params.values():
+        if p.value.ndim == 1:
+            p.value[...] = rng.uniforms(p.value.shape, -0.1, 0.1)
     c = config
+    rows = 3
     data = {
-        "boxes": rng.uniforms((1, c.tau, 4), 0.1, 0.9),
-        "flows": (rng.uniforms((1, c.tau, c.pooled_dim), -0.2, 0.2)
+        "boxes": rng.uniforms((rows, c.tau, 4), 0.1, 0.9),
+        "flows": (rng.uniforms((rows, c.tau, c.pooled_dim), -0.2, 0.2)
                   if c.uses_flow else None),
-        "egos": rng.uniforms((1, c.delta, 3), -0.5, 0.5) if c.uses_ego else None,
-        "targets": rng.uniforms((1, c.delta, 4), -0.3, 0.3),
+        "egos": (rng.uniforms((rows, c.delta, 3), -0.5, 0.5)
+                 if c.uses_ego else None),
+        "targets": rng.uniforms((rows, c.delta, 4), -0.3, 0.3),
     }
-    return grad_check(lambda: _batch_loss(model, data, [0]), model.params,
-                      step=step, tolerance=tolerance)
+    return grad_check(
+        lambda: dc.mul(_batch_loss(model, data, range(rows)), 1000.0),
+        model.params, step=step, tolerance=tolerance)

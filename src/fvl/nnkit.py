@@ -5,7 +5,9 @@ the forecasting models; :class:`Adam` trains them; :func:`mse_loss` scores
 them.  Cells and projections take row-stacked [B x n] batches only
 (a single sample is a batch of one), and each call records one fused
 tape node: :func:`fvl.diffcore.affine` for a projection (plus a relu
-node when it has one) and :func:`fvl.diffcore.gru_step` for a GRU step.
+node when it has one) and :func:`fvl.diffcore.gru_sequence` for a GRU
+unroll; a single step is an unroll of length one.  The forecaster's
+decoder hands its layers' leaves to :func:`fvl.diffcore.gru_decoder`.
 
 Parameter initialization is uniform fan-in: weights are drawn from
 U(-1/sqrt(fan_in), +1/sqrt(fan_in)) elementwise in row-major order from a
@@ -93,18 +95,33 @@ class GruCell:
         self.b_reset = tape.leaf(np.zeros(hidden_size), name=f"{name}.b_reset")
         self.b_cand = tape.leaf(np.zeros(hidden_size), name=f"{name}.b_cand")
 
-    def step(self, x, h_prev):
-        """One recurrence update of a row-stacked batch ([B x input] with
-        [B x hidden]); returns the next hidden state [B x hidden]."""
-        x_shape, h_shape = np.shape(x), np.shape(h_prev)
+    @property
+    def params(self) -> tuple[DiffArray, ...]:
+        """The gate leaves in the argument order of the diffcore GRU kernels."""
+        return (self.w_update, self.w_reset, self.w_cand,
+                self.b_update, self.b_reset, self.b_cand)
+
+    def unroll(self, xs, h0):
+        """Run row-stacked sequences from h0 [B x hidden]: xs is [B*tau x
+        input] with sample b's step t in row b*tau + t.  Returns the final
+        hidden state [B x hidden] as one gru_sequence node."""
+        x_shape, h_shape = np.shape(xs), np.shape(h0)
         if (len(x_shape) != 2 or len(h_shape) != 2
                 or x_shape[1] != self.input_size or h_shape[1] != self.hidden_size):
             raise DimensionError(
                 f"{self.name}: expected input width {self.input_size} and hidden "
                 f"width {self.hidden_size} as [B x n] batches, got {x_shape} "
                 f"and {h_shape}")
-        return dc.gru_step(x, h_prev, self.w_update, self.w_reset, self.w_cand,
-                           self.b_update, self.b_reset, self.b_cand)
+        return dc.gru_sequence(xs, h0, *self.params)
+
+    def step(self, x, h_prev):
+        """One recurrence update of a row-stacked batch ([B x input] with
+        [B x hidden]); returns the next hidden state [B x hidden]."""
+        if np.shape(x)[:1] != np.shape(h_prev)[:1]:
+            raise DimensionError(
+                f"{self.name}: one step needs as many input rows as hidden "
+                f"rows, got {np.shape(x)} and {np.shape(h_prev)}")
+        return self.unroll(x, h_prev)
 
 
 class Adam:

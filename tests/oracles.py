@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from fvl import diffcore as dc
+
 
 def homogeneous_compose(steps):
     """Chain planar poses by multiplying 3x3 homogeneous matrices.
@@ -146,3 +148,102 @@ def two_plane_pool(grid, roi, n, origin=(0, 0)):
     values[0::2] = bilinear(grid.data[..., 0], grid_x.ravel(), grid_y.ravel())
     values[1::2] = bilinear(grid.data[..., 1], grid_x.ravel(), grid_y.ravel())
     return values
+
+
+# --- the GRU reference chain ---------------------------------------------------
+#
+# The per-step GRU the library ran before its sequence kernels, kept as
+# the oracle they are compared against.  Each function records one tape
+# node through `diffcore._emit`, like the library's own primitives.
+
+
+def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
+    """One reset-before-candidate GRU update over row-stacked batches.
+
+    With xh = [x, h] and xrh = [x, r * h]:
+
+        z = sigmoid(xh @ w_update.T + b_update)
+        r = sigmoid(xh @ w_reset.T + b_reset)
+        c = tanh(xrh @ w_cand.T + b_cand)
+        out = (1 - z) * h + z * c
+
+    x is [B x in], h is [B x hidden], each weight [hidden x (in + hidden)]
+    and each bias [hidden], all multiplied unsplit; the backward is the
+    closed-form adjoint of the lines above.
+    """
+    xv, hv = dc._value(x), dc._value(h)
+    wz, wr, wc = dc._value(w_update), dc._value(w_reset), dc._value(w_cand)
+    bz, br, bc = dc._value(b_update), dc._value(b_reset), dc._value(b_cand)
+    n_in = xv.shape[1]
+    xh = np.concatenate([xv, hv], axis=1)
+    z = dc._sigmoid_value(xh @ wz.T + bz)
+    r = dc._sigmoid_value(xh @ wr.T + br)
+    xrh = np.concatenate([xv, r * hv], axis=1)
+    c = np.tanh(xrh @ wc.T + bc)
+
+    def backward(g):
+        d_cand = g * z * (1.0 - c * c)
+        d_xrh = d_cand @ wc
+        d_rh = d_xrh[:, n_in:]
+        d_update = g * (c - hv) * z * (1.0 - z)
+        d_reset = d_rh * hv * r * (1.0 - r)
+        d_xh = d_update @ wz + d_reset @ wr
+        dc._accumulate(x, d_xh[:, :n_in] + d_xrh[:, :n_in])
+        dc._accumulate(h, d_xh[:, n_in:] + d_rh * r + g * (1.0 - z))
+        dc._accumulate(w_update, d_update.T @ xh)
+        dc._accumulate(w_reset, d_reset.T @ xh)
+        dc._accumulate(w_cand, d_cand.T @ xrh)
+        dc._accumulate(b_update, d_update.sum(axis=0))
+        dc._accumulate(b_reset, d_reset.sum(axis=0))
+        dc._accumulate(b_cand, d_cand.sum(axis=0))
+
+    return dc._emit((1.0 - z) * hv + z * c, backward,
+                    x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand)
+
+
+def take(x, index):
+    """x[index] for a basic numpy index; the adjoint lands in place."""
+    xv = dc._value(x)
+
+    def backward(g):
+        full = np.zeros_like(xv)
+        full[index] = g
+        dc._accumulate(x, full)
+
+    return dc._emit(xv[index].copy(), backward, x)
+
+
+def stack_steps(ys):
+    """Stack per-step [B x n] outputs into [B x steps x n]."""
+
+    def backward(g):
+        for t, y in enumerate(ys):
+            dc._accumulate(y, g[:, t])
+
+    return dc._emit(np.stack([dc._value(y) for y in ys], axis=1), backward, *ys)
+
+
+def gru_sequence_chain(xs, h0, *gru):
+    """`gru_sequence` as a loop of `gru_step` over the rows of each step."""
+    tau = dc._value(xs).shape[0] // dc._value(h0).shape[0]
+    h = h0
+    for t in range(tau):
+        h = gru_step(take(xs, slice(t, None, tau)), h, *gru)
+    return h
+
+
+def gru_decoder_chain(h0, ego, state_w, state_b, ego_w, ego_b, w_update,
+                      w_reset, w_cand, b_update, b_reset, b_cand, head_w,
+                      head_b, steps):
+    """`gru_decoder` as a loop of `gru_step` with its embeds and head
+    applied step by step through `affine` and `relu`."""
+    gru = (w_update, w_reset, w_cand, b_update, b_reset, b_cand)
+    h, ys = h0, []
+    for t in range(steps):
+        x = dc.relu(dc.affine(h, state_w, state_b))
+        if ego is not None:
+            e = dc.relu(dc.affine(take(ego, (slice(None), t)), ego_w, ego_b))
+            x = dc.mul(dc.add(x, e), 0.5)
+        h = gru_step(x, h, *gru)
+        ys.append(dc.affine(h, head_w, head_b))
+    return stack_steps(ys)

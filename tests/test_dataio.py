@@ -415,6 +415,14 @@ def test_read_dataset_reports_line_numbers(tmp_path):
         with pytest.raises(DataFormatError,
                            match="bad.jsonl:2: .*positive integer"):
             read_dataset(path)
+    for bad in (good.replace('"track":0', '"track":"zero"'),
+                good.replace('"track":0', '"track":[1,2]'),
+                good.replace('"track":0', '"track":false')):
+        assert bad != good
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(DataFormatError,
+                           match="bad.jsonl:2: track must be an integer"):
+            read_dataset(path)
     path.write_text(good + "\n")
     sample = read_dataset(path)[0]
     assert sample.past[0].cx == 5.0

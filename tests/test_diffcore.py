@@ -9,6 +9,8 @@ from fvl.errors import DimensionError, ValidationError
 from fvl.fvlmodel import VARIANTS, BoxForecaster, ModelConfig, _batch_loss
 from fvl.rng import Xoshiro256
 
+import oracles
+
 
 def rel_err(a, n):
     return np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
@@ -273,10 +275,12 @@ PRIMITIVE_OPERANDS = {
     "matmul": [(2, 3), (3, 2)], "concat_last": [(2, 3), (2, 2)],
     "tile_rows": [(3,)], "transpose": [(2, 3)],
     "affine": [(2, 3), (4, 3), (4,)],
-    "gru_step": [(2, 3), (2, 4), (4, 7), (4, 7), (4, 7), (4,), (4,), (4,)],
+    "gru_sequence": [(6, 3), (2, 4), (4, 7), (4, 7), (4, 7), (4,), (4,), (4,)],
+    "gru_decoder": [(3, 4), (3, 2, 3), (5, 4), (5,), (5, 3), (5,),
+                    (4, 9), (4, 9), (4, 9), (4,), (4,), (4,), (2, 4), (2,)],
     "sum_all": [(3,)], "mean_all": [(3,)],
 }
-EXTRA_ARGS = {"tile_rows": (4,)}
+EXTRA_ARGS = {"tile_rows": (4,), "gru_decoder": (2,)}
 PRIMITIVES = [name for name in dc.__all__
               if name not in ("DiffArray", "Tape", "GradCheckReport", "grad_check")]
 
@@ -371,22 +375,54 @@ def test_gradient_of_composite_matches_finite_differences(values):
     assert report.passed
 
 
-def _gru_inputs(tape, rng, rows=3, n_in=3, hidden=4):
-    """x, h, the three gate weights and the three gate biases as leaves."""
-    joint = n_in + hidden
+def _leaves(tape, rng, parts):
     return [tape.leaf(rng.uniforms(shape, -1.0, 1.0), name=name)
-            for name, shape in (("x", (rows, n_in)), ("h", (rows, hidden)),
-                                ("w_update", (hidden, joint)),
-                                ("w_reset", (hidden, joint)),
-                                ("w_cand", (hidden, joint)),
-                                ("b_update", (hidden,)), ("b_reset", (hidden,)),
-                                ("b_cand", (hidden,)))]
+            for name, shape in parts]
 
+
+def _gru_parts(n_in, hidden):
+    joint = n_in + hidden
+    return [("w_update", (hidden, joint)), ("w_reset", (hidden, joint)),
+            ("w_cand", (hidden, joint)), ("b_update", (hidden,)),
+            ("b_reset", (hidden,)), ("b_cand", (hidden,))]
+
+
+# Each builder returns a kernel's call arguments and the leaves among them.
 
 def _affine_inputs(tape, rng, rows=3, n_in=4, n_out=2):
-    return [tape.leaf(rng.uniforms(shape, -1.0, 1.0), name=name)
-            for name, shape in (("x", (rows, n_in)), ("w", (n_out, n_in)),
-                                ("b", (n_out,)))]
+    leaves = _leaves(tape, rng, [("x", (rows, n_in)), ("w", (n_out, n_in)),
+                                 ("b", (n_out,))])
+    return leaves, leaves
+
+
+def _gru_inputs(tape, rng, rows=3, n_in=3, hidden=4):
+    """x, h, the three gate weights and the three gate biases."""
+    leaves = _leaves(tape, rng, [("x", (rows, n_in)), ("h", (rows, hidden))]
+                     + _gru_parts(n_in, hidden))
+    return leaves, leaves
+
+
+def _sequence_inputs(tape, rng, batch=3, tau=3, n_in=3, hidden=4):
+    """Three sequences of three steps from a nonzero h0."""
+    leaves = _leaves(tape, rng, [("xs", (batch * tau, n_in)),
+                                 ("h0", (batch, hidden))]
+                     + _gru_parts(n_in, hidden))
+    return leaves, leaves
+
+
+def _decoder_inputs(tape, rng, with_ego, batch=3, steps=3, embed=3,
+                    hidden=4, out=2):
+    h0, state_w, state_b = _leaves(tape, rng, [
+        ("h0", (batch, hidden)), ("state_w", (embed, hidden)),
+        ("state_b", (embed,))])
+    ego = ego_w = ego_b = None
+    if with_ego:
+        ego, ego_w, ego_b = _leaves(tape, rng, [
+            ("ego", (batch, steps, 3)), ("ego_w", (embed, 3)), ("ego_b", (embed,))])
+    rest = _leaves(tape, rng, _gru_parts(embed, hidden)
+                   + [("head_w", (out, hidden)), ("head_b", (out,))])
+    args = [h0, ego, state_w, state_b, ego_w, ego_b, *rest, steps]
+    return args, [a for a in args if isinstance(a, DiffArray)]
 
 
 def _affine_reference(x, w, b):
@@ -403,20 +439,32 @@ def _gru_reference(x, h, wz, wr, wc, bz, br, bc):
     return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, c))
 
 
-# (fused kernel, its chain of remaining primitives, leaf builder)
-FUSED = {"affine": (dc.affine, _affine_reference, _affine_inputs),
-         "gru_step": (dc.gru_step, _gru_reference, _gru_inputs)}
+# (kernel with a closed-form backward, its reference chain, input builder).
+# `gru_step` is the per-step oracle the GRU kernels are held to, so its
+# own closed form is checked against the unfused primitives here too.
+FUSED = {
+    "affine": (dc.affine, _affine_reference, _affine_inputs),
+    "gru_step": (oracles.gru_step, _gru_reference, _gru_inputs),
+    "gru_sequence": (dc.gru_sequence, oracles.gru_sequence_chain,
+                     _sequence_inputs),
+    "gru_decoder": (dc.gru_decoder, oracles.gru_decoder_chain,
+                    lambda tape, rng: _decoder_inputs(tape, rng, False)),
+    "gru_decoder_ego": (dc.gru_decoder, oracles.gru_decoder_chain,
+                        lambda tape, rng: _decoder_inputs(tape, rng, True)),
+}
 
 
 @pytest.mark.parametrize("label", FUSED)
 def test_fused_kernels_match_finite_differences(label):
+    # The loss is scaled so that adjoints are well above 1, where
+    # grad_check's 1e-4 tolerance acts as a relative one.
     fused, _, build = FUSED[label]
     tape = Tape()
     rng = Xoshiro256(31)
-    leaves = build(tape, rng)
-    weights = rng.uniforms(fused(*leaves).shape, -1.0, 1.0)
+    args, leaves = build(tape, rng)
+    weights = rng.uniforms(fused(*args).shape, -1.0, 1.0)
     tape.reset()
-    report = grad_check(lambda: _weighted(fused(*leaves), weights),
+    report = grad_check(lambda: dc.mul(_weighted(fused(*args), weights), 1000.0),
                         {leaf.name: leaf for leaf in leaves})
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4
@@ -427,17 +475,18 @@ def test_fused_kernels_match_primitive_chain(label):
     fused, reference, build = FUSED[label]
     tape = Tape()
     rng = Xoshiro256(37)
-    leaves = build(tape, rng)
-    weights = rng.uniforms(fused(*leaves).shape, -1.0, 1.0)
+    args, leaves = build(tape, rng)
+    weights = rng.uniforms(fused(*args).shape, -1.0, 1.0)
     results = []
     for op in (fused, reference):
         tape.reset()
-        out = op(*leaves)
+        out = op(*args)
         tape.backward(_weighted(out, weights))
         results.append((out.value, [leaf.grad.copy() for leaf in leaves]))
     (fused_out, fused_grads), (ref_out, ref_grads) = results
     np.testing.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-12)
     for leaf, got, want in zip(leaves, fused_grads, ref_grads):
+        assert np.any(want != 0.0), f"{label}: {leaf.name} gets no adjoint"
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
                                    err_msg=f"{label} adjoint of {leaf.name}")
 
@@ -445,16 +494,90 @@ def test_fused_kernels_match_primitive_chain(label):
 def test_fused_kernels_reject_mismatched_shapes():
     tape = Tape()
     rng = Xoshiro256(41)
-    x, w, b = _affine_inputs(tape, rng)
+    x, w, b = _affine_inputs(tape, rng)[0]
     with pytest.raises(DimensionError, match="affine"):
         dc.affine(x.value[0], w, b)
     with pytest.raises(DimensionError, match="affine"):
         dc.affine(x, w, b.value[:1])
-    gru = _gru_inputs(tape, rng)
-    with pytest.raises(DimensionError, match="gru_step"):
-        dc.gru_step(gru[0], gru[1].value[:2], *gru[2:])
-    with pytest.raises(DimensionError, match="gru_step weights"):
-        dc.gru_step(gru[0], gru[1], gru[2].value[:, 1:], *gru[3:])
+    seq = _sequence_inputs(tape, rng)[0]
+    with pytest.raises(DimensionError, match="gru_sequence expects"):
+        dc.gru_sequence(seq[0].value[:8], *seq[1:])
+    with pytest.raises(DimensionError, match="gru_sequence expects"):
+        dc.gru_sequence(seq[0].value[:2], *seq[1:])
+    with pytest.raises(DimensionError, match="gru_sequence weights"):
+        dc.gru_sequence(seq[0], seq[1], seq[2].value[:, 1:], *seq[3:])
+    dec = _decoder_inputs(tape, rng, True)[0]
+    with pytest.raises(DimensionError, match="gru_decoder ego"):
+        dc.gru_decoder(dec[0], dec[1].value[:, :2], *dec[2:])
+    with pytest.raises(DimensionError, match="gru_decoder ego"):
+        dc.gru_decoder(dec[0], dec[1], *dec[2:4], dec[4].value[:, :2], *dec[5:])
+    with pytest.raises(DimensionError, match="ego_w and ego_b only with ego"):
+        dc.gru_decoder(dec[0], None, *dec[2:])
+    with pytest.raises(DimensionError, match="gru_decoder expects"):
+        dc.gru_decoder(dec[0], dec[1], dec[2].value[:, 1:], *dec[3:])
+    with pytest.raises(DimensionError, match="gru_decoder expects"):
+        dc.gru_decoder(*dec[:-1], 0)
+    with pytest.raises(DimensionError, match="gru_decoder weights"):
+        dc.gru_decoder(*dec[:6], dec[6].value[:, 1:], *dec[7:])
+
+
+def _oracle_batch_loss(model, data, rows):
+    """`_batch_loss` through the per-step oracle chain: each encoder
+    step embeds its own rows, and the loss is the mean over the horizon
+    of one mean squared error per step."""
+    c = model.config
+
+    def encode(embed, cell, series):
+        h = np.zeros((rows, c.hidden))
+        for t in range(c.tau):
+            x = dc.relu(dc.affine(series[:, t], embed.weight, embed.bias))
+            h = oracles.gru_step(x, h, *cell.params)
+        return h
+
+    h = encode(model.box_embed, model.box_encoder, data["boxes"])
+    if c.uses_flow:
+        h = dc.mul(dc.add(h, encode(model.flow_embed, model.flow_encoder,
+                                    data["flows"])), 0.5)
+    ego = ((data["egos"], model.ego_embed.weight, model.ego_embed.bias)
+           if c.uses_ego else (None, None, None))
+    residuals = oracles.gru_decoder_chain(
+        model.fuse(h), ego[0], model.state_embed.weight, model.state_embed.bias,
+        *ego[1:], *model.decoder.params, model.head.weight, model.head.bias,
+        c.delta)
+    total = 0.0
+    for i in range(c.delta):
+        diff = dc.sub(oracles.take(residuals, (slice(None), i)),
+                      data["targets"][:, i])
+        total = dc.add(total, dc.mean_all(dc.mul(diff, diff)))
+    return dc.mul(total, 1.0 / c.delta)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_model_kernels_match_per_step_oracle(variant):
+    config = ModelConfig(variant=variant, hidden=5, embed=4, tau=4, delta=3,
+                         pooled_dim=8)
+    model = BoxForecaster(config, seed=5)
+    rng = Xoshiro256(47)
+    rows = 3
+    data = {
+        "boxes": rng.uniforms((rows, config.tau, 4), 0.1, 0.9),
+        "flows": rng.uniforms((rows, config.tau, config.pooled_dim), -0.2, 0.2),
+        "egos": rng.uniforms((rows, config.delta, 3), -0.5, 0.5),
+        "targets": rng.uniforms((rows, config.delta, 4), -1.0, 1.0),
+    }
+    results = []
+    for loss_fn in (lambda: _batch_loss(model, data, range(rows)),
+                    lambda: _oracle_batch_loss(model, data, rows)):
+        model.tape.reset()
+        loss = loss_fn()
+        model.tape.backward(loss)
+        results.append((float(loss.value),
+                        {n: p.grad.copy() for n, p in model.params.items()}))
+    (loss, grads), (want_loss, want_grads) = results
+    assert abs(loss - want_loss) < 1e-12
+    for name, want in want_grads.items():
+        np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

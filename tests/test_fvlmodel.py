@@ -90,8 +90,7 @@ def test_zero_parameters_decode_to_anchor():
     anchor = np.array([0.4, 0.5, 0.1, 0.2])
     ego = np.zeros((1, SMALL["delta"], 3))
     with model.tape.no_grad():
-        steps = model.decode_steps(np.zeros((1, SMALL["hidden"])), ego)
-    residuals = np.concatenate(steps)
+        residuals = model.decode_steps(np.zeros((1, SMALL["hidden"])), ego)[0]
     pred = Prediction(anchor=anchor, residuals=residuals,
                       absolute=anchor + residuals)
     assert np.array_equal(pred.residuals, np.zeros((SMALL["delta"], 4)))
@@ -142,7 +141,8 @@ def test_first_horizon_matches_shorter_decoder():
         long_steps = long_model.decode_steps(long_model.encode(boxes))
     with short_model.tape.no_grad():
         short_steps = short_model.decode_steps(short_model.encode(boxes))
-    assert np.array_equal(long_steps[0], short_steps[0])
+    assert long_steps.shape == (1, 5, 4) and short_steps.shape == (1, 1, 4)
+    assert np.array_equal(long_steps[:, 0], short_steps[:, 0])
 
 
 def test_future_ego_cannot_reach_earlier_horizons():
@@ -158,9 +158,9 @@ def test_future_ego_cannot_reach_earlier_horizons():
         fused = model.encode(boxes, flows)
         base = model.decode_steps(fused, ego)
         moved = model.decode_steps(fused, altered)
-    assert np.array_equal(base[0], moved[0])
-    assert np.array_equal(base[1], moved[1])
-    assert not np.array_equal(base[2], moved[2])
+    assert np.array_equal(base[:, 0], moved[:, 0])
+    assert np.array_equal(base[:, 1], moved[:, 1])
+    assert not np.array_equal(base[:, 2], moved[:, 2])
 
 
 def test_zero_flow_stream_halves_box_state():
@@ -178,9 +178,8 @@ def test_zero_flow_stream_halves_box_state():
     flows = rng.uniforms((1, cfg.tau, cfg.pooled_dim), -0.5, 0.5)
     with model.tape.no_grad():
         fused = model.encode(boxes, flows)
-        h = np.zeros((1, cfg.hidden))
-        for t in range(cfg.tau):
-            h = model.box_encoder.step(model.box_embed(boxes[:, t]), h)
+        h = model.box_encoder.unroll(model.box_embed(boxes.reshape(cfg.tau, 4)),
+                                     np.zeros((1, cfg.hidden)))
         halved = model.fuse(0.5 * h)
         unhalved = model.fuse(h)
     assert np.array_equal(np.asarray(fused), np.asarray(halved))
@@ -261,8 +260,7 @@ def test_batched_forward_matches_single():
                 model.encode(boxes[row:row + 1], flows[row:row + 1]),
                 ego[row:row + 1])
             for i in range(cfg.delta):
-                np.testing.assert_allclose(np.asarray(batch_steps[i])[row],
-                                           np.asarray(steps[i])[0],
+                np.testing.assert_allclose(batch_steps[row, i], steps[0, i],
                                            rtol=0.0, atol=1e-12)
 
 

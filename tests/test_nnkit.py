@@ -83,6 +83,11 @@ def test_gru_rejects_mismatched_widths():
         cell.step(tape.leaf(np.zeros((1, 5))), tape.leaf(np.zeros((1, 4))))
     with pytest.raises(DimensionError):
         cell.step(tape.leaf(np.zeros((1, 3))), tape.leaf(np.zeros((1, 2))))
+    # two input rows for one state would be a two-step unroll, not a step
+    with pytest.raises(DimensionError, match="one step"):
+        cell.step(tape.leaf(np.zeros((2, 3))), tape.leaf(np.zeros((1, 4))))
+    with pytest.raises(DimensionError, match="input width 3"):
+        cell.unroll(tape.leaf(np.zeros((2, 5))), tape.leaf(np.zeros((1, 4))))
 
 
 @settings(max_examples=30, deadline=None)
