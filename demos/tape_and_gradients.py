@@ -31,7 +31,7 @@ def main():
         return mse_loss(out(hidden(inputs)), targets)
 
     print("training a toy regression for 200 Adam steps")
-    optimizer = Adam(params, lr=1e-2)
+    optimizer = Adam(tape, lr=1e-2)
     for step in range(200):
         tape.reset()
         loss = loss_fn()

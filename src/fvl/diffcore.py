@@ -35,7 +35,9 @@ decides: if its tape is recording, the value becomes a new node whose
 Otherwise the bare ndarray is returned and nothing is recorded.
 
 The tape is also the parameter registry: :attr:`Tape.params` holds the
-named leaves in the order they were registered.
+named leaves in the order they were registered, and every leaf's value
+and adjoint are views into the flat :attr:`Tape.values` and
+:attr:`Tape.grads`, laid out in that order.
 
 Gradient semantics follow the usual tape convention: leaf adjoints
 accumulate across repeated :meth:`Tape.backward` calls, intermediate
@@ -79,47 +81,27 @@ __all__ = [
 
 
 class DiffArray:
-    """A float64 array plus an adjoint buffer, registered on a tape.
+    """A float64 array plus its adjoint, registered on a tape.  A leaf's
+    ``value`` and ``grad`` are views into the tape's flat buffers."""
 
-    ``grad`` is allocated lazily so that forward-only evaluation never
-    pays for adjoint storage.
-    """
-
-    __slots__ = ("value", "_grad", "tape", "is_leaf", "name")
+    __slots__ = ("value", "grad", "tape", "name")
 
     # Keep numpy from absorbing us in mixed expressions like `ndarray + leaf`;
     # returning NotImplemented routes those through our reflected operators.
     __array_ufunc__ = None
 
-    def __init__(self, value: np.ndarray, tape: "Tape", is_leaf: bool,
-                 name: str | None = None):
+    def __init__(self, value: np.ndarray, tape: "Tape", name: str | None = None):
         self.value = value
-        self._grad: np.ndarray | None = None
+        self.grad = np.zeros(value.shape, dtype=np.float64)
         self.tape = tape
-        self.is_leaf = is_leaf
         self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros(self.value.shape, dtype=np.float64)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray) -> None:
-        self._grad = value
-
-    def zero_grad(self) -> None:
-        if self._grad is not None:
-            self._grad[...] = 0.0
-
     def __repr__(self) -> str:
-        tag = self.name or ("leaf" if self.is_leaf else "node")
-        return f"DiffArray({tag}, shape={self.shape})"
+        return f"DiffArray({self.name or 'unnamed'}, shape={self.shape})"
 
     # Arithmetic sugar; delegates to the module-level primitives.
     def __add__(self, other):
@@ -154,15 +136,26 @@ class Tape:
 
     def __init__(self):
         self._leaves: list[DiffArray] = []
+        # every leaf's value and adjoint, flat, in registration order
+        self.values = np.zeros(0)
+        self.grads = np.zeros(0)
         # (node, backward) per recorded primitive, in forward order
         self._ops: list[tuple[DiffArray, object]] = []
         self.recording = True
 
     def leaf(self, value, name: str | None = None) -> DiffArray:
-        """Register a persistent differentiable array (a parameter)."""
-        node = DiffArray(np.array(value, dtype=np.float64), self,
-                         is_leaf=True, name=name)
+        """Register a persistent differentiable array (a parameter): append
+        it to the flat buffers and re-point every leaf at the grown ones."""
+        node = DiffArray(np.asarray(value, dtype=np.float64), self, name=name)
         self._leaves.append(node)
+        self.values = np.concatenate([self.values, node.value.reshape(-1)])
+        self.grads = np.concatenate([self.grads, node.grad.reshape(-1)])
+        start = 0
+        for p in self._leaves:
+            end = start + p.value.size
+            p.value = self.values[start:end].reshape(p.shape)
+            p.grad = self.grads[start:end].reshape(p.shape)
+            start = end
         return node
 
     @property
@@ -173,7 +166,7 @@ class Tape:
     def _node(self, value: np.ndarray, backward) -> DiffArray:
         """Record an intermediate; :meth:`backward` calls ``backward(g)``
         with its adjoint ``g``."""
-        node = DiffArray(value, self, is_leaf=False)
+        node = DiffArray(value, self)
         self._ops.append((node, backward))
         return node
 
@@ -200,15 +193,14 @@ class Tape:
             raise ValidationError(
                 f"backward requires a scalar loss, got shape {loss.shape}")
         for node, _ in self._ops:
-            node.zero_grad()
+            node.grad.fill(0.0)
         loss.grad[...] += 1.0
         for node, backward in reversed(self._ops):
             backward(node.grad)
 
     def reset(self) -> None:
-        """Drop the recording and restore every adjoint to exactly zero."""
-        for node in self._leaves:
-            node.zero_grad()
+        """Drop the recording and restore every leaf adjoint to exactly zero."""
+        self.grads.fill(0.0)
         self._ops.clear()
 
 

@@ -394,7 +394,7 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
     val_idx = sorted(order[:val_count])
     train_idx = sorted(order[val_count:])
 
-    adam = Adam(model.params, lr=lr)
+    adam = Adam(model.tape, lr=lr)
     train_losses: list[float] = []
     val_ades: list[float] = []
     best_epoch = -1

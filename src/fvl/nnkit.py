@@ -20,6 +20,7 @@ the tape it is given, named ``<layer>.<part>``, so
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import DiffArray, Tape
-from .errors import DataFormatError, DimensionError, NumericFailure
+from .errors import DataFormatError, DimensionError, NumericFailure, ValidationError
 from .rng import Xoshiro256
 
 __all__ = [
@@ -125,35 +126,36 @@ class GruCell:
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter set, updating in place."""
+    """Bias-corrected Adam over every leaf of a tape, updating the tape's
+    flat value buffer in place with one set of elementwise operations."""
 
-    def __init__(self, params: dict[str, DiffArray], lr: float = 5e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, tape: Tape, lr: float = 5e-4):
+        self.tape = tape
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
-        self._m = {n: np.zeros_like(p.value) for n, p in params.items()}
-        self._v = {n: np.zeros_like(p.value) for n, p in params.items()}
+        self._m = np.zeros_like(tape.values)
+        self._v = np.zeros_like(tape.values)
 
     def step(self) -> None:
+        g = self.tape.grads
+        if g.shape != self._m.shape:
+            raise ValidationError("the tape gained leaves after Adam was set up")
+        if not np.all(np.isfinite(g)):
+            name = next((n for n, p in self.tape.params.items()
+                         if not np.all(np.isfinite(p.grad))), None)
+            raise NumericFailure(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
-        t = self.step_count
-        for name, p in self.params.items():
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericFailure(f"non-finite gradient for parameter {name!r}")
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * g
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * g * g
+        m_hat = self._m / (1.0 - self.beta1 ** self.step_count)
+        v_hat = self._v / (1.0 - self.beta2 ** self.step_count)
+        self.tape.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def mse_loss(pred, target):
@@ -219,12 +221,17 @@ def load_params(path) -> dict[str, np.ndarray]:
             offset += 1
             dims = struct.unpack_from(f"<{rank}I", data, offset)
             offset += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
-            values = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
-            offset += 8 * size
+            size = math.prod(dims)
+            if 8 * size > len(data) - offset:
+                raise ValueError(f"{size} values overrun the file")
+            values = np.frombuffer(data, dtype="<f8", count=size,
+                                   offset=offset).reshape(dims)
         except (struct.error, ValueError) as exc:
             fail(offset, f"truncated parameter record ({exc})")
-        params[name] = values.reshape(dims).astype(np.float64)
+        if not np.all(np.isfinite(values)):
+            fail(offset, f"non-finite value in parameter {name!r}")
+        offset += 8 * size
+        params[name] = values.astype(np.float64)
     if offset != len(data):
         fail(offset, f"{len(data) - offset} trailing bytes")
     return params

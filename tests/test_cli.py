@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,18 @@ def test_data_errors_exit_2(tmp_path, capsys):
         "variant=x\nhidden=2\nembed=2\ntau=2\ndelta=1\npooled_dim=2\n")
     assert main(["evaluate", str(cut), "--dataset", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_checkpoint_record_larger_than_the_file_exits_2(tmp_path, capsys):
+    # dims (2**31, 2**31, 4) hold 2**64 values, which wraps to 0 in int64;
+    # the reader must size the record exactly and reject it
+    path = tmp_path / "huge.fvlw"
+    path.write_bytes(b"FVLW" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                     + struct.pack("<B3I", 3, 2**31, 2**31, 4) + bytes(16))
+    Path(f"{path}.cfg").write_text(
+        "variant=x\nhidden=2\nembed=2\ntau=2\ndelta=1\npooled_dim=2\n")
+    assert main(["evaluate", str(path), "--dataset", str(tmp_path)]) == 2
+    assert "overrun the file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["truncate", "swap_dims"])

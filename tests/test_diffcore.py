@@ -219,10 +219,13 @@ def test_repeated_backward_accumulates_on_leaves():
 def test_reset_zeroes_every_adjoint_exactly():
     tape = Tape()
     x = tape.leaf(np.array([1.0, 2.0, 3.0]))
-    tape.backward(dc.sum_all(dc.mul(x, x)))
-    assert np.any(x.grad != 0.0)
+    y = tape.leaf(np.array(-0.5))
+    tape.backward(dc.sum_all(dc.mul(dc.mul(x, x), y)))
+    assert np.all(tape.grads != 0.0)
     tape.reset()
     assert np.all(x.grad == 0.0)
+    # every bit of the flat adjoint buffer is clear: no -0.0 is left
+    assert tape.grads.tobytes() == bytes(8 * tape.grads.size)
     # the tape is reusable after a reset
     tape.backward(dc.sum_all(x))
     np.testing.assert_array_equal(x.grad, 1.0)
@@ -317,6 +320,31 @@ def test_every_primitive_records_one_node_through_the_entry_point(name):
     assert np.array_equal(operands[0], first)
     for leaf, grad in zip(operands[1:], want):
         assert np.array_equal(leaf.grad, grad)
+
+
+def test_leaves_are_views_into_the_flat_buffers_in_registration_order():
+    tape = Tape()
+    shapes = [(2, 3), (), (4,), (1, 1)]
+    leaves = []
+    for i, shape in enumerate(shapes):
+        leaves.append(tape.leaf(np.full(shape, float(i + 1))))
+        leaves[-1].grad[...] = -(i + 1.0)
+    # each later leaf call grew the buffers; the earlier leaves kept
+    # their values and adjoints and were re-pointed at the new buffers
+    start = 0
+    for i, (leaf, shape) in enumerate(zip(leaves, shapes)):
+        end = start + leaf.value.size
+        assert leaf.shape == shape and leaf.grad.shape == shape
+        assert np.shares_memory(leaf.value, tape.values[start:end])
+        assert np.shares_memory(leaf.grad, tape.grads[start:end])
+        assert np.all(tape.values[start:end] == i + 1.0)
+        assert np.all(tape.grads[start:end] == -(i + 1.0))
+        start = end
+    assert tape.values.size == tape.grads.size == start == 12
+    # writes through a leaf land in the buffer, and the other way round
+    leaves[2].value[1] = 9.0
+    tape.grads[6] = 7.0
+    assert tape.values[8] == 9.0 and leaves[1].grad == 7.0
 
 
 def test_tape_params_are_the_named_leaves_in_registration_order():

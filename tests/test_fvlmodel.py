@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvl.boxes import BoundingBox
 from fvl.dataio import Sample
@@ -129,19 +131,30 @@ def test_same_seed_predicts_identically():
     assert not np.array_equal(a.residuals, c.residuals)
 
 
-def test_first_horizon_matches_shorter_decoder():
+@pytest.mark.parametrize("variant", ["x", "xe"])
+@pytest.mark.parametrize("batch", [2, 3])
+def test_first_horizon_matches_shorter_decoder(variant, batch):
     # The decoder is a plain unroll: cutting the horizon from 5 to 1 with
-    # identical weights must leave the first residual bit-identical.
-    long_cfg = small_config("x", delta=5)
+    # identical weights must leave the first residual bit-identical.  The
+    # fused state is drawn at random, because an encoded one can be all
+    # zero after the fuse relu, and then every residual is exactly 0.
+    # Batch 1 is left out: with one row, numpy computes the hoisted head
+    # and ego products of the delta=1 decoder by a vector path that
+    # rounds differently, by a few 1e-17.
+    long_cfg = small_config(variant, delta=5)
     long_model = BoxForecaster(long_cfg, seed=2)
     short_model = BoxForecaster(dataclasses.replace(long_cfg, delta=1),
                                 params=long_model.parameter_values())
-    boxes = Xoshiro256(8).uniforms((1, SMALL["tau"], 4), 0.1, 0.9)
+    rng = Xoshiro256(8)
+    fused = rng.uniforms((batch, SMALL["hidden"]), 0.1, 1.0)
+    ego = rng.uniforms((batch, 5, 3), -0.4, 0.4) if variant == "xe" else None
     with long_model.tape.no_grad():
-        long_steps = long_model.decode_steps(long_model.encode(boxes))
+        long_steps = long_model.decode_steps(fused, ego)
     with short_model.tape.no_grad():
-        short_steps = short_model.decode_steps(short_model.encode(boxes))
-    assert long_steps.shape == (1, 5, 4) and short_steps.shape == (1, 1, 4)
+        short_steps = short_model.decode_steps(
+            fused, None if ego is None else ego[:, :1])
+    assert long_steps.shape == (batch, 5, 4) and short_steps.shape == (batch, 1, 4)
+    assert np.all(long_steps != 0.0)
     assert np.array_equal(long_steps[:, 0], short_steps[:, 0])
 
 
@@ -410,6 +423,46 @@ def test_checkpoint_roundtrip(tmp_path):
     sample = make_samples(27, 1)[0]
     assert np.array_equal(model.predict(sample).absolute,
                           loaded.predict(sample).absolute)
+
+
+def test_non_finite_checkpoint_value_is_rejected(tmp_path):
+    cfg = small_config()
+    values = BoxForecaster(cfg, seed=13).parameter_values()
+    values["head.bias"][2] = np.nan
+    path = tmp_path / "model.fvlw"
+    save_model(path, cfg, values)
+    with pytest.raises(DataFormatError, match="non-finite value in parameter 'head.bias'"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    config = ModelConfig(variant="xoe", hidden=2, embed=2, tau=2, delta=1,
+                         pooled_dim=2)
+    path = tmp_path_factory.mktemp("fvlw") / "m.fvlw"
+    save_model(path, config, BoxForecaster(config, seed=1).parameter_values())
+    return path
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_data_format_error(small_checkpoint,
+                                                             data):
+    original = small_checkpoint.read_bytes()
+    if data.draw(st.booleans(), label="cut"):
+        damaged = original[:data.draw(st.integers(0, len(original) - 1))]
+    else:
+        damaged = bytearray(original)
+        for _ in range(data.draw(st.integers(1, 4))):
+            damaged[data.draw(st.integers(0, len(original) - 1))] = \
+                data.draw(st.integers(0, 255))
+    small_checkpoint.write_bytes(bytes(damaged))
+    try:
+        load_model(small_checkpoint)
+    except DataFormatError:
+        pass
+    finally:
+        small_checkpoint.write_bytes(original)
 
 
 def test_loading_values_draws_no_initial_weights(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fvl import diffcore as dc
 from fvl import nnkit
 from fvl.diffcore import Tape, grad_check
-from fvl.errors import DataFormatError, DimensionError, NumericFailure
+from fvl.errors import DataFormatError, DimensionError, NumericFailure, ValidationError
 from fvl.nnkit import Adam, GruCell, Projection, load_params, mse_loss, save_params
 from fvl.rng import Xoshiro256
 
@@ -110,7 +110,7 @@ def test_gru_hidden_state_never_escapes_unit_envelope(seed, scale):
 def test_adam_first_step_from_zero():
     tape = Tape()
     theta = tape.leaf(np.array([0.0]), name="theta")
-    opt = Adam({"theta": theta}, lr=5e-4)
+    opt = Adam(tape, lr=5e-4)
     theta.grad[...] = 1.0
     opt.step()
     # lr * m_hat / (sqrt(v_hat) + eps) with m_hat = v_hat = 1 after one step
@@ -121,7 +121,7 @@ def test_adam_zero_gradients_leave_parameters_untouched():
     tape = Tape()
     p = tape.leaf(np.array([1.0, -2.0, 3.5]), name="p")
     before = p.value.copy()
-    opt = Adam({"p": p})
+    opt = Adam(tape)
     for _ in range(5):
         opt.step()
     np.testing.assert_array_equal(p.value, before)
@@ -131,13 +131,12 @@ def test_adam_treats_identical_parameters_identically():
     tape = Tape()
     a = tape.leaf(np.array([0.5, 0.5]), name="a")
     b = tape.leaf(np.array([0.5, 0.5]), name="b")
-    opt = Adam({"a": a, "b": b}, lr=1e-2)
+    opt = Adam(tape, lr=1e-2)
     for _ in range(10):
         a.grad[...] = [1.0, -0.3]
         b.grad[...] = [1.0, -0.3]
         opt.step()
-        a.zero_grad()
-        b.zero_grad()
+        tape.reset()
     np.testing.assert_array_equal(a.value, b.value)
 
 
@@ -146,13 +145,63 @@ def test_adam_raises_on_non_finite_gradient():
     p = tape.leaf(np.array([1.0]), name="w_out")
     p.grad[...] = np.nan
     with pytest.raises(NumericFailure, match="w_out"):
-        Adam({"w_out": p}).step()
+        Adam(tape).step()
+
+
+def test_adam_names_the_non_finite_parameter_and_updates_nothing():
+    tape = Tape()
+    first = tape.leaf(np.array([1.0, 2.0]), name="first")
+    second = tape.leaf(np.array([[3.0], [4.0]]), name="second")
+    opt = Adam(tape, lr=0.1)
+    first.grad[...] = 1.0
+    second.grad[1, 0] = np.nan
+    with pytest.raises(NumericFailure, match="'second'"):
+        opt.step()
+    np.testing.assert_array_equal(first.value, [1.0, 2.0])
+    np.testing.assert_array_equal(second.value, [[3.0], [4.0]])
+
+
+def test_adam_rejects_a_tape_that_grew_after_it_was_set_up():
+    tape = Tape()
+    tape.leaf(np.array([1.0]), name="a")
+    opt = Adam(tape)
+    tape.leaf(np.array([2.0, 3.0]), name="b")
+    with pytest.raises(ValidationError, match="gained leaves"):
+        opt.step()
+
+
+def test_adam_matches_a_per_parameter_update_bit_for_bit():
+    # The flat update runs the same elementwise IEEE operations as
+    # updating each parameter on its own, so the results are identical.
+    rng = Xoshiro256(31)
+    tape = Tape()
+    leaves = [tape.leaf(rng.uniforms(shape, -1.0, 1.0), name=f"p{i}")
+              for i, shape in enumerate([(3, 4), (4,), (), (2, 1)])]
+    want = [leaf.value.copy() for leaf in leaves]
+    moments = [(np.zeros_like(w), np.zeros_like(w)) for w in want]
+    opt = Adam(tape, lr=1e-2)
+    for t in range(1, 6):
+        for leaf in leaves:
+            leaf.grad[...] = rng.uniforms(leaf.shape, -2.0, 2.0)
+        for w, (m, v), leaf in zip(want, moments, leaves):
+            g = leaf.grad
+            m *= Adam.beta1
+            m += (1.0 - Adam.beta1) * g
+            v *= Adam.beta2
+            v += (1.0 - Adam.beta2) * g * g
+            m_hat = m / (1.0 - Adam.beta1 ** t)
+            v_hat = v / (1.0 - Adam.beta2 ** t)
+            w -= 1e-2 * m_hat / (np.sqrt(v_hat) + Adam.eps)
+        opt.step()
+        tape.reset()
+    for leaf, w in zip(leaves, want):
+        assert leaf.value.tobytes() == w.tobytes()
 
 
 def test_adam_descends_a_quadratic():
     tape = Tape()
     x = tape.leaf(np.array([3.0]), name="x")
-    opt = Adam({"x": x}, lr=0.1)
+    opt = Adam(tape, lr=0.1)
     for _ in range(200):
         tape.reset()
         loss = mse_loss(dc.mul(x, x), np.array([0.0]))
@@ -243,3 +292,4 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     path.write_bytes(blob + b"xx")
     with pytest.raises(DataFormatError, match="trailing"):
         load_params(path)
+

@@ -50,5 +50,8 @@ def test_tracer_installs_on_the_current_package():
     # streams, and the sub, mul and mean_all of the loss.  The tracer
     # does not see the fused affine, gru_sequence and gru_decoder nodes.
     assert metrics["diffcore.nodes_per_batch"] == 8
+    # nodes_per_batch divides the node count by the Adam steps, so the
+    # one batch must be exactly one step
+    assert metrics["nnkit.adam_step.calls"] == 1
     for prim in ("add", "sub", "mul", "relu", "mean_all"):
         assert metrics[f"diffcore.prim.{prim}.calls"] > 0, prim
