@@ -115,7 +115,8 @@ def _build_parser() -> _Parser:
                     help="skip the easy/challenging case split")
     ev.add_argument("--workers", type=_positive(int), default=1)
     ev.add_argument("--roi-expand", type=_positive(float), default=1.5)
-    ev.add_argument("--pool-n", type=_positive(int), default=5)
+    ev.add_argument("--pool-n", type=_positive(int), default=5,
+                    help="lattice for baselines (checkpoints carry their own)")
     ev.set_defaults(func=cmd_evaluate)
 
     pred = sub.add_parser(
@@ -127,7 +128,6 @@ def _build_parser() -> _Parser:
     pred.add_argument("--out", help="output path (default: stdout)")
     pred.add_argument("--workers", type=_positive(int), default=1)
     pred.add_argument("--roi-expand", type=_positive(float), default=1.5)
-    pred.add_argument("--pool-n", type=_positive(int), default=5)
     pred.set_defaults(func=cmd_predict)
 
     gc = sub.add_parser(
@@ -184,12 +184,6 @@ def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
     return merged
 
 
-def _lattice_size(pooled_dim: int, fallback: int) -> int:
-    """Invert pooled_dim = 2 n^2 when possible, else trust the flag."""
-    n = int(round(math.sqrt(pooled_dim / 2.0)))
-    return n if 2 * n * n == pooled_dim else fallback
-
-
 # --- subcommands ----------------------------------------------------------
 
 
@@ -235,7 +229,7 @@ def cmd_evaluate(args) -> int:
         forecaster = load_model(args.model)
         tau = forecaster.config.tau
         delta = forecaster.config.delta
-        n = _lattice_size(forecaster.config.pooled_dim, args.pool_n)
+        n = math.isqrt(forecaster.config.pooled_dim // 2)
     samples = _load_samples(args.dataset, tau, delta,
                             args.roi_expand, n, args.workers)
     if not samples:
@@ -267,8 +261,7 @@ def cmd_predict(args) -> int:
     forecaster = load_model(args.model)
     config = forecaster.config
     samples = _load_samples(args.dataset, config.tau, config.delta,
-                            args.roi_expand,
-                            _lattice_size(config.pooled_dim, args.pool_n),
+                            args.roi_expand, math.isqrt(config.pooled_dim // 2),
                             args.workers)
     ids = args.ids if args.ids else list(range(len(samples)))
     bad = [i for i in ids if not 0 <= i < len(samples)]

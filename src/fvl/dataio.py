@@ -245,27 +245,15 @@ class VideoData(_FlowSource):
                  ego_headings: np.ndarray, ego_positions: np.ndarray,
                  actor_depths):
         self.scenario = scenario
+        self.width = scenario.width
+        self.height = scenario.height
+        self.frames = scenario.frames
+        self.fps = scenario.fps
         self.ego_steps = list(ego_steps)
         self.tracks = tracks
         self._headings = ego_headings
         self._positions = ego_positions
         self._depths = actor_depths
-
-    @property
-    def width(self) -> int:
-        return self.scenario.width
-
-    @property
-    def height(self) -> int:
-        return self.scenario.height
-
-    @property
-    def frames(self) -> int:
-        return self.scenario.frames
-
-    @property
-    def fps(self) -> float:
-        return self.scenario.fps
 
     def flow_patch(self, t: int, ix0: int, iy0: int, ix1: int, iy1: int) -> np.ndarray:
         """Flow over the pixel-index rectangle [ix0, ix1) x [iy0, iy1)."""
@@ -591,7 +579,7 @@ def read_dataset(path) -> list[Sample]:
 #
 # One directory per video: `meta`, `boxes.jsonl` (one line per frame
 # per track), `ego.txt` (see egomotion), and `flow/NNNNNN.ffgr` grids.
-# `meta`, checkpoint `.cfg` and scenario `.scn` files share one parser,
+# `meta` and scenario `.scn` files share one parser,
 # `read_key_values`, and one comment rule: `#` starts a comment anywhere.
 
 
@@ -742,7 +730,7 @@ def read_video_dir(path) -> LoadedVideo:
 
 # --- scenario files -----------------------------------------------------------
 #
-# Text format, read by `read_key_values` like `meta` and `.cfg`: top-level
+# Text format, read by `read_key_values` like `meta`: top-level
 # `key=value` lines for the camera, image, and ego plan, then one `[actor]`
 # header per actor followed by its own key=value lines.  Rates and speeds
 # are per frame.  `ego_yaw_rate` and `ego_speed` accept either a scalar or

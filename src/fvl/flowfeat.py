@@ -164,9 +164,9 @@ def read_flow_patch(path, ix0: int = 0, iy0: int = 0, ix1=None, iy1=None,
     """Flow over the pixel-index rectangle [ix0, ix1) x [iy0, iy1) as f64.
 
     The magic, the header and the file length are checked first, then only
-    the rectangle's rows and columns are read through a memory map.  `ix1`
-    and `iy1` default to the grid's extent; `width` and `height`, when
-    given, are the dims the header must hold.
+    the rectangle's rows and columns are read through a memory map and
+    checked to be finite.  `ix1` and `iy1` default to the grid's extent;
+    `width` and `height`, when given, are the dims the header must hold.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -189,7 +189,11 @@ def read_flow_patch(path, ix0: int = 0, iy0: int = 0, ix1=None, iy1=None,
                 f"at offset {expected}, file has {size} bytes")
         grid = np.memmap(handle, dtype="<f4", mode="r", offset=12,
                          shape=(file_height, file_width, 2))
-    return np.array(grid[iy0:iy1, ix0:ix1], dtype=np.float64)
+    # checked before the cast, which warns on a signalling NaN
+    patch = grid[iy0:iy1, ix0:ix1]
+    if not np.all(np.isfinite(patch)):
+        raise DataFormatError(f"{path}: non-finite flow value in the patch read")
+    return np.array(patch, dtype=np.float64)
 
 
 def read_flow_grid(path) -> FlowGrid:

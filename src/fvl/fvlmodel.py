@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
-from .dataio import Sample, read_key_values
+from .dataio import Sample
 from .diffcore import DiffArray, GradCheckReport, Tape, grad_check
 from .errors import DataFormatError, NumericFailure, ValidationError
 from .nnkit import Adam, GruCell, Projection, load_params, mse_loss, save_params
@@ -77,6 +76,10 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ValidationError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
+        # the flow stream is the interleaved (u, v) of an n x n lattice
+        if self.pooled_dim != 2 * math.isqrt(self.pooled_dim // 2) ** 2:
+            raise ValidationError(f"pooled_dim must be 2 n^2 for a lattice "
+                                  f"size n, got {self.pooled_dim}")
 
     @property
     def uses_flow(self) -> bool:
@@ -440,31 +443,29 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
 
 # --- checkpoints ---------------------------------------------------------------
 #
-# A checkpoint is the nnkit binary weight file plus a `<path>.cfg` text
-# sidecar recording the ModelConfig as key=value lines, so a file on disk
-# is self-describing.
+# A checkpoint is one nnkit weight file whose header holds the ModelConfig
+# as `key=value` lines, one per field in order, so it describes its model.
 
 
 def save_model(path, config: ModelConfig, params) -> None:
-    save_params(path, params)
-    Path(f"{path}.cfg").write_text("".join(
+    save_params(path, params, "".join(
         f"{f.name}={getattr(config, f.name)}\n" for f in fields(ModelConfig)))
 
 
 def load_model(path) -> BoxForecaster:
     """Rebuild a forecaster from save_model output, verifying shapes."""
-    cfg_path = Path(f"{path}.cfg")
-    if not cfg_path.exists():
-        raise DataFormatError(
-            f"{cfg_path}: missing config header for checkpoint {path}")
-    # every key is required; each parses as the type of its default
-    raw = read_key_values(cfg_path, {f.name: True for f in fields(ModelConfig)})
+    header, params = load_params(path)
+    lines = [line.partition("=") for line in header.splitlines()]
+    keys = [key for key, _, _ in lines]
+    if keys != [f.name for f in fields(ModelConfig)]:
+        raise DataFormatError(f"{path}: header keys {keys} are not ModelConfig's")
+    # each value parses as the type of its field's default
     try:
-        config = ModelConfig(**{f.name: type(f.default)(raw[f.name])
-                                for f in fields(ModelConfig)})
+        config = ModelConfig(**{f.name: type(f.default)(value) for f, (_, _, value)
+                                in zip(fields(ModelConfig), lines)})
     except (ValueError, ValidationError) as exc:
-        raise DataFormatError(f"{cfg_path}: {exc}") from None
-    return BoxForecaster(config, params=load_params(path))
+        raise DataFormatError(f"{path}: {exc}") from None
+    return BoxForecaster(config, params=params)
 
 
 def gradient_check_model(config: ModelConfig, seed: int = 7,

@@ -21,6 +21,7 @@ the tape it is given, named ``<layer>.<part>``, so
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"FVLW"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def uniform_fan_in(rng: Xoshiro256, out_size: int, in_size: int) -> np.ndarray:
@@ -171,31 +172,39 @@ def mse_loss(pred, target):
 
 # --- checkpoint file format -------------------------------------------------
 #
-# Little-endian binary layout:
-#   magic "FVLW" | u32 format version | u32 parameter count
-#   per parameter:
-#     u16 name length | name bytes (utf-8) | u8 rank | u32 dim per axis
-#     | float64 values, row-major
+# Little-endian binary layout, version 2:
+#   magic "FVLW" | u32 format version | u32 header length | header (utf-8)
+#   | u32 parameter count | per parameter: u16 name length | name (utf-8)
+#   | u8 rank | u32 dim per axis
+#   then every parameter's float64 values, row-major, in table order
 
 
-def save_params(path, params: dict[str, np.ndarray | DiffArray]) -> None:
+def save_params(path, params: dict[str, np.ndarray | DiffArray], header: str) -> None:
+    """Write an opaque text `header` and `params` as one checkpoint file,
+    atomically: the bytes go to a temp file beside `path` that replaces it."""
     path = Path(path)
-    chunks = [CHECKPOINT_MAGIC,
-              struct.pack("<II", CHECKPOINT_VERSION, len(params))]
-    for name, p in params.items():
-        # note: ascontiguousarray would promote 0-d arrays to 1-d
-        arr = np.asarray(p.value if isinstance(p, DiffArray) else p,
-                         dtype="<f8", order="C")
+    # note: ascontiguousarray would promote 0-d arrays to 1-d
+    arrays = {name: np.asarray(p.value if isinstance(p, DiffArray) else p,
+                               dtype="<f8", order="C")
+              for name, p in params.items()}
+    head = header.encode("utf-8")
+    chunks = [CHECKPOINT_MAGIC + struct.pack(f"<II{len(head)}sI", CHECKPOINT_VERSION,
+                                             len(head), head, len(arrays))]
+    for name, arr in arrays.items():
         name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    path.write_bytes(b"".join(chunks))
+        chunks.append(struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}I", len(name_bytes),
+                                  name_bytes, arr.ndim, *arr.shape))
+    chunks += [arr.tobytes() for arr in arrays.values()]
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_bytes(b"".join(chunks))
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
-def load_params(path) -> dict[str, np.ndarray]:
+def load_params(path) -> tuple[str, dict[str, np.ndarray]]:
+    """The header and the parameters of a save_params file."""
     path = Path(path)
     data = path.read_bytes()
 
@@ -204,34 +213,39 @@ def load_params(path) -> dict[str, np.ndarray]:
 
     if data[:4] != CHECKPOINT_MAGIC:
         fail(0, f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    if len(data) < 12:
-        fail(len(data), "truncated header")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != CHECKPOINT_VERSION:
-        fail(4, f"unsupported checkpoint version {version}")
-    offset = 12
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            name = data[offset:offset + name_len].decode("utf-8")
-            offset += name_len
+    offset = 4
+    shapes: dict[str, tuple] = {}
+    try:
+        version, header_size = struct.unpack_from("<II", data, offset)
+        if version != CHECKPOINT_VERSION:
+            fail(offset, f"unsupported checkpoint version {version}")
+        offset = 12 + header_size
+        header = data[12:offset].decode("utf-8")
+        (count,) = struct.unpack_from("<I", data, offset)
+        offset += 4
+        for _ in range(count):
+            (name_size,) = struct.unpack_from("<H", data, offset)
+            name = data[offset + 2:offset + 2 + name_size].decode("utf-8")
+            offset += 2 + name_size
             (rank,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", data, offset)
-            offset += 4 * rank
-            size = math.prod(dims)
-            if 8 * size > len(data) - offset:
-                raise ValueError(f"{size} values overrun the file")
-            values = np.frombuffer(data, dtype="<f8", count=size,
-                                   offset=offset).reshape(dims)
-        except (struct.error, ValueError) as exc:
-            fail(offset, f"truncated parameter record ({exc})")
-        if not np.all(np.isfinite(values)):
-            fail(offset, f"non-finite value in parameter {name!r}")
-        offset += 8 * size
-        params[name] = values.astype(np.float64)
-    if offset != len(data):
-        fail(offset, f"{len(data) - offset} trailing bytes")
-    return params
+            shapes[name] = struct.unpack_from(f"<{rank}I", data, offset + 1)
+            offset += 1 + 4 * rank
+    except (struct.error, UnicodeDecodeError) as exc:
+        fail(offset, f"malformed header ({exc})")
+    # a repeated name's earlier values, if it had any, make the payload too long
+    sizes = [math.prod(dims) for dims in shapes.values()]
+    if len(data) - offset != 8 * sum(sizes):
+        fail(offset, f"payload of {len(data) - offset} bytes, the parameter "
+             f"table needs {8 * sum(sizes)}")
+    values = np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64)
+    params: dict[str, np.ndarray] = {}
+    start = 0
+    for (name, dims), size in zip(shapes.items(), sizes):
+        try:
+            params[name] = values[start:start + size].reshape(dims)
+        except ValueError as exc:  # more axes than numpy allows
+            fail(offset + 8 * start, f"parameter {name!r}: {exc}")
+        if not np.all(np.isfinite(params[name])):
+            fail(offset + 8 * start, f"non-finite value in parameter {name!r}")
+        start += size
+    return header, params

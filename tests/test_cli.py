@@ -21,7 +21,7 @@ from fvl.dataio import (
 )
 from fvl.egomotion import EgoFeature
 from fvl.flowfeat import PooledFlow
-from fvl.fvlmodel import load_model
+from fvl.fvlmodel import ModelConfig, load_model
 from fvl.metrics import build_reports, displacement_errors, reports_to_json
 from fvl.nnkit import save_params
 from fvl.rng import Xoshiro256
@@ -68,9 +68,14 @@ def test_generate_writes_video_dirs(suite):
         assert (video_dir / "flow" / "000000.ffgr").exists()
 
 
+# a valid header for a tiny `x` checkpoint
+X_HEADER = "variant=x\nhidden=2\nembed=2\ntau=2\ndelta=1\npooled_dim=2\n"
+
+
 def test_train_writes_checkpoint_and_loss_curve(checkpoint):
-    assert checkpoint.exists()
-    assert Path(f"{checkpoint}.cfg").exists()
+    # the config lives in the checkpoint header: no sidecar, no temp file
+    assert sorted(p.name for p in checkpoint.parent.iterdir()) == [
+        "model.fvlw", "model.fvlw.losses.csv"]
     curve = Path(f"{checkpoint}.losses.csv").read_text().splitlines()
     assert curve[0] == "epoch,train_loss,val_ade"
     assert len(curve) == 3  # header + one row per epoch
@@ -78,7 +83,8 @@ def test_train_writes_checkpoint_and_loss_curve(checkpoint):
         epoch, loss, ade = row.split(",")
         assert float(loss) > 0 and float(ade) > 0
     config = load_model(checkpoint).config
-    assert (config.variant, config.hidden, config.tau) == ("xoe", 6, 4)
+    assert config == ModelConfig(variant="xoe", hidden=6, embed=5, tau=4,
+                                 delta=3, pooled_dim=18)
 
 
 def test_evaluate_checkpoint_writes_report(suite, checkpoint, tmp_path, capsys):
@@ -124,19 +130,20 @@ def test_evaluate_matches_library_composition(suite, checkpoint, tmp_path):
 def test_predict_writes_boxes(suite, checkpoint, tmp_path, capsys):
     out = tmp_path / "pred.jsonl"
     assert main(["predict", str(checkpoint), "--dataset", str(suite),
-                 "--pool-n", "3", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(lines) == 18
     assert all(np.asarray(line["boxes"]).shape == (3, 4) for line in lines)
 
-    assert main(["predict", str(checkpoint), "5", "--dataset", str(suite),
-                 "--pool-n", "3"]) == 0
+    assert main(["predict", str(checkpoint), "5", "--dataset", str(suite)]) == 0
     printed = capsys.readouterr().out.splitlines()
     payload = [json.loads(line) for line in printed if line.startswith("{")]
     assert [p["index"] for p in payload] == [5]
 
-    assert main(["predict", str(checkpoint), "99", "--dataset", str(suite),
-                 "--pool-n", "3"]) == 2
+    assert main(["predict", str(checkpoint), "99", "--dataset", str(suite)]) == 2
+    # the checkpoint sets the lattice, so predict has no --pool-n
+    assert main(["predict", str(checkpoint), "--dataset", str(suite),
+                 "--pool-n", "3"]) == 1
 
 
 def test_training_is_reproducible_across_workers(suite, tmp_path):
@@ -242,29 +249,37 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["evaluate", "constaccel", "--dataset", str(video)]) == 2
     assert "boxes.jsonl:2" in capsys.readouterr().err
 
-    # a checkpoint cut inside its 12-byte header
+    # a checkpoint cut inside its 12-byte prefix
     cut = tmp_path / "cut.fvlw"
-    save_params(cut, {"w": np.zeros(2)})
+    save_params(cut, {"w": np.zeros(2)}, X_HEADER)
     cut.write_bytes(cut.read_bytes()[:8])
-    Path(f"{cut}.cfg").write_text(
-        "variant=x\nhidden=2\nembed=2\ntau=2\ndelta=1\npooled_dim=2\n")
     assert main(["evaluate", str(cut), "--dataset", str(bad)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "cut.fvlw: malformed header" in capsys.readouterr().err
+    # a version 1 checkpoint with its .cfg sidecar is not read; retraining
+    # writes version 2
+    old = tmp_path / "old.fvlw"
+    old.write_bytes(b"FVLW" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                    + struct.pack("<BI", 1, 2) + bytes(16))
+    Path(f"{old}.cfg").write_text(X_HEADER)
+    assert main(["evaluate", str(old), "--dataset", str(bad)]) == 2
+    assert "old.fvlw: unsupported checkpoint version 1 at offset 4" in \
+        capsys.readouterr().err
 
 
 def test_checkpoint_record_larger_than_the_file_exits_2(tmp_path, capsys):
     # dims (2**31, 2**31, 4) hold 2**64 values, which wraps to 0 in int64;
     # the reader must size the record exactly and reject it
     path = tmp_path / "huge.fvlw"
-    path.write_bytes(b"FVLW" + struct.pack("<IIH", 1, 1, 1) + b"w"
+    header = X_HEADER.encode()
+    path.write_bytes(b"FVLW" + struct.pack("<II", 2, len(header)) + header
+                     + struct.pack("<IH", 1, 1) + b"w"
                      + struct.pack("<B3I", 3, 2**31, 2**31, 4) + bytes(16))
-    Path(f"{path}.cfg").write_text(
-        "variant=x\nhidden=2\nembed=2\ntau=2\ndelta=1\npooled_dim=2\n")
     assert main(["evaluate", str(path), "--dataset", str(tmp_path)]) == 2
-    assert "overrun the file" in capsys.readouterr().err
+    assert f"payload of 16 bytes, the parameter table needs {8 * 2**64}" in \
+        capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "swap_dims"])
+@pytest.mark.parametrize("damage", ["truncate", "swap_dims", "nan"])
 def test_bad_flow_file_exits_2(suite, tmp_path, damage, capsys):
     data = tmp_path / "data"
     shutil.copytree(suite, data)
@@ -272,6 +287,9 @@ def test_bad_flow_file_exits_2(suite, tmp_path, damage, capsys):
         blob = grid.read_bytes()
         if damage == "truncate":
             grid.write_bytes(blob[:-8])
+        elif damage == "nan":  # well-formed, but every value is NaN
+            grid.write_bytes(blob[:12] + np.full((len(blob) - 12) // 4, np.nan,
+                                                 dtype="<f4").tobytes())
         else:  # same payload length, but the header disagrees with meta
             grid.write_bytes(blob[:4] + blob[8:12] + blob[4:8] + blob[12:])
     assert main(["train", "--dataset", str(data),

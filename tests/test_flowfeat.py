@@ -2,8 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvl.boxes import BoundingBox
+from fvl.dataio import ActorSpec, CameraSpec, Scenario, generate_scenario
 from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, read_flow_grid,
                           read_flow_patch, roi_pool, write_flow_grid)
@@ -188,6 +191,7 @@ def test_flow_file_bytes_are_header_then_f32_payload(tmp_path):
         data.astype("<f4").astype(np.float64))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_file_rejects_corruption(tmp_path):
     grid = random_grid(seed=62, width=6, height=4)
     path = tmp_path / "grid.ffgr"
@@ -203,6 +207,18 @@ def test_flow_file_rejects_corruption(tmp_path):
         with pytest.raises(DataFormatError, match="offset"):
             read_flow_grid(path)
 
+    # a signalling NaN as u at pixel (3, 2): patches that read it name the
+    # file, with no cast warning first
+    damaged = bytearray(blob)
+    u_at = 12 + 8 * (6 * 2 + 3)
+    damaged[u_at:u_at + 4] = struct.pack("<I", 0x7F800001)
+    path.write_bytes(bytes(damaged))
+    for read in (lambda: read_flow_grid(path),
+                 lambda: read_flow_patch(path, 2, 1, 5, 3)):
+        with pytest.raises(DataFormatError, match="grid.ffgr: non-finite flow"):
+            read()
+    assert np.all(np.isfinite(read_flow_patch(path, 0, 0, 3, 4)))
+
 
 def test_flow_patch_reads_a_window_of_the_grid(tmp_path):
     grid = random_grid(seed=63, width=20, height=10)
@@ -216,3 +232,39 @@ def test_flow_patch_reads_a_window_of_the_grid(tmp_path):
     # same payload length, but the header disagrees with the expected dims
     with pytest.raises(DataFormatError, match="10x20"):
         read_flow_patch(path, 0, 0, 2, 2, width=10, height=20)
+
+
+@pytest.fixture(scope="module")
+def small_flow_file(tmp_path_factory):
+    """A 16x10 .ffgr of a rendered frame after the first, so its ground
+    rows hold nonzero flow."""
+    scenario = Scenario(frames=3, camera=CameraSpec(focal=20.0, ppx=8.0, ppy=3.0),
+                        ego_speeds=0.5, ego_yaw_rates=0.05, width=16, height=10,
+                        actors=(ActorSpec(x=1.0, z=0.0, heading=0.0, speed=0.0),))
+    grid = generate_scenario(scenario).flow_grid(2)
+    assert np.count_nonzero(grid.data) > 100
+    path = tmp_path_factory.mktemp("ffgr") / "000002.ffgr"
+    write_flow_grid(path, grid)
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_flow_file_loads_or_raises_data_format_error(small_flow_file,
+                                                             data):
+    original = small_flow_file.read_bytes()
+    # 0, 127, 128 and 255 in a float's high bytes make NaN, inf and huge values
+    byte = st.one_of(st.sampled_from([0, 127, 128, 255]), st.integers(0, 255))
+    if data.draw(st.booleans(), label="cut"):
+        damaged = original[:data.draw(st.integers(0, len(original) - 1))]
+    else:
+        damaged = bytearray(original)
+        for _ in range(data.draw(st.integers(1, 4))):
+            damaged[data.draw(st.integers(0, len(original) - 1))] = data.draw(byte)
+    small_flow_file.write_bytes(bytes(damaged))
+    try:
+        read_flow_grid(small_flow_file)
+    except DataFormatError:
+        pass
+    finally:
+        small_flow_file.write_bytes(original)

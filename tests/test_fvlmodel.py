@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fvl.fvlmodel import (
     save_model,
     train_model,
 )
+from fvl.nnkit import load_params, save_params
 from fvl.rng import Xoshiro256
 
 SMALL = dict(hidden=6, embed=5, tau=3, delta=2, pooled_dim=8)
@@ -72,6 +75,12 @@ def test_config_validation():
         small_config(delta=0)
     with pytest.raises(ValidationError, match="hidden"):
         small_config(hidden=0)
+    # (u, v) at each of n x n lattice points: 2 n^2 values, n >= 1
+    for n in (1, 2, 3, 5):
+        assert small_config(pooled_dim=2 * n * n).pooled_dim == 2 * n * n
+    for bad in (1, 3, 4, 6, 9, 49):
+        with pytest.raises(ValidationError, match="pooled_dim must be 2 n"):
+            small_config("x", pooled_dim=bad)
 
 
 def test_zero_parameters_give_zero_fused_state():
@@ -444,18 +453,23 @@ def small_checkpoint(tmp_path_factory):
     return path
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_damaged_checkpoint_loads_or_raises_data_format_error(small_checkpoint,
                                                              data):
     original = small_checkpoint.read_bytes()
+    # about half the damage lands in the prefix, the config header and the
+    # parameter count; bytes that matter to key=value text come often
+    header_end = 16 + struct.unpack_from("<I", original, 8)[0]
+    where = st.one_of(st.integers(0, header_end - 1),
+                      st.integers(0, len(original) - 1))
+    byte = st.one_of(st.sampled_from(b"\x00\n=0\x7f\xff"), st.integers(0, 255))
     if data.draw(st.booleans(), label="cut"):
-        damaged = original[:data.draw(st.integers(0, len(original) - 1))]
+        damaged = original[:data.draw(where)]
     else:
         damaged = bytearray(original)
         for _ in range(data.draw(st.integers(1, 4))):
-            damaged[data.draw(st.integers(0, len(original) - 1))] = \
-                data.draw(st.integers(0, 255))
+            damaged[data.draw(where)] = data.draw(byte)
     small_checkpoint.write_bytes(bytes(damaged))
     try:
         load_model(small_checkpoint)
@@ -486,34 +500,66 @@ def test_loading_values_draws_no_initial_weights(monkeypatch):
     assert draws
 
 
+def set_header(path, header):
+    """Keep a checkpoint's parameters but replace its config header."""
+    _, params = load_params(path)
+    save_params(path, params, header)
+
+
 def test_checkpoint_mismatches_are_rejected(tmp_path):
     cfg = small_config()
     model = BoxForecaster(cfg, seed=13)
     path = tmp_path / "model.fvlw"
     save_model(path, cfg, model.parameter_values())
+    header, _ = load_params(path)
+    assert header == ("variant=xoe\nhidden=6\nembed=5\ntau=3\ndelta=2\n"
+                      "pooled_dim=8\n")
 
-    cfg_path = tmp_path / "model.fvlw.cfg"
-    header = cfg_path.read_text()
-    cfg_path.write_text(header.replace("hidden=6", "hidden=7"))
+    set_header(path, header.replace("hidden=6", "hidden=7"))
     with pytest.raises(DataFormatError, match="does not match model shape"):
         load_model(path)
-    cfg_path.write_text(header.replace("variant=xoe", "variant=x"))
+    set_header(path, header.replace("variant=xoe", "variant=x"))
     with pytest.raises(DataFormatError, match="does not fit"):
         load_model(path)
-    cfg_path.write_text("variant=xoe\nno equals sign here\n")
-    with pytest.raises(DataFormatError, match="key=value"):
+
+
+@pytest.mark.parametrize("old, new, why", [
+    ("hidden=6", "hiden=6", "header keys"),                      # unknown
+    ("embed=5\n", "", "header keys"),                            # missing
+    ("tau=3\n", "tau=3\ntau=3\n", "header keys"),                # repeated
+    ("hidden=6\nembed=5", "embed=5\nhidden=6", "header keys"),   # reordered
+    ("variant=xoe", "# a comment\nvariant=xoe", "header keys"),
+    ("hidden=6", "hidden 6", "header keys"),
+    ("hidden=6", "hidden=six", "invalid literal"),
+    ("pooled_dim=8", "pooled_dim=9", "pooled_dim must be 2 n"),
+])
+def test_checkpoint_header_is_read_strictly(tmp_path, old, new, why):
+    cfg = small_config()
+    path = tmp_path / "model.fvlw"
+    save_model(path, cfg, BoxForecaster(cfg, seed=13).parameter_values())
+    header, _ = load_params(path)
+    set_header(path, header.replace(old, new))
+    with pytest.raises(DataFormatError, match=f"model.fvlw: .*{why}"):
         load_model(path)
-    # a misspelt or repeated key names its line; before, `hiden` was
-    # ignored and a second `hidden` replaced the first
-    cfg_path.write_text(header.replace("hidden=6", "hiden=6"))
-    with pytest.raises(DataFormatError, match="cfg:2: unknown top-level key 'hiden'"):
-        load_model(path)
-    cfg_path.write_text(header + "hidden=6\n")
-    with pytest.raises(DataFormatError, match="cfg:7: repeated top-level key 'hidden'"):
-        load_model(path)
-    cfg_path.write_text(header.replace("embed=", "# embed="))
-    with pytest.raises(DataFormatError, match="cfg: top-level is missing embed"):
-        load_model(path)
-    cfg_path.unlink()
-    with pytest.raises(DataFormatError, match="missing config header"):
-        load_model(path)
+
+
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.fvlw"
+    old_cfg = small_config()
+    old_values = BoxForecaster(old_cfg, seed=13).parameter_values()
+    save_model(path, old_cfg, old_values)
+    # tau changes no weight shape, so only the header tells the two apart
+    new_cfg = small_config(tau=4)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_model(path, new_cfg, BoxForecaster(new_cfg, seed=14).parameter_values())
+    monkeypatch.undo()
+    loaded = load_model(path)
+    assert loaded.config == old_cfg
+    for name, value in old_values.items():
+        assert np.array_equal(loaded.params[name].value, value)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.fvlw"]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,21 +256,32 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         "scale": np.asarray(rng.uniform(0.0, 1.0)),
     }
     path = tmp_path / "model.fvlw"
-    save_params(path, params)
-    loaded = load_params(path)
+    save_params(path, params, "any text, even é\n")
+    header, loaded = load_params(path)
+    assert header == "any text, even é\n"
     assert list(loaded) == list(params)
     for name in params:
         assert loaded[name].dtype == np.float64
         assert loaded[name].shape == params[name].shape
         assert loaded[name].tobytes() == params[name].tobytes()
+    # the whole layout: prefix, header, table, then one payload
+    header_bytes = header.encode()
+    table = b"".join(struct.pack(f"<H{len(name)}sB{arr.ndim}I", len(name),
+                                 name.encode(), arr.ndim, *arr.shape)
+                     for name, arr in params.items())
+    assert path.read_bytes() == (
+        b"FVLW" + struct.pack("<II", 2, len(header_bytes)) + header_bytes
+        + struct.pack("<I", 3) + table
+        + b"".join(arr.astype("<f8").tobytes() for arr in params.values()))
 
 
 def test_checkpoint_accepts_diffarray_values(tmp_path):
     tape = Tape()
     proj = Projection(tape, Xoshiro256(2), in_size=3, out_size=2)
     path = tmp_path / "proj.fvlw"
-    save_params(path, tape.params)
-    loaded = load_params(path)
+    save_params(path, tape.params, "")
+    header, loaded = load_params(path)
+    assert header == ""
     np.testing.assert_array_equal(loaded["proj.weight"], proj.weight.value)
 
 
@@ -281,15 +294,25 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     path = tmp_path / "model.fvlw"
-    save_params(path, {"w": np.arange(6.0).reshape(2, 3)})
+    save_params(path, {"w": np.arange(6.0).reshape(2, 3)}, "k=v\n")
     blob = path.read_bytes()
 
-    for cut in [*range(12), len(blob) - 4]:  # every header cut, then a record cut
+    # every cut of the prefix, header and table, then one in the payload
+    for cut in [*range(len(blob) - 48), len(blob) - 4]:
         path.write_bytes(blob[:cut])
         with pytest.raises(DataFormatError, match="offset"):
             load_params(path)
 
     path.write_bytes(blob + b"xx")
-    with pytest.raises(DataFormatError, match="trailing"):
+    with pytest.raises(DataFormatError,
+                       match="payload of 50 bytes, the parameter table needs 48"):
         load_params(path)
 
+
+def test_checkpoint_rejects_more_axes_than_numpy_allows(tmp_path):
+    # a consistent table and payload whose one value has 65 axes of size 1
+    path = tmp_path / "deep.fvlw"
+    path.write_bytes(b"FVLW" + struct.pack("<IIIH", 2, 0, 1, 1) + b"w"
+                     + struct.pack("<B65I", 65, *[1] * 65) + bytes(8))
+    with pytest.raises(DataFormatError, match="parameter 'w': .*64"):
+        load_params(path)

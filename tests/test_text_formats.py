@@ -14,7 +14,6 @@ from fvl.dataio import (ActorSpec, CameraSpec, Scenario, generate_scenario,
                         windows_from_video, write_dataset, write_scenario_file,
                         write_video_dir)
 from fvl.errors import DataFormatError, text_lines
-from fvl.fvlmodel import BoxForecaster, ModelConfig, load_model, save_model
 
 SRC = Path(fvl.__file__).parent
 
@@ -35,24 +34,19 @@ def text_files(tmp_path_factory):
     samples, _ = windows_from_video(video, tau=2, delta=1, n=1)
     assert samples
     write_dataset(samples[:1], root / "samples.jsonl")
-    config = ModelConfig(variant="xoe", hidden=2, embed=2, tau=2, delta=1,
-                         pooled_dim=2)
-    save_model(root / "m.fvlw", config,
-               BoxForecaster(config, seed=1).parameter_values())
     video_dir = root / "video"
     return {
         "meta": (video_dir / "meta", lambda: read_video_dir(video_dir)),
         "ego.txt": (video_dir / "ego.txt", lambda: read_video_dir(video_dir)),
         "boxes.jsonl": (video_dir / "boxes.jsonl", lambda: read_video_dir(video_dir)),
-        ".cfg": (root / "m.fvlw.cfg", lambda: load_model(root / "m.fvlw")),
         ".scn": (root / "clip.scn", lambda: read_scenario_file(root / "clip.scn")),
         "dataset": (root / "samples.jsonl",
                     lambda: read_dataset(root / "samples.jsonl")),
     }
 
 
-@pytest.mark.parametrize("name", ["meta", "ego.txt", "boxes.jsonl", ".cfg",
-                                  ".scn", "dataset"])
+@pytest.mark.parametrize("name", ["meta", "ego.txt", "boxes.jsonl", ".scn",
+                                  "dataset"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_damaged_text_file_loads_or_raises_data_format_error(text_files, name,
