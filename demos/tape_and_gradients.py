@@ -42,7 +42,8 @@ def main():
 
     print()
     print("checking every parameter against central finite differences")
-    report = grad_check(loss_fn, params, step=1e-6, tolerance=1e-4)
+    # one group: every parameter, and the whole loss rerun per perturbation
+    report = grad_check(loss_fn, [(params, loss_fn)], step=1e-6, tolerance=1e-4)
     print(report.summary())
 
     # the same primitives compose into anything differentiable

@@ -30,7 +30,7 @@ from .dataio import (
     windows_from_video,
     write_video_dir,
 )
-from .errors import DataFormatError, NumericFailure, ValidationError
+from .errors import DataFormatError, NumericFailure, ValidationError, write_atomic
 from .fvlmodel import (
     VARIANTS,
     ModelConfig,
@@ -213,7 +213,7 @@ def cmd_train(args) -> int:
              for i, (loss, ade) in enumerate(zip(result.train_losses,
                                                  result.val_ades))]
     curve_path = Path(f"{args.out}.losses.csv")
-    curve_path.write_text("\n".join(rows) + "\n")
+    write_atomic(curve_path, ("\n".join(rows) + "\n").encode())
     print(f"trained {config.variant} on {len(samples)} samples "
           f"({len(result.train_indices)} train / {len(result.val_indices)} "
           f"held out), best epoch {result.best_epoch}")
@@ -252,7 +252,7 @@ def cmd_evaluate(args) -> int:
         if case in reports:
             print(reports[case].row())
     if args.out:
-        Path(args.out).write_text(reports_to_json(reports))
+        write_atomic(args.out, reports_to_json(reports).encode())
         print(f"wrote {args.out}")
     return 0
 
@@ -278,7 +278,7 @@ def cmd_predict(args) -> int:
             separators=(",", ":")))
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text.encode())
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

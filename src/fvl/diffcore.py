@@ -50,6 +50,7 @@ single thread; run one tape per worker if you want parallelism.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -658,47 +659,74 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(f, params, step: float = 1e-6,
+def grad_check(loss, groups, step: float = 1e-6,
                tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients of ``f`` against central finite differences.
+    """Compare analytic gradients of ``loss`` against central finite
+    differences, one parameter group at a time.
 
-    ``f`` takes no arguments, reads the given parameter leaves, and returns
-    a scalar loss.  ``params`` is a mapping of names to leaves, such as
-    ``Tape.params``.  Parameter values are perturbed in place and restored
-    bit-exactly.  The caller is responsible for keeping relu inputs away
-    from their kink; points within finite-difference reach of 0 make the
-    numeric estimate meaningless.
+    ``loss`` takes no arguments and returns a scalar loss recorded on the
+    tape; it runs once, for the analytic gradients.  ``groups`` is a
+    sequence of ``(params, rerun)`` pairs: ``params`` maps names to leaves,
+    as :attr:`Tape.params` does, and ``rerun`` returns the value of the
+    same loss while only those leaves differ from their values at the
+    analytic pass.  So a rerun may reuse anything computed once from the
+    other leaves and recompute only the stages its own leaves feed; a
+    caller with one stage passes ``[(tape.params, loss)]``.  Every named
+    leaf of the tape must be in exactly one group, so none goes unchecked.
+
+    Parameter values are perturbed in place and restored bit-exactly, also
+    when a rerun raises.  A relative error that is not finite counts as
+    infinite, so a NaN gradient or loss fails the check.  The caller is
+    responsible for keeping relu inputs away from their kink; points
+    within finite-difference reach of 0 make the numeric estimate
+    meaningless.
     """
     if step <= 0:
         raise ValidationError(f"finite-difference step must be positive, got {step}")
-    if not params:
+    named = [(name, p) for params, _ in groups for name, p in params.items()]
+    if not named:
         raise ValidationError("grad_check needs at least one parameter")
-    tape = next(iter(params.values())).tape
+    tape = named[0][1].tape
+    registered = tape.params
+    seen = set()
+    for name, p in named:
+        if registered.get(name) is not p:
+            raise ValidationError(
+                f"grad_check: {name!r} is not a named leaf of the checked tape")
+        if name in seen:
+            raise ValidationError(f"grad_check: {name!r} is in more than one group")
+        seen.add(name)
+    missing = [name for name in registered if name not in seen]
+    if missing:
+        raise ValidationError(f"grad_check: leaves {missing} are in no group")
 
     tape.reset()
-    loss = f()
-    tape.backward(loss)
-    analytic = {name: p.grad.copy() for name, p in params.items()}
+    tape.backward(loss())
+    analytic = {name: p.grad.copy() for name, p in named}
     tape.reset()
 
     report = GradCheckReport(step=step, tolerance=tolerance)
-    for name, p in params.items():
-        flat = p.value.reshape(-1)
-        grads = analytic[name].reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            with tape.no_grad():
-                loss_plus = float(_value(f()))
-            flat[i] = original - step
-            with tape.no_grad():
-                loss_minus = float(_value(f()))
-            flat[i] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            a = grads[i]
-            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            if rel > worst:
-                worst = rel
-        report.per_parameter[name] = worst
+    for params, rerun in groups:
+        for name, p in params.items():
+            flat = p.value.reshape(-1)
+            grads = analytic[name].reshape(-1)
+            worst = 0.0
+            for i in range(flat.size):
+                original = flat[i]
+                try:
+                    flat[i] = original + step
+                    with tape.no_grad():
+                        loss_plus = float(_value(rerun()))
+                    flat[i] = original - step
+                    with tape.no_grad():
+                        loss_minus = float(_value(rerun()))
+                finally:
+                    flat[i] = original
+                numeric = (loss_plus - loss_minus) / (2.0 * step)
+                a = grads[i]
+                rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+                if not math.isfinite(rel):
+                    rel = math.inf
+                worst = max(worst, rel)
+            report.per_parameter[name] = worst
     return report

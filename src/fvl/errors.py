@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and `text_lines`, the one
-way any reader gets at the lines of a text file.
+"""Exception types shared across the package, `text_lines`, the one way
+any reader gets at the lines of a text file, and `write_atomic`, the one
+way an output file replaces an earlier one.
 
 The CLI maps these onto process exit codes: usage problems exit 1,
 `DataFormatError` and `ValidationError` exit 2, `NumericFailure` exits 3.
 """
 
+import os
 from pathlib import Path
 
 
@@ -34,3 +36,16 @@ def text_lines(path) -> list[tuple[int, str]]:
             f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
             if line.strip()]
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` so that a reader finds either the previous
+    file whole or the new one: the bytes go to a temp file beside `path`
+    that then replaces it, and a failed write removes the temp file."""
+    path = Path(path)
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)

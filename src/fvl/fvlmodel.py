@@ -230,6 +230,7 @@ class BoxForecaster:
             raise ValidationError(
                 f"variant {c.variant!r} does not take a flow stream")
         h = self._run_encoder(self.box_embed, self.box_encoder, boxes)
+        h_flow = None
         if c.uses_flow:
             flows = np.asarray(flows, dtype=np.float64)
             if flows.shape != (boxes.shape[0], c.tau, c.pooled_dim):
@@ -237,13 +238,19 @@ class BoxForecaster:
                     f"expected pooled flow shaped [batch x {c.tau} x "
                     f"{c.pooled_dim}] matching the boxes, got {flows.shape}")
             h_flow = self._run_encoder(self.flow_embed, self.flow_encoder, flows)
-            h = 0.5 * (h + h_flow)
-        return self.fuse(h)
+        return self._fuse(h, h_flow)
 
     def _run_encoder(self, embed, cell, series):
         batch, tau, width = series.shape
         return cell.unroll(embed(series.reshape(batch * tau, width)),
                            np.zeros((batch, self.config.hidden)))
+
+    def _fuse(self, h, h_flow):
+        """The fused state from the streams' final hidden states: the box
+        stream's, averaged with the flow stream's unless that is None."""
+        if h_flow is not None:
+            h = 0.5 * (h + h_flow)
+        return self.fuse(h)
 
     def decode_steps(self, fused, ego=None):
         """Unroll the decoder into residuals [batch x delta x 4].
@@ -468,20 +475,10 @@ def load_model(path) -> BoxForecaster:
     return BoxForecaster(config, params=params)
 
 
-def gradient_check_model(config: ModelConfig, seed: int = 7,
-                         step: float = 1e-6,
-                         tolerance: float = 1e-4) -> GradCheckReport:
-    """Check the full encode-decode gradient of the training loss on a
-    batch of three random samples.
-
-    Bias adjoints are sums over rows, so an error in one shows only with
-    several rows.  grad_check divides by max(1, |gradient|); the loss is
-    scaled by 1000 so that most adjoints exceed 1 and the tolerance acts
-    as a relative one.  The weights are the seed's initial ones, but the
-    biases are drawn at random: zero biases put a relu input exactly on
-    its kink whenever the row feeding it is all zero, where finite
-    differences cannot agree with any one-sided derivative.
-    """
+def _gradcheck_problem(config: ModelConfig, seed: int):
+    """The model and the batch of three samples that
+    `gradient_check_model` checks: the seed's initial weights with random
+    biases, and random inputs and targets."""
     model = BoxForecaster(config, seed=seed)
     rng = Xoshiro256(seed ^ _DATA_STREAM)
     for p in model.params.values():
@@ -497,6 +494,63 @@ def gradient_check_model(config: ModelConfig, seed: int = 7,
                  if c.uses_ego else None),
         "targets": rng.uniforms((rows, c.delta, 4), -0.3, 0.3),
     }
+    return model, data
+
+
+def gradient_check_model(config: ModelConfig, seed: int = 7,
+                         step: float = 1e-6,
+                         tolerance: float = 1e-4) -> GradCheckReport:
+    """Check the full encode-decode gradient of the training loss on a
+    batch of three random samples.
+
+    Bias adjoints are sums over rows, so an error in one shows only with
+    several rows.  grad_check divides by max(1, |gradient|); the loss is
+    scaled by 1000 so that most adjoints exceed 1 and the tolerance acts
+    as a relative one.  The weights are the seed's initial ones, but the
+    biases are drawn at random: zero biases put a relu input exactly on
+    its kink whenever the row feeding it is all zero, where finite
+    differences cannot agree with any one-sided derivative.
+
+    The finite differences follow the model's stages.  A perturbed leaf
+    changes only its own stage and the ones after it, so each group of
+    leaves reruns from the unperturbed outputs of the stages before it,
+    computed once: a stream's leaves rerun that stream, fuse, decoder and
+    loss; fuse's rerun fuse, decoder and loss; the decoder side's (state
+    and ego embeds, decoder, head) rerun only the decoder and the loss.
+    Each stage makes the same numpy calls as `_batch_loss`, so the report
+    equals that of rerunning the whole loss for every perturbation.
+    """
+    model, data = _gradcheck_problem(config, seed)
+    boxes, flows, egos, targets = (data[key] for key in
+                                   ("boxes", "flows", "egos", "targets"))
+
+    def box_stream():
+        return model._run_encoder(model.box_embed, model.box_encoder, boxes)
+
+    def flow_stream():
+        return model._run_encoder(model.flow_embed, model.flow_encoder, flows)
+
+    def decode(fused):
+        return dc.mul(mse_loss(model.decode_steps(fused, egos), targets), 1000.0)
+
+    with model.tape.no_grad():
+        h_box = box_stream()
+        h_flow = flow_stream() if config.uses_flow else None
+        fused = model._fuse(h_box, h_flow)
+
+    def leaves(*layers):
+        return {name: p for name, p in model.params.items()
+                if name.partition(".")[0] in layers}
+
+    groups = [
+        (leaves("box_embed", "box_encoder"),
+         lambda: decode(model._fuse(box_stream(), h_flow))),
+        (leaves("flow_embed", "flow_encoder"),
+         lambda: decode(model._fuse(h_box, flow_stream()))),
+        (leaves("fuse"), lambda: decode(model._fuse(h_box, h_flow))),
+        (leaves("state_embed", "ego_embed", "decoder", "head"),
+         lambda: decode(fused)),
+    ]
     return grad_check(
-        lambda: dc.mul(_batch_loss(model, data, range(rows)), 1000.0),
-        model.params, step=step, tolerance=tolerance)
+        lambda: dc.mul(_batch_loss(model, data, range(len(boxes))), 1000.0),
+        groups, step=step, tolerance=tolerance)

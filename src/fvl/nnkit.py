@@ -21,7 +21,6 @@ the tape it is given, named ``<layer>.<part>``, so
 from __future__ import annotations
 
 import math
-import os
 import struct
 from pathlib import Path
 
@@ -29,7 +28,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import DiffArray, Tape
-from .errors import DataFormatError, DimensionError, NumericFailure, ValidationError
+from .errors import (DataFormatError, DimensionError, NumericFailure,
+                     ValidationError, write_atomic)
 from .rng import Xoshiro256
 
 __all__ = [
@@ -181,8 +181,7 @@ def mse_loss(pred, target):
 
 def save_params(path, params: dict[str, np.ndarray | DiffArray], header: str) -> None:
     """Write an opaque text `header` and `params` as one checkpoint file,
-    atomically: the bytes go to a temp file beside `path` that replaces it."""
-    path = Path(path)
+    atomically (see `write_atomic`)."""
     # note: ascontiguousarray would promote 0-d arrays to 1-d
     arrays = {name: np.asarray(p.value if isinstance(p, DiffArray) else p,
                                dtype="<f8", order="C")
@@ -195,12 +194,7 @@ def save_params(path, params: dict[str, np.ndarray | DiffArray], header: str) ->
         chunks.append(struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}I", len(name_bytes),
                                   name_bytes, arr.ndim, *arr.shape))
     chunks += [arr.tobytes() for arr in arrays.values()]
-    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        temp.write_bytes(b"".join(chunks))
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+    write_atomic(path, b"".join(chunks))
 
 
 def load_params(path) -> tuple[str, dict[str, np.ndarray]]:

@@ -247,3 +247,41 @@ def gru_decoder_chain(h0, ego, state_w, state_b, ego_w, ego_b, w_update,
         h = gru_step(x, h, *gru)
         ys.append(dc.affine(h, head_w, head_b))
     return stack_steps(ys)
+
+
+# --- the unstaged gradient check --------------------------------------------
+
+
+def unstaged_grad_check(f, params, step=1e-6):
+    """Per-parameter worst relative error of the analytic gradients of
+    ``f`` against central finite differences that rerun the whole loss
+    ``f`` for every perturbation, unstaged: the reference that
+    ``diffcore.grad_check`` with staged parameter groups must equal."""
+    tape = next(iter(params.values())).tape
+    tape.reset()
+    tape.backward(f())
+    analytic = {name: p.grad.copy() for name, p in params.items()}
+    tape.reset()
+    per_parameter = {}
+    for name, p in params.items():
+        flat = p.value.reshape(-1)
+        grads = analytic[name].reshape(-1)
+        worst = 0.0
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + step
+            with tape.no_grad():
+                loss_plus = float(dc._value(f()))
+            flat[i] = original - step
+            with tape.no_grad():
+                loss_minus = float(dc._value(f()))
+            flat[i] = original
+            numeric = (loss_plus - loss_minus) / (2.0 * step)
+            a = grads[i]
+            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            if not math.isfinite(rel):
+                rel = math.inf
+            if rel > worst:
+                worst = rel
+        per_parameter[name] = worst
+    return per_parameter

@@ -146,6 +146,33 @@ def test_predict_writes_boxes(suite, checkpoint, tmp_path, capsys):
                  "--pool-n", "3"]) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_an_output_write_that_fails_midway_keeps_the_previous_file(
+        command, suite, checkpoint, tmp_path, monkeypatch, capsys):
+    if command == "train":
+        target = tmp_path / "model.fvlw.losses.csv"
+        argv = ["train", "--dataset", str(suite), "--out",
+                str(tmp_path / "model.fvlw"), *TRAIN_FLAGS]
+    else:
+        target = tmp_path / f"{command}.out"
+        argv = [command, str(checkpoint), "--dataset", str(suite),
+                "--out", str(target)]
+    target.write_bytes(b"previous contents\n")
+    write_bytes = Path.write_bytes
+
+    def fails_midway(path, data):
+        if not path.name.startswith(target.name):
+            return write_bytes(path, data)
+        write_bytes(path, data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", fails_midway)
+    assert main(argv) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert target.read_bytes() == b"previous contents\n"
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_training_is_reproducible_across_workers(suite, tmp_path):
     first = tmp_path / "w1.fvlw"
     second = tmp_path / "w4.fvlw"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,7 +361,8 @@ def test_tape_params_are_the_named_leaves_in_registration_order():
 def test_grad_check_passes_on_smooth_function():
     tape = Tape()
     x = tape.leaf(np.array([0.4, -1.2, 2.0]), name="x")
-    report = grad_check(lambda: dc.mean_all(dc.mul(dc.tanh(x), x)), {"x": x})
+    loss = lambda: dc.mean_all(dc.mul(dc.tanh(x), x))
+    report = grad_check(loss, [({"x": x}, loss)])
     assert report.passed
     assert report.max_rel_error < 1e-6
     assert "PASS" in report.summary()
@@ -369,7 +372,8 @@ def test_grad_check_restores_values_bit_exactly():
     tape = Tape()
     values = np.array([0.1, 0.2, 0.30000000000000004])
     x = tape.leaf(values.copy(), name="x")
-    grad_check(lambda: dc.sum_all(dc.mul(x, x)), {"x": x})
+    loss = lambda: dc.sum_all(dc.mul(x, x))
+    grad_check(loss, [({"x": x}, loss)])
     np.testing.assert_array_equal(x.value, values)
 
 
@@ -385,9 +389,73 @@ def test_grad_check_detects_a_wrong_gradient():
         scale = 1.0 if calls[0] == 1 else 3.0
         return dc.sum_all(dc.mul(x, scale * x.value))
 
-    report = grad_check(inconsistent, {"x": x})
+    report = grad_check(inconsistent, [({"x": x}, inconsistent)])
     assert not report.passed
     assert report.worst_parameter == "x"
+
+
+@pytest.mark.parametrize("where", ["numeric", "analytic", "everywhere"])
+def test_grad_check_fails_a_nan_gradient(where):
+    tape = Tape()
+    y = tape.leaf(np.array([0.5, -1.5]), name="y")
+    loss = lambda: dc.mean_all(dc.mul(y, y))
+    nan_loss = lambda: dc.mul(loss(), np.nan)
+    full, rerun = {"numeric": (loss, nan_loss), "analytic": (nan_loss, loss),
+                   "everywhere": (nan_loss, nan_loss)}[where]
+    report = grad_check(full, [({"y": y}, rerun)])
+    assert report.per_parameter == {"y": math.inf}
+    assert not report.passed
+    assert "FAIL" in report.summary()
+
+
+def test_grad_check_restores_a_parameter_when_the_loss_raises():
+    tape = Tape()
+    z = tape.leaf(np.array([1.0, 2.0]), name="z")
+    before = z.value.tobytes()
+    calls = [0]
+
+    def loss():
+        calls[0] += 1
+        if calls[0] == 2:
+            raise FloatingPointError("the first rerun fails")
+        return dc.sum_all(dc.mul(z, z))
+
+    with pytest.raises(FloatingPointError):
+        grad_check(loss, [({"z": z}, loss)])
+    assert z.value.tobytes() == before
+
+
+def test_grad_check_takes_every_named_leaf_in_exactly_one_group():
+    tape = Tape()
+    x = tape.leaf(np.array([1.0, 2.0]), name="x")
+    y = tape.leaf(np.array(3.0), name="y")
+    loss = lambda: dc.sum_all(dc.mul(x, y))
+    stranger = Tape().leaf(np.array([1.0]), name="x")
+    for groups, why in [
+            ([], "at least one parameter"),
+            ([({"x": x}, loss)], r"\['y'\] are in no group"),
+            ([({"x": x, "y": y}, loss), ({"y": y}, loss)], "more than one group"),
+            ([({"x": x, "y": y}, loss), ({"x": stranger}, loss)],
+             "not a named leaf"),
+            ([({"x": x, "w": y}, loss)], "not a named leaf")]:
+        with pytest.raises(ValidationError, match=why):
+            grad_check(loss, groups)
+
+
+def test_grad_check_fails_a_leaf_whose_rerun_does_not_read_it():
+    # a staging mistake: y's group reruns from a value cached before y
+    # was perturbed, so its numeric gradient reads 0
+    tape = Tape()
+    x = tape.leaf(np.array([1.0, 2.0]), name="x")
+    y = tape.leaf(np.array([3.0, -4.0]), name="y")
+    loss = lambda: dc.sum_all(dc.mul(x, y))
+    cached_y = y.value.copy()
+    report = grad_check(loss, [({"x": x}, loss),
+                               ({"y": y}, lambda: dc.sum_all(dc.mul(x, cached_y)))])
+    assert report.per_parameter["x"] < 1e-6
+    assert report.per_parameter["y"] > 0.5
+    assert not report.passed
+    assert report.worst_parameter == "y"
 
 
 @settings(max_examples=25, deadline=None)
@@ -398,8 +466,8 @@ def test_gradient_of_composite_matches_finite_differences(values):
     arr = np.asarray(values, dtype=np.float64)
     tape = Tape()
     x = tape.leaf(arr.copy(), name="x")
-    report = grad_check(
-        lambda: dc.mean_all(dc.mul(dc.tanh(x), dc.sigmoid(x))), {"x": x})
+    loss = lambda: dc.mean_all(dc.mul(dc.tanh(x), dc.sigmoid(x)))
+    report = grad_check(loss, [({"x": x}, loss)])
     assert report.passed
 
 
@@ -492,8 +560,8 @@ def test_fused_kernels_match_finite_differences(label):
     args, leaves = build(tape, rng)
     weights = rng.uniforms(fused(*args).shape, -1.0, 1.0)
     tape.reset()
-    report = grad_check(lambda: dc.mul(_weighted(fused(*args), weights), 1000.0),
-                        {leaf.name: leaf for leaf in leaves})
+    loss = lambda: dc.mul(_weighted(fused(*args), weights), 1000.0)
+    report = grad_check(loss, [({leaf.name: leaf for leaf in leaves}, loss)])
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4
 
@@ -611,7 +679,8 @@ def test_model_kernels_match_per_step_oracle(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_loss_gradients_match_finite_differences_at_batch_three(variant):
     # The bias adjoints of the fused kernels are row sums, so a wrong one
-    # only shows with more than one row; gradient_check_model runs at one.
+    # only shows with more than one row, as in gradient_check_model; this
+    # test reruns the whole loss for every perturbation, unstaged.
     # grad_check divides by max(1, |gradient|), so the loss is scaled up
     # until its adjoints are O(1) and the 1e-4 tolerance acts as relative.
     config = ModelConfig(variant=variant, hidden=4, embed=3, tau=3, delta=2,
@@ -625,8 +694,7 @@ def test_batch_loss_gradients_match_finite_differences_at_batch_three(variant):
         "egos": rng.uniforms((rows, config.delta, 3), -0.5, 0.5),
         "targets": rng.uniforms((rows, config.delta, 4), -1.0, 1.0),
     }
-    report = grad_check(
-        lambda: dc.mul(_batch_loss(model, data, range(rows)), 1000.0),
-        model.params)
+    loss = lambda: dc.mul(_batch_loss(model, data, range(rows)), 1000.0)
+    report = grad_check(loss, [(model.params, loss)])
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fvl import diffcore as dc
 from fvl.boxes import BoundingBox
 from fvl.dataio import Sample
 from fvl.egomotion import EgoFeature
@@ -20,6 +21,8 @@ from fvl.fvlmodel import (
     BoxForecaster,
     ModelConfig,
     Prediction,
+    _batch_loss,
+    _gradcheck_problem,
     _prepare,
     gradient_check_model,
     load_model,
@@ -28,6 +31,7 @@ from fvl.fvlmodel import (
 )
 from fvl.nnkit import load_params, save_params
 from fvl.rng import Xoshiro256
+from oracles import unstaged_grad_check
 
 SMALL = dict(hidden=6, embed=5, tau=3, delta=2, pooled_dim=8)
 
@@ -337,6 +341,24 @@ def test_gradients_match_finite_differences_for_every_variant():
         report = gradient_check_model(small_config(variant), seed=7)
         assert report.passed, report.summary()
         assert report.max_rel_error < 1e-4
+
+
+# the `fvl gradcheck` defaults
+GRADCHECK_SIZES = dict(hidden=8, embed=8, tau=3, delta=2, pooled_dim=50)
+
+
+@pytest.mark.parametrize("sizes", [GRADCHECK_SIZES, SMALL], ids=["cli", "small"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_staged_gradient_check_equals_the_unstaged_loop(variant, sizes):
+    # Each group reruns only its own stage and the later ones, from
+    # cached upstream values; every figure must equal, bit for bit, the
+    # loop that reruns the whole training loss for each perturbation.
+    config = ModelConfig(variant=variant, **sizes)
+    report = gradient_check_model(config, seed=7)
+    model, data = _gradcheck_problem(config, 7)
+    want = unstaged_grad_check(
+        lambda: dc.mul(_batch_loss(model, data, range(3)), 1000.0), model.params)
+    assert list(report.per_parameter.items()) == list(want.items())
 
 
 def test_training_is_deterministic():

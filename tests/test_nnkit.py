@@ -73,7 +73,8 @@ def test_gru_step_gradients_match_finite_differences():
     h = tape.leaf(rng.uniforms((1, 4), -1.0, 1.0), name="h")
     target = rng.uniforms((1, 4), -0.5, 0.5)
     # the tape's named leaves: the cell's six, then x and h
-    report = grad_check(lambda: mse_loss(cell.step(x, h), target), tape.params)
+    loss = lambda: mse_loss(cell.step(x, h), target)
+    report = grad_check(loss, [(tape.params, loss)])
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4
 
