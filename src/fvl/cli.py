@@ -30,7 +30,8 @@ from .dataio import (
     windows_from_video,
     write_video_dir,
 )
-from .errors import DataFormatError, NumericFailure, ValidationError, write_atomic
+from .errors import (DataFormatError, NumericFailure, ValidationError,
+                     replacing, write_atomic)
 from .fvlmodel import (
     VARIANTS,
     ModelConfig,
@@ -149,12 +150,16 @@ def _build_parser() -> _Parser:
 
 
 def _video_dirs(root: Path) -> list[Path]:
+    """`root` if it is a video directory, else its video subdirectories.
+    Hidden ones are skipped: they hold `generate` writes still in flight,
+    or left behind by one that was cut off."""
     if (root / "meta").exists():
         return [root]
     if not root.is_dir():
         raise DataFormatError(f"{root}: not a dataset file or directory")
     dirs = sorted(p for p in root.iterdir()
-                  if p.is_dir() and (p / "meta").exists())
+                  if p.is_dir() and not p.name.startswith(".")
+                  and (p / "meta").exists())
     if not dirs:
         raise DataFormatError(
             f"{root}: no video directories found (nothing with a meta file)")
@@ -206,14 +211,15 @@ def cmd_train(args) -> int:
                             args.roi_expand, args.pool_n, args.workers)
     result = train_model(config, samples, epochs=args.epochs,
                          batch_size=args.batch, lr=args.lr, seed=args.seed)
-    save_model(args.out, config, result.best_params)
     # repr floats so identical runs produce identical bytes
     rows = ["epoch,train_loss,val_ade"]
     rows += [f"{i},{loss!r},{ade!r}"
              for i, (loss, ade) in enumerate(zip(result.train_losses,
                                                  result.val_ades))]
     curve_path = Path(f"{args.out}.losses.csv")
-    write_atomic(curve_path, ("\n".join(rows) + "\n").encode())
+    # the checkpoint and its loss curve are replaced as a pair
+    with replacing(curve_path, ("\n".join(rows) + "\n").encode()):
+        save_model(args.out, config, result.best_params)
     print(f"trained {config.variant} on {len(samples)} samples "
           f"({len(result.train_indices)} train / {len(result.val_indices)} "
           f"held out), best epoch {result.best_epoch}")

@@ -6,7 +6,9 @@ a flat ground plane with a forward-facing pinhole camera, plus box-shaped
 actor vehicles, and emits exactly the observables the forecaster trains
 on: per-frame 2D bounding boxes, dense optical flow, and an ego-motion
 log.  Everything is closed-form, so tests can recompute any quantity
-independently.
+independently, and flow is rendered only at the pixels asked for: a
+pooled ROI renders the at most 4 n^2 pixels its lattice reads.  A video
+directory therefore stores its scenario rather than any flow.
 
 Geometry conventions:
   - Ground-plane frames use (x, z) with x along the heading and z to the
@@ -27,14 +29,17 @@ reprojected displacement of the static ground point it images; pixels at
 or above the horizon carry zero.  The one-pixel pad guarantees that
 bilinear samples taken anywhere inside the box read the displacement
 exactly, including samples within a pixel of the box edge.  Ground flow
-is computed only for the rows below the horizon, in blocks of rows that
-fit in cache; the rows above keep the zeros they start with.
+is computed only for the pixels below the horizon; the others keep the
+zeros they start with.  Each pixel's value is the same whichever other
+pixels are rendered with it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -44,8 +49,8 @@ from .boxes import BoundingBox
 from .egomotion import EgoFeature, compose, read_ego_log, rotation_matrix, \
     write_ego_log, yaw_to_step
 from .errors import DataFormatError, ValidationError, text_lines
-from .flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_patch, \
-    roi_pool, write_flow_grid
+from .flowfeat import FlowGrid, PooledFlow, expand_roi, lattice_pool, \
+    read_flow_pixels
 from .rng import Xoshiro256
 
 __all__ = [
@@ -75,6 +80,7 @@ HORIZON_MARGIN_PX = 0.5
 MIN_BOX_PX = 1.0
 PAINT_PAD_PX = 1.0
 GROUND_BLOCK_PX = 32768
+SCENARIO_FILE = "scenario.scn"
 
 
 @dataclass(frozen=True)
@@ -213,32 +219,37 @@ def _heading_vector(heading: float) -> np.ndarray:
 class _FlowSource:
     """Flow access shared by generated and loaded videos.
 
-    Subclasses supply `width`, `height` and `flow_patch(t, ix0, iy0, ix1,
-    iy1)`, the float64 flow over the pixel-index rectangle [ix0, ix1) x
-    [iy0, iy1); full grids and pooled ROIs are both built from patches.
+    Subclasses supply `width`, `height` and `flow_at(t, rows, cols)`, the
+    float64 flow of frame t at the pixels (rows[i], cols[i]) as a
+    [len(rows) x 2] array; full grids and pooled ROIs are both built
+    from it.
     """
 
     def flow_grid(self, t: int) -> FlowGrid:
-        data = self.flow_patch(t, 0, 0, self.width, self.height)
-        return FlowGrid(width=self.width, height=self.height, data=data)
+        """Frame t's whole flow grid, in blocks of whole rows of at most
+        GROUND_BLOCK_PX pixels (one row if wider), so the temporaries stay
+        in cache."""
+        flat = np.empty((self.height * self.width, 2))
+        block = max(1, GROUND_BLOCK_PX // self.width) * self.width
+        for start in range(0, flat.shape[0], block):
+            stop = min(start + block, flat.shape[0])
+            rows, cols = np.divmod(np.arange(start, stop), self.width)
+            flat[start:stop] = self.flow_at(t, rows, cols)
+        return FlowGrid(width=self.width, height=self.height,
+                        data=flat.reshape(self.height, self.width, 2))
 
     def pooled_flow(self, t: int, roi: BoundingBox, n: int) -> PooledFlow:
-        """ROI-pool frame t's flow without materializing the whole grid."""
-        x0, y0, x1, y1 = roi.corners()
-        ix0 = max(0, math.floor(x0) - 2)
-        iy0 = max(0, math.floor(y0) - 2)
-        ix1 = min(self.width, math.ceil(x1) + 2)
-        iy1 = min(self.height, math.ceil(y1) + 2)
-        patch = self.flow_patch(t, ix0, iy0, ix1, iy1)
-        local = FlowGrid(width=ix1 - ix0, height=iy1 - iy0, data=patch)
-        return roi_pool(local, roi, n, origin=(ix0, iy0))
+        """ROI-pool frame t's flow from only the pixels the lattice reads."""
+        return lattice_pool(roi, n, self.width, self.height,
+                            lambda rows, cols: self.flow_at(t, rows, cols))
 
 
 class VideoData(_FlowSource):
     """Generator output for one video: boxes, ego log, and on-demand flow.
 
-    Flow grids are computed lazily (full frames or sub-rectangles), so a
-    long video costs nothing until somebody asks for pixels.
+    Flow is rendered per pixel on request, so a long video costs nothing
+    until somebody asks for pixels, and pooling a ROI renders only the
+    pixels its lattice reads.
     """
 
     def __init__(self, scenario: Scenario, ego_steps, tracks,
@@ -255,38 +266,32 @@ class VideoData(_FlowSource):
         self._positions = ego_positions
         self._depths = actor_depths
 
-    def flow_patch(self, t: int, ix0: int, iy0: int, ix1: int, iy1: int) -> np.ndarray:
-        """Flow over the pixel-index rectangle [ix0, ix1) x [iy0, iy1)."""
+    def flow_at(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Frame t's flow at the pixels (rows[i], cols[i]), [len(rows) x 2].
+
+        Every pixel goes through the same operations whichever others are
+        asked for with it.  Non-finite flow, which only an extreme camera
+        can produce, raises ValidationError.
+        """
         if not 0 <= t < self.frames:
             raise ValidationError(
                 f"frame {t} out of range for a {self.frames}-frame video")
-        out = np.zeros((iy1 - iy0, ix1 - ix0, 2))
-        if t == 0 or out.size == 0:
+        out = np.zeros((len(rows), 2))
+        if t == 0 or not len(rows):
             return out
-        self._background_flow(t, ix0, iy0, ix1, iy1, out)
-        self._paint_actors(t, ix0, iy0, ix1, iy1, out)
-        return out
-
-    def _background_flow(self, t, ix0, iy0, ix1, iy1, out) -> None:
-        """Write the static ground's flow into the zeroed `out`.
-
-        `dv` rises row by row, so the ground rows (dv > HORIZON_MARGIN_PX)
-        are a suffix of the patch; rows at or above the horizon keep
-        their zeros and are never computed.  The ground rows go in blocks
-        of about GROUND_BLOCK_PX pixels, so the temporaries stay in cache.
-        """
         cam = self.scenario.camera
-        du = np.arange(ix0, ix1) + 0.5 - cam.ppx
-        dv = np.arange(iy0, iy1) + 0.5 - cam.ppy
-        first = int(np.searchsorted(dv, HORIZON_MARGIN_PX, side="right"))
+        dv = rows + 0.5 - cam.ppy
+        ground = dv > HORIZON_MARGIN_PX
         now, prev = [(rotation_matrix(self._headings[f]), self._positions[f])
                      for f in (t, t - 1)]
-        rows = max(1, GROUND_BLOCK_PX // du.size)
-        for row in range(first, dv.size, rows):
-            _ground_flow(cam, now, prev, du, dv[row:row + rows],
-                         out[row:row + rows])
+        out[ground] = _ground_flow(cam, now, prev, cols[ground] + 0.5 - cam.ppx,
+                                   dv[ground])
+        self._paint_actors(t, rows, cols, out)
+        if not np.all(np.isfinite(out)):
+            raise ValidationError("flow data contains non-finite values")
+        return out
 
-    def _paint_actors(self, t, ix0, iy0, ix1, iy1, out) -> None:
+    def _paint_actors(self, t, rows, cols, out) -> None:
         # far to near, so the nearest actor wins overlaps
         order = sorted((track for track, frames in self.tracks.items()
                         if t in frames),
@@ -299,26 +304,22 @@ class VideoData(_FlowSource):
             else:
                 disp = (box.cx - previous.cx, box.cy - previous.cy)
             x0, y0, x1, y1 = box.corners()
-            col0 = max(ix0, math.ceil(x0 - PAINT_PAD_PX - 0.5))
-            col1 = min(ix1 - 1, math.floor(x1 + PAINT_PAD_PX - 0.5))
-            row0 = max(iy0, math.ceil(y0 - PAINT_PAD_PX - 0.5))
-            row1 = min(iy1 - 1, math.floor(y1 + PAINT_PAD_PX - 0.5))
-            if col0 <= col1 and row0 <= row1:
-                region = out[row0 - iy0:row1 + 1 - iy0,
-                             col0 - ix0:col1 + 1 - ix0]
-                region[..., 0] = disp[0]
-                region[..., 1] = disp[1]
+            out[(cols >= math.ceil(x0 - PAINT_PAD_PX - 0.5))
+                & (cols <= math.floor(x1 + PAINT_PAD_PX - 0.5))
+                & (rows >= math.ceil(y0 - PAINT_PAD_PX - 0.5))
+                & (rows <= math.floor(y1 + PAINT_PAD_PX - 0.5))] = disp
 
 
 def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
-                 dv: np.ndarray, out: np.ndarray) -> None:
-    """Flow of the ground points imaged by pixel offsets (du, dv), dv > 0,
-    from pose `prev` to pose `now` (each a (rotation, position) pair).
+                 dv: np.ndarray) -> np.ndarray:
+    """Flow, [len(du) x 2], of the ground points imaged by the pixel
+    offsets (du[i], dv[i]), dv > 0, from pose `prev` to pose `now` (each
+    a (rotation, position) pair).
 
-    Works in place on a few block-sized arrays; `r * (-x)` is written as
+    Works in place on a few point-sized arrays; `r * (-x)` is written as
     `(-r) * x`, which rounds identically.
     """
-    depth = (camera.focal * camera.cam_height / dv)[:, None]
+    depth = camera.focal * camera.cam_height / dv
     x_cam = du * depth
     x_cam /= camera.focal
     # ground point (d_fwd, d_left) = (depth, -x_cam) in the `now` ego
@@ -352,11 +353,13 @@ def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
 
     ahead_now, u_now, v_now = reproject(*now)
     ahead_prev, u_prev, v_prev = reproject(*prev)
-    visible = ahead_now & ahead_prev
     u_now -= u_prev
     v_now -= v_prev
-    np.copyto(out[..., 0], u_now, where=visible)
-    np.copyto(out[..., 1], v_now, where=visible)
+    flow = np.zeros((du.size, 2))
+    visible = ahead_now & ahead_prev
+    flow[visible, 0] = u_now[visible]
+    flow[visible, 1] = v_now[visible]
+    return flow
 
 
 def _project_actor(camera: CameraSpec, ego_heading: float,
@@ -578,9 +581,12 @@ def read_dataset(path) -> list[Sample]:
 # --- video directories --------------------------------------------------------
 #
 # One directory per video: `meta`, `boxes.jsonl` (one line per frame
-# per track), `ego.txt` (see egomotion), and `flow/NNNNNN.ffgr` grids.
-# `meta` and scenario `.scn` files share one parser,
-# `read_key_values`, and one comment rule: `#` starts a comment anywhere.
+# per track), `ego.txt` (see egomotion), and the flow's source: the
+# generator writes `scenario.scn`, from which a reader renders any pixel,
+# while flow from outside the generator comes as `flow/NNNNNN.ffgr` grids
+# (see flowfeat) in a directory without one.  `meta` and scenario `.scn`
+# files share one parser, `read_key_values`, and one comment rule: `#`
+# starts a comment anywhere.
 
 
 def _write_meta(path: Path, video, tau: int, delta: int) -> None:
@@ -656,33 +662,58 @@ def _read_meta(path: Path) -> dict:
     return meta
 
 
-def write_video_dir(video, path, tau: int = 10, delta: int = 10) -> None:
+def write_video_dir(video: VideoData, path, tau: int = 10, delta: int = 10) -> None:
+    """Write a generated video as a directory: `meta`, `ego.txt`,
+    `boxes.jsonl` and `scenario.scn`.
+
+    The files go into a temporary sibling, hidden from `fvl` dataset
+    scans, that is then renamed to `path`, replacing an existing
+    directory whole.  A reader finds the previous directory or the new
+    one, and a failed write leaves the previous one as it was.
+    """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    _write_meta(path / "meta", video, tau, delta)
-    write_ego_log(path / "ego.txt", video.ego_steps)
-    lines = []
-    for track in sorted(video.tracks):
-        for frame in sorted(video.tracks[track]):
-            box = video.tracks[track][frame]
-            lines.append(json.dumps(
-                {"frame": frame, "track": track, "cx": box.cx, "cy": box.cy,
-                 "w": box.w, "h": box.h}, separators=(",", ":")))
-    (path / "boxes.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    flow_dir = path / "flow"
-    flow_dir.mkdir(exist_ok=True)
-    for t in range(video.frames):
-        write_flow_grid(flow_dir / f"{t:06d}.ffgr", video.flow_grid(t))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    old = path.with_name(f".{path.name}.{os.getpid()}.old")
+    try:
+        temp.mkdir()
+        _write_meta(temp / "meta", video, tau, delta)
+        write_ego_log(temp / "ego.txt", video.ego_steps)
+        lines = []
+        for track in sorted(video.tracks):
+            for frame in sorted(video.tracks[track]):
+                box = video.tracks[track][frame]
+                lines.append(json.dumps(
+                    {"frame": frame, "track": track, "cx": box.cx, "cy": box.cy,
+                     "w": box.w, "h": box.h}, separators=(",", ":")))
+        (temp / "boxes.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_scenario_file(temp / SCENARIO_FILE, video.scenario)
+        if path.is_dir():
+            path.rename(old)  # a rename cannot replace a non-empty directory
+        try:
+            temp.rename(path)
+        except OSError:
+            if old.exists():
+                old.rename(path)
+            raise
+    finally:
+        shutil.rmtree(temp, ignore_errors=True)
+        shutil.rmtree(old, ignore_errors=True)
 
 
 class LoadedVideo(_FlowSource):
     """A video directory re-opened for windowing and evaluation.
 
-    Presents the same surface as VideoData; a flow patch reads only its
-    rows and columns of the frame's `.ffgr` file.
+    Presents the same surface as VideoData.  A directory written by
+    `write_video_dir` holds its `scenario.scn`, and its flow is rendered
+    from that scenario, only at the pixels asked for, bit for bit as in
+    memory.  A directory without one holds flow from outside the
+    generator as `flow/NNNNNN.ffgr` grids, and only the pixels asked for
+    are read from the frame's file.
     """
 
-    def __init__(self, path: Path, meta: dict, ego_steps, tracks):
+    def __init__(self, path: Path, meta: dict, ego_steps, tracks,
+                 rendered: VideoData | None):
         self.path = path
         self.width = meta["width"]
         self.height = meta["height"]
@@ -692,10 +723,30 @@ class LoadedVideo(_FlowSource):
         self.delta = meta["delta"]
         self.ego_steps = ego_steps
         self.tracks = tracks
+        self._rendered = rendered
 
-    def flow_patch(self, t: int, ix0: int, iy0: int, ix1: int, iy1: int) -> np.ndarray:
-        return read_flow_patch(self.path / "flow" / f"{t:06d}.ffgr",
-                               ix0, iy0, ix1, iy1, self.width, self.height)
+    def flow_at(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        if self._rendered is not None:
+            return self._rendered.flow_at(t, rows, cols)
+        return read_flow_pixels(self.path / "flow" / f"{t:06d}.ffgr", (rows, cols),
+                                self.width, self.height)
+
+
+def _render_scenario(path: Path, meta: dict, ego_steps, tracks) -> VideoData:
+    """Generate a directory's scenario file, checked against the
+    directory's meta, ego log and boxes, which it must reproduce."""
+    scenario = read_scenario_file(path)
+    for key in ("frames", "width", "height", "fps"):
+        if getattr(scenario, key) != meta[key]:
+            raise DataFormatError(
+                f"{path}: {key} is {getattr(scenario, key)}, but meta holds {meta[key]}")
+    video = generate_scenario(scenario)
+    if [(s.yaw, *s.translation) for s in video.ego_steps] != \
+            [(s.yaw, *s.translation) for s in ego_steps]:
+        raise DataFormatError(f"{path}: ego motion differs from ego.txt")
+    if video.tracks != tracks:
+        raise DataFormatError(f"{path}: boxes differ from boxes.jsonl")
+    return video
 
 
 def read_video_dir(path) -> LoadedVideo:
@@ -725,7 +776,10 @@ def read_video_dir(path) -> LoadedVideo:
             tracks.setdefault(track, {})[frame] = box
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataFormatError(f"{boxes_path}:{lineno}: {exc}") from None
-    return LoadedVideo(path, meta, ego_steps, tracks)
+    rendered = None
+    if (path / SCENARIO_FILE).exists():
+        rendered = _render_scenario(path / SCENARIO_FILE, meta, ego_steps, tracks)
+    return LoadedVideo(path, meta, ego_steps, tracks, rendered)
 
 
 # --- scenario files -----------------------------------------------------------

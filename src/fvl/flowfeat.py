@@ -2,9 +2,10 @@
 
 A :class:`FlowGrid` stores one (u, v) displacement per pixel.  The
 forecaster does not consume the full grid; it consumes a fixed-length
-summary produced by :func:`roi_pool`: bilinear samples on an n x n
+summary produced by :func:`lattice_pool`: bilinear samples on an n x n
 lattice inside a (usually expanded) region of interest, flattened to the
-interleaved vector [u_1, v_1, ..., u_{n*n}, v_{n*n}].
+interleaved vector [u_1, v_1, ..., u_{n*n}, v_{n*n}].  The lattice reads
+at most 4 n^2 pixels, so a flow source need only supply those.
 
 Conventions, fixed here so any reimplementation agrees bit-for-bit:
 pixel (i, j) has its center at continuous coordinate (i + 0.5, j + 0.5);
@@ -29,9 +30,10 @@ __all__ = [
     "FlowGrid",
     "PooledFlow",
     "expand_roi",
+    "lattice_pool",
     "roi_pool",
     "read_flow_grid",
-    "read_flow_patch",
+    "read_flow_pixels",
     "write_flow_grid",
     "FLOW_MAGIC",
 ]
@@ -103,37 +105,14 @@ def expand_roi(box: BoundingBox, factor: float, image_width: float,
     return BoundingBox.from_corners(x0, y0, x1, y1)
 
 
-def _bilinear(data: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample a [rows x cols x channels] array at continuous points,
-    border-clamped; returns [points x channels].
+def lattice_pool(roi: BoundingBox, n: int, width: int, height: int,
+                 gather) -> PooledFlow:
+    """Bilinearly sample a width x height flow field on an n x n lattice
+    inside the ROI, border-clamped.
 
-    A point (x, y) reads column x, row y, with pixel centers at
-    half-integer coordinates.
-    """
-    height, width = data.shape[:2]
-    gx = xs - 0.5
-    gy = ys - 0.5
-    x0 = np.floor(gx)
-    y0 = np.floor(gy)
-    fx = (gx - x0)[:, None]
-    fy = (gy - y0)[:, None]
-    c0 = np.clip(x0, 0, width - 1).astype(int)
-    c1 = np.clip(x0 + 1, 0, width - 1).astype(int)
-    r0 = np.clip(y0, 0, height - 1).astype(int)
-    r1 = np.clip(y0 + 1, 0, height - 1).astype(int)
-    top = data[r0, c0] * (1.0 - fx) + data[r0, c1] * fx
-    bottom = data[r1, c0] * (1.0 - fx) + data[r1, c1] * fx
-    return top * (1.0 - fy) + bottom * fy
-
-
-def roi_pool(grid: FlowGrid, roi: BoundingBox, n: int,
-             origin: tuple = (0, 0)) -> PooledFlow:
-    """Bilinearly sample the flow on an n x n lattice inside the ROI.
-
-    `origin` is the integer pixel index of the grid's top-left corner,
-    for grids that cover only a window of a larger image.  Sample
-    positions are laid out in full-image coordinates and then shifted,
-    so pooling a window agrees bit-for-bit with pooling the whole image.
+    `gather(rows, cols)` returns the [len(rows) x 2] flow at those pixel
+    indices.  It is asked once, for the four neighbours of every sample,
+    so a source renders or reads at most 4 n^2 pixels of the frame.
     """
     if n < 1:
         raise ValidationError(f"pooling lattice size must be >= 1, got {n}")
@@ -141,16 +120,36 @@ def roi_pool(grid: FlowGrid, roi: BoundingBox, n: int,
     if x1 <= x0 or y1 <= y0:
         raise ValidationError(f"cannot pool an empty ROI: {roi}")
     offsets = (np.arange(n) + 0.5) / n
-    xs = x0 + offsets * (x1 - x0) - origin[0]
-    ys = y0 + offsets * (y1 - y0) - origin[1]
-    grid_x, grid_y = np.meshgrid(xs, ys)
+    grid_x, grid_y = np.meshgrid(x0 + offsets * (x1 - x0), y0 + offsets * (y1 - y0))
+    gx = grid_x.ravel() - 0.5
+    gy = grid_y.ravel() - 0.5
+    left = np.floor(gx)
+    top = np.floor(gy)
+    fx = (gx - left)[:, None]
+    fy = (gy - top)[:, None]
+    c0 = np.clip(left, 0, width - 1).astype(int)
+    c1 = np.clip(left + 1, 0, width - 1).astype(int)
+    r0 = np.clip(top, 0, height - 1).astype(int)
+    r1 = np.clip(top + 1, 0, height - 1).astype(int)
+    # top-left, top-right, bottom-left, bottom-right neighbours
+    near = gather(np.concatenate([r0, r0, r1, r1]),
+                  np.concatenate([c0, c1, c0, c1])).reshape(4, -1, 2)
+    upper = near[0] * (1.0 - fx) + near[1] * fx
+    lower = near[2] * (1.0 - fx) + near[3] * fx
     # [n*n x 2] rows of (u, v) ravel into the interleaved vector
-    values = _bilinear(grid.data, grid_x.ravel(), grid_y.ravel()).ravel()
-    return PooledFlow(values=values, n=n)
+    return PooledFlow(values=(upper * (1.0 - fy) + lower * fy).ravel(), n=n)
+
+
+def roi_pool(grid: FlowGrid, roi: BoundingBox, n: int) -> PooledFlow:
+    """Bilinearly sample a whole grid on an n x n lattice inside the ROI;
+    see `lattice_pool`, which pools a frame without materializing it."""
+    return lattice_pool(roi, n, grid.width, grid.height,
+                        lambda rows, cols: grid.data[rows, cols])
 
 
 # Flow grid files: magic "FFGR", u32 width, u32 height, then (u, v) as
-# little-endian f32, row-major.  One file per frame.
+# little-endian f32, row-major.  One file per frame, for flow that comes
+# from outside the scenario generator.
 
 
 def write_flow_grid(path, grid: FlowGrid) -> None:
@@ -159,14 +158,15 @@ def write_flow_grid(path, grid: FlowGrid) -> None:
         handle.write(grid.data.astype("<f4", order="C"))
 
 
-def read_flow_patch(path, ix0: int = 0, iy0: int = 0, ix1=None, iy1=None,
-                    width=None, height=None) -> np.ndarray:
-    """Flow over the pixel-index rectangle [ix0, ix1) x [iy0, iy1) as f64.
+def read_flow_pixels(path, pixels=..., width=None, height=None) -> np.ndarray:
+    """The flow at `pixels`, an index into the grid's [row, col] axes, as
+    f64: `...` reads the whole [height x width x 2] grid, a (rows, cols)
+    pair of index arrays gives [len(rows) x 2].
 
     The magic, the header and the file length are checked first, then only
-    the rectangle's rows and columns are read through a memory map and
-    checked to be finite.  `ix1` and `iy1` default to the grid's extent;
-    `width` and `height`, when given, are the dims the header must hold.
+    the indexed pixels are read through a memory map and checked to be
+    finite.  `width` and `height`, when given, are the dims the header
+    must hold.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -190,12 +190,12 @@ def read_flow_patch(path, ix0: int = 0, iy0: int = 0, ix1=None, iy1=None,
         grid = np.memmap(handle, dtype="<f4", mode="r", offset=12,
                          shape=(file_height, file_width, 2))
     # checked before the cast, which warns on a signalling NaN
-    patch = grid[iy0:iy1, ix0:ix1]
-    if not np.all(np.isfinite(patch)):
-        raise DataFormatError(f"{path}: non-finite flow value in the patch read")
-    return np.array(patch, dtype=np.float64)
+    values = grid[pixels]
+    if not np.all(np.isfinite(values)):
+        raise DataFormatError(f"{path}: non-finite flow value in the pixels read")
+    return np.array(values, dtype=np.float64)
 
 
 def read_flow_grid(path) -> FlowGrid:
-    data = read_flow_patch(path)
+    data = read_flow_pixels(path)
     return FlowGrid(width=data.shape[1], height=data.shape[0], data=data)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from fvl.dataio import SCENARIO_FILE, write_video_dir
+from fvl.flowfeat import write_flow_grid
+
 
 def fd_gradient(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Independent central-finite-difference oracle.
@@ -25,3 +28,18 @@ def fd_gradient(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
 @pytest.fixture
 def fd():
     return fd_gradient
+
+
+@pytest.fixture
+def external_flow_dir():
+    """A writer of video directories whose flow comes from outside the
+    generator: `write_video_dir`'s files without the scenario, plus one
+    `.ffgr` grid per frame of the video's rendered flow."""
+    def write(video, root, **window):
+        write_video_dir(video, root, **window)
+        (root / SCENARIO_FILE).unlink()
+        (root / "flow").mkdir()
+        for t in range(video.frames):
+            write_flow_grid(root / "flow" / f"{t:06d}.ffgr", video.flow_grid(t))
+        return root
+    return write

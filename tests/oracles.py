@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from fvl import diffcore as dc
+from fvl.dataio import PAINT_PAD_PX
+from fvl.egomotion import rotation_matrix
 
 
 def homogeneous_compose(steps):
@@ -116,7 +118,49 @@ def background_flow_oracle(camera, headings, positions, t, ix0, iy0, ix1, iy1):
     return out
 
 
-def two_plane_pool(grid, roi, n, origin=(0, 0)):
+def ego_poses(video):
+    """Each frame's simulated (heading, position), chained step by step."""
+    headings, positions = [0.0], [np.zeros(2)]
+    for step in video.ego_steps:
+        positions.append(
+            positions[-1] + rotation_matrix(headings[-1]) @ step.translation)
+        headings.append(headings[-1] + step.yaw)
+    return headings, positions
+
+
+def rectangle_flow(video, t, ix0, iy0, ix1, iy1):
+    """Frame t's flow over the pixel rectangle [ix0, ix1) x [iy0, iy1) of
+    a generated video: the rectangle renderer the generator used before
+    it rendered single pixels, kept as the full-frame reference.
+
+    The ground comes from `background_flow_oracle`; then each actor's
+    padded box is painted as one slice, far to near, so the nearest
+    actor wins overlaps.
+    """
+    out = np.zeros((iy1 - iy0, ix1 - ix0, 2))
+    if t == 0 or out.size == 0:
+        return out
+    headings, positions = ego_poses(video)
+    out[:] = background_flow_oracle(video.scenario.camera, headings, positions,
+                                    t, ix0, iy0, ix1, iy1)
+    order = sorted((track for track, frames in video.tracks.items() if t in frames),
+                   key=lambda track: -video._depths[track][t])
+    for track in order:
+        box = video.tracks[track][t]
+        previous = video.tracks[track].get(t - 1)
+        disp = (0.0, 0.0) if previous is None else \
+            (box.cx - previous.cx, box.cy - previous.cy)
+        x0, y0, x1, y1 = box.corners()
+        col0 = max(ix0, math.ceil(x0 - PAINT_PAD_PX - 0.5))
+        col1 = min(ix1 - 1, math.floor(x1 + PAINT_PAD_PX - 0.5))
+        row0 = max(iy0, math.ceil(y0 - PAINT_PAD_PX - 0.5))
+        row1 = min(iy1 - 1, math.floor(y1 + PAINT_PAD_PX - 0.5))
+        if col0 <= col1 and row0 <= row1:
+            out[row0 - iy0:row1 + 1 - iy0, col0 - ix0:col1 + 1 - ix0] = disp
+    return out
+
+
+def two_plane_pool(grid, roi, n):
     """ROI pooling that samples the u and v planes in two separate
     vectorized bilinear passes and then interleaves them.
 
@@ -141,9 +185,7 @@ def two_plane_pool(grid, roi, n, origin=(0, 0)):
 
     x0, y0, x1, y1 = roi.corners()
     offsets = (np.arange(n) + 0.5) / n
-    xs = x0 + offsets * (x1 - x0) - origin[0]
-    ys = y0 + offsets * (y1 - y0) - origin[1]
-    grid_x, grid_y = np.meshgrid(xs, ys)
+    grid_x, grid_y = np.meshgrid(x0 + offsets * (x1 - x0), y0 + offsets * (y1 - y0))
     values = np.empty(2 * n * n)
     values[0::2] = bilinear(grid.data[..., 0], grid_x.ravel(), grid_y.ravel())
     values[1::2] = bilinear(grid.data[..., 1], grid_x.ravel(), grid_y.ravel())

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fvl import dataio
 from fvl.baselines import fit_extrapolate
 from fvl.boxes import BoundingBox
-from fvl.cli import main
+from fvl.cli import _video_dirs, main
 from fvl.dataio import (
     Sample,
+    generate_scenario,
     random_scenario,
     read_video_dir,
     windows_from_video,
@@ -60,12 +62,73 @@ def checkpoint(suite, tmp_path_factory):
 
 
 def test_generate_writes_video_dirs(suite):
+    # flow is rendered from the scenario when read, so none is written
+    assert sorted(p.name for p in suite.iterdir()) == ["scene2", "scene4"]
     for seed in SCENE_SEEDS:
-        video_dir = suite / f"scene{seed}"
-        assert (video_dir / "meta").exists()
-        assert (video_dir / "ego.txt").exists()
-        assert (video_dir / "boxes.jsonl").exists()
-        assert (video_dir / "flow" / "000000.ffgr").exists()
+        assert sorted(p.name for p in (suite / f"scene{seed}").iterdir()) == [
+            "boxes.jsonl", "ego.txt", "meta", "scenario.scn"]
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_generate_that_fails_midway_leaves_no_new_video_dir(suite, tmp_path,
+                                                            monkeypatch, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(suite, data)
+    before = _tree(data)
+    scenes = []
+    for name in ("scene2", "scene9"):  # one to replace, one new
+        scenes.append(tmp_path / f"{name}.scn")
+        write_scenario_file(scenes[-1], random_scenario(9, frames=6, width=320,
+                                                        height=160))
+    write_ego_log = dataio.write_ego_log
+
+    def fails_midway(path, steps):
+        write_ego_log(path, steps[:2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dataio, "write_ego_log", fails_midway)
+    for scene in scenes:
+        assert main(["generate", str(scene), "--out", str(data)]) == 2
+        assert "disk full" in capsys.readouterr().err
+    assert _tree(data) == before
+    assert _video_dirs(data) == [data / "scene2", data / "scene4"]
+    # the new directory cannot be moved into place after the old one was
+    # moved aside: the old one goes back
+    monkeypatch.undo()
+    rename = Path.rename
+
+    def fails_for_the_new_dir(path, target):
+        if path.name.endswith(".tmp"):
+            raise OSError("rename refused")
+        return rename(path, target)
+
+    monkeypatch.setattr(Path, "rename", fails_for_the_new_dir)
+    assert main(["generate", str(scenes[0]), "--out", str(data)]) == 2
+    assert "rename refused" in capsys.readouterr().err
+    assert _tree(data) == before
+    # a write cut off before it could clean up leaves a hidden directory
+    (data / ".scene9.123.tmp").mkdir()
+    (data / ".scene9.123.tmp" / "meta").write_bytes(before[Path("scene2/meta")])
+    assert _video_dirs(data) == [data / "scene2", data / "scene4"]
+
+
+def test_generate_replaces_an_existing_video_dir_whole(suite, tmp_path,
+                                                       external_flow_dir):
+    data = tmp_path / "data"
+    scene = tmp_path / "scene2.scn"
+    scenario = random_scenario(2, frames=16, width=320, height=160)
+    write_scenario_file(scene, scenario)
+    # an older layout: .ffgr flow and no scenario
+    external_flow_dir(generate_scenario(scenario), data / "scene2")
+    (data / "scene2" / "notes.txt").write_text("stale\n")
+    assert main(["generate", str(scene), "--out", str(data),
+                 "--tau", "4", "--delta", "3"]) == 0
+    assert [p.name for p in data.iterdir()] == ["scene2"]
+    assert _tree(data / "scene2") == _tree(suite / "scene2")
 
 
 # a valid header for a tiny `x` checkpoint
@@ -171,6 +234,29 @@ def test_an_output_write_that_fails_midway_keeps_the_previous_file(
     assert "disk full" in capsys.readouterr().err
     assert target.read_bytes() == b"previous contents\n"
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_a_failed_loss_curve_write_keeps_the_previous_checkpoint(
+        suite, checkpoint, tmp_path, monkeypatch, capsys):
+    # the checkpoint and its loss curve are replaced as a pair
+    out = tmp_path / "model.fvlw"
+    curve = tmp_path / "model.fvlw.losses.csv"
+    shutil.copy(checkpoint, out)
+    shutil.copy(f"{checkpoint}.losses.csv", curve)
+    before = (out.read_bytes(), curve.read_bytes())
+    write_bytes = Path.write_bytes
+
+    def fails_for_the_curve(path, data):
+        if path.name.startswith(curve.name):
+            raise OSError("disk full")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", fails_for_the_curve)
+    assert main(["train", "--dataset", str(suite), "--out", str(out),
+                 "--seed", "5", *TRAIN_FLAGS]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert (out.read_bytes(), curve.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, curve.name]
 
 
 def test_training_is_reproducible_across_workers(suite, tmp_path):
@@ -307,9 +393,15 @@ def test_checkpoint_record_larger_than_the_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["truncate", "swap_dims", "nan"])
-def test_bad_flow_file_exits_2(suite, tmp_path, damage, capsys):
+def test_bad_flow_file_exits_2(tmp_path, external_flow_dir, damage, capsys):
+    # directories whose flow comes from outside the generator
     data = tmp_path / "data"
-    shutil.copytree(suite, data)
+    for seed in SCENE_SEEDS:
+        video = generate_scenario(random_scenario(seed, frames=16, width=320,
+                                                  height=160))
+        external_flow_dir(video, data / f"scene{seed}", tau=4, delta=3)
+    assert main(["evaluate", "constaccel", "--dataset", str(data),
+                 "--tau", "4", "--delta", "3", "--pool-n", "3"]) == 0
     for grid in data.glob("*/flow/*.ffgr"):
         blob = grid.read_bytes()
         if damage == "truncate":
@@ -322,6 +414,41 @@ def test_bad_flow_file_exits_2(suite, tmp_path, damage, capsys):
     assert main(["train", "--dataset", str(data),
                  "--out", str(tmp_path / "m.fvlw"), *TRAIN_FLAGS]) == 2
     assert ".ffgr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("frames", "frames is 15, but meta holds 16"),
+    ("width", "width is 640, but meta holds 320"),
+    ("actor", "boxes differ from boxes.jsonl"),
+    ("boxes", "boxes differ from boxes.jsonl"),
+    ("ego", "ego motion differs from ego.txt"),
+])
+def test_scenario_that_disagrees_with_its_directory_exits_2(
+        suite, tmp_path, edit, message, capsys):
+    video = tmp_path / "scene2"
+    shutil.copytree(suite / "scene2", video)
+    scenario = dataio.read_scenario_file(video / "scenario.scn")
+    if edit == "frames":
+        scenario = dataio.Scenario(**{**vars(scenario), "frames": 15,
+                                      "ego_yaw_rates": scenario.ego_yaw_rates[:-1],
+                                      "ego_speeds": scenario.ego_speeds[:-1]})
+    elif edit == "width":
+        scenario = dataio.Scenario(**{**vars(scenario), "width": 640})
+    elif edit == "actor":
+        actor = scenario.actors[0]
+        scenario = dataio.Scenario(**{**vars(scenario), "actors": (
+            dataio.ActorSpec(**{**vars(actor), "x": actor.x + 0.5}),
+            *scenario.actors[1:])})
+    write_scenario_file(video / "scenario.scn", scenario)
+    for name, line in (("boxes", 1), ("ego", 0)):
+        if edit == name:
+            path = video / ("boxes.jsonl" if name == "boxes" else "ego.txt")
+            lines = path.read_text().splitlines()
+            lines[line] = lines[line].replace("5", "6", 1)
+            path.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "constaccel", "--dataset", str(video),
+                 "--tau", "4", "--delta", "3", "--pool-n", "3"]) == 2
+    assert f"scenario.scn: {message}" in capsys.readouterr().err
 
 
 def _tiny_samples(huge_future: bool):

@@ -15,9 +15,9 @@ from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
 from fvl.egomotion import EgoFeature, compose, rotation_matrix, wrap_angle, \
     yaw_to_step
 from fvl.errors import DataFormatError, ValidationError
-from fvl.flowfeat import PooledFlow, expand_roi, read_flow_grid, roi_pool
+from fvl.flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_grid, roi_pool
 from fvl.rng import Xoshiro256
-from oracles import background_flow_oracle
+from oracles import background_flow_oracle, ego_poses, rectangle_flow
 
 
 def small_camera() -> CameraSpec:
@@ -125,19 +125,15 @@ def test_background_flow_matches_reprojection_oracle():
         prev = rotation_matrix(headings[t - 1]).T @ (world - positions[t - 1])
         u_prev = cam.focal * (-prev[1]) / prev[0] + cam.ppx
         v_prev = cam.focal * cam.cam_height / prev[0] + cam.ppy
-        patch = video.flow_patch(t, col, row, col + 1, row + 1)
-        assert abs(patch[0, 0, 0] - (u - u_prev)) < 1e-9
-        assert abs(patch[0, 0, 1] - (v - v_prev)) < 1e-9
+        (du, dv), = video.flow_at(t, np.array([row]), np.array([col]))
+        assert abs(du - (u - u_prev)) < 1e-9
+        assert abs(dv - (v - v_prev)) < 1e-9
 
 
-def _ego_poses(video):
-    """Each frame's simulated (heading, position), chained step by step."""
-    headings, positions = [0.0], [np.zeros(2)]
-    for step in video.ego_steps:
-        positions.append(
-            positions[-1] + rotation_matrix(headings[-1]) @ step.translation)
-        headings.append(headings[-1] + step.yaw)
-    return headings, positions
+def pixels_of(ix0, iy0, ix1, iy1):
+    """Row and column indices of every pixel of a rectangle, row-major."""
+    rows, cols = np.indices((iy1 - iy0, ix1 - ix0))
+    return rows.ravel() + iy0, cols.ravel() + ix0
 
 
 def assert_bit_equal(got, want):
@@ -163,7 +159,7 @@ def test_background_flow_equals_full_frame_oracle_bit_for_bit(
                         ego_yaw_rates=[0.03, -0.2, 0.05],
                         ego_speeds=[0.7, -5.0, 1.5], width=320, height=160)
     video = generate_scenario(scenario)
-    headings, positions = _ego_poses(video)
+    headings, positions = ego_poses(video)
     rng = Xoshiro256(5)
     rects = [(0, 0, 320, 160)]
     for _ in range(8):
@@ -171,9 +167,14 @@ def test_background_flow_equals_full_frame_oracle_bit_for_bit(
         rects.append((ix0, iy0, int(rng.uniform(ix0 + 1, 321)),
                       int(rng.uniform(iy0 + 1, 161))))
     for t in (1, 2, 3):
-        for rect in rects:
-            want = background_flow_oracle(camera, headings, positions, t, *rect)
-            assert_bit_equal(video.flow_patch(t, *rect), want)
+        # whole frames go in blocks of rows, pixels of a rectangle in one call
+        assert_bit_equal(video.flow_grid(t).data, background_flow_oracle(
+            camera, headings, positions, t, 0, 0, 320, 160))
+        for ix0, iy0, ix1, iy1 in rects:
+            want = background_flow_oracle(camera, headings, positions, t,
+                                          ix0, iy0, ix1, iy1)
+            got = video.flow_at(t, *pixels_of(ix0, iy0, ix1, iy1))
+            assert_bit_equal(got.reshape(want.shape), want)
     # the bottom row is ground: it moves at frame 1 and is masked at frame 2
     bottom = [video.flow_grid(t).data[-1] for t in (1, 2)]
     assert np.all(bottom[0][:, 1] != 0.0) == (ppy < 160)
@@ -185,7 +186,7 @@ def test_parked_ego_gives_positive_zero_flow():
                         ego_yaw_rates=[0.03, 0.0, 0.0],
                         ego_speeds=[0.7, 0.0, 0.0], width=320, height=160)
     video = generate_scenario(scenario)
-    headings, positions = _ego_poses(video)
+    headings, positions = ego_poses(video)
     assert headings[1] != 0.0 and headings[3] == headings[1]
     for t in (2, 3):
         data = video.flow_grid(t).data
@@ -195,18 +196,41 @@ def test_parked_ego_gives_positive_zero_flow():
         assert_bit_equal(data, want)
 
 
+def parked_scenario(frames: int = 6) -> Scenario:
+    """An ego that turns, then stops, behind a parked and a crossing car."""
+    parked = ActorSpec(x=14.0, z=-1.0, heading=0.1, speed=0.0)
+    crosser = ActorSpec(x=12.0, z=3.0, heading=-math.pi / 2.0, speed=0.5)
+    return Scenario(frames=frames, camera=small_camera(),
+                    ego_yaw_rates=[0.03] + [0.0] * (frames - 2),
+                    ego_speeds=[0.7] + [0.0] * (frames - 2),
+                    actors=(parked, crosser), width=320, height=160)
+
+
 def test_patch_pooling_matches_full_grid():
-    video = generate_scenario(rich_scenario())
-    for t in (1, 4, 7):
-        grid = video.flow_grid(t)
-        for _, frames in sorted(video.tracks.items()):
-            if t not in frames:
-                continue
-            roi = expand_roi(frames[t], 1.5, video.width, video.height)
-            for n in (1, 5):
-                lazy = video.pooled_flow(t, roi, n)
-                full = roi_pool(grid, roi, n)
-                assert np.array_equal(lazy.values, full.values)
+    # Pooling renders only the pixels the lattice reads; it must equal
+    # pooling the full frame of the rectangle renderer bit for bit: over
+    # actor boxes (overlapping ones in the rich scenario), ROIs that
+    # cross the horizon row or hang past an image border, a parked ego's
+    # zero flow, and frame 0.
+    rng = Xoshiro256(17)
+    for scenario in (rich_scenario(), parked_scenario()):
+        video = generate_scenario(scenario)
+        for t in range(scenario.frames):
+            grid = FlowGrid(width=320, height=160,
+                            data=rectangle_flow(video, t, 0, 0, 320, 160))
+            assert_bit_equal(video.flow_grid(t).data, grid.data)
+            rois = [expand_roi(frames[t], expand, 320, 160)
+                    for frames in video.tracks.values() if t in frames
+                    for expand in (1.0, 1.5, 4.0)]
+            rois += [BoundingBox(cx=rng.uniform(-10.0, 330.0), cy=rng.uniform(60.0, 100.0),
+                                 w=rng.uniform(1.0, 60.0), h=rng.uniform(1.0, 60.0))
+                     for _ in range(6)]
+            rois += [BoundingBox(cx=0.3, cy=159.9, w=5.0, h=3.0),
+                     BoundingBox(cx=320.0, cy=0.0, w=40.0, h=30.0)]
+            for roi in rois:
+                for n in (1, 3, 5):
+                    lazy = video.pooled_flow(t, roi, n).values
+                    assert_bit_equal(lazy, roi_pool(grid, roi, n).values)
 
 
 def test_nearest_actor_wins_overlap():
@@ -225,10 +249,9 @@ def test_nearest_actor_wins_overlap():
             break
     assert hit is not None, "scenario should make the boxes overlap"
     t, px, py = hit
-    col, row = int(px), int(py)
-    patch = video.flow_patch(t, col, row, col + 1, row + 1)
-    assert patch[0, 0, 0] == crosser[t].cx - crosser[t - 1].cx
-    assert patch[0, 0, 1] == crosser[t].cy - crosser[t - 1].cy
+    (du, dv), = video.flow_at(t, np.array([int(py)]), np.array([int(px)]))
+    assert du == crosser[t].cx - crosser[t - 1].cx
+    assert dv == crosser[t].cy - crosser[t - 1].cy
 
 
 def test_first_visible_frame_paints_zero_flow():
@@ -244,10 +267,24 @@ def test_first_visible_frame_paints_zero_flow():
     pooled = video.pooled_flow(first, roi, 2)
     assert np.array_equal(pooled.values, np.zeros(8))
     # the background well away from the newcomer is still sweeping past
-    patch = video.flow_patch(first, 160, 150, 161, 151)
-    assert patch[0, 0, 1] > 0.0
+    assert video.flow_at(first, np.array([150]), np.array([160]))[0, 1] > 0.0
     with pytest.raises(ValidationError, match="frame"):
-        video.flow_patch(10, 0, 0, 4, 4)
+        video.flow_at(10, *pixels_of(0, 0, 4, 4))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_rendered_flow_is_rejected():
+    # the reprojection overflows, so ground flow comes out non-finite;
+    # before, FlowGrid rejected such a frame, and pooling must too
+    camera = CameraSpec(focal=1e200, ppx=160.0, ppy=80.0, cam_height=1e100)
+    video = generate_scenario(Scenario(frames=3, camera=camera, ego_speeds=0.5,
+                                       ego_yaw_rates=0.1, width=320, height=160))
+    roi = BoundingBox(cx=160.0, cy=150.0, w=20.0, h=10.0)
+    for flow in (lambda: video.pooled_flow(2, roi, 3), lambda: video.flow_grid(2)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            flow()
+    assert not np.any(video.pooled_flow(2, BoundingBox(cx=160.0, cy=20.0, w=20.0,
+                                                       h=10.0), 3).values)
 
 
 def test_generator_repeats_exactly():
@@ -429,10 +466,12 @@ def test_read_dataset_reports_line_numbers(tmp_path):
     assert sample.flow[0].n == 1
 
 
-def test_video_dir_roundtrip(tmp_path):
+def test_video_dir_roundtrip(tmp_path, external_flow_dir):
     video = generate_scenario(moving_scenario())
     root = tmp_path / "video"
     write_video_dir(video, root, tau=4, delta=3)
+    assert sorted(p.name for p in root.iterdir()) == [
+        "boxes.jsonl", "ego.txt", "meta", "scenario.scn"]
     loaded = read_video_dir(root)
     assert (loaded.width, loaded.height, loaded.frames) == (320, 160, 12)
     assert (loaded.tau, loaded.delta) == (4, 3)
@@ -443,18 +482,40 @@ def test_video_dir_roundtrip(tmp_path):
     for mine, theirs in zip(video.ego_steps, loaded.ego_steps):
         assert theirs.yaw == mine.yaw
         assert np.array_equal(theirs.translation, mine.translation)
+    # the directory's scenario renders flow in f64, as in memory; flow from
+    # outside the generator is read back at its f32 precision
     grid = video.flow_grid(5)
-    again = loaded.flow_grid(5)
-    assert np.array_equal(again.data,
+    assert_bit_equal(loaded.flow_grid(5).data, grid.data)
+    external = read_video_dir(external_flow_dir(video, tmp_path / "external"))
+    assert np.array_equal(external.flow_grid(5).data,
                           grid.data.astype("<f4").astype(np.float64))
 
 
-def test_windowing_ignores_a_leftover_pooled_table(tmp_path):
+def test_scenario_backed_video_windows_as_in_memory(tmp_path):
+    root = tmp_path / "video"
+    for scenario in (rich_scenario(), parked_scenario(),
+                     random_scenario(4, frames=12, width=320, height=160)):
+        video = generate_scenario(scenario)
+        write_video_dir(video, root, tau=2, delta=1)  # replaces the last one
+        loaded = read_video_dir(root)
+        for n in (2, 5):
+            want, _ = windows_from_video(video, 2, 1, expand=2.5, n=n)
+            got, _ = windows_from_video(loaded, 2, 1, expand=2.5, n=n)
+            assert want and len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a.track, a.past, a.future, a.ego) == \
+                    (b.track, b.past, b.future, b.ego)
+                for fa, fb in zip(a.flow, b.flow):
+                    assert_bit_equal(fa.values, fb.values)
+
+
+def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
     # Older versions kept a pooled-flow table in the video directory, keyed
-    # without the ROI extent; windowing must pool fresh for any expand/n.
+    # without the ROI extent; windowing must pool fresh for any expand/n,
+    # from only the lattice pixels of each frame's .ffgr.
     video = generate_scenario(rich_scenario())
     root = tmp_path / "video"
-    write_video_dir(video, root)
+    external_flow_dir(video, root)
     flow_file = root / "flow" / "{:06d}.ffgr"
     lines = []
     for track, frames in sorted(video.tracks.items()):
@@ -576,10 +637,11 @@ def test_video_dir_rejects_ego_log_of_wrong_length(tmp_path, video_dir_files,
 
 
 @pytest.mark.parametrize("header", [None, (160, 320), (321, 160), (320, 159)])
-def test_bad_flow_file_raises_data_format_error(tmp_path, header):
+def test_bad_flow_file_raises_data_format_error(tmp_path, external_flow_dir,
+                                                header):
     video = generate_scenario(moving_scenario())
     root = tmp_path / "video"
-    write_video_dir(video, root)
+    external_flow_dir(video, root)
     for grid in (root / "flow").glob("*.ffgr"):
         blob = grid.read_bytes()
         if header is None:

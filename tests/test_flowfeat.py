@@ -9,7 +9,7 @@ from fvl.boxes import BoundingBox
 from fvl.dataio import ActorSpec, CameraSpec, Scenario, generate_scenario
 from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, read_flow_grid,
-                          read_flow_patch, roi_pool, write_flow_grid)
+                          read_flow_pixels, roi_pool, write_flow_grid)
 from fvl.rng import Xoshiro256
 from oracles import pool_oracle, two_plane_pool
 
@@ -85,8 +85,8 @@ def test_pool_matches_independent_oracle():
 
 def test_pool_equals_two_plane_oracle_bit_for_bit():
     # One bilinear pass over [h x w x 2] against separate u and v passes.
-    # ROIs reach past every border, windows sit at nonzero origins, and
-    # some grid values are +0.0 or -0.0, so sign bits are compared too.
+    # ROIs reach past every border, and some grid values are +0.0 or
+    # -0.0, so sign bits are compared too.
     rng = np.random.default_rng(61)
     for _ in range(300):
         height, width = rng.integers(1, 40, size=2)
@@ -94,13 +94,12 @@ def test_pool_equals_two_plane_oracle_bit_for_bit():
         data[rng.uniform(size=data.shape) < 0.1] = 0.0
         data[rng.uniform(size=data.shape) < 0.1] = -0.0
         grid = FlowGrid(width=int(width), height=int(height), data=data)
-        origin = tuple(int(v) for v in rng.integers(0, 30, size=2))
-        x0, y0 = rng.uniform(-10.0, 40.0, size=2) + origin
+        x0, y0 = rng.uniform(-10.0, 40.0, size=2)
         roi = BoundingBox.from_corners(x0, y0, x0 + rng.uniform(0.5, 30.0),
                                        y0 + rng.uniform(0.5, 30.0))
         n = int(rng.integers(1, 8))
-        got = roi_pool(grid, roi, n, origin=origin).values
-        want = two_plane_pool(grid, roi, n, origin=origin)
+        got = roi_pool(grid, roi, n).values
+        want = two_plane_pool(grid, roi, n)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -187,7 +186,7 @@ def test_flow_file_bytes_are_header_then_f32_payload(tmp_path):
     assert path.read_bytes() == (b"FFGR" + struct.pack("<II", 7, 3)
                                  + data.astype("<f4").tobytes())
     np.testing.assert_array_equal(
-        read_flow_patch(path, width=7, height=3),
+        read_flow_pixels(path, width=7, height=3),
         data.astype("<f4").astype(np.float64))
 
 
@@ -207,31 +206,33 @@ def test_flow_file_rejects_corruption(tmp_path):
         with pytest.raises(DataFormatError, match="offset"):
             read_flow_grid(path)
 
-    # a signalling NaN as u at pixel (3, 2): patches that read it name the
-    # file, with no cast warning first
+    # a signalling NaN as u at row 2, column 3: reads that take that pixel
+    # name the file, with no cast warning first
     damaged = bytearray(blob)
     u_at = 12 + 8 * (6 * 2 + 3)
     damaged[u_at:u_at + 4] = struct.pack("<I", 0x7F800001)
     path.write_bytes(bytes(damaged))
     for read in (lambda: read_flow_grid(path),
-                 lambda: read_flow_patch(path, 2, 1, 5, 3)):
+                 lambda: read_flow_pixels(path, (np.array([0, 2]), np.array([5, 3])))):
         with pytest.raises(DataFormatError, match="grid.ffgr: non-finite flow"):
             read()
-    assert np.all(np.isfinite(read_flow_patch(path, 0, 0, 3, 4)))
+    rows, cols = np.divmod(np.arange(24), 6)
+    assert np.all(np.isfinite(read_flow_pixels(path, (rows[rows != 2], cols[rows != 2]))))
 
 
-def test_flow_patch_reads_a_window_of_the_grid(tmp_path):
+def test_flow_pixels_gathers_the_given_pixels_of_the_grid(tmp_path):
     grid = random_grid(seed=63, width=20, height=10)
     path = tmp_path / "grid.ffgr"
     write_flow_grid(path, grid)
     full = read_flow_grid(path).data
-    patch = read_flow_patch(path, 3, 2, 9, 7, width=20, height=10)
-    assert patch.dtype == np.float64
-    np.testing.assert_array_equal(patch, full[2:7, 3:9])
-    np.testing.assert_array_equal(read_flow_patch(path), full)
+    rows, cols = np.array([2, 9, 0, 2, 5]), np.array([3, 19, 0, 3, 11])
+    pixels = read_flow_pixels(path, (rows, cols), width=20, height=10)
+    assert pixels.dtype == np.float64
+    np.testing.assert_array_equal(pixels, full[rows, cols])
+    np.testing.assert_array_equal(read_flow_pixels(path), full)
     # same payload length, but the header disagrees with the expected dims
     with pytest.raises(DataFormatError, match="10x20"):
-        read_flow_patch(path, 0, 0, 2, 2, width=10, height=20)
+        read_flow_pixels(path, (rows, cols), width=10, height=20)
 
 
 @pytest.fixture(scope="module")

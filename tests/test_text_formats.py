@@ -39,14 +39,15 @@ def text_files(tmp_path_factory):
         "meta": (video_dir / "meta", lambda: read_video_dir(video_dir)),
         "ego.txt": (video_dir / "ego.txt", lambda: read_video_dir(video_dir)),
         "boxes.jsonl": (video_dir / "boxes.jsonl", lambda: read_video_dir(video_dir)),
+        "scenario.scn": (video_dir / "scenario.scn", lambda: read_video_dir(video_dir)),
         ".scn": (root / "clip.scn", lambda: read_scenario_file(root / "clip.scn")),
         "dataset": (root / "samples.jsonl",
                     lambda: read_dataset(root / "samples.jsonl")),
     }
 
 
-@pytest.mark.parametrize("name", ["meta", "ego.txt", "boxes.jsonl", ".scn",
-                                  "dataset"])
+@pytest.mark.parametrize("name", ["meta", "ego.txt", "boxes.jsonl", "scenario.scn",
+                                  ".scn", "dataset"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_damaged_text_file_loads_or_raises_data_format_error(text_files, name,
