@@ -1,5 +1,6 @@
 """Fit the polynomial baselines to tracks of known degree and score them
-with the displacement / overlap metrics and the split reporting.
+with the displacement / overlap metrics and the split reporting.  Every
+call takes a stack of samples: [N x steps x 4] tracks, [N x 4] boxes.
 
     python3 demos/baselines_and_metrics.py
 """
@@ -31,33 +32,35 @@ def quadratic_track(rng, length):
 
 def main():
     rng = Xoshiro256(9)
-    track = quadratic_track(rng, 20)
-    past, future = track[:10], track[10:]
+    track = quadratic_track(rng, 20)[None]
+    past, future = track[:, :10], track[:, 10:]
 
     print("a constant-acceleration track, extrapolated 10 frames ahead:")
     for name, degree in BASELINE_DEGREES.items():
         pred = fit_extrapolate(past, degree, 10)
         fde, ade = displacement_errors(pred, future)
-        print(f"  {name:<10} (degree {degree}): FDE {fde:9.4f} px, "
-              f"ADE {ade:9.4f} px")
+        print(f"  {name:<10} (degree {degree}): FDE {fde[0]:9.4f} px, "
+              f"ADE {ade[0]:9.4f} px")
     print("degree 2 recovers its own class exactly; degree 1 cannot")
 
     print()
-    box = BoundingBox(cx=5.0, cy=5.0, w=10.0, h=10.0)
-    shifted = BoundingBox(cx=10.0, cy=5.0, w=10.0, h=10.0)
-    print(f"IoU of a box with itself: {final_iou(box, box)}")
-    print(f"IoU after shifting by half a width: {final_iou(box, shifted)} "
-          f"(exactly 1/3: {final_iou(box, shifted) == 1.0 / 3.0})")
+    box = BoundingBox(cx=5.0, cy=5.0, w=10.0, h=10.0).as_array()
+    shifted = BoundingBox(cx=10.0, cy=5.0, w=10.0, h=10.0).as_array()
+    same, half = final_iou([box, box], [box, shifted])
+    print(f"IoU of a box with itself: {same}")
+    print(f"IoU after shifting by half a width: {half} "
+          f"(exactly 1/3: {half == 1.0 / 3.0})")
 
-    # score twenty noisy linear tracks and split them by difficulty
-    predictions, truths, reference = [], [], []
+    # score twenty noisy linear fits and split them by difficulty
+    tracks, noise = [], []
     for _ in range(20):
-        t = quadratic_track(rng, 20)
-        pred = fit_extrapolate(t[:10], 1, 10)
-        pred_noisy = pred + rng.uniforms(pred.shape, -2.0, 2.0)
-        predictions.append(pred_noisy)
-        truths.append(t[10:])
-        reference.append(displacement_errors(pred, t[10:])[0])
+        tracks.append(quadratic_track(rng, 20))
+        noise.append(rng.uniforms((10, 4), -2.0, 2.0))
+    tracks = np.stack(tracks)
+    truths = tracks[:, 10:]
+    pred = fit_extrapolate(tracks[:, :10], 1, 10)
+    predictions = pred + np.stack(noise)
+    reference = displacement_errors(pred, truths)[0]
 
     reports = build_reports(predictions, truths, reference)
     print()

@@ -46,10 +46,9 @@ def main():
             "--epochs", "4", "--batch", "8", "--seed", "3")
 
         run("evaluate", checkpoint, "--dataset", data,
-            "--tau", "4", "--delta", "3", "--pool-n", "3",
             "--out", tmp / "report.json")
         run("evaluate", "linear", "--dataset", data,
-            "--tau", "4", "--delta", "3", "--pool-n", "3")
+            "--tau", "4", "--delta", "3")
 
         run("predict", checkpoint, "--dataset", data,
             "--out", tmp / "predictions.jsonl")

@@ -32,13 +32,16 @@ def collect_samples(video_ids):
     return per_video
 
 
+def stack_boxes(boxes_per_sample):
+    """[N x steps x 4] pixel boxes from each sample's BoundingBoxes."""
+    return np.array([[b.as_array() for b in boxes] for boxes in boxes_per_sample])
+
+
 def test_ade(model, samples):
-    errors = []
-    for sample in samples:
-        pred = model.predict(sample).pixel_boxes(sample.width, sample.height)
-        truth = np.array([b.as_array() for b in sample.future])
-        errors.append(displacement_errors(pred, truth)[1])
-    return float(np.mean(errors))
+    pred = np.array([p.pixel_boxes(s.width, s.height)
+                     for s, p in zip(samples, model.predict_batch(samples))])
+    truth = stack_boxes(s.future for s in samples)
+    return float(displacement_errors(pred, truth)[1].mean())
 
 
 def main():
@@ -51,11 +54,12 @@ def main():
 
     print()
     print("baselines on the held-out split:")
+    past = stack_boxes(s.past for s in test)
+    future = stack_boxes(s.future for s in test)
     for name, degree in BASELINE_DEGREES.items():
-        errors = [displacement_errors(
-            fit_extrapolate(s.past, degree, DELTA),
-            np.array([b.as_array() for b in s.future]))[1] for s in test]
-        print(f"  {name:<12} ADE {np.mean(errors):7.2f} px")
+        errors = displacement_errors(fit_extrapolate(past, degree, DELTA),
+                                     future)[1]
+        print(f"  {name:<12} ADE {errors.mean():7.2f} px")
 
     for variant in ("x", "xoe"):
         config = ModelConfig(variant=variant, hidden=32, embed=24,

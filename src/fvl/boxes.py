@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["BoundingBox", "as_box_matrix"]
+__all__ = ["BoundingBox"]
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,3 @@ class BoundingBox:
         cx, cy, w, h = (float(v) for v in arr)
         return cls(cx=cx, cy=cy, w=w, h=h)
 
-
-def as_box_matrix(boxes) -> np.ndarray:
-    """Stack BoundingBoxes or [cx, cy, w, h] rows into an [n x 4] array."""
-    rows = [b if isinstance(b, np.ndarray) else b.as_array() for b in boxes]
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != 4:
-        raise ValidationError(
-            f"expected a sequence of [cx, cy, w, h] boxes, got shape "
-            f"{matrix.shape}")
-    return matrix

@@ -112,12 +112,8 @@ def _build_parser() -> _Parser:
                     help="window for baselines (checkpoints carry their own)")
     ev.add_argument("--delta", type=_positive(int), default=10,
                     help="horizon for baselines (checkpoints carry their own)")
-    ev.add_argument("--no-split", action="store_true",
-                    help="skip the easy/challenging case split")
     ev.add_argument("--workers", type=_positive(int), default=1)
     ev.add_argument("--roi-expand", type=_positive(float), default=1.5)
-    ev.add_argument("--pool-n", type=_positive(int), default=5,
-                    help="lattice for baselines (checkpoints carry their own)")
     ev.set_defaults(func=cmd_evaluate)
 
     pred = sub.add_parser(
@@ -174,7 +170,13 @@ def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
     """
     path = Path(dataset)
     if path.is_file():
-        return read_dataset(path)
+        samples = read_dataset(path)
+        for i, sample in enumerate(samples):
+            if (sample.tau, sample.delta) != (tau, delta):
+                raise DataFormatError(
+                    f"{path}: sample {i} has a tau={sample.tau}, delta="
+                    f"{sample.delta} window, not tau={tau}, delta={delta}")
+        return samples
     dirs = _video_dirs(path)
 
     def load(directory):
@@ -230,7 +232,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.model in BASELINE_DEGREES:
         forecaster = None
-        tau, delta, n = args.tau, args.delta, args.pool_n
+        # baselines read no flow, so their windows pool the smallest lattice
+        tau, delta, n = args.tau, args.delta, 1
     else:
         forecaster = load_model(args.model)
         tau = forecaster.config.tau
@@ -241,22 +244,17 @@ def cmd_evaluate(args) -> int:
     if not samples:
         raise DataFormatError(f"{args.dataset}: no samples to evaluate")
 
-    truths = [np.array([b.as_array() for b in s.future]) for s in samples]
+    past = np.array([[b.as_array() for b in s.past] for s in samples])
+    truths = np.array([[b.as_array() for b in s.future] for s in samples])
     if forecaster is None:
-        degree = BASELINE_DEGREES[args.model]
-        predictions = [fit_extrapolate(s.past, degree, delta) for s in samples]
+        predictions = fit_extrapolate(past, BASELINE_DEGREES[args.model], delta)
     else:
-        predictions = [p.pixel_boxes(s.width, s.height) for s, p in
-                       zip(samples, forecaster.predict_batch(samples))]
-    references = None
-    if not args.no_split:
-        references = [
-            displacement_errors(fit_extrapolate(s.past, 2, delta), truth)[0]
-            for s, truth in zip(samples, truths)]
+        predictions = np.array([p.pixel_boxes(s.width, s.height) for s, p in
+                                zip(samples, forecaster.predict_batch(samples))])
+    references = displacement_errors(fit_extrapolate(past, 2, delta), truths)[0]
     reports = build_reports(predictions, truths, reference_fdes=references)
-    for case in ("all", "easy", "challenging"):
-        if case in reports:
-            print(reports[case].row())
+    for report in reports.values():
+        print(report.row())
     if args.out:
         write_atomic(args.out, reports_to_json(reports).encode())
         print(f"wrote {args.out}")

@@ -208,6 +208,10 @@ class Scenario:
                 raise ValidationError(
                     f"{name} needs {steps} entries (frames - 1), "
                     f"got shape {raw.shape}")
+            bad = np.flatnonzero(~np.isfinite(raw))
+            if bad.size:
+                raise ValidationError(
+                    f"{name} must be finite, got {raw[bad[0]]} at step {bad[0]}")
             object.__setattr__(self, name, raw)
         object.__setattr__(self, "actors", tuple(self.actors))
 
@@ -557,6 +561,10 @@ def read_dataset(path) -> list[Sample]:
                     raise ValueError(
                         f"image {key} must be a positive integer, got {dim!r}")
             n = record["flow"]["n"]
+            if not _is_json_int(n) or n < 1:
+                raise ValueError(f"flow n must be a positive integer, got {n!r}")
+            if any(len(e) != 3 for e in record["ego"]):
+                raise ValueError("each ego row must hold 3 numbers [yaw, x, z]")
             sample = Sample(
                 track=record["track"],
                 past=tuple(BoundingBox.from_array(b) for b in record["past"]),

@@ -1,10 +1,8 @@
-"""Evaluation metrics: displacement errors, final IoU, and the
-easy/challenging case split.
-
-All metrics run in pixel units on box arrays [delta x 4] (cx, cy, w, h)
-or sequences of BoundingBox.  The easy/challenging partition is defined
-by the constant-acceleration baseline: a sample is easy when that
-baseline's FDE is strictly below the mean over the evaluation set.
+"""Evaluation metrics over stacked pixel boxes (cx, cy, w, h), [N x delta
+x 4] or [N x 4], one value per sample: displacement errors, final IoU,
+and the easy/challenging case split.  A sample is easy when the
+constant-acceleration baseline's FDE on it is strictly below that
+baseline's mean FDE over the evaluation set.
 """
 
 from __future__ import annotations
@@ -14,150 +12,120 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import as_box_matrix
 from .errors import ValidationError
 
 __all__ = [
     "displacement_errors",
     "final_iou",
     "split_cases",
-    "SampleResult",
     "EvalReport",
     "build_reports",
     "reports_to_json",
 ]
 
 
-def displacement_errors(pred, truth) -> tuple[float, float]:
-    """(FDE, ADE): center error at the last step, and averaged over all."""
-    pred = as_box_matrix(pred)
-    truth = as_box_matrix(truth)
-    if pred.shape != truth.shape:
+def _paired(pred, truth, shape: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as float arrays of one shape with N >= 1, of the
+    rank that `shape` names ("N x 4" is rank 2)."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if (pred.shape != truth.shape or pred.ndim != shape.count(" x ") + 1
+            or pred.shape[-1] != 4 or len(pred) == 0):
         raise ValidationError(
-            f"prediction and truth lengths differ: {pred.shape} vs {truth.shape}")
-    errors = np.hypot(pred[:, 0] - truth[:, 0], pred[:, 1] - truth[:, 1])
-    return float(errors[-1]), float(errors.mean())
+            f"prediction and truth must be [{shape}] boxes of one shape, "
+            f"N >= 1, got {pred.shape} and {truth.shape}")
+    return pred, truth
 
 
-def _corners(box) -> tuple[float, float, float, float]:
-    if isinstance(box, np.ndarray) or isinstance(box, (list, tuple)):
-        cx, cy, w, h = (float(v) for v in box)
-    else:
-        cx, cy, w, h = box.cx, box.cy, box.w, box.h
-    # a degenerate (non-positive) extent contributes zero area
-    w = max(w, 0.0)
-    h = max(h, 0.0)
-    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+def displacement_errors(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (FDE [N], ADE [N]) of two [N x delta x 4] stacks: the
+    center error at the last step, and its mean over all steps."""
+    pred, truth = _paired(pred, truth, "N x delta x 4")
+    errors = np.hypot(pred[..., 0] - truth[..., 0], pred[..., 1] - truth[..., 1])
+    return errors[:, -1].copy(), errors.mean(axis=1)
 
 
-def final_iou(pred, truth) -> float:
-    """Intersection over union of two axis-aligned boxes; 0 on empty union."""
-    ax0, ay0, ax1, ay1 = _corners(pred)
-    bx0, by0, bx1, by1 = _corners(truth)
-    inter_w = min(ax1, bx1) - max(ax0, bx0)
-    inter_h = min(ay1, by1) - max(ay0, by0)
-    intersection = max(inter_w, 0.0) * max(inter_h, 0.0)
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - intersection
-    if union <= 0.0:
-        return 0.0
-    return intersection / union
+def final_iou(pred, truth) -> np.ndarray:
+    """Intersection over union of paired boxes [N x 4], one value per
+    pair; 0 where the union is empty.  A non-positive extent counts as
+    zero area."""
+    boxes = np.stack(_paired(pred, truth, "N x 4"))
+    half = np.maximum(boxes[..., 2:], 0.0) / 2.0
+    lo, hi = boxes[..., :2] - half, boxes[..., :2] + half
+    area = np.prod(hi - lo, axis=-1)
+    overlap = np.maximum(np.minimum(hi[0], hi[1]) - np.maximum(lo[0], lo[1]), 0.0)
+    intersection = np.prod(overlap, axis=-1)
+    union = area[0] + area[1] - intersection
+    empty = union <= 0.0
+    return np.where(empty, 0.0, intersection / np.where(empty, 1.0, union))
 
 
-def split_cases(reference_fdes) -> tuple[list[int], list[int]]:
+def split_cases(reference_fdes) -> tuple[np.ndarray, np.ndarray]:
     """Partition sample indices by the reference baseline's FDE.
 
     Easy means strictly below the mean reference FDE; everything else,
     including exact ties with the mean, is challenging.
     """
-    fdes = np.asarray(list(reference_fdes), dtype=np.float64)
+    fdes = np.asarray(reference_fdes, dtype=np.float64)
     if fdes.size == 0:
         raise ValidationError("cannot split an empty evaluation set")
     threshold = fdes.mean()
-    easy = [i for i, fde in enumerate(fdes) if fde < threshold]
-    challenging = [i for i, fde in enumerate(fdes) if fde >= threshold]
-    return easy, challenging
-
-
-@dataclass(frozen=True)
-class SampleResult:
-    index: int
-    fde: float
-    ade: float
-    fiou: float
+    return np.flatnonzero(fdes < threshold), np.flatnonzero(fdes >= threshold)
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregate metrics over one case split; means over the records."""
+    """Per-sample metrics of the samples `index` of one case split, as
+    parallel arrays; the aggregates are their means."""
 
     case: str
-    records: tuple
+    index: np.ndarray
+    fde: np.ndarray
+    ade: np.ndarray
+    fiou: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
-            raise ValidationError(f"empty evaluation set for case {self.case!r}")
-
-    @property
-    def count(self) -> int:
-        return len(self.records)
-
-    @property
-    def fde(self) -> float:
-        return float(np.mean([r.fde for r in self.records]))
-
-    @property
-    def ade(self) -> float:
-        return float(np.mean([r.ade for r in self.records]))
-
-    @property
-    def fiou(self) -> float:
-        return float(np.mean([r.fiou for r in self.records]))
+    def means(self) -> dict:
+        return {key: float(np.mean(getattr(self, key)))
+                for key in ("fde", "ade", "fiou")}
 
     def row(self) -> str:
-        return (f"{self.case:<12} n={self.count:<5} fde={self.fde:8.3f}  "
-                f"ade={self.ade:8.3f}  fiou={self.fiou:6.4f}")
+        mean = self.means()
+        return (f"{self.case:<12} n={len(self.index):<5} fde={mean['fde']:8.3f}  "
+                f"ade={mean['ade']:8.3f}  fiou={mean['fiou']:6.4f}")
 
 
 def build_reports(predictions, truths, reference_fdes=None) -> dict:
     """Per-sample metrics plus overall and (optionally) case-split reports.
 
-    `predictions` and `truths` are parallel sequences of [delta x 4] box
-    arrays; `reference_fdes` are the ConstAccel FDEs used for the
-    easy/challenging partition.
+    `predictions` and `truths` are [N x delta x 4] box stacks (or
+    sequences of [delta x 4] arrays); `reference_fdes` are the N
+    ConstAccel FDEs used for the easy/challenging partition.
     """
-    if len(predictions) != len(truths):
-        raise ValidationError(
-            f"{len(predictions)} predictions for {len(truths)} truths")
-    records = []
-    for i, (pred, truth) in enumerate(zip(predictions, truths)):
-        pred = as_box_matrix(pred)
-        truth = as_box_matrix(truth)
-        fde, ade = displacement_errors(pred, truth)
-        records.append(SampleResult(index=i, fde=fde, ade=ade,
-                                    fiou=final_iou(pred[-1], truth[-1])))
-    reports = {"all": EvalReport(case="all", records=records)}
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truths = np.asarray(truths, dtype=np.float64)
+    fde, ade = displacement_errors(predictions, truths)
+    fiou = final_iou(predictions[:, -1], truths[:, -1])
+    cases = {"all": np.arange(len(fde))}
     if reference_fdes is not None:
-        easy, challenging = split_cases(reference_fdes)
-        if easy:
-            reports["easy"] = EvalReport(
-                case="easy", records=[records[i] for i in easy])
-        if challenging:
-            reports["challenging"] = EvalReport(
-                case="challenging", records=[records[i] for i in challenging])
-    return reports
+        reference_fdes = np.asarray(reference_fdes, dtype=np.float64)
+        if reference_fdes.shape != fde.shape:
+            raise ValidationError(f"reference FDEs of shape "
+                                  f"{reference_fdes.shape} for {len(fde)} samples")
+        cases["easy"], cases["challenging"] = split_cases(reference_fdes)
+    return {case: EvalReport(case, index, fde[index], ade[index], fiou[index])
+            for case, index in cases.items() if len(index)}
 
 
 def reports_to_json(reports: dict) -> str:
     """Serialize reports: overall/per-case means plus per-sample rows."""
     payload = {}
     for case, report in reports.items():
+        rows = zip(report.index.tolist(), report.fde.tolist(),
+                   report.ade.tolist(), report.fiou.tolist())
         payload[case] = {
-            "count": report.count,
-            "fde": report.fde,
-            "ade": report.ade,
-            "fiou": report.fiou,
-            "samples": [{"index": r.index, "fde": r.fde, "ade": r.ade,
-                         "fiou": r.fiou} for r in report.records],
+            "count": len(report.index),
+            **report.means(),
+            "samples": [{"index": i, "fde": fde, "ade": ade, "fiou": fiou}
+                        for i, fde, ade, fiou in rows],
         }
     return json.dumps(payload, indent=2, sort_keys=True)

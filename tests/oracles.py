@@ -327,3 +327,47 @@ def unstaged_grad_check(f, params, step=1e-6):
                 worst = rel
         per_parameter[name] = worst
     return per_parameter
+
+
+# --- per-sample baselines and metrics ------------------------------------------
+
+
+def sample_fit_extrapolate(past, degree, delta):
+    """One sample's polynomial fit, [tau x 4] -> [delta x 4]: the
+    per-sample reference that the batched ``baselines.fit_extrapolate``
+    must equal bit for bit."""
+    matrix = np.asarray(past, dtype=np.float64)
+    times = np.arange(matrix.shape[0], dtype=np.float64)
+    coefficients = np.polynomial.polynomial.polyfit(times, matrix, degree)
+    future = np.arange(matrix.shape[0], matrix.shape[0] + delta,
+                       dtype=np.float64)
+    return np.polynomial.polynomial.polyval(future, coefficients).T.copy()
+
+
+def sample_displacement_errors(pred, truth):
+    """(FDE, ADE) of one [delta x 4] forecast, as Python floats."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    errors = np.hypot(pred[:, 0] - truth[:, 0], pred[:, 1] - truth[:, 1])
+    return float(errors[-1]), float(errors.mean())
+
+
+def box_iou(pred, truth):
+    """IoU of two [cx, cy, w, h] boxes in scalar Python arithmetic; a
+    non-positive extent counts as zero area, an empty union gives 0."""
+
+    def corners(box):
+        cx, cy, w, h = (float(v) for v in box)
+        w = max(w, 0.0)
+        h = max(h, 0.0)
+        return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+
+    ax0, ay0, ax1, ay1 = corners(pred)
+    bx0, by0, bx1, by1 = corners(truth)
+    inter_w = min(ax1, bx1) - max(ax0, bx0)
+    inter_h = min(ay1, by1) - max(ay0, by0)
+    intersection = max(inter_w, 0.0) * max(inter_h, 0.0)
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - intersection
+    if union <= 0.0:
+        return 0.0
+    return intersection / union

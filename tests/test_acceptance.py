@@ -49,15 +49,16 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+def _stack(boxes_per_sample) -> np.ndarray:
+    return np.array([[b.as_array() for b in boxes] for boxes in boxes_per_sample])
+
+
 def _mean_pixel_ade(model, samples, indices=None):
-    picked = range(len(samples)) if indices is None else indices
-    values = []
-    for i in picked:
-        sample = samples[i]
-        pred = model.predict(sample).pixel_boxes(sample.width, sample.height)
-        truth = np.array([b.as_array() for b in sample.future])
-        values.append(displacement_errors(pred, truth)[1])
-    return float(np.mean(values))
+    picked = samples if indices is None else [samples[i] for i in indices]
+    pred = np.array([model.predict(s).pixel_boxes(s.width, s.height)
+                     for s in picked])
+    ade = displacement_errors(pred, _stack(s.future for s in picked))[1]
+    return float(ade.mean())
 
 
 # 1. analytic gradients match central finite differences for every variant
@@ -129,9 +130,8 @@ def test_baseline_exactness(capsys):
     times = np.arange(tau + delta, dtype=np.float64)
     worst = {}
     for name, degree in (("linear", 1), ("constaccel", 2)):
-        worst[name] = 0.0
-        for _ in range(20):
-            track = np.empty((tau + delta, 4))
+        tracks = np.empty((20, tau + delta, 4))
+        for track in tracks:
             for col, (lo, hi, vel) in enumerate(
                     ((100.0, 1100.0, 3.0), (100.0, 500.0, 2.0),
                      (30.0, 80.0, 0.5), (30.0, 80.0, 0.5))):
@@ -139,9 +139,8 @@ def test_baseline_exactness(capsys):
                 if degree == 2:
                     value = value + rng.uniform(-0.02, 0.02) * times * times
                 track[:, col] = value
-            pred = fit_extrapolate(track[:tau], degree, delta)
-            fde = displacement_errors(pred, track[tau:])[0]
-            worst[name] = max(worst[name], fde)
+        pred = fit_extrapolate(tracks[:, :tau], degree, delta)
+        worst[name] = float(displacement_errors(pred, tracks[:, tau:])[0].max())
     elapsed = time.perf_counter() - start
     ok = (worst["linear"] < 1e-6 and worst["constaccel"] < 1e-6
           and elapsed < 5.0)
@@ -160,14 +159,13 @@ def test_metric_examples(capsys):
     pred = truth.copy()
     pred[:, 0] += 3.0
     pred[:, 1] += 4.0
-    offset_exact = displacement_errors(pred, truth) == (5.0, 5.0)
+    fde, ade = displacement_errors(pred[None], truth[None])
+    offset_exact = fde.tolist() == ade.tolist() == [5.0]
 
-    box = BoundingBox(cx=5.0, cy=5.0, w=10.0, h=10.0)
-    shifted = BoundingBox(cx=10.0, cy=5.0, w=10.0, h=10.0)
-    far = BoundingBox(cx=100.0, cy=100.0, w=10.0, h=10.0)
-    iou_exact = (final_iou(box, box) == 1.0
-                 and final_iou(box, far) == 0.0
-                 and final_iou(box, shifted) == 1.0 / 3.0)
+    box, shifted, far = (BoundingBox(cx=cx, cy=cy, w=10.0, h=10.0).as_array()
+                         for cx, cy in ((5.0, 5.0), (10.0, 5.0), (100.0, 100.0)))
+    iou_exact = final_iou([box, box, box], [box, far, shifted]).tolist() == [
+        1.0, 0.0, 1.0 / 3.0]
     elapsed = time.perf_counter() - start
     ok = offset_exact and iou_exact and elapsed < 1.0
     _report(capsys, f"acceptance 4 (metric examples): {_verdict(ok)} - "
@@ -280,13 +278,9 @@ def test_ablation_trend(capsys):
     train_samples, test_samples = _ablation_dataset()
     assert len(train_samples) > 100 and len(test_samples) > 30
 
-    truths = [np.array([b.as_array() for b in s.future])
-              for s in test_samples]
-    reference = [fit_extrapolate(s.past, 2, 5) for s in test_samples]
-    ref_fde = [displacement_errors(p, t)[0]
-               for p, t in zip(reference, truths)]
-    ref_ade = np.array([displacement_errors(p, t)[1]
-                        for p, t in zip(reference, truths)])
+    truths = _stack(s.future for s in test_samples)
+    reference = fit_extrapolate(_stack(s.past for s in test_samples), 2, 5)
+    ref_fde, ref_ade = displacement_errors(reference, truths)
     _, challenging = split_cases(ref_fde)
     constaccel_challenging = float(ref_ade[challenging].mean())
 
@@ -299,12 +293,10 @@ def test_ablation_trend(capsys):
             result = train_model(config, train_samples, seed=seed,
                                  **ABLATION_RUN)
             model = BoxForecaster(config, params=result.best_params)
-            ades = []
-            for sample, truth, pred in zip(test_samples, truths,
-                                           model.predict_batch(test_samples)):
-                pixels = pred.pixel_boxes(sample.width, sample.height)
-                ades.append(displacement_errors(pixels, truth)[1])
-            ades = np.array(ades)
+            pixels = np.array([
+                p.pixel_boxes(s.width, s.height)
+                for s, p in zip(test_samples, model.predict_batch(test_samples))])
+            ades = displacement_errors(pixels, truths)[1]
             per_seed.append(ades.mean())
             per_seed_challenging.append(ades[challenging].mean())
         mean_ade[variant] = float(np.mean(per_seed))

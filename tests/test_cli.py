@@ -153,7 +153,7 @@ def test_train_writes_checkpoint_and_loss_curve(checkpoint):
 def test_evaluate_checkpoint_writes_report(suite, checkpoint, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert main(["evaluate", str(checkpoint), "--dataset", str(suite),
-                 "--pool-n", "3", "--out", str(report_path)]) == 0
+                 "--out", str(report_path)]) == 0
     printed = capsys.readouterr().out
     assert "all" in printed and "fde=" in printed
     report = json.loads(report_path.read_text())
@@ -163,7 +163,7 @@ def test_evaluate_checkpoint_writes_report(suite, checkpoint, tmp_path, capsys):
 
 def test_evaluate_baseline_runs(suite, capsys):
     assert main(["evaluate", "constaccel", "--dataset", str(suite),
-                 "--tau", "4", "--delta", "3", "--pool-n", "3"]) == 0
+                 "--tau", "4", "--delta", "3"]) == 0
     assert "fde=" in capsys.readouterr().out
 
 
@@ -172,7 +172,7 @@ def test_evaluate_matches_library_composition(suite, checkpoint, tmp_path):
     # by hand must reproduce its JSON report exactly.
     report_path = tmp_path / "report.json"
     assert main(["evaluate", str(checkpoint), "--dataset", str(suite),
-                 "--pool-n", "3", "--out", str(report_path)]) == 0
+                 "--out", str(report_path)]) == 0
 
     forecaster = load_model(checkpoint)
     samples = []
@@ -180,14 +180,14 @@ def test_evaluate_matches_library_composition(suite, checkpoint, tmp_path):
         video = read_video_dir(video_dir)
         found, _ = windows_from_video(video, tau=4, delta=3, expand=1.5, n=3)
         samples.extend(found)
-    truths = [np.array([b.as_array() for b in s.future]) for s in samples]
-    predictions = [p.pixel_boxes(s.width, s.height)
-                   for s, p in zip(samples, forecaster.predict_batch(samples))]
-    references = [displacement_errors(fit_extrapolate(s.past, 2, 3), truth)[0]
-                  for s, truth in zip(samples, truths)]
+    past = np.array([[b.as_array() for b in s.past] for s in samples])
+    truths = np.array([[b.as_array() for b in s.future] for s in samples])
+    predictions = np.array([
+        p.pixel_boxes(s.width, s.height)
+        for s, p in zip(samples, forecaster.predict_batch(samples))])
+    references = displacement_errors(fit_extrapolate(past, 2, 3), truths)[0]
     manual = build_reports(predictions, truths, reference_fdes=references)
-    assert json.loads(report_path.read_text()) == json.loads(
-        reports_to_json(manual))
+    assert report_path.read_bytes() == reports_to_json(manual).encode()
 
 
 def test_predict_writes_boxes(suite, checkpoint, tmp_path, capsys):
@@ -295,6 +295,10 @@ def test_usage_errors_exit_1(capsys):
                  "--pool-n", "0"]) == 1
     assert main(["train", "--dataset", "d", "--out", "m",
                  "--variant", "xyz"]) == 1
+    # evaluate has no lattice flag (baselines read no flow, checkpoints
+    # carry their own) and no flag to skip the easy/challenging split
+    assert main(["evaluate", "linear", "--dataset", "d", "--pool-n", "3"]) == 1
+    assert main(["evaluate", "linear", "--dataset", "d", "--no-split"]) == 1
     capsys.readouterr()
 
 
@@ -401,7 +405,7 @@ def test_bad_flow_file_exits_2(tmp_path, external_flow_dir, damage, capsys):
                                                   height=160))
         external_flow_dir(video, data / f"scene{seed}", tau=4, delta=3)
     assert main(["evaluate", "constaccel", "--dataset", str(data),
-                 "--tau", "4", "--delta", "3", "--pool-n", "3"]) == 0
+                 "--tau", "4", "--delta", "3"]) == 0
     for grid in data.glob("*/flow/*.ffgr"):
         blob = grid.read_bytes()
         if damage == "truncate":
@@ -447,7 +451,7 @@ def test_scenario_that_disagrees_with_its_directory_exits_2(
             lines[line] = lines[line].replace("5", "6", 1)
             path.write_text("\n".join(lines) + "\n")
     assert main(["evaluate", "constaccel", "--dataset", str(video),
-                 "--tau", "4", "--delta", "3", "--pool-n", "3"]) == 2
+                 "--tau", "4", "--delta", "3"]) == 2
     assert f"scenario.scn: {message}" in capsys.readouterr().err
 
 
@@ -497,6 +501,17 @@ def test_train_and_evaluate_on_sample_file(tmp_path, capsys):
     assert main(["evaluate", "linear", "--dataset", str(dataset),
                  "--tau", "3", "--delta", "2"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("window", [("10", "2"), ("3", "10")])
+def test_sample_file_must_hold_the_requested_window(tmp_path, window, capsys):
+    dataset = tmp_path / "samples.jsonl"
+    write_dataset(_tiny_samples(huge_future=False), dataset)
+    tau, delta = window
+    assert main(["evaluate", "linear", "--dataset", str(dataset),
+                 "--tau", tau, "--delta", delta]) == 2
+    assert (f"{dataset}: sample 0 has a tau=3, delta=2 window, not "
+            f"tau={tau}, delta={delta}") in capsys.readouterr().err
 
 
 def test_gradcheck_reports_pass(capsys):

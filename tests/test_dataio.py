@@ -430,10 +430,13 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+SAMPLE_LINE = ('{"track":0,"width":64,"height":64,'
+               '"past":[[5.0,5.0,2.0,2.0]],"future":[[6.0,5.0,2.0,2.0]],'
+               '"ego":[[0.0,1.0,0.0]],"flow":{"n":1,"values":[[0.5,0.25]]}}')
+
+
 def test_read_dataset_reports_line_numbers(tmp_path):
-    good = ('{"track":0,"width":64,"height":64,'
-            '"past":[[5.0,5.0,2.0,2.0]],"future":[[6.0,5.0,2.0,2.0]],'
-            '"ego":[[0.0,1.0,0.0]],"flow":{"n":1,"values":[[0.5,0.25]]}}')
+    good = SAMPLE_LINE
     path = tmp_path / "bad.jsonl"
     path.write_text(good + "\n{not json}\n")
     with pytest.raises(DataFormatError, match="bad.jsonl:2"):
@@ -464,6 +467,27 @@ def test_read_dataset_reports_line_numbers(tmp_path):
     sample = read_dataset(path)[0]
     assert sample.past[0].cx == 5.0
     assert sample.flow[0].n == 1
+
+
+def test_read_dataset_rejects_long_ego_rows_and_bad_lattice_sizes(tmp_path):
+    # a fourth ego value was dropped, and "n": true loaded as n=True
+    path = tmp_path / "bad.jsonl"
+    for bad, message in [
+            (SAMPLE_LINE.replace("[[0.0,1.0,0.0]]", "[[0.0,1.0,0.0,9.0]]"),
+             r"ego row must hold 3 numbers"),
+            (SAMPLE_LINE.replace("[[0.0,1.0,0.0]]", "[[0.0,1.0]]"),
+             r"ego row must hold 3 numbers"),
+            (SAMPLE_LINE.replace('"n":1', '"n":true'),
+             "flow n must be a positive integer, got True"),
+            (SAMPLE_LINE.replace('"n":1', '"n":1.0'),
+             "flow n must be a positive integer, got 1.0"),
+            (SAMPLE_LINE.replace('"n":1,"values":[[0.5,0.25]]',
+                                 '"n":0,"values":[[]]'),
+             "flow n must be a positive integer, got 0")]:
+        assert bad != SAMPLE_LINE
+        path.write_text(SAMPLE_LINE + "\n" + bad + "\n")
+        with pytest.raises(DataFormatError, match=f"bad.jsonl:2: .*{message}"):
+            read_dataset(path)
 
 
 def test_video_dir_roundtrip(tmp_path, external_flow_dir):
@@ -715,6 +739,19 @@ def test_scenario_file_errors(tmp_path):
              r"bad.scn:7: repeated \[actor\] key 'x'"),
             ("frames=6\n" + actor + "[actor]\nx=1\nspeed=1\n",
              r"bad.scn:7: \[actor\] is missing z, heading")]:
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            read_scenario_file(path)
+
+
+def test_scenario_file_rejects_non_finite_ego_plan(tmp_path):
+    # before, the file loaded and rendering failed in EgoStep, naming no file
+    path = tmp_path / "bad.scn"
+    for text, message in [
+            ("frames=4\nego_speed=inf\n",
+             "bad.scn: ego_speeds must be finite, got inf at step 0"),
+            ("frames=4\nego_yaw_rate=0.1,nan,0.1\n",
+             "bad.scn: ego_yaw_rates must be finite, got nan at step 1")]:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=message):
             read_scenario_file(path)
