@@ -42,7 +42,7 @@ def main():
 
     print()
     print("checking every parameter against central finite differences")
-    # one group: every parameter, and the whole loss rerun per perturbation
+    # one group: every parameter, and the whole loss rerun once per leaf row
     report = grad_check(loss_fn, [(params, loss_fn)], step=1e-6, tolerance=1e-4)
     print(report.summary())
 

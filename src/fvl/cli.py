@@ -66,6 +66,13 @@ def _positive(kind):
     return convert
 
 
+def _seed(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fvl",
                      description="synthetic future-vehicle-localization pipeline")
@@ -95,7 +102,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--epochs", type=int, default=40)
     train.add_argument("--batch", type=_positive(int), default=64)
     train.add_argument("--lr", type=_positive(float), default=5e-4)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--workers", type=_positive(int), default=1)
     train.add_argument("--roi-expand", type=_positive(float), default=1.5)
     train.add_argument("--pool-n", type=_positive(int), default=5)
@@ -136,7 +143,7 @@ def _build_parser() -> _Parser:
     gc.add_argument("--tau", type=_positive(int), default=3)
     gc.add_argument("--delta", type=_positive(int), default=2)
     gc.add_argument("--pool-n", type=_positive(int), default=5)
-    gc.add_argument("--seed", type=int, default=7)
+    gc.add_argument("--seed", type=_seed, default=7)
     gc.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -165,8 +172,11 @@ def _video_dirs(root: Path) -> list[Path]:
 def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
     """Samples from a JSONL file, a video directory, or a tree of them.
 
-    Videos are windowed in sorted-path order and each worker handles
-    whole videos, so the sample list is identical for any worker count.
+    `n` is the flow lattice the model reads, or None when it reads no
+    flow; then windows pool the smallest lattice and a JSONL file may
+    hold any.  Videos are windowed in sorted-path order and each worker
+    handles whole videos, so the sample list is identical for any
+    worker count.
     """
     path = Path(dataset)
     if path.is_file():
@@ -176,12 +186,18 @@ def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
                 raise DataFormatError(
                     f"{path}: sample {i} has a tau={sample.tau}, delta="
                     f"{sample.delta} window, not tau={tau}, delta={delta}")
+            wrong = [f.n for f in sample.flow if n is not None and f.n != n]
+            if wrong:
+                raise DataFormatError(
+                    f"{path}: sample {i} has an n={wrong[0]} flow lattice, "
+                    f"not n={n}")
         return samples
     dirs = _video_dirs(path)
 
     def load(directory):
         video = read_video_dir(directory)
-        samples, _ = windows_from_video(video, tau, delta, expand=expand, n=n)
+        samples, _ = windows_from_video(video, tau, delta, expand=expand,
+                                        n=1 if n is None else n)
         return samples
 
     merged: list = []
@@ -189,6 +205,11 @@ def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
         for chunk in executor.map(load, dirs):
             merged.extend(chunk)
     return merged
+
+
+def _lattice(config: ModelConfig):
+    """The flow lattice size n a model reads, or None if it reads no flow."""
+    return math.isqrt(config.pooled_dim // 2) if config.uses_flow else None
 
 
 # --- subcommands ----------------------------------------------------------
@@ -210,7 +231,7 @@ def cmd_train(args) -> int:
                          embed=args.embed, tau=args.tau, delta=args.delta,
                          pooled_dim=2 * args.pool_n * args.pool_n)
     samples = _load_samples(args.dataset, config.tau, config.delta,
-                            args.roi_expand, args.pool_n, args.workers)
+                            args.roi_expand, _lattice(config), args.workers)
     result = train_model(config, samples, epochs=args.epochs,
                          batch_size=args.batch, lr=args.lr, seed=args.seed)
     # repr floats so identical runs produce identical bytes
@@ -232,13 +253,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.model in BASELINE_DEGREES:
         forecaster = None
-        # baselines read no flow, so their windows pool the smallest lattice
-        tau, delta, n = args.tau, args.delta, 1
+        tau, delta, n = args.tau, args.delta, None  # baselines read no flow
     else:
         forecaster = load_model(args.model)
         tau = forecaster.config.tau
         delta = forecaster.config.delta
-        n = math.isqrt(forecaster.config.pooled_dim // 2)
+        n = _lattice(forecaster.config)
     samples = _load_samples(args.dataset, tau, delta,
                             args.roi_expand, n, args.workers)
     if not samples:
@@ -265,8 +285,7 @@ def cmd_predict(args) -> int:
     forecaster = load_model(args.model)
     config = forecaster.config
     samples = _load_samples(args.dataset, config.tau, config.delta,
-                            args.roi_expand, math.isqrt(config.pooled_dim // 2),
-                            args.workers)
+                            args.roi_expand, _lattice(config), args.workers)
     ids = args.ids if args.ids else list(range(len(samples)))
     bad = [i for i in ids if not 0 <= i < len(samples)]
     if bad:

@@ -25,6 +25,13 @@ scalar-with-array so every backward rule stays auditable; the structural
 exceptions are :func:`tile_rows` and the bias rows of the fused kernels,
 whose adjoints are row sums.
 
+Every forward works over trailing axes, for one reason: inside the
+reruns of :func:`grad_check`, and only there, a value may carry one
+leading copy axis, one copy per finite-difference perturbation.  There
+elementwise operands may differ by that axis, rank checks look at the
+dims after it, and :func:`sum_all` and :func:`mean_all` reduce each copy
+on its own.  Reruns record nothing, so no backward sees a copy axis.
+
 A primitive records through one entry point.  It checks its operands,
 computes its forward value, and hands that value to ``_emit`` with a
 ``backward(g)`` function and the operands.  The first DiffArray operand
@@ -50,7 +57,7 @@ single thread; run one tape per worker if you want parallelism.
 
 from __future__ import annotations
 
-import math
+import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -205,6 +212,40 @@ class Tape:
         self._ops.clear()
 
 
+# The number of stacked copies a value may carry on a leading axis: set
+# by grad_check around each rerun, 0 everywhere else.
+_COPIES = contextvars.ContextVar("fvl_diffcore_copies", default=0)
+
+
+def _core(v: np.ndarray, ndim: int) -> tuple[int, ...]:
+    """The shape of v after its copy axis when v has ``ndim`` + 1 axes,
+    the first as long as a grad_check rerun's copy count; otherwise,
+    and always outside such a rerun, its whole shape."""
+    copies = _COPIES.get()
+    if copies and v.ndim == ndim + 1 and v.shape[0] == copies:
+        return v.shape[1:]
+    return v.shape
+
+
+def _concat(parts, axis: int) -> np.ndarray:
+    """np.concatenate along a trailing ``axis`` of parts of which some
+    may carry a leading copy axis that the others lack."""
+    ranks = {p.ndim for p in parts}
+    if len(ranks) > 1:
+        top = max(ranks)
+        lead = next(p.shape[:1] for p in parts if p.ndim == top)
+        parts = [p if p.ndim == top else np.broadcast_to(p, lead + p.shape)
+                 for p in parts]
+    return np.concatenate(parts, axis=axis)
+
+
+def _mT(v: np.ndarray) -> np.ndarray:
+    """v with its last two axes swapped, numpy 2's ``v.mT``.  A matrix
+    takes ``v.T``: np.swapaxes costs about 1 us a call, 7 times as much,
+    which batch-1 prediction would feel."""
+    return v.T if v.ndim == 2 else np.swapaxes(v, -1, -2)
+
+
 def _value(x) -> np.ndarray:
     if isinstance(x, DiffArray):
         return x.value
@@ -238,7 +279,8 @@ def _accumulate(x, g: np.ndarray) -> None:
 
 
 def _check_elementwise(av: np.ndarray, bv: np.ndarray, op: str) -> None:
-    if av.shape != bv.shape and av.shape != () and bv.shape != ():
+    if (_core(av, bv.ndim) != bv.shape and _core(bv, av.ndim) != av.shape
+            and av.shape != () and bv.shape != ()):
         raise DimensionError(
             f"{op}: shapes {av.shape} and {bv.shape} are neither equal "
             f"nor scalar-with-array")
@@ -316,11 +358,16 @@ def relu(x):
 def matmul(a, b):
     """Matrix product of a 2-d left operand with a 1-d or 2-d right operand."""
     av, bv = _value(a), _value(b)
-    if av.ndim != 2 or bv.ndim not in (1, 2):
+    a_shape = _core(av, 2)
+    # a right operand is a vector when its last axis meets a's
+    b_shape = _core(bv, 1)
+    if len(b_shape) != 1 or b_shape != a_shape[-1:]:
+        b_shape = _core(bv, 2)
+    if len(a_shape) != 2 or len(b_shape) not in (1, 2):
         raise DimensionError(
             f"matmul supports [m x k] @ [k] or [m x k] @ [k x n], "
             f"got shapes {av.shape} and {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
+    if a_shape[1] != b_shape[0]:
         raise DimensionError(
             f"matmul inner dimensions differ: {av.shape} vs {bv.shape}")
 
@@ -328,6 +375,8 @@ def matmul(a, b):
         _accumulate(a, g @ bv.T if bv.ndim == 2 else np.outer(g, bv))
         _accumulate(b, av.T @ g)
 
+    if len(b_shape) == 1 and bv.ndim == 2:  # copies of a vector
+        return _emit((av @ bv[..., None])[..., 0], backward, a, b)
     return _emit(av @ bv, backward, a, b)
 
 
@@ -335,11 +384,13 @@ def concat_last(a, b):
     """Concatenate along the last axis (two vectors, or two matrices with
     equal row counts)."""
     av, bv = _value(a), _value(b)
-    if av.ndim != bv.ndim or av.ndim not in (1, 2):
+    rank = min(av.ndim, bv.ndim, 2)
+    a_shape, b_shape = _core(av, rank), _core(bv, rank)
+    if len(a_shape) != len(b_shape) or len(a_shape) not in (1, 2):
         raise DimensionError(
             f"concat_last needs two 1-d or two 2-d arrays, got shapes "
             f"{av.shape} and {bv.shape}")
-    if av.ndim == 2 and av.shape[0] != bv.shape[0]:
+    if a_shape[:-1] != b_shape[:-1]:
         raise DimensionError(
             f"concat_last row counts differ: {av.shape} vs {bv.shape}")
     split = av.shape[-1]
@@ -348,7 +399,7 @@ def concat_last(a, b):
         _accumulate(a, g[..., :split])
         _accumulate(b, g[..., split:])
 
-    return _emit(np.concatenate([av, bv], axis=-1), backward, a, b)
+    return _emit(_concat([av, bv], -1), backward, a, b)
 
 
 def tile_rows(x, count: int):
@@ -358,7 +409,7 @@ def tile_rows(x, count: int):
     explicitly instead of relying on implicit broadcasting.
     """
     xv = _value(x)
-    if xv.ndim != 1:
+    if len(_core(xv, 1)) != 1:
         raise DimensionError(f"tile_rows expects a vector, got shape {xv.shape}")
     if count < 1:
         raise ValidationError(f"tile_rows count must be >= 1, got {count}")
@@ -366,26 +417,27 @@ def tile_rows(x, count: int):
     def backward(g):
         _accumulate(x, g.sum(axis=0))
 
-    return _emit(np.tile(xv, (count, 1)), backward, x)
+    return _emit(np.repeat(xv[..., None, :], count, axis=-2), backward, x)
 
 
 def transpose(x):
     xv = _value(x)
-    if xv.ndim != 2:
+    if len(_core(xv, 2)) != 2:
         raise DimensionError(f"transpose expects a matrix, got shape {xv.shape}")
 
     def backward(g):
         _accumulate(x, g.T)
 
-    return _emit(xv.T.copy(), backward, x)
+    return _emit(_mT(xv).copy(), backward, x)
 
 
 def affine(x, w, b):
     """Row-stacked affine map ``x @ w.T + b`` for x [B x in], w [out x in]
     and b [out], recorded as one node."""
     xv, wv, bv = _value(x), _value(w), _value(b)
-    if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]
-            or bv.shape != wv.shape[:1]):
+    x_shape, w_shape = _core(xv, 2), _core(wv, 2)
+    if (len(x_shape) != 2 or len(w_shape) != 2 or x_shape[1] != w_shape[1]
+            or _core(bv, 1) != w_shape[:1]):
         raise DimensionError(
             f"affine expects x [B x in], W [out x in] and b [out], got "
             f"shapes {xv.shape}, {wv.shape} and {bv.shape}")
@@ -395,7 +447,7 @@ def affine(x, w, b):
         _accumulate(w, g.T @ xv)
         _accumulate(b, g.sum(axis=0))
 
-    return _emit(xv @ wv.T + bv, backward, x, w, b)
+    return _emit(xv @ _mT(wv) + bv[..., None, :], backward, x, w, b)
 
 
 def _gru_split(name, n_in, hidden, w_update, w_reset, w_cand,
@@ -407,31 +459,32 @@ def _gru_split(name, n_in, hidden, w_update, w_reset, w_cand,
     hidden].  Gate blocks are ordered update, reset, candidate."""
     wz, wr, wc = _value(w_update), _value(w_reset), _value(w_cand)
     bz, br, bc = _value(b_update), _value(b_reset), _value(b_cand)
-    if not (wz.shape == wr.shape == wc.shape == (hidden, n_in + hidden)
-            and bz.shape == br.shape == bc.shape == (hidden,)):
+    if not (_core(wz, 2) == _core(wr, 2) == _core(wc, 2) == (hidden, n_in + hidden)
+            and _core(bz, 1) == _core(br, 1) == _core(bc, 1) == (hidden,)):
         raise DimensionError(
             f"{name} weights must be [{hidden} x {n_in + hidden}] and biases "
             f"[{hidden}], got {wz.shape}, {wr.shape}, {wc.shape} and "
             f"{bz.shape}, {br.shape}, {bc.shape}")
-    w_x = np.concatenate([wz[:, :n_in], wr[:, :n_in], wc[:, :n_in]])
-    w_zr = np.concatenate([wz[:, n_in:], wr[:, n_in:]])
-    return w_x, np.concatenate([bz, br, bc]), w_zr, wc[:, n_in:]
+    w_x = _concat([wz[..., :n_in], wr[..., :n_in], wc[..., :n_in]], -2)
+    w_zr = _concat([wz[..., n_in:], wr[..., n_in:]], -2)
+    return w_x, _concat([bz, br, bc], -1), w_zr, wc[..., n_in:]
 
 
-def _gru_forward(gx, h, w_zr, w_c):
+def _gru_forward(gx, h, w_zr_t, w_c_t):
     """One reset-before-candidate GRU update of h [B x hidden] from its
-    input gate terms gx = x @ w_x.T + b [B x 3*hidden]:
+    input gate terms gx = x @ w_x.T + b [B x 3*hidden], given the
+    transposed recurrent weights w_zr_t = w_zr.T and w_c_t = w_c.T:
 
-        z, r = sigmoid(gx[update, reset] + h @ w_zr.T)
-        c = tanh(gx[cand] + (r * h) @ w_c.T)
+        z, r = sigmoid(gx[update, reset] + h @ w_zr_t)
+        c = tanh(gx[cand] + (r * h) @ w_c_t)
         out = (1 - z) * h + z * c
 
     Returns out and what :func:`_gru_backward` needs."""
-    hidden = h.shape[1]
-    zr = _sigmoid_value(gx[:, :2 * hidden] + h @ w_zr.T)
-    z = zr[:, :hidden]
-    rh = zr[:, hidden:] * h
-    c = np.tanh(gx[:, 2 * hidden:] + rh @ w_c.T)
+    hidden = h.shape[-1]
+    zr = _sigmoid_value(gx[..., :2 * hidden] + h @ w_zr_t)
+    z = zr[..., :hidden]
+    rh = zr[..., hidden:] * h
+    c = np.tanh(gx[..., 2 * hidden:] + rh @ w_c_t)
     return (1.0 - z) * h + z * c, (h, zr, rh, c)
 
 
@@ -484,19 +537,21 @@ def gru_sequence(xs, h0, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
     adjoint over all of them in one product.
     """
     xv, hv = _value(xs), _value(h0)
-    if (xv.ndim != 2 or hv.ndim != 2 or hv.shape[0] < 1
-            or xv.shape[0] < hv.shape[0] or xv.shape[0] % hv.shape[0]):
+    x_shape, h_shape = _core(xv, 2), _core(hv, 2)
+    if (len(x_shape) != 2 or len(h_shape) != 2 or h_shape[0] < 1
+            or x_shape[0] < h_shape[0] or x_shape[0] % h_shape[0]):
         raise DimensionError(
             f"gru_sequence expects xs [B*tau x in] and h0 [B x hidden] with "
             f"tau >= 1, got shapes {xv.shape} and {hv.shape}")
     params = (w_update, w_reset, w_cand, b_update, b_reset, b_cand)
-    batch, hidden = hv.shape
-    w_x, b, w_zr, w_c = _gru_split("gru_sequence", xv.shape[1], hidden, *params)
-    tau = xv.shape[0] // batch
-    gx = (xv @ w_x.T + b).reshape(batch, tau, 3 * hidden)
-    h, saved = hv, []
+    batch, hidden = h_shape
+    w_x, b, w_zr, w_c = _gru_split("gru_sequence", x_shape[1], hidden, *params)
+    tau = x_shape[0] // batch
+    gx = xv @ _mT(w_x) + b[..., None, :]
+    gx = gx.reshape(gx.shape[:-2] + (batch, tau, 3 * hidden))
+    h, saved, w_zr_t, w_c_t = hv, [], _mT(w_zr), _mT(w_c)
     for t in range(tau):
-        h, record = _gru_forward(gx[:, t], h, w_zr, w_c)
+        h, record = _gru_forward(gx[..., t, :], h, w_zr_t, w_c_t)
         saved.append(record)
 
     def backward(g):
@@ -530,9 +585,10 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
     hv = _value(h0)
     ws, bs = _value(state_w), _value(state_b)
     wh, bh = _value(head_w), _value(head_b)
-    if (hv.ndim != 2 or ws.ndim != 2 or wh.ndim != 2 or steps < 1
-            or ws.shape[1] != hv.shape[1] or bs.shape != ws.shape[:1]
-            or wh.shape[1] != hv.shape[1] or bh.shape != wh.shape[:1]):
+    h_shape, s_shape, o_shape = _core(hv, 2), _core(ws, 2), _core(wh, 2)
+    if (len(h_shape) != 2 or len(s_shape) != 2 or len(o_shape) != 2 or steps < 1
+            or s_shape[1] != h_shape[1] or _core(bs, 1) != s_shape[:1]
+            or o_shape[1] != h_shape[1] or _core(bh, 1) != o_shape[:1]):
         raise DimensionError(
             f"gru_decoder expects h0 [B x hidden], state_w [embed x hidden], "
             f"state_b [embed], head_w [out x hidden], head_b [out] and "
@@ -541,33 +597,38 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
     if ego is None and (ego_w is not None or ego_b is not None):
         raise DimensionError("gru_decoder takes ego_w and ego_b only with ego")
     params = (w_update, w_reset, w_cand, b_update, b_reset, b_cand)
-    batch, hidden = hv.shape
-    embed = ws.shape[0]
+    batch, hidden = h_shape
+    embed = s_shape[0]
     w_x, b, w_zr, w_c = _gru_split("gru_decoder", embed, hidden, *params)
     if ego is not None:
         ev, we, be = _value(ego), _value(ego_w), _value(ego_b)
-        if (ev.ndim != 3 or ev.shape[:2] != (batch, steps) or we.ndim != 2
-                or we.shape != (embed, ev.shape[2]) or be.shape != (embed,)):
+        e_shape = _core(ev, 3)
+        if (len(e_shape) != 3 or e_shape[:2] != (batch, steps)
+                or _core(we, 2) != (embed, e_shape[2]) or _core(be, 1) != (embed,)):
             raise DimensionError(
                 f"gru_decoder ego must be [{batch} x {steps} x e] with ego_w "
                 f"[{embed} x e] and ego_b [{embed}], got shapes {ev.shape}, "
                 f"{we.shape} and {be.shape}")
-        ego_rows = ev.reshape(batch * steps, -1)
-        ego_pre = (ego_rows @ we.T + be).reshape(batch, steps, embed)
+        ego_rows = ev.reshape(ev.shape[:-3] + (batch * steps, e_shape[2]))
+        ego_pre = ego_rows @ _mT(we) + be[..., None, :]
+        ego_pre = ego_pre.reshape(ego_pre.shape[:-2] + (batch, steps, embed))
         ego_x = np.maximum(ego_pre, 0.0)
     h, saved, state_pre, xs = hv, [], [], []
+    ws_t, bs_row, w_x_t, b_row = _mT(ws), bs[..., None, :], _mT(w_x), b[..., None, :]
+    w_zr_t, w_c_t = _mT(w_zr), _mT(w_c)
     for t in range(steps):
-        pre = h @ ws.T + bs
+        pre = h @ ws_t + bs_row
         x = np.maximum(pre, 0.0)
         if ego is not None:
-            x = 0.5 * (x + ego_x[:, t])
-        h, record = _gru_forward(x @ w_x.T + b, h, w_zr, w_c)
+            x = 0.5 * (x + ego_x[..., t, :])
+        h, record = _gru_forward(x @ w_x_t + b_row, h, w_zr_t, w_c_t)
         saved.append(record)
         state_pre.append(pre)
         xs.append(x)
-    hs = np.stack([s[0] for s in saved[1:]] + [h], axis=1).reshape(
-        batch * steps, hidden)
-    y = (hs @ wh.T + bh).reshape(batch, steps, -1)
+    hs = np.stack([s[0] for s in saved[1:]] + [h], axis=-2)
+    hs = hs.reshape(hs.shape[:-3] + (batch * steps, hidden))
+    y = hs @ _mT(wh) + bh[..., None, :]
+    y = y.reshape(y.shape[:-2] + (batch, steps, -1))
 
     def backward(g):
         g_rows = g.reshape(batch * steps, -1)
@@ -606,24 +667,33 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
                  *params, head_w, head_b)
 
 
+def _total(xv: np.ndarray) -> tuple[np.ndarray, int]:
+    """The sum of xv's elements and their count; per copy when xv
+    carries a grad_check rerun's copy axis."""
+    copies = _COPIES.get()
+    if copies and xv.shape[:1] == (copies,):
+        rows = xv.reshape(copies, -1)
+        return rows.sum(axis=1), rows.shape[1]
+    return xv.sum(), xv.size
+
+
 def sum_all(x):
-    """Sum of all elements, as a 0-d scalar."""
+    """Sum of all elements, as a 0-d scalar (one per copy in grad_check)."""
 
     def backward(g):
         _accumulate(x, g)
 
-    return _emit(np.asarray(_value(x).sum()), backward, x)
+    return _emit(np.asarray(_total(_value(x))[0]), backward, x)
 
 
 def mean_all(x):
-    """Mean of all elements, as a 0-d scalar."""
-    xv = _value(x)
-    n = xv.size
+    """Mean of all elements, as a 0-d scalar (one per copy in grad_check)."""
+    total, n = _total(_value(x))
 
     def backward(g):
         _accumulate(x, g / n)
 
-    return _emit(np.asarray(xv.sum() / n), backward, x)
+    return _emit(np.asarray(total / n), backward, x)
 
 
 @dataclass
@@ -674,12 +744,24 @@ def grad_check(loss, groups, step: float = 1e-6,
     caller with one stage passes ``[(tape.params, loss)]``.  Every named
     leaf of the tape must be in exactly one group, so none goes unchecked.
 
-    Parameter values are perturbed in place and restored bit-exactly, also
-    when a rerun raises.  A relative error that is not finite counts as
-    infinite, so a NaN gradient or loss fails the check.  The caller is
-    responsible for keeping relu inputs away from their kink; points
-    within finite-difference reach of 0 make the numeric estimate
-    meaningless.
+    A rerun checks one row of a leaf (its last axis; a 0-d leaf is one
+    row) at once.  For a row of k elements the leaf's ``value`` is
+    rebound to a stacked copy [2k x *shape] in which copy 2j holds
+    element j + step and copy 2j + 1 element j - step, so ``rerun`` must
+    return 2k losses, one per copy; a 0-d loss is one that does not read
+    the leaf.  Every primitive carries the copy axis through (see the
+    module docstring), so the losses are those of perturbing one element
+    per pass.  The leaf is bound back to its view of :attr:`Tape.values`
+    afterwards, also when a rerun raises; the tape's values are never
+    written.  Where rank does not tell, an array whose leading axis is
+    as long as the copy count is read as carrying the copies, and a
+    per-copy scalar (a 0-d leaf or a reduction, [2k]) meets only scalars
+    and other per-copy scalars.
+
+    A relative error that is not finite counts as infinite, so a NaN
+    gradient or loss fails the check.  The caller is responsible for
+    keeping relu inputs away from their kink; points within
+    finite-difference reach of 0 make the numeric estimate meaningless.
     """
     if step <= 0:
         raise ValidationError(f"finite-difference step must be positive, got {step}")
@@ -708,25 +790,35 @@ def grad_check(loss, groups, step: float = 1e-6,
     report = GradCheckReport(step=step, tolerance=tolerance)
     for params, rerun in groups:
         for name, p in params.items():
-            flat = p.value.reshape(-1)
+            view = p.value
+            flat = view.reshape(-1)
             grads = analytic[name].reshape(-1)
+            width = view.shape[-1] if view.ndim else 1
+            copies = 2 * width
             worst = 0.0
-            for i in range(flat.size):
-                original = flat[i]
+            pairs = np.arange(0, copies, 2)
+            for start in range(0, flat.size, max(width, 1)):
+                index = np.arange(start, start + width)
+                stacked = np.tile(flat, (copies, 1))
+                stacked[pairs, index] = flat[index] + step
+                stacked[pairs + 1, index] = flat[index] - step
+                p.value = stacked.reshape((copies,) + view.shape)
+                token = _COPIES.set(copies)
                 try:
-                    flat[i] = original + step
                     with tape.no_grad():
-                        loss_plus = float(_value(rerun()))
-                    flat[i] = original - step
-                    with tape.no_grad():
-                        loss_minus = float(_value(rerun()))
+                        losses = _value(rerun())
                 finally:
-                    flat[i] = original
-                numeric = (loss_plus - loss_minus) / (2.0 * step)
-                a = grads[i]
-                rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-                if not math.isfinite(rel):
-                    rel = math.inf
-                worst = max(worst, rel)
+                    _COPIES.reset(token)
+                    p.value = view
+                if losses.shape not in ((), (copies,)):
+                    raise ValidationError(
+                        f"grad_check: a rerun for {name!r} returned shape "
+                        f"{losses.shape}, not one loss per copy ({copies},)")
+                losses = np.broadcast_to(losses, (copies,))
+                numeric = (losses[0::2] - losses[1::2]) / (2.0 * step)
+                a = grads[index]
+                rel = np.abs(a - numeric) / np.maximum(
+                    1.0, np.maximum(np.abs(a), np.abs(numeric)))
+                worst = max(worst, float(np.where(np.isfinite(rel), rel, np.inf).max()))
             report.per_parameter[name] = worst
     return report

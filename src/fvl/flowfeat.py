@@ -16,6 +16,7 @@ center clamp to the border pixel.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -90,8 +91,9 @@ def expand_roi(box: BoundingBox, factor: float, image_width: float,
     The result keeps whatever extent survives clipping; a box that ends
     up with no area inside the image is rejected.
     """
-    if factor < 1.0:
-        raise ValidationError(f"expansion factor must be >= 1, got {factor}")
+    if not (math.isfinite(factor) and factor >= 1.0):
+        raise ValidationError(
+            f"expansion factor must be finite and >= 1, got {factor}")
     half_w = box.w * factor / 2.0
     half_h = box.h * factor / 2.0
     x0 = max(box.cx - half_w, 0.0)

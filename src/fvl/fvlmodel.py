@@ -273,9 +273,9 @@ class BoxForecaster:
                 raise ValidationError(
                     f"expected {c.delta} ego features of width 3 per sample, "
                     f"got shape {ego.shape}")
-            if ego.shape[0] != np.shape(fused)[0]:
-                raise ValidationError(
-                    f"{ego.shape[0]} ego rows for {np.shape(fused)[0]} samples")
+            rows = dc._core(dc._value(fused), 2)[0]
+            if ego.shape[0] != rows:
+                raise ValidationError(f"{ego.shape[0]} ego rows for {rows} samples")
         ego_layer = ((self.ego_embed.weight, self.ego_embed.bias)
                      if ego is not None else (None, None))
         return dc.gru_decoder(fused, ego, self.state_embed.weight,

@@ -211,17 +211,23 @@ def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
 
     x is [B x in], h is [B x hidden], each weight [hidden x (in + hidden)]
     and each bias [hidden], all multiplied unsplit; the backward is the
-    closed-form adjoint of the lines above.
+    closed-form adjoint of the lines above.  The forward runs over
+    trailing axes, like the library kernels, so that the stacked copies
+    of ``diffcore.grad_check`` pass through it.
     """
     xv, hv = dc._value(x), dc._value(h)
     wz, wr, wc = dc._value(w_update), dc._value(w_reset), dc._value(w_cand)
     bz, br, bc = dc._value(b_update), dc._value(b_reset), dc._value(b_cand)
-    n_in = xv.shape[1]
-    xh = np.concatenate([xv, hv], axis=1)
-    z = dc._sigmoid_value(xh @ wz.T + bz)
-    r = dc._sigmoid_value(xh @ wr.T + br)
-    xrh = np.concatenate([xv, r * hv], axis=1)
-    c = np.tanh(xrh @ wc.T + bc)
+    n_in = xv.shape[-1]
+
+    def gate(inputs, w, b):
+        return inputs @ np.swapaxes(w, -1, -2) + b[..., None, :]
+
+    xh = dc._concat([xv, hv], -1)
+    z = dc._sigmoid_value(gate(xh, wz, bz))
+    r = dc._sigmoid_value(gate(xh, wr, br))
+    xrh = dc._concat([xv, r * hv], -1)
+    c = np.tanh(gate(xrh, wc, bc))
 
     def backward(g):
         d_cand = g * z * (1.0 - c * c)

@@ -23,7 +23,7 @@ from fvl.dataio import (
 )
 from fvl.egomotion import EgoFeature
 from fvl.flowfeat import PooledFlow
-from fvl.fvlmodel import ModelConfig, load_model
+from fvl.fvlmodel import BoxForecaster, ModelConfig, load_model, save_model
 from fvl.metrics import build_reports, displacement_errors, reports_to_json
 from fvl.nnkit import save_params
 from fvl.rng import Xoshiro256
@@ -299,7 +299,10 @@ def test_usage_errors_exit_1(capsys):
     # carry their own) and no flag to skip the easy/challenging split
     assert main(["evaluate", "linear", "--dataset", "d", "--pool-n", "3"]) == 1
     assert main(["evaluate", "linear", "--dataset", "d", "--no-split"]) == 1
-    capsys.readouterr()
+    # a negative seed is refused before any data is read
+    assert main(["train", "--dataset", "d", "--out", "m", "--seed", "-3"]) == 1
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -512,6 +515,47 @@ def test_sample_file_must_hold_the_requested_window(tmp_path, window, capsys):
                  "--tau", tau, "--delta", delta]) == 2
     assert (f"{dataset}: sample 0 has a tau=3, delta=2 window, not "
             f"tau={tau}, delta={delta}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", ["inf", "nan"])
+def test_non_finite_roi_expansion_exits_2(suite, tmp_path, factor, capsys):
+    # before, inf trained on whole-image ROIs
+    assert main(["train", "--dataset", str(suite), "--out",
+                 str(tmp_path / "m.fvlw"), *TRAIN_FLAGS,
+                 "--roi-expand", factor]) == 2
+    assert (f"expansion factor must be finite and >= 1, got {factor}"
+            in capsys.readouterr().err)
+
+
+def test_train_checks_the_lattice_of_a_sample_file(tmp_path, capsys):
+    dataset = tmp_path / "samples.jsonl"
+    write_dataset(_tiny_samples(huge_future=False), dataset)
+    flags = ["--dataset", str(dataset), "--out", str(tmp_path / "m.fvlw"),
+             "--hidden", "4", "--embed", "4", "--tau", "3", "--delta", "2",
+             "--epochs", "1", "--pool-n", "3"]
+    assert main(["train", *flags, "--variant", "xo"]) == 2
+    assert (f"{dataset}: sample 0 has an n=2 flow lattice, not n=3"
+            in capsys.readouterr().err)
+    # a model that reads no flow takes samples of any lattice
+    assert main(["train", *flags, "--variant", "xe"]) == 0
+    capsys.readouterr()
+
+
+def test_evaluate_checks_the_lattice_of_a_sample_file(tmp_path, capsys):
+    dataset = tmp_path / "samples.jsonl"
+    write_dataset(_tiny_samples(huge_future=False), dataset)
+    for variant in ("x", "xoe"):
+        config = ModelConfig(variant=variant, hidden=4, embed=4, tau=3,
+                             delta=2, pooled_dim=18)
+        model = tmp_path / f"{variant}.fvlw"
+        save_model(model, config, BoxForecaster(config).parameter_values())
+        code = main(["evaluate", str(model), "--dataset", str(dataset)])
+        err = capsys.readouterr().err
+        if variant == "x":
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"{dataset}: sample 0 has an n=2 flow lattice, not n=3" in err
 
 
 def test_gradcheck_reports_pass(capsys):

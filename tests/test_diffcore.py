@@ -9,6 +9,7 @@ from fvl import diffcore as dc
 from fvl.diffcore import DiffArray, Tape, grad_check
 from fvl.errors import DimensionError, ValidationError
 from fvl.fvlmodel import VARIANTS, BoxForecaster, ModelConfig, _batch_loss
+from fvl.nnkit import mse_loss
 from fvl.rng import Xoshiro256
 
 import oracles
@@ -458,6 +459,108 @@ def test_grad_check_fails_a_leaf_whose_rerun_does_not_read_it():
     assert report.worst_parameter == "y"
 
 
+def test_grad_check_reruns_once_per_leaf_row_and_never_writes_the_tape():
+    tape = Tape()
+    rng = Xoshiro256(53)
+    a = tape.leaf(rng.uniforms((3, 4), -1.0, 1.0), name="a")
+    b = tape.leaf(rng.uniforms(5, -1.0, 1.0), name="b")
+    s = tape.leaf(np.array(0.7), name="s")
+    before = tape.values.tobytes()
+    unchanged = []
+
+    def loss():
+        unchanged.append(tape.values.tobytes() == before)
+        return dc.add(dc.add(dc.mean_all(dc.tanh(a)), dc.sum_all(dc.mul(b, b))),
+                      dc.mul(dc.sigmoid(s), s))
+
+    report = grad_check(loss, [(tape.params, loss)])
+    # the analytic pass, then one rerun per row: 3 of a, 1 of b, 1 of s
+    assert len(unchanged) == 1 + 5 and all(unchanged)
+    assert report.passed, report.summary()
+    assert tape.values.tobytes() == before
+    for leaf in (a, b, s):
+        assert np.shares_memory(leaf.value, tape.values)
+    # the same figures as perturbing one element per pass
+    assert report.per_parameter == oracles.unstaged_grad_check(loss, tape.params)
+
+
+@pytest.mark.parametrize("returned", [np.zeros(3), np.zeros(7), np.zeros((6, 1)),
+                                      "elements"],
+                         ids=["short", "long", "column", "elements"])
+def test_grad_check_wants_one_loss_per_copy(returned):
+    tape = Tape()
+    x = tape.leaf(np.array([[0.5, -1.0, 2.0]]), name="x")  # a row of 3: 6 copies
+    loss = lambda: dc.sum_all(dc.mul(x, x))
+    rerun = (lambda: dc.mul(x, x)) if isinstance(returned, str) else lambda: returned
+    with pytest.raises(ValidationError, match="not one loss per copy"):
+        grad_check(loss, [({"x": x}, rerun)])
+    assert np.shares_memory(x.value, tape.values)
+
+
+def test_a_leading_extra_axis_is_refused_outside_grad_check():
+    tape = Tape()
+    rng = Xoshiro256(59)
+
+    def extra(v):
+        return np.stack([dc._value(v)] * 2)
+
+    x, w, b = _affine_inputs(tape, rng)[0]
+    with pytest.raises(DimensionError, match="add"):
+        dc.add(extra(x), x)
+    with pytest.raises(DimensionError, match="affine"):
+        dc.affine(extra(x), w, b)
+    with pytest.raises(DimensionError, match="affine"):
+        dc.affine(x, w, extra(b))
+    seq = _sequence_inputs(tape, rng)[0]
+    with pytest.raises(DimensionError, match="gru_sequence expects"):
+        dc.gru_sequence(extra(seq[0]), *seq[1:])
+    with pytest.raises(DimensionError, match="gru_sequence weights"):
+        dc.gru_sequence(*seq[:2], extra(seq[2]), *seq[3:])
+    dec = _decoder_inputs(tape, rng, True)[0]
+    with pytest.raises(DimensionError, match="gru_decoder expects"):
+        dc.gru_decoder(extra(dec[0]), *dec[1:])
+    with pytest.raises(DimensionError, match="gru_decoder ego"):
+        dc.gru_decoder(dec[0], extra(dec[1]), *dec[2:])
+    target = rng.uniforms((3, 2), -1.0, 1.0)
+    with pytest.raises(DimensionError, match="mse_loss"):
+        mse_loss(extra(target), target)
+    # the reductions still sum every element into one 0-d scalar
+    for reduce, n in ((dc.sum_all, 1), (dc.mean_all, 24)):
+        out = reduce(tape.leaf(extra(x)))
+        assert out.shape == () and out.value == extra(x).sum() / n
+        with tape.no_grad():
+            assert reduce(extra(x)).shape == ()
+
+
+@pytest.mark.parametrize("label", ["affine", "gru_step"])
+def test_grad_check_through_the_unfused_primitives(label):
+    # the references chain matmul, transpose, tile_rows and concat_last
+    _, reference, build = FUSED[label]
+    tape = Tape()
+    rng = Xoshiro256(61)
+    args, leaves = build(tape, rng)
+    weights = rng.uniforms(reference(*args).shape, -1.0, 1.0)
+    tape.reset()
+    loss = lambda: dc.mul(_weighted(reference(*args), weights), 1000.0)
+    params = {leaf.name: leaf for leaf in leaves}
+    report = grad_check(loss, [(params, loss)])
+    assert report.passed, report.summary()
+    assert report.per_parameter == oracles.unstaged_grad_check(loss, params)
+
+
+def test_grad_check_through_a_matrix_vector_product():
+    tape = Tape()
+    rng = Xoshiro256(67)
+    m = tape.leaf(rng.uniforms((3, 4), -1.0, 1.0), name="m")
+    v = tape.leaf(rng.uniforms(4, -1.0, 1.0), name="v")
+    loss = lambda: dc.mul(dc.sum_all(dc.tanh(dc.matmul(m, v))), 1000.0)
+    report = grad_check(loss, [(tape.params, loss)])
+    assert report.passed, report.summary()
+    want = oracles.unstaged_grad_check(loss, tape.params)
+    for name, err in report.per_parameter.items():
+        assert err == pytest.approx(want[name], rel=0, abs=1e-9)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(min_value=-3.0, max_value=3.0,
                           allow_nan=False, allow_infinity=False),
@@ -521,12 +624,15 @@ def _decoder_inputs(tape, rng, with_ego, batch=3, steps=3, embed=3,
     return args, [a for a in args if isinstance(a, DiffArray)]
 
 
+# The references count rows from the end: inside grad_check a value may
+# carry a leading copy axis.
+
 def _affine_reference(x, w, b):
-    return dc.add(dc.matmul(x, dc.transpose(w)), dc.tile_rows(b, x.shape[0]))
+    return dc.add(dc.matmul(x, dc.transpose(w)), dc.tile_rows(b, x.shape[-2]))
 
 
 def _gru_reference(x, h, wz, wr, wc, bz, br, bc):
-    rows = x.shape[0]
+    rows = x.shape[-2]
     xh = dc.concat_last(x, h)
     z = dc.sigmoid(dc.add(dc.matmul(xh, dc.transpose(wz)), dc.tile_rows(bz, rows)))
     r = dc.sigmoid(dc.add(dc.matmul(xh, dc.transpose(wr)), dc.tile_rows(br, rows)))

@@ -47,8 +47,10 @@ def test_expand_roi_clips_scaled_corners_at_image_edge():
 
 def test_expand_roi_rejects_bad_inputs():
     box = BoundingBox(cx=100.0, cy=100.0, w=40.0, h=20.0)
-    with pytest.raises(ValidationError, match="factor"):
-        expand_roi(box, 0.5, 1280, 640)
+    for factor in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValidationError,
+                           match="expansion factor must be finite and >= 1"):
+            expand_roi(box, factor, 1280, 640)
     outside = BoundingBox(cx=-50.0, cy=100.0, w=10.0, h=10.0)
     with pytest.raises(ValidationError, match="outside"):
         expand_roi(outside, 1.0, 1280, 640)
