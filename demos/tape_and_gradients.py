@@ -21,9 +21,6 @@ def main():
     # a 3 -> 8 -> 1 regression net, built from two Projection layers
     hidden = Projection(tape, rng, 3, 8, activation="relu", name="hidden")
     out = Projection(tape, rng, 8, 1, activation="none", name="out")
-    # the tape registers every layer's leaves: it is the parameter set
-    params = tape.params
-
     inputs = rng.uniforms((32, 3), -1.0, 1.0)
     targets = np.sin(inputs.sum(axis=1, keepdims=True))
 
@@ -42,8 +39,9 @@ def main():
 
     print()
     print("checking every parameter against central finite differences")
-    # one group: every parameter, and the whole loss rerun once per leaf row
-    report = grad_check(loss_fn, [(params, loss_fn)], step=1e-6, tolerance=1e-4)
+    # the tape registers every layer's leaves, and grad_check checks them
+    # all, rerunning the whole loss once per chunk of at most 64 elements
+    report = grad_check(loss_fn, step=1e-6, tolerance=1e-4)
     print(report.summary())
 
     # the same primitives compose into anything differentiable

@@ -66,7 +66,7 @@ def _positive(kind):
     return convert
 
 
-def _seed(text):
+def _non_negative(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
@@ -99,10 +99,10 @@ def _build_parser() -> _Parser:
     train.add_argument("--embed", type=_positive(int), default=64)
     train.add_argument("--tau", type=_positive(int), default=10)
     train.add_argument("--delta", type=_positive(int), default=10)
-    train.add_argument("--epochs", type=int, default=40)
+    train.add_argument("--epochs", type=_non_negative, default=40)
     train.add_argument("--batch", type=_positive(int), default=64)
     train.add_argument("--lr", type=_positive(float), default=5e-4)
-    train.add_argument("--seed", type=_seed, default=0)
+    train.add_argument("--seed", type=_non_negative, default=0)
     train.add_argument("--workers", type=_positive(int), default=1)
     train.add_argument("--roi-expand", type=_positive(float), default=1.5)
     train.add_argument("--pool-n", type=_positive(int), default=5)
@@ -143,7 +143,7 @@ def _build_parser() -> _Parser:
     gc.add_argument("--tau", type=_positive(int), default=3)
     gc.add_argument("--delta", type=_positive(int), default=2)
     gc.add_argument("--pool-n", type=_positive(int), default=5)
-    gc.add_argument("--seed", type=_seed, default=7)
+    gc.add_argument("--seed", type=_non_negative, default=7)
     gc.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -27,10 +27,14 @@ whose adjoints are row sums.
 
 Every forward works over trailing axes, for one reason: inside the
 reruns of :func:`grad_check`, and only there, a value may carry one
-leading copy axis, one copy per finite-difference perturbation.  There
-elementwise operands may differ by that axis, rank checks look at the
-dims after it, and :func:`sum_all` and :func:`mean_all` reduce each copy
-on its own.  Reruns record nothing, so no backward sees a copy axis.
+leading copy axis, two copies (+step and -step) for each of the at most
+64 leaf elements one rerun perturbs.  There elementwise operands may
+differ by that axis, rank checks look at the dims after it, and
+:func:`sum_all` and :func:`mean_all` reduce each copy on its own.
+Where rank does not tell, an array whose leading axis is as long as the
+copy count is read as carrying the copies, and a per-copy scalar (a 0-d
+leaf or a reduction) meets only scalars and other per-copy scalars.
+Reruns record nothing, so no backward sees a copy axis.
 
 A primitive records through one entry point.  It checks its operands,
 computes its forward value, and hands that value to ``_emit`` with a
@@ -58,6 +62,7 @@ single thread; run one tape per worker if you want parallelism.
 from __future__ import annotations
 
 import contextvars
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -127,9 +132,6 @@ class DiffArray:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -215,6 +217,9 @@ class Tape:
 # The number of stacked copies a value may carry on a leading axis: set
 # by grad_check around each rerun, 0 everywhere else.
 _COPIES = contextvars.ContextVar("fvl_diffcore_copies", default=0)
+
+# The most leaf elements one grad_check rerun perturbs.
+_FD_CHUNK = 64
 
 
 def _core(v: np.ndarray, ndim: int) -> tuple[int, ...]:
@@ -729,96 +734,80 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(loss, groups, step: float = 1e-6,
+def grad_check(loss, step: float = 1e-6,
                tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients of ``loss`` against central finite
-    differences, one parameter group at a time.
+    """Compare the analytic gradient of ``loss`` with central finite
+    differences for every named leaf of the tape that ``loss`` records on.
 
-    ``loss`` takes no arguments and returns a scalar loss recorded on the
-    tape; it runs once, for the analytic gradients.  ``groups`` is a
-    sequence of ``(params, rerun)`` pairs: ``params`` maps names to leaves,
-    as :attr:`Tape.params` does, and ``rerun`` returns the value of the
-    same loss while only those leaves differ from their values at the
-    analytic pass.  So a rerun may reuse anything computed once from the
-    other leaves and recompute only the stages its own leaves feed; a
-    caller with one stage passes ``[(tape.params, loss)]``.  Every named
-    leaf of the tape must be in exactly one group, so none goes unchecked.
+    ``loss`` takes no arguments and returns a scalar loss.  Its first
+    call is recorded and gives the analytic gradients through one
+    :meth:`Tape.backward`; grad_check zeroes the leaf adjoints before it
+    and calls :meth:`Tape.reset` after it.  A recording already on the
+    tape is replayed too, with zero adjoints, which adds nothing to the
+    leaf gradients while its values are finite.  Every later call is a
+    rerun under :meth:`Tape.no_grad`.
 
-    A rerun checks one row of a leaf (its last axis; a 0-d leaf is one
-    row) at once.  For a row of k elements the leaf's ``value`` is
+    A rerun checks up to ``_FD_CHUNK`` = 64 consecutive elements of one
+    flattened leaf.  For a chunk of k elements the leaf's ``value`` is
     rebound to a stacked copy [2k x *shape] in which copy 2j holds
-    element j + step and copy 2j + 1 element j - step, so ``rerun`` must
+    element j + step and copy 2j + 1 element j - step, so ``loss`` must
     return 2k losses, one per copy; a 0-d loss is one that does not read
-    the leaf.  Every primitive carries the copy axis through (see the
-    module docstring), so the losses are those of perturbing one element
-    per pass.  The leaf is bound back to its view of :attr:`Tape.values`
-    afterwards, also when a rerun raises; the tape's values are never
-    written.  Where rank does not tell, an array whose leading axis is
-    as long as the copy count is read as carrying the copies, and a
-    per-copy scalar (a 0-d leaf or a reduction, [2k]) meets only scalars
-    and other per-copy scalars.
+    the leaf.  Every primitive carries the copy axis through, within the
+    limits the module docstring names, so the losses are those of
+    perturbing one element per pass.  The leaf is bound back to its view
+    of :attr:`Tape.values` afterwards, also when a rerun raises; the
+    tape's values are never written.
 
     A relative error that is not finite counts as infinite, so a NaN
     gradient or loss fails the check.  The caller is responsible for
     keeping relu inputs away from their kink; points within
     finite-difference reach of 0 make the numeric estimate meaningless.
     """
-    if step <= 0:
-        raise ValidationError(f"finite-difference step must be positive, got {step}")
-    named = [(name, p) for params, _ in groups for name, p in params.items()]
-    if not named:
-        raise ValidationError("grad_check needs at least one parameter")
-    tape = named[0][1].tape
-    registered = tape.params
-    seen = set()
-    for name, p in named:
-        if registered.get(name) is not p:
-            raise ValidationError(
-                f"grad_check: {name!r} is not a named leaf of the checked tape")
-        if name in seen:
-            raise ValidationError(f"grad_check: {name!r} is in more than one group")
-        seen.add(name)
-    missing = [name for name in registered if name not in seen]
-    if missing:
-        raise ValidationError(f"grad_check: leaves {missing} are in no group")
-
-    tape.reset()
-    tape.backward(loss())
-    analytic = {name: p.grad.copy() for name, p in named}
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(
+            f"finite-difference step must be positive and finite, got {step}")
+    out = loss()
+    if not isinstance(out, DiffArray):
+        raise ValidationError("grad_check: the loss records on no tape")
+    tape = out.tape
+    params = tape.params
+    if not params:
+        raise ValidationError("grad_check: the loss's tape has no named leaf")
+    tape.grads.fill(0.0)
+    tape.backward(out)
+    analytic = {name: p.grad.copy() for name, p in params.items()}
     tape.reset()
 
     report = GradCheckReport(step=step, tolerance=tolerance)
-    for params, rerun in groups:
-        for name, p in params.items():
-            view = p.value
-            flat = view.reshape(-1)
-            grads = analytic[name].reshape(-1)
-            width = view.shape[-1] if view.ndim else 1
-            copies = 2 * width
-            worst = 0.0
+    for name, p in params.items():
+        view = p.value
+        flat = view.reshape(-1)
+        grads = analytic[name].reshape(-1)
+        worst = 0.0
+        for start in range(0, flat.size, _FD_CHUNK):
+            index = np.arange(start, min(start + _FD_CHUNK, flat.size))
+            copies = 2 * index.size
             pairs = np.arange(0, copies, 2)
-            for start in range(0, flat.size, max(width, 1)):
-                index = np.arange(start, start + width)
-                stacked = np.tile(flat, (copies, 1))
-                stacked[pairs, index] = flat[index] + step
-                stacked[pairs + 1, index] = flat[index] - step
-                p.value = stacked.reshape((copies,) + view.shape)
-                token = _COPIES.set(copies)
-                try:
-                    with tape.no_grad():
-                        losses = _value(rerun())
-                finally:
-                    _COPIES.reset(token)
-                    p.value = view
-                if losses.shape not in ((), (copies,)):
-                    raise ValidationError(
-                        f"grad_check: a rerun for {name!r} returned shape "
-                        f"{losses.shape}, not one loss per copy ({copies},)")
-                losses = np.broadcast_to(losses, (copies,))
-                numeric = (losses[0::2] - losses[1::2]) / (2.0 * step)
-                a = grads[index]
-                rel = np.abs(a - numeric) / np.maximum(
-                    1.0, np.maximum(np.abs(a), np.abs(numeric)))
-                worst = max(worst, float(np.where(np.isfinite(rel), rel, np.inf).max()))
-            report.per_parameter[name] = worst
+            stacked = np.tile(flat, (copies, 1))
+            stacked[pairs, index] = flat[index] + step
+            stacked[pairs + 1, index] = flat[index] - step
+            p.value = stacked.reshape((copies,) + view.shape)
+            token = _COPIES.set(copies)
+            try:
+                with tape.no_grad():
+                    losses = _value(loss())
+            finally:
+                _COPIES.reset(token)
+                p.value = view
+            if losses.shape not in ((), (copies,)):
+                raise ValidationError(
+                    f"grad_check: a rerun for {name!r} returned shape "
+                    f"{losses.shape}, not one loss per copy ({copies},)")
+            losses = np.broadcast_to(losses, (copies,))
+            numeric = (losses[0::2] - losses[1::2]) / (2.0 * step)
+            a = grads[index]
+            rel = np.abs(a - numeric) / np.maximum(
+                1.0, np.maximum(np.abs(a), np.abs(numeric)))
+            worst = max(worst, float(np.where(np.isfinite(rel), rel, np.inf).max()))
+        report.per_parameter[name] = worst
     return report

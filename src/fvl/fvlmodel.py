@@ -230,7 +230,6 @@ class BoxForecaster:
             raise ValidationError(
                 f"variant {c.variant!r} does not take a flow stream")
         h = self._run_encoder(self.box_embed, self.box_encoder, boxes)
-        h_flow = None
         if c.uses_flow:
             flows = np.asarray(flows, dtype=np.float64)
             if flows.shape != (boxes.shape[0], c.tau, c.pooled_dim):
@@ -238,19 +237,13 @@ class BoxForecaster:
                     f"expected pooled flow shaped [batch x {c.tau} x "
                     f"{c.pooled_dim}] matching the boxes, got {flows.shape}")
             h_flow = self._run_encoder(self.flow_embed, self.flow_encoder, flows)
-        return self._fuse(h, h_flow)
+            h = 0.5 * (h + h_flow)
+        return self.fuse(h)
 
     def _run_encoder(self, embed, cell, series):
         batch, tau, width = series.shape
         return cell.unroll(embed(series.reshape(batch * tau, width)),
                            np.zeros((batch, self.config.hidden)))
-
-    def _fuse(self, h, h_flow):
-        """The fused state from the streams' final hidden states: the box
-        stream's, averaged with the flow stream's unless that is None."""
-        if h_flow is not None:
-            h = 0.5 * (h + h_flow)
-        return self.fuse(h)
 
     def decode_steps(self, fused, ego=None):
         """Unroll the decoder into residuals [batch x delta x 4].
@@ -510,47 +503,8 @@ def gradient_check_model(config: ModelConfig, seed: int = 7,
     biases are drawn at random: zero biases put a relu input exactly on
     its kink whenever the row feeding it is all zero, where finite
     differences cannot agree with any one-sided derivative.
-
-    The finite differences follow the model's stages.  A perturbed leaf
-    changes only its own stage and the ones after it, so each group of
-    leaves reruns from the unperturbed outputs of the stages before it,
-    computed once: a stream's leaves rerun that stream, fuse, decoder and
-    loss; fuse's rerun fuse, decoder and loss; the decoder side's (state
-    and ego embeds, decoder, head) rerun only the decoder and the loss.
-    Each stage makes the same numpy calls as `_batch_loss`, so the report
-    equals that of rerunning the whole loss for every perturbation.
     """
     model, data = _gradcheck_problem(config, seed)
-    boxes, flows, egos, targets = (data[key] for key in
-                                   ("boxes", "flows", "egos", "targets"))
-
-    def box_stream():
-        return model._run_encoder(model.box_embed, model.box_encoder, boxes)
-
-    def flow_stream():
-        return model._run_encoder(model.flow_embed, model.flow_encoder, flows)
-
-    def decode(fused):
-        return dc.mul(mse_loss(model.decode_steps(fused, egos), targets), 1000.0)
-
-    with model.tape.no_grad():
-        h_box = box_stream()
-        h_flow = flow_stream() if config.uses_flow else None
-        fused = model._fuse(h_box, h_flow)
-
-    def leaves(*layers):
-        return {name: p for name, p in model.params.items()
-                if name.partition(".")[0] in layers}
-
-    groups = [
-        (leaves("box_embed", "box_encoder"),
-         lambda: decode(model._fuse(box_stream(), h_flow))),
-        (leaves("flow_embed", "flow_encoder"),
-         lambda: decode(model._fuse(h_box, flow_stream()))),
-        (leaves("fuse"), lambda: decode(model._fuse(h_box, h_flow))),
-        (leaves("state_embed", "ego_embed", "decoder", "head"),
-         lambda: decode(fused)),
-    ]
-    return grad_check(
-        lambda: dc.mul(_batch_loss(model, data, range(len(boxes))), 1000.0),
-        groups, step=step, tolerance=tolerance)
+    rows = range(len(data["boxes"]))
+    return grad_check(lambda: dc.mul(_batch_loss(model, data, rows), 1000.0),
+                      step=step, tolerance=tolerance)

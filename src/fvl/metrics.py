@@ -94,8 +94,8 @@ class EvalReport:
                 f"ade={mean['ade']:8.3f}  fiou={mean['fiou']:6.4f}")
 
 
-def build_reports(predictions, truths, reference_fdes=None) -> dict:
-    """Per-sample metrics plus overall and (optionally) case-split reports.
+def build_reports(predictions, truths, reference_fdes) -> dict:
+    """Per-sample metrics plus overall and case-split reports.
 
     `predictions` and `truths` are [N x delta x 4] box stacks (or
     sequences of [delta x 4] arrays); `reference_fdes` are the N
@@ -105,13 +105,12 @@ def build_reports(predictions, truths, reference_fdes=None) -> dict:
     truths = np.asarray(truths, dtype=np.float64)
     fde, ade = displacement_errors(predictions, truths)
     fiou = final_iou(predictions[:, -1], truths[:, -1])
-    cases = {"all": np.arange(len(fde))}
-    if reference_fdes is not None:
-        reference_fdes = np.asarray(reference_fdes, dtype=np.float64)
-        if reference_fdes.shape != fde.shape:
-            raise ValidationError(f"reference FDEs of shape "
-                                  f"{reference_fdes.shape} for {len(fde)} samples")
-        cases["easy"], cases["challenging"] = split_cases(reference_fdes)
+    reference_fdes = np.asarray(reference_fdes, dtype=np.float64)
+    if reference_fdes.shape != fde.shape:
+        raise ValidationError(f"reference FDEs of shape "
+                              f"{reference_fdes.shape} for {len(fde)} samples")
+    easy, challenging = split_cases(reference_fdes)
+    cases = {"all": np.arange(len(fde)), "easy": easy, "challenging": challenging}
     return {case: EvalReport(case, index, fde[index], ade[index], fiou[index])
             for case, index in cases.items() if len(index)}
 

@@ -297,14 +297,15 @@ def gru_decoder_chain(h0, ego, state_w, state_b, ego_w, ego_b, w_update,
     return stack_steps(ys)
 
 
-# --- the unstaged gradient check --------------------------------------------
+# --- the per-element gradient check -----------------------------------------
 
 
 def unstaged_grad_check(f, params, step=1e-6):
     """Per-parameter worst relative error of the analytic gradients of
     ``f`` against central finite differences that rerun the whole loss
-    ``f`` for every perturbation, unstaged: the reference that
-    ``diffcore.grad_check`` with staged parameter groups must equal."""
+    ``f`` once for every perturbed element: the reference that
+    ``diffcore.grad_check``, which perturbs many elements per rerun on a
+    copy axis, must equal."""
     tape = next(iter(params.values())).tape
     tape.reset()
     tape.backward(f())

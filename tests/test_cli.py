@@ -303,6 +303,9 @@ def test_usage_errors_exit_1(capsys):
     assert main(["train", "--dataset", "d", "--out", "m", "--seed", "-3"]) == 1
     assert main(["gradcheck", "--seed", "-1"]) == 1
     assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+    # so is a negative epoch count, by the same converter
+    assert main(["train", "--dataset", "d", "--out", "m", "--epochs", "-1"]) == 1
+    assert "--epochs: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -363,7 +363,7 @@ def test_grad_check_passes_on_smooth_function():
     tape = Tape()
     x = tape.leaf(np.array([0.4, -1.2, 2.0]), name="x")
     loss = lambda: dc.mean_all(dc.mul(dc.tanh(x), x))
-    report = grad_check(loss, [({"x": x}, loss)])
+    report = grad_check(loss)
     assert report.passed
     assert report.max_rel_error < 1e-6
     assert "PASS" in report.summary()
@@ -374,7 +374,7 @@ def test_grad_check_restores_values_bit_exactly():
     values = np.array([0.1, 0.2, 0.30000000000000004])
     x = tape.leaf(values.copy(), name="x")
     loss = lambda: dc.sum_all(dc.mul(x, x))
-    grad_check(loss, [({"x": x}, loss)])
+    grad_check(loss)
     np.testing.assert_array_equal(x.value, values)
 
 
@@ -390,7 +390,7 @@ def test_grad_check_detects_a_wrong_gradient():
         scale = 1.0 if calls[0] == 1 else 3.0
         return dc.sum_all(dc.mul(x, scale * x.value))
 
-    report = grad_check(inconsistent, [({"x": x}, inconsistent)])
+    report = grad_check(inconsistent)
     assert not report.passed
     assert report.worst_parameter == "x"
 
@@ -399,11 +399,15 @@ def test_grad_check_detects_a_wrong_gradient():
 def test_grad_check_fails_a_nan_gradient(where):
     tape = Tape()
     y = tape.leaf(np.array([0.5, -1.5]), name="y")
-    loss = lambda: dc.mean_all(dc.mul(y, y))
-    nan_loss = lambda: dc.mul(loss(), np.nan)
-    full, rerun = {"numeric": (loss, nan_loss), "analytic": (nan_loss, loss),
-                   "everywhere": (nan_loss, nan_loss)}[where]
-    report = grad_check(full, [({"y": y}, rerun)])
+    poisoned = {"numeric": (False,), "analytic": (True,),
+                "everywhere": (True, False)}[where]
+
+    def loss():
+        # the analytic pass records; the reruns run under no_grad
+        value = dc.mean_all(dc.mul(y, y))
+        return dc.mul(value, np.nan) if tape.recording in poisoned else value
+
+    report = grad_check(loss)
     assert report.per_parameter == {"y": math.inf}
     assert not report.passed
     assert "FAIL" in report.summary()
@@ -422,63 +426,60 @@ def test_grad_check_restores_a_parameter_when_the_loss_raises():
         return dc.sum_all(dc.mul(z, z))
 
     with pytest.raises(FloatingPointError):
-        grad_check(loss, [({"z": z}, loss)])
+        grad_check(loss)
     assert z.value.tobytes() == before
 
 
-def test_grad_check_takes_every_named_leaf_in_exactly_one_group():
+def test_grad_check_wants_a_loss_recorded_on_named_leaves():
     tape = Tape()
-    x = tape.leaf(np.array([1.0, 2.0]), name="x")
-    y = tape.leaf(np.array(3.0), name="y")
-    loss = lambda: dc.sum_all(dc.mul(x, y))
-    stranger = Tape().leaf(np.array([1.0]), name="x")
-    for groups, why in [
-            ([], "at least one parameter"),
-            ([({"x": x}, loss)], r"\['y'\] are in no group"),
-            ([({"x": x, "y": y}, loss), ({"y": y}, loss)], "more than one group"),
-            ([({"x": x, "y": y}, loss), ({"x": stranger}, loss)],
-             "not a named leaf"),
-            ([({"x": x, "w": y}, loss)], "not a named leaf")]:
+    w = tape.leaf(np.array([1.0, 2.0]))
+    unnamed = lambda: dc.sum_all(dc.mul(w, 2.0))
+    for loss, why in [(unnamed, "has no named leaf"),
+                      (lambda: np.float64(1.0), "records on no tape"),
+                      (lambda: np.zeros(()), "records on no tape")]:
         with pytest.raises(ValidationError, match=why):
-            grad_check(loss, groups)
+            grad_check(loss)
 
 
-def test_grad_check_fails_a_leaf_whose_rerun_does_not_read_it():
-    # a staging mistake: y's group reruns from a value cached before y
-    # was perturbed, so its numeric gradient reads 0
+@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
+def test_grad_check_refuses_a_step_that_is_not_positive_and_finite(step):
     tape = Tape()
-    x = tape.leaf(np.array([1.0, 2.0]), name="x")
-    y = tape.leaf(np.array([3.0, -4.0]), name="y")
-    loss = lambda: dc.sum_all(dc.mul(x, y))
-    cached_y = y.value.copy()
-    report = grad_check(loss, [({"x": x}, loss),
-                               ({"y": y}, lambda: dc.sum_all(dc.mul(x, cached_y)))])
-    assert report.per_parameter["x"] < 1e-6
-    assert report.per_parameter["y"] > 0.5
-    assert not report.passed
-    assert report.worst_parameter == "y"
+    x = tape.leaf(np.array([1.0]), name="x")
+    with pytest.raises(ValidationError, match="positive and finite"):
+        grad_check(lambda: dc.sum_all(x), step=step)
 
 
-def test_grad_check_reruns_once_per_leaf_row_and_never_writes_the_tape():
+# leaf shapes whose sizes sit on the rerun chunk boundaries: 0-d, 1, 63,
+# 64, 65 and 130 elements.  No first dim is a copy count the others
+# produce (2, 4, 126, 128), where a reduction would read it as copies.
+CHUNK_SHAPES = [(), (1,), (7, 9), (8, 8), (5, 13), (10, 13)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(CHUNK_SHAPES), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_grad_check_reruns_once_per_chunk_and_never_writes_the_tape(shapes, seed):
     tape = Tape()
-    rng = Xoshiro256(53)
-    a = tape.leaf(rng.uniforms((3, 4), -1.0, 1.0), name="a")
-    b = tape.leaf(rng.uniforms(5, -1.0, 1.0), name="b")
-    s = tape.leaf(np.array(0.7), name="s")
+    rng = Xoshiro256(seed)
+    leaves = [tape.leaf(rng.uniforms(shape, -1.0, 1.0), name=f"p{i}")
+              for i, shape in enumerate(shapes)]
     before = tape.values.tobytes()
     unchanged = []
 
     def loss():
         unchanged.append(tape.values.tobytes() == before)
-        return dc.add(dc.add(dc.mean_all(dc.tanh(a)), dc.sum_all(dc.mul(b, b))),
-                      dc.mul(dc.sigmoid(s), s))
+        total = dc.mean_all(dc.mul(dc.tanh(leaves[0]), leaves[0]))
+        for leaf in leaves[1:]:
+            total = dc.add(total, dc.mean_all(dc.mul(dc.sigmoid(leaf), leaf)))
+        return dc.mul(total, 1000.0)
 
-    report = grad_check(loss, [(tape.params, loss)])
-    # the analytic pass, then one rerun per row: 3 of a, 1 of b, 1 of s
-    assert len(unchanged) == 1 + 5 and all(unchanged)
-    assert report.passed, report.summary()
+    report = grad_check(loss)
+    # the analytic pass, then one rerun per chunk of at most 64 elements
+    assert len(unchanged) == 1 + sum(math.ceil(leaf.value.size / 64)
+                                     for leaf in leaves)
+    assert all(unchanged)
     assert tape.values.tobytes() == before
-    for leaf in (a, b, s):
+    for leaf in leaves:
         assert np.shares_memory(leaf.value, tape.values)
     # the same figures as perturbing one element per pass
     assert report.per_parameter == oracles.unstaged_grad_check(loss, tape.params)
@@ -489,11 +490,16 @@ def test_grad_check_reruns_once_per_leaf_row_and_never_writes_the_tape():
                          ids=["short", "long", "column", "elements"])
 def test_grad_check_wants_one_loss_per_copy(returned):
     tape = Tape()
-    x = tape.leaf(np.array([[0.5, -1.0, 2.0]]), name="x")  # a row of 3: 6 copies
-    loss = lambda: dc.sum_all(dc.mul(x, x))
-    rerun = (lambda: dc.mul(x, x)) if isinstance(returned, str) else lambda: returned
+    x = tape.leaf(np.array([[0.5, -1.0, 2.0]]), name="x")  # 3 elements: 6 copies
+
+    def loss():
+        # the analytic pass records; the reruns run under no_grad
+        if tape.recording:
+            return dc.sum_all(dc.mul(x, x))
+        return dc.mul(x, x) if isinstance(returned, str) else returned
+
     with pytest.raises(ValidationError, match="not one loss per copy"):
-        grad_check(loss, [({"x": x}, rerun)])
+        grad_check(loss)
     assert np.shares_memory(x.value, tape.values)
 
 
@@ -543,7 +549,7 @@ def test_grad_check_through_the_unfused_primitives(label):
     tape.reset()
     loss = lambda: dc.mul(_weighted(reference(*args), weights), 1000.0)
     params = {leaf.name: leaf for leaf in leaves}
-    report = grad_check(loss, [(params, loss)])
+    report = grad_check(loss)
     assert report.passed, report.summary()
     assert report.per_parameter == oracles.unstaged_grad_check(loss, params)
 
@@ -554,7 +560,7 @@ def test_grad_check_through_a_matrix_vector_product():
     m = tape.leaf(rng.uniforms((3, 4), -1.0, 1.0), name="m")
     v = tape.leaf(rng.uniforms(4, -1.0, 1.0), name="v")
     loss = lambda: dc.mul(dc.sum_all(dc.tanh(dc.matmul(m, v))), 1000.0)
-    report = grad_check(loss, [(tape.params, loss)])
+    report = grad_check(loss)
     assert report.passed, report.summary()
     want = oracles.unstaged_grad_check(loss, tape.params)
     for name, err in report.per_parameter.items():
@@ -570,7 +576,7 @@ def test_gradient_of_composite_matches_finite_differences(values):
     tape = Tape()
     x = tape.leaf(arr.copy(), name="x")
     loss = lambda: dc.mean_all(dc.mul(dc.tanh(x), dc.sigmoid(x)))
-    report = grad_check(loss, [({"x": x}, loss)])
+    report = grad_check(loss)
     assert report.passed
 
 
@@ -667,7 +673,7 @@ def test_fused_kernels_match_finite_differences(label):
     weights = rng.uniforms(fused(*args).shape, -1.0, 1.0)
     tape.reset()
     loss = lambda: dc.mul(_weighted(fused(*args), weights), 1000.0)
-    report = grad_check(loss, [({leaf.name: leaf for leaf in leaves}, loss)])
+    report = grad_check(loss)
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4
 
@@ -785,8 +791,7 @@ def test_model_kernels_match_per_step_oracle(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_loss_gradients_match_finite_differences_at_batch_three(variant):
     # The bias adjoints of the fused kernels are row sums, so a wrong one
-    # only shows with more than one row, as in gradient_check_model; this
-    # test reruns the whole loss for every perturbation, unstaged.
+    # only shows with more than one row, as in gradient_check_model.
     # grad_check divides by max(1, |gradient|), so the loss is scaled up
     # until its adjoints are O(1) and the 1e-4 tolerance acts as relative.
     config = ModelConfig(variant=variant, hidden=4, embed=3, tau=3, delta=2,
@@ -801,6 +806,6 @@ def test_batch_loss_gradients_match_finite_differences_at_batch_three(variant):
         "targets": rng.uniforms((rows, config.delta, 4), -1.0, 1.0),
     }
     loss = lambda: dc.mul(_batch_loss(model, data, range(rows)), 1000.0)
-    report = grad_check(loss, [(model.params, loss)])
+    report = grad_check(loss)
     assert report.passed, report.summary()
     assert report.max_rel_error < 1e-4

@@ -349,10 +349,10 @@ GRADCHECK_SIZES = dict(hidden=8, embed=8, tau=3, delta=2, pooled_dim=50)
 
 @pytest.mark.parametrize("sizes", [GRADCHECK_SIZES, SMALL], ids=["cli", "small"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_staged_gradient_check_equals_the_unstaged_loop(variant, sizes):
-    # Each group reruns only its own stage and the later ones, from
-    # cached upstream values; every figure must equal, bit for bit, the
-    # loop that reruns the whole training loss for each perturbation.
+def test_gradient_check_equals_the_per_element_loop(variant, sizes):
+    # Each rerun perturbs up to 64 elements at once on a copy axis; every
+    # figure must equal, bit for bit, the loop that reruns the whole
+    # training loss for each perturbation.
     config = ModelConfig(variant=variant, **sizes)
     report = gradient_check_model(config, seed=7)
     model, data = _gradcheck_problem(config, 7)

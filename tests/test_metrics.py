@@ -150,7 +150,7 @@ def test_report_means_match_records():
     assert abs(means["fiou"] - np.mean(fiou)) < 1e-12
     assert "n=12 " in report.row()
     with pytest.raises(ValidationError, match="N >= 1"):
-        build_reports(np.zeros((0, 3, 4)), np.zeros((0, 3, 4)))
+        build_reports(np.zeros((0, 3, 4)), np.zeros((0, 3, 4)), np.zeros(0))
 
 
 def test_build_reports_partitions_and_serializes():
