@@ -57,12 +57,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+# argparse names a converter by its __name__ in a type error
 def _positive(kind):
     def convert(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
+    convert.__name__ = "positive integer" if kind is int else "positive number"
     return convert
 
 
@@ -71,6 +73,9 @@ def _non_negative(text):
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
+
+
+_non_negative.__name__ = "non-negative integer"
 
 
 def _build_parser() -> _Parser:

@@ -28,13 +28,14 @@ whose adjoints are row sums.
 Every forward works over trailing axes, for one reason: inside the
 reruns of :func:`grad_check`, and only there, a value may carry one
 leading copy axis, two copies (+step and -step) for each of the at most
-64 leaf elements one rerun perturbs.  There elementwise operands may
-differ by that axis, rank checks look at the dims after it, and
-:func:`sum_all` and :func:`mean_all` reduce each copy on its own.
-Where rank does not tell, an array whose leading axis is as long as the
-copy count is read as carrying the copies, and a per-copy scalar (a 0-d
-leaf or a reduction) meets only scalars and other per-copy scalars.
-Reruns record nothing, so no backward sees a copy axis.
+64 leaf elements one rerun perturbs.  Such a value is of a private
+ndarray subclass that numpy carries through ufuncs, products, slicing
+and reshapes, so a value carries copies exactly when the perturbed leaf
+feeds it.  Elementwise operands may then differ by the copy axis, a
+per-copy scalar meets an array copy by copy, rank checks look at
+:func:`core_shape`, and :func:`sum_all` and :func:`mean_all` reduce
+each copy on its own.  Reruns record nothing, so no backward sees a
+copy axis.
 
 A primitive records through one entry point.  It checks its operands,
 computes its forward value, and hands that value to ``_emit`` with a
@@ -61,7 +62,6 @@ single thread; run one tape per worker if you want parallelism.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -90,6 +90,7 @@ __all__ = [
     "sum_all",
     "mean_all",
     "grad_check",
+    "core_shape",
 ]
 
 
@@ -214,34 +215,30 @@ class Tape:
         self._ops.clear()
 
 
-# The number of stacked copies a value may carry on a leading axis: set
-# by grad_check around each rerun, 0 everywhere else.
-_COPIES = contextvars.ContextVar("fvl_diffcore_copies", default=0)
+class _Copies(np.ndarray):
+    """The perturbed leaf of a grad_check rerun and every value it feeds."""
+
 
 # The most leaf elements one grad_check rerun perturbs.
 _FD_CHUNK = 64
 
 
-def _core(v: np.ndarray, ndim: int) -> tuple[int, ...]:
-    """The shape of v after its copy axis when v has ``ndim`` + 1 axes,
-    the first as long as a grad_check rerun's copy count; otherwise,
-    and always outside such a rerun, its whole shape."""
-    copies = _COPIES.get()
-    if copies and v.ndim == ndim + 1 and v.shape[0] == copies:
-        return v.shape[1:]
-    return v.shape
+def core_shape(v: np.ndarray) -> tuple[int, ...]:
+    """The shape of v after its copy axis when v carries the copies of a
+    :func:`grad_check` rerun; otherwise, and always outside such a
+    rerun, its whole shape."""
+    return v.shape[1:] if isinstance(v, _Copies) else v.shape
 
 
 def _concat(parts, axis: int) -> np.ndarray:
     """np.concatenate along a trailing ``axis`` of parts of which some
-    may carry a leading copy axis that the others lack."""
-    ranks = {p.ndim for p in parts}
-    if len(ranks) > 1:
-        top = max(ranks)
-        lead = next(p.shape[:1] for p in parts if p.ndim == top)
-        parts = [p if p.ndim == top else np.broadcast_to(p, lead + p.shape)
-                 for p in parts]
-    return np.concatenate(parts, axis=axis)
+    may carry the copy axis that the others lack; unlike np.concatenate
+    and np.stack, it keeps the copy type."""
+    lead = next((p.shape[:1] for p in parts if isinstance(p, _Copies)), None)
+    if lead is None:
+        return np.concatenate(parts, axis=axis)
+    return np.concatenate([np.broadcast_to(p, lead + core_shape(p)) for p in parts],
+                          axis=axis).view(_Copies)
 
 
 def _mT(v: np.ndarray) -> np.ndarray:
@@ -254,7 +251,7 @@ def _mT(v: np.ndarray) -> np.ndarray:
 def _value(x) -> np.ndarray:
     if isinstance(x, DiffArray):
         return x.value
-    return np.asarray(x, dtype=np.float64)
+    return np.asanyarray(x, dtype=np.float64)
 
 
 def _emit(value: np.ndarray, backward, *operands):
@@ -283,17 +280,25 @@ def _accumulate(x, g: np.ndarray) -> None:
         x.grad += g.sum()
 
 
-def _check_elementwise(av: np.ndarray, bv: np.ndarray, op: str) -> None:
-    if (_core(av, bv.ndim) != bv.shape and _core(bv, av.ndim) != av.shape
-            and av.shape != () and bv.shape != ()):
+def _operands(a, b, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """The values of two elementwise operands, which must have equal
+    shapes or one must be a scalar.  A per-copy scalar gains unit axes
+    so that it meets an array copy by copy."""
+    av, bv = _value(a), _value(b)
+    a_shape, b_shape = core_shape(av), core_shape(bv)
+    if a_shape != b_shape and a_shape != () and b_shape != ():
         raise DimensionError(
             f"{op}: shapes {av.shape} and {bv.shape} are neither equal "
             f"nor scalar-with-array")
+    if isinstance(av, _Copies) and not a_shape:
+        av = av.reshape(av.shape + (1,) * len(b_shape))
+    if isinstance(bv, _Copies) and not b_shape:
+        bv = bv.reshape(bv.shape + (1,) * len(a_shape))
+    return av, bv
 
 
 def add(a, b):
-    av, bv = _value(a), _value(b)
-    _check_elementwise(av, bv, "add")
+    av, bv = _operands(a, b, "add")
 
     def backward(g):
         _accumulate(a, g)
@@ -303,8 +308,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    av, bv = _value(a), _value(b)
-    _check_elementwise(av, bv, "sub")
+    av, bv = _operands(a, b, "sub")
 
     def backward(g):
         _accumulate(a, g)
@@ -314,8 +318,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    av, bv = _value(a), _value(b)
-    _check_elementwise(av, bv, "mul")
+    av, bv = _operands(a, b, "mul")
 
     def backward(g):
         _accumulate(a, g * bv)
@@ -363,11 +366,7 @@ def relu(x):
 def matmul(a, b):
     """Matrix product of a 2-d left operand with a 1-d or 2-d right operand."""
     av, bv = _value(a), _value(b)
-    a_shape = _core(av, 2)
-    # a right operand is a vector when its last axis meets a's
-    b_shape = _core(bv, 1)
-    if len(b_shape) != 1 or b_shape != a_shape[-1:]:
-        b_shape = _core(bv, 2)
+    a_shape, b_shape = core_shape(av), core_shape(bv)
     if len(a_shape) != 2 or len(b_shape) not in (1, 2):
         raise DimensionError(
             f"matmul supports [m x k] @ [k] or [m x k] @ [k x n], "
@@ -380,7 +379,7 @@ def matmul(a, b):
         _accumulate(a, g @ bv.T if bv.ndim == 2 else np.outer(g, bv))
         _accumulate(b, av.T @ g)
 
-    if len(b_shape) == 1 and bv.ndim == 2:  # copies of a vector
+    if len(b_shape) == 1 and isinstance(bv, _Copies):  # copies of a vector
         return _emit((av @ bv[..., None])[..., 0], backward, a, b)
     return _emit(av @ bv, backward, a, b)
 
@@ -389,8 +388,7 @@ def concat_last(a, b):
     """Concatenate along the last axis (two vectors, or two matrices with
     equal row counts)."""
     av, bv = _value(a), _value(b)
-    rank = min(av.ndim, bv.ndim, 2)
-    a_shape, b_shape = _core(av, rank), _core(bv, rank)
+    a_shape, b_shape = core_shape(av), core_shape(bv)
     if len(a_shape) != len(b_shape) or len(a_shape) not in (1, 2):
         raise DimensionError(
             f"concat_last needs two 1-d or two 2-d arrays, got shapes "
@@ -414,7 +412,7 @@ def tile_rows(x, count: int):
     explicitly instead of relying on implicit broadcasting.
     """
     xv = _value(x)
-    if len(_core(xv, 1)) != 1:
+    if len(core_shape(xv)) != 1:
         raise DimensionError(f"tile_rows expects a vector, got shape {xv.shape}")
     if count < 1:
         raise ValidationError(f"tile_rows count must be >= 1, got {count}")
@@ -427,7 +425,7 @@ def tile_rows(x, count: int):
 
 def transpose(x):
     xv = _value(x)
-    if len(_core(xv, 2)) != 2:
+    if len(core_shape(xv)) != 2:
         raise DimensionError(f"transpose expects a matrix, got shape {xv.shape}")
 
     def backward(g):
@@ -440,9 +438,9 @@ def affine(x, w, b):
     """Row-stacked affine map ``x @ w.T + b`` for x [B x in], w [out x in]
     and b [out], recorded as one node."""
     xv, wv, bv = _value(x), _value(w), _value(b)
-    x_shape, w_shape = _core(xv, 2), _core(wv, 2)
+    x_shape, w_shape = core_shape(xv), core_shape(wv)
     if (len(x_shape) != 2 or len(w_shape) != 2 or x_shape[1] != w_shape[1]
-            or _core(bv, 1) != w_shape[:1]):
+            or core_shape(bv) != w_shape[:1]):
         raise DimensionError(
             f"affine expects x [B x in], W [out x in] and b [out], got "
             f"shapes {xv.shape}, {wv.shape} and {bv.shape}")
@@ -464,8 +462,8 @@ def _gru_split(name, n_in, hidden, w_update, w_reset, w_cand,
     hidden].  Gate blocks are ordered update, reset, candidate."""
     wz, wr, wc = _value(w_update), _value(w_reset), _value(w_cand)
     bz, br, bc = _value(b_update), _value(b_reset), _value(b_cand)
-    if not (_core(wz, 2) == _core(wr, 2) == _core(wc, 2) == (hidden, n_in + hidden)
-            and _core(bz, 1) == _core(br, 1) == _core(bc, 1) == (hidden,)):
+    if ({core_shape(w) for w in (wz, wr, wc)} != {(hidden, n_in + hidden)}
+            or {core_shape(b) for b in (bz, br, bc)} != {(hidden,)}):
         raise DimensionError(
             f"{name} weights must be [{hidden} x {n_in + hidden}] and biases "
             f"[{hidden}], got {wz.shape}, {wr.shape}, {wc.shape} and "
@@ -542,7 +540,7 @@ def gru_sequence(xs, h0, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
     adjoint over all of them in one product.
     """
     xv, hv = _value(xs), _value(h0)
-    x_shape, h_shape = _core(xv, 2), _core(hv, 2)
+    x_shape, h_shape = core_shape(xv), core_shape(hv)
     if (len(x_shape) != 2 or len(h_shape) != 2 or h_shape[0] < 1
             or x_shape[0] < h_shape[0] or x_shape[0] % h_shape[0]):
         raise DimensionError(
@@ -590,10 +588,10 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
     hv = _value(h0)
     ws, bs = _value(state_w), _value(state_b)
     wh, bh = _value(head_w), _value(head_b)
-    h_shape, s_shape, o_shape = _core(hv, 2), _core(ws, 2), _core(wh, 2)
+    h_shape, s_shape, o_shape = core_shape(hv), core_shape(ws), core_shape(wh)
     if (len(h_shape) != 2 or len(s_shape) != 2 or len(o_shape) != 2 or steps < 1
-            or s_shape[1] != h_shape[1] or _core(bs, 1) != s_shape[:1]
-            or o_shape[1] != h_shape[1] or _core(bh, 1) != o_shape[:1]):
+            or s_shape[1] != h_shape[1] or core_shape(bs) != s_shape[:1]
+            or o_shape[1] != h_shape[1] or core_shape(bh) != o_shape[:1]):
         raise DimensionError(
             f"gru_decoder expects h0 [B x hidden], state_w [embed x hidden], "
             f"state_b [embed], head_w [out x hidden], head_b [out] and "
@@ -607,9 +605,9 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
     w_x, b, w_zr, w_c = _gru_split("gru_decoder", embed, hidden, *params)
     if ego is not None:
         ev, we, be = _value(ego), _value(ego_w), _value(ego_b)
-        e_shape = _core(ev, 3)
+        e_shape = core_shape(ev)
         if (len(e_shape) != 3 or e_shape[:2] != (batch, steps)
-                or _core(we, 2) != (embed, e_shape[2]) or _core(be, 1) != (embed,)):
+                or core_shape(we) != (embed, e_shape[2]) or core_shape(be) != (embed,)):
             raise DimensionError(
                 f"gru_decoder ego must be [{batch} x {steps} x e] with ego_w "
                 f"[{embed} x e] and ego_b [{embed}], got shapes {ev.shape}, "
@@ -630,7 +628,7 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
         saved.append(record)
         state_pre.append(pre)
         xs.append(x)
-    hs = np.stack([s[0] for s in saved[1:]] + [h], axis=-2)
+    hs = _concat([s[0][..., None, :] for s in saved[1:]] + [h[..., None, :]], -2)
     hs = hs.reshape(hs.shape[:-3] + (batch * steps, hidden))
     y = hs @ _mT(wh) + bh[..., None, :]
     y = y.reshape(y.shape[:-2] + (batch, steps, -1))
@@ -675,9 +673,8 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
 def _total(xv: np.ndarray) -> tuple[np.ndarray, int]:
     """The sum of xv's elements and their count; per copy when xv
     carries a grad_check rerun's copy axis."""
-    copies = _COPIES.get()
-    if copies and xv.shape[:1] == (copies,):
-        rows = xv.reshape(copies, -1)
+    if isinstance(xv, _Copies):
+        rows = xv.reshape(len(xv), -1)
         return rows.sum(axis=1), rows.shape[1]
     return xv.sum(), xv.size
 
@@ -688,7 +685,7 @@ def sum_all(x):
     def backward(g):
         _accumulate(x, g)
 
-    return _emit(np.asarray(_total(_value(x))[0]), backward, x)
+    return _emit(np.asanyarray(_total(_value(x))[0]), backward, x)
 
 
 def mean_all(x):
@@ -698,7 +695,7 @@ def mean_all(x):
     def backward(g):
         _accumulate(x, g / n)
 
-    return _emit(np.asarray(total / n), backward, x)
+    return _emit(np.asanyarray(total / n), backward, x)
 
 
 @dataclass
@@ -749,12 +746,13 @@ def grad_check(loss, step: float = 1e-6,
 
     A rerun checks up to ``_FD_CHUNK`` = 64 consecutive elements of one
     flattened leaf.  For a chunk of k elements the leaf's ``value`` is
-    rebound to a stacked copy [2k x *shape] in which copy 2j holds
-    element j + step and copy 2j + 1 element j - step, so ``loss`` must
-    return 2k losses, one per copy; a 0-d loss is one that does not read
-    the leaf.  Every primitive carries the copy axis through, within the
-    limits the module docstring names, so the losses are those of
-    perturbing one element per pass.  The leaf is bound back to its view
+    rebound to a stacked copy [2k x *shape], marked as carrying copies,
+    in which copy 2j holds element j + step and copy 2j + 1 element
+    j - step, so ``loss`` must return 2k losses, one per copy; a 0-d
+    loss is one that does not read the leaf.  Every primitive carries
+    the mark and the copy axis through to the values the leaf feeds and
+    to no other, so the losses are those of perturbing one element per
+    pass.  The leaf is bound back to its view
     of :attr:`Tape.values` afterwards, also when a rerun raises; the
     tape's values are never written.
 
@@ -791,13 +789,11 @@ def grad_check(loss, step: float = 1e-6,
             stacked = np.tile(flat, (copies, 1))
             stacked[pairs, index] = flat[index] + step
             stacked[pairs + 1, index] = flat[index] - step
-            p.value = stacked.reshape((copies,) + view.shape)
-            token = _COPIES.set(copies)
+            p.value = stacked.reshape((copies,) + view.shape).view(_Copies)
             try:
                 with tape.no_grad():
                     losses = _value(loss())
             finally:
-                _COPIES.reset(token)
                 p.value = view
             if losses.shape not in ((), (copies,)):
                 raise ValidationError(

@@ -266,7 +266,7 @@ class BoxForecaster:
                 raise ValidationError(
                     f"expected {c.delta} ego features of width 3 per sample, "
                     f"got shape {ego.shape}")
-            rows = dc._core(dc._value(fused), 2)[0]
+            rows = np.shape(fused)[-2:][0]
             if ego.shape[0] != rows:
                 raise ValidationError(f"{ego.shape[0]} ego rows for {rows} samples")
         ego_layer = ((self.ego_embed.weight, self.ego_embed.bias)

@@ -107,8 +107,7 @@ class GruCell:
         """Run row-stacked sequences from h0 [B x hidden]: xs is [B*tau x
         input] with sample b's step t in row b*tau + t.  Returns the final
         hidden state [B x hidden] as one gru_sequence node."""
-        x_shape = dc._core(dc._value(xs), 2)
-        h_shape = dc._core(dc._value(h0), 2)
+        x_shape, h_shape = np.shape(xs)[-2:], np.shape(h0)[-2:]
         if (len(x_shape) != 2 or len(h_shape) != 2
                 or x_shape[1] != self.input_size or h_shape[1] != self.hidden_size):
             raise DimensionError(
@@ -120,7 +119,7 @@ class GruCell:
     def step(self, x, h_prev):
         """One recurrence update of a row-stacked batch ([B x input] with
         [B x hidden]); returns the next hidden state [B x hidden]."""
-        if dc._core(dc._value(x), 2)[:1] != dc._core(dc._value(h_prev), 2)[:1]:
+        if np.shape(x)[-2:-1] != np.shape(h_prev)[-2:-1]:
             raise DimensionError(
                 f"{self.name}: one step needs as many input rows as hidden "
                 f"rows, got {np.shape(x)} and {np.shape(h_prev)}")
@@ -164,7 +163,7 @@ def mse_loss(pred, target):
     """Mean of squared differences over all elements; target is constant."""
     target = np.asarray(target, dtype=np.float64)
     pv = dc._value(pred)
-    if dc._core(pv, target.ndim) != target.shape:
+    if dc.core_shape(pv) != target.shape:
         raise DimensionError(
             f"mse_loss shapes differ: prediction {pv.shape} vs target {target.shape}")
     diff = dc.sub(pred, target)

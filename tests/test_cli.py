@@ -290,8 +290,6 @@ def test_usage_errors_exit_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["train", "--dataset", "somewhere"]) == 1  # missing --out
     assert main(["train", "--dataset", "d", "--out", "m",
-                 "--epochs", "many"]) == 1
-    assert main(["train", "--dataset", "d", "--out", "m",
                  "--pool-n", "0"]) == 1
     assert main(["train", "--dataset", "d", "--out", "m",
                  "--variant", "xyz"]) == 1
@@ -306,6 +304,24 @@ def test_usage_errors_exit_1(capsys):
     # so is a negative epoch count, by the same converter
     assert main(["train", "--dataset", "d", "--out", "m", "--epochs", "-1"]) == 1
     assert "--epochs: must be >= 0, got -1" in capsys.readouterr().err
+    # a type error names the kind of value wanted, not the converter
+    assert main(["train", "--dataset", "d", "--out", "m", "--epochs", "many"]) == 1
+    assert ("--epochs: invalid non-negative integer value: 'many'"
+            in capsys.readouterr().err)
+    assert main(["train", "--dataset", "d", "--out", "m", "--batch", "x"]) == 1
+    assert "--batch: invalid positive integer value: 'x'" in capsys.readouterr().err
+    assert main(["train", "--dataset", "d", "--out", "m", "--lr", "fast"]) == 1
+    assert "--lr: invalid positive number value: 'fast'" in capsys.readouterr().err
+    # a non-finite number is refused before any data is read
+    for command in (["train", "--dataset", "d", "--out", "m"],
+                    ["evaluate", "m.fvlw", "--dataset", "d"],
+                    ["predict", "m.fvlw", "--dataset", "d"]):
+        for factor in ("inf", "nan"):
+            assert main([*command, "--roi-expand", factor]) == 1
+            assert (f"--roi-expand: must be positive and finite, got {factor}"
+                    in capsys.readouterr().err)
+    assert main(["train", "--dataset", "d", "--out", "m", "--lr", "inf"]) == 1
+    assert "--lr: must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -518,16 +534,6 @@ def test_sample_file_must_hold_the_requested_window(tmp_path, window, capsys):
                  "--tau", tau, "--delta", delta]) == 2
     assert (f"{dataset}: sample 0 has a tau=3, delta=2 window, not "
             f"tau={tau}, delta={delta}") in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("factor", ["inf", "nan"])
-def test_non_finite_roi_expansion_exits_2(suite, tmp_path, factor, capsys):
-    # before, inf trained on whole-image ROIs
-    assert main(["train", "--dataset", str(suite), "--out",
-                 str(tmp_path / "m.fvlw"), *TRAIN_FLAGS,
-                 "--roi-expand", factor]) == 2
-    assert (f"expansion factor must be finite and >= 1, got {factor}"
-            in capsys.readouterr().err)
 
 
 def test_train_checks_the_lattice_of_a_sample_file(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,7 +290,8 @@ PRIMITIVE_OPERANDS = {
 }
 EXTRA_ARGS = {"tile_rows": (4,), "gru_decoder": (2,)}
 PRIMITIVES = [name for name in dc.__all__
-              if name not in ("DiffArray", "Tape", "GradCheckReport", "grad_check")]
+              if name not in ("DiffArray", "Tape", "GradCheckReport", "grad_check",
+                              "core_shape")]
 
 
 def _apply(name, tape, plain_first=False):
@@ -449,10 +452,11 @@ def test_grad_check_refuses_a_step_that_is_not_positive_and_finite(step):
         grad_check(lambda: dc.sum_all(x), step=step)
 
 
-# leaf shapes whose sizes sit on the rerun chunk boundaries: 0-d, 1, 63,
-# 64, 65 and 130 elements.  No first dim is a copy count the others
-# produce (2, 4, 126, 128), where a reduction would read it as copies.
-CHUNK_SHAPES = [(), (1,), (7, 9), (8, 8), (5, 13), (10, 13)]
+# leaf shapes whose sizes sit on the rerun chunk boundaries (0-d, 1, 63,
+# 64, 65 and 130 elements), and shapes whose first dim is a copy count
+# that the others produce (2, 4, 126, 128).
+CHUNK_SHAPES = [(), (1,), (7, 9), (8, 8), (5, 13), (10, 13),
+                (2, 5), (4, 3), (126,), (128, 1)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -483,6 +487,69 @@ def test_grad_check_reruns_once_per_chunk_and_never_writes_the_tape(shapes, seed
         assert np.shares_memory(leaf.value, tape.values)
     # the same figures as perturbing one element per pass
     assert report.per_parameter == oracles.unstaged_grad_check(loss, tape.params)
+
+
+def test_grad_check_reads_copies_only_from_values_the_leaf_feeds():
+    # a's 4 rows are as many as the copies of b's last 2-element chunk;
+    # they must not be read as copies while b is perturbed
+    tape = Tape()
+    rng = Xoshiro256(83)
+    a = tape.leaf(rng.uniforms((4, 3), -1.0, 1.0), name="a")
+    b = tape.leaf(rng.uniforms((130,), -1.0, 1.0), name="b")
+
+    def loss():
+        total = dc.add(dc.mean_all(dc.tanh(a)), dc.mean_all(dc.mul(b, b)))
+        return dc.mul(total, 1000.0)
+
+    report = grad_check(loss)
+    assert report.passed, report.summary()
+    assert report.per_parameter == oracles.unstaged_grad_check(loss, tape.params)
+
+
+def test_grad_check_meets_a_per_copy_scalar_with_data_copy_by_copy():
+    tape = Tape()
+    rng = Xoshiro256(89)
+    b = tape.leaf(rng.uniforms((2,), -1.0, 1.0), name="b")  # 2 elements: 4 copies
+    x = rng.uniforms((3, 4), -1.0, 1.0)
+
+    def loss():
+        scale = dc.mean_all(dc.mul(b, b))  # one scalar per copy
+        return dc.mul(dc.mean_all(dc.mul(scale, x)), 1000.0)
+
+    report = grad_check(loss)
+    assert report.passed, report.summary()
+    assert report.per_parameter == oracles.unstaged_grad_check(loss, tape.params)
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_every_primitive_carries_copies_through_copy_by_copy(name):
+    # Inside a grad_check rerun a result computed from a copied operand
+    # is copied too, and its copy k is the result of that operand's copy
+    # k; a numpy call that dropped the copy type would make a later
+    # reduction fold every copy into one scalar.
+    rng = np.random.default_rng(73)
+    values = [rng.uniform(-1.0, 1.0, size=shape) for shape in PRIMITIVE_OPERANDS[name]]
+    tape = Tape()
+    for i, value in enumerate(values):
+        copies = np.stack([value, value + rng.uniform(-0.1, 0.1, size=value.shape)])
+        operands = [tape.leaf(v) for v in values]
+        operands[i].value = copies.view(dc._Copies)
+        with tape.no_grad():
+            out = getattr(dc, name)(*operands, *EXTRA_ARGS.get(name, ()))
+            assert isinstance(out, dc._Copies) and len(out) == 2, i
+            for k in range(2):
+                operands[i].value = copies[k]
+                want = getattr(dc, name)(*operands, *EXTRA_ARGS.get(name, ()))
+                np.testing.assert_allclose(out[k], want, rtol=0, atol=1e-12,
+                                           err_msg=f"operand {i}, copy {k}")
+
+
+def test_only_diffcore_names_the_copy_protocol():
+    # outside diffcore, copies are seen only through dc.core_shape
+    for path in sorted(Path(dc.__file__).parent.glob("*.py")):
+        if path.name != "diffcore.py":
+            assert not re.search(r"\b(_core|_Copies|_COPIES)\b",
+                                 path.read_text()), path.name
 
 
 @pytest.mark.parametrize("returned", [np.zeros(3), np.zeros(7), np.zeros((6, 1)),
