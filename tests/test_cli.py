@@ -313,13 +313,6 @@ def test_usage_errors_exit_1(capsys):
     assert main(["train", "--dataset", "d", "--out", "m", "--lr", "fast"]) == 1
     assert "--lr: invalid positive number value: 'fast'" in capsys.readouterr().err
     # a non-finite number is refused before any data is read
-    for command in (["train", "--dataset", "d", "--out", "m"],
-                    ["evaluate", "m.fvlw", "--dataset", "d"],
-                    ["predict", "m.fvlw", "--dataset", "d"]):
-        for factor in ("inf", "nan"):
-            assert main([*command, "--roi-expand", factor]) == 1
-            assert (f"--roi-expand: must be positive and finite, got {factor}"
-                    in capsys.readouterr().err)
     assert main(["train", "--dataset", "d", "--out", "m", "--lr", "inf"]) == 1
     assert "--lr: must be positive and finite, got inf" in capsys.readouterr().err
 
@@ -534,6 +527,18 @@ def test_sample_file_must_hold_the_requested_window(tmp_path, window, capsys):
                  "--tau", tau, "--delta", delta]) == 2
     assert (f"{dataset}: sample 0 has a tau=3, delta=2 window, not "
             f"tau={tau}, delta={delta}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", ["inf", "nan"])
+def test_non_finite_roi_expansion_exits_1(factor, capsys):
+    # refused by the converter before any data is read; before, inf
+    # trained on whole-image ROIs
+    for command in (["train", "--dataset", "d", "--out", "m"],
+                    ["evaluate", "m.fvlw", "--dataset", "d"],
+                    ["predict", "m.fvlw", "--dataset", "d"]):
+        assert main([*command, "--roi-expand", factor]) == 1
+        assert (f"--roi-expand: must be positive and finite, got {factor}"
+                in capsys.readouterr().err)
 
 
 def test_train_checks_the_lattice_of_a_sample_file(tmp_path, capsys):
