@@ -15,14 +15,13 @@ from fvl.flowfeat import expand_roi, roi_pool
 def main():
     # ten frames of a constant left turn at 0.05 rad/frame, 1.2 m/frame
     steps = [yaw_to_step(0.05, 1.2) for _ in range(10)]
-    features = compose(steps)
+    poses = compose(steps)  # one row [yaw, x, z] per future frame
     print("cumulative pose of each future frame, seen from the anchor:")
-    for i, f in enumerate(features, start=1):
-        print(f"  +{i:2d} frames: yaw {f.yaw:+.3f} rad, "
-              f"offset ({f.x:+.2f}, {f.z:+.2f}) m")
+    for i, (yaw, x, z) in enumerate(poses, start=1):
+        print(f"  +{i:2d} frames: yaw {yaw:+.3f} rad, offset ({x:+.2f}, {z:+.2f}) m")
     total = sum(s.yaw for s in steps)
     print(f"composed yaw equals the summed per-step yaw: "
-          f"{abs(features[-1].yaw - total) < 1e-12}")
+          f"{abs(poses[-1, 0] - total) < 1e-12}")
 
     video = generate_scenario(random_scenario(4, frames=16,
                                               width=320, height=160))

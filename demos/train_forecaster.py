@@ -32,15 +32,10 @@ def collect_samples(video_ids):
     return per_video
 
 
-def stack_boxes(boxes_per_sample):
-    """[N x steps x 4] pixel boxes from each sample's BoundingBoxes."""
-    return np.array([[b.as_array() for b in boxes] for boxes in boxes_per_sample])
-
-
 def test_ade(model, samples):
     pred = np.array([p.pixel_boxes(s.width, s.height)
                      for s, p in zip(samples, model.predict_batch(samples))])
-    truth = stack_boxes(s.future for s in samples)
+    truth = np.stack([s.future for s in samples])
     return float(displacement_errors(pred, truth)[1].mean())
 
 
@@ -54,8 +49,10 @@ def main():
 
     print()
     print("baselines on the held-out split:")
-    past = stack_boxes(s.past for s in test)
-    future = stack_boxes(s.future for s in test)
+    # each sample holds its boxes as [steps x 4] rows; baselines and
+    # metrics take them stacked to [N x steps x 4]
+    past = np.stack([s.past for s in test])
+    future = np.stack([s.future for s in test])
     for name, degree in BASELINE_DEGREES.items():
         errors = displacement_errors(fit_extrapolate(past, degree, DELTA),
                                      future)[1]

@@ -41,9 +41,3 @@ class BoundingBox:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h])
-
-    @classmethod
-    def from_array(cls, arr) -> "BoundingBox":
-        cx, cy, w, h = (float(v) for v in arr)
-        return cls(cx=cx, cy=cy, w=w, h=h)
-

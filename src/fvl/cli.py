@@ -68,6 +68,10 @@ def _positive(kind):
     return convert
 
 
+_ROI_EXPAND = ("growth of each box before its flow is pooled (default 1.5); "
+               "video directories only, since a sample file holds pooled flow")
+
+
 def _non_negative(text):
     value = int(text)
     if value < 0:
@@ -109,7 +113,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--lr", type=_positive(float), default=5e-4)
     train.add_argument("--seed", type=_non_negative, default=0)
     train.add_argument("--workers", type=_positive(int), default=1)
-    train.add_argument("--roi-expand", type=_positive(float), default=1.5)
+    train.add_argument("--roi-expand", type=_positive(float), help=_ROI_EXPAND)
     train.add_argument("--pool-n", type=_positive(int), default=5)
     train.set_defaults(func=cmd_train)
 
@@ -125,7 +129,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--delta", type=_positive(int), default=10,
                     help="horizon for baselines (checkpoints carry their own)")
     ev.add_argument("--workers", type=_positive(int), default=1)
-    ev.add_argument("--roi-expand", type=_positive(float), default=1.5)
+    ev.add_argument("--roi-expand", type=_positive(float), help=_ROI_EXPAND)
     ev.set_defaults(func=cmd_evaluate)
 
     pred = sub.add_parser(
@@ -136,7 +140,7 @@ def _build_parser() -> _Parser:
     pred.add_argument("--dataset", required=True)
     pred.add_argument("--out", help="output path (default: stdout)")
     pred.add_argument("--workers", type=_positive(int), default=1)
-    pred.add_argument("--roi-expand", type=_positive(float), default=1.5)
+    pred.add_argument("--roi-expand", type=_positive(float), help=_ROI_EXPAND)
     pred.set_defaults(func=cmd_predict)
 
     gc = sub.add_parser(
@@ -177,14 +181,19 @@ def _video_dirs(root: Path) -> list[Path]:
 def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
     """Samples from a JSONL file, a video directory, or a tree of them.
 
-    `n` is the flow lattice the model reads, or None when it reads no
-    flow; then windows pool the smallest lattice and a JSONL file may
-    hold any.  Videos are windowed in sorted-path order and each worker
+    `expand` is the ROI growth for video windows, None for 1.5; a JSONL
+    file holds flow pooled already and refuses one (a usage error).  `n`
+    is the flow lattice the model reads, or None when it reads no flow;
+    then windows pool the smallest lattice and a JSONL file may hold
+    any.  Videos are windowed in sorted-path order and each worker
     handles whole videos, so the sample list is identical for any
     worker count.
     """
     path = Path(dataset)
     if path.is_file():
+        if expand is not None:
+            raise _UsageError(f"--roi-expand applies to video directories only, "
+                              f"and {path} is a file of pooled samples")
         samples = read_dataset(path)
         for i, sample in enumerate(samples):
             if (sample.tau, sample.delta) != (tau, delta):
@@ -201,7 +210,8 @@ def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
 
     def load(directory):
         video = read_video_dir(directory)
-        samples, _ = windows_from_video(video, tau, delta, expand=expand,
+        samples, _ = windows_from_video(video, tau, delta,
+                                        expand=1.5 if expand is None else expand,
                                         n=1 if n is None else n)
         return samples
 
@@ -269,8 +279,8 @@ def cmd_evaluate(args) -> int:
     if not samples:
         raise DataFormatError(f"{args.dataset}: no samples to evaluate")
 
-    past = np.array([[b.as_array() for b in s.past] for s in samples])
-    truths = np.array([[b.as_array() for b in s.future] for s in samples])
+    past = np.stack([s.past for s in samples])
+    truths = np.stack([s.future for s in samples])
     if forecaster is None:
         predictions = fit_extrapolate(past, BASELINE_DEGREES[args.model], delta)
     else:
@@ -326,14 +336,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except (DataFormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

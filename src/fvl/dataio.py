@@ -46,9 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import BoundingBox
-from .egomotion import EgoFeature, compose, read_ego_log, rotation_matrix, \
-    write_ego_log, yaw_to_step
-from .errors import DataFormatError, ValidationError, text_lines
+from .egomotion import compose, read_ego_log, rotation_matrix, write_ego_log, \
+    yaw_to_step
+from .errors import DataFormatError, ValidationError, text_lines, write_atomic
 from .flowfeat import FlowGrid, PooledFlow, expand_roi, lattice_pool, \
     read_flow_pixels
 from .rng import Xoshiro256
@@ -62,7 +62,6 @@ __all__ = [
     "VideoData",
     "LoadedVideo",
     "generate_scenario",
-    "window_track",
     "windows_from_video",
     "read_dataset",
     "write_dataset",
@@ -83,25 +82,50 @@ GROUND_BLOCK_PX = 32768
 SCENARIO_FILE = "scenario.scn"
 
 
-@dataclass(frozen=True)
+# sample array field -> the numbers in each of its rows
+_SAMPLE_ROWS = {"past": ("cx", "cy", "w", "h"), "future": ("cx", "cy", "w", "h"),
+                "ego": ("yaw", "x", "z")}
+
+
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """One training/evaluation record: an observed window and its future."""
+    """One training/evaluation record: an observed window and its future.
+
+    `past` [tau x 4] and `future` [delta x 4] are pixel boxes, one row
+    [cx, cy, w, h] per frame; `ego` [delta x 3] is the pose [yaw, x, z] of
+    each future frame in the anchor frame (see `egomotion.compose`).  All
+    three are read-only float64 copies of what was passed in.  `flow`
+    holds one PooledFlow per past frame.
+    """
 
     track: int
-    past: tuple
+    past: np.ndarray
     flow: tuple
-    future: tuple
-    ego: tuple
+    future: np.ndarray
+    ego: np.ndarray
     width: int
     height: int
 
     def __post_init__(self):
-        object.__setattr__(self, "past", tuple(self.past))
+        for name, layout in _SAMPLE_ROWS.items():
+            try:
+                rows = np.array(getattr(self, name))
+            except ValueError:  # ragged rows
+                rows = np.empty(0)
+            # strings, nulls and nested lists give another dtype or shape
+            if rows.dtype.kind not in "iuf" or rows.ndim != 2 \
+                    or rows.shape[1] != len(layout) or not len(rows):
+                raise ValidationError(
+                    f"sample {name} needs one or more rows, and each {name} "
+                    f"row must hold {len(layout)} numbers [{', '.join(layout)}]")
+            rows = rows.astype(np.float64, copy=False)
+            if not np.isfinite(rows).all():
+                raise ValidationError(f"sample {name} values must be finite")
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        if self.past[:, 2:].min() <= 0 or self.future[:, 2:].min() <= 0:
+            raise ValidationError("box extent w and h must be positive")
         object.__setattr__(self, "flow", tuple(self.flow))
-        object.__setattr__(self, "future", tuple(self.future))
-        object.__setattr__(self, "ego", tuple(self.ego))
-        if not self.past or not self.future:
-            raise ValidationError("sample needs non-empty past and future")
         if len(self.flow) != len(self.past):
             raise ValidationError(
                 f"sample has {len(self.past)} past boxes but "
@@ -109,7 +133,7 @@ class Sample:
         if len(self.ego) != len(self.future):
             raise ValidationError(
                 f"sample has {len(self.future)} future boxes but "
-                f"{len(self.ego)} ego features")
+                f"{len(self.ego)} ego rows")
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(
                 f"sample image dims must be positive, got "
@@ -436,44 +460,6 @@ def generate_scenario(scenario: Scenario) -> VideoData:
     return VideoData(scenario, ego_steps, tracks, headings, positions, depths)
 
 
-def window_track(track: int, frames, boxes, flows, ego_steps,
-                 tau: int, delta: int, width: int, height: int) -> list[Sample]:
-    """Slide a (tau, delta) window over one track's contiguous frames.
-
-    `frames` are the global frame indices the track covers (must be
-    consecutive); `boxes` and `flows` run parallel to it; `ego_steps` is
-    the whole video's step list indexed by global frame.  Tracks shorter
-    than tau + delta yield no samples.
-    """
-    if tau < 1 or delta < 1:
-        raise ValidationError(f"window needs tau, delta >= 1, got ({tau}, {delta})")
-    frames = list(frames)
-    if len(boxes) != len(frames) or len(flows) != len(frames):
-        raise ValidationError(
-            f"track {track}: {len(frames)} frames but {len(boxes)} boxes "
-            f"and {len(flows)} flow vectors")
-    for a, b in zip(frames, frames[1:]):
-        if b != a + 1:
-            raise ValidationError(
-                f"track {track}: frames must be consecutive, got {a} then {b}")
-    samples = []
-    span = tau + delta
-    for start in range(len(frames) - span + 1):
-        anchor = frames[start + tau - 1]
-        steps = ego_steps[anchor:anchor + delta]
-        if len(steps) < delta:
-            break  # future frames would run past the ego log
-        samples.append(Sample(
-            track=track,
-            past=boxes[start:start + tau],
-            flow=flows[start:start + tau],
-            future=boxes[start + tau:start + span],
-            ego=compose(steps),
-            width=width,
-            height=height))
-    return samples
-
-
 def _contiguous_runs(frame_indices):
     runs = []
     current = []
@@ -492,10 +478,14 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
     """All samples from a video plus the number of skipped short runs.
 
     `video` is a VideoData or LoadedVideo: anything with tracks,
-    ego_steps, dims, and a pooled_flow(frame, roi, n) method.  Flow for
-    each past frame is pooled over that frame's box expanded by
-    `expand`.
+    ego_steps (one per frame transition), dims, and a
+    pooled_flow(frame, roi, n) method.  A (tau, delta) window slides over
+    each run of consecutive frames of a track; runs shorter than
+    tau + delta are skipped.  Flow for each past frame is pooled over
+    that frame's box expanded by `expand`.
     """
+    if tau < 1 or delta < 1:
+        raise ValidationError(f"window needs tau, delta >= 1, got ({tau}, {delta})")
     samples: list[Sample] = []
     skipped = 0
     for track in sorted(video.tracks):
@@ -504,41 +494,48 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
             if len(run) < tau + delta:
                 skipped += 1
                 continue
-            boxes = [boxes_by_frame[t] for t in run]
-            flows = []
-            for t, box in zip(run, boxes):
-                roi = expand_roi(box, expand, video.width, video.height)
-                flows.append(video.pooled_flow(t, roi, n))
-            samples.extend(window_track(
-                track, run, boxes, flows, video.ego_steps,
-                tau, delta, video.width, video.height))
+            run_boxes = [boxes_by_frame[t] for t in run]
+            boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in run_boxes])
+            # the last delta frames of a run are in no window's past
+            flows = [video.pooled_flow(t, expand_roi(box, expand, video.width,
+                                                     video.height), n)
+                     for t, box in zip(run[:-delta], run_boxes)]
+            for start in range(len(run) - tau - delta + 1):
+                anchor = run[start + tau - 1]
+                samples.append(Sample(
+                    track=track,
+                    past=boxes[start:start + tau],
+                    flow=flows[start:start + tau],
+                    future=boxes[start + tau:start + tau + delta],
+                    ego=compose(video.ego_steps[anchor:anchor + delta]),
+                    width=video.width,
+                    height=video.height))
     return samples, skipped
 
 
 # --- sample files ------------------------------------------------------------
 #
 # A dataset of windowed samples is a JSONL file: one object per line with
-# track, width, height, past/future box arrays [cx, cy, w, h], ego
-# triples [yaw, x, z], and pooled flow {n, values}.  Python's json
-# module prints floats with repr, so every f64 round-trips bit-exactly.
+# track, width, height, the past/future box rows [cx, cy, w, h], the ego
+# rows [yaw, x, z], and pooled flow {n, values}.  Python's json module
+# prints floats with repr, so every f64 round-trips bit-exactly.
 
 
 def write_dataset(samples, path) -> None:
-    path = Path(path)
     lines = []
     for sample in samples:
         record = {
             "track": sample.track,
             "width": sample.width,
             "height": sample.height,
-            "past": [[b.cx, b.cy, b.w, b.h] for b in sample.past],
-            "future": [[b.cx, b.cy, b.w, b.h] for b in sample.future],
-            "ego": [[e.yaw, e.x, e.z] for e in sample.ego],
-            "flow": {"n": sample.flow[0].n if sample.flow else 0,
+            "past": sample.past.tolist(),
+            "future": sample.future.tolist(),
+            "ego": sample.ego.tolist(),
+            "flow": {"n": sample.flow[0].n,
                      "values": [f.values.tolist() for f in sample.flow]},
         }
         lines.append(json.dumps(record, separators=(",", ":")))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
 
 
 def _is_json_int(value) -> bool:
@@ -563,23 +560,15 @@ def read_dataset(path) -> list[Sample]:
             n = record["flow"]["n"]
             if not _is_json_int(n) or n < 1:
                 raise ValueError(f"flow n must be a positive integer, got {n!r}")
-            if any(len(e) != 3 for e in record["ego"]):
-                raise ValueError("each ego row must hold 3 numbers [yaw, x, z]")
             sample = Sample(
                 track=record["track"],
-                past=tuple(BoundingBox.from_array(b) for b in record["past"]),
-                future=tuple(BoundingBox.from_array(b) for b in record["future"]),
-                ego=tuple(EgoFeature(yaw=e[0], x=e[1], z=e[2])
-                          for e in record["ego"]),
-                flow=tuple(PooledFlow(values=np.asarray(v), n=n)
+                past=record["past"],
+                future=record["future"],
+                ego=record["ego"],
+                flow=tuple(PooledFlow(values=v, n=n)
                            for v in record["flow"]["values"]),
                 width=record["width"],
                 height=record["height"])
-            # json accepts NaN and Infinity; boxes reject them on their own
-            numbers = [f.values for f in sample.flow]
-            numbers += [e.as_vector() for e in sample.ego]
-            if not all(np.all(np.isfinite(v)) for v in numbers):
-                raise ValueError("flow and ego values must be finite")
             samples.append(sample)
         except (KeyError, IndexError, TypeError, ValueError, ValidationError) as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
@@ -695,7 +684,9 @@ def write_video_dir(video: VideoData, path, tau: int = 10, delta: int = 10) -> N
                     {"frame": frame, "track": track, "cx": box.cx, "cy": box.cy,
                      "w": box.w, "h": box.h}, separators=(",", ":")))
         (temp / "boxes.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-        write_scenario_file(temp / SCENARIO_FILE, video.scenario)
+        # the directory replaces `path` whole, so no file in it needs
+        # a temp file of its own
+        (temp / SCENARIO_FILE).write_text(_scenario_text(video.scenario))
         if path.is_dir():
             path.rename(old)  # a rename cannot replace a non-empty directory
         try:
@@ -842,7 +833,7 @@ def read_scenario_file(path) -> Scenario:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def write_scenario_file(path, scenario: Scenario) -> None:
+def _scenario_text(scenario: Scenario) -> str:
     cam = scenario.camera
     lines = [
         f"frames={scenario.frames}",
@@ -857,7 +848,11 @@ def write_scenario_file(path, scenario: Scenario) -> None:
         lines.append("[actor]")
         lines.extend(f"{f.name}={float(getattr(actor, f.name))!r}"
                      for f in fields(ActorSpec))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_scenario_file(path, scenario: Scenario) -> None:
+    write_atomic(path, _scenario_text(scenario).encode())
 
 
 def random_scenario(seed: int, frames: int = 40, max_yaw_rate_rps: float = 0.3,

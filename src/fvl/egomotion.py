@@ -4,8 +4,8 @@ The vehicle moves on a ground plane.  Its pose change from frame t to
 frame t+1 is an :class:`EgoStep`, a yaw plus a translation expressed
 in the frame-t coordinate system (heading along positive x).
 Chaining steps yields the pose of each future frame in the coordinates
-of the anchor frame; :func:`compose` reduces that pose to the
-:class:`EgoFeature` triple (yaw, x, z) the forecaster conditions on.
+of the anchor frame; :func:`compose` reduces each pose to the row
+[yaw, x, z] the forecaster conditions on.
 
 The ground-plane axes are (x, z): x points along the heading, z is the
 lateral component.  A positive yaw is a left turn.
@@ -23,7 +23,6 @@ from .errors import DataFormatError, ValidationError, text_lines
 
 __all__ = [
     "EgoStep",
-    "EgoFeature",
     "rotation_matrix",
     "wrap_angle",
     "compose",
@@ -77,21 +76,10 @@ class EgoStep:
         return rotation_matrix(self.yaw)
 
 
-@dataclass(frozen=True)
-class EgoFeature:
-    """Pose of a future frame in the anchor frame: yaw plus the planar
-    translation (x along the anchor heading, z lateral)."""
-
-    yaw: float
-    x: float
-    z: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.yaw, self.x, self.z])
-
-
-def compose(steps) -> list[EgoFeature]:
-    """Chain relative steps into anchor-frame features, one per horizon.
+def compose(steps) -> np.ndarray:
+    """Chain relative steps into anchor-frame poses, one row [yaw, x, z]
+    per horizon step: the yaw and the planar translation (x along the
+    anchor heading, z lateral) of that future frame.
 
     The accumulated rotation is the chronological product of step
     rotations; each step's translation is rotated into the anchor frame
@@ -99,14 +87,13 @@ def compose(steps) -> list[EgoFeature]:
     """
     rotation = np.eye(2)
     translation = np.zeros(2)
-    features = []
+    poses = []
     for step in steps:
         translation = translation + rotation @ step.translation
         rotation = rotation @ step.rotation
-        yaw = wrap_angle(math.atan2(rotation[1, 0], rotation[0, 0]))
-        features.append(EgoFeature(yaw=yaw, x=float(translation[0]),
-                                   z=float(translation[1])))
-    return features
+        poses.append((wrap_angle(math.atan2(rotation[1, 0], rotation[0, 0])),
+                      *translation))
+    return np.array(poses).reshape(-1, 3)
 
 
 def yaw_to_step(yaw_rate: float, speed: float) -> EgoStep:

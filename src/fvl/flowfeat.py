@@ -82,6 +82,8 @@ class PooledFlow:
             raise ValidationError(
                 f"pooled flow for n={self.n} must have length "
                 f"{2 * self.n * self.n}, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValidationError("pooled flow values must be finite")
 
 
 def expand_roi(box: BoundingBox, factor: float, image_width: float,

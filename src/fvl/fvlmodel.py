@@ -301,7 +301,7 @@ def _prepare(config: ModelConfig, samples) -> dict:
     This is the one place where pixels become model units (image
     fractions): box cx and w and flow u are multiplied by 1/width, box cy
     and h and flow v by 1/height, each row by its own sample's dims.  Ego
-    features are metric and stay as they are.
+    poses are metric and stay as they are.
     """
     for i, sample in enumerate(samples):
         if sample.tau != config.tau or sample.delta != config.delta:
@@ -317,8 +317,8 @@ def _prepare(config: ModelConfig, samples) -> dict:
     # [B x 4] rows (w, h, w, h) and their [B x 1 x 4] reciprocals
     scales = np.array([(s.width, s.height) * 2 for s in samples], dtype=np.float64)
     inverse = (1.0 / scales)[:, None, :]
-    past = np.array([[b.as_array() for b in s.past] for s in samples]) * inverse
-    future_px = np.array([[b.as_array() for b in s.future] for s in samples])
+    past = np.stack([s.past for s in samples]) * inverse
+    future_px = np.stack([s.future for s in samples])
     anchors = past[:, -1]
     flows = egos = None
     if config.uses_flow:
@@ -326,7 +326,7 @@ def _prepare(config: ModelConfig, samples) -> dict:
         flows = (np.array([[f.values for f in s.flow] for s in samples])
                  * np.tile(inverse[..., :2], config.pooled_dim // 2))
     if config.uses_ego:
-        egos = np.array([[e.as_vector() for e in s.ego] for s in samples])
+        egos = np.stack([s.ego for s in samples])
     return {
         "boxes": past,
         "anchors": anchors,

@@ -49,15 +49,11 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _stack(boxes_per_sample) -> np.ndarray:
-    return np.array([[b.as_array() for b in boxes] for boxes in boxes_per_sample])
-
-
 def _mean_pixel_ade(model, samples, indices=None):
     picked = samples if indices is None else [samples[i] for i in indices]
     pred = np.array([model.predict(s).pixel_boxes(s.width, s.height)
                      for s in picked])
-    ade = displacement_errors(pred, _stack(s.future for s in picked))[1]
+    ade = displacement_errors(pred, np.stack([s.future for s in picked]))[1]
     return float(ade.mean())
 
 
@@ -95,9 +91,7 @@ def test_reference_oracles(capsys):
                  for _ in range(1 + rng.integer(15))]
         got = compose(steps)
         want = homogeneous_compose(steps)
-        for feature, (yaw, x, z) in zip(got, want):
-            worst_pose = max(worst_pose, abs(feature.yaw - yaw),
-                             abs(feature.x - x), abs(feature.z - z))
+        worst_pose = max(worst_pose, float(np.max(np.abs(got - np.array(want)))))
 
     worst_pool = 0.0
     for _ in range(100):
@@ -278,8 +272,8 @@ def test_ablation_trend(capsys):
     train_samples, test_samples = _ablation_dataset()
     assert len(train_samples) > 100 and len(test_samples) > 30
 
-    truths = _stack(s.future for s in test_samples)
-    reference = fit_extrapolate(_stack(s.past for s in test_samples), 2, 5)
+    truths = np.stack([s.future for s in test_samples])
+    reference = fit_extrapolate(np.stack([s.past for s in test_samples]), 2, 5)
     ref_fde, ref_ade = displacement_errors(reference, truths)
     _, challenging = split_cases(ref_fde)
     constaccel_challenging = float(ref_ade[challenging].mean())
@@ -332,12 +326,10 @@ def test_round_trips(tmp_path, capsys):
     read_back = read_dataset(dataset_path)
     dataset_exact = len(read_back) == len(samples) and all(
         a.track == b.track and a.width == b.width and a.height == b.height
-        and all(np.array_equal(x.as_array(), y.as_array())
-                for x, y in zip(a.past + a.future, b.past + b.future))
+        and np.array_equal(a.past, b.past) and np.array_equal(a.future, b.future)
         and all(x.n == y.n and np.array_equal(x.values, y.values)
                 for x, y in zip(a.flow, b.flow))
-        and all((x.yaw, x.x, x.z) == (y.yaw, y.x, y.z)
-                for x, y in zip(a.ego, b.ego))
+        and np.array_equal(a.ego, b.ego)
         for a, b in zip(samples, read_back))
 
     config = ModelConfig(variant="xoe", hidden=6, embed=5, tau=4, delta=3,
@@ -363,7 +355,7 @@ def test_round_trips(tmp_path, capsys):
     for sample, pred in zip(samples, model.predict_batch(samples)):
         cycled = pred.pixel_boxes(sample.width, sample.height)
         worst_norm = max(worst_norm, float(np.max(np.abs(
-            cycled - sample.past[-1].as_array()))))
+            cycled - sample.past[-1]))))
     elapsed = time.perf_counter() - start
     ok = (dataset_exact and checkpoint_exact and flow_f32_exact
           and worst_norm < 1e-12)

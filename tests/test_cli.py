@@ -10,7 +10,6 @@ import pytest
 
 from fvl import dataio
 from fvl.baselines import fit_extrapolate
-from fvl.boxes import BoundingBox
 from fvl.cli import _video_dirs, main
 from fvl.dataio import (
     Sample,
@@ -21,7 +20,6 @@ from fvl.dataio import (
     write_dataset,
     write_scenario_file,
 )
-from fvl.egomotion import EgoFeature
 from fvl.flowfeat import PooledFlow
 from fvl.fvlmodel import BoxForecaster, ModelConfig, load_model, save_model
 from fvl.metrics import build_reports, displacement_errors, reports_to_json
@@ -180,8 +178,8 @@ def test_evaluate_matches_library_composition(suite, checkpoint, tmp_path):
         video = read_video_dir(video_dir)
         found, _ = windows_from_video(video, tau=4, delta=3, expand=1.5, n=3)
         samples.extend(found)
-    past = np.array([[b.as_array() for b in s.past] for s in samples])
-    truths = np.array([[b.as_array() for b in s.future] for s in samples])
+    past = np.stack([s.past for s in samples])
+    truths = np.stack([s.future for s in samples])
     predictions = np.array([
         p.pixel_boxes(s.width, s.height)
         for s, p in zip(samples, forecaster.predict_batch(samples))])
@@ -474,9 +472,8 @@ def _tiny_samples(huge_future: bool):
     rng = Xoshiro256(77)
 
     def box(scale=1.0):
-        return BoundingBox(cx=scale * rng.uniform(60.0, 260.0),
-                           cy=rng.uniform(40.0, 120.0),
-                           w=rng.uniform(10.0, 60.0), h=rng.uniform(10.0, 60.0))
+        return [scale * rng.uniform(60.0, 260.0), rng.uniform(40.0, 120.0),
+                rng.uniform(10.0, 60.0), rng.uniform(10.0, 60.0)]
 
     samples = []
     for track in range(2):
@@ -487,7 +484,7 @@ def _tiny_samples(huge_future: bool):
             flow=[PooledFlow(values=rng.uniforms(8, -2.0, 2.0), n=2)
                   for _ in range(3)],
             future=[box(future_scale) for _ in range(2)],
-            ego=[EgoFeature(yaw=0.01, x=0.5, z=0.0) for _ in range(2)],
+            ego=[[0.01, 0.5, 0.0]] * 2,
             width=320, height=160))
     return samples
 
@@ -539,6 +536,38 @@ def test_non_finite_roi_expansion_exits_1(factor, capsys):
         assert main([*command, "--roi-expand", factor]) == 1
         assert (f"--roi-expand: must be positive and finite, got {factor}"
                 in capsys.readouterr().err)
+
+
+def test_roi_expansion_is_refused_on_a_sample_file(tmp_path, checkpoint, capsys):
+    # a sample file holds flow pooled already; before, the flag was
+    # accepted and changed nothing
+    dataset = tmp_path / "samples.jsonl"
+    write_dataset(_tiny_samples(huge_future=False), dataset)
+    for command in (["train", "--out", str(tmp_path / "m.fvlw"), "--tau", "3",
+                     "--delta", "2", "--pool-n", "2", "--epochs", "1"],
+                    ["evaluate", "linear", "--tau", "3", "--delta", "2"],
+                    ["predict", str(checkpoint)]):
+        assert main([*command, "--dataset", str(dataset), "--roi-expand", "3.0"]) == 1
+        assert (f"usage error: --roi-expand applies to video directories only, "
+                f"and {dataset} is a file of pooled samples"
+                in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.jsonl"]
+
+
+def test_roi_expansion_applies_to_video_directories(suite, checkpoint, tmp_path,
+                                                    capsys):
+    outputs = {}
+    for expand in (None, "1.5", "3.0"):
+        flags = [] if expand is None else ["--roi-expand", expand]
+        report, boxes = tmp_path / f"{expand}.json", tmp_path / f"{expand}.jsonl"
+        assert main(["evaluate", str(checkpoint), "--dataset", str(suite),
+                     "--out", str(report), *flags]) == 0
+        assert main(["predict", str(checkpoint), "--dataset", str(suite),
+                     "--out", str(boxes), *flags]) == 0
+        outputs[expand] = (report.read_bytes(), boxes.read_bytes())
+    capsys.readouterr()
+    assert outputs[None] == outputs["1.5"]
+    assert all(a != b for a, b in zip(outputs["1.5"], outputs["3.0"]))
 
 
 def test_train_checks_the_lattice_of_a_sample_file(tmp_path, capsys):

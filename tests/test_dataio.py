@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from fvl.boxes import BoundingBox
 from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
                         generate_scenario, random_scenario, read_dataset,
                         read_scenario_file, read_video_dir, split_videos,
-                        window_track, windows_from_video, write_dataset,
+                        windows_from_video, write_dataset,
                         write_scenario_file, write_video_dir)
-from fvl.egomotion import EgoFeature, compose, rotation_matrix, wrap_angle, \
-    yaw_to_step
+from fvl.egomotion import compose, rotation_matrix, wrap_angle
 from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_grid, roi_pool
 from fvl.rng import Xoshiro256
@@ -81,12 +81,13 @@ def test_ego_log_composes_to_simulated_pose():
     scenario = Scenario(frames=30, camera=small_camera(), ego_yaw_rates=0.02,
                         ego_speeds=0.6, width=320, height=160)
     video = generate_scenario(scenario)
-    features = compose(video.ego_steps)
-    assert len(features) == 29
-    assert abs(features[-1].yaw - wrap_angle(0.02 * 29)) < 1e-9
+    poses = compose(video.ego_steps)
+    assert poses.shape == (29, 3)
+    yaw, x, z = poses[-1]
+    assert abs(yaw - wrap_angle(0.02 * 29)) < 1e-9
     t = np.arange(29)
-    assert abs(features[-1].x - np.sum(0.6 * np.cos(0.02 * t))) < 1e-9
-    assert abs(features[-1].z - np.sum(0.6 * np.sin(0.02 * t))) < 1e-9
+    assert abs(x - np.sum(0.6 * np.cos(0.02 * t))) < 1e-9
+    assert abs(z - np.sum(0.6 * np.sin(0.02 * t))) < 1e-9
 
 
 def test_forward_motion_flow_is_radial_from_center():
@@ -327,58 +328,65 @@ def test_window_counts_match_track_length():
     six, _ = windows_from_video(
         generate_scenario(static_scenario(frames=25)), tau=10, delta=10, n=2)
     assert len(six) == 6
+    for tau, delta in ((0, 1), (1, 0)):
+        with pytest.raises(ValidationError, match="tau, delta"):
+            windows_from_video(generate_scenario(static_scenario()), tau, delta)
 
 
-def test_window_contents_align_with_source_video():
+def test_window_contents_align_with_source_video(monkeypatch):
     video = generate_scenario(moving_scenario())
+    pooled, pool = [], dataio.VideoData.pooled_flow
+    monkeypatch.setattr(dataio.VideoData, "pooled_flow",
+                        lambda self, t, roi, n: pooled.append(t) or pool(self, t, roi, n))
     samples, skipped = windows_from_video(video, tau=4, delta=3, expand=1.5, n=2)
     assert skipped == 0 and len(samples) == 6
     first = samples[0]
     frames = sorted(video.tracks[first.track])
+    assert list(video.tracks) == [first.track]
+    assert pooled == frames[:-3]  # only frames that some window's past holds
     assert first.tau == 4 and first.delta == 3
-    assert first.past == tuple(video.tracks[first.track][f] for f in frames[:4])
-    assert first.future == tuple(video.tracks[first.track][f] for f in frames[4:7])
+    boxes = [video.tracks[first.track][f].as_array() for f in frames]
+    assert np.array_equal(first.past, boxes[:4])
+    assert np.array_equal(first.future, boxes[4:7])
     anchor = frames[3]
-    assert first.ego == tuple(compose(video.ego_steps[anchor:anchor + 3]))
-    roi = expand_roi(first.past[2], 1.5, video.width, video.height)
+    assert np.array_equal(first.ego, compose(video.ego_steps[anchor:anchor + 3]))
+    roi = expand_roi(BoundingBox(*first.past[2]), 1.5, video.width, video.height)
     redone = video.pooled_flow(frames[2], roi, 2)
     assert np.array_equal(first.flow[2].values, redone.values)
 
 
-def test_window_track_rejects_bad_inputs():
-    box = BoundingBox(cx=50.0, cy=40.0, w=10.0, h=8.0)
-    flow = PooledFlow(values=np.zeros(2), n=1)
-    steps = [yaw_to_step(0.0, 1.0) for _ in range(9)]
-    with pytest.raises(ValidationError, match="consecutive"):
-        window_track(0, [0, 1, 3], [box] * 3, [flow] * 3, steps, 1, 1, 64, 64)
-    with pytest.raises(ValidationError, match="tau, delta"):
-        window_track(0, [0, 1], [box] * 2, [flow] * 2, steps, 0, 1, 64, 64)
-    with pytest.raises(ValidationError, match="boxes"):
-        window_track(0, [0, 1], [box] * 3, [flow] * 2, steps, 1, 1, 64, 64)
-
-
-def test_window_track_stops_at_end_of_ego_log():
-    box = BoundingBox(cx=50.0, cy=40.0, w=10.0, h=8.0)
-    flow = PooledFlow(values=np.zeros(2), n=1)
-    steps = [yaw_to_step(0.0, 1.0) for _ in range(2)]
-    samples = window_track(0, range(5), [box] * 5, [flow] * 5, steps,
-                           tau=1, delta=2, width=64, height=64)
-    assert len(samples) == 1  # later windows would need steps past the log
-
-
 def test_sample_validation():
-    box = BoundingBox(cx=5.0, cy=5.0, w=2.0, h=2.0)
+    box = [5.0, 5.0, 2.0, 2.0]
     flow = PooledFlow(values=np.zeros(2), n=1)
-    ego = EgoFeature(yaw=0.0, x=1.0, z=0.0)
+    ego = [0.0, 1.0, 0.0]
+
+    def sample(past=(box,), future=(box,), ego=(ego,), flow=(flow,), width=64):
+        return Sample(track=0, past=past, flow=flow, future=future, ego=ego,
+                      width=width, height=64)
+
     with pytest.raises(ValidationError, match="flow"):
-        Sample(track=0, past=(box, box), flow=(flow,), future=(box,),
-               ego=(ego,), width=64, height=64)
+        sample(past=(box, box))
     with pytest.raises(ValidationError, match="ego"):
-        Sample(track=0, past=(box,), flow=(flow,), future=(box, box),
-               ego=(ego,), width=64, height=64)
+        sample(future=(box, box))
     with pytest.raises(ValidationError, match="positive"):
-        Sample(track=0, past=(box,), flow=(flow,), future=(box,),
-               ego=(ego,), width=0, height=64)
+        sample(width=0)
+    with pytest.raises(ValidationError, match="sample past values must be finite"):
+        sample(past=([5.0, math.nan, 2.0, 2.0],))
+    with pytest.raises(ValidationError, match="box extent w and h must be positive"):
+        sample(future=([5.0, 5.0, 0.0, 2.0],))
+    with pytest.raises(ValidationError, match="each past row must hold 4 numbers"):
+        sample(past=np.ones((3, 5)), flow=(flow,) * 3)
+    with pytest.raises(ValidationError, match="each ego row must hold 3 numbers"):
+        sample(ego=np.ones((1, 2)))
+    good = sample()
+    assert good.past.dtype == np.float64 and good.ego.shape == (1, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        good.past[0, 0] = 1.0
+    # the sample holds a copy, so the caller's array stays its own
+    past = np.array([box])
+    held = sample(past=past)
+    past[0, 0] = 9.0
+    assert held.past[0, 0] == 5.0
 
 
 def test_scenario_validation():
@@ -419,9 +427,9 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     assert len(loaded) == len(samples)
     for a, b in zip(samples, loaded):
         assert (a.track, a.width, a.height) == (b.track, b.width, b.height)
-        assert a.past == b.past
-        assert a.future == b.future
-        assert a.ego == b.ego
+        assert_bit_equal(b.past, a.past)
+        assert_bit_equal(b.future, a.future)
+        assert_bit_equal(b.ego, a.ego)
         for fa, fb in zip(a.flow, b.flow):
             assert fa.n == fb.n
             assert np.array_equal(fa.values, fb.values)
@@ -430,9 +438,38 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("writer", ["dataset", "scenario"])
+def test_a_library_write_that_fails_midway_keeps_the_previous_file(
+        writer, tmp_path, monkeypatch):
+    video = generate_scenario(moving_scenario())
+    samples, _ = windows_from_video(video, tau=4, delta=3, n=2)
+    target = tmp_path / "out"
+    target.write_bytes(b"previous contents\n")
+    write = {"dataset": lambda: write_dataset(samples, target),
+             "scenario": lambda: write_scenario_file(target, video.scenario)}[writer]
+    write_bytes = Path.write_bytes
+
+    def fails_midway(path, data):
+        write_bytes(path, data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", fails_midway)
+    with pytest.raises(OSError, match="disk full"):
+        write()
+    assert target.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 SAMPLE_LINE = ('{"track":0,"width":64,"height":64,'
                '"past":[[5.0,5.0,2.0,2.0]],"future":[[6.0,5.0,2.0,2.0]],'
                '"ego":[[0.0,1.0,0.0]],"flow":{"n":1,"values":[[0.5,0.25]]}}')
+
+
+def test_sample_line_reads_and_writes_back_byte_for_byte(tmp_path):
+    path = tmp_path / "one.jsonl"
+    path.write_text(SAMPLE_LINE + "\n")
+    write_dataset(read_dataset(path), tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 def test_read_dataset_reports_line_numbers(tmp_path):
@@ -463,9 +500,18 @@ def test_read_dataset_reports_line_numbers(tmp_path):
         with pytest.raises(DataFormatError,
                            match="bad.jsonl:2: track must be an integer"):
             read_dataset(path)
+    for bad in (good.replace('"past":[[5.0,5.0,2.0,2.0]]',
+                             '"past":[[5.0,5.0,2.0,2.0],[5.0,5.0]]'),
+                good.replace('"past":[[5.0,5.0,2.0,2.0]]',
+                             '"past":[[5.0,5.0,2.0,2.0,1.0]]')):
+        assert bad != good
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(DataFormatError,
+                           match=r"bad.jsonl:2: .*each past row must hold 4 numbers"):
+            read_dataset(path)
     path.write_text(good + "\n")
     sample = read_dataset(path)[0]
-    assert sample.past[0].cx == 5.0
+    assert sample.past.tolist() == [[5.0, 5.0, 2.0, 2.0]]
     assert sample.flow[0].n == 1
 
 
@@ -527,8 +573,9 @@ def test_scenario_backed_video_windows_as_in_memory(tmp_path):
             got, _ = windows_from_video(loaded, 2, 1, expand=2.5, n=n)
             assert want and len(got) == len(want)
             for a, b in zip(got, want):
-                assert (a.track, a.past, a.future, a.ego) == \
-                    (b.track, b.past, b.future, b.ego)
+                assert a.track == b.track
+                for name in ("past", "future", "ego"):
+                    assert_bit_equal(getattr(a, name), getattr(b, name))
                 for fa, fb in zip(a.flow, b.flow):
                     assert_bit_equal(fa.values, fb.values)
 
@@ -551,7 +598,8 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
                  "values": values.values.tolist()}))
     (root / "pooled.jsonl").write_text("\n".join(lines) + "\n")
 
-    frame_of = {(track, box): t for track, frames in video.tracks.items()
+    frame_of = {(track, tuple(box.as_array())): t
+                for track, frames in video.tracks.items()
                 for t, box in frames.items()}
     loaded = read_video_dir(root)
     clipped = 0
@@ -559,8 +607,9 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
         samples, _ = windows_from_video(loaded, tau=2, delta=1, expand=2.5, n=n)
         assert samples
         for sample in samples:
-            for box, pooled in zip(sample.past, sample.flow):
-                t = frame_of[sample.track, box]
+            for row, pooled in zip(sample.past, sample.flow):
+                t = frame_of[sample.track, tuple(row)]
+                box = BoundingBox(*row)
                 clipped += (box.cx - 1.25 * box.w < 0.0 or box.cy - 1.25 * box.h < 0.0
                             or box.cx + 1.25 * box.w > video.width
                             or box.cy + 1.25 * box.h > video.height)

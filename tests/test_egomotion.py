@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fvl.egomotion import (EgoFeature, EgoStep, compose, read_ego_log,
-                           rotation_matrix, wrap_angle, write_ego_log,
-                           yaw_to_step)
+from fvl.egomotion import (EgoStep, compose, read_ego_log, rotation_matrix,
+                           wrap_angle, write_ego_log, yaw_to_step)
 from fvl.errors import DataFormatError, ValidationError
 from fvl.rng import Xoshiro256
 from oracles import homogeneous_compose
@@ -24,8 +23,8 @@ def random_steps(seed, count, max_yaw=0.5, max_translation=2.0):
 
 def test_identity_steps_give_zero_features():
     steps = [EgoStep(yaw=0.0, translation=np.zeros(2))] * 4
-    for feature in compose(steps):
-        assert feature == EgoFeature(0.0, 0.0, 0.0)
+    assert compose(steps).tolist() == [[0.0, 0.0, 0.0]] * 4
+    assert compose([]).shape == (0, 3)
 
 
 def test_quarter_turn_then_straight():
@@ -33,28 +32,26 @@ def test_quarter_turn_then_straight():
     # relative to the anchor frame.
     steps = [yaw_to_step(math.pi / 2.0, 1.0), yaw_to_step(0.0, 1.0)]
     first, second = compose(steps)
-    assert first.yaw == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert (first.x, first.z) == pytest.approx((1.0, 0.0), abs=1e-12)
-    assert second.yaw == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert (second.x, second.z) == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert first.tolist() == pytest.approx([math.pi / 2.0, 1.0, 0.0], abs=1e-12)
+    assert second.tolist() == pytest.approx([math.pi / 2.0, 1.0, 1.0], abs=1e-12)
 
 
 def test_compose_matches_homogeneous_matrix_oracle():
     steps = random_steps(seed=3, count=10)
-    features = compose(steps)
+    poses = compose(steps)
     expected = homogeneous_compose(steps)
-    for got, (yaw, x, z) in zip(features, expected):
-        assert abs(got.yaw - wrap_angle(yaw)) < 1e-12
-        assert abs(got.x - x) < 1e-12
-        assert abs(got.z - z) < 1e-12
+    for (got_yaw, got_x, got_z), (yaw, x, z) in zip(poses, expected):
+        assert abs(got_yaw - wrap_angle(yaw)) < 1e-12
+        assert abs(got_x - x) < 1e-12
+        assert abs(got_z - z) < 1e-12
 
 
 def test_long_chains_stay_orthonormal_and_match_oracle():
     steps = random_steps(seed=31, count=500, max_yaw=0.2)
-    features = compose(steps)
+    _, x, z = compose(steps)[-1]
     expected = homogeneous_compose(steps)
-    assert abs(features[-1].x - expected[-1][1]) < 1e-9
-    assert abs(features[-1].z - expected[-1][2]) < 1e-9
+    assert abs(x - expected[-1][1]) < 1e-9
+    assert abs(z - expected[-1][2]) < 1e-9
     # the oracle's accumulated rotation should not have drifted either
     pose = np.eye(2)
     for step in steps:
@@ -69,16 +66,15 @@ def test_composition_is_associative_across_a_split():
         full = compose(steps)
         prefix = compose(steps[:cut])[-1]
         suffix = compose(steps[cut:])
-        pre_rot = rotation_matrix(prefix.yaw)
-        pre_t = np.array([prefix.x, prefix.z])
+        pre_rot = rotation_matrix(prefix[0])
         for j, tail in enumerate(suffix):
-            t = pre_t + pre_rot @ np.array([tail.x, tail.z])
-            yaw = wrap_angle(prefix.yaw + tail.yaw)
+            t = prefix[1:] + pre_rot @ tail[1:]
+            yaw = wrap_angle(prefix[0] + tail[0])
             combined = full[cut + j]
-            assert abs(combined.x - t[0]) < 1e-12
-            assert abs(combined.z - t[1]) < 1e-12
+            assert abs(combined[1] - t[0]) < 1e-12
+            assert abs(combined[2] - t[1]) < 1e-12
             # compare as a difference of angles to dodge the wrap boundary
-            assert abs(wrap_angle(combined.yaw - yaw)) < 1e-12
+            assert abs(wrap_angle(combined[0] - yaw)) < 1e-12
 
 
 @pytest.mark.parametrize("yaw, translation", [
@@ -114,16 +110,15 @@ def test_yaw_to_step_examples():
 
 
 def test_constant_turn_rate_accumulates_yaw():
-    features = compose([yaw_to_step(0.1, 0.5)] * 10)
-    assert features[-1].yaw == pytest.approx(1.0, abs=1e-12)
+    poses = compose([yaw_to_step(0.1, 0.5)] * 10)
+    assert poses[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_yaw_is_wrapped_into_half_open_interval():
-    features = compose([yaw_to_step(math.pi / 2.0, 0.0)] * 7)
-    for feature in features:
-        assert -math.pi < feature.yaw <= math.pi
+    yaws = compose([yaw_to_step(math.pi / 2.0, 0.0)] * 7)[:, 0]
+    assert np.all((-math.pi < yaws) & (yaws <= math.pi))
     # 7 quarter turns = 3.5 pi, wrapped to -pi/2
-    assert features[-1].yaw == pytest.approx(-math.pi / 2.0, abs=1e-12)
+    assert yaws[-1] == pytest.approx(-math.pi / 2.0, abs=1e-12)
 
 
 def test_wrap_angle_boundaries():

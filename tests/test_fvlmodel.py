@@ -11,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvl import diffcore as dc
-from fvl.boxes import BoundingBox
 from fvl.dataio import Sample
-from fvl.egomotion import EgoFeature
 from fvl.errors import DataFormatError, NumericFailure, ValidationError
 from fvl.flowfeat import PooledFlow
 from fvl.fvlmodel import (
@@ -46,15 +44,15 @@ def zero_params(model):
 
 def make_sample(rng, tau=3, delta=2, n=2, width=320, height=160, track=0):
     def box():
-        return BoundingBox(cx=rng.uniform(60.0, 260.0), cy=rng.uniform(40.0, 120.0),
-                           w=rng.uniform(10.0, 60.0), h=rng.uniform(10.0, 60.0))
+        return [rng.uniform(60.0, 260.0), rng.uniform(40.0, 120.0),
+                rng.uniform(10.0, 60.0), rng.uniform(10.0, 60.0)]
 
     past = [box() for _ in range(tau)]
     future = [box() for _ in range(delta)]
     flow = [PooledFlow(values=rng.uniforms(2 * n * n, -3.0, 3.0), n=n)
             for _ in range(tau)]
-    ego = [EgoFeature(yaw=rng.uniform(-0.2, 0.2), x=rng.uniform(0.0, 2.0),
-                      z=rng.uniform(-0.5, 0.5)) for _ in range(delta)]
+    ego = [[rng.uniform(-0.2, 0.2), rng.uniform(0.0, 2.0), rng.uniform(-0.5, 0.5)]
+           for _ in range(delta)]
     return Sample(track=track, past=past, flow=flow, future=future, ego=ego,
                   width=width, height=height)
 
@@ -121,7 +119,7 @@ def test_prediction_residuals_recover_absolute():
     pred = model.predict(sample)
     assert np.array_equal(pred.absolute, pred.anchor + pred.residuals)
     scale = np.array([1.0 / 320, 1.0 / 160, 1.0 / 320, 1.0 / 160])
-    assert np.array_equal(pred.anchor, sample.past[-1].as_array() * scale)
+    assert np.array_equal(pred.anchor, sample.past[-1] * scale)
     assert pred.residuals.shape == (SMALL["delta"], 4)
 
 
@@ -217,9 +215,7 @@ def test_streams_feed_matching_variants_only():
     shifted_flow = tuple(PooledFlow(values=f.values + 1.0, n=f.n)
                          for f in sample.flow)
     flow_moved = dataclasses.replace(sample, flow=shifted_flow)
-    shifted_ego = tuple(EgoFeature(yaw=e.yaw + 0.1, x=e.x + 1.0, z=e.z)
-                        for e in sample.ego)
-    ego_moved = dataclasses.replace(sample, ego=shifted_ego)
+    ego_moved = dataclasses.replace(sample, ego=sample.ego + [0.1, 1.0, 0.0])
 
     box_only = BoxForecaster(small_config("x"), seed=7)
     assert np.array_equal(box_only.predict(sample).residuals,
@@ -301,8 +297,9 @@ def test_prepare_scales_each_row_by_its_own_dims_bit_for_bit():
     for i, sample in enumerate(samples):
         sx, sy = 1.0 / sample.width, 1.0 / sample.height
 
-        def model_units(b):
-            return [b.cx * sx, b.cy * sy, b.w * sx, b.h * sy]
+        def model_units(box):
+            cx, cy, w, h = box.tolist()
+            return [cx * sx, cy * sy, w * sx, h * sy]
 
         anchor = model_units(sample.past[-1])
         assert data["boxes"][i].tolist() == [model_units(b) for b in sample.past]
@@ -312,9 +309,8 @@ def test_prepare_scales_each_row_by_its_own_dims_bit_for_bit():
         assert data["flows"][i].tolist() == [
             [v * (sx if k % 2 == 0 else sy) for k, v in enumerate(f.values.tolist())]
             for f in sample.flow]
-        assert data["egos"][i].tolist() == [[e.yaw, e.x, e.z] for e in sample.ego]
-        assert data["future_px"][i].tolist() == [
-            [b.cx, b.cy, b.w, b.h] for b in sample.future]
+        assert data["egos"][i].tolist() == sample.ego.tolist()
+        assert data["future_px"][i].tolist() == sample.future.tolist()
         assert data["scales"][i].tolist() == [sample.width, sample.height] * 2
     with pytest.raises(ValidationError, match="sample 2: .*lattice"):
         _prepare(small_config(), samples[:2] + [make_sample(rng, n=3)])
@@ -435,8 +431,7 @@ def test_non_finite_loss_aborts_with_location():
     samples = []
     for track in range(2):
         base = make_sample(rng, track=track)
-        huge = (BoundingBox(cx=1e200, cy=1e200, w=10.0, h=10.0),) \
-            + base.future[1:]
+        huge = np.vstack([[1e200, 1e200, 10.0, 10.0], base.future[1:]])
         samples.append(dataclasses.replace(base, future=huge))
     with pytest.raises(NumericFailure, match=r"epoch 0 batch 0"):
         train_model(small_config("x"), samples, epochs=1, seed=1)

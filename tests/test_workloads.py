@@ -1,0 +1,41 @@
+"""The benchmark's ingest check must still work on what fvl returns.
+
+`perfbench/workloads.py` checks the windows read back from disk against
+the windows of the same video in memory by walking `sample.flow` and
+reading each frame's `.values`.  Windowing is fvl's, the check is the
+benchmark's, so a change to `Sample` can break the check without any fvl
+test noticing.  The module is loaded from its source, without writing
+anything under `perfbench/`.
+"""
+
+import types
+from pathlib import Path
+
+from fvl.dataio import (generate_scenario, random_scenario, read_video_dir,
+                        windows_from_video, write_video_dir)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads() -> types.ModuleType:
+    module = types.ModuleType("workloads")
+    module.__file__ = str(WORKLOADS)
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    return module
+
+
+def test_ingest_check_passes_disk_windows_and_catches_changed_ones(tmp_path):
+    workloads = load_workloads()
+    window = dict(tau=workloads.TAU, delta=workloads.DELTA, n=workloads.INGEST_POOL_N)
+    video = generate_scenario(random_scenario(4, frames=16, width=320, height=160))
+    write_video_dir(video, tmp_path / "video")
+    ingest = workloads.Ingest()
+    ingest.reference = {"video": windows_from_video(video, expand=1.5, **window)[0]}
+    check = ingest._window_check("video")
+
+    loaded = read_video_dir(tmp_path / "video")
+    disk = windows_from_video(loaded, expand=1.5, **window)[0]
+    assert disk and check(disk) is None
+    assert "pooled flow differs" in check(windows_from_video(loaded, expand=2.5,
+                                                             **window)[0])
+    assert "samples from disk" in check(disk[1:])
