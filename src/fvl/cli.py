@@ -68,8 +68,17 @@ def _positive(kind):
     return convert
 
 
-_ROI_EXPAND = ("growth of each box before its flow is pooled (default 1.5); "
-               "video directories only, since a sample file holds pooled flow")
+def _expansion(text):
+    value = float(text)
+    if not 1.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 1, got {text}")
+    return value
+
+
+_expansion.__name__ = "expansion factor"
+_ROI_EXPAND = ("growth of each box before its flow is pooled, at least 1 "
+               "(default 1.5); video directories only, since a sample file "
+               "holds pooled flow")
 
 
 def _non_negative(text):
@@ -113,7 +122,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--lr", type=_positive(float), default=5e-4)
     train.add_argument("--seed", type=_non_negative, default=0)
     train.add_argument("--workers", type=_positive(int), default=1)
-    train.add_argument("--roi-expand", type=_positive(float), help=_ROI_EXPAND)
+    train.add_argument("--roi-expand", type=_expansion, help=_ROI_EXPAND)
     train.add_argument("--pool-n", type=_positive(int), default=5)
     train.set_defaults(func=cmd_train)
 
@@ -129,7 +138,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--delta", type=_positive(int), default=10,
                     help="horizon for baselines (checkpoints carry their own)")
     ev.add_argument("--workers", type=_positive(int), default=1)
-    ev.add_argument("--roi-expand", type=_positive(float), help=_ROI_EXPAND)
+    ev.add_argument("--roi-expand", type=_expansion, help=_ROI_EXPAND)
     ev.set_defaults(func=cmd_evaluate)
 
     pred = sub.add_parser(
@@ -140,7 +149,7 @@ def _build_parser() -> _Parser:
     pred.add_argument("--dataset", required=True)
     pred.add_argument("--out", help="output path (default: stdout)")
     pred.add_argument("--workers", type=_positive(int), default=1)
-    pred.add_argument("--roi-expand", type=_positive(float), help=_ROI_EXPAND)
+    pred.add_argument("--roi-expand", type=_expansion, help=_ROI_EXPAND)
     pred.set_defaults(func=cmd_predict)
 
     gc = sub.add_parser(

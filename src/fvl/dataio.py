@@ -8,7 +8,9 @@ on: per-frame 2D bounding boxes, dense optical flow, and an ego-motion
 log.  Everything is closed-form, so tests can recompute any quantity
 independently, and flow is rendered only at the pixels asked for: a
 pooled ROI renders the at most 4 n^2 pixels its lattice reads.  A video
-directory therefore stores its scenario rather than any flow.
+directory therefore stores its scenario rather than any flow.  Each
+actor's boxes come from one array pass over all frames, which rounds
+every value as a frame-by-frame scalar projection would.
 
 Geometry conventions:
   - Ground-plane frames use (x, z) with x along the heading and z to the
@@ -46,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import BoundingBox
-from .egomotion import compose, read_ego_log, rotation_matrix, write_ego_log, \
+from .egomotion import _ego_log_text, compose, read_ego_log, rotation_matrix, \
     yaw_to_step
 from .errors import DataFormatError, ValidationError, text_lines, write_atomic
 from .flowfeat import FlowGrid, PooledFlow, expand_roi, lattice_pool, \
@@ -240,10 +242,6 @@ class Scenario:
         object.__setattr__(self, "actors", tuple(self.actors))
 
 
-def _heading_vector(heading: float) -> np.ndarray:
-    return np.array([math.cos(heading), math.sin(heading)])
-
-
 class _FlowSource:
     """Flow access shared by generated and loaded videos.
 
@@ -390,38 +388,60 @@ def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
     return flow
 
 
-def _project_actor(camera: CameraSpec, ego_heading: float,
-                   ego_position: np.ndarray, center: np.ndarray,
-                   actor: ActorSpec, width: int, height: int):
-    """Project an actor's 3D box; returns (BoundingBox, depth) or None."""
-    forward = _heading_vector(actor.heading)
+def _python_extreme(extreme, values: np.ndarray) -> np.ndarray:
+    """Python's min (`extreme` np.fmin) or max (np.fmax) of each row: a
+    NaN in the first column wins, and later NaNs are skipped."""
+    return np.where(np.isnan(values[:, 0]), values[:, 0], extreme.reduce(values, axis=1))
+
+
+def _project_actor(camera: CameraSpec, rotations: np.ndarray,
+                   positions: np.ndarray, actor: ActorSpec, width: int,
+                   height: int):
+    """Project an actor's 3D box in every frame at once, given the ego
+    `rotations` [frames x 2 x 2] and `positions` [frames x 2]; returns
+    ({frame: BoundingBox}, depth per frame, inf where there is no box).
+
+    A frame has no box when a ground corner lies less than NEAR_PLANE_M
+    ahead, or when its box, clipped to the image, is under MIN_BOX_PX on
+    a side.  Each value goes through a one-frame scalar projection's
+    operations in the same order, so it rounds the same; a NaN box
+    raises ValidationError.
+    """
+    forward = np.array([math.cos(actor.heading), math.sin(actor.heading)])
     lateral = np.array([-forward[1], forward[0]])
+    speeds = actor.speed + actor.accel * np.arange(len(positions) - 1)
+    centers = np.cumsum(np.vstack([[actor.x, actor.z], speeds[:, None] * forward]),
+                        axis=0)
     half_l, half_w = actor.length / 2.0, actor.width / 2.0
-    rot = rotation_matrix(ego_heading)
-    us, vs = [], []
-    center_depth = None
-    for sl in (-half_l, half_l):
-        for sw in (-half_w, half_w):
-            ground = center + sl * forward + sw * lateral
-            rel = ground - ego_position
-            d_fwd = rot[0, 0] * rel[0] + rot[1, 0] * rel[1]
-            d_left = rot[0, 1] * rel[0] + rot[1, 1] * rel[1]
-            if d_fwd < NEAR_PLANE_M:
-                return None
-            x_cam = -d_left
-            for elevation in (0.0, actor.height):
-                y_cam = camera.cam_height - elevation
-                us.append(camera.focal * x_cam / d_fwd + camera.ppx)
-                vs.append(camera.focal * y_cam / d_fwd + camera.ppy)
-    rel = center - ego_position
-    center_depth = rot[0, 0] * rel[0] + rot[1, 0] * rel[1]
-    x0 = max(min(us), 0.0)
-    x1 = min(max(us), float(width))
-    y0 = max(min(vs), 0.0)
-    y1 = min(max(vs), float(height))
-    if x1 - x0 < MIN_BOX_PX or y1 - y0 < MIN_BOX_PX:
-        return None
-    return BoundingBox.from_corners(x0, y0, x1, y1), center_depth
+    sl = np.array([-half_l, -half_l, half_l, half_l])[:, None]
+    sw = np.array([-half_w, half_w, -half_w, half_w])[:, None]
+    rot = rotations[:, None]
+
+    def ego_frame(rel):  # (d_fwd, d_left) of world offsets [frames x k x 2]
+        return (rot[..., 0, 0] * rel[..., 0] + rot[..., 1, 0] * rel[..., 1],
+                rot[..., 0, 1] * rel[..., 0] + rot[..., 1, 1] * rel[..., 1])
+
+    # [frames x 4 ground corners]
+    d_fwd, d_left = ego_frame(centers[:, None] + sl * forward + sw * lateral
+                              - positions[:, None])
+    ahead = ~(d_fwd < NEAR_PLANE_M).any(axis=1)
+    d_fwd[~ahead] = 1.0
+    u = camera.focal * -d_left / d_fwd + camera.ppx
+    # each corner at the ground, then at the roof; only the first column's
+    # place matters to _python_extreme
+    v = np.hstack([camera.focal * (camera.cam_height - elevation) / d_fwd + camera.ppy
+                   for elevation in (0.0, actor.height)])
+    # clipped to the image; NaN stays NaN, as in Python's max(nan, 0.0)
+    x0, y0 = (np.maximum(_python_extreme(np.fmin, c), 0.0) for c in (u, v))
+    x1, y1 = (np.minimum(_python_extreme(np.fmax, c), limit)
+              for c, limit in ((u, float(width)), (v, float(height))))
+    keep = ahead & ~((x1 - x0 < MIN_BOX_PX) | (y1 - y0 < MIN_BOX_PX))
+    kept = np.flatnonzero(keep)
+    boxes = {t: BoundingBox.from_corners(*corners) for t, corners in
+             zip(kept.tolist(), np.stack([x0, y0, x1, y1], axis=1)[kept].tolist())}
+    depths = np.where(keep, ego_frame((centers - positions)[:, None])[0][:, 0],
+                      np.inf)
+    return boxes, depths
 
 
 def generate_scenario(scenario: Scenario) -> VideoData:
@@ -440,37 +460,21 @@ def generate_scenario(scenario: Scenario) -> VideoData:
         positions[t + 1] = positions[t] + rotation_matrix(headings[t]) @ step.translation
         headings[t + 1] = headings[t] + step.yaw
 
+    rotations = np.array([rotation_matrix(heading) for heading in headings])
     tracks: dict[int, dict[int, BoundingBox]] = {}
     depths: dict[int, np.ndarray] = {}
     for index, actor in enumerate(scenario.actors):
-        forward = _heading_vector(actor.heading)
-        boxes: dict[int, BoundingBox] = {}
-        depth_by_frame = np.full(frames, np.inf)
-        position = np.array([actor.x, actor.z])
-        for t in range(frames):
-            projected = _project_actor(scenario.camera, headings[t],
-                                       positions[t], position, actor,
-                                       scenario.width, scenario.height)
-            if projected is not None:
-                boxes[t], depth_by_frame[t] = projected
-            position = position + (actor.speed + actor.accel * t) * forward
+        boxes, actor_depths = _project_actor(scenario.camera, rotations, positions,
+                                             actor, scenario.width, scenario.height)
         if boxes:
-            tracks[index] = boxes
-            depths[index] = depth_by_frame
+            tracks[index], depths[index] = boxes, actor_depths
     return VideoData(scenario, ego_steps, tracks, headings, positions, depths)
 
 
-def _contiguous_runs(frame_indices):
-    runs = []
-    current = []
-    for t in sorted(frame_indices):
-        if current and t != current[-1] + 1:
-            runs.append(current)
-            current = []
-        current.append(t)
-    if current:
-        runs.append(current)
-    return runs
+def _contiguous_runs(frame_indices) -> list[list[int]]:
+    frames = sorted(frame_indices)
+    cuts = [i for i in range(1, len(frames)) if frames[i] != frames[i - 1] + 1]
+    return [frames[a:b] for a, b in zip([0, *cuts], [*cuts, len(frames)])]
 
 
 def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
@@ -586,13 +590,6 @@ def read_dataset(path) -> list[Sample]:
 # starts a comment anywhere.
 
 
-def _write_meta(path: Path, video, tau: int, delta: int) -> None:
-    text = (f"width={video.width}\nheight={video.height}\n"
-            f"fps={float(video.fps)!r}\nframes={video.frames}\n"
-            f"tau={tau}\ndelta={delta}\n")
-    path.write_text(text)
-
-
 def read_key_values(path, keys, sections=None) -> dict:
     """Parse `key=value` lines into a dict of strings.
 
@@ -674,18 +671,18 @@ def write_video_dir(video: VideoData, path, tau: int = 10, delta: int = 10) -> N
     old = path.with_name(f".{path.name}.{os.getpid()}.old")
     try:
         temp.mkdir()
-        _write_meta(temp / "meta", video, tau, delta)
-        write_ego_log(temp / "ego.txt", video.ego_steps)
-        lines = []
-        for track in sorted(video.tracks):
-            for frame in sorted(video.tracks[track]):
-                box = video.tracks[track][frame]
-                lines.append(json.dumps(
-                    {"frame": frame, "track": track, "cx": box.cx, "cy": box.cy,
-                     "w": box.w, "h": box.h}, separators=(",", ":")))
-        (temp / "boxes.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
         # the directory replaces `path` whole, so no file in it needs
         # a temp file of its own
+        (temp / "meta").write_text(
+            f"width={video.width}\nheight={video.height}\nfps={float(video.fps)!r}\n"
+            f"frames={video.frames}\ntau={tau}\ndelta={delta}\n")
+        (temp / "ego.txt").write_text(_ego_log_text(video.ego_steps))
+        lines = [json.dumps({"frame": frame, "track": track, "cx": box.cx,
+                             "cy": box.cy, "w": box.w, "h": box.h},
+                            separators=(",", ":"))
+                 for track in sorted(video.tracks)
+                 for frame, box in sorted(video.tracks[track].items())]
+        (temp / "boxes.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
         (temp / SCENARIO_FILE).write_text(_scenario_text(video.scenario))
         if path.is_dir():
             path.rename(old)  # a rename cannot replace a non-empty directory

@@ -14,12 +14,11 @@ lateral component.  A positive yaw is a left turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, text_lines
+from .errors import DataFormatError, ValidationError, text_lines, write_atomic
 
 __all__ = [
     "EgoStep",
@@ -52,11 +51,13 @@ def wrap_angle(angle: float) -> float:
 class EgoStep:
     """Relative pose from one frame to the next, exactly the fields of an
     ego-log line: the turn `yaw` (radians, positive left) and then the
-    `translation` (x, z) in the earlier frame's coordinates.
+    `translation` (x, z) in the earlier frame's coordinates.  `rotation`
+    is the read-only `rotation_matrix(yaw)`, built once.
     """
 
     yaw: float
     translation: np.ndarray
+    rotation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "yaw", float(self.yaw))
@@ -70,10 +71,9 @@ class EgoStep:
             raise ValidationError(
                 f"EgoStep needs a finite yaw and translation, got "
                 f"({self.yaw}, {self.translation.tolist()})")
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return rotation_matrix(self.yaw)
+        rotation = rotation_matrix(self.yaw)
+        rotation.flags.writeable = False
+        object.__setattr__(self, "rotation", rotation)
 
 
 def compose(steps) -> np.ndarray:
@@ -109,12 +109,16 @@ def yaw_to_step(yaw_rate: float, speed: float) -> EgoStep:
 # Floats are written with repr so they round-trip bit-exactly.
 
 
-def write_ego_log(path, steps) -> None:
+def _ego_log_text(steps) -> str:
     lines = []
     for i, step in enumerate(steps):
         tx, ty = (float(v) for v in step.translation)
         lines.append(f"{i} {step.yaw!r} {tx!r} {ty!r}\n")
-    Path(path).write_text("".join(lines))
+    return "".join(lines)
+
+
+def write_ego_log(path, steps) -> None:
+    write_atomic(path, _ego_log_text(steps).encode())
 
 
 def read_ego_log(path) -> list[EgoStep]:

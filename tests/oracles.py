@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from fvl import diffcore as dc
-from fvl.dataio import PAINT_PAD_PX
+from fvl.boxes import BoundingBox
+from fvl.dataio import MIN_BOX_PX, NEAR_PLANE_M, PAINT_PAD_PX
 from fvl.egomotion import rotation_matrix
 
 
@@ -158,6 +159,63 @@ def rectangle_flow(video, t, ix0, iy0, ix1, iy1):
         if col0 <= col1 and row0 <= row1:
             out[row0 - iy0:row1 + 1 - iy0, col0 - ix0:col1 + 1 - ix0] = disp
     return out
+
+
+def project_actor(camera, ego_heading, ego_position, center, actor, width,
+                  height):
+    """Project an actor's 3D box in one frame, corner by corner in scalar
+    arithmetic, the way the generator did before it projected every
+    frame in one array pass; returns (BoundingBox, depth) or None."""
+    forward = np.array([math.cos(actor.heading), math.sin(actor.heading)])
+    lateral = np.array([-forward[1], forward[0]])
+    half_l, half_w = actor.length / 2.0, actor.width / 2.0
+    rot = rotation_matrix(ego_heading)
+    us, vs = [], []
+    for sl in (-half_l, half_l):
+        for sw in (-half_w, half_w):
+            ground = center + sl * forward + sw * lateral
+            rel = ground - ego_position
+            d_fwd = rot[0, 0] * rel[0] + rot[1, 0] * rel[1]
+            d_left = rot[0, 1] * rel[0] + rot[1, 1] * rel[1]
+            if d_fwd < NEAR_PLANE_M:
+                return None
+            x_cam = -d_left
+            for elevation in (0.0, actor.height):
+                y_cam = camera.cam_height - elevation
+                us.append(camera.focal * x_cam / d_fwd + camera.ppx)
+                vs.append(camera.focal * y_cam / d_fwd + camera.ppy)
+    rel = center - ego_position
+    center_depth = rot[0, 0] * rel[0] + rot[1, 0] * rel[1]
+    x0 = max(min(us), 0.0)
+    x1 = min(max(us), float(width))
+    y0 = max(min(vs), 0.0)
+    y1 = min(max(vs), float(height))
+    if x1 - x0 < MIN_BOX_PX or y1 - y0 < MIN_BOX_PX:
+        return None
+    return BoundingBox.from_corners(x0, y0, x1, y1), center_depth
+
+
+def project_tracks(video):
+    """(tracks, depths) of a generated video's scenario, from
+    `project_actor` frame by frame, each actor stepped along its heading
+    one frame at a time."""
+    scenario = video.scenario
+    headings, positions = ego_poses(video)
+    tracks, depths = {}, {}
+    for index, actor in enumerate(scenario.actors):
+        forward = np.array([math.cos(actor.heading), math.sin(actor.heading)])
+        boxes, depth_by_frame = {}, np.full(scenario.frames, np.inf)
+        position = np.array([actor.x, actor.z])
+        for t in range(scenario.frames):
+            projected = project_actor(scenario.camera, headings[t], positions[t],
+                                      position, actor, scenario.width,
+                                      scenario.height)
+            if projected is not None:
+                boxes[t], depth_by_frame[t] = projected
+            position = position + (actor.speed + actor.accel * t) * forward
+        if boxes:
+            tracks[index], depths[index] = boxes, depth_by_frame
+    return tracks, depths
 
 
 def two_plane_pool(grid, roi, n):

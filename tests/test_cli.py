@@ -82,13 +82,15 @@ def test_generate_that_fails_midway_leaves_no_new_video_dir(suite, tmp_path,
         scenes.append(tmp_path / f"{name}.scn")
         write_scenario_file(scenes[-1], random_scenario(9, frames=6, width=320,
                                                         height=160))
-    write_ego_log = dataio.write_ego_log
+    write_text = Path.write_text
 
-    def fails_midway(path, steps):
-        write_ego_log(path, steps[:2])
+    def fails_midway(path, text):
+        if path.name != "ego.txt":
+            return write_text(path, text)
+        write_text(path, text[:len(text) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(dataio, "write_ego_log", fails_midway)
+    monkeypatch.setattr(Path, "write_text", fails_midway)
     for scene in scenes:
         assert main(["generate", str(scene), "--out", str(data)]) == 2
         assert "disk full" in capsys.readouterr().err
@@ -526,15 +528,16 @@ def test_sample_file_must_hold_the_requested_window(tmp_path, window, capsys):
             f"tau={tau}, delta={delta}") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("factor", ["inf", "nan"])
+@pytest.mark.parametrize("factor", ["inf", "nan", "0.5", "0.999"])
 def test_non_finite_roi_expansion_exits_1(factor, capsys):
     # refused by the converter before any data is read; before, inf
-    # trained on whole-image ROIs
+    # trained on whole-image ROIs, and a factor below 1 read every video
+    # and then exited 2
     for command in (["train", "--dataset", "d", "--out", "m"],
                     ["evaluate", "m.fvlw", "--dataset", "d"],
                     ["predict", "m.fvlw", "--dataset", "d"]):
         assert main([*command, "--roi-expand", factor]) == 1
-        assert (f"--roi-expand: must be positive and finite, got {factor}"
+        assert (f"--roi-expand: must be finite and at least 1, got {factor}"
                 in capsys.readouterr().err)
 
 

@@ -13,11 +13,12 @@ from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
                         read_scenario_file, read_video_dir, split_videos,
                         windows_from_video, write_dataset,
                         write_scenario_file, write_video_dir)
-from fvl.egomotion import compose, rotation_matrix, wrap_angle
+from fvl.egomotion import compose, rotation_matrix, wrap_angle, write_ego_log
 from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_grid, roi_pool
 from fvl.rng import Xoshiro256
-from oracles import background_flow_oracle, ego_poses, rectangle_flow
+from oracles import background_flow_oracle, ego_poses, project_tracks, \
+    rectangle_flow
 
 
 def small_camera() -> CameraSpec:
@@ -301,6 +302,72 @@ def test_generator_repeats_exactly():
         assert np.array_equal(sa.translation, sb.translation)
 
 
+def assert_tracks_match_projection_oracle(video):
+    """Every box (cx, cy, w, h) and center depth of `video` equals, bit for
+    bit, the frame-by-frame scalar projection of its scenario."""
+    tracks, depths = project_tracks(video)
+    assert video.tracks.keys() == tracks.keys()
+    for track, boxes in tracks.items():
+        assert video.tracks[track].keys() == boxes.keys()
+        rows = [[(box.cx, box.cy, box.w, box.h) for box in frames.values()]
+                for frames in (video.tracks[track], boxes)]
+        assert_bit_equal(np.array(rows[0]), np.array(rows[1]))
+        assert_bit_equal(video._depths[track], depths[track])
+
+
+@pytest.mark.parametrize("config", [{}, {"width": 320, "height": 160, "frames": 24},
+                                    {"frames": 16}])
+def test_array_projection_matches_scalar_oracle_on_random_scenarios(config):
+    for seed in range(200):
+        assert_tracks_match_projection_oracle(
+            generate_scenario(random_scenario(seed, **config)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_array_projection_matches_scalar_oracle_on_edge_cases():
+    def video(*actors, yaw_rates=0.0, speeds=0.0, frames=20):
+        return generate_scenario(Scenario(
+            frames=frames, camera=small_camera(), ego_yaw_rates=yaw_rates,
+            ego_speeds=speeds, actors=actors, width=320, height=160))
+
+    # starts behind the camera and overtakes it: no box until every
+    # corner is past the near plane; in frame 7 a rear corner sits at
+    # d_fwd = 0
+    overtaking = video(ActorSpec(x=-10.0, z=1.0, heading=0.0, speed=1.75))
+    assert sorted(overtaking.tracks[0]) == list(range(8, 20))
+    # close on the left, so its box is clipped at the image's left edge
+    clipped = video(ActorSpec(x=8.0, z=3.0, heading=0.0, speed=0.0))
+    assert {box.corners()[0] for box in clipped.tracks[0].values()} == {0.0}
+    # far enough to project under MIN_BOX_PX: it has no track
+    tiny = video(ActorSpec(x=15.0, z=0.0, heading=0.0, speed=0.0),
+                 ActorSpec(x=2000.0, z=0.0, heading=0.0, speed=0.0))
+    assert list(tiny.tracks) == [0]
+    reversing = video(ActorSpec(x=12.0, z=-1.0, heading=0.3, speed=0.2, accel=0.01),
+                      ActorSpec(x=20.0, z=4.0, heading=math.pi, speed=0.5),
+                      yaw_rates=[0.05, -0.08] * 9 + [0.1], speeds=-0.4)
+    assert len(reversing.tracks) == 2
+    # frames dropped at the near plane divide by nothing, so no warning
+    for case in (overtaking, clipped, tiny, reversing):
+        assert_tracks_match_projection_oracle(case)
+    # a corner that projects to NaN after the first is skipped, as
+    # Python's min and max skip it
+    with np.errstate(over="ignore", invalid="ignore"):
+        nan_corners = video(ActorSpec(x=1.5e308, z=0.0, heading=0.0, speed=0.0,
+                                      length=1e308, width=1e308, height=1e308),
+                            frames=2)
+        assert_tracks_match_projection_oracle(nan_corners)
+    assert nan_corners.tracks[0][0] == BoundingBox(cx=160.0, cy=40.0, w=320.0, h=80.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_actor_whose_projection_overflows_is_rejected():
+    overflowing = ActorSpec(x=10.0, z=0.0, heading=0.0, speed=1e308, accel=1e308)
+    scenario = Scenario(frames=4, camera=small_camera(), actors=(overflowing,),
+                        width=320, height=160)
+    with pytest.raises(ValidationError, match="box fields must be finite"):
+        generate_scenario(scenario)
+
+
 def test_random_scenario_deterministic_and_bounded():
     a = random_scenario(31)
     b = random_scenario(31)
@@ -438,7 +505,7 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("writer", ["dataset", "scenario"])
+@pytest.mark.parametrize("writer", ["dataset", "scenario", "ego log"])
 def test_a_library_write_that_fails_midway_keeps_the_previous_file(
         writer, tmp_path, monkeypatch):
     video = generate_scenario(moving_scenario())
@@ -446,7 +513,8 @@ def test_a_library_write_that_fails_midway_keeps_the_previous_file(
     target = tmp_path / "out"
     target.write_bytes(b"previous contents\n")
     write = {"dataset": lambda: write_dataset(samples, target),
-             "scenario": lambda: write_scenario_file(target, video.scenario)}[writer]
+             "scenario": lambda: write_scenario_file(target, video.scenario),
+             "ego log": lambda: write_ego_log(target, video.ego_steps)}[writer]
     write_bytes = Path.write_bytes
 
     def fails_midway(path, data):

@@ -89,6 +89,10 @@ def test_ego_step_rejects_non_finite_values(yaw, translation):
 def test_ego_step_rotation_is_the_matrix_of_its_yaw():
     step = EgoStep(yaw=0.3, translation=np.array([1.0, 0.0]))
     np.testing.assert_array_equal(step.rotation, rotation_matrix(0.3))
+    # built once, so a caller cannot change what later compose calls read
+    assert step.rotation is step.rotation
+    with pytest.raises(ValueError, match="read-only"):
+        step.rotation[0, 0] = 2.0
     with pytest.raises(ValidationError, match="2-vector"):
         EgoStep(yaw=0.3, translation=np.zeros(3))
 
