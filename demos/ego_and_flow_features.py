@@ -8,18 +8,19 @@ region of interest.
 import numpy as np
 
 from fvl.dataio import generate_scenario, random_scenario
-from fvl.egomotion import compose, yaw_to_step
+from fvl.egomotion import compose
 from fvl.flowfeat import expand_roi, roi_pool
 
 
 def main():
-    # ten frames of a constant left turn at 0.05 rad/frame, 1.2 m/frame
-    steps = [yaw_to_step(0.05, 1.2) for _ in range(10)]
+    # ten frames of a constant left turn at 0.05 rad/frame, 1.2 m/frame:
+    # one step row [yaw, x, z] per frame, as in a video's ego.txt
+    steps = np.tile([0.05, 1.2, 0.0], (10, 1))
     poses = compose(steps)  # one row [yaw, x, z] per future frame
     print("cumulative pose of each future frame, seen from the anchor:")
     for i, (yaw, x, z) in enumerate(poses, start=1):
         print(f"  +{i:2d} frames: yaw {yaw:+.3f} rad, offset ({x:+.2f}, {z:+.2f}) m")
-    total = sum(s.yaw for s in steps)
+    total = steps[:, 0].sum()
     print(f"composed yaw equals the summed per-step yaw: "
           f"{abs(poses[-1, 0] - total) < 1e-12}")
 

@@ -241,6 +241,12 @@ def _lattice(config: ModelConfig):
 
 def cmd_generate(args) -> int:
     out_root = Path(args.out)
+    stems = [Path(path).stem for path in args.scenarios]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise _UsageError(f"{args.scenarios[stems.index(stem)]} and "
+                              f"{args.scenarios[i]} would both be written to "
+                              f"{out_root / stem}")
     for scenario_path in args.scenarios:
         scenario = read_scenario_file(scenario_path)
         video = generate_scenario(scenario)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .boxes import BoundingBox
 from .egomotion import _ego_log_text, compose, read_ego_log, rotation_matrix, \
-    yaw_to_step
+    wrap_angle
 from .errors import DataFormatError, ValidationError, text_lines, write_atomic
 from .flowfeat import FlowGrid, PooledFlow, expand_roi, lattice_pool, \
     read_flow_pixels
@@ -273,22 +273,23 @@ class _FlowSource:
 class VideoData(_FlowSource):
     """Generator output for one video: boxes, ego log, and on-demand flow.
 
-    Flow is rendered per pixel on request, so a long video costs nothing
-    until somebody asks for pixels, and pooling a ROI renders only the
-    pixels its lattice reads.
+    `ego_steps` is the read-only [frames-1 x 3] array of step rows
+    [yaw, x, z] (see egomotion).  Flow is rendered per pixel on request,
+    so a long video costs nothing until somebody asks for pixels, and
+    pooling a ROI renders only the pixels its lattice reads.
     """
 
-    def __init__(self, scenario: Scenario, ego_steps, tracks,
-                 ego_headings: np.ndarray, ego_positions: np.ndarray,
+    def __init__(self, scenario: Scenario, ego_steps: np.ndarray, tracks,
+                 ego_rotations: np.ndarray, ego_positions: np.ndarray,
                  actor_depths):
         self.scenario = scenario
         self.width = scenario.width
         self.height = scenario.height
         self.frames = scenario.frames
         self.fps = scenario.fps
-        self.ego_steps = list(ego_steps)
+        self.ego_steps = ego_steps
         self.tracks = tracks
-        self._headings = ego_headings
+        self._rotations = ego_rotations
         self._positions = ego_positions
         self._depths = actor_depths
 
@@ -308,8 +309,7 @@ class VideoData(_FlowSource):
         cam = self.scenario.camera
         dv = rows + 0.5 - cam.ppy
         ground = dv > HORIZON_MARGIN_PX
-        now, prev = [(rotation_matrix(self._headings[f]), self._positions[f])
-                     for f in (t, t - 1)]
+        now, prev = [(self._rotations[f], self._positions[f]) for f in (t, t - 1)]
         out[ground] = _ground_flow(cam, now, prev, cols[ground] + 0.5 - cam.ppx,
                                    dv[ground])
         self._paint_actors(t, rows, cols, out)
@@ -388,12 +388,6 @@ def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
     return flow
 
 
-def _python_extreme(extreme, values: np.ndarray) -> np.ndarray:
-    """Python's min (`extreme` np.fmin) or max (np.fmax) of each row: a
-    NaN in the first column wins, and later NaNs are skipped."""
-    return np.where(np.isnan(values[:, 0]), values[:, 0], extreme.reduce(values, axis=1))
-
-
 def _project_actor(camera: CameraSpec, rotations: np.ndarray,
                    positions: np.ndarray, actor: ActorSpec, width: int,
                    height: int):
@@ -404,7 +398,8 @@ def _project_actor(camera: CameraSpec, rotations: np.ndarray,
     A frame has no box when a ground corner lies less than NEAR_PLANE_M
     ahead, or when its box, clipped to the image, is under MIN_BOX_PX on
     a side.  Each value goes through a one-frame scalar projection's
-    operations in the same order, so it rounds the same; a NaN box
+    operations in the same order, so it rounds the same.  A corner that
+    projects to a non-finite u or v in a frame ahead of the near plane
     raises ValidationError.
     """
     forward = np.array([math.cos(actor.heading), math.sin(actor.heading)])
@@ -427,13 +422,17 @@ def _project_actor(camera: CameraSpec, rotations: np.ndarray,
     ahead = ~(d_fwd < NEAR_PLANE_M).any(axis=1)
     d_fwd[~ahead] = 1.0
     u = camera.focal * -d_left / d_fwd + camera.ppx
-    # each corner at the ground, then at the roof; only the first column's
-    # place matters to _python_extreme
+    # each corner at the ground, then at the roof
     v = np.hstack([camera.focal * (camera.cam_height - elevation) / d_fwd + camera.ppy
                    for elevation in (0.0, actor.height)])
-    # clipped to the image; NaN stays NaN, as in Python's max(nan, 0.0)
-    x0, y0 = (np.maximum(_python_extreme(np.fmin, c), 0.0) for c in (u, v))
-    x1, y1 = (np.minimum(_python_extreme(np.fmax, c), limit)
+    finite = np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
+    if not finite[ahead].all():
+        t = np.flatnonzero(ahead & ~finite)[0]
+        raise ValidationError(f"projected box fields must be finite, got corners "
+                              f"u={u[t].tolist()} v={v[t].tolist()} in frame {t}")
+    # clipped to the image
+    x0, y0 = (np.maximum(c.min(axis=1), 0.0) for c in (u, v))
+    x1, y1 = (np.minimum(c.max(axis=1), limit)
               for c, limit in ((u, float(width)), (v, float(height))))
     keep = ahead & ~((x1 - x0 < MIN_BOX_PX) | (y1 - y0 < MIN_BOX_PX))
     kept = np.flatnonzero(keep)
@@ -451,16 +450,16 @@ def generate_scenario(scenario: Scenario) -> VideoData:
     draws random numbers.
     """
     frames = scenario.frames
-    ego_steps = [yaw_to_step(float(rate), float(speed))
-                 for rate, speed in zip(scenario.ego_yaw_rates,
-                                        scenario.ego_speeds)]
-    headings = np.zeros(frames)
+    yaws = [wrap_angle(rate) for rate in scenario.ego_yaw_rates.tolist()]
+    ego_steps = np.column_stack([yaws, scenario.ego_speeds, np.zeros(frames - 1)])
+    ego_steps.flags.writeable = False
+    # heading[t + 1] = heading[t] + yaw[t], summed in frame order from 0.0
+    headings = np.cumsum(np.concatenate([[0.0], ego_steps[:, 0]]))
+    rotations = np.array([rotation_matrix(heading) for heading in headings.tolist()])
     positions = np.zeros((frames, 2))
-    for t, step in enumerate(ego_steps):
-        positions[t + 1] = positions[t] + rotation_matrix(headings[t]) @ step.translation
-        headings[t + 1] = headings[t] + step.yaw
+    for t, translation in enumerate(ego_steps[:, 1:]):
+        positions[t + 1] = positions[t] + rotations[t] @ translation
 
-    rotations = np.array([rotation_matrix(heading) for heading in headings])
     tracks: dict[int, dict[int, BoundingBox]] = {}
     depths: dict[int, np.ndarray] = {}
     for index, actor in enumerate(scenario.actors):
@@ -468,7 +467,7 @@ def generate_scenario(scenario: Scenario) -> VideoData:
                                              actor, scenario.width, scenario.height)
         if boxes:
             tracks[index], depths[index] = boxes, actor_depths
-    return VideoData(scenario, ego_steps, tracks, headings, positions, depths)
+    return VideoData(scenario, ego_steps, tracks, rotations, positions, depths)
 
 
 def _contiguous_runs(frame_indices) -> list[list[int]]:
@@ -481,12 +480,13 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
                        n: int = 5) -> tuple[list[Sample], int]:
     """All samples from a video plus the number of skipped short runs.
 
-    `video` is a VideoData or LoadedVideo: anything with tracks,
-    ego_steps (one per frame transition), dims, and a
-    pooled_flow(frame, roi, n) method.  A (tau, delta) window slides over
-    each run of consecutive frames of a track; runs shorter than
-    tau + delta are skipped.  Flow for each past frame is pooled over
-    that frame's box expanded by `expand`.
+    `video` is a VideoData or LoadedVideo: anything with tracks, dims,
+    a pooled_flow(frame, roi, n) method and ego_steps, the [frames-1 x 3]
+    step rows [yaw, x, z], one per frame transition.  A (tau, delta)
+    window slides over each run of consecutive frames of a track; runs
+    shorter than tau + delta are skipped.  Flow for each past frame is
+    pooled over that frame's box expanded by `expand`, and a sample's ego
+    rows compose the delta step rows that follow its anchor frame.
     """
     if tau < 1 or delta < 1:
         raise ValidationError(f"window needs tau, delta >= 1, got ({tau}, {delta})")
@@ -708,7 +708,7 @@ class LoadedVideo(_FlowSource):
     are read from the frame's file.
     """
 
-    def __init__(self, path: Path, meta: dict, ego_steps, tracks,
+    def __init__(self, path: Path, meta: dict, ego_steps: np.ndarray, tracks,
                  rendered: VideoData | None):
         self.path = path
         self.width = meta["width"]
@@ -737,8 +737,7 @@ def _render_scenario(path: Path, meta: dict, ego_steps, tracks) -> VideoData:
             raise DataFormatError(
                 f"{path}: {key} is {getattr(scenario, key)}, but meta holds {meta[key]}")
     video = generate_scenario(scenario)
-    if [(s.yaw, *s.translation) for s in video.ego_steps] != \
-            [(s.yaw, *s.translation) for s in ego_steps]:
+    if not np.array_equal(video.ego_steps, ego_steps):
         raise DataFormatError(f"{path}: ego motion differs from ego.txt")
     if video.tracks != tracks:
         raise DataFormatError(f"{path}: boxes differ from boxes.jsonl")
@@ -798,7 +797,9 @@ _ACTOR_KEYS = {f.name: f.default is MISSING for f in fields(ActorSpec)}
 
 
 def _parse_rate_list(text: str, steps: int, what: str) -> np.ndarray:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise DataFormatError(f"{what} has an empty entry in {text!r}")
     values = np.array([float(p) for p in parts])
     if values.size == 1:
         return np.full(steps, values[0])

@@ -1,11 +1,11 @@
 """Planar ego-motion: per-frame relative poses and their composition.
 
 The vehicle moves on a ground plane.  Its pose change from frame t to
-frame t+1 is an :class:`EgoStep`, a yaw plus a translation expressed
-in the frame-t coordinate system (heading along positive x).
-Chaining steps yields the pose of each future frame in the coordinates
-of the anchor frame; :func:`compose` reduces each pose to the row
-[yaw, x, z] the forecaster conditions on.
+frame t+1 is a step row [yaw, x, z] of a float64 [k x 3] array, as on an
+ego-log line: a yaw plus a translation in the frame-t coordinate system
+(heading along positive x).  Chaining steps yields the pose of each
+future frame in the coordinates of the anchor frame; :func:`compose`
+gives each pose as a row of the same layout, which the forecaster reads.
 
 The ground-plane axes are (x, z): x points along the heading, z is the
 lateral component.  A positive yaw is a left turn.
@@ -14,21 +14,12 @@ lateral component.  A positive yaw is a left turn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataFormatError, ValidationError, text_lines, write_atomic
 
-__all__ = [
-    "EgoStep",
-    "rotation_matrix",
-    "wrap_angle",
-    "compose",
-    "yaw_to_step",
-    "read_ego_log",
-    "write_ego_log",
-]
+__all__ = ["rotation_matrix", "wrap_angle", "compose", "read_ego_log", "write_ego_log"]
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -47,82 +38,46 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True, eq=False)
-class EgoStep:
-    """Relative pose from one frame to the next, exactly the fields of an
-    ego-log line: the turn `yaw` (radians, positive left) and then the
-    `translation` (x, z) in the earlier frame's coordinates.  `rotation`
-    is the read-only `rotation_matrix(yaw)`, built once.
-    """
-
-    yaw: float
-    translation: np.ndarray
-    rotation: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "yaw", float(self.yaw))
-        object.__setattr__(self, "translation",
-                           np.asarray(self.translation, dtype=np.float64))
-        if self.translation.shape != (2,):
-            raise ValidationError(
-                f"EgoStep translation must be a 2-vector, got shape "
-                f"{self.translation.shape}")
-        if not (math.isfinite(self.yaw) and np.all(np.isfinite(self.translation))):
-            raise ValidationError(
-                f"EgoStep needs a finite yaw and translation, got "
-                f"({self.yaw}, {self.translation.tolist()})")
-        rotation = rotation_matrix(self.yaw)
-        rotation.flags.writeable = False
-        object.__setattr__(self, "rotation", rotation)
-
-
 def compose(steps) -> np.ndarray:
-    """Chain relative steps into anchor-frame poses, one row [yaw, x, z]
-    per horizon step: the yaw and the planar translation (x along the
-    anchor heading, z lateral) of that future frame.
+    """Chain the [k x 3] step rows into anchor-frame poses, one row
+    [yaw, x, z] per horizon step: the yaw and the planar translation (x
+    along the anchor heading, z lateral) of that future frame.
 
     The accumulated rotation is the chronological product of step
     rotations; each step's translation is rotated into the anchor frame
     by the rotation accumulated *before* that step, then added on.
     """
-    rotation = np.eye(2)
-    translation = np.zeros(2)
-    poses = []
-    for step in steps:
-        translation = translation + rotation @ step.translation
-        rotation = rotation @ step.rotation
-        poses.append((wrap_angle(math.atan2(rotation[1, 0], rotation[0, 0])),
-                      *translation))
-    return np.array(poses).reshape(-1, 3)
+    steps = np.asarray(steps, dtype=np.float64)
+    if steps.ndim != 2 or steps.shape[1] != 3:
+        raise ValidationError(f"compose needs [k x 3] step rows [yaw, x, z], "
+                              f"got shape {steps.shape}")
+    rotation, translation = np.eye(2), np.zeros(2)
+    poses = np.empty_like(steps)
+    for i, (yaw, step) in enumerate(zip(steps[:, 0].tolist(), steps[:, 1:])):
+        translation = translation + rotation @ step
+        rotation = rotation @ rotation_matrix(yaw)
+        poses[i] = (wrap_angle(math.atan2(rotation[1, 0], rotation[0, 0])),
+                    *translation)
+    return poses
 
 
-def yaw_to_step(yaw_rate: float, speed: float) -> EgoStep:
-    """Build the step for one frame of turning at `yaw_rate` rad/frame
-    while advancing `speed` meters/frame along the current heading."""
-    if not math.isfinite(yaw_rate):
-        raise ValidationError(f"yaw_to_step needs a finite yaw rate, got {yaw_rate}")
-    return EgoStep(yaw=wrap_angle(yaw_rate), translation=np.array([speed, 0.0]))
-
-
-# The ego log is a text file with one line per frame transition:
+# The ego log is a text file with one line per frame transition, its index
+# and then its step row:
 #   frame_index yaw_rate_rad translation_x_m translation_y_m
 # Floats are written with repr so they round-trip bit-exactly.
 
 
 def _ego_log_text(steps) -> str:
-    lines = []
-    for i, step in enumerate(steps):
-        tx, ty = (float(v) for v in step.translation)
-        lines.append(f"{i} {step.yaw!r} {tx!r} {ty!r}\n")
-    return "".join(lines)
+    return "".join(f"{i} {yaw!r} {x!r} {z!r}\n"
+                   for i, (yaw, x, z) in enumerate(np.asarray(steps).tolist()))
 
 
 def write_ego_log(path, steps) -> None:
     write_atomic(path, _ego_log_text(steps).encode())
 
 
-def read_ego_log(path) -> list[EgoStep]:
-    steps = []
+def read_ego_log(path) -> np.ndarray:
+    rows = []
     for lineno, line in text_lines(path):
         parts = line.split()
         if len(parts) != 4:
@@ -131,13 +86,15 @@ def read_ego_log(path) -> list[EgoStep]:
                 f"'frame yaw_rate tx ty', got {len(parts)}")
         try:
             index = int(parts[0])
-            yaw, tx, ty = (float(p) for p in parts[1:])
-            step = EgoStep(yaw=yaw, translation=np.array([tx, ty]))
+            row = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        if index != len(steps):
+        if not all(map(math.isfinite, row)):
+            raise DataFormatError(f"{path}:{lineno}: an ego step needs a finite "
+                                  f"yaw and translation, got {row}")
+        if index != len(rows):
             raise DataFormatError(
                 f"{path}:{lineno}: frame index {index} out of order, "
-                f"expected {len(steps)}")
-        steps.append(step)
-    return steps
+                f"expected {len(rows)}")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)

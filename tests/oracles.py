@@ -14,20 +14,22 @@ from fvl import diffcore as dc
 from fvl.boxes import BoundingBox
 from fvl.dataio import MIN_BOX_PX, NEAR_PLANE_M, PAINT_PAD_PX
 from fvl.egomotion import rotation_matrix
+from fvl.errors import ValidationError
 
 
 def homogeneous_compose(steps):
-    """Chain planar poses by multiplying 3x3 homogeneous matrices.
+    """Chain planar step rows [yaw, x, z] by multiplying 3x3 homogeneous
+    matrices.
 
     Returns one (yaw, x, z) triple per step, pose of that frame in the
     first frame's coordinates.
     """
     pose = np.eye(3)
     features = []
-    for step in steps:
+    for yaw, x, z in steps:
         local = np.eye(3)
-        local[:2, :2] = step.rotation
-        local[:2, 2] = step.translation
+        local[:2, :2] = rotation_matrix(yaw)
+        local[:2, 2] = (x, z)
         pose = pose @ local
         yaw = math.atan2(pose[1, 0], pose[0, 0])
         features.append((yaw, pose[0, 2], pose[1, 2]))
@@ -122,10 +124,10 @@ def background_flow_oracle(camera, headings, positions, t, ix0, iy0, ix1, iy1):
 def ego_poses(video):
     """Each frame's simulated (heading, position), chained step by step."""
     headings, positions = [0.0], [np.zeros(2)]
-    for step in video.ego_steps:
+    for yaw, x, z in video.ego_steps.tolist():
         positions.append(
-            positions[-1] + rotation_matrix(headings[-1]) @ step.translation)
-        headings.append(headings[-1] + step.yaw)
+            positions[-1] + rotation_matrix(headings[-1]) @ np.array([x, z]))
+        headings.append(headings[-1] + yaw)
     return headings, positions
 
 
@@ -165,7 +167,9 @@ def project_actor(camera, ego_heading, ego_position, center, actor, width,
                   height):
     """Project an actor's 3D box in one frame, corner by corner in scalar
     arithmetic, the way the generator did before it projected every
-    frame in one array pass; returns (BoundingBox, depth) or None."""
+    frame in one array pass; returns (BoundingBox, depth) or None.  A
+    non-finite u or v of a corner, once every corner is past the near
+    plane, raises ValidationError."""
     forward = np.array([math.cos(actor.heading), math.sin(actor.heading)])
     lateral = np.array([-forward[1], forward[0]])
     half_l, half_w = actor.length / 2.0, actor.width / 2.0
@@ -184,6 +188,8 @@ def project_actor(camera, ego_heading, ego_position, center, actor, width,
                 y_cam = camera.cam_height - elevation
                 us.append(camera.focal * x_cam / d_fwd + camera.ppx)
                 vs.append(camera.focal * y_cam / d_fwd + camera.ppy)
+    if not all(map(math.isfinite, us + vs)):
+        raise ValidationError(f"corner projects to u={us}, v={vs}")
     rel = center - ego_position
     center_depth = rot[0, 0] * rel[0] + rot[1, 0] * rel[1]
     x0 = max(min(us), 0.0)

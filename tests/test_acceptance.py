@@ -24,7 +24,7 @@ from fvl.dataio import (
     write_dataset,
     write_scenario_file,
 )
-from fvl.egomotion import EgoStep, compose
+from fvl.egomotion import compose
 from fvl.flowfeat import FlowGrid, read_flow_grid, roi_pool, write_flow_grid
 from fvl.fvlmodel import (
     VARIANTS,
@@ -85,10 +85,9 @@ def test_reference_oracles(capsys):
     rng = Xoshiro256(52)
     worst_pose = 0.0
     for _ in range(100):
-        steps = [EgoStep(yaw=rng.uniform(-0.2, 0.2),
-                         translation=np.array([rng.uniform(-2.0, 2.0),
-                                               rng.uniform(-1.0, 1.0)]))
-                 for _ in range(1 + rng.integer(15))]
+        steps = np.array([[rng.uniform(-0.2, 0.2), rng.uniform(-2.0, 2.0),
+                           rng.uniform(-1.0, 1.0)]
+                          for _ in range(1 + rng.integer(15))])
         got = compose(steps)
         want = homogeneous_compose(steps)
         worst_pose = max(worst_pose, float(np.max(np.abs(got - np.array(want)))))

@@ -67,6 +67,22 @@ def test_generate_writes_video_dirs(suite):
             "boxes.jsonl", "ego.txt", "meta", "scenario.scn"]
 
 
+def test_generate_refuses_repeated_output_stems(tmp_path, capsys):
+    # before, both files were rendered into v/s and the second silently won
+    paths = []
+    for parent, seed in (("a", 2), ("b", 4)):
+        paths.append(tmp_path / parent / "s.scn")
+        paths[-1].parent.mkdir()
+        write_scenario_file(paths[-1], random_scenario(seed, frames=6, width=320,
+                                                       height=160))
+    out = tmp_path / "v"
+    assert main(["generate", *map(str, paths), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    assert f"{paths[0]} and {paths[1]} would both be written to {out / 's'}" \
+        in captured.err
+
+
 def _tree(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}

@@ -17,8 +17,8 @@ from fvl.egomotion import compose, rotation_matrix, wrap_angle, write_ego_log
 from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_grid, roi_pool
 from fvl.rng import Xoshiro256
-from oracles import background_flow_oracle, ego_poses, project_tracks, \
-    rectangle_flow
+from oracles import background_flow_oracle, ego_poses, project_actor, \
+    project_tracks, rectangle_flow
 
 
 def small_camera() -> CameraSpec:
@@ -82,6 +82,8 @@ def test_ego_log_composes_to_simulated_pose():
     scenario = Scenario(frames=30, camera=small_camera(), ego_yaw_rates=0.02,
                         ego_speeds=0.6, width=320, height=160)
     video = generate_scenario(scenario)
+    # one step row [yaw, x, z] per frame transition
+    assert video.ego_steps.tolist() == [[0.02, 0.6, 0.0]] * 29
     poses = compose(video.ego_steps)
     assert poses.shape == (29, 3)
     yaw, x, z = poses[-1]
@@ -89,6 +91,9 @@ def test_ego_log_composes_to_simulated_pose():
     t = np.arange(29)
     assert abs(x - np.sum(0.6 * np.cos(0.02 * t))) < 1e-9
     assert abs(z - np.sum(0.6 * np.sin(0.02 * t))) < 1e-9
+    # a step's yaw is its rate wrapped into (-pi, pi]
+    spinning = generate_scenario(Scenario(frames=3, ego_yaw_rates=4.0))
+    assert spinning.ego_steps.tolist() == [[wrap_angle(4.0), 0.0, 0.0]] * 2
 
 
 def test_forward_motion_flow_is_radial_from_center():
@@ -112,11 +117,10 @@ def test_background_flow_matches_reprojection_oracle():
     scenario = Scenario(frames=4, camera=small_camera(), ego_yaw_rates=0.03,
                         ego_speeds=0.7, width=320, height=160)
     video = generate_scenario(scenario)
-    headings = np.concatenate([[0.0], np.cumsum([s.yaw for s in video.ego_steps])])
+    headings = np.concatenate([[0.0], np.cumsum(video.ego_steps[:, 0])])
     positions = [np.zeros(2)]
     for k, step in enumerate(video.ego_steps):
-        positions.append(
-            positions[-1] + rotation_matrix(headings[k]) @ step.translation)
+        positions.append(positions[-1] + rotation_matrix(headings[k]) @ step[1:])
     cam = scenario.camera
     t = 3
     for col, row in ((40, 120), (200, 100), (300, 155), (10, 90)):
@@ -297,9 +301,7 @@ def test_generator_repeats_exactly():
     for track in a.tracks:
         assert a.tracks[track] == b.tracks[track]
     assert np.array_equal(a.flow_grid(7).data, b.flow_grid(7).data)
-    for sa, sb in zip(a.ego_steps, b.ego_steps):
-        assert sa.yaw == sb.yaw
-        assert np.array_equal(sa.translation, sb.translation)
+    assert a.ego_steps.tobytes() == b.ego_steps.tobytes()
 
 
 def assert_tracks_match_projection_oracle(video):
@@ -349,14 +351,18 @@ def test_array_projection_matches_scalar_oracle_on_edge_cases():
     # frames dropped at the near plane divide by nothing, so no warning
     for case in (overtaking, clipped, tiny, reversing):
         assert_tracks_match_projection_oracle(case)
-    # a corner that projects to NaN after the first is skipped, as
-    # Python's min and max skip it
-    with np.errstate(over="ignore", invalid="ignore"):
-        nan_corners = video(ActorSpec(x=1.5e308, z=0.0, heading=0.0, speed=0.0,
-                                      length=1e308, width=1e308, height=1e308),
-                            frames=2)
-        assert_tracks_match_projection_oracle(nan_corners)
-    assert nan_corners.tracks[0][0] == BoundingBox(cx=160.0, cy=40.0, w=320.0, h=80.0)
+    # a corner ahead of the near plane that projects to NaN or to +-inf
+    # is refused, by the oracle too, rather than skipped or clipped away
+    nan_corners = ActorSpec(x=1.5e308, z=0.0, heading=0.0, speed=0.0,
+                            length=1e308, width=1e308, height=1e308)
+    inf_corners = ActorSpec(x=10.0, z=0.0, heading=0.0, speed=0.0, width=1e308)
+    for actor in (nan_corners, inf_corners):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="box fields must be finite"):
+                video(actor, frames=2)
+            with pytest.raises(ValidationError):
+                project_actor(small_camera(), 0.0, np.zeros(2),
+                              np.array([actor.x, actor.z]), actor, 320, 160)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -479,6 +485,10 @@ def test_scenario_validation():
     for fps in (math.nan, math.inf, 0.0, -5.0):
         with pytest.raises(ValidationError, match="fps must be positive and finite"):
             Scenario(frames=4, fps=fps)
+    for name in ("ego_yaw_rates", "ego_speeds"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                Scenario(frames=4, **{name: value})
 
 
 # --- files ----------------------------------------------------------------------
@@ -616,10 +626,8 @@ def test_video_dir_roundtrip(tmp_path, external_flow_dir):
     assert set(loaded.tracks) == set(video.tracks)
     for track, frames in video.tracks.items():
         assert loaded.tracks[track] == frames
-    assert len(loaded.ego_steps) == 11
-    for mine, theirs in zip(video.ego_steps, loaded.ego_steps):
-        assert theirs.yaw == mine.yaw
-        assert np.array_equal(theirs.translation, mine.translation)
+    assert loaded.ego_steps.shape == (11, 3)
+    assert loaded.ego_steps.tobytes() == video.ego_steps.tobytes()
     # the directory's scenario renders flow in f64, as in memory; flow from
     # outside the generator is read back at its f32 precision
     grid = video.flow_grid(5)
@@ -861,14 +869,19 @@ def test_scenario_file_errors(tmp_path):
             read_scenario_file(path)
 
 
-def test_scenario_file_rejects_non_finite_ego_plan(tmp_path):
-    # before, the file loaded and rendering failed in EgoStep, naming no file
+def test_scenario_file_rejects_non_finite_or_empty_ego_plan_entries(tmp_path):
+    # before, a non-finite entry loaded and rendering failed, naming no
+    # file, and empty entries were dropped, so a list could come up short
     path = tmp_path / "bad.scn"
     for text, message in [
             ("frames=4\nego_speed=inf\n",
              "bad.scn: ego_speeds must be finite, got inf at step 0"),
             ("frames=4\nego_yaw_rate=0.1,nan,0.1\n",
-             "bad.scn: ego_yaw_rates must be finite, got nan at step 1")]:
+             "bad.scn: ego_yaw_rates must be finite, got nan at step 1"),
+            ("frames=4\nego_speed=0.5,,0.6,0.7\n",
+             "bad.scn: ego_speed has an empty entry in '0.5,,0.6,0.7'"),
+            ("frames=4\nego_yaw_rate=0.1,0.2,0.3,\n",
+             "bad.scn: ego_yaw_rate has an empty entry in '0.1,0.2,0.3,'")]:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=message):
             read_scenario_file(path)
