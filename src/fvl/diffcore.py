@@ -15,15 +15,16 @@ runs on row-stacked [B x n] batches:
 
 Each fused kernel has a closed-form backward (backpropagation through
 time for the two GRU kernels, which share one gate forward/backward
-pair).  Following Appleyard et al. 2016 (arXiv:1604.01946), work that
+pair).  Following Appleyard et al. 2016 (arXiv:1604.01946), a GRU's
+gates are row blocks of one weight leaf, read as views, and work that
 does not depend on the previous step leaves the recurrence: the encoder
 computes the input half of every gate for all timesteps in one product,
 the decoder embeds ego motion before its loop and applies the head after
-it, and both stack the update and reset matrices, so a step makes one
-recurrent product for the two gates.  Broadcasting is restricted to exact shape match or
-scalar-with-array so every backward rule stays auditable; the structural
-exceptions are :func:`tile_rows` and the bias rows of the fused kernels,
-whose adjoints are row sums.
+it, and a step makes one recurrent product for update and reset.
+Broadcasting is restricted to exact shape match or scalar-with-array so
+every backward rule stays auditable; the structural exceptions are
+:func:`tile_rows` and the bias rows of the fused kernels, whose
+adjoints are row sums.
 
 Every forward works over trailing axes, for one reason: inside the
 reruns of :func:`grad_check`, and only there, a value may carry one
@@ -331,7 +332,7 @@ def _sigmoid_value(xv: np.ndarray) -> np.ndarray:
     """Stable logistic function: 1 / (1 + exp(-x)) for x >= 0 and
     exp(x) / (1 + exp(x)) below, evaluated with one exp(-|x|) that
     cannot overflow, so the result is finite for any float input."""
-    e = np.exp(-np.abs(xv))
+    e = np.exp(np.copysign(xv, -1.0))
     return np.where(xv >= 0.0, 1.0, e) / (1.0 + e)
 
 
@@ -453,24 +454,20 @@ def affine(x, w, b):
     return _emit(xv @ _mT(wv) + bv[..., None, :], backward, x, w, b)
 
 
-def _gru_split(name, n_in, hidden, w_update, w_reset, w_cand,
-               b_update, b_reset, b_cand):
-    """Check the six gate parameters and slice the stored [hidden x
-    (in + hidden)] weights into the stacked input part w_x [3*hidden x
-    in] with its bias [3*hidden], and the recurrent parts w_zr
-    [2*hidden x hidden] (update and reset stacked) and w_c [hidden x
-    hidden].  Gate blocks are ordered update, reset, candidate."""
-    wz, wr, wc = _value(w_update), _value(w_reset), _value(w_cand)
-    bz, br, bc = _value(b_update), _value(b_reset), _value(b_cand)
-    if ({core_shape(w) for w in (wz, wr, wc)} != {(hidden, n_in + hidden)}
-            or {core_shape(b) for b in (bz, br, bc)} != {(hidden,)}):
+def _gru_operands(name, n_in, hidden, w, b, *values):
+    """Check the gate weight's and bias's shapes.  Return whether any
+    operand carries copies, and as plain views w_x [3*hidden x in], w_zr
+    [2*hidden x hidden] (update, reset) and w_c [hidden x hidden] of the
+    weight, b and ``values``.  A numpy call on the copy type costs up to
+    0.7 us more, so the GRU kernels loop on plain views."""
+    if core_shape(w) != (3 * hidden, n_in + hidden) or core_shape(b) != (3 * hidden,):
         raise DimensionError(
-            f"{name} weights must be [{hidden} x {n_in + hidden}] and biases "
-            f"[{hidden}], got {wz.shape}, {wr.shape}, {wc.shape} and "
-            f"{bz.shape}, {br.shape}, {bc.shape}")
-    w_x = _concat([wz[..., :n_in], wr[..., :n_in], wc[..., :n_in]], -2)
-    w_zr = _concat([wz[..., n_in:], wr[..., n_in:]], -2)
-    return w_x, _concat([bz, br, bc], -1), w_zr, wc[..., n_in:]
+            f"{name} weights must be [{3 * hidden} x {n_in + hidden}] and bias "
+            f"[{3 * hidden}], got {w.shape} and {b.shape}")
+    parts = (w[..., :n_in], w[..., :2 * hidden, n_in:], w[..., 2 * hidden:, n_in:],
+             b, *values)
+    return (any(isinstance(v, _Copies) for v in parts),
+            [v.view(np.ndarray) if isinstance(v, _Copies) else v for v in parts])
 
 
 def _gru_forward(gx, h, w_zr_t, w_c_t):
@@ -491,52 +488,48 @@ def _gru_forward(gx, h, w_zr_t, w_c_t):
     return (1.0 - z) * h + z * c, (h, zr, rh, c)
 
 
-def _gru_backward(g, saved, w_zr, w_c):
+def _gru_backward(g, saved, w_zr, w_c, d_gates):
     """Adjoints of one :func:`_gru_forward` update for the adjoint g of
-    its output: (the gate pre-activations' [B x 3*hidden], h's)."""
+    its output: writes the gate pre-activations' [B x 3*hidden] into
+    d_gates and returns h's."""
     h, zr, _, c = saved
     hidden = h.shape[1]
     z, r = zr[:, :hidden], zr[:, hidden:]
-    d_cand = g * z * (1.0 - c * c)
+    one_zr = 1.0 - zr
+    d_cand = np.multiply(g * z, 1.0 - c * c, out=d_gates[:, 2 * hidden:])
     d_rh = d_cand @ w_c
-    d_zr = np.concatenate([g * (c - h) * z * (1.0 - z),
-                           d_rh * h * r * (1.0 - r)], axis=1)
-    d_h = g * (1.0 - z) + d_rh * r + d_zr @ w_zr
-    return np.concatenate([d_zr, d_cand], axis=1), d_h
+    np.multiply(g * (c - h) * z, one_zr[:, :hidden], out=d_gates[:, :hidden])
+    np.multiply(d_rh * h * r, one_zr[:, hidden:], out=d_gates[:, hidden:2 * hidden])
+    return g * one_zr[:, :hidden] + d_rh * r + d_gates[:, :2 * hidden] @ w_zr
 
 
-def _accumulate_gru(params, d_gates, xs, saved):
-    """Add the gate weight and bias adjoints, each summed over all rows
-    in one product.  Row i of d_gates [N x 3*hidden] and of the inputs
-    xs [N x in] is sample i // steps at step i % steps, with steps =
-    len(saved); ``saved`` holds each step's :func:`_gru_forward` record."""
-    w_update, w_reset, w_cand, b_update, b_reset, b_cand = params
-    rows = d_gates.shape[0]
-    h = np.stack([s[0] for s in saved], axis=1).reshape(rows, -1)
-    rh = np.stack([s[2] for s in saved], axis=1).reshape(rows, -1)
-    hidden = h.shape[1]
-    d_x = d_gates.T @ xs
-    d_zr = d_gates[:, :2 * hidden].T @ h
-    _accumulate(w_update, np.hstack([d_x[:hidden], d_zr[:hidden]]))
-    _accumulate(w_reset, np.hstack([d_x[hidden:2 * hidden], d_zr[hidden:]]))
-    _accumulate(w_cand, np.hstack([d_x[2 * hidden:],
-                                   d_gates[:, 2 * hidden:].T @ rh]))
-    d_b = d_gates.sum(axis=0)
-    _accumulate(b_update, d_b[:hidden])
-    _accumulate(b_reset, d_b[hidden:2 * hidden])
-    _accumulate(b_cand, d_b[2 * hidden:])
+def _accumulate_gru(w, b, d_gates, xs, saved):
+    """Add the gate weight's and bias's adjoints in place, each block
+    summed over all rows in one product.  Row i of d_gates [N x 3*hidden]
+    and of the inputs xs [N x in] is sample i // steps at step i % steps,
+    with steps = len(saved), each step's :func:`_gru_forward` record."""
+    if isinstance(w, DiffArray):
+        rows, n_in = xs.shape
+        h = np.stack([s[0] for s in saved], axis=1).reshape(rows, -1)
+        rh = np.stack([s[2] for s in saved], axis=1).reshape(rows, -1)
+        hidden = h.shape[1]
+        w.grad[:, :n_in] += d_gates.T @ xs
+        w.grad[:2 * hidden, n_in:] += d_gates[:, :2 * hidden].T @ h
+        w.grad[2 * hidden:, n_in:] += d_gates[:, 2 * hidden:].T @ rh
+    _accumulate(b, d_gates.sum(axis=0))
 
 
-def gru_sequence(xs, h0, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
+def gru_sequence(xs, h0, w, b):
     """A whole GRU unroll over row-stacked sequences, recorded as one node.
 
     xs is [B*tau x in], holding sample b's input at step t in row
-    b*tau + t (``series.reshape(B*tau, in)``); h0 is [B x hidden]; each
-    weight is [hidden x (in + hidden)] over [x; h], each bias [hidden].
-    Returns the final hidden state [B x hidden].  The input half of all
-    three gates is one product over every row; each step then makes one
+    b*tau + t (``series.reshape(B*tau, in)``); h0 is [B x hidden]; the
+    gate weight w [3*hidden x (in + hidden)] over [x; h] and bias b
+    [3*hidden] hold update, reset and candidate as row blocks.  Returns
+    the final hidden state [B x hidden].  The input half of all three
+    gates is one product over every row; each step then makes one
     recurrent product for update and reset and one for the candidate.
-    The backward runs the steps in reverse and sums each weight's
+    The backward runs the steps in reverse and sums each weight block's
     adjoint over all of them in one product.
     """
     xv, hv = _value(xs), _value(h0)
@@ -546,11 +539,11 @@ def gru_sequence(xs, h0, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
         raise DimensionError(
             f"gru_sequence expects xs [B*tau x in] and h0 [B x hidden] with "
             f"tau >= 1, got shapes {xv.shape} and {hv.shape}")
-    params = (w_update, w_reset, w_cand, b_update, b_reset, b_cand)
     batch, hidden = h_shape
-    w_x, b, w_zr, w_c = _gru_split("gru_sequence", x_shape[1], hidden, *params)
+    copies, (w_x, w_zr, w_c, bv, xv, hv) = _gru_operands(
+        "gru_sequence", x_shape[1], hidden, _value(w), _value(b), xv, hv)
     tau = x_shape[0] // batch
-    gx = xv @ _mT(w_x) + b[..., None, :]
+    gx = xv @ _mT(w_x) + bv[..., None, :]
     gx = gx.reshape(gx.shape[:-2] + (batch, tau, 3 * hidden))
     h, saved, w_zr_t, w_c_t = hv, [], _mT(w_zr), _mT(w_c)
     for t in range(tau):
@@ -560,24 +553,24 @@ def gru_sequence(xs, h0, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
     def backward(g):
         d_gates = np.empty_like(gx)
         for t in reversed(range(tau)):
-            d_gates[:, t], g = _gru_backward(g, saved[t], w_zr, w_c)
+            g = _gru_backward(g, saved[t], w_zr, w_c, d_gates[:, t])
         d_gates = d_gates.reshape(batch * tau, 3 * hidden)
         _accumulate(xs, d_gates @ w_x)
         _accumulate(h0, g)
-        _accumulate_gru(params, d_gates, xv, saved)
+        _accumulate_gru(w, b, d_gates, xv, saved)
 
-    return _emit(h, backward, xs, h0, *params)
+    return _emit(h.view(_Copies) if copies else h, backward, xs, h0, w, b)
 
 
-def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
-                w_cand, b_update, b_reset, b_cand, head_w, head_b, steps: int):
+def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w, b, head_w,
+                head_b, steps: int):
     """A whole GRU decoder unroll, recorded as one node.
 
     From h = h0 [B x hidden], each step t of ``steps`` runs
 
         x = relu(h @ state_w.T + state_b)                  [B x embed]
         x = 0.5 * (x + relu(ego[:, t] @ ego_w.T + ego_b))  with ego only
-        h = the GRU update of h by x                       (see gru_sequence)
+        h = the GRU update of h by x with gates w and b    (see gru_sequence)
         y[:, t] = h @ head_w.T + head_b                    [B x out]
 
     and returns y [B x steps x out].  ego is [B x steps x e], or None
@@ -599,10 +592,9 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
             f"{wh.shape}, {bh.shape} and steps {steps}")
     if ego is None and (ego_w is not None or ego_b is not None):
         raise DimensionError("gru_decoder takes ego_w and ego_b only with ego")
-    params = (w_update, w_reset, w_cand, b_update, b_reset, b_cand)
     batch, hidden = h_shape
     embed = s_shape[0]
-    w_x, b, w_zr, w_c = _gru_split("gru_decoder", embed, hidden, *params)
+    ego_x = None
     if ego is not None:
         ev, we, be = _value(ego), _value(ego_w), _value(ego_b)
         e_shape = core_shape(ev)
@@ -616,8 +608,10 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
         ego_pre = ego_rows @ _mT(we) + be[..., None, :]
         ego_pre = ego_pre.reshape(ego_pre.shape[:-2] + (batch, steps, embed))
         ego_x = np.maximum(ego_pre, 0.0)
+    copies, (w_x, w_zr, w_c, bv, hv, ws, bs, wh, bh, ego_x) = _gru_operands(
+        "gru_decoder", embed, hidden, _value(w), _value(b), hv, ws, bs, wh, bh, ego_x)
     h, saved, state_pre, xs = hv, [], [], []
-    ws_t, bs_row, w_x_t, b_row = _mT(ws), bs[..., None, :], _mT(w_x), b[..., None, :]
+    ws_t, bs_row, w_x_t, b_row = _mT(ws), bs[..., None, :], _mT(w_x), bv[..., None, :]
     w_zr_t, w_c_t = _mT(w_zr), _mT(w_c)
     for t in range(steps):
         pre = h @ ws_t + bs_row
@@ -628,7 +622,8 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
         saved.append(record)
         state_pre.append(pre)
         xs.append(x)
-    hs = _concat([s[0][..., None, :] for s in saved[1:]] + [h[..., None, :]], -2)
+    # every state after step 0 carries the copies or none does
+    hs = np.stack([s[0] for s in saved[1:]] + [h], axis=-2)
     hs = hs.reshape(hs.shape[:-3] + (batch * steps, hidden))
     y = hs @ _mT(wh) + bh[..., None, :]
     y = y.reshape(y.shape[:-2] + (batch, steps, -1))
@@ -641,8 +636,7 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
         d_state = np.empty((batch, steps, embed))
         d_h = np.zeros((batch, hidden))
         for t in reversed(range(steps)):
-            d_gates[:, t], d_h = _gru_backward(d_h + d_hs[:, t], saved[t],
-                                               w_zr, w_c)
+            d_h = _gru_backward(d_h + d_hs[:, t], saved[t], w_zr, w_c, d_gates[:, t])
             d_x = d_gates[:, t] @ w_x
             if ego is not None:
                 d_x = 0.5 * d_x
@@ -661,13 +655,13 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w_update, w_reset,
             _accumulate(ego, (d_ego @ we).reshape(ev.shape))
             _accumulate(ego_w, d_ego.T @ ego_rows)
             _accumulate(ego_b, d_ego.sum(axis=0))
-        _accumulate_gru(params, d_gates,
+        _accumulate_gru(w, b, d_gates,
                         np.stack(xs, axis=1).reshape(rows, embed), saved)
         _accumulate(head_w, g_rows.T @ hs)
         _accumulate(head_b, g_rows.sum(axis=0))
 
-    return _emit(y, backward, h0, ego, state_w, state_b, ego_w, ego_b,
-                 *params, head_w, head_b)
+    return _emit(y.view(_Copies) if copies else y, backward, h0, ego, state_w,
+                 state_b, ego_w, ego_b, w, b, head_w, head_b)
 
 
 def _total(xv: np.ndarray) -> tuple[np.ndarray, int]:

@@ -8,6 +8,7 @@ tape node: :func:`fvl.diffcore.affine` for a projection (plus a relu
 node when it has one) and :func:`fvl.diffcore.gru_sequence` for a GRU
 unroll; a single step is an unroll of length one.  The forecaster's
 decoder hands its layers' leaves to :func:`fvl.diffcore.gru_decoder`.
+A GRU's gates are row blocks of one weight and one bias leaf.
 
 Parameter initialization is uniform fan-in: weights are drawn from
 U(-1/sqrt(fan_in), +1/sqrt(fan_in)) elementwise in row-major order from a
@@ -78,7 +79,9 @@ class GruCell:
     """Gated recurrent unit over concatenated [input; hidden] vectors.
 
     Uses the reset-before-candidate formulation: the reset gate scales the
-    previous hidden state inside the candidate's input.
+    previous hidden state inside the candidate's input.  The gates are row
+    blocks, ordered update, reset, candidate, of ``<name>.weight`` [3*hidden
+    x (input + hidden)] and ``<name>.bias`` [3*hidden].
     """
 
     def __init__(self, tape: Tape, rng: Xoshiro256, input_size: int,
@@ -86,22 +89,16 @@ class GruCell:
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.name = name
-        joint = input_size + hidden_size
-        self.w_update = tape.leaf(uniform_fan_in(rng, hidden_size, joint),
-                                  name=f"{name}.w_update")
-        self.w_reset = tape.leaf(uniform_fan_in(rng, hidden_size, joint),
-                                 name=f"{name}.w_reset")
-        self.w_cand = tape.leaf(uniform_fan_in(rng, hidden_size, joint),
-                                name=f"{name}.w_cand")
-        self.b_update = tape.leaf(np.zeros(hidden_size), name=f"{name}.b_update")
-        self.b_reset = tape.leaf(np.zeros(hidden_size), name=f"{name}.b_reset")
-        self.b_cand = tape.leaf(np.zeros(hidden_size), name=f"{name}.b_cand")
+        # one draw of 3*hidden rows equals three gate draws one after another
+        self.weight = tape.leaf(
+            uniform_fan_in(rng, 3 * hidden_size, input_size + hidden_size),
+            name=f"{name}.weight")
+        self.bias = tape.leaf(np.zeros(3 * hidden_size), name=f"{name}.bias")
 
     @property
-    def params(self) -> tuple[DiffArray, ...]:
-        """The gate leaves in the argument order of the diffcore GRU kernels."""
-        return (self.w_update, self.w_reset, self.w_cand,
-                self.b_update, self.b_reset, self.b_cand)
+    def params(self) -> tuple[DiffArray, DiffArray]:
+        """The gate weight and bias, as the diffcore GRU kernels take them."""
+        return self.weight, self.bias
 
     def unroll(self, xs, h0):
         """Run row-stacked sequences from h0 [B x hidden]: xs is [B*tau x
@@ -128,7 +125,9 @@ class GruCell:
 
 class Adam:
     """Bias-corrected Adam over every leaf of a tape, updating the tape's
-    flat value buffer in place with one set of elementwise operations."""
+    flat value buffer in place with one set of elementwise operations,
+    written through two scratch buffers in the order of the textbook
+    expressions."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -140,6 +139,7 @@ class Adam:
         self.step_count = 0
         self._m = np.zeros_like(tape.values)
         self._v = np.zeros_like(tape.values)
+        self._scratch = (np.empty_like(tape.values), np.empty_like(tape.values))
 
     def step(self) -> None:
         g = self.tape.grads
@@ -150,13 +150,16 @@ class Adam:
                          if not np.all(np.isfinite(p.grad))), None)
             raise NumericFailure(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
+        s, t = self._scratch
         self._m *= self.beta1
-        self._m += (1.0 - self.beta1) * g
+        self._m += np.multiply(g, 1.0 - self.beta1, out=s)
         self._v *= self.beta2
-        self._v += (1.0 - self.beta2) * g * g
-        m_hat = self._m / (1.0 - self.beta1 ** self.step_count)
-        v_hat = self._v / (1.0 - self.beta2 ** self.step_count)
-        self.tape.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=s), g, out=s)
+        np.divide(self._m, 1.0 - self.beta1 ** self.step_count, out=s)
+        np.divide(self._v, 1.0 - self.beta2 ** self.step_count, out=t)
+        s *= self.lr
+        s /= np.add(np.sqrt(t, out=t), self.eps, out=t)
+        self.tape.values -= s
 
 
 def mse_loss(pred, target):

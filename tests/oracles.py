@@ -263,29 +263,32 @@ def two_plane_pool(grid, roi, n):
 # node through `diffcore._emit`, like the library's own primitives.
 
 
-def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
+def gru_step(x, h, w, b):
     """One reset-before-candidate GRU update over row-stacked batches.
 
-    With xh = [x, h] and xrh = [x, r * h]:
+    With xh = [x, h], xrh = [x, r * h] and the gate weight w and bias b
+    sliced into their update, reset and candidate row blocks:
 
         z = sigmoid(xh @ w_update.T + b_update)
         r = sigmoid(xh @ w_reset.T + b_reset)
         c = tanh(xrh @ w_cand.T + b_cand)
         out = (1 - z) * h + z * c
 
-    x is [B x in], h is [B x hidden], each weight [hidden x (in + hidden)]
-    and each bias [hidden], all multiplied unsplit; the backward is the
-    closed-form adjoint of the lines above.  The forward runs over
-    trailing axes, like the library kernels, so that the stacked copies
-    of ``diffcore.grad_check`` pass through it.
+    x is [B x in], h is [B x hidden], w [3*hidden x (in + hidden)] and
+    b [3*hidden]; each gate's block multiplies [x, h] or [x, r * h]
+    unsplit, and the backward is the closed-form adjoint of the lines
+    above.  The forward runs over trailing axes, like the library
+    kernels, so that the stacked copies of ``diffcore.grad_check`` pass
+    through it.
     """
-    xv, hv = dc._value(x), dc._value(h)
-    wz, wr, wc = dc._value(w_update), dc._value(w_reset), dc._value(w_cand)
-    bz, br, bc = dc._value(b_update), dc._value(b_reset), dc._value(b_cand)
-    n_in = xv.shape[-1]
+    xv, hv, wv, bv = dc._value(x), dc._value(h), dc._value(w), dc._value(b)
+    n_in, hidden = xv.shape[-1], hv.shape[-1]
+    blocks = [slice(k * hidden, (k + 1) * hidden) for k in range(3)]
+    wz, wr, wc = (wv[..., rows, :] for rows in blocks)
+    bz, br, bc = (bv[..., rows] for rows in blocks)
 
-    def gate(inputs, w, b):
-        return inputs @ np.swapaxes(w, -1, -2) + b[..., None, :]
+    def gate(inputs, weight, bias):
+        return inputs @ np.swapaxes(weight, -1, -2) + bias[..., None, :]
 
     xh = dc._concat([xv, hv], -1)
     z = dc._sigmoid_value(gate(xh, wz, bz))
@@ -302,15 +305,13 @@ def gru_step(x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand):
         d_xh = d_update @ wz + d_reset @ wr
         dc._accumulate(x, d_xh[:, :n_in] + d_xrh[:, :n_in])
         dc._accumulate(h, d_xh[:, n_in:] + d_rh * r + g * (1.0 - z))
-        dc._accumulate(w_update, d_update.T @ xh)
-        dc._accumulate(w_reset, d_reset.T @ xh)
-        dc._accumulate(w_cand, d_cand.T @ xrh)
-        dc._accumulate(b_update, d_update.sum(axis=0))
-        dc._accumulate(b_reset, d_reset.sum(axis=0))
-        dc._accumulate(b_cand, d_cand.sum(axis=0))
+        dc._accumulate(w, np.vstack([d_update.T @ xh, d_reset.T @ xh,
+                                     d_cand.T @ xrh]))
+        dc._accumulate(b, np.concatenate([d_update.sum(axis=0),
+                                          d_reset.sum(axis=0),
+                                          d_cand.sum(axis=0)]))
 
-    return dc._emit((1.0 - z) * hv + z * c, backward,
-                    x, h, w_update, w_reset, w_cand, b_update, b_reset, b_cand)
+    return dc._emit((1.0 - z) * hv + z * c, backward, x, h, w, b)
 
 
 def take(x, index):
@@ -335,28 +336,26 @@ def stack_steps(ys):
     return dc._emit(np.stack([dc._value(y) for y in ys], axis=1), backward, *ys)
 
 
-def gru_sequence_chain(xs, h0, *gru):
+def gru_sequence_chain(xs, h0, w, b):
     """`gru_sequence` as a loop of `gru_step` over the rows of each step."""
     tau = dc._value(xs).shape[0] // dc._value(h0).shape[0]
     h = h0
     for t in range(tau):
-        h = gru_step(take(xs, slice(t, None, tau)), h, *gru)
+        h = gru_step(take(xs, slice(t, None, tau)), h, w, b)
     return h
 
 
-def gru_decoder_chain(h0, ego, state_w, state_b, ego_w, ego_b, w_update,
-                      w_reset, w_cand, b_update, b_reset, b_cand, head_w,
-                      head_b, steps):
+def gru_decoder_chain(h0, ego, state_w, state_b, ego_w, ego_b, w, b,
+                      head_w, head_b, steps):
     """`gru_decoder` as a loop of `gru_step` with its embeds and head
     applied step by step through `affine` and `relu`."""
-    gru = (w_update, w_reset, w_cand, b_update, b_reset, b_cand)
     h, ys = h0, []
     for t in range(steps):
         x = dc.relu(dc.affine(h, state_w, state_b))
         if ego is not None:
             e = dc.relu(dc.affine(take(ego, (slice(None), t)), ego_w, ego_b))
             x = dc.mul(dc.add(x, e), 0.5)
-        h = gru_step(x, h, *gru)
+        h = gru_step(x, h, w, b)
         ys.append(dc.affine(h, head_w, head_b))
     return stack_steps(ys)
 
@@ -398,6 +397,24 @@ def unstaged_grad_check(f, params, step=1e-6):
                 worst = rel
         per_parameter[name] = worst
     return per_parameter
+
+
+# --- the Adam update ---------------------------------------------------------
+
+
+def adam_step(values, grads, m, v, step_count, lr, beta1=0.9, beta2=0.999,
+              eps=1e-8):
+    """One bias-corrected Adam update written as out-of-place
+    expressions: the reference that ``nnkit.Adam.step``, which updates
+    in place, must equal bit for bit.  Returns the new (values, m, v)
+    and leaves its arguments as they are."""
+    m = m * beta1
+    m += (1.0 - beta1) * grads
+    v = v * beta2
+    v += (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1 ** step_count)
+    v_hat = v / (1.0 - beta2 ** step_count)
+    return values - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
 # --- per-sample baselines and metrics ------------------------------------------

@@ -21,6 +21,7 @@ from fvl.dataio import (
     write_scenario_file,
 )
 from fvl.flowfeat import PooledFlow
+from fvl.errors import DataFormatError
 from fvl.fvlmodel import BoxForecaster, ModelConfig, load_model, save_model
 from fvl.metrics import build_reports, displacement_errors, reports_to_json
 from fvl.nnkit import save_params
@@ -412,6 +413,37 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["evaluate", str(old), "--dataset", str(bad)]) == 2
     assert "old.fvlw: unsupported checkpoint version 1 at offset 4" in \
         capsys.readouterr().err
+
+
+def test_a_checkpoint_with_six_gate_leaves_per_gru_exits_2(tmp_path, capsys):
+    # Checkpoints written before a GRU's gates became one weight and one
+    # bias leaf name six per cell, w_update ... b_cand, over the same
+    # float payload.  They are refused by name; retraining migrates them.
+    config = ModelConfig(variant="xoe", hidden=6, embed=5, tau=4, delta=3,
+                         pooled_dim=18)
+    values = BoxForecaster(config, seed=5).parameter_values()
+    old_values = {}
+    for name, value in values.items():
+        layer, part = name.split(".")
+        if layer not in ("box_encoder", "flow_encoder", "decoder"):
+            old_values[name] = value
+            continue
+        for gate, block in zip(("update", "reset", "cand"), np.split(value, 3)):
+            old_values[f"{layer}.{part[0]}_{gate}"] = block
+    old, new = tmp_path / "old.fvlw", tmp_path / "new.fvlw"
+    save_model(old, config, old_values)
+    save_model(new, config, values)
+    payload = b"".join(v.astype("<f8").tobytes() for v in values.values())
+    assert old.read_bytes().endswith(payload) and new.read_bytes().endswith(payload)
+    with pytest.raises(DataFormatError) as info:
+        load_model(old)
+    for name in ("box_encoder.weight", "decoder.bias", "decoder.w_update",
+                 "flow_encoder.b_cand"):
+        assert repr(name) in str(info.value)
+    assert "missing ['box_encoder.bias', 'box_encoder.weight'" in str(info.value)
+    assert main(["evaluate", str(old), "--dataset", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'decoder.weight'" in err and "'decoder.w_update'" in err
 
 
 def test_checkpoint_record_larger_than_the_file_exits_2(tmp_path, capsys):

@@ -283,9 +283,9 @@ PRIMITIVE_OPERANDS = {
     "matmul": [(2, 3), (3, 2)], "concat_last": [(2, 3), (2, 2)],
     "tile_rows": [(3,)], "transpose": [(2, 3)],
     "affine": [(2, 3), (4, 3), (4,)],
-    "gru_sequence": [(6, 3), (2, 4), (4, 7), (4, 7), (4, 7), (4,), (4,), (4,)],
+    "gru_sequence": [(6, 3), (2, 4), (12, 7), (12,)],
     "gru_decoder": [(3, 4), (3, 2, 3), (5, 4), (5,), (5, 3), (5,),
-                    (4, 9), (4, 9), (4, 9), (4,), (4,), (4,), (2, 4), (2,)],
+                    (12, 9), (12,), (2, 4), (2,)],
     "sum_all": [(3,)], "mean_all": [(3,)],
 }
 EXTRA_ARGS = {"tile_rows": (4,), "gru_decoder": (2,)}
@@ -588,7 +588,9 @@ def test_a_leading_extra_axis_is_refused_outside_grad_check():
     with pytest.raises(DimensionError, match="gru_sequence expects"):
         dc.gru_sequence(extra(seq[0]), *seq[1:])
     with pytest.raises(DimensionError, match="gru_sequence weights"):
-        dc.gru_sequence(*seq[:2], extra(seq[2]), *seq[3:])
+        dc.gru_sequence(*seq[:2], extra(seq[2]), seq[3])
+    with pytest.raises(DimensionError, match="gru_sequence weights"):
+        dc.gru_sequence(*seq[:3], extra(seq[3]))
     dec = _decoder_inputs(tape, rng, True)[0]
     with pytest.raises(DimensionError, match="gru_decoder expects"):
         dc.gru_decoder(extra(dec[0]), *dec[1:])
@@ -653,10 +655,7 @@ def _leaves(tape, rng, parts):
 
 
 def _gru_parts(n_in, hidden):
-    joint = n_in + hidden
-    return [("w_update", (hidden, joint)), ("w_reset", (hidden, joint)),
-            ("w_cand", (hidden, joint)), ("b_update", (hidden,)),
-            ("b_reset", (hidden,)), ("b_cand", (hidden,))]
+    return [("weight", (3 * hidden, n_in + hidden)), ("bias", (3 * hidden,))]
 
 
 # Each builder returns a kernel's call arguments and the leaves among them.
@@ -668,7 +667,7 @@ def _affine_inputs(tape, rng, rows=3, n_in=4, n_out=2):
 
 
 def _gru_inputs(tape, rng, rows=3, n_in=3, hidden=4):
-    """x, h, the three gate weights and the three gate biases."""
+    """x, h, the gate weight and the gate bias."""
     leaves = _leaves(tape, rng, [("x", (rows, n_in)), ("h", (rows, hidden))]
                      + _gru_parts(n_in, hidden))
     return leaves, leaves
@@ -704,8 +703,11 @@ def _affine_reference(x, w, b):
     return dc.add(dc.matmul(x, dc.transpose(w)), dc.tile_rows(b, x.shape[-2]))
 
 
-def _gru_reference(x, h, wz, wr, wc, bz, br, bc):
-    rows = x.shape[-2]
+def _gru_reference(x, h, w, b):
+    rows, hidden = x.shape[-2], h.shape[-1]
+    blocks = [(Ellipsis, slice(k * hidden, (k + 1) * hidden)) for k in range(3)]
+    wz, wr, wc = (oracles.take(w, block + (slice(None),)) for block in blocks)
+    bz, br, bc = (oracles.take(b, block) for block in blocks)
     xh = dc.concat_last(x, h)
     z = dc.sigmoid(dc.add(dc.matmul(xh, dc.transpose(wz)), dc.tile_rows(bz, rows)))
     r = dc.sigmoid(dc.add(dc.matmul(xh, dc.transpose(wr)), dc.tile_rows(br, rows)))
@@ -766,6 +768,38 @@ def test_fused_kernels_match_primitive_chain(label):
                                    err_msg=f"{label} adjoint of {leaf.name}")
 
 
+@pytest.mark.parametrize("label", ["gru_sequence", "gru_decoder", "gru_decoder_ego"])
+def test_gru_kernels_read_gate_blocks_as_views_of_the_leaves(label, monkeypatch):
+    # a per-call copy of the gate weights or bias would fail here
+    fused, _, build = FUSED[label]
+    tape = Tape()
+    args, leaves = build(tape, Xoshiro256(97))
+    w, b = (leaf for leaf in leaves if leaf.name in ("weight", "bias"))
+    calls = {}
+    for name in ("_gru_operands", "_gru_forward", "_gru_backward"):
+        def spy(*operands, original=getattr(dc, name), name=name):
+            calls.setdefault(name, []).append(operands)
+            out = original(*operands)
+            if name == "_gru_operands":
+                calls["blocks"] = out[1][:4]
+            return out
+        monkeypatch.setattr(dc, name, spy)
+    tape.backward(dc.sum_all(fused(*args)))
+    w_x, w_zr, w_c, bias = calls["blocks"]
+    hidden = w.shape[0] // 3
+    assert w_x.shape == (3 * hidden, w.shape[1] - hidden)
+    assert w_zr.shape == (2 * hidden, hidden) and w_c.shape == (hidden, hidden)
+    assert len(calls["_gru_forward"]) == len(calls["_gru_backward"]) == 3
+    views = [w_x, w_zr, w_c]
+    views += [block for call in calls["_gru_forward"] for block in call[2:4]]
+    views += [block for call in calls["_gru_backward"] for block in call[2:4]]
+    assert all(np.shares_memory(view, w.value) for view in views)
+    assert np.shares_memory(bias, b.value)
+    # the adjoints were added in place, into the tape's flat buffer
+    assert np.shares_memory(w.grad, tape.grads) and np.any(w.grad != 0.0)
+    assert np.shares_memory(b.grad, tape.grads) and np.any(b.grad != 0.0)
+
+
 def test_fused_kernels_reject_mismatched_shapes():
     tape = Tape()
     rng = Xoshiro256(41)
@@ -780,7 +814,11 @@ def test_fused_kernels_reject_mismatched_shapes():
     with pytest.raises(DimensionError, match="gru_sequence expects"):
         dc.gru_sequence(seq[0].value[:2], *seq[1:])
     with pytest.raises(DimensionError, match="gru_sequence weights"):
-        dc.gru_sequence(seq[0], seq[1], seq[2].value[:, 1:], *seq[3:])
+        dc.gru_sequence(seq[0], seq[1], seq[2].value[:, 1:], seq[3])
+    with pytest.raises(DimensionError, match="gru_sequence weights"):
+        dc.gru_sequence(*seq[:2], seq[2].value[1:], seq[3])
+    with pytest.raises(DimensionError, match="gru_sequence weights"):
+        dc.gru_sequence(*seq[:3], seq[3].value[1:])
     dec = _decoder_inputs(tape, rng, True)[0]
     with pytest.raises(DimensionError, match="gru_decoder ego"):
         dc.gru_decoder(dec[0], dec[1].value[:, :2], *dec[2:])
@@ -794,6 +832,8 @@ def test_fused_kernels_reject_mismatched_shapes():
         dc.gru_decoder(*dec[:-1], 0)
     with pytest.raises(DimensionError, match="gru_decoder weights"):
         dc.gru_decoder(*dec[:6], dec[6].value[:, 1:], *dec[7:])
+    with pytest.raises(DimensionError, match="gru_decoder weights"):
+        dc.gru_decoder(*dec[:7], dec[7].value[1:], *dec[8:])
 
 
 def _oracle_batch_loss(model, data, rows):

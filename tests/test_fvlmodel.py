@@ -27,7 +27,7 @@ from fvl.fvlmodel import (
     save_model,
     train_model,
 )
-from fvl.nnkit import load_params, save_params
+from fvl.nnkit import load_params, save_params, uniform_fan_in
 from fvl.rng import Xoshiro256
 from oracles import unstaged_grad_check
 
@@ -521,6 +521,27 @@ def set_header(path, header):
     """Keep a checkpoint's parameters but replace its config header."""
     _, params = load_params(path)
     save_params(path, params, header)
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_gru_weight_is_the_three_gate_draws_stacked(seed):
+    # replay the weight stream in construction order: a GRU's one weight
+    # leaf holds what three [hidden x (in + hidden)] gate draws give
+    model = BoxForecaster(ModelConfig(variant="xoe", **SMALL), seed=seed)
+    rng = Xoshiro256(seed)
+    cells = ("box_encoder", "flow_encoder", "decoder")
+    for name, p in model.params.items():
+        layer, part = name.split(".")
+        if part == "bias":
+            assert np.array_equal(p.value, np.zeros(p.shape)), name
+        elif layer in cells:
+            hidden, joint = p.shape[0] // 3, p.shape[1]
+            want = np.vstack([uniform_fan_in(rng, hidden, joint) for _ in range(3)])
+            assert np.array_equal(p.value, want), name
+        else:
+            assert np.array_equal(p.value, uniform_fan_in(rng, *p.shape)), name
+    assert [n for n in model.params if n.split(".")[0] in cells] == [
+        f"{cell}.{part}" for cell in cells for part in ("weight", "bias")]
 
 
 def test_checkpoint_mismatches_are_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from fvl import diffcore as dc
 from fvl import nnkit
 from fvl.diffcore import Tape, grad_check
 from fvl.errors import DataFormatError, DimensionError, NumericFailure, ValidationError
+from fvl.fvlmodel import BoxForecaster, ModelConfig
 from fvl.nnkit import Adam, GruCell, Projection, load_params, mse_loss, save_params
 from fvl.rng import Xoshiro256
+
+import oracles
 
 
 def test_projection_matches_manual_affine():
@@ -118,6 +122,32 @@ def test_adam_first_step_from_zero():
     opt.step()
     # lr * m_hat / (sqrt(v_hat) + eps) with m_hat = v_hat = 1 after one step
     assert theta.value[0] == pytest.approx(-4.99999995e-4, rel=0, abs=1e-12)
+
+
+def test_adam_in_place_steps_equal_the_out_of_place_oracle_bit_for_bit():
+    tape = BoxForecaster(ModelConfig(variant="xoe", hidden=32, embed=24), seed=3).tape
+    opt = Adam(tape, lr=2e-3)
+    rng = np.random.default_rng(11)
+    values = tape.values.copy()
+    m, v = np.zeros_like(values), np.zeros_like(values)
+    for step in range(1, 51):
+        # adjoints over seven orders of magnitude, some exactly zero
+        tape.grads[...] = (rng.uniform(-1.0, 1.0, values.shape)
+                           * 10.0 ** rng.integers(-6, 2, values.shape))
+        tape.grads[rng.random(values.shape) < 0.05] = 0.0
+        values, m, v = oracles.adam_step(values, tape.grads, m, v, step, lr=2e-3)
+        opt.step()
+        assert tape.values.tobytes() == values.tobytes(), step
+        assert opt._m.tobytes() == m.tobytes() and opt._v.tobytes() == v.tobytes()
+    # the update allocates no buffer of the tape's size, only scratch
+    # such as the finiteness mask (one byte a value)
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tape.values.nbytes
 
 
 def test_adam_zero_gradients_leave_parameters_untouched():
