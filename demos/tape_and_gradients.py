@@ -10,7 +10,7 @@ import numpy as np
 
 from fvl import diffcore as dc
 from fvl.diffcore import Tape, grad_check
-from fvl.nnkit import Adam, Projection, mse_loss
+from fvl.nnkit import Adam, Projection, init_fan_in, mse_loss
 from fvl.rng import Xoshiro256
 
 
@@ -19,8 +19,10 @@ def main():
     rng = Xoshiro256(11)
 
     # a 3 -> 8 -> 1 regression net, built from two Projection layers
-    hidden = Projection(tape, rng, 3, 8, activation="relu", name="hidden")
-    out = Projection(tape, rng, 8, 1, activation="none", name="out")
+    hidden = Projection(tape, 3, 8, activation="relu", name="hidden")
+    out = Projection(tape, 8, 1, activation="none", name="out")
+    # the layers register zero weights; draw them all as one block
+    init_fan_in(rng, tape.params.values())
     inputs = rng.uniforms((32, 3), -1.0, 1.0)
     targets = np.sin(inputs.sum(axis=1, keepdims=True))
 

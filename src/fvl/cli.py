@@ -91,6 +91,16 @@ def _non_negative(text):
 _non_negative.__name__ = "non-negative integer"
 
 
+def _seed(text):
+    value = _non_negative(text)
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {text}")
+    return value
+
+
+_seed.__name__ = _non_negative.__name__
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fvl",
                      description="synthetic future-vehicle-localization pipeline")
@@ -120,7 +130,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--epochs", type=_non_negative, default=40)
     train.add_argument("--batch", type=_positive(int), default=64)
     train.add_argument("--lr", type=_positive(float), default=5e-4)
-    train.add_argument("--seed", type=_non_negative, default=0)
+    train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--workers", type=_positive(int), default=1)
     train.add_argument("--roi-expand", type=_expansion, help=_ROI_EXPAND)
     train.add_argument("--pool-n", type=_positive(int), default=5)
@@ -161,7 +171,7 @@ def _build_parser() -> _Parser:
     gc.add_argument("--tau", type=_positive(int), default=3)
     gc.add_argument("--delta", type=_positive(int), default=2)
     gc.add_argument("--pool-n", type=_positive(int), default=5)
-    gc.add_argument("--seed", type=_non_negative, default=7)
+    gc.add_argument("--seed", type=_seed, default=7)
     gc.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -31,7 +31,8 @@ from . import diffcore as dc
 from .dataio import Sample
 from .diffcore import DiffArray, GradCheckReport, Tape, grad_check
 from .errors import DataFormatError, NumericFailure, ValidationError
-from .nnkit import Adam, GruCell, Projection, load_params, mse_loss, save_params
+from .nnkit import (Adam, GruCell, Projection, init_fan_in, load_params, mse_loss,
+                    save_params)
 from .rng import Xoshiro256
 
 __all__ = [
@@ -141,47 +142,34 @@ class TrainResult:
     val_indices: tuple
 
 
-class _NoDraws:
-    """Stands in for the weight stream when checkpoint values will
-    overwrite every weight: the layers get zeros instead of draws."""
-
-    @staticmethod
-    def uniforms(shape, low=0.0, high=1.0) -> np.ndarray:
-        return np.zeros(shape)
-
-
 class BoxForecaster:
     """One model instance: parameter leaves on a private tape.
 
-    Construction order fixes the weight-draw order, so the initial state
-    is a pure function of (config, seed).  Pass `params` to load
-    checkpoint values instead; then no weights are drawn.
+    The layers register their leaves in construction order, and the
+    weights are then drawn from `seed` as one block in that order, so the
+    initial state is a pure function of (config, seed).  Pass `params` to
+    load checkpoint values instead; then no weights are drawn.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, params=None):
         self.config = config
-        self.tape = Tape()
-        rng = Xoshiro256(seed) if params is None else _NoDraws()
+        self.tape = tape = Tape()
         c = config
-        self.box_embed = Projection(self.tape, rng, 4, c.embed,
-                                    "relu", "box_embed")
-        self.box_encoder = GruCell(self.tape, rng, c.embed, c.hidden,
-                                   "box_encoder")
+        self.box_embed = Projection(tape, 4, c.embed, "relu", "box_embed")
+        self.box_encoder = GruCell(tape, c.embed, c.hidden, "box_encoder")
         if c.uses_flow:
-            self.flow_embed = Projection(self.tape, rng, c.pooled_dim, c.embed,
+            self.flow_embed = Projection(tape, c.pooled_dim, c.embed,
                                          "relu", "flow_embed")
-            self.flow_encoder = GruCell(self.tape, rng, c.embed, c.hidden,
-                                        "flow_encoder")
-        self.fuse = Projection(self.tape, rng, c.hidden, c.hidden,
-                               "relu", "fuse")
-        self.state_embed = Projection(self.tape, rng, c.hidden, c.embed,
-                                      "relu", "state_embed")
+            self.flow_encoder = GruCell(tape, c.embed, c.hidden, "flow_encoder")
+        self.fuse = Projection(tape, c.hidden, c.hidden, "relu", "fuse")
+        self.state_embed = Projection(tape, c.hidden, c.embed, "relu", "state_embed")
         if c.uses_ego:
-            self.ego_embed = Projection(self.tape, rng, 3, c.embed,
-                                        "relu", "ego_embed")
-        self.decoder = GruCell(self.tape, rng, c.embed, c.hidden, "decoder")
-        self.head = Projection(self.tape, rng, c.hidden, 4, "none", "head")
-        if params is not None:
+            self.ego_embed = Projection(tape, 3, c.embed, "relu", "ego_embed")
+        self.decoder = GruCell(tape, c.embed, c.hidden, "decoder")
+        self.head = Projection(tape, c.hidden, 4, "none", "head")
+        if params is None:
+            init_fan_in(Xoshiro256(seed), self.params.values())
+        else:
             self.load_values(params)
 
     @property
@@ -473,20 +461,22 @@ def _gradcheck_problem(config: ModelConfig, seed: int):
     `gradient_check_model` checks: the seed's initial weights with random
     biases, and random inputs and targets."""
     model = BoxForecaster(config, seed=seed)
-    rng = Xoshiro256(seed ^ _DATA_STREAM)
-    for p in model.params.values():
-        if p.value.ndim == 1:
-            p.value[...] = rng.uniforms(p.value.shape, -0.1, 0.1)
+    biases = [p for p in model.params.values() if p.value.ndim == 1]
     c = config
     rows = 3
-    data = {
-        "boxes": rng.uniforms((rows, c.tau, 4), 0.1, 0.9),
-        "flows": (rng.uniforms((rows, c.tau, c.pooled_dim), -0.2, 0.2)
-                  if c.uses_flow else None),
-        "egos": (rng.uniforms((rows, c.delta, 3), -0.5, 0.5)
-                 if c.uses_ego else None),
-        "targets": rng.uniforms((rows, c.delta, 4), -0.3, 0.3),
+    inputs = {
+        "boxes": ((rows, c.tau, 4), 0.1, 0.9),
+        "flows": ((rows, c.tau, c.pooled_dim), -0.2, 0.2) if c.uses_flow else None,
+        "egos": ((rows, c.delta, 3), -0.5, 0.5) if c.uses_ego else None,
+        "targets": ((rows, c.delta, 4), -0.3, 0.3),
     }
+    # one block: the biases in parameter order, then the inputs
+    drawn = iter(Xoshiro256(seed ^ _DATA_STREAM).uniforms_split(
+        [(p.shape, -0.1, 0.1) for p in biases]
+        + [spec for spec in inputs.values() if spec is not None]))
+    for p in biases:
+        p.value[...] = next(drawn)
+    data = {key: None if spec is None else next(drawn) for key, spec in inputs.items()}
     return model, data
 
 

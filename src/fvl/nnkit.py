@@ -10,13 +10,14 @@ unroll; a single step is an unroll of length one.  The forecaster's
 decoder hands its layers' leaves to :func:`fvl.diffcore.gru_decoder`.
 A GRU's gates are row blocks of one weight and one bias leaf.
 
-Parameter initialization is uniform fan-in: weights are drawn from
-U(-1/sqrt(fan_in), +1/sqrt(fan_in)) elementwise in row-major order from a
-single :class:`fvl.rng.Xoshiro256` stream, biases start at zero.  The
-draw order is fixed by construction order, which makes a model's initial
-state a pure function of its seed.  Each layer registers its leaves on
-the tape it is given, named ``<layer>.<part>``, so
-:attr:`fvl.diffcore.Tape.params` lists every parameter in that order.
+Each layer registers its leaves on the tape it is given, as zeros,
+named ``<layer>.<part>``, so :attr:`fvl.diffcore.Tape.params` lists
+every parameter in construction order.  Initialization is uniform
+fan-in: :func:`init_fan_in` draws every weight of a model as one arena
+block of a single :class:`fvl.rng.Xoshiro256` stream, in registration
+order, each [out x in] weight row-major from U(-1/sqrt(in), +1/sqrt(in));
+biases stay zero.  That makes a model's initial state a pure function of
+its seed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "Projection",
     "Adam",
     "mse_loss",
-    "uniform_fan_in",
+    "init_fan_in",
     "save_params",
     "load_params",
     "CHECKPOINT_MAGIC",
@@ -48,17 +49,22 @@ CHECKPOINT_MAGIC = b"FVLW"
 CHECKPOINT_VERSION = 2
 
 
-def uniform_fan_in(rng: Xoshiro256, out_size: int, in_size: int) -> np.ndarray:
-    """Weight matrix [out x in] drawn uniformly within +-1/sqrt(in)."""
-    bound = 1.0 / np.sqrt(in_size)
-    return rng.uniforms((out_size, in_size), -bound, bound)
+def init_fan_in(rng: Xoshiro256, leaves) -> None:
+    """Draw every weight (2-D leaf) among `leaves` as one block of `rng`,
+    in the order given, each [out x in] one within +-1/sqrt(in); the
+    other leaves keep their values."""
+    weights = [p for p in leaves if p.value.ndim == 2]
+    bounds = [1.0 / np.sqrt(p.shape[1]) for p in weights]
+    drawn = rng.uniforms_split([(p.shape, -b, b) for p, b in zip(weights, bounds)])
+    for p, value in zip(weights, drawn):
+        p.value[...] = value
 
 
 class Projection:
     """Linear map with optional relu over row-stacked inputs:
     y = act(x W^T + b) for x [B x in]."""
 
-    def __init__(self, tape: Tape, rng: Xoshiro256, in_size: int, out_size: int,
+    def __init__(self, tape: Tape, in_size: int, out_size: int,
                  activation: str = "relu", name: str = "proj"):
         if activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {activation!r}")
@@ -66,8 +72,7 @@ class Projection:
         self.out_size = out_size
         self.activation = activation
         self.name = name
-        self.weight = tape.leaf(uniform_fan_in(rng, out_size, in_size),
-                                name=f"{name}.weight")
+        self.weight = tape.leaf(np.zeros((out_size, in_size)), name=f"{name}.weight")
         self.bias = tape.leaf(np.zeros(out_size), name=f"{name}.bias")
 
     def __call__(self, x):
@@ -84,15 +89,13 @@ class GruCell:
     x (input + hidden)] and ``<name>.bias`` [3*hidden].
     """
 
-    def __init__(self, tape: Tape, rng: Xoshiro256, input_size: int,
-                 hidden_size: int, name: str = "gru"):
+    def __init__(self, tape: Tape, input_size: int, hidden_size: int,
+                 name: str = "gru"):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.name = name
-        # one draw of 3*hidden rows equals three gate draws one after another
-        self.weight = tape.leaf(
-            uniform_fan_in(rng, 3 * hidden_size, input_size + hidden_size),
-            name=f"{name}.weight")
+        self.weight = tape.leaf(np.zeros((3 * hidden_size, input_size + hidden_size)),
+                                name=f"{name}.weight")
         self.bias = tape.leaf(np.zeros(3 * hidden_size), name=f"{name}.bias")
 
     @property

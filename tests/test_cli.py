@@ -318,6 +318,11 @@ def test_usage_errors_exit_1(capsys):
     assert main(["train", "--dataset", "d", "--out", "m", "--seed", "-3"]) == 1
     assert main(["gradcheck", "--seed", "-1"]) == 1
     assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+    # a seed the generator cannot hold would alias a smaller one
+    too_big = str(2**64)
+    assert main(["train", "--dataset", "d", "--out", "m", "--seed", too_big]) == 1
+    assert main(["gradcheck", "--seed", too_big]) == 1
+    assert f"--seed: must be below 2**64, got {too_big}" in capsys.readouterr().err
     # so is a negative epoch count, by the same converter
     assert main(["train", "--dataset", "d", "--out", "m", "--epochs", "-1"]) == 1
     assert "--epochs: must be >= 0, got -1" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvl import diffcore as dc
+from fvl import fvlmodel
 from fvl.dataio import Sample
 from fvl.errors import DataFormatError, NumericFailure, ValidationError
 from fvl.flowfeat import PooledFlow
@@ -27,7 +28,7 @@ from fvl.fvlmodel import (
     save_model,
     train_model,
 )
-from fvl.nnkit import load_params, save_params, uniform_fan_in
+from fvl.nnkit import load_params, save_params
 from fvl.rng import Xoshiro256
 from oracles import unstaged_grad_check
 
@@ -496,25 +497,27 @@ def test_damaged_checkpoint_loads_or_raises_data_format_error(small_checkpoint,
         small_checkpoint.write_bytes(original)
 
 
-def test_loading_values_draws_no_initial_weights(monkeypatch):
-    # every drawn weight would be overwritten, so none is drawn
+def test_loading_values_draws_no_initial_weights(monkeypatch, tmp_path):
+    # every drawn weight would be overwritten, so no weight stream is made
     cfg = small_config()
     values = BoxForecaster(cfg, seed=13).parameter_values()
-    draws = []
-    next_u64 = Xoshiro256.next_u64
+    path = tmp_path / "model.fvlw"
+    save_model(path, cfg, values)
+    seeds = []
 
-    def counting(self):
-        draws.append(1)
-        return next_u64(self)
+    class Counting(Xoshiro256):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
 
-    monkeypatch.setattr(Xoshiro256, "next_u64", counting)
-    model = BoxForecaster(cfg, params=values)
-    assert not draws
-    for name, value in values.items():
-        assert np.array_equal(model.params[name].value, value)
+    monkeypatch.setattr(fvlmodel, "Xoshiro256", Counting)
+    for model in (BoxForecaster(cfg, params=values), load_model(path)):
+        for name, value in values.items():
+            assert np.array_equal(model.params[name].value, value)
+    assert not seeds
     assert np.array_equal(BoxForecaster(cfg, seed=13).params["head.weight"].value,
                           values["head.weight"])
-    assert draws
+    assert seeds == [13]
 
 
 def set_header(path, header):
@@ -525,10 +528,17 @@ def set_header(path, header):
 
 @pytest.mark.parametrize("seed", [0, 13])
 def test_gru_weight_is_the_three_gate_draws_stacked(seed):
-    # replay the weight stream in construction order: a GRU's one weight
-    # leaf holds what three [hidden x (in + hidden)] gate draws give
+    # replay the weight stream one scalar draw at a time, in construction
+    # order: a GRU's one weight leaf holds what three [hidden x (in +
+    # hidden)] gate draws give
     model = BoxForecaster(ModelConfig(variant="xoe", **SMALL), seed=seed)
     rng = Xoshiro256(seed)
+
+    def draw(rows, cols):
+        bound = 1.0 / np.sqrt(cols)
+        return np.array([[rng.uniform(-bound, bound) for _ in range(cols)]
+                         for _ in range(rows)])
+
     cells = ("box_encoder", "flow_encoder", "decoder")
     for name, p in model.params.items():
         layer, part = name.split(".")
@@ -536,10 +546,10 @@ def test_gru_weight_is_the_three_gate_draws_stacked(seed):
             assert np.array_equal(p.value, np.zeros(p.shape)), name
         elif layer in cells:
             hidden, joint = p.shape[0] // 3, p.shape[1]
-            want = np.vstack([uniform_fan_in(rng, hidden, joint) for _ in range(3)])
+            want = np.vstack([draw(hidden, joint) for _ in range(3)])
             assert np.array_equal(p.value, want), name
         else:
-            assert np.array_equal(p.value, uniform_fan_in(rng, *p.shape)), name
+            assert np.array_equal(p.value, draw(*p.shape)), name
     assert [n for n in model.params if n.split(".")[0] in cells] == [
         f"{cell}.{part}" for cell in cells for part in ("weight", "bias")]
 

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvl import diffcore as dc
-from fvl import nnkit
 from fvl.diffcore import Tape, grad_check
 from fvl.errors import DataFormatError, DimensionError, NumericFailure, ValidationError
 from fvl.fvlmodel import BoxForecaster, ModelConfig
-from fvl.nnkit import Adam, GruCell, Projection, load_params, mse_loss, save_params
+from fvl.nnkit import (Adam, GruCell, Projection, init_fan_in, load_params, mse_loss,
+                       save_params)
 from fvl.rng import Xoshiro256
 
 import oracles
@@ -19,7 +19,8 @@ import oracles
 
 def test_projection_matches_manual_affine():
     tape = Tape()
-    proj = Projection(tape, Xoshiro256(3), in_size=4, out_size=3, activation="none")
+    proj = Projection(tape, in_size=4, out_size=3, activation="none")
+    init_fan_in(Xoshiro256(3), tape.params.values())
     x = np.array([[0.5, -1.0, 2.0, 0.25]])
     out = proj(tape.leaf(x))
     expected = x @ proj.weight.value.T + proj.bias.value
@@ -28,7 +29,8 @@ def test_projection_matches_manual_affine():
 
 def test_projection_batch_rows_match_single_calls():
     tape = Tape()
-    proj = Projection(tape, Xoshiro256(3), in_size=4, out_size=3)
+    proj = Projection(tape, in_size=4, out_size=3)
+    init_fan_in(Xoshiro256(3), tape.params.values())
     batch = Xoshiro256(5).uniforms((6, 4), -2.0, 2.0)
     with tape.no_grad():
         stacked = proj(tape.leaf(batch))
@@ -38,19 +40,19 @@ def test_projection_batch_rows_match_single_calls():
 
 def test_projection_relu_clamps_negative():
     tape = Tape()
-    proj = Projection(tape, Xoshiro256(3), in_size=2, out_size=2, activation="relu")
+    proj = Projection(tape, in_size=2, out_size=2, activation="relu")
     proj.weight.value[...] = [[1.0, 0.0], [-1.0, 0.0]]
     out = proj(tape.leaf(np.array([[3.0, 0.0]])))
     np.testing.assert_array_equal(out.value, [[3.0, 0.0]])
 
 
 def test_gru_zero_weights_halve_the_hidden_state():
-    # All-zero weights: update gate 0.5, candidate tanh(0) = 0, so the
-    # next hidden state is exactly half the previous one.
+    # All-zero weights, as a cell registers them: update gate 0.5,
+    # candidate tanh(0) = 0, so the next hidden state is exactly half the
+    # previous one.
     tape = Tape()
-    cell = GruCell(tape, Xoshiro256(0), input_size=3, hidden_size=4)
-    for p in tape.params.values():
-        p.value[...] = 0.0
+    cell = GruCell(tape, input_size=3, hidden_size=4)
+    assert not np.any(tape.values)
     h_prev = np.array([[1.0, -2.0, 0.5, 4.0]])
     out = cell.step(tape.leaf(np.array([[9.0, 9.0, 9.0]])), tape.leaf(h_prev))
     np.testing.assert_array_equal(out.value, 0.5 * h_prev)
@@ -58,7 +60,8 @@ def test_gru_zero_weights_halve_the_hidden_state():
 
 def test_gru_batch_matches_per_row_steps():
     tape = Tape()
-    cell = GruCell(tape, Xoshiro256(21), input_size=3, hidden_size=5)
+    cell = GruCell(tape, input_size=3, hidden_size=5)
+    init_fan_in(Xoshiro256(21), tape.params.values())
     rng = Xoshiro256(22)
     xs = rng.uniforms((4, 3), -1.5, 1.5)
     hs = rng.uniforms((4, 5), -1.0, 1.0)
@@ -71,7 +74,8 @@ def test_gru_batch_matches_per_row_steps():
 
 def test_gru_step_gradients_match_finite_differences():
     tape = Tape()
-    cell = GruCell(tape, Xoshiro256(7), input_size=3, hidden_size=4)
+    cell = GruCell(tape, input_size=3, hidden_size=4)
+    init_fan_in(Xoshiro256(7), tape.params.values())
     rng = Xoshiro256(8)
     x = tape.leaf(rng.uniforms((1, 3), -1.0, 1.0), name="x")
     h = tape.leaf(rng.uniforms((1, 4), -1.0, 1.0), name="h")
@@ -85,7 +89,7 @@ def test_gru_step_gradients_match_finite_differences():
 
 def test_gru_rejects_mismatched_widths():
     tape = Tape()
-    cell = GruCell(tape, Xoshiro256(1), input_size=3, hidden_size=4)
+    cell = GruCell(tape, input_size=3, hidden_size=4)
     with pytest.raises(DimensionError, match="input width 3"):
         cell.step(tape.leaf(np.zeros((1, 5))), tape.leaf(np.zeros((1, 4))))
     with pytest.raises(DimensionError):
@@ -104,7 +108,8 @@ def test_gru_hidden_state_never_escapes_unit_envelope(seed, scale):
     # Each output component is a convex combination of the previous state
     # and a tanh value, so it can never exceed max(|h_prev|, 1).
     tape = Tape()
-    cell = GruCell(tape, Xoshiro256(seed), input_size=2, hidden_size=3)
+    cell = GruCell(tape, input_size=2, hidden_size=3)
+    init_fan_in(Xoshiro256(seed), tape.params.values())
     rng = Xoshiro256(seed ^ 0xABCDEF)
     x = rng.uniforms((1, 2), -scale, scale)
     h = rng.uniforms((1, 3), -scale, scale)
@@ -266,17 +271,22 @@ def test_initialization_is_a_pure_function_of_the_seed():
     tapes = []
     for _ in range(2):
         tapes.append(Tape())
-        GruCell(tapes[-1], Xoshiro256(42), input_size=3, hidden_size=4)
+        GruCell(tapes[-1], input_size=3, hidden_size=4)
+        init_fan_in(Xoshiro256(42), tapes[-1].params.values())
     for name in tapes[0].params:
         np.testing.assert_array_equal(tapes[0].params[name].value,
                                       tapes[1].params[name].value)
 
 
 def test_initialization_respects_fan_in_bound():
-    w = nnkit.uniform_fan_in(Xoshiro256(1), 64, 16)
+    tape = Tape()
+    proj = Projection(tape, in_size=16, out_size=64)
+    init_fan_in(Xoshiro256(1), tape.params.values())
+    w = proj.weight.value
     assert w.shape == (64, 16)
     assert np.all(np.abs(w) <= 0.25)
     assert np.std(w) > 0.0
+    np.testing.assert_array_equal(proj.bias.value, np.zeros(64))
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
@@ -308,7 +318,8 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 
 def test_checkpoint_accepts_diffarray_values(tmp_path):
     tape = Tape()
-    proj = Projection(tape, Xoshiro256(2), in_size=3, out_size=2)
+    proj = Projection(tape, in_size=3, out_size=2)
+    init_fan_in(Xoshiro256(2), tape.params.values())
     path = tmp_path / "proj.fvlw"
     save_params(path, tape.params, "")
     header, loaded = load_params(path)
