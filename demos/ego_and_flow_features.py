@@ -1,15 +1,16 @@
 """Show the two conditioning streams the forecaster can consume: chained
-ego poses expressed in the anchor frame, and optical flow pooled over a
-region of interest.
+ego poses expressed in the anchor frame, and optical flow pooled over the
+expanded boxes of a track, every frame in one lattice pass.
 
     python3 demos/ego_and_flow_features.py
 """
 
 import numpy as np
 
+from fvl.boxes import BoundingBox
 from fvl.dataio import generate_scenario, random_scenario
 from fvl.egomotion import compose
-from fvl.flowfeat import expand_roi, roi_pool
+from fvl.flowfeat import expand_roi, lattice_pool, roi_pool
 
 
 def main():
@@ -27,26 +28,33 @@ def main():
     video = generate_scenario(random_scenario(4, frames=16,
                                               width=320, height=160))
     track, boxes = sorted(video.tracks.items())[0]
-    t = sorted(boxes)[len(boxes) // 2]
+    frames = np.array(sorted(boxes))
+    # the track's boxes as one [k x 4] array of [cx, cy, w, h] rows, each
+    # grown 1.5x about its center and clipped to the image in one pass
+    rois = expand_roi([boxes[t].as_array() for t in frames.tolist()], 1.5,
+                      video.width, video.height)
+    i = len(frames) // 2
+    t = int(frames[i])
     box = boxes[t]
-    roi = expand_roi(box, 1.5, video.width, video.height)
     print()
     print(f"track {track} at frame {t}: box ({box.cx:.1f}, {box.cy:.1f}, "
           f"{box.w:.1f}, {box.h:.1f})")
-    print(f"expanded roi: ({roi.cx:.1f}, {roi.cy:.1f}, {roi.w:.1f}, {roi.h:.1f})")
+    print("expanded roi: ({:.1f}, {:.1f}, {:.1f}, {:.1f})".format(*rois[i]))
 
     grid = video.flow_grid(t)
     print(f"flow grid: {grid.height}x{grid.width}, "
           f"|flow| max {np.hypot(grid.data[..., 0], grid.data[..., 1]).max():.2f} px")
     for n in (1, 2, 3):
-        pooled = roi_pool(grid, roi, n)
-        print(f"  {n}x{n} lattice -> {pooled.values.size} features, "
-              f"mean {pooled.values.mean():+.3f}")
+        # every frame of the track in one lattice pass: the video renders
+        # only the lattice pixels, each ROI's in its own frame
+        pooled = lattice_pool(rois, n, video.width, video.height,
+                              lambda roi, rows, cols: video.flow_at(frames[roi], rows, cols))
+        print(f"  {n}x{n} lattice -> {pooled.shape[0]} frames x {pooled.shape[1]} "
+              f"features, frame {t} mean {pooled[i].mean():+.3f}")
 
-    # pooling the same roi twice is bit-identical; the features are pure
-    a = roi_pool(grid, roi, 3).values
-    b = roi_pool(grid, roi, 3).values
-    print(f"pooling is deterministic: {np.array_equal(a, b)}")
+    # a frame's row equals pooling that frame's whole grid, bit for bit
+    whole = roi_pool(grid, BoundingBox(*rois[i]), 3).values
+    print(f"run pass equals whole-grid pooling: {np.array_equal(pooled[i], whole)}")
 
 
 if __name__ == "__main__":

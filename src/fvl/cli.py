@@ -219,10 +219,9 @@ def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
                 raise DataFormatError(
                     f"{path}: sample {i} has a tau={sample.tau}, delta="
                     f"{sample.delta} window, not tau={tau}, delta={delta}")
-            wrong = [f.n for f in sample.flow if n is not None and f.n != n]
-            if wrong:
+            if n is not None and sample.flow[0].n != n:
                 raise DataFormatError(
-                    f"{path}: sample {i} has an n={wrong[0]} flow lattice, "
+                    f"{path}: sample {i} has an n={sample.flow[0].n} flow lattice, "
                     f"not n={n}")
         return samples
     dirs = _video_dirs(path)

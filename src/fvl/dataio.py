@@ -6,11 +6,14 @@ a flat ground plane with a forward-facing pinhole camera, plus box-shaped
 actor vehicles, and emits exactly the observables the forecaster trains
 on: per-frame 2D bounding boxes, dense optical flow, and an ego-motion
 log.  Everything is closed-form, so tests can recompute any quantity
-independently, and flow is rendered only at the pixels asked for: a
-pooled ROI renders the at most 4 n^2 pixels its lattice reads.  A video
-directory therefore stores its scenario rather than any flow.  Each
-actor's boxes come from one array pass over all frames, which rounds
-every value as a frame-by-frame scalar projection would.
+independently, and flow is rendered only at the pixels asked for, each
+in its own frame: a pooled ROI renders the at most 4 n^2 pixels its
+lattice reads, and windowing pools every past frame of a track's run in
+one request.  A video directory therefore stores its scenario rather
+than any flow.  Each actor's boxes come from one array pass over all
+frames, which rounds every value as a frame-by-frame scalar projection
+would, and each run is pooled in one array pass, which rounds every
+value as pooling frame by frame would.
 
 Geometry conventions:
   - Ground-plane frames use (x, z) with x along the heading and z to the
@@ -26,11 +29,12 @@ Geometry conventions:
 
 Flow painting policy: pixels within an actor's box, padded by one pixel,
 carry the actor's box-center displacement (nearest actor wins where
-boxes overlap); every other pixel below the horizon carries the
-reprojected displacement of the static ground point it images; pixels at
-or above the horizon carry zero.  The one-pixel pad guarantees that
-bilinear samples taken anywhere inside the box read the displacement
-exactly, including samples within a pixel of the box edge.  Ground flow
+boxes overlap, and at equal depth the later track); every other pixel
+below the horizon carries the reprojected displacement of the static
+ground point it images; pixels at or above the horizon carry zero.  The
+one-pixel pad guarantees that bilinear samples taken anywhere inside the
+box read the displacement exactly, including samples within a pixel of
+the box edge.  Ground flow
 is computed only for the pixels below the horizon; the others keep the
 zeros they start with.  Each pixel's value is the same whichever other
 pixels are rendered with it.
@@ -43,6 +47,7 @@ import math
 import os
 import shutil
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +102,7 @@ class Sample:
     [cx, cy, w, h] per frame; `ego` [delta x 3] is the pose [yaw, x, z] of
     each future frame in the anchor frame (see `egomotion.compose`).  All
     three are read-only float64 copies of what was passed in.  `flow`
-    holds one PooledFlow per past frame.
+    holds one PooledFlow per past frame, all on one lattice.
     """
 
     track: int
@@ -132,6 +137,15 @@ class Sample:
             raise ValidationError(
                 f"sample has {len(self.past)} past boxes but "
                 f"{len(self.flow)} flow vectors")
+        strays = [f for f in self.flow if not isinstance(f, PooledFlow)]
+        if strays:
+            raise ValidationError(f"sample flow entries must be PooledFlow, "
+                                  f"got {type(strays[0]).__name__}")
+        lattices = sorted({f.n for f in self.flow})
+        if len(lattices) > 1:
+            raise ValidationError(
+                f"sample flow entries must share one lattice, got n="
+                f"{', '.join(map(str, lattices))}")
         if len(self.ego) != len(self.future):
             raise ValidationError(
                 f"sample has {len(self.future)} future boxes but "
@@ -246,9 +260,9 @@ class _FlowSource:
     """Flow access shared by generated and loaded videos.
 
     Subclasses supply `width`, `height` and `flow_at(t, rows, cols)`, the
-    float64 flow of frame t at the pixels (rows[i], cols[i]) as a
-    [len(rows) x 2] array; full grids and pooled ROIs are both built
-    from it.
+    float64 flow at the pixels (rows[i], cols[i]) as a [len(rows) x 2]
+    array, of frame t or, when t is an array, of frame t[i]; full grids
+    and pooled ROIs are both built from it.
     """
 
     def flow_grid(self, t: int) -> FlowGrid:
@@ -265,9 +279,11 @@ class _FlowSource:
                         data=flat.reshape(self.height, self.width, 2))
 
     def pooled_flow(self, t: int, roi: BoundingBox, n: int) -> PooledFlow:
-        """ROI-pool frame t's flow from only the pixels the lattice reads."""
-        return lattice_pool(roi, n, self.width, self.height,
-                            lambda rows, cols: self.flow_at(t, rows, cols))
+        """ROI-pool frame t's flow from only the pixels the lattice reads;
+        `windows_from_video` pools a whole run of frames in one pass."""
+        values = lattice_pool(roi.as_array()[None], n, self.width, self.height,
+                              lambda _, rows, cols: self.flow_at(t, rows, cols))
+        return PooledFlow(values=values[0], n=n)
 
 
 class VideoData(_FlowSource):
@@ -293,47 +309,72 @@ class VideoData(_FlowSource):
         self._positions = ego_positions
         self._depths = actor_depths
 
-    def flow_at(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Frame t's flow at the pixels (rows[i], cols[i]), [len(rows) x 2].
+    def flow_at(self, t, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The flow at the pixels (rows[i], cols[i]), [len(rows) x 2], of
+        frame t, or of frame t[i] when t holds one frame index per pixel.
 
         Every pixel goes through the same operations whichever others are
-        asked for with it.  Non-finite flow, which only an extreme camera
-        can produce, raises ValidationError.
+        asked for with it, in whatever frames.  A frame index out of range
+        raises ValidationError, and so does non-finite flow, which only an
+        extreme camera can produce.
         """
-        if not 0 <= t < self.frames:
-            raise ValidationError(
-                f"frame {t} out of range for a {self.frames}-frame video")
+        frames = np.asarray(t)
+        bad = (frames < 0) | (frames >= self.frames)
+        if bad.any():
+            raise ValidationError(f"frame {frames[bad][0]} out of range for a "
+                                  f"{self.frames}-frame video")
+        frames = np.broadcast_to(frames, np.shape(rows))
         out = np.zeros((len(rows), 2))
-        if t == 0 or not len(rows):
-            return out
         cam = self.scenario.camera
         dv = rows + 0.5 - cam.ppy
-        ground = dv > HORIZON_MARGIN_PX
-        now, prev = [(self._rotations[f], self._positions[f]) for f in (t, t - 1)]
-        out[ground] = _ground_flow(cam, now, prev, cols[ground] + 0.5 - cam.ppx,
-                                   dv[ground])
-        self._paint_actors(t, rows, cols, out)
+        # frame 0 carries zero flow
+        ground = (dv > HORIZON_MARGIN_PX) & (frames > 0)
+        now = frames[ground]
+        out[ground] = _ground_flow(cam, (self._rotations[now], self._positions[now]),
+                                   (self._rotations[now - 1], self._positions[now - 1]),
+                                   cols[ground] + 0.5 - cam.ppx, dv[ground])
+        self._paint_actors(frames, rows, cols, out)
         if not np.all(np.isfinite(out)):
             raise ValidationError("flow data contains non-finite values")
         return out
 
-    def _paint_actors(self, t, rows, cols, out) -> None:
-        # far to near, so the nearest actor wins overlaps
-        order = sorted((track for track, frames in self.tracks.items()
-                        if t in frames),
-                       key=lambda track: -self._depths[track][t])
-        for track in order:
-            box = self.tracks[track][t]
-            previous = self.tracks[track].get(t - 1)
-            if previous is None:
-                disp = (0.0, 0.0)
-            else:
-                disp = (box.cx - previous.cx, box.cy - previous.cy)
-            x0, y0, x1, y1 = box.corners()
-            out[(cols >= math.ceil(x0 - PAINT_PAD_PX - 0.5))
-                & (cols <= math.floor(x1 + PAINT_PAD_PX - 0.5))
-                & (rows >= math.ceil(y0 - PAINT_PAD_PX - 0.5))
-                & (rows <= math.floor(y1 + PAINT_PAD_PX - 0.5))] = disp
+    @cached_property
+    def _paint_table(self) -> list:
+        """Per track, in track order: the padded pixel bounds [col_lo,
+        col_hi, row_lo, row_hi] of its box in each frame, an empty range
+        where it has none, [frames x 4]; its box-center displacement from
+        the frame before, zero where it had no box then, [frames x 2]; and
+        its depth in each frame."""
+        table = []
+        for track, boxes in self.tracks.items():
+            frames = np.array(list(boxes))
+            cx, cy, w, h = np.array([(b.cx, b.cy, b.w, b.h)
+                                     for b in boxes.values()]).T
+            half_w, half_h = w / 2.0, h / 2.0
+            bounds = np.tile([np.inf, -np.inf, np.inf, -np.inf], (self.frames, 1))
+            bounds[frames] = np.column_stack([
+                np.ceil(cx - half_w - PAINT_PAD_PX - 0.5),
+                np.floor(cx + half_w + PAINT_PAD_PX - 0.5),
+                np.ceil(cy - half_h - PAINT_PAD_PX - 0.5),
+                np.floor(cy + half_h + PAINT_PAD_PX - 0.5)])
+            centers = np.full((self.frames, 2), np.nan)
+            centers[frames] = np.column_stack([cx, cy])
+            step = np.diff(centers, axis=0)
+            disp = np.vstack([np.zeros((1, 2)), np.where(np.isnan(step), 0.0, step)])
+            table.append((bounds, disp, self._depths[track]))
+        return table
+
+    def _paint_actors(self, frames, rows, cols, out) -> None:
+        # the nearest actor wins overlaps, and at equal depth the later
+        # track, as painting far to near in a stable sort would
+        nearest = np.full(len(rows), np.inf)
+        for bounds, disp, depths in self._paint_table:
+            col_lo, col_hi, row_lo, row_hi = bounds[frames].T
+            depth = depths[frames]
+            hit = ((cols >= col_lo) & (cols <= col_hi) & (rows >= row_lo)
+                   & (rows <= row_hi) & (depth <= nearest))
+            nearest[hit] = depth[hit]
+            out[hit] = disp[frames[hit]]
 
 
 def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
@@ -342,8 +383,9 @@ def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
     offsets (du[i], dv[i]), dv > 0, from pose `prev` to pose `now` (each
     a (rotation, position) pair).
 
-    Works in place on a few point-sized arrays; `r * (-x)` is written as
-    `(-r) * x`, which rounds identically.
+    Each rotation [.. x 2 x 2] and position [.. x 2] is one pose or one
+    per point.  Works in place on a few point-sized arrays; `r * (-x)` is
+    written as `(-r) * x`, which rounds identically.
     """
     depth = camera.focal * camera.cam_height / dv
     x_cam = du * depth
@@ -351,25 +393,25 @@ def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
     # ground point (d_fwd, d_left) = (depth, -x_cam) in the `now` ego
     # frame, then in the world frame
     rot_now, pos_now = now
-    gx = x_cam * -rot_now[0, 1]
-    gx += pos_now[0] + rot_now[0, 0] * depth
-    gz = x_cam * -rot_now[1, 1]
-    gz += pos_now[1] + rot_now[1, 0] * depth
+    gx = x_cam * -rot_now[..., 0, 1]
+    gx += pos_now[..., 0] + rot_now[..., 0, 0] * depth
+    gz = x_cam * -rot_now[..., 1, 1]
+    gz += pos_now[..., 1] + rot_now[..., 1, 0] * depth
 
     # Reproject that world point through both poses with the same
     # expression chain.  When the two poses are bit-identical (a parked
     # ego) the projections cancel exactly and the flow is a true zero,
     # not rounding noise.
     def reproject(rot, pos):
-        rx = gx - pos[0]
-        rz = gz - pos[1]
-        fwd = rx * rot[0, 0]
-        fwd += rz * rot[1, 0]
+        rx = gx - pos[..., 0]
+        rz = gz - pos[..., 1]
+        fwd = rx * rot[..., 0, 0]
+        fwd += rz * rot[..., 1, 0]
         ahead = fwd > NEAR_PLANE_M
         np.copyto(fwd, 1.0, where=~ahead)
         # rx becomes u_px = (-focal) * left / fwd + ppx, rz becomes v_px
-        rx *= rot[0, 1]
-        rx += rz * rot[1, 1]
+        rx *= rot[..., 0, 1]
+        rx += rz * rot[..., 1, 1]
         rx *= -camera.focal
         rx /= fwd
         rx += camera.ppx
@@ -481,11 +523,14 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
     """All samples from a video plus the number of skipped short runs.
 
     `video` is a VideoData or LoadedVideo: anything with tracks, dims,
-    a pooled_flow(frame, roi, n) method and ego_steps, the [frames-1 x 3]
-    step rows [yaw, x, z], one per frame transition.  A (tau, delta)
-    window slides over each run of consecutive frames of a track; runs
-    shorter than tau + delta are skipped.  Flow for each past frame is
-    pooled over that frame's box expanded by `expand`, and a sample's ego
+    a flow_at(frames, rows, cols) method that takes one frame index per
+    pixel, and ego_steps, the [frames-1 x 3] step rows [yaw, x, z], one
+    per frame transition.  A (tau, delta) window slides over each run of
+    consecutive frames of a track; runs shorter than tau + delta are
+    skipped.  Flow for each past frame is pooled over that frame's box
+    expanded by `expand`: a run's boxes are expanded as one [k x 4] array
+    and all its frames pooled in one `lattice_pool` pass, which asks
+    `flow_at` once for every lattice pixel of the run.  A sample's ego
     rows compose the delta step rows that follow its anchor frame.
     """
     if tau < 1 or delta < 1:
@@ -498,12 +543,15 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
             if len(run) < tau + delta:
                 skipped += 1
                 continue
-            run_boxes = [boxes_by_frame[t] for t in run]
-            boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in run_boxes])
+            boxes = np.array([(b.cx, b.cy, b.w, b.h)
+                              for b in map(boxes_by_frame.get, run)])
             # the last delta frames of a run are in no window's past
-            flows = [video.pooled_flow(t, expand_roi(box, expand, video.width,
-                                                     video.height), n)
-                     for t, box in zip(run[:-delta], run_boxes)]
+            past = np.array(run[:-delta])
+            pooled = lattice_pool(
+                expand_roi(boxes[:-delta], expand, video.width, video.height),
+                n, video.width, video.height,
+                lambda roi, rows, cols: video.flow_at(past[roi], rows, cols))
+            flows = [PooledFlow(values=values, n=n) for values in pooled]
             for start in range(len(run) - tau - delta + 1):
                 anchor = run[start + tau - 1]
                 samples.append(Sample(
@@ -721,11 +769,18 @@ class LoadedVideo(_FlowSource):
         self.tracks = tracks
         self._rendered = rendered
 
-    def flow_at(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def flow_at(self, t, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """As `VideoData.flow_at`; from `.ffgr` grids, each frame's file is
+        read once per call."""
         if self._rendered is not None:
             return self._rendered.flow_at(t, rows, cols)
-        return read_flow_pixels(self.path / "flow" / f"{t:06d}.ffgr", (rows, cols),
-                                self.width, self.height)
+        frames = np.broadcast_to(t, np.shape(rows))
+        out = np.empty((len(rows), 2))
+        for frame in np.unique(frames).tolist():
+            at = frames == frame
+            out[at] = read_flow_pixels(self.path / "flow" / f"{frame:06d}.ffgr",
+                                       (rows[at], cols[at]), self.width, self.height)
+        return out
 
 
 def _render_scenario(path: Path, meta: dict, ego_steps, tracks) -> VideoData:

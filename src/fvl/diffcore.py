@@ -148,26 +148,36 @@ class Tape:
 
     def __init__(self):
         self._leaves: list[DiffArray] = []
-        # every leaf's value and adjoint, flat, in registration order
-        self.values = np.zeros(0)
-        self.grads = np.zeros(0)
+        # every leaf's value and adjoint, flat, in registration order: the
+        # used front of two buffers that double when a leaf overflows them
+        self._buffers = (np.zeros(0), np.zeros(0))
+        self.values, self.grads = self._buffers
         # (node, backward) per recorded primitive, in forward order
         self._ops: list[tuple[DiffArray, object]] = []
         self.recording = True
 
     def leaf(self, value, name: str | None = None) -> DiffArray:
         """Register a persistent differentiable array (a parameter): append
-        it to the flat buffers and re-point every leaf at the grown ones."""
+        it to the flat buffers, first doubling them if it does not fit and
+        re-pointing every earlier leaf at the grown ones, so k leaves copy
+        the arena O(log k) times."""
         node = DiffArray(np.asarray(value, dtype=np.float64), self, name=name)
+        start = self.values.size
+        end = start + node.value.size
+        relink, offset = [node], start
+        if end > self._buffers[0].size:
+            capacity = max(end, 2 * self._buffers[0].size)
+            self._buffers = tuple(np.concatenate([used, np.zeros(capacity - start)])
+                                  for used in (self.values, self.grads))
+            relink, offset = self._leaves + relink, 0
+        self._buffers[0][start:end] = node.value.reshape(-1)
+        self.values, self.grads = (buffer[:end] for buffer in self._buffers)
         self._leaves.append(node)
-        self.values = np.concatenate([self.values, node.value.reshape(-1)])
-        self.grads = np.concatenate([self.grads, node.grad.reshape(-1)])
-        start = 0
-        for p in self._leaves:
-            end = start + p.value.size
-            p.value = self.values[start:end].reshape(p.shape)
-            p.grad = self.grads[start:end].reshape(p.shape)
-            start = end
+        for p in relink:
+            stop = offset + p.value.size
+            p.value = self.values[offset:stop].reshape(p.shape)
+            p.grad = self.grads[offset:stop].reshape(p.shape)
+            offset = stop
         return node
 
     @property

@@ -4,8 +4,12 @@ A :class:`FlowGrid` stores one (u, v) displacement per pixel.  The
 forecaster does not consume the full grid; it consumes a fixed-length
 summary produced by :func:`lattice_pool`: bilinear samples on an n x n
 lattice inside a (usually expanded) region of interest, flattened to the
-interleaved vector [u_1, v_1, ..., u_{n*n}, v_{n*n}].  The lattice reads
-at most 4 n^2 pixels, so a flow source need only supply those.
+interleaved vector [u_1, v_1, ..., u_{n*n}, v_{n*n}].  Like ROIAlign, it
+pools a batch of ROIs, one [cx, cy, w, h] row each, in one array pass
+that asks the flow source once for the at most 4 n^2 pixels each
+lattice reads, so a source need only supply those; :func:`expand_roi`
+grows and clips such a batch.  `roi_pool` pools one ROI of a whole
+grid.
 
 Conventions, fixed here so any reimplementation agrees bit-for-bit:
 pixel (i, j) has its center at continuous coordinate (i + 0.5, j + 0.5);
@@ -86,69 +90,83 @@ class PooledFlow:
             raise ValidationError("pooled flow values must be finite")
 
 
-def expand_roi(box: BoundingBox, factor: float, image_width: float,
-               image_height: float) -> BoundingBox:
-    """Grow a box about its center, then clip the corners to the image.
+def expand_roi(boxes, factor: float, image_width: float,
+               image_height: float) -> np.ndarray:
+    """Grow each [cx, cy, w, h] row of `boxes` [k x 4] about its center,
+    then clip its corners to the image; returns the [k x 4] rows left.
 
-    The result keeps whatever extent survives clipping; a box that ends
-    up with no area inside the image is rejected.
+    A row keeps whatever extent survives clipping; a box that ends up
+    with no area inside the image is rejected.
     """
     if not (math.isfinite(factor) and factor >= 1.0):
         raise ValidationError(
             f"expansion factor must be finite and >= 1, got {factor}")
-    half_w = box.w * factor / 2.0
-    half_h = box.h * factor / 2.0
-    x0 = max(box.cx - half_w, 0.0)
-    y0 = max(box.cy - half_h, 0.0)
-    x1 = min(box.cx + half_w, float(image_width))
-    y1 = min(box.cy + half_h, float(image_height))
-    if x1 <= x0 or y1 <= y0:
+    boxes = np.asarray(boxes, dtype=np.float64)
+    cx, cy, w, h = boxes.T
+    half_w = w * factor / 2.0
+    half_h = h * factor / 2.0
+    x0 = np.maximum(cx - half_w, 0.0)
+    y0 = np.maximum(cy - half_h, 0.0)
+    x1 = np.minimum(cx + half_w, float(image_width))
+    y1 = np.minimum(cy + half_h, float(image_height))
+    outside = np.flatnonzero((x1 <= x0) | (y1 <= y0))
+    if outside.size:
         raise ValidationError(
-            f"box {box} expanded by {factor} lies outside the "
-            f"{image_width}x{image_height} image")
-    return BoundingBox.from_corners(x0, y0, x1, y1)
+            f"box {BoundingBox(*boxes[outside[0]].tolist())} expanded by {factor} "
+            f"lies outside the {image_width}x{image_height} image")
+    return np.column_stack([(x0 + x1) / 2.0, (y0 + y1) / 2.0, x1 - x0, y1 - y0])
 
 
-def lattice_pool(roi: BoundingBox, n: int, width: int, height: int,
-                 gather) -> PooledFlow:
+def lattice_pool(rois, n: int, width: int, height: int, gather) -> np.ndarray:
     """Bilinearly sample a width x height flow field on an n x n lattice
-    inside the ROI, border-clamped.
+    inside each [cx, cy, w, h] row of `rois` [k x 4], border-clamped;
+    returns one interleaved row per ROI, [k x 2 n^2].
 
-    `gather(rows, cols)` returns the [len(rows) x 2] flow at those pixel
-    indices.  It is asked once, for the four neighbours of every sample,
-    so a source renders or reads at most 4 n^2 pixels of the frame.
+    `gather(roi, rows, cols)` returns the [len(rows) x 2] flow at pixel
+    (rows[i], cols[i]) of the field that ROI roi[i] reads.  It is asked
+    once, for the four neighbours of every sample of every ROI, so a
+    source renders or reads at most 4 n^2 pixels per ROI.
     """
     if n < 1:
         raise ValidationError(f"pooling lattice size must be >= 1, got {n}")
-    x0, y0, x1, y1 = roi.corners()
-    if x1 <= x0 or y1 <= y0:
-        raise ValidationError(f"cannot pool an empty ROI: {roi}")
+    rois = np.asarray(rois, dtype=np.float64)
+    cx, cy, w, h = rois.T
+    half_w, half_h = w / 2.0, h / 2.0
+    x0, y0, x1, y1 = cx - half_w, cy - half_h, cx + half_w, cy + half_h
+    empty = np.flatnonzero(~((x1 > x0) & (y1 > y0)))
+    if empty.size:
+        raise ValidationError(
+            f"cannot pool an empty ROI: [cx, cy, w, h] = {rois[empty[0]].tolist()}")
+    # sample (a, b) of ROI i sits at column x[i, b] and row y[i, a]
     offsets = (np.arange(n) + 0.5) / n
-    grid_x, grid_y = np.meshgrid(x0 + offsets * (x1 - x0), y0 + offsets * (y1 - y0))
-    gx = grid_x.ravel() - 0.5
-    gy = grid_y.ravel() - 0.5
+    gx = x0[:, None] + offsets * (x1 - x0)[:, None] - 0.5
+    gy = y0[:, None] + offsets * (y1 - y0)[:, None] - 0.5
     left = np.floor(gx)
     top = np.floor(gy)
-    fx = (gx - left)[:, None]
-    fy = (gy - top)[:, None]
+    fx = (gx - left)[:, None, :, None]
+    fy = (gy - top)[:, :, None, None]
     c0 = np.clip(left, 0, width - 1).astype(int)
     c1 = np.clip(left + 1, 0, width - 1).astype(int)
     r0 = np.clip(top, 0, height - 1).astype(int)
     r1 = np.clip(top + 1, 0, height - 1).astype(int)
-    # top-left, top-right, bottom-left, bottom-right neighbours
-    near = gather(np.concatenate([r0, r0, r1, r1]),
-                  np.concatenate([c0, c1, c0, c1])).reshape(4, -1, 2)
+    # top-left, top-right, bottom-left, bottom-right neighbours, [4 x k x n x n]
+    shape = (4, len(rois), n, n)
+    rows = np.broadcast_to(np.stack([r0, r0, r1, r1])[..., None], shape)
+    cols = np.broadcast_to(np.stack([c0, c1, c0, c1])[:, :, None], shape)
+    roi = np.broadcast_to(np.arange(len(rois))[:, None, None], shape)
+    near = gather(roi.ravel(), rows.ravel(), cols.ravel()).reshape(*shape, 2)
     upper = near[0] * (1.0 - fx) + near[1] * fx
     lower = near[2] * (1.0 - fx) + near[3] * fx
-    # [n*n x 2] rows of (u, v) ravel into the interleaved vector
-    return PooledFlow(values=(upper * (1.0 - fy) + lower * fy).ravel(), n=n)
+    # each ROI's [n x n x 2] samples of (u, v) ravel into its interleaved row
+    return (upper * (1.0 - fy) + lower * fy).reshape(len(rois), -1)
 
 
 def roi_pool(grid: FlowGrid, roi: BoundingBox, n: int) -> PooledFlow:
-    """Bilinearly sample a whole grid on an n x n lattice inside the ROI;
-    see `lattice_pool`, which pools a frame without materializing it."""
-    return lattice_pool(roi, n, grid.width, grid.height,
-                        lambda rows, cols: grid.data[rows, cols])
+    """Bilinearly sample a whole grid on an n x n lattice inside one ROI;
+    see `lattice_pool`, which pools without materializing a grid."""
+    values = lattice_pool(roi.as_array()[None], n, grid.width, grid.height,
+                          lambda _, rows, cols: grid.data[rows, cols])
+    return PooledFlow(values=values[0], n=n)
 
 
 # Flow grid files: magic "FFGR", u32 width, u32 height, then (u, v) as

@@ -296,12 +296,11 @@ def _prepare(config: ModelConfig, samples) -> dict:
             raise ValidationError(
                 f"sample {i}: window ({sample.tau}, {sample.delta}) does not "
                 f"match config ({config.tau}, {config.delta})")
-        if config.uses_flow:
-            for f in sample.flow:
-                if f.values.size != config.pooled_dim:
-                    raise ValidationError(
-                        f"sample {i}: pooled flow is {f.values.size} wide, "
-                        f"config expects {config.pooled_dim} (lattice mismatch?)")
+        # a sample's flow shares one lattice, so its first frame speaks for all
+        if config.uses_flow and sample.flow[0].values.size != config.pooled_dim:
+            raise ValidationError(
+                f"sample {i}: pooled flow is {sample.flow[0].values.size} wide, "
+                f"config expects {config.pooled_dim} (lattice mismatch?)")
     # [B x 4] rows (w, h, w, h) and their [B x 1 x 4] reciprocals
     scales = np.array([(s.width, s.height) * 2 for s in samples], dtype=np.float64)
     inverse = (1.0 / scales)[:, None, :]

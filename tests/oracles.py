@@ -256,6 +256,77 @@ def two_plane_pool(grid, roi, n):
     return values
 
 
+# --- per-frame windowing --------------------------------------------------------
+#
+# Windowing pooled one frame per call, one BoundingBox at a time, before
+# it expanded and pooled each run's frames in one array pass; that loop is
+# kept here as the oracle the run-level pass must equal bit for bit.
+
+
+def expand_box(box, factor, image_width, image_height):
+    """One BoundingBox grown about its center and clipped to the image."""
+    if not (math.isfinite(factor) and factor >= 1.0):
+        raise ValidationError(
+            f"expansion factor must be finite and >= 1, got {factor}")
+    half_w = box.w * factor / 2.0
+    half_h = box.h * factor / 2.0
+    x0 = max(box.cx - half_w, 0.0)
+    y0 = max(box.cy - half_h, 0.0)
+    x1 = min(box.cx + half_w, float(image_width))
+    y1 = min(box.cy + half_h, float(image_height))
+    if x1 <= x0 or y1 <= y0:
+        raise ValidationError(
+            f"box {box} expanded by {factor} lies outside the "
+            f"{image_width}x{image_height} image")
+    return BoundingBox.from_corners(x0, y0, x1, y1)
+
+
+def pool_frame(roi, n, width, height, gather):
+    """One ROI's n x n lattice, interleaved [2 n^2], from `gather(rows,
+    cols)`, which is asked once for the four neighbours of every sample."""
+    x0, y0, x1, y1 = roi.corners()
+    offsets = (np.arange(n) + 0.5) / n
+    grid_x, grid_y = np.meshgrid(x0 + offsets * (x1 - x0), y0 + offsets * (y1 - y0))
+    gx = grid_x.ravel() - 0.5
+    gy = grid_y.ravel() - 0.5
+    left = np.floor(gx)
+    top = np.floor(gy)
+    fx = (gx - left)[:, None]
+    fy = (gy - top)[:, None]
+    c0 = np.clip(left, 0, width - 1).astype(int)
+    c1 = np.clip(left + 1, 0, width - 1).astype(int)
+    r0 = np.clip(top, 0, height - 1).astype(int)
+    r1 = np.clip(top + 1, 0, height - 1).astype(int)
+    near = gather(np.concatenate([r0, r0, r1, r1]),
+                  np.concatenate([c0, c1, c0, c1])).reshape(4, -1, 2)
+    upper = near[0] * (1.0 - fx) + near[1] * fx
+    lower = near[2] * (1.0 - fx) + near[3] * fx
+    return (upper * (1.0 - fy) + lower * fy).ravel()
+
+
+def window_flows(video, tau, delta, expand, n, frame_grid):
+    """The pooled flow of every sample `windows_from_video` makes, pooled
+    one past frame per call from `frame_grid(t)`, that frame's whole
+    [height x width x 2] flow: one [tau x 2 n^2] array per sample, in
+    windowing order."""
+    flows = []
+    for track in sorted(video.tracks):
+        boxes = video.tracks[track]
+        frames = sorted(boxes)
+        cuts = [i for i in range(1, len(frames)) if frames[i] != frames[i - 1] + 1]
+        for a, b in zip([0, *cuts], [*cuts, len(frames)]):
+            run = frames[a:b]
+            pooled = []
+            for t in run[:-delta]:
+                roi = expand_box(boxes[t], expand, video.width, video.height)
+                grid = frame_grid(t)
+                pooled.append(pool_frame(roi, n, video.width, video.height,
+                                         lambda rows, cols: grid[rows, cols]))
+            flows += [np.array(pooled[start:start + tau])
+                      for start in range(len(run) - tau - delta + 1)]
+    return flows
+
+
 # --- the GRU reference chain ---------------------------------------------------
 #
 # The per-step GRU the library ran before its sequence kernels, kept as

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -15,10 +16,11 @@ from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
                         write_scenario_file, write_video_dir)
 from fvl.egomotion import compose, rotation_matrix, wrap_angle, write_ego_log
 from fvl.errors import DataFormatError, ValidationError
-from fvl.flowfeat import FlowGrid, PooledFlow, expand_roi, read_flow_grid, roi_pool
+from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, lattice_pool,
+                          read_flow_grid, roi_pool)
 from fvl.rng import Xoshiro256
 from oracles import background_flow_oracle, ego_poses, project_actor, \
-    project_tracks, rectangle_flow
+    project_tracks, rectangle_flow, window_flows
 
 
 def small_camera() -> CameraSpec:
@@ -122,8 +124,11 @@ def test_background_flow_matches_reprojection_oracle():
     for k, step in enumerate(video.ego_steps):
         positions.append(positions[-1] + rotation_matrix(headings[k]) @ step[1:])
     cam = scenario.camera
-    t = 3
-    for col, row in ((40, 120), (200, 100), (300, 155), (10, 90)):
+    pixels = ((40, 120, 3), (200, 100, 3), (300, 155, 2), (10, 90, 1))
+    # one frame per pixel in one call, and each pixel on its own
+    cols, rows, frames = (np.array(axis) for axis in zip(*pixels))
+    together = video.flow_at(frames, rows, cols)
+    for i, (col, row, t) in enumerate(pixels):
         u, v = col + 0.5, row + 0.5
         depth = cam.focal * cam.cam_height / (v - cam.ppy)
         x_cam = (u - cam.ppx) * depth / cam.focal
@@ -134,6 +139,7 @@ def test_background_flow_matches_reprojection_oracle():
         (du, dv), = video.flow_at(t, np.array([row]), np.array([col]))
         assert abs(du - (u - u_prev)) < 1e-9
         assert abs(dv - (v - v_prev)) < 1e-9
+        assert together[i].tolist() == [du, dv]
 
 
 def pixels_of(ix0, iy0, ix1, iy1):
@@ -172,6 +178,7 @@ def test_background_flow_equals_full_frame_oracle_bit_for_bit(
         ix0, iy0 = int(rng.uniform(0, 320)), int(rng.uniform(0, 160))
         rects.append((ix0, iy0, int(rng.uniform(ix0 + 1, 321)),
                       int(rng.uniform(iy0 + 1, 161))))
+    wants, frames = [], []
     for t in (1, 2, 3):
         # whole frames go in blocks of rows, pixels of a rectangle in one call
         assert_bit_equal(video.flow_grid(t).data, background_flow_oracle(
@@ -181,6 +188,16 @@ def test_background_flow_equals_full_frame_oracle_bit_for_bit(
                                           ix0, iy0, ix1, iy1)
             got = video.flow_at(t, *pixels_of(ix0, iy0, ix1, iy1))
             assert_bit_equal(got.reshape(want.shape), want)
+            wants.append(want.reshape(-1, 2))
+            frames.append(np.full(len(wants[-1]), t))
+    # and every rectangle of every frame, frame 0 too, in one call
+    rows, cols = (np.concatenate(axis) for axis in zip(
+        *[pixels_of(*rect) for _ in (1, 2, 3) for rect in rects]))
+    frames = np.concatenate(frames)
+    frames[::7] = 0
+    want = np.concatenate(wants)
+    want[::7] = 0.0
+    assert_bit_equal(video.flow_at(frames, rows, cols), want)
     # the bottom row is ground: it moves at frame 1 and is masked at frame 2
     bottom = [video.flow_grid(t).data[-1] for t in (1, 2)]
     assert np.all(bottom[0][:, 1] != 0.0) == (ppy < 160)
@@ -225,18 +242,24 @@ def test_patch_pooling_matches_full_grid():
             grid = FlowGrid(width=320, height=160,
                             data=rectangle_flow(video, t, 0, 0, 320, 160))
             assert_bit_equal(video.flow_grid(t).data, grid.data)
-            rois = [expand_roi(frames[t], expand, 320, 160)
-                    for frames in video.tracks.values() if t in frames
-                    for expand in (1.0, 1.5, 4.0)]
+            boxes = np.array([frames[t].as_array()
+                              for frames in video.tracks.values() if t in frames])
+            rois = [BoundingBox(*roi) for expand in (1.0, 1.5, 4.0)
+                    for roi in expand_roi(boxes.reshape(-1, 4), expand, 320, 160)]
             rois += [BoundingBox(cx=rng.uniform(-10.0, 330.0), cy=rng.uniform(60.0, 100.0),
                                  w=rng.uniform(1.0, 60.0), h=rng.uniform(1.0, 60.0))
                      for _ in range(6)]
             rois += [BoundingBox(cx=0.3, cy=159.9, w=5.0, h=3.0),
                      BoundingBox(cx=320.0, cy=0.0, w=40.0, h=30.0)]
-            for roi in rois:
-                for n in (1, 3, 5):
-                    lazy = video.pooled_flow(t, roi, n).values
-                    assert_bit_equal(lazy, roi_pool(grid, roi, n).values)
+            for n in (1, 3, 5):
+                # every ROI of the frame in one pass, and each on its own
+                batch = lattice_pool(np.array([roi.as_array() for roi in rois]), n,
+                                     320, 160, lambda _, rows, cols:
+                                     video.flow_at(t, rows, cols))
+                for roi, values in zip(rois, batch):
+                    want = roi_pool(grid, roi, n).values
+                    assert_bit_equal(values, want)
+                    assert_bit_equal(video.pooled_flow(t, roi, n).values, want)
 
 
 def test_nearest_actor_wins_overlap():
@@ -258,6 +281,33 @@ def test_nearest_actor_wins_overlap():
     (du, dv), = video.flow_at(t, np.array([int(py)]), np.array([int(px)]))
     assert du == crosser[t].cx - crosser[t - 1].cx
     assert dv == crosser[t].cy - crosser[t - 1].cy
+    # asked along with the same pixel in every other frame
+    frames = np.arange(8)
+    together = video.flow_at(frames, np.full(8, int(py)), np.full(8, int(px)))
+    assert together[t].tolist() == [du, dv]
+    for f in frames.tolist():
+        assert_bit_equal(together[f], rectangle_flow(video, f, int(px), int(py),
+                                                     int(px) + 1, int(py) + 1)[0, 0])
+
+
+def test_equal_depth_overlap_goes_to_the_later_track():
+    # two parked cars side by side, overlapping on screen, at one depth in
+    # every frame, whose boxes drift apart as the ego drives up
+    cars = tuple(ActorSpec(x=15.0, z=z, heading=0.0, speed=0.0) for z in (0.3, -0.3))
+    video = generate_scenario(Scenario(frames=6, camera=small_camera(), ego_speeds=0.5,
+                                       actors=cars, width=320, height=160))
+    assert np.array_equal(video._depths[0], video._depths[1])
+    left, right = video.tracks[0], video.tracks[1]
+    frames = np.arange(1, 6)
+    # the middle of both boxes, where they overlap
+    cols = np.array([int((left[t].cx + right[t].cx) / 2) for t in frames.tolist()])
+    rows = np.array([int(left[t].cy) for t in frames.tolist()])
+    flow = video.flow_at(frames, rows, cols)
+    for (du, dv), t in zip(flow, frames.tolist()):
+        assert du == right[t].cx - right[t - 1].cx != left[t].cx - left[t - 1].cx
+        assert dv == right[t].cy - right[t - 1].cy
+    for t in frames.tolist():
+        assert_bit_equal(video.flow_grid(t).data, rectangle_flow(video, t, 0, 0, 320, 160))
 
 
 def test_first_visible_frame_paints_zero_flow():
@@ -272,10 +322,14 @@ def test_first_visible_frame_paints_zero_flow():
     roi = BoundingBox(cx=box.cx, cy=box.cy, w=2.0, h=2.0)
     pooled = video.pooled_flow(first, roi, 2)
     assert np.array_equal(pooled.values, np.zeros(8))
+    assert not np.any(np.signbit(pooled.values))
     # the background well away from the newcomer is still sweeping past
     assert video.flow_at(first, np.array([150]), np.array([160]))[0, 1] > 0.0
-    with pytest.raises(ValidationError, match="frame"):
-        video.flow_at(10, *pixels_of(0, 0, 4, 4))
+    for t, named in ((10, 10), (-1, -1), (np.array([3, 10, 0, 12] * 4), 10),
+                     (np.array([9] * 15 + [-2]), -2)):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"frame {named} out of range for a 10-frame video")):
+            video.flow_at(t, *pixels_of(0, 0, 4, 4))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -286,8 +340,14 @@ def test_non_finite_rendered_flow_is_rejected():
     video = generate_scenario(Scenario(frames=3, camera=camera, ego_speeds=0.5,
                                        ego_yaw_rates=0.1, width=320, height=160))
     roi = BoundingBox(cx=160.0, cy=150.0, w=20.0, h=10.0)
-    for flow in (lambda: video.pooled_flow(2, roi, 3), lambda: video.flow_grid(2)):
-        with pytest.raises(ValidationError, match="non-finite"):
+    frames = np.array([1, 2, 2])
+
+    def run():  # one lattice pass over three frames
+        return lattice_pool(np.tile(roi.as_array(), (3, 1)), 3, 320, 160,
+                            lambda i, rows, cols: video.flow_at(frames[i], rows, cols))
+
+    for flow in (lambda: video.pooled_flow(2, roi, 3), lambda: video.flow_grid(2), run):
+        with pytest.raises(ValidationError, match="flow data contains non-finite values"):
             flow()
     assert not np.any(video.pooled_flow(2, BoundingBox(cx=160.0, cy=20.0, w=20.0,
                                                        h=10.0), 3).values)
@@ -408,24 +468,125 @@ def test_window_counts_match_track_length():
 
 def test_window_contents_align_with_source_video(monkeypatch):
     video = generate_scenario(moving_scenario())
-    pooled, pool = [], dataio.VideoData.pooled_flow
-    monkeypatch.setattr(dataio.VideoData, "pooled_flow",
-                        lambda self, t, roi, n: pooled.append(t) or pool(self, t, roi, n))
+    asked, flow_at = [], dataio.VideoData.flow_at
+    monkeypatch.setattr(dataio.VideoData, "flow_at", lambda self, t, rows, cols:
+                        asked.append(np.unique(t).tolist()) or flow_at(self, t, rows, cols))
     samples, skipped = windows_from_video(video, tau=4, delta=3, expand=1.5, n=2)
     assert skipped == 0 and len(samples) == 6
     first = samples[0]
     frames = sorted(video.tracks[first.track])
     assert list(video.tracks) == [first.track]
-    assert pooled == frames[:-3]  # only frames that some window's past holds
+    # one call for the run, with only frames that some window's past holds
+    assert asked == [frames[:-3]]
     assert first.tau == 4 and first.delta == 3
     boxes = [video.tracks[first.track][f].as_array() for f in frames]
     assert np.array_equal(first.past, boxes[:4])
     assert np.array_equal(first.future, boxes[4:7])
     anchor = frames[3]
     assert np.array_equal(first.ego, compose(video.ego_steps[anchor:anchor + 3]))
-    roi = expand_roi(BoundingBox(*first.past[2]), 1.5, video.width, video.height)
-    redone = video.pooled_flow(frames[2], roi, 2)
+    roi, = expand_roi(first.past[2:3], 1.5, video.width, video.height)
+    redone = video.pooled_flow(frames[2], BoundingBox(*roi), 2)
     assert np.array_equal(first.flow[2].values, redone.values)
+
+
+def equal_depth_scenario(frames: int = 14) -> Scenario:
+    """Two parked cars overlapping on screen at one depth, a third that
+    enters at frame 2 and crosses in front of them, and an ego that
+    drives up and turns."""
+    cars = (ActorSpec(x=15.0, z=0.3, heading=0.0, speed=0.0),
+            ActorSpec(x=15.0, z=-0.3, heading=0.0, speed=0.0),
+            ActorSpec(x=11.0, z=12.0, heading=-math.pi / 2.0, speed=1.5))
+    return Scenario(frames=frames, camera=small_camera(),
+                    ego_yaw_rates=[0.0] * 6 + [0.02] * (frames - 7),
+                    ego_speeds=0.3, actors=cars, width=320, height=160)
+
+
+def full_frames(video):
+    """Frame t's whole flow from the rectangle renderer, rendered once."""
+    cache = {}
+
+    def grid(t):
+        if t not in cache:
+            cache[t] = rectangle_flow(video, t, 0, 0, video.width, video.height)
+        return cache[t]
+    return grid
+
+
+def assert_windows_equal_the_oracle(video, frame_grid, expands, lattices):
+    """Every window's pooled flow equals the per-frame oracle's bit for
+    bit; returns how many pooled ROIs the image edge clipped."""
+    clipped = 0
+    for expand in expands:
+        for n in lattices:
+            samples, _ = windows_from_video(video, 3, 2, expand=expand, n=n)
+            want = window_flows(video, 3, 2, expand, n, frame_grid)
+            assert samples and len(samples) == len(want)
+            for sample, flows in zip(samples, want):
+                assert_bit_equal(np.array([f.values for f in sample.flow]), flows)
+                assert {f.n for f in sample.flow} == {n}
+            past = np.concatenate([sample.past for sample in samples])
+            reach = past[:, 2:] * expand / 2.0
+            clipped += np.sum((past[:, :2] - reach < 0.0).any(axis=1)
+                              | (past[:, :2] + reach > [video.width, video.height]).any(axis=1))
+    return clipped
+
+
+@pytest.mark.parametrize("scenario", [
+    rich_scenario(), parked_scenario(), equal_depth_scenario(),
+    random_scenario(4, frames=12, width=320, height=160),
+    random_scenario(18, frames=8),  # 1280x640, three tracks
+], ids=["rich", "parked", "equal_depth", "random_320x160", "random_1280x640"])
+def test_windows_equal_the_per_frame_oracle(scenario):
+    video = generate_scenario(scenario)
+    assert (video.width, video.height) in ((320, 160), (1280, 640))
+    clipped = assert_windows_equal_the_oracle(video, full_frames(video),
+                                              (1.0, 1.5, 2.5), (1, 3, 5))
+    assert clipped
+
+
+def test_external_flow_windows_equal_the_per_frame_oracle(tmp_path, external_flow_dir,
+                                                           monkeypatch):
+    video = generate_scenario(equal_depth_scenario(frames=9))
+    root = external_flow_dir(video, tmp_path / "video")
+    loaded = read_video_dir(root)
+    reads, read = [], dataio.read_flow_pixels
+    monkeypatch.setattr(dataio, "read_flow_pixels", lambda path, *args:
+                        reads.append(path.name) or read(path, *args))
+    clipped = assert_windows_equal_the_oracle(
+        loaded, lambda t: read_flow_grid(root / "flow" / f"{t:06d}.ffgr").data,
+        (1.0, 2.5), (1, 3, 5))
+    assert clipped
+    # each of the six windowings reads each past frame's file once per run
+    runs = [sorted(frames) for frames in video.tracks.values()]
+    per_windowing = sorted(f"{t:06d}.ffgr" for run in runs for t in run[:-2])
+    assert sorted(reads) == sorted(per_windowing * 6)
+
+
+def test_windowing_asks_for_flow_once_per_run(tmp_path, monkeypatch):
+    video = generate_scenario(equal_depth_scenario())
+    write_video_dir(video, tmp_path / "video")
+    loaded = read_video_dir(tmp_path / "video")
+    calls, flow_at = [], dataio.VideoData.flow_at
+    monkeypatch.setattr(dataio.VideoData, "flow_at", lambda self, t, rows, cols:
+                        calls.append(np.unique(t).tolist()) or flow_at(self, t, rows, cols))
+    runs = [sorted(frames) for frames in video.tracks.values()]
+    for source in (video, loaded):
+        for tau, delta in ((3, 2), (5, 5), (1, 1)):
+            calls.clear()
+            samples, skipped = windows_from_video(source, tau, delta, n=3)
+            long_runs = [run for run in runs if len(run) >= tau + delta]
+            assert samples and skipped == len(runs) - len(long_runs)
+            assert calls == [run[:-delta] for run in long_runs]
+
+
+def test_run_level_errors_keep_their_messages():
+    video = generate_scenario(moving_scenario())
+    for factor in (0.5, 0.999, math.inf, math.nan):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"expansion factor must be finite and >= 1, got {factor}")):
+            windows_from_video(video, 4, 3, expand=factor)
+    with pytest.raises(ValidationError, match="pooling lattice size must be >= 1, got 0"):
+        windows_from_video(video, 4, 3, n=0)
 
 
 def test_sample_validation():
@@ -451,6 +612,15 @@ def test_sample_validation():
         sample(past=np.ones((3, 5)), flow=(flow,) * 3)
     with pytest.raises(ValidationError, match="each ego row must hold 3 numbers"):
         sample(ego=np.ones((1, 2)))
+    # every flow entry is a PooledFlow, and all share one lattice
+    wide = PooledFlow(values=np.zeros(8), n=2)
+    with pytest.raises(ValidationError, match="sample flow entries must share one "
+                                              "lattice, got n=1, 2"):
+        sample(past=(box, box), flow=(flow, wide))
+    for stray, kind in (([1.0, 2.0], "list"), ("ab", "str"), (np.zeros(2), "ndarray")):
+        with pytest.raises(ValidationError,
+                           match=f"sample flow entries must be PooledFlow, got {kind}"):
+            sample(past=(box, box), flow=(flow, stray))
     good = sample()
     assert good.past.dtype == np.float64 and good.ego.shape == (1, 3)
     with pytest.raises(ValueError, match="read-only"):
@@ -667,7 +837,8 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
     lines = []
     for track, frames in sorted(video.tracks.items()):
         for t, box in sorted(frames.items()):
-            roi = expand_roi(box, 1.5, video.width, video.height)
+            roi = BoundingBox(*expand_roi([box.as_array()], 1.5, video.width,
+                                          video.height)[0])
             values = roi_pool(read_flow_grid(str(flow_file).format(t)), roi, 2)
             lines.append(json.dumps(
                 {"track": track, "frame": t, "n": 2, "cx": roi.cx, "cy": roi.cy,
@@ -689,8 +860,9 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
                 clipped += (box.cx - 1.25 * box.w < 0.0 or box.cy - 1.25 * box.h < 0.0
                             or box.cx + 1.25 * box.w > video.width
                             or box.cy + 1.25 * box.h > video.height)
-                roi = expand_roi(box, 2.5, video.width, video.height)
-                fresh = roi_pool(read_flow_grid(str(flow_file).format(t)), roi, n)
+                roi, = expand_roi([row], 2.5, video.width, video.height)
+                fresh = roi_pool(read_flow_grid(str(flow_file).format(t)),
+                                 BoundingBox(*roi), n)
                 assert np.array_equal(pooled.values, fresh.values)
     assert clipped
 

@@ -1,3 +1,5 @@
+import math
+import re
 import struct
 
 import numpy as np
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 from fvl.boxes import BoundingBox
 from fvl.dataio import ActorSpec, CameraSpec, Scenario, generate_scenario
 from fvl.errors import DataFormatError, ValidationError
-from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, read_flow_grid,
-                          read_flow_pixels, roi_pool, write_flow_grid)
+from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, lattice_pool,
+                          read_flow_grid, read_flow_pixels, roi_pool,
+                          write_flow_grid)
 from fvl.rng import Xoshiro256
-from oracles import pool_oracle, two_plane_pool
+from oracles import expand_box, pool_frame, pool_oracle, two_plane_pool
 
 
 def random_grid(seed, width=32, height=32):
@@ -28,32 +31,55 @@ def random_roi(rng, width, height):
 
 
 def test_expand_roi_identity_factor():
-    box = BoundingBox(cx=100.0, cy=100.0, w=40.0, h=20.0)
-    assert expand_roi(box, 1.0, 1280, 640) == box
+    boxes = np.array([[100.0, 100.0, 40.0, 20.0], [7.5, 600.25, 3.0, 9.5]])
+    assert np.array_equal(expand_roi(boxes, 1.0, 1280, 640), boxes)
 
 
 def test_expand_roi_pure_scaling():
-    box = BoundingBox(cx=100.0, cy=100.0, w=40.0, h=20.0)
-    assert expand_roi(box, 1.5, 1280, 640) == BoundingBox(100.0, 100.0, 60.0, 30.0)
+    boxes = np.array([[100.0, 100.0, 40.0, 20.0], [640.0, 320.0, 8.0, 2.0]])
+    np.testing.assert_array_equal(expand_roi(boxes, 1.5, 1280, 640),
+                                  [[100.0, 100.0, 60.0, 30.0], [640.0, 320.0, 12.0, 3.0]])
 
 
 def test_expand_roi_clips_scaled_corners_at_image_edge():
     # Scaled corners of the 40-wide box at cx=5 are [-25, 35]; the image
     # keeps [0, 35], so the surviving box is 35 wide and centered at 17.5.
-    box = BoundingBox(cx=5.0, cy=100.0, w=40.0, h=20.0)
-    out = expand_roi(box, 1.5, 1280, 640)
-    assert (out.cx, out.cy, out.w, out.h) == (17.5, 100.0, 35.0, 30.0)
+    # The second box hangs past the bottom-right corner: [1260, 1290] x
+    # [624, 654] keeps [1260, 1280] x [624, 640].
+    boxes = np.array([[5.0, 100.0, 40.0, 20.0], [1275.0, 639.0, 20.0, 20.0]])
+    np.testing.assert_array_equal(expand_roi(boxes, 1.5, 1280, 640),
+                                  [[17.5, 100.0, 35.0, 30.0], [1270.0, 632.0, 20.0, 16.0]])
 
 
 def test_expand_roi_rejects_bad_inputs():
-    box = BoundingBox(cx=100.0, cy=100.0, w=40.0, h=20.0)
-    for factor in (0.5, float("inf"), float("nan")):
+    boxes = np.array([[100.0, 100.0, 40.0, 20.0]])
+    for factor in (0.5, 0.999, float("inf"), float("nan")):
         with pytest.raises(ValidationError,
                            match="expansion factor must be finite and >= 1"):
-            expand_roi(box, factor, 1280, 640)
-    outside = BoundingBox(cx=-50.0, cy=100.0, w=10.0, h=10.0)
-    with pytest.raises(ValidationError, match="outside"):
+            expand_roi(boxes, factor, 1280, 640)
+    # the message names the first box that leaves the image
+    outside = np.array([[100.0, 100.0, 40.0, 20.0], [-50.0, 100.0, 10.0, 10.0],
+                        [100.0, 700.0, 10.0, 10.0]])
+    with pytest.raises(ValidationError, match=re.escape(
+            "box BoundingBox(cx=-50.0, cy=100.0, w=10.0, h=10.0) expanded by 1.0 "
+            "lies outside the 1280x640 image")):
         expand_roi(outside, 1.0, 1280, 640)
+
+
+def test_expand_roi_equals_the_per_box_oracle():
+    rng = np.random.default_rng(3)
+    boxes = np.column_stack([rng.uniform(-20.0, 340.0, 200), rng.uniform(-20.0, 180.0, 200),
+                             rng.uniform(0.5, 90.0, 200), rng.uniform(0.5, 60.0, 200)])
+    for factor in (1.0, 1.5, 2.5):
+        want, keep = [], []
+        for i, box in enumerate(boxes):
+            try:
+                want.append(expand_box(BoundingBox(*box), factor, 320, 160).as_array())
+                keep.append(i)
+            except ValidationError:
+                pass
+        assert 0 < len(keep) < len(boxes)
+        assert np.array_equal(expand_roi(boxes[keep], factor, 320, 160), want)
 
 
 def test_pool_constant_field_is_exact():
@@ -147,6 +173,47 @@ def test_pool_rejects_degenerate_requests():
     roi = BoundingBox(cx=10.0, cy=10.0, w=4.0, h=4.0)
     with pytest.raises(ValidationError, match="lattice"):
         roi_pool(grid, roi, n=0)
+
+
+def test_lattice_pool_rows_equal_one_roi_passes_bit_for_bit():
+    # k ROIs, each reading its own frame, pool in one gather call; every
+    # row equals pooling its ROI alone.  ROIs reach past every border and
+    # some flow values are +0.0 or -0.0, so sign bits are compared too.
+    rng = np.random.default_rng(71)
+    frames = rng.uniform(-5.0, 5.0, size=(12, 30, 40, 2))
+    frames[rng.uniform(size=frames.shape) < 0.1] = 0.0
+    frames[rng.uniform(size=frames.shape) < 0.1] = -0.0
+    x0, y0 = rng.uniform(-10.0, 45.0, size=(2, 12))
+    rois = np.column_stack([x0, y0, rng.uniform(0.5, 30.0, 12), rng.uniform(0.5, 30.0, 12)])
+    asked = []
+
+    def gather(roi, rows, cols):
+        asked.append(len(rows))
+        return frames[roi, rows, cols]
+
+    for n in (1, 3, 5):
+        got = lattice_pool(rois, n, 40, 30, gather)
+        assert got.shape == (12, 2 * n * n)
+        for i, roi in enumerate(rois):
+            want = pool_frame(BoundingBox(*roi), n, 40, 30,
+                              lambda rows, cols: frames[i, rows, cols])
+            assert np.array_equal(got[i], want)
+            assert np.array_equal(np.signbit(got[i]), np.signbit(want))
+    assert asked == [4 * 12 * n * n for n in (1, 3, 5)]
+
+
+def test_lattice_pool_rejects_bad_lattices_and_empty_rois():
+    def gather(roi, rows, cols):
+        return np.zeros((len(rows), 2))
+
+    good = [10.0, 10.0, 4.0, 4.0]
+    with pytest.raises(ValidationError, match="lattice size must be >= 1, got 0"):
+        lattice_pool(np.array([good]), 0, 32, 32, gather)
+    for bad in ([10.0, 10.0, 0.0, 4.0], [10.0, 10.0, 4.0, -1.0],
+                [math.nan, 10.0, 4.0, 4.0]):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"cannot pool an empty ROI: [cx, cy, w, h] = {bad}")):
+            lattice_pool(np.array([good, bad]), 2, 32, 32, gather)
 
 
 def test_flow_grid_validates_shape_and_finiteness():
