@@ -27,18 +27,17 @@ def main():
 
     video = generate_scenario(random_scenario(4, frames=16,
                                               width=320, height=160))
-    track, boxes = sorted(video.tracks.items())[0]
-    frames = np.array(sorted(boxes))
-    # the track's boxes as one [k x 4] array of [cx, cy, w, h] rows, each
-    # grown 1.5x about its center and clipped to the image in one pass
-    rois = expand_roi([boxes[t].as_array() for t in frames.tolist()], 1.5,
-                      video.width, video.height)
+    # a track is one array of rows, a frame index and its box [cx, cy, w,
+    # h]; its [k x 4] boxes are grown 1.5x about their centers and
+    # clipped to the image in one pass
+    track = min(video.tracks)
+    frames, boxes = video.tracks[track]["frame"], video.tracks[track]["box"]
+    rois = expand_roi(boxes, 1.5, video.width, video.height)
     i = len(frames) // 2
     t = int(frames[i])
-    box = boxes[t]
     print()
-    print(f"track {track} at frame {t}: box ({box.cx:.1f}, {box.cy:.1f}, "
-          f"{box.w:.1f}, {box.h:.1f})")
+    print("track {} at frame {}: box ({:.1f}, {:.1f}, {:.1f}, {:.1f})".format(
+        track, t, *boxes[i]))
     print("expanded roi: ({:.1f}, {:.1f}, {:.1f}, {:.1f})".format(*rois[i]))
 
     grid = video.flow_grid(t)

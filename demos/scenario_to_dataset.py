@@ -31,12 +31,13 @@ def main():
     video = generate_scenario(scenario)
     print()
     print("projected tracks (first and last visible frame per actor):")
-    for track, boxes in sorted(video.tracks.items()):
-        first_t, last_t = min(boxes), max(boxes)
-        first_box, last_box = boxes[first_t], boxes[last_t]
-        print(f"  track {track}: frame {first_t} at "
-              f"({first_box.cx:.0f},{first_box.cy:.0f}) -> frame {last_t} at "
-              f"({last_box.cx:.0f},{last_box.cy:.0f})")
+    for track, rows in sorted(video.tracks.items()):
+        # one row per frame with a box, in frame order
+        first_t, last_t = rows["frame"][[0, -1]]
+        first_box, last_box = rows["box"][[0, -1]]
+        print(f"  track {track}: {len(rows)} frames, frame {first_t} at "
+              f"({first_box[0]:.0f},{first_box[1]:.0f}) -> frame {last_t} at "
+              f"({last_box[0]:.0f},{last_box[1]:.0f})")
 
     samples, skipped = windows_from_video(video, tau=6, delta=4,
                                           expand=1.5, n=3)

@@ -29,10 +29,6 @@ class BoundingBox:
             raise ValidationError(
                 f"box extent must be positive, got w={self.w}, h={self.h}")
 
-    @classmethod
-    def from_corners(cls, x0: float, y0: float, x1: float, y1: float) -> "BoundingBox":
-        return cls(cx=(x0 + x1) / 2.0, cy=(y0 + y1) / 2.0, w=x1 - x0, h=y1 - y0)
-
     def corners(self) -> tuple[float, float, float, float]:
         """(x0, y0, x1, y1) with x0 < x1 and y0 < y1."""
         half_w, half_h = self.w / 2.0, self.h / 2.0

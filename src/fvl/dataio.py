@@ -61,7 +61,7 @@ from .flowfeat import FlowGrid, PooledFlow, expand_roi, lattice_pool, \
 from .rng import Xoshiro256
 
 __all__ = [
-    "BoundingBox",
+    "TRACK_ROW",
     "Sample",
     "CameraSpec",
     "ActorSpec",
@@ -87,6 +87,7 @@ MIN_BOX_PX = 1.0
 PAINT_PAD_PX = 1.0
 GROUND_BLOCK_PX = 32768
 SCENARIO_FILE = "scenario.scn"
+TRACK_ROW = np.dtype([("frame", np.int64), ("box", np.float64, (4,))])  # [cx, cy, w, h]
 
 
 # sample array field -> the numbers in each of its rows
@@ -286,13 +287,24 @@ class _FlowSource:
         return PooledFlow(values=values[0], n=n)
 
 
+def _track(frames, boxes) -> np.ndarray:
+    """A read-only TRACK_ROW array of frame indices in order and their boxes."""
+    track = np.empty(len(frames), TRACK_ROW)
+    track["frame"], track["box"] = frames, boxes
+    track.flags.writeable = False
+    return track
+
+
 class VideoData(_FlowSource):
     """Generator output for one video: boxes, ego log, and on-demand flow.
 
-    `ego_steps` is the read-only [frames-1 x 3] array of step rows
-    [yaw, x, z] (see egomotion).  Flow is rendered per pixel on request,
-    so a long video costs nothing until somebody asks for pixels, and
-    pooling a ROI renders only the pixels its lattice reads.
+    `tracks` maps each actor with a box in some frame to its track, a
+    read-only TRACK_ROW array with one row per such frame, in frame order:
+    `track["frame"]` [k] and `track["box"]` [k x 4], so `len(track)` is
+    its frame count.  `ego_steps` is the read-only [frames-1 x 3] array
+    of step rows [yaw, x, z] (see egomotion).  Flow is rendered per pixel
+    on request, so a long video costs nothing until somebody asks for
+    pixels, and pooling a ROI renders only the pixels its lattice reads.
     """
 
     def __init__(self, scenario: Scenario, ego_steps: np.ndarray, tracks,
@@ -346,19 +358,15 @@ class VideoData(_FlowSource):
         the frame before, zero where it had no box then, [frames x 2]; and
         its depth in each frame."""
         table = []
-        for track, boxes in self.tracks.items():
-            frames = np.array(list(boxes))
-            cx, cy, w, h = np.array([(b.cx, b.cy, b.w, b.h)
-                                     for b in boxes.values()]).T
-            half_w, half_h = w / 2.0, h / 2.0
+        for track, rows in self.tracks.items():
+            center, half = rows["box"][:, :2], rows["box"][:, 2:] / 2.0
+            lo = np.ceil(center - half - PAINT_PAD_PX - 0.5)
+            hi = np.floor(center + half + PAINT_PAD_PX - 0.5)
             bounds = np.tile([np.inf, -np.inf, np.inf, -np.inf], (self.frames, 1))
-            bounds[frames] = np.column_stack([
-                np.ceil(cx - half_w - PAINT_PAD_PX - 0.5),
-                np.floor(cx + half_w + PAINT_PAD_PX - 0.5),
-                np.ceil(cy - half_h - PAINT_PAD_PX - 0.5),
-                np.floor(cy + half_h + PAINT_PAD_PX - 0.5)])
+            # [col_lo, col_hi, row_lo, row_hi]
+            bounds[rows["frame"]] = np.stack([lo, hi], axis=2).reshape(-1, 4)
             centers = np.full((self.frames, 2), np.nan)
-            centers[frames] = np.column_stack([cx, cy])
+            centers[rows["frame"]] = center
             step = np.diff(centers, axis=0)
             disp = np.vstack([np.zeros((1, 2)), np.where(np.isnan(step), 0.0, step)])
             table.append((bounds, disp, self._depths[track]))
@@ -435,7 +443,7 @@ def _project_actor(camera: CameraSpec, rotations: np.ndarray,
                    height: int):
     """Project an actor's 3D box in every frame at once, given the ego
     `rotations` [frames x 2 x 2] and `positions` [frames x 2]; returns
-    ({frame: BoundingBox}, depth per frame, inf where there is no box).
+    (its track, depth per frame, inf where there is no box).
 
     A frame has no box when a ground corner lies less than NEAR_PLANE_M
     ahead, or when its box, clipped to the image, is under MIN_BOX_PX on
@@ -472,17 +480,15 @@ def _project_actor(camera: CameraSpec, rotations: np.ndarray,
         t = np.flatnonzero(ahead & ~finite)[0]
         raise ValidationError(f"projected box fields must be finite, got corners "
                               f"u={u[t].tolist()} v={v[t].tolist()} in frame {t}")
-    # clipped to the image
-    x0, y0 = (np.maximum(c.min(axis=1), 0.0) for c in (u, v))
-    x1, y1 = (np.minimum(c.max(axis=1), limit)
-              for c, limit in ((u, float(width)), (v, float(height))))
-    keep = ahead & ~((x1 - x0 < MIN_BOX_PX) | (y1 - y0 < MIN_BOX_PX))
+    # the corners (x0, y0) and (x1, y1), clipped to the image
+    lo = np.maximum(np.column_stack([u.min(axis=1), v.min(axis=1)]), 0.0)
+    hi = np.minimum(np.column_stack([u.max(axis=1), v.max(axis=1)]), [width, height])
+    keep = ahead & ~(hi - lo < MIN_BOX_PX).any(axis=1)
     kept = np.flatnonzero(keep)
-    boxes = {t: BoundingBox.from_corners(*corners) for t, corners in
-             zip(kept.tolist(), np.stack([x0, y0, x1, y1], axis=1)[kept].tolist())}
+    track = _track(kept, np.hstack([(lo + hi)[kept] / 2.0, (hi - lo)[kept]]))
     depths = np.where(keep, ego_frame((centers - positions)[:, None])[0][:, 0],
                       np.inf)
-    return boxes, depths
+    return track, depths
 
 
 def generate_scenario(scenario: Scenario) -> VideoData:
@@ -502,64 +508,60 @@ def generate_scenario(scenario: Scenario) -> VideoData:
     for t, translation in enumerate(ego_steps[:, 1:]):
         positions[t + 1] = positions[t] + rotations[t] @ translation
 
-    tracks: dict[int, dict[int, BoundingBox]] = {}
+    tracks: dict[int, np.ndarray] = {}
     depths: dict[int, np.ndarray] = {}
     for index, actor in enumerate(scenario.actors):
-        boxes, actor_depths = _project_actor(scenario.camera, rotations, positions,
+        track, actor_depths = _project_actor(scenario.camera, rotations, positions,
                                              actor, scenario.width, scenario.height)
-        if boxes:
-            tracks[index], depths[index] = boxes, actor_depths
+        if len(track):
+            tracks[index], depths[index] = track, actor_depths
     return VideoData(scenario, ego_steps, tracks, rotations, positions, depths)
-
-
-def _contiguous_runs(frame_indices) -> list[list[int]]:
-    frames = sorted(frame_indices)
-    cuts = [i for i in range(1, len(frames)) if frames[i] != frames[i - 1] + 1]
-    return [frames[a:b] for a, b in zip([0, *cuts], [*cuts, len(frames)])]
 
 
 def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
                        n: int = 5) -> tuple[list[Sample], int]:
     """All samples from a video plus the number of skipped short runs.
 
-    `video` is a VideoData or LoadedVideo: anything with tracks, dims,
-    a flow_at(frames, rows, cols) method that takes one frame index per
-    pixel, and ego_steps, the [frames-1 x 3] step rows [yaw, x, z], one
-    per frame transition.  A (tau, delta) window slides over each run of
-    consecutive frames of a track; runs shorter than tau + delta are
+    `video` is a VideoData or LoadedVideo: anything with tracks (each a
+    TRACK_ROW array in frame order), dims, a flow_at(frames, rows, cols)
+    method that takes one frame index per pixel, and ego_steps, the
+    [frames-1 x 3] step rows [yaw, x, z], one per frame transition.  A
+    (tau, delta) window slides over each run of consecutive frames of a
+    track, a slice of its rows; runs shorter than tau + delta are
     skipped.  Flow for each past frame is pooled over that frame's box
-    expanded by `expand`: a run's boxes are expanded as one [k x 4] array
+    expanded by `expand`: a run's [k x 4] boxes are expanded in one pass
     and all its frames pooled in one `lattice_pool` pass, which asks
     `flow_at` once for every lattice pixel of the run.  A sample's ego
-    rows compose the delta step rows that follow its anchor frame.
+    rows compose the delta step rows that follow its anchor frame, once
+    per anchor for all the tracks that share it.
     """
     if tau < 1 or delta < 1:
         raise ValidationError(f"window needs tau, delta >= 1, got ({tau}, {delta})")
     samples: list[Sample] = []
     skipped = 0
-    for track in sorted(video.tracks):
-        boxes_by_frame = video.tracks[track]
-        for run in _contiguous_runs(boxes_by_frame):
+    ego = {}  # anchor frame -> its composed ego rows
+    for track, held in sorted(video.tracks.items()):
+        for run in np.split(held, np.flatnonzero(np.diff(held["frame"]) != 1) + 1):
             if len(run) < tau + delta:
                 skipped += 1
                 continue
-            boxes = np.array([(b.cx, b.cy, b.w, b.h)
-                              for b in map(boxes_by_frame.get, run)])
+            boxes = run["box"]
             # the last delta frames of a run are in no window's past
-            past = np.array(run[:-delta])
+            past = run["frame"][:-delta]
             pooled = lattice_pool(
                 expand_roi(boxes[:-delta], expand, video.width, video.height),
                 n, video.width, video.height,
                 lambda roi, rows, cols: video.flow_at(past[roi], rows, cols))
             flows = [PooledFlow(values=values, n=n) for values in pooled]
-            for start in range(len(run) - tau - delta + 1):
-                anchor = run[start + tau - 1]
+            for start, anchor in enumerate(past[tau - 1:].tolist()):
+                if anchor not in ego:
+                    ego[anchor] = compose(video.ego_steps[anchor:anchor + delta])
                 samples.append(Sample(
                     track=track,
                     past=boxes[start:start + tau],
                     flow=flows[start:start + tau],
                     future=boxes[start + tau:start + tau + delta],
-                    ego=compose(video.ego_steps[anchor:anchor + delta]),
+                    ego=ego[anchor],
                     width=video.width,
                     height=video.height))
     return samples, skipped
@@ -596,6 +598,14 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _holds_bool(value) -> bool:
+    """Whether a parsed JSON value is, or nests, true or false, which
+    numpy would read as 1.0 and 0.0."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def read_dataset(path) -> list[Sample]:
     samples = []
     for lineno, line in text_lines(path):
@@ -612,6 +622,12 @@ def read_dataset(path) -> list[Sample]:
             n = record["flow"]["n"]
             if not _is_json_int(n) or n < 1:
                 raise ValueError(f"flow n must be a positive integer, got {n!r}")
+            if "true" in line or "false" in line:  # else no value is a bool
+                for key, rows in [*((name, record[name]) for name in _SAMPLE_ROWS),
+                                  ("flow", record["flow"]["values"])]:
+                    if _holds_bool(rows):
+                        raise ValueError(
+                            f"{key} values must be numbers, not true or false")
             sample = Sample(
                 track=record["track"],
                 past=record["past"],
@@ -725,11 +741,11 @@ def write_video_dir(video: VideoData, path, tau: int = 10, delta: int = 10) -> N
             f"width={video.width}\nheight={video.height}\nfps={float(video.fps)!r}\n"
             f"frames={video.frames}\ntau={tau}\ndelta={delta}\n")
         (temp / "ego.txt").write_text(_ego_log_text(video.ego_steps))
-        lines = [json.dumps({"frame": frame, "track": track, "cx": box.cx,
-                             "cy": box.cy, "w": box.w, "h": box.h},
-                            separators=(",", ":"))
-                 for track in sorted(video.tracks)
-                 for frame, box in sorted(video.tracks[track].items())]
+        lines = [json.dumps({"frame": frame, "track": track, "cx": cx, "cy": cy,
+                             "w": w, "h": h}, separators=(",", ":"))
+                 for track, rows in sorted(video.tracks.items())
+                 for frame, (cx, cy, w, h) in zip(rows["frame"].tolist(),
+                                                  rows["box"].tolist())]
         (temp / "boxes.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
         (temp / SCENARIO_FILE).write_text(_scenario_text(video.scenario))
         if path.is_dir():
@@ -748,7 +764,9 @@ def write_video_dir(video: VideoData, path, tau: int = 10, delta: int = 10) -> N
 class LoadedVideo(_FlowSource):
     """A video directory re-opened for windowing and evaluation.
 
-    Presents the same surface as VideoData.  A directory written by
+    Presents the same surface as VideoData: `tracks` maps each track in
+    `boxes.jsonl` to its TRACK_ROW array, sorted by frame whatever the
+    line order.  A directory written by
     `write_video_dir` holds its `scenario.scn`, and its flow is rendered
     from that scenario, only at the pixels asked for, bit for bit as in
     memory.  A directory without one holds flow from outside the
@@ -794,7 +812,8 @@ def _render_scenario(path: Path, meta: dict, ego_steps, tracks) -> VideoData:
     video = generate_scenario(scenario)
     if not np.array_equal(video.ego_steps, ego_steps):
         raise DataFormatError(f"{path}: ego motion differs from ego.txt")
-    if video.tracks != tracks:
+    if video.tracks.keys() != tracks.keys() or not all(
+            np.array_equal(video.tracks[track], rows) for track, rows in tracks.items()):
         raise DataFormatError(f"{path}: boxes differ from boxes.jsonl")
     return video
 
@@ -807,7 +826,7 @@ def read_video_dir(path) -> LoadedVideo:
         raise DataFormatError(
             f"{path / 'ego.txt'}: holds {len(ego_steps)} steps, but a "
             f"{meta['frames']}-frame video needs {meta['frames'] - 1}")
-    tracks: dict[int, dict[int, BoundingBox]] = {}
+    boxes: dict[int, dict[int, list]] = {}  # track -> frame -> [cx, cy, w, h]
     boxes_path = path / "boxes.jsonl"
     for lineno, line in text_lines(boxes_path):
         try:
@@ -819,13 +838,17 @@ def read_video_dir(path) -> LoadedVideo:
             if not 0 <= frame < meta["frames"]:
                 raise ValueError(
                     f"frame {frame} outside the video's {meta['frames']} frames")
-            if frame in tracks.get(track, ()):
+            if frame in boxes.get(track, ()):
                 raise ValueError(f"track {track} frame {frame} appears twice")
-            box = BoundingBox(cx=record["cx"], cy=record["cy"],
-                              w=record["w"], h=record["h"])
-            tracks.setdefault(track, {})[frame] = box
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            box = [record[key] for key in ("cx", "cy", "w", "h")]
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in box) \
+                    or min(box[2:]) <= 0:
+                raise ValueError(f"box needs finite cx, cy and positive w, h, got {box}")
+            boxes.setdefault(track, {})[frame] = box
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{boxes_path}:{lineno}: {exc}") from None
+    tracks = {track: _track(*zip(*sorted(rows.items())))
+              for track, rows in boxes.items()}
     rendered = None
     if (path / SCENARIO_FILE).exists():
         rendered = _render_scenario(path / SCENARIO_FILE, meta, ego_steps, tracks)

@@ -17,6 +17,18 @@ from fvl.egomotion import rotation_matrix
 from fvl.errors import ValidationError
 
 
+def from_corners(x0, y0, x1, y1):
+    """The BoundingBox with corners (x0, y0) and (x1, y1)."""
+    return BoundingBox(cx=(x0 + x1) / 2.0, cy=(y0 + y1) / 2.0, w=x1 - x0, h=y1 - y0)
+
+
+def track_boxes(track):
+    """A track array as {frame: BoundingBox}, the form the scalar oracles
+    read it in."""
+    return {frame: BoundingBox(*box) for frame, box in
+            zip(track["frame"].tolist(), track["box"].tolist())}
+
+
 def homogeneous_compose(steps):
     """Chain planar step rows [yaw, x, z] by multiplying 3x3 homogeneous
     matrices.
@@ -146,11 +158,12 @@ def rectangle_flow(video, t, ix0, iy0, ix1, iy1):
     headings, positions = ego_poses(video)
     out[:] = background_flow_oracle(video.scenario.camera, headings, positions,
                                     t, ix0, iy0, ix1, iy1)
-    order = sorted((track for track, frames in video.tracks.items() if t in frames),
+    tracks = {track: track_boxes(rows) for track, rows in video.tracks.items()}
+    order = sorted((track for track, frames in tracks.items() if t in frames),
                    key=lambda track: -video._depths[track][t])
     for track in order:
-        box = video.tracks[track][t]
-        previous = video.tracks[track].get(t - 1)
+        box = tracks[track][t]
+        previous = tracks[track].get(t - 1)
         disp = (0.0, 0.0) if previous is None else \
             (box.cx - previous.cx, box.cy - previous.cy)
         x0, y0, x1, y1 = box.corners()
@@ -198,7 +211,7 @@ def project_actor(camera, ego_heading, ego_position, center, actor, width,
     y1 = min(max(vs), float(height))
     if x1 - x0 < MIN_BOX_PX or y1 - y0 < MIN_BOX_PX:
         return None
-    return BoundingBox.from_corners(x0, y0, x1, y1), center_depth
+    return from_corners(x0, y0, x1, y1), center_depth
 
 
 def project_tracks(video):
@@ -278,7 +291,7 @@ def expand_box(box, factor, image_width, image_height):
         raise ValidationError(
             f"box {box} expanded by {factor} lies outside the "
             f"{image_width}x{image_height} image")
-    return BoundingBox.from_corners(x0, y0, x1, y1)
+    return from_corners(x0, y0, x1, y1)
 
 
 def pool_frame(roi, n, width, height, gather):
@@ -311,7 +324,7 @@ def window_flows(video, tau, delta, expand, n, frame_grid):
     windowing order."""
     flows = []
     for track in sorted(video.tracks):
-        boxes = video.tracks[track]
+        boxes = track_boxes(video.tracks[track])
         frames = sorted(boxes)
         cuts = [i for i in range(1, len(frames)) if frames[i] != frames[i - 1] + 1]
         for a, b in zip([0, *cuts], [*cuts, len(frames)]):

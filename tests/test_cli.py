@@ -15,6 +15,7 @@ from fvl.dataio import (
     Sample,
     generate_scenario,
     random_scenario,
+    read_dataset,
     read_video_dir,
     windows_from_video,
     write_dataset,
@@ -542,6 +543,43 @@ def _tiny_samples(huge_future: bool):
             ego=[[0.01, 0.5, 0.0]] * 2,
             width=320, height=160))
     return samples
+
+
+@pytest.mark.parametrize("field", ["past", "future", "ego", "flow"])
+def test_a_boolean_among_sample_numbers_exits_2(tmp_path, field, capsys):
+    # before, json true was read as 1.0
+    dataset = tmp_path / "samples.jsonl"
+    write_dataset(_tiny_samples(huge_future=False), dataset)
+    lines = dataset.read_text().splitlines()
+    record = json.loads(lines[1])
+    (record["flow"]["values"] if field == "flow" else record[field])[0][1] = True
+    lines[1] = json.dumps(record)
+    dataset.write_text("\n".join(lines) + "\n")
+    message = f"samples.jsonl:2: {field} values must be numbers, not true or false"
+    with pytest.raises(DataFormatError, match=message):
+        read_dataset(dataset)
+    assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.fvlw"),
+                 "--variant", "xoe", "--hidden", "4", "--embed", "4", "--tau", "3",
+                 "--delta", "2", "--epochs", "1", "--pool-n", "2"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
+def test_a_boolean_box_field_exits_2(suite, tmp_path, field, capsys):
+    # before, "w": true loaded as a box 1 pixel wide
+    video = tmp_path / "scene2"
+    shutil.copytree(suite / "scene2", video)
+    lines = (video / "boxes.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = True
+    lines[1] = json.dumps(record)
+    (video / "boxes.jsonl").write_text("\n".join(lines) + "\n")
+    message = "boxes.jsonl:2: box needs finite cx, cy and positive w, h"
+    with pytest.raises(DataFormatError, match=message):
+        read_video_dir(video)
+    assert main(["train", "--dataset", str(video), "--out", str(tmp_path / "m.fvlw"),
+                 *TRAIN_FLAGS]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -20,7 +20,7 @@ from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, lattice_pool,
                           read_flow_grid, roi_pool)
 from fvl.rng import Xoshiro256
 from oracles import background_flow_oracle, ego_poses, project_actor, \
-    project_tracks, rectangle_flow, window_flows
+    project_tracks, rectangle_flow, track_boxes, window_flows
 
 
 def small_camera() -> CameraSpec:
@@ -53,11 +53,9 @@ def rich_scenario(frames: int = 8) -> Scenario:
 def test_static_world_freezes_boxes_and_flow():
     video = generate_scenario(static_scenario())
     assert list(video.tracks) == [0]
-    boxes = video.tracks[0]
-    assert sorted(boxes) == list(range(20))
-    first = boxes[0]
-    for t in range(20):
-        assert boxes[t] == first
+    track = video.tracks[0]
+    assert track["frame"].tolist() == list(range(20))
+    assert np.all(track["box"] == track["box"][0])
     for t in (0, 1, 19):
         assert not np.any(video.flow_grid(t).data)
 
@@ -67,14 +65,15 @@ def test_crossing_actor_moves_right_and_carries_its_displacement():
     scenario = Scenario(frames=12, camera=small_camera(), ego_yaw_rates=0.0,
                         ego_speeds=0.0, actors=(actor,), width=320, height=160)
     video = generate_scenario(scenario)
-    boxes = video.tracks[0]
-    assert sorted(boxes) == list(range(12))
-    cxs = [boxes[t].cx for t in range(12)]
+    track = video.tracks[0]
+    assert track["frame"].tolist() == list(range(12))
+    centers = track["box"][:, :2].tolist()
+    cxs = [cx for cx, _ in centers]
     assert all(b > a for a, b in zip(cxs, cxs[1:]))
     for t in range(1, 12):
-        dcx = boxes[t].cx - boxes[t - 1].cx
-        dcy = boxes[t].cy - boxes[t - 1].cy
-        roi = BoundingBox(cx=boxes[t].cx, cy=boxes[t].cy, w=4.0, h=4.0)
+        dcx = centers[t][0] - centers[t - 1][0]
+        dcy = centers[t][1] - centers[t - 1][1]
+        roi = BoundingBox(cx=centers[t][0], cy=centers[t][1], w=4.0, h=4.0)
         pooled = video.pooled_flow(t, roi, 3)
         assert np.max(np.abs(pooled.values[0::2] - dcx)) < 1e-12
         assert np.max(np.abs(pooled.values[1::2] - dcy)) < 1e-12
@@ -242,10 +241,10 @@ def test_patch_pooling_matches_full_grid():
             grid = FlowGrid(width=320, height=160,
                             data=rectangle_flow(video, t, 0, 0, 320, 160))
             assert_bit_equal(video.flow_grid(t).data, grid.data)
-            boxes = np.array([frames[t].as_array()
-                              for frames in video.tracks.values() if t in frames])
+            boxes = np.concatenate([track["box"][track["frame"] == t]
+                                    for track in video.tracks.values()])
             rois = [BoundingBox(*roi) for expand in (1.0, 1.5, 4.0)
-                    for roi in expand_roi(boxes.reshape(-1, 4), expand, 320, 160)]
+                    for roi in expand_roi(boxes, expand, 320, 160)]
             rois += [BoundingBox(cx=rng.uniform(-10.0, 330.0), cy=rng.uniform(60.0, 100.0),
                                  w=rng.uniform(1.0, 60.0), h=rng.uniform(1.0, 60.0))
                      for _ in range(6)]
@@ -264,7 +263,7 @@ def test_patch_pooling_matches_full_grid():
 
 def test_nearest_actor_wins_overlap():
     video = generate_scenario(rich_scenario())
-    lead, crosser = video.tracks[0], video.tracks[1]
+    lead, crosser = (track_boxes(video.tracks[track]) for track in (0, 1))
     hit = None
     for t in range(1, 8):
         if t not in lead or t not in crosser or (t - 1) not in crosser:
@@ -297,7 +296,7 @@ def test_equal_depth_overlap_goes_to_the_later_track():
     video = generate_scenario(Scenario(frames=6, camera=small_camera(), ego_speeds=0.5,
                                        actors=cars, width=320, height=160))
     assert np.array_equal(video._depths[0], video._depths[1])
-    left, right = video.tracks[0], video.tracks[1]
+    left, right = (track_boxes(video.tracks[track]) for track in (0, 1))
     frames = np.arange(1, 6)
     # the middle of both boxes, where they overlap
     cols = np.array([int((left[t].cx + right[t].cx) / 2) for t in frames.tolist()])
@@ -316,10 +315,10 @@ def test_first_visible_frame_paints_zero_flow():
                         ego_speeds=0.5, actors=(actor,), width=320, height=160)
     video = generate_scenario(scenario)
     assert 0 in video.tracks
-    first = min(video.tracks[0])
+    first = int(video.tracks[0]["frame"][0])
     assert 0 < first < 10
-    box = video.tracks[0][first]
-    roi = BoundingBox(cx=box.cx, cy=box.cy, w=2.0, h=2.0)
+    cx, cy, _, _ = video.tracks[0]["box"][0].tolist()
+    roi = BoundingBox(cx=cx, cy=cy, w=2.0, h=2.0)
     pooled = video.pooled_flow(first, roi, 2)
     assert np.array_equal(pooled.values, np.zeros(8))
     assert not np.any(np.signbit(pooled.values))
@@ -357,9 +356,9 @@ def test_generator_repeats_exactly():
     scenario = moving_scenario()
     a = generate_scenario(scenario)
     b = generate_scenario(scenario)
-    assert set(a.tracks) == set(b.tracks)
+    assert a.tracks.keys() == b.tracks.keys()
     for track in a.tracks:
-        assert a.tracks[track] == b.tracks[track]
+        assert a.tracks[track].tobytes() == b.tracks[track].tobytes()
     assert np.array_equal(a.flow_grid(7).data, b.flow_grid(7).data)
     assert a.ego_steps.tobytes() == b.ego_steps.tobytes()
 
@@ -370,10 +369,9 @@ def assert_tracks_match_projection_oracle(video):
     tracks, depths = project_tracks(video)
     assert video.tracks.keys() == tracks.keys()
     for track, boxes in tracks.items():
-        assert video.tracks[track].keys() == boxes.keys()
-        rows = [[(box.cx, box.cy, box.w, box.h) for box in frames.values()]
-                for frames in (video.tracks[track], boxes)]
-        assert_bit_equal(np.array(rows[0]), np.array(rows[1]))
+        assert video.tracks[track]["frame"].tolist() == list(boxes)
+        assert_bit_equal(video.tracks[track]["box"],
+                         np.array([box.as_array() for box in boxes.values()]))
         assert_bit_equal(video._depths[track], depths[track])
 
 
@@ -396,10 +394,10 @@ def test_array_projection_matches_scalar_oracle_on_edge_cases():
     # corner is past the near plane; in frame 7 a rear corner sits at
     # d_fwd = 0
     overtaking = video(ActorSpec(x=-10.0, z=1.0, heading=0.0, speed=1.75))
-    assert sorted(overtaking.tracks[0]) == list(range(8, 20))
+    assert overtaking.tracks[0]["frame"].tolist() == list(range(8, 20))
     # close on the left, so its box is clipped at the image's left edge
     clipped = video(ActorSpec(x=8.0, z=3.0, heading=0.0, speed=0.0))
-    assert {box.corners()[0] for box in clipped.tracks[0].values()} == {0.0}
+    assert {box.corners()[0] for box in track_boxes(clipped.tracks[0]).values()} == {0.0}
     # far enough to project under MIN_BOX_PX: it has no track
     tiny = video(ActorSpec(x=15.0, z=0.0, heading=0.0, speed=0.0),
                  ActorSpec(x=2000.0, z=0.0, heading=0.0, speed=0.0))
@@ -474,12 +472,12 @@ def test_window_contents_align_with_source_video(monkeypatch):
     samples, skipped = windows_from_video(video, tau=4, delta=3, expand=1.5, n=2)
     assert skipped == 0 and len(samples) == 6
     first = samples[0]
-    frames = sorted(video.tracks[first.track])
+    frames = video.tracks[first.track]["frame"].tolist()
     assert list(video.tracks) == [first.track]
     # one call for the run, with only frames that some window's past holds
     assert asked == [frames[:-3]]
     assert first.tau == 4 and first.delta == 3
-    boxes = [video.tracks[first.track][f].as_array() for f in frames]
+    boxes = video.tracks[first.track]["box"]
     assert np.array_equal(first.past, boxes[:4])
     assert np.array_equal(first.future, boxes[4:7])
     anchor = frames[3]
@@ -557,7 +555,7 @@ def test_external_flow_windows_equal_the_per_frame_oracle(tmp_path, external_flo
         (1.0, 2.5), (1, 3, 5))
     assert clipped
     # each of the six windowings reads each past frame's file once per run
-    runs = [sorted(frames) for frames in video.tracks.values()]
+    runs = [track["frame"].tolist() for track in video.tracks.values()]
     per_windowing = sorted(f"{t:06d}.ffgr" for run in runs for t in run[:-2])
     assert sorted(reads) == sorted(per_windowing * 6)
 
@@ -569,7 +567,7 @@ def test_windowing_asks_for_flow_once_per_run(tmp_path, monkeypatch):
     calls, flow_at = [], dataio.VideoData.flow_at
     monkeypatch.setattr(dataio.VideoData, "flow_at", lambda self, t, rows, cols:
                         calls.append(np.unique(t).tolist()) or flow_at(self, t, rows, cols))
-    runs = [sorted(frames) for frames in video.tracks.values()]
+    runs = [track["frame"].tolist() for track in video.tracks.values()]
     for source in (video, loaded):
         for tau, delta in ((3, 2), (5, 5), (1, 1)):
             calls.clear()
@@ -577,6 +575,52 @@ def test_windowing_asks_for_flow_once_per_run(tmp_path, monkeypatch):
             long_runs = [run for run in runs if len(run) >= tau + delta]
             assert samples and skipped == len(runs) - len(long_runs)
             assert calls == [run[:-delta] for run in long_runs]
+
+
+def test_windows_split_a_track_at_its_gaps(tmp_path, external_flow_dir):
+    # boxes.jsonl lines dropped from a directory without its scenario
+    # leave tracks with gaps; each run of consecutive frames windows on
+    # its own, as the per-frame oracle splits them
+    video = generate_scenario(equal_depth_scenario())
+    root = external_flow_dir(video, tmp_path / "video")
+    lines = (root / "boxes.jsonl").read_text().splitlines()
+    drop = {(0, 4), (0, 5), (1, 9), (2, 6)}
+    (root / "boxes.jsonl").write_text("".join(
+        line + "\n" for line in lines
+        if (json.loads(line)["track"], json.loads(line)["frame"]) not in drop))
+    loaded = read_video_dir(root)
+    grid = lambda t: read_flow_grid(root / "flow" / f"{t:06d}.ffgr").data
+    samples, skipped = windows_from_video(loaded, 3, 2, n=3)
+    # each track is left with one run shorter than the 5 frames a window
+    # needs, which is skipped, and one that windows
+    assert skipped == 3
+    runs = [(0, range(6, 14)), (1, range(0, 9)), (2, range(7, 13))]
+    windows = [(track, run[start:start + 5]) for track, run in runs
+               for start in range(len(run) - 4)]
+    boxes = {track: track_boxes(rows) for track, rows in video.tracks.items()}
+    want = window_flows(loaded, 3, 2, 1.5, 3, grid)
+    assert len(samples) == len(windows) == len(want)
+    for sample, (track, frames), flows in zip(samples, windows, want):
+        assert sample.track == track
+        assert_bit_equal(np.vstack([sample.past, sample.future]),
+                         np.array([boxes[track][t].as_array() for t in frames]))
+        assert_bit_equal(np.array([f.values for f in sample.flow]), flows)
+
+
+def test_ego_rows_compose_once_per_anchor(monkeypatch):
+    # tracks that share an anchor frame share its composed rows, which
+    # equal composing that anchor's steps for each window bit for bit
+    video = generate_scenario(equal_depth_scenario())
+    calls, real = [], dataio.compose
+    monkeypatch.setattr(dataio, "compose", lambda steps: calls.append(len(steps))
+                        or real(steps))
+    samples, skipped = windows_from_video(video, 3, 2, n=1)
+    assert skipped == 0
+    anchors = [t for _, rows in sorted(video.tracks.items())
+               for t in rows["frame"][2:len(rows) - 2].tolist()]
+    assert len(samples) == len(anchors) > len(set(anchors)) == len(calls)
+    for sample, anchor in zip(samples, anchors):
+        assert_bit_equal(sample.ego, real(video.ego_steps[anchor:anchor + 2]))
 
 
 def test_run_level_errors_keep_their_messages():
@@ -793,9 +837,9 @@ def test_video_dir_roundtrip(tmp_path, external_flow_dir):
     loaded = read_video_dir(root)
     assert (loaded.width, loaded.height, loaded.frames) == (320, 160, 12)
     assert (loaded.tau, loaded.delta) == (4, 3)
-    assert set(loaded.tracks) == set(video.tracks)
-    for track, frames in video.tracks.items():
-        assert loaded.tracks[track] == frames
+    assert loaded.tracks.keys() == video.tracks.keys()
+    for track, rows in video.tracks.items():
+        assert loaded.tracks[track].tobytes() == rows.tobytes()
     assert loaded.ego_steps.shape == (11, 3)
     assert loaded.ego_steps.tobytes() == video.ego_steps.tobytes()
     # the directory's scenario renders flow in f64, as in memory; flow from
@@ -805,6 +849,29 @@ def test_video_dir_roundtrip(tmp_path, external_flow_dir):
     external = read_video_dir(external_flow_dir(video, tmp_path / "external"))
     assert np.array_equal(external.flow_grid(5).data,
                           grid.data.astype("<f4").astype(np.float64))
+
+
+def test_tracks_are_read_only_frame_box_arrays(tmp_path, external_flow_dir):
+    # generated, read back, and read back from boxes.jsonl lines in
+    # reverse order, each track is one TRACK_ROW array in frame order
+    video = generate_scenario(equal_depth_scenario())
+    write_video_dir(video, tmp_path / "video")
+    root = external_flow_dir(video, tmp_path / "reversed")
+    lines = (root / "boxes.jsonl").read_text().splitlines()
+    (root / "boxes.jsonl").write_text("\n".join(reversed(lines)) + "\n")
+    records = [json.loads(line) for line in lines]
+    for source in (video, read_video_dir(tmp_path / "video"), read_video_dir(root)):
+        assert list(source.tracks) in ([0, 1, 2], [2, 1, 0])
+        for track, rows in source.tracks.items():
+            frames = [r["frame"] for r in records if r["track"] == track]
+            assert rows.dtype == dataio.TRACK_ROW and rows.ndim == 1
+            assert len(rows) == len(frames) and rows["frame"].tolist() == frames
+            assert rows["box"].tolist() == [[r[k] for k in ("cx", "cy", "w", "h")]
+                                            for r in records if r["track"] == track]
+            assert rows.tobytes() == video.tracks[track].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                rows["box"][0, 0] = 1.0
+    assert [len(rows) for rows in video.tracks.values()] == [14, 14, 11]
 
 
 def test_scenario_backed_video_windows_as_in_memory(tmp_path):
@@ -835,8 +902,8 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
     external_flow_dir(video, root)
     flow_file = root / "flow" / "{:06d}.ffgr"
     lines = []
-    for track, frames in sorted(video.tracks.items()):
-        for t, box in sorted(frames.items()):
+    for track, rows in sorted(video.tracks.items()):
+        for t, box in track_boxes(rows).items():
             roi = BoundingBox(*expand_roi([box.as_array()], 1.5, video.width,
                                           video.height)[0])
             values = roi_pool(read_flow_grid(str(flow_file).format(t)), roi, 2)
@@ -845,9 +912,9 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
                  "values": values.values.tolist()}))
     (root / "pooled.jsonl").write_text("\n".join(lines) + "\n")
 
-    frame_of = {(track, tuple(box.as_array())): t
-                for track, frames in video.tracks.items()
-                for t, box in frames.items()}
+    frame_of = {(track, tuple(box)): t
+                for track, rows in video.tracks.items()
+                for t, box in zip(rows["frame"].tolist(), rows["box"].tolist())}
     loaded = read_video_dir(root)
     clipped = 0
     for n in (2, 3):
@@ -940,6 +1007,30 @@ def test_boxes_file_rejects_bad_track_and_frame(tmp_path, video_dir_files,
     assert f'"{field}":{value},' in lines[1]
     (tmp_path / "boxes.jsonl").write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match=f"boxes.jsonl:2: .*{field}"):
+        read_video_dir(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("w", "true"), ("cx", "false"), ("h", "null"), ("cy", '"60.0"'),
+    ("cx", "[1.0]"), ("w", "NaN"), ("cy", "Infinity"), ("h", "-Infinity"),
+    ("w", "0.0"), ("h", "-2.5"), ("w", "0"),
+])
+def test_boxes_file_rejects_bad_box_fields(tmp_path, video_dir_files, field, value):
+    # before, "w": true loaded as a box 1 pixel wide
+    for name, text in video_dir_files.items():
+        (tmp_path / name).write_text(text)
+    lines = video_dir_files["boxes.jsonl"].splitlines()
+    record = json.loads(lines[1])
+    lines[1] = lines[1].replace(f'"{field}":{record[field]!r}', f'"{field}":{value}', 1)
+    assert f'"{field}":{value}' in lines[1]
+    (tmp_path / "boxes.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=re.escape(
+            "boxes.jsonl:2: box needs finite cx, cy and positive w, h, got [")):
+        read_video_dir(tmp_path)
+    # an integer too large for a float names the line too
+    lines[1] = lines[1].replace(f'"{field}":{value}', f'"{field}":1{"0" * 400}', 1)
+    (tmp_path / "boxes.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="boxes.jsonl:2: int too large"):
         read_video_dir(tmp_path)
 
 

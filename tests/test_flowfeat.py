@@ -14,7 +14,7 @@ from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, lattice_pool,
                           read_flow_grid, read_flow_pixels, roi_pool,
                           write_flow_grid)
 from fvl.rng import Xoshiro256
-from oracles import expand_box, pool_frame, pool_oracle, two_plane_pool
+from oracles import expand_box, from_corners, pool_frame, pool_oracle, two_plane_pool
 
 
 def random_grid(seed, width=32, height=32):
@@ -123,8 +123,8 @@ def test_pool_equals_two_plane_oracle_bit_for_bit():
         data[rng.uniform(size=data.shape) < 0.1] = -0.0
         grid = FlowGrid(width=int(width), height=int(height), data=data)
         x0, y0 = rng.uniform(-10.0, 40.0, size=2)
-        roi = BoundingBox.from_corners(x0, y0, x0 + rng.uniform(0.5, 30.0),
-                                       y0 + rng.uniform(0.5, 30.0))
+        roi = from_corners(x0, y0, x0 + rng.uniform(0.5, 30.0),
+                           y0 + rng.uniform(0.5, 30.0))
         n = int(rng.integers(1, 8))
         got = roi_pool(grid, roi, n).values
         want = two_plane_pool(grid, roi, n)

@@ -8,6 +8,11 @@ test noticing.  The module is loaded from its source, without writing
 anything under `perfbench/`.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -39,3 +44,25 @@ def test_ingest_check_passes_disk_windows_and_catches_changed_ones(tmp_path):
     assert "pooled flow differs" in check(windows_from_video(loaded, expand=2.5,
                                                              **window)[0])
     assert "samples from disk" in check(disk[1:])
+
+
+def test_ingest_setup_finds_its_two_videos(tmp_path):
+    # Ingest set-up draws scenarios until INGEST_VIDEOS of them have
+    # INGEST_TRACKS tracks of len(track) == INGEST_FRAMES each; were len
+    # no longer a track's frame count it would never stop, and the
+    # benchmark run would time out.  A child process bounds it here.
+    code = textwrap.dedent(f"""
+        import json, sys
+        from pathlib import Path
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from test_workloads import load_workloads
+        ingest = load_workloads().Ingest()
+        ingest.setup(101, Path(sys.argv[1]))
+        print(json.dumps(ingest.paths))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(WORKLOADS.parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    paths = json.loads(proc.stdout.splitlines()[-1])
+    assert len(paths) == 2 and all(Path(path).is_file() for path in paths)
