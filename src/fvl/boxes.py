@@ -29,11 +29,5 @@ class BoundingBox:
             raise ValidationError(
                 f"box extent must be positive, got w={self.w}, h={self.h}")
 
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) with x0 < x1 and y0 < y1."""
-        half_w, half_h = self.w / 2.0, self.h / 2.0
-        return (self.cx - half_w, self.cy - half_h,
-                self.cx + half_w, self.cy + half_h)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h])

@@ -56,7 +56,7 @@ from .boxes import BoundingBox
 from .egomotion import _ego_log_text, compose, read_ego_log, rotation_matrix, \
     wrap_angle
 from .errors import DataFormatError, ValidationError, text_lines, write_atomic
-from .flowfeat import FlowGrid, PooledFlow, expand_roi, lattice_pool, \
+from .flowfeat import FlowGrid, PooledFlow, _clip, expand_roi, lattice_pool, \
     read_flow_pixels
 from .rng import Xoshiro256
 
@@ -741,8 +741,10 @@ def write_video_dir(video: VideoData, path, tau: int = 10, delta: int = 10) -> N
             f"width={video.width}\nheight={video.height}\nfps={float(video.fps)!r}\n"
             f"frames={video.frames}\ntau={tau}\ndelta={delta}\n")
         (temp / "ego.txt").write_text(_ego_log_text(video.ego_steps))
-        lines = [json.dumps({"frame": frame, "track": track, "cx": cx, "cy": cy,
-                             "w": w, "h": h}, separators=(",", ":"))
+        # json.dumps's bytes with separators (",", ":"): it writes a finite
+        # float as its repr, and every track box is finite
+        lines = [f'{{"frame":{frame},"track":{track},"cx":{cx!r},"cy":{cy!r},'
+                 f'"w":{w!r},"h":{h!r}}}'
                  for track, rows in sorted(video.tracks.items())
                  for frame, (cx, cy, w, h) in zip(rows["frame"].tolist(),
                                                   rows["box"].tolist())]
@@ -827,6 +829,7 @@ def read_video_dir(path) -> LoadedVideo:
             f"{path / 'ego.txt'}: holds {len(ego_steps)} steps, but a "
             f"{meta['frames']}-frame video needs {meta['frames'] - 1}")
     boxes: dict[int, dict[int, list]] = {}  # track -> frame -> [cx, cy, w, h]
+    found, linenos = [], []  # every box, and its line, in file order
     boxes_path = path / "boxes.jsonl"
     for lineno, line in text_lines(boxes_path):
         try:
@@ -845,8 +848,17 @@ def read_video_dir(path) -> LoadedVideo:
                     or min(box[2:]) <= 0:
                 raise ValueError(f"box needs finite cx, cy and positive w, h, got {box}")
             boxes.setdefault(track, {})[frame] = box
+            found.append(box)
+            linenos.append(lineno)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{boxes_path}:{lineno}: {exc}") from None
+    width, height = meta["width"], meta["height"]
+    _, outside = _clip(np.array(found, dtype=np.float64).reshape(-1, 4), 1.0,
+                       width, height)
+    if outside.size:
+        i = outside[0]
+        raise DataFormatError(f"{boxes_path}:{linenos[i]}: box {found[i]} lies "
+                              f"outside the {width}x{height} image")
     tracks = {track: _track(*zip(*sorted(rows.items())))
               for track, rows in boxes.items()}
     rendered = None

@@ -259,6 +259,15 @@ def _mT(v: np.ndarray) -> np.ndarray:
     return v.T if v.ndim == 2 else np.swapaxes(v, -1, -2)
 
 
+def _rows_at(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m.  When a carries a grad_check copy axis, [copies x B x k],
+    and m is a plain matrix [k x n], the copies fold into a's rows: one
+    product instead of one per copy.  Two matrices take ``a @ m`` as is."""
+    if a.ndim == 2 or m.ndim != 2:
+        return a @ m
+    return (a.reshape(-1, a.shape[-1]) @ m).reshape(a.shape[:-1] + m.shape[-1:])
+
+
 def _value(x) -> np.ndarray:
     if isinstance(x, DiffArray):
         return x.value
@@ -461,7 +470,7 @@ def affine(x, w, b):
         _accumulate(w, g.T @ xv)
         _accumulate(b, g.sum(axis=0))
 
-    return _emit(xv @ _mT(wv) + bv[..., None, :], backward, x, w, b)
+    return _emit(_rows_at(xv, _mT(wv)) + bv[..., None, :], backward, x, w, b)
 
 
 def _gru_operands(name, n_in, hidden, w, b, *values):
@@ -491,10 +500,10 @@ def _gru_forward(gx, h, w_zr_t, w_c_t):
 
     Returns out and what :func:`_gru_backward` needs."""
     hidden = h.shape[-1]
-    zr = _sigmoid_value(gx[..., :2 * hidden] + h @ w_zr_t)
+    zr = _sigmoid_value(gx[..., :2 * hidden] + _rows_at(h, w_zr_t))
     z = zr[..., :hidden]
     rh = zr[..., hidden:] * h
-    c = np.tanh(gx[..., 2 * hidden:] + rh @ w_c_t)
+    c = np.tanh(gx[..., 2 * hidden:] + _rows_at(rh, w_c_t))
     return (1.0 - z) * h + z * c, (h, zr, rh, c)
 
 
@@ -553,7 +562,7 @@ def gru_sequence(xs, h0, w, b):
     copies, (w_x, w_zr, w_c, bv, xv, hv) = _gru_operands(
         "gru_sequence", x_shape[1], hidden, _value(w), _value(b), xv, hv)
     tau = x_shape[0] // batch
-    gx = xv @ _mT(w_x) + bv[..., None, :]
+    gx = _rows_at(xv, _mT(w_x)) + bv[..., None, :]
     gx = gx.reshape(gx.shape[:-2] + (batch, tau, 3 * hidden))
     h, saved, w_zr_t, w_c_t = hv, [], _mT(w_zr), _mT(w_c)
     for t in range(tau):
@@ -615,7 +624,7 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w, b, head_w,
                 f"[{embed} x e] and ego_b [{embed}], got shapes {ev.shape}, "
                 f"{we.shape} and {be.shape}")
         ego_rows = ev.reshape(ev.shape[:-3] + (batch * steps, e_shape[2]))
-        ego_pre = ego_rows @ _mT(we) + be[..., None, :]
+        ego_pre = _rows_at(ego_rows, _mT(we)) + be[..., None, :]
         ego_pre = ego_pre.reshape(ego_pre.shape[:-2] + (batch, steps, embed))
         ego_x = np.maximum(ego_pre, 0.0)
     copies, (w_x, w_zr, w_c, bv, hv, ws, bs, wh, bh, ego_x) = _gru_operands(
@@ -624,18 +633,18 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w, b, head_w,
     ws_t, bs_row, w_x_t, b_row = _mT(ws), bs[..., None, :], _mT(w_x), bv[..., None, :]
     w_zr_t, w_c_t = _mT(w_zr), _mT(w_c)
     for t in range(steps):
-        pre = h @ ws_t + bs_row
+        pre = _rows_at(h, ws_t) + bs_row
         x = np.maximum(pre, 0.0)
         if ego is not None:
             x = 0.5 * (x + ego_x[..., t, :])
-        h, record = _gru_forward(x @ w_x_t + b_row, h, w_zr_t, w_c_t)
+        h, record = _gru_forward(_rows_at(x, w_x_t) + b_row, h, w_zr_t, w_c_t)
         saved.append(record)
         state_pre.append(pre)
         xs.append(x)
     # every state after step 0 carries the copies or none does
     hs = np.stack([s[0] for s in saved[1:]] + [h], axis=-2)
     hs = hs.reshape(hs.shape[:-3] + (batch * steps, hidden))
-    y = hs @ _mT(wh) + bh[..., None, :]
+    y = _rows_at(hs, _mT(wh)) + bh[..., None, :]
     y = y.reshape(y.shape[:-2] + (batch, steps, -1))
 
     def backward(g):

@@ -102,6 +102,18 @@ def expand_roi(boxes, factor: float, image_width: float,
         raise ValidationError(
             f"expansion factor must be finite and >= 1, got {factor}")
     boxes = np.asarray(boxes, dtype=np.float64)
+    (x0, y0, x1, y1), outside = _clip(boxes, factor, image_width, image_height)
+    if outside.size:
+        raise ValidationError(
+            f"box {BoundingBox(*boxes[outside[0]].tolist())} expanded by {factor} "
+            f"lies outside the {image_width}x{image_height} image")
+    return np.column_stack([(x0 + x1) / 2.0, (y0 + y1) / 2.0, x1 - x0, y1 - y0])
+
+
+def _clip(boxes: np.ndarray, factor: float, image_width: float, image_height: float):
+    """The corners x0, y0, x1, y1 [k] of each [cx, cy, w, h] row of
+    `boxes` [k x 4] grown by `factor` about its center and clipped to the
+    image, and the indices of the rows left with no area inside it."""
     cx, cy, w, h = boxes.T
     half_w = w * factor / 2.0
     half_h = h * factor / 2.0
@@ -109,12 +121,7 @@ def expand_roi(boxes, factor: float, image_width: float,
     y0 = np.maximum(cy - half_h, 0.0)
     x1 = np.minimum(cx + half_w, float(image_width))
     y1 = np.minimum(cy + half_h, float(image_height))
-    outside = np.flatnonzero((x1 <= x0) | (y1 <= y0))
-    if outside.size:
-        raise ValidationError(
-            f"box {BoundingBox(*boxes[outside[0]].tolist())} expanded by {factor} "
-            f"lies outside the {image_width}x{image_height} image")
-    return np.column_stack([(x0 + x1) / 2.0, (y0 + y1) / 2.0, x1 - x0, y1 - y0])
+    return (x0, y0, x1, y1), np.flatnonzero((x1 <= x0) | (y1 <= y0))
 
 
 def lattice_pool(rois, n: int, width: int, height: int, gather) -> np.ndarray:

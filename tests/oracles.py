@@ -22,6 +22,12 @@ def from_corners(x0, y0, x1, y1):
     return BoundingBox(cx=(x0 + x1) / 2.0, cy=(y0 + y1) / 2.0, w=x1 - x0, h=y1 - y0)
 
 
+def corners(box):
+    """(x0, y0, x1, y1) of a BoundingBox, with x0 < x1 and y0 < y1."""
+    half_w, half_h = box.w / 2.0, box.h / 2.0
+    return (box.cx - half_w, box.cy - half_h, box.cx + half_w, box.cy + half_h)
+
+
 def track_boxes(track):
     """A track array as {frame: BoundingBox}, the form the scalar oracles
     read it in."""
@@ -74,7 +80,7 @@ def bilinear_at(plane, x, y):
 
 def pool_oracle(grid, roi, n):
     """Reference ROI pooling: explicit loops over the sample lattice."""
-    x0, y0, x1, y1 = roi.corners()
+    x0, y0, x1, y1 = corners(roi)
     out = []
     for a in range(n):
         for b in range(n):
@@ -166,7 +172,7 @@ def rectangle_flow(video, t, ix0, iy0, ix1, iy1):
         previous = tracks[track].get(t - 1)
         disp = (0.0, 0.0) if previous is None else \
             (box.cx - previous.cx, box.cy - previous.cy)
-        x0, y0, x1, y1 = box.corners()
+        x0, y0, x1, y1 = corners(box)
         col0 = max(ix0, math.ceil(x0 - PAINT_PAD_PX - 0.5))
         col1 = min(ix1 - 1, math.floor(x1 + PAINT_PAD_PX - 0.5))
         row0 = max(iy0, math.ceil(y0 - PAINT_PAD_PX - 0.5))
@@ -260,7 +266,7 @@ def two_plane_pool(grid, roi, n):
         bottom = plane[r1, c0] * (1.0 - fx) + plane[r1, c1] * fx
         return top * (1.0 - fy) + bottom * fy
 
-    x0, y0, x1, y1 = roi.corners()
+    x0, y0, x1, y1 = corners(roi)
     offsets = (np.arange(n) + 0.5) / n
     grid_x, grid_y = np.meshgrid(x0 + offsets * (x1 - x0), y0 + offsets * (y1 - y0))
     values = np.empty(2 * n * n)
@@ -297,7 +303,7 @@ def expand_box(box, factor, image_width, image_height):
 def pool_frame(roi, n, width, height, gather):
     """One ROI's n x n lattice, interleaved [2 n^2], from `gather(rows,
     cols)`, which is asked once for the four neighbours of every sample."""
-    x0, y0, x1, y1 = roi.corners()
+    x0, y0, x1, y1 = corners(roi)
     offsets = (np.arange(n) + 0.5) / n
     grid_x, grid_y = np.meshgrid(x0 + offsets * (x1 - x0), y0 + offsets * (y1 - y0))
     gx = grid_x.ravel() - 0.5

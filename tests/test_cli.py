@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fvl import dataio
+from fvl import cli, dataio
 from fvl.baselines import fit_extrapolate
 from fvl.cli import _video_dirs, main
 from fvl.dataio import (
@@ -338,6 +338,45 @@ def test_usage_errors_exit_1(capsys):
     # a non-finite number is refused before any data is read
     assert main(["train", "--dataset", "d", "--out", "m", "--lr", "inf"]) == 1
     assert "--lr: must be positive and finite, got inf" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once_and_looks_commands_up_per_call(
+        monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    assert main(["evaluate", "linear"]) == 1  # missing --dataset
+    assert cli._build_parser.cache_info().misses == 1
+    # a command replaced after the parser was built is the one that runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_generate",
+                        lambda args: seen.append((args.scenarios, args.tau)) or 5)
+    assert main(["generate", "a.scn", "b.scn", "--out", "o", "--tau", "3"]) == 5
+    assert seen == [(["a.scn", "b.scn"], 3)]
+    capsys.readouterr()
+    assert main([]) == 1
+    assert capsys.readouterr().err.startswith("usage: fvl ")
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_a_box_outside_the_image_exits_2(tmp_path, external_flow_dir, capsys):
+    # before, the box loaded and windowing failed naming no file or line
+    video = generate_scenario(random_scenario(SCENE_SEEDS[0], frames=12,
+                                              width=320, height=160))
+    root = external_flow_dir(video, tmp_path / "video", tau=4, delta=3)
+    assert main(["evaluate", "constaccel", "--dataset", str(root),
+                 "--tau", "4", "--delta", "3"]) == 0
+    boxes = root / "boxes.jsonl"
+    lines = boxes.read_text().splitlines()
+    record = json.loads(lines[3])
+    record["cx"] = -1000
+    lines[3] = json.dumps(record)
+    boxes.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "constaccel", "--dataset", str(root),
+                 "--tau", "4", "--delta", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"boxes.jsonl:4: box [-1000, {record['cy']!r}, " in err
+    assert "lies outside the 320x160 image" in err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import copy
 import json
 import math
 import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvl import dataio
 from fvl.boxes import BoundingBox
@@ -19,7 +23,7 @@ from fvl.errors import DataFormatError, ValidationError
 from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, lattice_pool,
                           read_flow_grid, roi_pool)
 from fvl.rng import Xoshiro256
-from oracles import background_flow_oracle, ego_poses, project_actor, \
+from oracles import background_flow_oracle, corners, ego_poses, project_actor, \
     project_tracks, rectangle_flow, track_boxes, window_flows
 
 
@@ -268,8 +272,8 @@ def test_nearest_actor_wins_overlap():
     for t in range(1, 8):
         if t not in lead or t not in crosser or (t - 1) not in crosser:
             continue
-        lx0, ly0, lx1, ly1 = lead[t].corners()
-        cx0, cy0, cx1, cy1 = crosser[t].corners()
+        lx0, ly0, lx1, ly1 = corners(lead[t])
+        cx0, cy0, cx1, cy1 = corners(crosser[t])
         ix0, iy0 = max(lx0, cx0), max(ly0, cy0)
         ix1, iy1 = min(lx1, cx1), min(ly1, cy1)
         if ix1 - ix0 > 4.0 and iy1 - iy0 > 4.0:
@@ -397,7 +401,7 @@ def test_array_projection_matches_scalar_oracle_on_edge_cases():
     assert overtaking.tracks[0]["frame"].tolist() == list(range(8, 20))
     # close on the left, so its box is clipped at the image's left edge
     clipped = video(ActorSpec(x=8.0, z=3.0, heading=0.0, speed=0.0))
-    assert {box.corners()[0] for box in track_boxes(clipped.tracks[0]).values()} == {0.0}
+    assert {corners(box)[0] for box in track_boxes(clipped.tracks[0]).values()} == {0.0}
     # far enough to project under MIN_BOX_PX: it has no track
     tiny = video(ActorSpec(x=15.0, z=0.0, heading=0.0, speed=0.0),
                  ActorSpec(x=2000.0, z=0.0, heading=0.0, speed=0.0))
@@ -1032,6 +1036,60 @@ def test_boxes_file_rejects_bad_box_fields(tmp_path, video_dir_files, field, val
     (tmp_path / "boxes.jsonl").write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="boxes.jsonl:2: int too large"):
         read_video_dir(tmp_path)
+
+
+@pytest.mark.parametrize("box, loads", [
+    ([-1000, 60, 10, 8], False), ([325.0, 60.0, 10.0, 8.0], False),
+    ([100.0, -4.0, 10.0, 8.0], False), ([100.0, 164.0, 10.0, 8.0], False),
+    ([-5.0, 60.0, 10.0, 8.0], False),  # touches the left edge: no area
+    ([-4.5, 60.0, 10.0, 8.0], True), ([100.0, 163.0, 10.0, 8.0], True),
+])
+def test_boxes_file_rejects_a_box_outside_the_image(tmp_path, video_dir_files,
+                                                   box, loads):
+    # the test is expand_roi's at factor 1, so a box that loads also windows
+    for name, text in video_dir_files.items():
+        (tmp_path / name).write_text(text)
+    lines = video_dir_files["boxes.jsonl"].splitlines()
+    record = json.loads(lines[2])
+    record.update(zip(("cx", "cy", "w", "h"), box))
+    lines[2] = json.dumps(record)
+    (tmp_path / "boxes.jsonl").write_text("\n".join(lines) + "\n")
+    if loads:
+        read_video_dir(tmp_path)
+        expand_roi([box], 1.0, 320, 160)
+        return
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"boxes.jsonl:3: box {box} lies outside the 320x160 image")):
+        read_video_dir(tmp_path)
+    with pytest.raises(ValidationError, match="lies outside the 320x160 image"):
+        expand_roi([box], 1.0, 320, 160)
+
+
+_MOVING_VIDEO = generate_scenario(moving_scenario())
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 2.0**53, 1e16])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.integers(-2**70, 2**70),
+    st.lists(st.tuples(st.integers(0, 2**63 - 1), _FINITE, _FINITE, _FINITE, _FINITE),
+             min_size=1, max_size=4),
+    min_size=1, max_size=3))
+def test_boxes_lines_are_the_bytes_of_json_dumps(rows):
+    # boxes.jsonl is formatted without json, but must stay byte for byte
+    # what json.dumps writes for finite floats
+    video = copy.copy(_MOVING_VIDEO)
+    video.tracks = {track: dataio._track([r[0] for r in rs], [r[1:] for r in rs])
+                    for track, rs in rows.items()}
+    want = [json.dumps({"frame": frame, "track": track, "cx": cx, "cy": cy,
+                        "w": w, "h": h}, separators=(",", ":"))
+            for track in sorted(rows) for frame, cx, cy, w, h in rows[track]]
+    with tempfile.TemporaryDirectory() as root:
+        write_video_dir(video, Path(root) / "video")
+        text = (Path(root) / "video" / "boxes.jsonl").read_text()
+    assert text.splitlines() == want
+    assert text.endswith("\n")
 
 
 @pytest.mark.parametrize("keep", [6, 10, 12])

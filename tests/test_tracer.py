@@ -55,3 +55,32 @@ def test_tracer_installs_on_the_current_package():
     assert metrics["nnkit.adam_step.calls"] == 1
     for prim in ("add", "sub", "mul", "relu", "mean_all"):
         assert metrics[f"diffcore.prim.{prim}.calls"] > 0, prim
+
+
+# A warm cli.main call has built the parser before the tracer replaces
+# cli.cmd_gradcheck, as in the benchmark's set-up; the traced call must
+# still run through the replacement.
+CLI_CHILD = """
+import contextlib, io, json
+from fvl import cli
+argv = ["gradcheck", "--variant", "x", "--hidden", "2", "--embed", "2",
+        "--tau", "2", "--delta", "1", "--pool-n", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+    from tracer import Tracer
+    tracer = Tracer().install()
+    assert cli.main(argv) == 0
+print(json.dumps(tracer.layer_metrics(1)))
+"""
+
+
+def test_tracer_installed_after_a_cli_call_sees_the_command():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src")]))
+    result = subprocess.run([sys.executable, "-c", CLI_CHILD], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    metrics = json.loads(result.stdout.splitlines()[-1])
+    assert metrics["cli.gradcheck.calls"] == 1
+    assert metrics["cli.gradcheck.s"] > 0
+    assert metrics["diffcore.grad_check.calls"] == 1
