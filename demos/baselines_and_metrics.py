@@ -10,7 +10,6 @@ import json
 import numpy as np
 
 from fvl.baselines import BASELINE_DEGREES, fit_extrapolate
-from fvl.boxes import BoundingBox
 from fvl.metrics import (
     build_reports,
     displacement_errors,
@@ -44,8 +43,8 @@ def main():
     print("degree 2 recovers its own class exactly; degree 1 cannot")
 
     print()
-    box = BoundingBox(cx=5.0, cy=5.0, w=10.0, h=10.0).as_array()
-    shifted = BoundingBox(cx=10.0, cy=5.0, w=10.0, h=10.0).as_array()
+    box = np.array([5.0, 5.0, 10.0, 10.0])  # [cx, cy, w, h]
+    shifted = np.array([10.0, 5.0, 10.0, 10.0])
     same, half = final_iou([box, box], [box, shifted])
     print(f"IoU of a box with itself: {same}")
     print(f"IoU after shifting by half a width: {half} "

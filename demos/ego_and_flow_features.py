@@ -7,7 +7,6 @@ expanded boxes of a track, every frame in one lattice pass.
 
 import numpy as np
 
-from fvl.boxes import BoundingBox
 from fvl.dataio import generate_scenario, random_scenario
 from fvl.egomotion import compose
 from fvl.flowfeat import expand_roi, lattice_pool, roi_pool
@@ -40,9 +39,9 @@ def main():
         track, t, *boxes[i]))
     print("expanded roi: ({:.1f}, {:.1f}, {:.1f}, {:.1f})".format(*rois[i]))
 
-    grid = video.flow_grid(t)
-    print(f"flow grid: {grid.height}x{grid.width}, "
-          f"|flow| max {np.hypot(grid.data[..., 0], grid.data[..., 1]).max():.2f} px")
+    grid = video.flow_grid(t)  # [height x width x 2], (u, v) per pixel
+    print(f"flow grid: {grid.shape[0]}x{grid.shape[1]}, "
+          f"|flow| max {np.hypot(grid[..., 0], grid[..., 1]).max():.2f} px")
     for n in (1, 2, 3):
         # every frame of the track in one lattice pass: the video renders
         # only the lattice pixels, each ROI's in its own frame
@@ -52,7 +51,7 @@ def main():
               f"features, frame {t} mean {pooled[i].mean():+.3f}")
 
     # a frame's row equals pooling that frame's whole grid, bit for bit
-    whole = roi_pool(grid, BoundingBox(*rois[i]), 3).values
+    whole = roi_pool(grid, rois[i], 3).values
     print(f"run pass equals whole-grid pooling: {np.array_equal(pooled[i], whole)}")
 
 

@@ -10,7 +10,6 @@ scenario generator with file formats (dataio).  The `fvl` console
 script ties them into a generate/train/evaluate/predict pipeline.
 """
 
-from .boxes import BoundingBox
 from .dataio import (
     CameraSpec,
     Sample,
@@ -36,7 +35,6 @@ from .metrics import EvalReport, build_reports, displacement_errors, final_iou
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox",
     "BoxForecaster",
     "CameraSpec",
     "DataFormatError",

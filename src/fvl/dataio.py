@@ -52,12 +52,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BoundingBox
 from .egomotion import _ego_log_text, compose, read_ego_log, rotation_matrix, \
     wrap_angle
 from .errors import DataFormatError, ValidationError, text_lines, write_atomic
-from .flowfeat import FlowGrid, PooledFlow, _clip, expand_roi, lattice_pool, \
-    read_flow_pixels
+from .flowfeat import PooledFlow, _clip, expand_roi, lattice_pool, read_flow_pixels
 from .rng import Xoshiro256
 
 __all__ = [
@@ -215,6 +213,11 @@ class ActorSpec:
                 f"{self.length}x{self.width}x{self.height}")
 
 
+def _require_frames(frames: int) -> None:
+    if frames < 2:
+        raise ValidationError(f"scenario needs >= 2 frames, got {frames}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to render one synthetic video.
@@ -233,8 +236,7 @@ class Scenario:
     height: int = 640
 
     def __post_init__(self):
-        if self.frames < 2:
-            raise ValidationError(f"scenario needs >= 2 frames, got {self.frames}")
+        _require_frames(self.frames)
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(
                 f"image dims must be positive, got {self.width}x{self.height}")
@@ -266,23 +268,22 @@ class _FlowSource:
     and pooled ROIs are both built from it.
     """
 
-    def flow_grid(self, t: int) -> FlowGrid:
-        """Frame t's whole flow grid, in blocks of whole rows of at most
-        GROUND_BLOCK_PX pixels (one row if wider), so the temporaries stay
-        in cache."""
+    def flow_grid(self, t: int) -> np.ndarray:
+        """Frame t's whole [height x width x 2] flow grid, in blocks of whole
+        rows of at most GROUND_BLOCK_PX pixels (one row if wider), so the
+        temporaries stay in cache."""
         flat = np.empty((self.height * self.width, 2))
         block = max(1, GROUND_BLOCK_PX // self.width) * self.width
         for start in range(0, flat.shape[0], block):
             stop = min(start + block, flat.shape[0])
             rows, cols = np.divmod(np.arange(start, stop), self.width)
             flat[start:stop] = self.flow_at(t, rows, cols)
-        return FlowGrid(width=self.width, height=self.height,
-                        data=flat.reshape(self.height, self.width, 2))
+        return flat.reshape(self.height, self.width, 2)
 
-    def pooled_flow(self, t: int, roi: BoundingBox, n: int) -> PooledFlow:
-        """ROI-pool frame t's flow from only the pixels the lattice reads;
-        `windows_from_video` pools a whole run of frames in one pass."""
-        values = lattice_pool(roi.as_array()[None], n, self.width, self.height,
+    def pooled_flow(self, t: int, roi, n: int) -> PooledFlow:
+        """ROI-pool frame t's flow inside one [cx, cy, w, h] row from only the
+        pixels the lattice reads; `windows_from_video` pools a run in one pass."""
+        values = lattice_pool([roi], n, self.width, self.height,
                               lambda _, rows, cols: self.flow_at(t, rows, cols))
         return PooledFlow(values=values[0], n=n)
 
@@ -909,6 +910,7 @@ def read_scenario_file(path) -> Scenario:
     try:
         values = {key: _SCENARIO_KEYS[key](text) for key, text in top.items()}
         frames = values.pop("frames")
+        _require_frames(frames)  # before the rate lists, which need frames - 1 entries
         camera = CameraSpec(**{f.name: values.pop(f.name)
                                for f in fields(CameraSpec) if f.name in values})
         for key, name in _RATE_KEYS.items():

@@ -1,11 +1,12 @@
 """Dense flow grids and ROI pooling.
 
-A :class:`FlowGrid` stores one (u, v) displacement per pixel.  The
+A flow grid is an f64 [H x W x 2] array holding one (u, v) displacement
+per pixel, and a box or region of interest is a [cx, cy, w, h] row.  The
 forecaster does not consume the full grid; it consumes a fixed-length
 summary produced by :func:`lattice_pool`: bilinear samples on an n x n
 lattice inside a (usually expanded) region of interest, flattened to the
 interleaved vector [u_1, v_1, ..., u_{n*n}, v_{n*n}].  Like ROIAlign, it
-pools a batch of ROIs, one [cx, cy, w, h] row each, in one array pass
+pools a batch of ROIs, one row each of a [k x 4] array, in one array pass
 that asks the flow source once for the at most 4 n^2 pixels each
 lattice reads, so a source need only supply those; :func:`expand_roi`
 grows and clips such a batch.  `roi_pool` pools one ROI of a whole
@@ -28,11 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BoundingBox
 from .errors import DataFormatError, ValidationError
 
 __all__ = [
-    "FlowGrid",
     "PooledFlow",
     "expand_roi",
     "lattice_pool",
@@ -44,32 +43,6 @@ __all__ = [
 ]
 
 FLOW_MAGIC = b"FFGR"
-
-
-@dataclass(frozen=True)
-class FlowGrid:
-    """Per-pixel (u, v) displacement field, data shaped [height, width, 2]."""
-
-    width: int
-    height: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", data)
-        if data.shape != (self.height, self.width, 2):
-            raise ValidationError(
-                f"flow data shape {data.shape} does not match "
-                f"(height={self.height}, width={self.width}, 2)")
-        if not np.all(np.isfinite(data)):
-            raise ValidationError("flow data contains non-finite values")
-
-    @classmethod
-    def constant(cls, width: int, height: int, u: float, v: float) -> "FlowGrid":
-        data = np.empty((height, width, 2))
-        data[..., 0] = u
-        data[..., 1] = v
-        return cls(width=width, height=height, data=data)
 
 
 @dataclass(frozen=True)
@@ -105,7 +78,7 @@ def expand_roi(boxes, factor: float, image_width: float,
     (x0, y0, x1, y1), outside = _clip(boxes, factor, image_width, image_height)
     if outside.size:
         raise ValidationError(
-            f"box {BoundingBox(*boxes[outside[0]].tolist())} expanded by {factor} "
+            f"box {boxes[outside[0]].tolist()} expanded by {factor} "
             f"lies outside the {image_width}x{image_height} image")
     return np.column_stack([(x0 + x1) / 2.0, (y0 + y1) / 2.0, x1 - x0, y1 - y0])
 
@@ -139,11 +112,12 @@ def lattice_pool(rois, n: int, width: int, height: int, gather) -> np.ndarray:
     rois = np.asarray(rois, dtype=np.float64)
     cx, cy, w, h = rois.T
     half_w, half_h = w / 2.0, h / 2.0
-    x0, y0, x1, y1 = cx - half_w, cy - half_h, cx + half_w, cy + half_h
-    empty = np.flatnonzero(~((x1 > x0) & (y1 > y0)))
-    if empty.size:
-        raise ValidationError(
-            f"cannot pool an empty ROI: [cx, cy, w, h] = {rois[empty[0]].tolist()}")
+    with np.errstate(invalid="ignore"):  # inf - inf, in a row refused below
+        x0, y0, x1, y1 = cx - half_w, cy - half_h, cx + half_w, cy + half_h
+    bad = np.flatnonzero(~(np.isfinite(rois).all(axis=1) & (x1 > x0) & (y1 > y0)))
+    if bad.size:
+        raise ValidationError(f"cannot pool an empty or non-finite ROI: "
+                              f"[cx, cy, w, h] = {rois[bad[0]].tolist()}")
     # sample (a, b) of ROI i sits at column x[i, b] and row y[i, a]
     offsets = (np.arange(n) + 0.5) / n
     gx = x0[:, None] + offsets * (x1 - x0)[:, None] - 0.5
@@ -168,11 +142,21 @@ def lattice_pool(rois, n: int, width: int, height: int, gather) -> np.ndarray:
     return (upper * (1.0 - fy) + lower * fy).reshape(len(rois), -1)
 
 
-def roi_pool(grid: FlowGrid, roi: BoundingBox, n: int) -> PooledFlow:
-    """Bilinearly sample a whole grid on an n x n lattice inside one ROI;
-    see `lattice_pool`, which pools without materializing a grid."""
-    values = lattice_pool(roi.as_array()[None], n, grid.width, grid.height,
-                          lambda _, rows, cols: grid.data[rows, cols])
+def _flow_grid(grid) -> np.ndarray:
+    """`grid` as an f64 array, refused unless it is [H x W x 2]."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 3 or grid.shape[2] != 2:
+        raise ValidationError(f"a flow grid must be [H x W x 2], got shape {grid.shape}")
+    return grid
+
+
+def roi_pool(grid, roi, n: int) -> PooledFlow:
+    """Bilinearly sample a whole [H x W x 2] grid on an n x n lattice
+    inside one [cx, cy, w, h] ROI; see `lattice_pool`, which pools
+    without materializing a grid."""
+    grid = _flow_grid(grid)
+    values = lattice_pool([roi], n, grid.shape[1], grid.shape[0],
+                          lambda _, rows, cols: grid[rows, cols])
     return PooledFlow(values=values[0], n=n)
 
 
@@ -181,10 +165,17 @@ def roi_pool(grid: FlowGrid, roi: BoundingBox, n: int) -> PooledFlow:
 # from outside the scenario generator.
 
 
-def write_flow_grid(path, grid: FlowGrid) -> None:
+def write_flow_grid(path, grid) -> None:
+    """Write an [H x W x 2] grid; one that `read_flow_pixels` would refuse
+    to read back, holding a value that is not finite as f32, is refused."""
+    grid = _flow_grid(grid)
+    with np.errstate(over="ignore"):
+        payload = grid.astype("<f4", order="C")
+    if not np.isfinite(payload).all():
+        raise ValidationError("flow grid holds a value that is not finite as f32")
     with Path(path).open("wb") as handle:
-        handle.write(FLOW_MAGIC + struct.pack("<II", grid.width, grid.height))
-        handle.write(grid.data.astype("<f4", order="C"))
+        handle.write(FLOW_MAGIC + struct.pack("<II", grid.shape[1], grid.shape[0]))
+        handle.write(payload)
 
 
 def read_flow_pixels(path, pixels=..., width=None, height=None) -> np.ndarray:
@@ -225,6 +216,6 @@ def read_flow_pixels(path, pixels=..., width=None, height=None) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def read_flow_grid(path) -> FlowGrid:
-    data = read_flow_pixels(path)
-    return FlowGrid(width=data.shape[1], height=data.shape[0], data=data)
+def read_flow_grid(path) -> np.ndarray:
+    """The whole [H x W x 2] grid of a flow file, as f64."""
+    return read_flow_pixels(path)

@@ -11,27 +11,26 @@ import math
 import numpy as np
 
 from fvl import diffcore as dc
-from fvl.boxes import BoundingBox
 from fvl.dataio import MIN_BOX_PX, NEAR_PLANE_M, PAINT_PAD_PX
 from fvl.egomotion import rotation_matrix
 from fvl.errors import ValidationError
 
 
 def from_corners(x0, y0, x1, y1):
-    """The BoundingBox with corners (x0, y0) and (x1, y1)."""
-    return BoundingBox(cx=(x0 + x1) / 2.0, cy=(y0 + y1) / 2.0, w=x1 - x0, h=y1 - y0)
+    """The box (cx, cy, w, h) with corners (x0, y0) and (x1, y1)."""
+    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0, x1 - x0, y1 - y0)
 
 
 def corners(box):
-    """(x0, y0, x1, y1) of a BoundingBox, with x0 < x1 and y0 < y1."""
-    half_w, half_h = box.w / 2.0, box.h / 2.0
-    return (box.cx - half_w, box.cy - half_h, box.cx + half_w, box.cy + half_h)
+    """(x0, y0, x1, y1) of a box (cx, cy, w, h)."""
+    cx, cy, w, h = box
+    return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
 
 
 def track_boxes(track):
-    """A track array as {frame: BoundingBox}, the form the scalar oracles
-    read it in."""
-    return {frame: BoundingBox(*box) for frame, box in
+    """A track array as {frame: (cx, cy, w, h)}, the form the scalar
+    oracles read it in."""
+    return {frame: tuple(box) for frame, box in
             zip(track["frame"].tolist(), track["box"].tolist())}
 
 
@@ -86,8 +85,8 @@ def pool_oracle(grid, roi, n):
         for b in range(n):
             sx = x0 + (b + 0.5) * (x1 - x0) / n
             sy = y0 + (a + 0.5) * (y1 - y0) / n
-            u = bilinear_at(grid.data[:, :, 0].tolist(), sx, sy)
-            v = bilinear_at(grid.data[:, :, 1].tolist(), sx, sy)
+            u = bilinear_at(grid[:, :, 0].tolist(), sx, sy)
+            v = bilinear_at(grid[:, :, 1].tolist(), sx, sy)
             out.extend([u, v])
     return np.asarray(out)
 
@@ -171,7 +170,7 @@ def rectangle_flow(video, t, ix0, iy0, ix1, iy1):
         box = tracks[track][t]
         previous = tracks[track].get(t - 1)
         disp = (0.0, 0.0) if previous is None else \
-            (box.cx - previous.cx, box.cy - previous.cy)
+            (box[0] - previous[0], box[1] - previous[1])
         x0, y0, x1, y1 = corners(box)
         col0 = max(ix0, math.ceil(x0 - PAINT_PAD_PX - 0.5))
         col1 = min(ix1 - 1, math.floor(x1 + PAINT_PAD_PX - 0.5))
@@ -186,7 +185,7 @@ def project_actor(camera, ego_heading, ego_position, center, actor, width,
                   height):
     """Project an actor's 3D box in one frame, corner by corner in scalar
     arithmetic, the way the generator did before it projected every
-    frame in one array pass; returns (BoundingBox, depth) or None.  A
+    frame in one array pass; returns ((cx, cy, w, h), depth) or None.  A
     non-finite u or v of a corner, once every corner is past the near
     plane, raises ValidationError."""
     forward = np.array([math.cos(actor.heading), math.sin(actor.heading)])
@@ -270,32 +269,34 @@ def two_plane_pool(grid, roi, n):
     offsets = (np.arange(n) + 0.5) / n
     grid_x, grid_y = np.meshgrid(x0 + offsets * (x1 - x0), y0 + offsets * (y1 - y0))
     values = np.empty(2 * n * n)
-    values[0::2] = bilinear(grid.data[..., 0], grid_x.ravel(), grid_y.ravel())
-    values[1::2] = bilinear(grid.data[..., 1], grid_x.ravel(), grid_y.ravel())
+    values[0::2] = bilinear(grid[..., 0], grid_x.ravel(), grid_y.ravel())
+    values[1::2] = bilinear(grid[..., 1], grid_x.ravel(), grid_y.ravel())
     return values
 
 
 # --- per-frame windowing --------------------------------------------------------
 #
-# Windowing pooled one frame per call, one BoundingBox at a time, before
+# Windowing pooled one frame per call, one box at a time, before
 # it expanded and pooled each run's frames in one array pass; that loop is
 # kept here as the oracle the run-level pass must equal bit for bit.
 
 
 def expand_box(box, factor, image_width, image_height):
-    """One BoundingBox grown about its center and clipped to the image."""
+    """One box (cx, cy, w, h) grown about its center and clipped to the
+    image."""
     if not (math.isfinite(factor) and factor >= 1.0):
         raise ValidationError(
             f"expansion factor must be finite and >= 1, got {factor}")
-    half_w = box.w * factor / 2.0
-    half_h = box.h * factor / 2.0
-    x0 = max(box.cx - half_w, 0.0)
-    y0 = max(box.cy - half_h, 0.0)
-    x1 = min(box.cx + half_w, float(image_width))
-    y1 = min(box.cy + half_h, float(image_height))
+    cx, cy, w, h = box
+    half_w = w * factor / 2.0
+    half_h = h * factor / 2.0
+    x0 = max(cx - half_w, 0.0)
+    y0 = max(cy - half_h, 0.0)
+    x1 = min(cx + half_w, float(image_width))
+    y1 = min(cy + half_h, float(image_height))
     if x1 <= x0 or y1 <= y0:
         raise ValidationError(
-            f"box {box} expanded by {factor} lies outside the "
+            f"box {list(box)} expanded by {factor} lies outside the "
             f"{image_width}x{image_height} image")
     return from_corners(x0, y0, x1, y1)
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from fvl.baselines import fit_extrapolate
-from fvl.boxes import BoundingBox
 from fvl.cli import main as cli_main
 from fvl.dataio import (
     generate_scenario,
@@ -25,7 +24,7 @@ from fvl.dataio import (
     write_scenario_file,
 )
 from fvl.egomotion import compose
-from fvl.flowfeat import FlowGrid, read_flow_grid, roi_pool, write_flow_grid
+from fvl.flowfeat import read_flow_grid, roi_pool, write_flow_grid
 from fvl.fvlmodel import (
     VARIANTS,
     BoxForecaster,
@@ -96,12 +95,9 @@ def test_reference_oracles(capsys):
     for _ in range(100):
         width = 8 + rng.integer(24)
         height = 6 + rng.integer(20)
-        grid = FlowGrid(width=width, height=height,
-                        data=rng.uniforms((height, width, 2), -4.0, 4.0))
-        roi = BoundingBox(cx=rng.uniform(1.0, width - 1.0),
-                          cy=rng.uniform(1.0, height - 1.0),
-                          w=rng.uniform(0.5, float(width)),
-                          h=rng.uniform(0.5, float(height)))
+        grid = rng.uniforms((height, width, 2), -4.0, 4.0)
+        roi = [rng.uniform(1.0, width - 1.0), rng.uniform(1.0, height - 1.0),
+               rng.uniform(0.5, float(width)), rng.uniform(0.5, float(height))]
         n = 1 + rng.integer(5)
         diff = roi_pool(grid, roi, n).values - pool_oracle(grid, roi, n)
         worst_pool = max(worst_pool, float(np.max(np.abs(diff))))
@@ -155,7 +151,7 @@ def test_metric_examples(capsys):
     fde, ade = displacement_errors(pred[None], truth[None])
     offset_exact = fde.tolist() == ade.tolist() == [5.0]
 
-    box, shifted, far = (BoundingBox(cx=cx, cy=cy, w=10.0, h=10.0).as_array()
+    box, shifted, far = ([cx, cy, 10.0, 10.0]
                          for cx, cy in ((5.0, 5.0), (10.0, 5.0), (100.0, 100.0)))
     iou_exact = final_iou([box, box, box], [box, far, shifted]).tolist() == [
         1.0, 0.0, 1.0 / 3.0]
@@ -344,7 +340,7 @@ def test_round_trips(tmp_path, capsys):
     write_flow_grid(tmp_path / "g.ffgr", grid)
     restored = read_flow_grid(tmp_path / "g.ffgr")
     flow_f32_exact = np.array_equal(
-        restored.data, grid.data.astype(np.float32).astype(np.float64))
+        restored, grid.astype(np.float32).astype(np.float64))
 
     # a zero-parameter model predicts zero residuals, so its pixel boxes
     # are the last past box scaled to model units and back

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvl import dataio
-from fvl.boxes import BoundingBox
 from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
                         generate_scenario, random_scenario, read_dataset,
                         read_scenario_file, read_video_dir, split_videos,
@@ -20,7 +19,7 @@ from fvl.dataio import (ActorSpec, CameraSpec, Sample, Scenario,
                         write_scenario_file, write_video_dir)
 from fvl.egomotion import compose, rotation_matrix, wrap_angle, write_ego_log
 from fvl.errors import DataFormatError, ValidationError
-from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, lattice_pool,
+from fvl.flowfeat import (PooledFlow, expand_roi, lattice_pool,
                           read_flow_grid, roi_pool)
 from fvl.rng import Xoshiro256
 from oracles import background_flow_oracle, corners, ego_poses, project_actor, \
@@ -61,7 +60,7 @@ def test_static_world_freezes_boxes_and_flow():
     assert track["frame"].tolist() == list(range(20))
     assert np.all(track["box"] == track["box"][0])
     for t in (0, 1, 19):
-        assert not np.any(video.flow_grid(t).data)
+        assert not np.any(video.flow_grid(t))
 
 
 def test_crossing_actor_moves_right_and_carries_its_displacement():
@@ -77,7 +76,7 @@ def test_crossing_actor_moves_right_and_carries_its_displacement():
     for t in range(1, 12):
         dcx = centers[t][0] - centers[t - 1][0]
         dcy = centers[t][1] - centers[t - 1][1]
-        roi = BoundingBox(cx=centers[t][0], cy=centers[t][1], w=4.0, h=4.0)
+        roi = [centers[t][0], centers[t][1], 4.0, 4.0]
         pooled = video.pooled_flow(t, roi, 3)
         assert np.max(np.abs(pooled.values[0::2] - dcx)) < 1e-12
         assert np.max(np.abs(pooled.values[1::2] - dcy)) < 1e-12
@@ -104,7 +103,7 @@ def test_ego_log_composes_to_simulated_pose():
 def test_forward_motion_flow_is_radial_from_center():
     scenario = Scenario(frames=3, camera=small_camera(), ego_yaw_rates=0.0,
                         ego_speeds=0.9, width=320, height=160)
-    grid = generate_scenario(scenario).flow_grid(2).data
+    grid = generate_scenario(scenario).flow_grid(2)
     assert not np.any(grid[:81])  # the horizon row and sky carry no flow
     rows = np.arange(82, 160)
     u = np.arange(320) + 0.5 - 160.0
@@ -184,7 +183,7 @@ def test_background_flow_equals_full_frame_oracle_bit_for_bit(
     wants, frames = [], []
     for t in (1, 2, 3):
         # whole frames go in blocks of rows, pixels of a rectangle in one call
-        assert_bit_equal(video.flow_grid(t).data, background_flow_oracle(
+        assert_bit_equal(video.flow_grid(t), background_flow_oracle(
             camera, headings, positions, t, 0, 0, 320, 160))
         for ix0, iy0, ix1, iy1 in rects:
             want = background_flow_oracle(camera, headings, positions, t,
@@ -202,7 +201,7 @@ def test_background_flow_equals_full_frame_oracle_bit_for_bit(
     want[::7] = 0.0
     assert_bit_equal(video.flow_at(frames, rows, cols), want)
     # the bottom row is ground: it moves at frame 1 and is masked at frame 2
-    bottom = [video.flow_grid(t).data[-1] for t in (1, 2)]
+    bottom = [video.flow_grid(t)[-1] for t in (1, 2)]
     assert np.all(bottom[0][:, 1] != 0.0) == (ppy < 160)
     assert not np.any(bottom[1])
 
@@ -215,7 +214,7 @@ def test_parked_ego_gives_positive_zero_flow():
     headings, positions = ego_poses(video)
     assert headings[1] != 0.0 and headings[3] == headings[1]
     for t in (2, 3):
-        data = video.flow_grid(t).data
+        data = video.flow_grid(t)
         assert not np.any(data) and not np.any(np.signbit(data))
         want = background_flow_oracle(scenario.camera, headings, positions,
                                       t, 0, 0, 320, 160)
@@ -242,21 +241,18 @@ def test_patch_pooling_matches_full_grid():
     for scenario in (rich_scenario(), parked_scenario()):
         video = generate_scenario(scenario)
         for t in range(scenario.frames):
-            grid = FlowGrid(width=320, height=160,
-                            data=rectangle_flow(video, t, 0, 0, 320, 160))
-            assert_bit_equal(video.flow_grid(t).data, grid.data)
+            grid = rectangle_flow(video, t, 0, 0, 320, 160)
+            assert_bit_equal(video.flow_grid(t), grid)
             boxes = np.concatenate([track["box"][track["frame"] == t]
                                     for track in video.tracks.values()])
-            rois = [BoundingBox(*roi) for expand in (1.0, 1.5, 4.0)
-                    for roi in expand_roi(boxes, expand, 320, 160)]
-            rois += [BoundingBox(cx=rng.uniform(-10.0, 330.0), cy=rng.uniform(60.0, 100.0),
-                                 w=rng.uniform(1.0, 60.0), h=rng.uniform(1.0, 60.0))
-                     for _ in range(6)]
-            rois += [BoundingBox(cx=0.3, cy=159.9, w=5.0, h=3.0),
-                     BoundingBox(cx=320.0, cy=0.0, w=40.0, h=30.0)]
+            rois = [expand_roi(boxes, expand, 320, 160) for expand in (1.0, 1.5, 4.0)]
+            rois += [[[rng.uniform(-10.0, 330.0), rng.uniform(60.0, 100.0),
+                       rng.uniform(1.0, 60.0), rng.uniform(1.0, 60.0)] for _ in range(6)]]
+            rois += [[[0.3, 159.9, 5.0, 3.0], [320.0, 0.0, 40.0, 30.0]]]
+            rois = np.concatenate(rois)
             for n in (1, 3, 5):
                 # every ROI of the frame in one pass, and each on its own
-                batch = lattice_pool(np.array([roi.as_array() for roi in rois]), n,
+                batch = lattice_pool(rois, n,
                                      320, 160, lambda _, rows, cols:
                                      video.flow_at(t, rows, cols))
                 for roi, values in zip(rois, batch):
@@ -282,8 +278,8 @@ def test_nearest_actor_wins_overlap():
     assert hit is not None, "scenario should make the boxes overlap"
     t, px, py = hit
     (du, dv), = video.flow_at(t, np.array([int(py)]), np.array([int(px)]))
-    assert du == crosser[t].cx - crosser[t - 1].cx
-    assert dv == crosser[t].cy - crosser[t - 1].cy
+    assert du == crosser[t][0] - crosser[t - 1][0]
+    assert dv == crosser[t][1] - crosser[t - 1][1]
     # asked along with the same pixel in every other frame
     frames = np.arange(8)
     together = video.flow_at(frames, np.full(8, int(py)), np.full(8, int(px)))
@@ -303,14 +299,14 @@ def test_equal_depth_overlap_goes_to_the_later_track():
     left, right = (track_boxes(video.tracks[track]) for track in (0, 1))
     frames = np.arange(1, 6)
     # the middle of both boxes, where they overlap
-    cols = np.array([int((left[t].cx + right[t].cx) / 2) for t in frames.tolist()])
-    rows = np.array([int(left[t].cy) for t in frames.tolist()])
+    cols = np.array([int((left[t][0] + right[t][0]) / 2) for t in frames.tolist()])
+    rows = np.array([int(left[t][1]) for t in frames.tolist()])
     flow = video.flow_at(frames, rows, cols)
     for (du, dv), t in zip(flow, frames.tolist()):
-        assert du == right[t].cx - right[t - 1].cx != left[t].cx - left[t - 1].cx
-        assert dv == right[t].cy - right[t - 1].cy
+        assert du == right[t][0] - right[t - 1][0] != left[t][0] - left[t - 1][0]
+        assert dv == right[t][1] - right[t - 1][1]
     for t in frames.tolist():
-        assert_bit_equal(video.flow_grid(t).data, rectangle_flow(video, t, 0, 0, 320, 160))
+        assert_bit_equal(video.flow_grid(t), rectangle_flow(video, t, 0, 0, 320, 160))
 
 
 def test_first_visible_frame_paints_zero_flow():
@@ -322,7 +318,7 @@ def test_first_visible_frame_paints_zero_flow():
     first = int(video.tracks[0]["frame"][0])
     assert 0 < first < 10
     cx, cy, _, _ = video.tracks[0]["box"][0].tolist()
-    roi = BoundingBox(cx=cx, cy=cy, w=2.0, h=2.0)
+    roi = [cx, cy, 2.0, 2.0]
     pooled = video.pooled_flow(first, roi, 2)
     assert np.array_equal(pooled.values, np.zeros(8))
     assert not np.any(np.signbit(pooled.values))
@@ -338,22 +334,21 @@ def test_first_visible_frame_paints_zero_flow():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_rendered_flow_is_rejected():
     # the reprojection overflows, so ground flow comes out non-finite;
-    # before, FlowGrid rejected such a frame, and pooling must too
+    # a whole frame of it is rejected, and pooling must be too
     camera = CameraSpec(focal=1e200, ppx=160.0, ppy=80.0, cam_height=1e100)
     video = generate_scenario(Scenario(frames=3, camera=camera, ego_speeds=0.5,
                                        ego_yaw_rates=0.1, width=320, height=160))
-    roi = BoundingBox(cx=160.0, cy=150.0, w=20.0, h=10.0)
+    roi = [160.0, 150.0, 20.0, 10.0]
     frames = np.array([1, 2, 2])
 
     def run():  # one lattice pass over three frames
-        return lattice_pool(np.tile(roi.as_array(), (3, 1)), 3, 320, 160,
+        return lattice_pool(np.tile(roi, (3, 1)), 3, 320, 160,
                             lambda i, rows, cols: video.flow_at(frames[i], rows, cols))
 
     for flow in (lambda: video.pooled_flow(2, roi, 3), lambda: video.flow_grid(2), run):
         with pytest.raises(ValidationError, match="flow data contains non-finite values"):
             flow()
-    assert not np.any(video.pooled_flow(2, BoundingBox(cx=160.0, cy=20.0, w=20.0,
-                                                       h=10.0), 3).values)
+    assert not np.any(video.pooled_flow(2, [160.0, 20.0, 20.0, 10.0], 3).values)
 
 
 def test_generator_repeats_exactly():
@@ -363,7 +358,7 @@ def test_generator_repeats_exactly():
     assert a.tracks.keys() == b.tracks.keys()
     for track in a.tracks:
         assert a.tracks[track].tobytes() == b.tracks[track].tobytes()
-    assert np.array_equal(a.flow_grid(7).data, b.flow_grid(7).data)
+    assert np.array_equal(a.flow_grid(7), b.flow_grid(7))
     assert a.ego_steps.tobytes() == b.ego_steps.tobytes()
 
 
@@ -375,7 +370,7 @@ def assert_tracks_match_projection_oracle(video):
     for track, boxes in tracks.items():
         assert video.tracks[track]["frame"].tolist() == list(boxes)
         assert_bit_equal(video.tracks[track]["box"],
-                         np.array([box.as_array() for box in boxes.values()]))
+                         np.array(list(boxes.values())))
         assert_bit_equal(video._depths[track], depths[track])
 
 
@@ -487,7 +482,7 @@ def test_window_contents_align_with_source_video(monkeypatch):
     anchor = frames[3]
     assert np.array_equal(first.ego, compose(video.ego_steps[anchor:anchor + 3]))
     roi, = expand_roi(first.past[2:3], 1.5, video.width, video.height)
-    redone = video.pooled_flow(frames[2], BoundingBox(*roi), 2)
+    redone = video.pooled_flow(frames[2], roi, 2)
     assert np.array_equal(first.flow[2].values, redone.values)
 
 
@@ -555,7 +550,7 @@ def test_external_flow_windows_equal_the_per_frame_oracle(tmp_path, external_flo
     monkeypatch.setattr(dataio, "read_flow_pixels", lambda path, *args:
                         reads.append(path.name) or read(path, *args))
     clipped = assert_windows_equal_the_oracle(
-        loaded, lambda t: read_flow_grid(root / "flow" / f"{t:06d}.ffgr").data,
+        loaded, lambda t: read_flow_grid(root / "flow" / f"{t:06d}.ffgr"),
         (1.0, 2.5), (1, 3, 5))
     assert clipped
     # each of the six windowings reads each past frame's file once per run
@@ -593,7 +588,7 @@ def test_windows_split_a_track_at_its_gaps(tmp_path, external_flow_dir):
         line + "\n" for line in lines
         if (json.loads(line)["track"], json.loads(line)["frame"]) not in drop))
     loaded = read_video_dir(root)
-    grid = lambda t: read_flow_grid(root / "flow" / f"{t:06d}.ffgr").data
+    grid = lambda t: read_flow_grid(root / "flow" / f"{t:06d}.ffgr")
     samples, skipped = windows_from_video(loaded, 3, 2, n=3)
     # each track is left with one run shorter than the 5 frames a window
     # needs, which is skipped, and one that windows
@@ -607,7 +602,7 @@ def test_windows_split_a_track_at_its_gaps(tmp_path, external_flow_dir):
     for sample, (track, frames), flows in zip(samples, windows, want):
         assert sample.track == track
         assert_bit_equal(np.vstack([sample.past, sample.future]),
-                         np.array([boxes[track][t].as_array() for t in frames]))
+                         np.array([boxes[track][t] for t in frames]))
         assert_bit_equal(np.array([f.values for f in sample.flow]), flows)
 
 
@@ -849,10 +844,10 @@ def test_video_dir_roundtrip(tmp_path, external_flow_dir):
     # the directory's scenario renders flow in f64, as in memory; flow from
     # outside the generator is read back at its f32 precision
     grid = video.flow_grid(5)
-    assert_bit_equal(loaded.flow_grid(5).data, grid.data)
+    assert_bit_equal(loaded.flow_grid(5), grid)
     external = read_video_dir(external_flow_dir(video, tmp_path / "external"))
-    assert np.array_equal(external.flow_grid(5).data,
-                          grid.data.astype("<f4").astype(np.float64))
+    assert np.array_equal(external.flow_grid(5),
+                          grid.astype("<f4").astype(np.float64))
 
 
 def test_tracks_are_read_only_frame_box_arrays(tmp_path, external_flow_dir):
@@ -908,11 +903,10 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
     lines = []
     for track, rows in sorted(video.tracks.items()):
         for t, box in track_boxes(rows).items():
-            roi = BoundingBox(*expand_roi([box.as_array()], 1.5, video.width,
-                                          video.height)[0])
+            roi, = expand_roi([box], 1.5, video.width, video.height)
             values = roi_pool(read_flow_grid(str(flow_file).format(t)), roi, 2)
             lines.append(json.dumps(
-                {"track": track, "frame": t, "n": 2, "cx": roi.cx, "cy": roi.cy,
+                {"track": track, "frame": t, "n": 2, "cx": roi[0], "cy": roi[1],
                  "values": values.values.tolist()}))
     (root / "pooled.jsonl").write_text("\n".join(lines) + "\n")
 
@@ -927,13 +921,12 @@ def test_windowing_ignores_a_leftover_pooled_table(tmp_path, external_flow_dir):
         for sample in samples:
             for row, pooled in zip(sample.past, sample.flow):
                 t = frame_of[sample.track, tuple(row)]
-                box = BoundingBox(*row)
-                clipped += (box.cx - 1.25 * box.w < 0.0 or box.cy - 1.25 * box.h < 0.0
-                            or box.cx + 1.25 * box.w > video.width
-                            or box.cy + 1.25 * box.h > video.height)
+                cx, cy, w, h = row
+                clipped += (cx - 1.25 * w < 0.0 or cy - 1.25 * h < 0.0
+                            or cx + 1.25 * w > video.width
+                            or cy + 1.25 * h > video.height)
                 roi, = expand_roi([row], 2.5, video.width, video.height)
-                fresh = roi_pool(read_flow_grid(str(flow_file).format(t)),
-                                 BoundingBox(*roi), n)
+                fresh = roi_pool(read_flow_grid(str(flow_file).format(t)), roi, n)
                 assert np.array_equal(pooled.values, fresh.values)
     assert clipped
 
@@ -1184,7 +1177,12 @@ def test_scenario_file_errors(tmp_path):
             ("frames=6\n" + actor + "x=2\n",
              r"bad.scn:7: repeated \[actor\] key 'x'"),
             ("frames=6\n" + actor + "[actor]\nx=1\nspeed=1\n",
-             r"bad.scn:7: \[actor\] is missing z, heading")]:
+             r"bad.scn:7: \[actor\] is missing z, heading"),
+            # too few frames is named before the rate lists are sized from
+            # them; before, these read "negative dimensions are not allowed"
+            # and "needs 1 or -1 comma-separated values"
+            ("frames=-5\nego_yaw_rate=0.1\n", "bad.scn: scenario needs >= 2 frames, got -5"),
+            ("frames=0\nego_speed=0.1,0.2\n", "bad.scn: scenario needs >= 2 frames, got 0")]:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=message):
             read_scenario_file(path)

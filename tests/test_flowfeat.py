@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvl.boxes import BoundingBox
 from fvl.dataio import ActorSpec, CameraSpec, Scenario, generate_scenario
 from fvl.errors import DataFormatError, ValidationError
-from fvl.flowfeat import (FlowGrid, PooledFlow, expand_roi, lattice_pool,
+from fvl.flowfeat import (PooledFlow, expand_roi, lattice_pool,
                           read_flow_grid, read_flow_pixels, roi_pool,
                           write_flow_grid)
 from fvl.rng import Xoshiro256
@@ -18,8 +17,7 @@ from oracles import expand_box, from_corners, pool_frame, pool_oracle, two_plane
 
 
 def random_grid(seed, width=32, height=32):
-    data = Xoshiro256(seed).uniforms((height, width, 2), -5.0, 5.0)
-    return FlowGrid(width=width, height=height, data=data)
+    return Xoshiro256(seed).uniforms((height, width, 2), -5.0, 5.0)
 
 
 def random_roi(rng, width, height):
@@ -27,7 +25,7 @@ def random_roi(rng, width, height):
     h = rng.uniform(2.0, height / 2.0)
     cx = rng.uniform(0.0, width)
     cy = rng.uniform(0.0, height)
-    return BoundingBox(cx=cx, cy=cy, w=w, h=h)
+    return [cx, cy, w, h]
 
 
 def test_expand_roi_identity_factor():
@@ -61,7 +59,7 @@ def test_expand_roi_rejects_bad_inputs():
     outside = np.array([[100.0, 100.0, 40.0, 20.0], [-50.0, 100.0, 10.0, 10.0],
                         [100.0, 700.0, 10.0, 10.0]])
     with pytest.raises(ValidationError, match=re.escape(
-            "box BoundingBox(cx=-50.0, cy=100.0, w=10.0, h=10.0) expanded by 1.0 "
+            "box [-50.0, 100.0, 10.0, 10.0] expanded by 1.0 "
             "lies outside the 1280x640 image")):
         expand_roi(outside, 1.0, 1280, 640)
 
@@ -74,7 +72,7 @@ def test_expand_roi_equals_the_per_box_oracle():
         want, keep = [], []
         for i, box in enumerate(boxes):
             try:
-                want.append(expand_box(BoundingBox(*box), factor, 320, 160).as_array())
+                want.append(expand_box(box, factor, 320, 160))
                 keep.append(i)
             except ValidationError:
                 pass
@@ -83,8 +81,8 @@ def test_expand_roi_equals_the_per_box_oracle():
 
 
 def test_pool_constant_field_is_exact():
-    grid = FlowGrid.constant(64, 48, u=2.0, v=-1.0)
-    roi = BoundingBox(cx=20.0, cy=25.0, w=17.0, h=9.0)
+    grid = np.tile([2.0, -1.0], (48, 64, 1))
+    roi = [20.0, 25.0, 17.0, 9.0]
     pooled = roi_pool(grid, roi, n=5)
     assert pooled.values.shape == (50,)
     np.testing.assert_array_equal(pooled.values[0::2], 2.0)
@@ -95,9 +93,7 @@ def test_bilinear_midpoint_of_two_by_two():
     # Sampling dead center of a 2x2 grid averages all four pixels.
     data = np.zeros((2, 2, 2))
     data[:, :, 0] = [[0.0, 1.0], [2.0, 3.0]]
-    grid = FlowGrid(width=2, height=2, data=data)
-    roi = BoundingBox(cx=1.0, cy=1.0, w=1.0, h=1.0)
-    pooled = roi_pool(grid, roi, n=1)
+    pooled = roi_pool(data, [1.0, 1.0, 1.0, 1.0], n=1)
     assert pooled.values[0] == pytest.approx(1.5, abs=1e-15)
 
 
@@ -105,7 +101,7 @@ def test_pool_matches_independent_oracle():
     grid = random_grid(seed=11)
     rng = Xoshiro256(12)
     for _ in range(20):
-        roi = random_roi(rng, grid.width, grid.height)
+        roi = random_roi(rng, 32, 32)
         pooled = roi_pool(grid, roi, n=5)
         expected = pool_oracle(grid, roi, n=5)
         assert np.abs(pooled.values - expected).max() < 1e-6
@@ -121,13 +117,12 @@ def test_pool_equals_two_plane_oracle_bit_for_bit():
         data = rng.uniform(-5.0, 5.0, size=(height, width, 2))
         data[rng.uniform(size=data.shape) < 0.1] = 0.0
         data[rng.uniform(size=data.shape) < 0.1] = -0.0
-        grid = FlowGrid(width=int(width), height=int(height), data=data)
         x0, y0 = rng.uniform(-10.0, 40.0, size=2)
         roi = from_corners(x0, y0, x0 + rng.uniform(0.5, 30.0),
                            y0 + rng.uniform(0.5, 30.0))
         n = int(rng.integers(1, 8))
-        got = roi_pool(grid, roi, n).values
-        want = two_plane_pool(grid, roi, n)
+        got = roi_pool(data, roi, n).values
+        want = two_plane_pool(data, roi, n)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -136,11 +131,10 @@ def test_pool_is_linear_in_the_grid():
     a = random_grid(seed=21)
     b = random_grid(seed=22)
     alpha, beta = 0.7, -1.3
-    mixed = FlowGrid(width=a.width, height=a.height,
-                     data=alpha * a.data + beta * b.data)
+    mixed = alpha * a + beta * b
     rng = Xoshiro256(23)
     for _ in range(10):
-        roi = random_roi(rng, a.width, a.height)
+        roi = random_roi(rng, 32, 32)
         lhs = roi_pool(mixed, roi, n=4).values
         rhs = (alpha * roi_pool(a, roi, n=4).values
                + beta * roi_pool(b, roi, n=4).values)
@@ -150,9 +144,9 @@ def test_pool_is_linear_in_the_grid():
 def test_pooled_values_stay_within_grid_range():
     grid = random_grid(seed=31)
     rng = Xoshiro256(32)
-    lo, hi = grid.data.min(), grid.data.max()
+    lo, hi = grid.min(), grid.max()
     for _ in range(10):
-        roi = random_roi(rng, grid.width, grid.height)
+        roi = random_roi(rng, 32, 32)
         values = roi_pool(grid, roi, n=6).values
         assert values.min() >= lo - 1e-12
         assert values.max() <= hi + 1e-12
@@ -162,7 +156,7 @@ def test_pool_clamps_beyond_borders():
     # An ROI hanging past the image edge samples border pixels, exactly
     # as the oracle does.
     grid = random_grid(seed=41, width=16, height=12)
-    roi = BoundingBox(cx=15.0, cy=1.0, w=8.0, h=6.0)
+    roi = [15.0, 1.0, 8.0, 6.0]
     pooled = roi_pool(grid, roi, n=5)
     expected = pool_oracle(grid, roi, n=5)
     assert np.abs(pooled.values - expected).max() < 1e-6
@@ -170,9 +164,14 @@ def test_pool_clamps_beyond_borders():
 
 def test_pool_rejects_degenerate_requests():
     grid = random_grid(seed=51)
-    roi = BoundingBox(cx=10.0, cy=10.0, w=4.0, h=4.0)
+    roi = [10.0, 10.0, 4.0, 4.0]
     with pytest.raises(ValidationError, match="lattice"):
         roi_pool(grid, roi, n=0)
+    # roi_pool takes only an [H x W x 2] grid
+    for shape in ((4, 4), (4, 4, 3), (2, 4, 4, 2), (8,)):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"a flow grid must be [H x W x 2], got shape {shape}")):
+            roi_pool(np.zeros(shape), roi, n=2)
 
 
 def test_lattice_pool_rows_equal_one_roi_passes_bit_for_bit():
@@ -195,7 +194,7 @@ def test_lattice_pool_rows_equal_one_roi_passes_bit_for_bit():
         got = lattice_pool(rois, n, 40, 30, gather)
         assert got.shape == (12, 2 * n * n)
         for i, roi in enumerate(rois):
-            want = pool_frame(BoundingBox(*roi), n, 40, 30,
+            want = pool_frame(roi, n, 40, 30,
                               lambda rows, cols: frames[i, rows, cols])
             assert np.array_equal(got[i], want)
             assert np.array_equal(np.signbit(got[i]), np.signbit(want))
@@ -209,20 +208,48 @@ def test_lattice_pool_rejects_bad_lattices_and_empty_rois():
     good = [10.0, 10.0, 4.0, 4.0]
     with pytest.raises(ValidationError, match="lattice size must be >= 1, got 0"):
         lattice_pool(np.array([good]), 0, 32, 32, gather)
-    for bad in ([10.0, 10.0, 0.0, 4.0], [10.0, 10.0, 4.0, -1.0],
-                [math.nan, 10.0, 4.0, 4.0]):
+    for bad in BAD_ROIS:
         with pytest.raises(ValidationError, match=re.escape(
-                f"cannot pool an empty ROI: [cx, cy, w, h] = {bad}")):
+                f"cannot pool an empty or non-finite ROI: [cx, cy, w, h] = {bad}")):
             lattice_pool(np.array([good, bad]), 2, 32, 32, gather)
 
 
-def test_flow_grid_validates_shape_and_finiteness():
-    with pytest.raises(ValidationError, match="shape"):
-        FlowGrid(width=4, height=4, data=np.zeros((4, 4)))
-    bad = np.zeros((2, 2, 2))
-    bad[0, 0, 0] = np.inf
-    with pytest.raises(ValidationError, match="finite"):
-        FlowGrid(width=2, height=2, data=bad)
+# empty, NaN or infinite ROI rows; before, an infinite extent pooled to
+# NaN after asking for column -2**63
+BAD_ROIS = ([10.0, 10.0, 0.0, 4.0], [10.0, 10.0, 4.0, -1.0], [math.nan, 10.0, 4.0, 4.0],
+            [10.0, 10.0, math.inf, 4.0], [10.0, 10.0, 4.0, math.nan],
+            [10.0, -math.inf, 4.0, 4.0], [math.inf, 10.0, math.inf, 4.0])
+
+
+@pytest.mark.parametrize("bad", BAD_ROIS)
+def test_one_roi_pooling_refuses_an_empty_or_non_finite_roi(bad):
+    video = generate_scenario(Scenario(frames=2, width=32, height=32))
+    message = re.escape(f"cannot pool an empty or non-finite ROI: [cx, cy, w, h] = {bad}")
+    for pool in (lambda: roi_pool(random_grid(seed=52), bad, 2),
+                 lambda: video.pooled_flow(1, bad, 2),
+                 lambda: video.pooled_flow(1, np.array(bad), 2)):
+        with pytest.raises(ValidationError, match=message):
+            pool()
+
+
+def test_flow_grid_validates_shape_and_finiteness(tmp_path):
+    # a flow grid is an [H x W x 2] array; the writer refuses any other
+    # shape, and any value that is not finite once stored as f32, which
+    # `read_flow_pixels` would refuse, and then leaves no file
+    path = tmp_path / "grid.ffgr"
+    for shape in ((4, 4), (4, 4, 1), (1, 4, 4, 2)):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"a flow grid must be [H x W x 2], got shape {shape}")):
+            write_flow_grid(path, np.zeros(shape))
+    for value in (np.inf, -np.inf, np.nan, 1e39):
+        bad = np.zeros((2, 3, 2))
+        bad[1, 2, 0] = value
+        with pytest.raises(ValidationError, match="not finite as f32"):
+            write_flow_grid(path, bad)
+    assert not path.exists()
+    largest = np.full((2, 3, 2), np.finfo(np.float32).max, dtype=np.float64)
+    write_flow_grid(path, largest)
+    assert np.array_equal(read_flow_grid(path), largest)
 
 
 def test_pooled_flow_validates_length():
@@ -235,23 +262,21 @@ def test_flow_file_round_trip(tmp_path):
     path = tmp_path / "000000.ffgr"
     write_flow_grid(path, grid)
     loaded = read_flow_grid(path)
-    assert (loaded.width, loaded.height) == (20, 10)
+    assert loaded.shape == (10, 20, 2) and loaded.dtype == np.float64
     # storage is f32: reading back gives exactly the rounded values
-    np.testing.assert_array_equal(
-        loaded.data, grid.data.astype("<f4").astype(np.float64))
-    assert np.abs(loaded.data - grid.data).max() < 1e-6
+    np.testing.assert_array_equal(loaded, grid.astype("<f4").astype(np.float64))
+    assert np.abs(loaded - grid).max() < 1e-6
 
     write_flow_grid(path, loaded)
     again = read_flow_grid(path)
-    np.testing.assert_array_equal(again.data, loaded.data)
+    np.testing.assert_array_equal(again, loaded)
 
 
 def test_flow_file_bytes_are_header_then_f32_payload(tmp_path):
     # a transposed, so not C-contiguous, array must still go out row-major
     data = Xoshiro256(64).uniforms((2, 7, 3), -5.0, 5.0).transpose(2, 1, 0)
-    grid = FlowGrid(width=7, height=3, data=data)
     path = tmp_path / "grid.ffgr"
-    write_flow_grid(path, grid)
+    write_flow_grid(path, data)
     assert path.read_bytes() == (b"FFGR" + struct.pack("<II", 7, 3)
                                  + data.astype("<f4").tobytes())
     np.testing.assert_array_equal(
@@ -293,7 +318,7 @@ def test_flow_pixels_gathers_the_given_pixels_of_the_grid(tmp_path):
     grid = random_grid(seed=63, width=20, height=10)
     path = tmp_path / "grid.ffgr"
     write_flow_grid(path, grid)
-    full = read_flow_grid(path).data
+    full = read_flow_grid(path)
     rows, cols = np.array([2, 9, 0, 2, 5]), np.array([3, 19, 0, 3, 11])
     pixels = read_flow_pixels(path, (rows, cols), width=20, height=10)
     assert pixels.dtype == np.float64
@@ -312,7 +337,7 @@ def small_flow_file(tmp_path_factory):
                         ego_speeds=0.5, ego_yaw_rates=0.05, width=16, height=10,
                         actors=(ActorSpec(x=1.0, z=0.0, heading=0.0, speed=0.0),))
     grid = generate_scenario(scenario).flow_grid(2)
-    assert np.count_nonzero(grid.data) > 100
+    assert np.count_nonzero(grid) > 100
     path = tmp_path_factory.mktemp("ffgr") / "000002.ffgr"
     write_flow_grid(path, grid)
     return path

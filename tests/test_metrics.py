@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from fvl.boxes import BoundingBox
 from fvl.errors import ValidationError
 from fvl.metrics import (EvalReport, build_reports, displacement_errors,
                          final_iou, reports_to_json, split_cases)
@@ -47,14 +46,14 @@ def test_displacement_errors_rejects_length_mismatch():
 
 
 def test_iou_identical_and_disjoint():
-    box = BoundingBox(cx=5.0, cy=5.0, w=10.0, h=10.0).as_array()
-    far = BoundingBox(cx=100.0, cy=100.0, w=10.0, h=10.0).as_array()
+    box = [5.0, 5.0, 10.0, 10.0]  # [cx, cy, w, h]
+    far = [100.0, 100.0, 10.0, 10.0]
     assert final_iou([box, box], [box, far]).tolist() == [1.0, 0.0]
 
 
 def test_iou_half_overlap_is_one_third():
-    a = BoundingBox(cx=5.0, cy=5.0, w=10.0, h=10.0).as_array()
-    b = BoundingBox(cx=10.0, cy=5.0, w=10.0, h=10.0).as_array()
+    a = [5.0, 5.0, 10.0, 10.0]
+    b = [10.0, 5.0, 10.0, 10.0]
     assert final_iou([a], [b]).tolist() == [1.0 / 3.0]
 
 
