@@ -49,10 +49,11 @@ def main():
     # the same primitives compose into anything differentiable
     tape.reset()
     w = tape.leaf(rng.uniforms((4, 4), -0.5, 0.5), name="w")
-    scalar = dc.mean_all(dc.tanh(dc.matmul(w, dc.transpose(w))))
+    b = tape.leaf(rng.uniforms((4,), -0.1, 0.1), name="b")
+    scalar = dc.mean_all(dc.relu(dc.affine(w, w, b)))
     tape.backward(scalar)
     print()
-    print("mean(tanh(w @ w^T)) adjoint row sums:", w.grad.sum(axis=1).round(4))
+    print("mean(relu(w @ w^T + b)) adjoint row sums:", w.grad.sum(axis=1).round(4))
 
 
 if __name__ == "__main__":

@@ -58,48 +58,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-# argparse names a converter by its __name__ in a type error
-def _positive(kind):
+# an argparse type that converts with `kind` and refuses a value failing a
+# (test, message) rule; argparse names it by its __name__ in a type error
+def _converter(kind, name, *rules):
     def convert(text):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        for test, message in rules:
+            if not test(value):
+                raise argparse.ArgumentTypeError(f"{message}, got {text}")
         return value
-    convert.__name__ = "positive integer" if kind is int else "positive number"
+    convert.__name__ = name
     return convert
 
 
-def _expansion(text):
-    value = float(text)
-    if not 1.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and at least 1, got {text}")
-    return value
-
-
-_expansion.__name__ = "expansion factor"
-_ROI_EXPAND = ("growth of each box before its flow is pooled, at least 1 "
-               "(default 1.5); video directories only, since a sample file "
-               "holds pooled flow")
-
-
-def _non_negative(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-_non_negative.__name__ = "non-negative integer"
-
-
-def _seed(text):
-    value = _non_negative(text)
-    if value >= 2**64:
-        raise argparse.ArgumentTypeError(f"must be below 2**64, got {text}")
-    return value
-
-
-_seed.__name__ = _non_negative.__name__
+_IS_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_IS_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_POSITIVE_INT = _converter(int, "positive integer", _IS_POSITIVE)
+_POSITIVE_FLOAT = _converter(float, "positive number", _IS_POSITIVE)
+_NON_NEGATIVE = _converter(int, "non-negative integer", _IS_NON_NEGATIVE)
+_SEED = _converter(int, "non-negative integer", _IS_NON_NEGATIVE,
+                   (lambda v: v < 2**64, "must be below 2**64"))
+_EXPANSION = _converter(float, "expansion factor", (lambda v: 1.0 <= v < math.inf,
+                                                    "must be finite and at least 1"))
 
 
 # built on the first main() call and kept: parse_args leaves it unchanged
@@ -108,6 +88,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fvl",
                      description="synthetic future-vehicle-localization pipeline")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # the flags of the commands that read a dataset
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--dataset", required=True,
+                       help="sample JSONL file or video directory tree")
+    reads.add_argument("--workers", type=_POSITIVE_INT, default=1)
+    reads.add_argument("--roi-expand", type=_EXPANSION,
+                       help="growth of each box before its flow is pooled, at "
+                            "least 1 (default 1.5); video directories only, "
+                            "since a sample file holds pooled flow")
 
     gen = sub.add_parser(
         "generate", help="render scenario files into video directories")
@@ -115,62 +104,54 @@ def _build_parser() -> _Parser:
                      help="scenario description files (key=value text)")
     gen.add_argument("--out", required=True,
                      help="parent directory; each file lands in <out>/<stem>")
-    gen.add_argument("--tau", type=_positive(int), default=10,
+    gen.add_argument("--tau", type=_POSITIVE_INT, default=10,
                      help="observed window recorded in the video meta")
-    gen.add_argument("--delta", type=_positive(int), default=10,
+    gen.add_argument("--delta", type=_POSITIVE_INT, default=10,
                      help="prediction horizon recorded in the video meta")
 
-    train = sub.add_parser("train", help="train a forecaster checkpoint")
-    train.add_argument("--dataset", required=True,
-                       help="sample JSONL file or video directory tree")
+    train = sub.add_parser("train", parents=[reads],
+                           help="train a forecaster checkpoint")
     train.add_argument("--out", required=True, help="checkpoint path")
     train.add_argument("--variant", choices=VARIANTS, default="xoe")
-    train.add_argument("--hidden", type=_positive(int), default=64)
-    train.add_argument("--embed", type=_positive(int), default=64)
-    train.add_argument("--tau", type=_positive(int), default=10)
-    train.add_argument("--delta", type=_positive(int), default=10)
-    train.add_argument("--epochs", type=_non_negative, default=40)
-    train.add_argument("--batch", type=_positive(int), default=64)
-    train.add_argument("--lr", type=_positive(float), default=5e-4)
-    train.add_argument("--seed", type=_seed, default=0)
-    train.add_argument("--workers", type=_positive(int), default=1)
-    train.add_argument("--roi-expand", type=_expansion, help=_ROI_EXPAND)
-    train.add_argument("--pool-n", type=_positive(int), default=5)
+    train.add_argument("--hidden", type=_POSITIVE_INT, default=64)
+    train.add_argument("--embed", type=_POSITIVE_INT, default=64)
+    train.add_argument("--tau", type=_POSITIVE_INT, default=10)
+    train.add_argument("--delta", type=_POSITIVE_INT, default=10)
+    train.add_argument("--epochs", type=_NON_NEGATIVE, default=40)
+    train.add_argument("--batch", type=_POSITIVE_INT, default=64)
+    train.add_argument("--lr", type=_POSITIVE_FLOAT, default=5e-4)
+    train.add_argument("--seed", type=_SEED, default=0)
+    train.add_argument("--pool-n", type=_POSITIVE_INT, default=5)
 
     ev = sub.add_parser(
-        "evaluate", help="score a checkpoint or baseline on a dataset")
+        "evaluate", parents=[reads],
+        help="score a checkpoint or baseline on a dataset")
     ev.add_argument("model",
                     help="checkpoint path or baseline name "
                          f"({'/'.join(sorted(BASELINE_DEGREES))})")
-    ev.add_argument("--dataset", required=True)
     ev.add_argument("--out", help="also write the report as JSON here")
-    ev.add_argument("--tau", type=_positive(int), default=10,
+    ev.add_argument("--tau", type=_POSITIVE_INT, default=10,
                     help="window for baselines (checkpoints carry their own)")
-    ev.add_argument("--delta", type=_positive(int), default=10,
+    ev.add_argument("--delta", type=_POSITIVE_INT, default=10,
                     help="horizon for baselines (checkpoints carry their own)")
-    ev.add_argument("--workers", type=_positive(int), default=1)
-    ev.add_argument("--roi-expand", type=_expansion, help=_ROI_EXPAND)
 
     pred = sub.add_parser(
-        "predict", help="write predicted future boxes as JSONL")
+        "predict", parents=[reads], help="write predicted future boxes as JSONL")
     pred.add_argument("model", help="checkpoint path")
     pred.add_argument("ids", nargs="*", type=int,
                       help="sample indices (default: all)")
-    pred.add_argument("--dataset", required=True)
     pred.add_argument("--out", help="output path (default: stdout)")
-    pred.add_argument("--workers", type=_positive(int), default=1)
-    pred.add_argument("--roi-expand", type=_expansion, help=_ROI_EXPAND)
 
     gc = sub.add_parser(
         "gradcheck",
         help="compare analytic gradients against finite differences")
     gc.add_argument("--variant", choices=VARIANTS, default="xoe")
-    gc.add_argument("--hidden", type=_positive(int), default=8)
-    gc.add_argument("--embed", type=_positive(int), default=8)
-    gc.add_argument("--tau", type=_positive(int), default=3)
-    gc.add_argument("--delta", type=_positive(int), default=2)
-    gc.add_argument("--pool-n", type=_positive(int), default=5)
-    gc.add_argument("--seed", type=_seed, default=7)
+    gc.add_argument("--hidden", type=_POSITIVE_INT, default=8)
+    gc.add_argument("--embed", type=_POSITIVE_INT, default=8)
+    gc.add_argument("--tau", type=_POSITIVE_INT, default=3)
+    gc.add_argument("--delta", type=_POSITIVE_INT, default=2)
+    gc.add_argument("--pool-n", type=_POSITIVE_INT, default=5)
+    gc.add_argument("--seed", type=_SEED, default=7)
 
     return parser
 
@@ -195,20 +176,20 @@ def _video_dirs(root: Path) -> list[Path]:
     return dirs
 
 
-def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
-    """Samples from a JSONL file, a video directory, or a tree of them.
+def _load_samples(args, tau, delta, n) -> list:
+    """Samples from --dataset: a JSONL file, a video directory, or a tree.
 
-    `expand` is the ROI growth for video windows, None for 1.5; a JSONL
-    file holds flow pooled already and refuses one (a usage error).  `n`
-    is the flow lattice the model reads, or None when it reads no flow;
-    then windows pool the smallest lattice and a JSONL file may hold
-    any.  Videos are windowed in sorted-path order and each worker
-    handles whole videos, so the sample list is identical for any
-    worker count.
+    --roi-expand is the ROI growth for video windows, None for 1.5; a
+    JSONL file holds flow pooled already and refuses one (a usage error).
+    `n` is the flow lattice the model reads, or None when it reads no
+    flow; then windows pool the smallest lattice and a JSONL file may
+    hold any.  Videos are windowed in sorted-path order and each of
+    --workers handles whole videos, so the sample list is identical for
+    any worker count.
     """
-    path = Path(dataset)
+    path = Path(args.dataset)
     if path.is_file():
-        if expand is not None:
+        if args.roi_expand is not None:
             raise _UsageError(f"--roi-expand applies to video directories only, "
                               f"and {path} is a file of pooled samples")
         samples = read_dataset(path)
@@ -226,13 +207,13 @@ def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
 
     def load(directory):
         video = read_video_dir(directory)
-        samples, _ = windows_from_video(video, tau, delta,
-                                        expand=1.5 if expand is None else expand,
-                                        n=1 if n is None else n)
+        samples, _ = windows_from_video(
+            video, tau, delta, n=1 if n is None else n,
+            expand=1.5 if args.roi_expand is None else args.roi_expand)
         return samples
 
     merged: list = []
-    with ThreadPoolExecutor(max_workers=workers) as executor:
+    with ThreadPoolExecutor(max_workers=args.workers) as executor:
         for chunk in executor.map(load, dirs):
             merged.extend(chunk)
     return merged
@@ -241,6 +222,13 @@ def _load_samples(dataset, tau, delta, expand, n, workers) -> list:
 def _lattice(config: ModelConfig):
     """The flow lattice size n a model reads, or None if it reads no flow."""
     return math.isqrt(config.pooled_dim // 2) if config.uses_flow else None
+
+
+def _model_config(args) -> ModelConfig:
+    """The model that the train or gradcheck flags describe."""
+    return ModelConfig(variant=args.variant, hidden=args.hidden,
+                       embed=args.embed, tau=args.tau, delta=args.delta,
+                       pooled_dim=2 * args.pool_n * args.pool_n)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -264,11 +252,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = ModelConfig(variant=args.variant, hidden=args.hidden,
-                         embed=args.embed, tau=args.tau, delta=args.delta,
-                         pooled_dim=2 * args.pool_n * args.pool_n)
-    samples = _load_samples(args.dataset, config.tau, config.delta,
-                            args.roi_expand, _lattice(config), args.workers)
+    config = _model_config(args)
+    samples = _load_samples(args, config.tau, config.delta, _lattice(config))
     result = train_model(config, samples, epochs=args.epochs,
                          batch_size=args.batch, lr=args.lr, seed=args.seed)
     # repr floats so identical runs produce identical bytes
@@ -296,8 +281,7 @@ def cmd_evaluate(args) -> int:
         tau = forecaster.config.tau
         delta = forecaster.config.delta
         n = _lattice(forecaster.config)
-    samples = _load_samples(args.dataset, tau, delta,
-                            args.roi_expand, n, args.workers)
+    samples = _load_samples(args, tau, delta, n)
     if not samples:
         raise DataFormatError(f"{args.dataset}: no samples to evaluate")
 
@@ -321,8 +305,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     forecaster = load_model(args.model)
     config = forecaster.config
-    samples = _load_samples(args.dataset, config.tau, config.delta,
-                            args.roi_expand, _lattice(config), args.workers)
+    samples = _load_samples(args, config.tau, config.delta, _lattice(config))
     ids = args.ids if args.ids else list(range(len(samples)))
     bad = [i for i in ids if not 0 <= i < len(samples)]
     if bad:
@@ -346,9 +329,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = ModelConfig(variant=args.variant, hidden=args.hidden,
-                         embed=args.embed, tau=args.tau, delta=args.delta,
-                         pooled_dim=2 * args.pool_n * args.pool_n)
+    config = _model_config(args)
     report = gradient_check_model(config, seed=args.seed)
     print(report.summary())
     return 0 if report.passed else 3
@@ -367,15 +348,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, ValidationError) as exc:
+    except (DataFormatError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

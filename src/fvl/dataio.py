@@ -213,11 +213,6 @@ class ActorSpec:
                 f"{self.length}x{self.width}x{self.height}")
 
 
-def _require_frames(frames: int) -> None:
-    if frames < 2:
-        raise ValidationError(f"scenario needs >= 2 frames, got {frames}")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to render one synthetic video.
@@ -236,7 +231,8 @@ class Scenario:
     height: int = 640
 
     def __post_init__(self):
-        _require_frames(self.frames)
+        if self.frames < 2:
+            raise ValidationError(f"scenario needs >= 2 frames, got {self.frames}")
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(
                 f"image dims must be positive, got {self.width}x{self.height}")
@@ -887,17 +883,13 @@ _RATE_KEYS = {"ego_yaw_rate": "ego_yaw_rates", "ego_speed": "ego_speeds"}
 _ACTOR_KEYS = {f.name: f.default is MISSING for f in fields(ActorSpec)}
 
 
-def _parse_rate_list(text: str, steps: int, what: str) -> np.ndarray:
+def _parse_rate_list(text: str, what: str):
+    """A comma-separated list's floats, or its one float; `Scenario` sizes it."""
     parts = text.split(",")
     if not all(p.strip() for p in parts):
         raise DataFormatError(f"{what} has an empty entry in {text!r}")
-    values = np.array([float(p) for p in parts])
-    if values.size == 1:
-        return np.full(steps, values[0])
-    if values.size != steps:
-        raise DataFormatError(
-            f"{what} needs 1 or {steps} comma-separated values, got {values.size}")
-    return values
+    values = [float(p) for p in parts]
+    return values[0] if len(values) == 1 else values
 
 
 def read_scenario_file(path) -> Scenario:
@@ -909,16 +901,14 @@ def read_scenario_file(path) -> Scenario:
     actors = top.pop("actor")
     try:
         values = {key: _SCENARIO_KEYS[key](text) for key, text in top.items()}
-        frames = values.pop("frames")
-        _require_frames(frames)  # before the rate lists, which need frames - 1 entries
         camera = CameraSpec(**{f.name: values.pop(f.name)
                                for f in fields(CameraSpec) if f.name in values})
         for key, name in _RATE_KEYS.items():
             if key in values:
-                values[name] = _parse_rate_list(values.pop(key), frames - 1, key)
+                values[name] = _parse_rate_list(values.pop(key), key)
         specs = tuple(ActorSpec(**{key: float(text) for key, text in actor.items()})
                       for actor in actors)
-        return Scenario(frames=frames, camera=camera, actors=specs, **values)
+        return Scenario(camera=camera, actors=specs, **values)
     except (ValueError, ValidationError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, write_atomic
 
 __all__ = [
     "PooledFlow",
@@ -110,6 +110,8 @@ def lattice_pool(rois, n: int, width: int, height: int, gather) -> np.ndarray:
     if n < 1:
         raise ValidationError(f"pooling lattice size must be >= 1, got {n}")
     rois = np.asarray(rois, dtype=np.float64)
+    if rois.ndim != 2 or rois.shape[1] != 4:
+        raise ValidationError(f"ROIs must be [k x 4], got shape {rois.shape}")
     cx, cy, w, h = rois.T
     half_w, half_h = w / 2.0, h / 2.0
     with np.errstate(invalid="ignore"):  # inf - inf, in a row refused below
@@ -143,10 +145,12 @@ def lattice_pool(rois, n: int, width: int, height: int, gather) -> np.ndarray:
 
 
 def _flow_grid(grid) -> np.ndarray:
-    """`grid` as an f64 array, refused unless it is [H x W x 2]."""
+    """`grid` as an f64 array, refused unless it is a non-empty [H x W x 2]."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 3 or grid.shape[2] != 2:
         raise ValidationError(f"a flow grid must be [H x W x 2], got shape {grid.shape}")
+    if grid.size == 0:
+        raise ValidationError(f"a flow grid has no pixels: shape {grid.shape}")
     return grid
 
 
@@ -173,9 +177,8 @@ def write_flow_grid(path, grid) -> None:
         payload = grid.astype("<f4", order="C")
     if not np.isfinite(payload).all():
         raise ValidationError("flow grid holds a value that is not finite as f32")
-    with Path(path).open("wb") as handle:
-        handle.write(FLOW_MAGIC + struct.pack("<II", grid.shape[1], grid.shape[0]))
-        handle.write(payload)
+    header = FLOW_MAGIC + struct.pack("<II", grid.shape[1], grid.shape[0])
+    write_atomic(path, b"".join((header, payload)))
 
 
 def read_flow_pixels(path, pixels=..., width=None, height=None) -> np.ndarray:

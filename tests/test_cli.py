@@ -396,6 +396,11 @@ def test_data_errors_exit_2(tmp_path, capsys):
     scn.write_text("frames=4\nego_speeds=1.0\n")
     assert main(["generate", str(scn), "--out", str(tmp_path / "out")]) == 2
     assert "bad.scn:2" in capsys.readouterr().err
+    # an ego plan list holds one value or one per frame transition
+    scn.write_text("frames=4\nego_speed=0.5,0.6\n")
+    assert main(["generate", str(scn), "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: {scn}: ego_speeds needs 3 entries (frames - 1), got shape (2,)"
+            in capsys.readouterr().err)
     # a non-finite camera value or a bad fps; before, these generated
     # empty tracks, all-zero flow, or a meta no reader accepts
     scene = ("frames=4\nwidth=320\nheight=160\nego_speed=0.5\n"
@@ -669,6 +674,21 @@ def test_non_finite_roi_expansion_exits_1(factor, capsys):
         assert main([*command, "--roi-expand", factor]) == 1
         assert (f"--roi-expand: must be finite and at least 1, got {factor}"
                 in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["train", "--out", "m"],
+                                     ["evaluate", "m.fvlw"], ["predict", "m.fvlw"]])
+def test_dataset_flags_are_shared_by_every_command_that_reads_one(command, capsys):
+    # --dataset, --workers and --roi-expand are one declaration each
+    assert main([*command, "--dataset", "d", "--workers", "0"]) == 1
+    assert "--workers: must be positive and finite, got 0" in capsys.readouterr().err
+    assert main([*command, "--dataset", "d", "--roi-expand", "0.5"]) == 1
+    assert ("--roi-expand: must be finite and at least 1, got 0.5"
+            in capsys.readouterr().err)
+    with pytest.raises(SystemExit):
+        main([command[0], "--help"])
+    help_words = " ".join(capsys.readouterr().out.split())
+    assert "--dataset DATASET sample JSONL file or video directory tree" in help_words
 
 
 def test_roi_expansion_is_refused_on_a_sample_file(tmp_path, checkpoint, capsys):

@@ -680,6 +680,10 @@ def test_scenario_validation():
         Scenario(frames=1)
     with pytest.raises(ValidationError, match="ego_yaw_rates"):
         Scenario(frames=5, ego_yaw_rates=np.zeros(3))
+    # a one-entry list is not a scalar: it is refused, not broadcast
+    with pytest.raises(ValidationError, match=re.escape(
+            "ego_speeds needs 3 entries (frames - 1), got shape (1,)")):
+        Scenario(frames=4, ego_speeds=[0.4])
     with pytest.raises(ValidationError):
         ActorSpec(x=0.0, z=0.0, heading=0.0, speed=0.0, length=-1.0)
     with pytest.raises(ValidationError):
@@ -1200,7 +1204,10 @@ def test_scenario_file_rejects_non_finite_or_empty_ego_plan_entries(tmp_path):
             ("frames=4\nego_speed=0.5,,0.6,0.7\n",
              "bad.scn: ego_speed has an empty entry in '0.5,,0.6,0.7'"),
             ("frames=4\nego_yaw_rate=0.1,0.2,0.3,\n",
-             "bad.scn: ego_yaw_rate has an empty entry in '0.1,0.2,0.3,'")]:
+             "bad.scn: ego_yaw_rate has an empty entry in '0.1,0.2,0.3,'"),
+            # a list holds one value or one per frame transition
+            ("frames=4\nego_speed=0.4,0.5\n", re.escape(
+                "bad.scn: ego_speeds needs 3 entries (frames - 1), got shape (2,)"))]:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=message):
             read_scenario_file(path)

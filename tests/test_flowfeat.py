@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import struct
 
@@ -172,6 +173,20 @@ def test_pool_rejects_degenerate_requests():
         with pytest.raises(ValidationError, match=re.escape(
                 f"a flow grid must be [H x W x 2], got shape {shape}")):
             roi_pool(np.zeros(shape), roi, n=2)
+    # a ROI is a [cx, cy, w, h] row; before, a short one died unpacking it
+    with pytest.raises(ValidationError, match=re.escape(
+            "ROIs must be [k x 4], got shape (1, 3)")):
+        roi_pool(np.zeros((4, 4, 2)), [1, 1, 2], 2)
+
+
+def test_a_flow_grid_without_pixels_is_refused(tmp_path):
+    # before, roi_pool raised an IndexError and the writer wrote a 0x3 file
+    path = tmp_path / "grid.ffgr"
+    for call in (lambda: roi_pool(np.zeros((0, 4, 2)), [1.0, 1.0, 2.0, 2.0], 2),
+                 lambda: write_flow_grid(path, np.zeros((3, 0, 2)))):
+        with pytest.raises(ValidationError, match="a flow grid has no pixels"):
+            call()
+    assert not path.exists()
 
 
 def test_lattice_pool_rows_equal_one_roi_passes_bit_for_bit():
@@ -270,6 +285,22 @@ def test_flow_file_round_trip(tmp_path):
     write_flow_grid(path, loaded)
     again = read_flow_grid(path)
     np.testing.assert_array_equal(again, loaded)
+
+
+def test_interrupted_flow_file_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "grid.ffgr"
+    old = random_grid(seed=65, width=5, height=3)
+    write_flow_grid(path, old)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        write_flow_grid(path, random_grid(seed=66, width=8, height=2))
+    monkeypatch.undo()
+    assert np.array_equal(read_flow_grid(path), old.astype("<f4").astype(np.float64))
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.ffgr"]
 
 
 def test_flow_file_bytes_are_header_then_f32_payload(tmp_path):
