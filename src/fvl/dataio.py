@@ -24,6 +24,9 @@ Geometry conventions:
     Z forward, so a ground point at planar offset (d_fwd, d_left) from
     the ego has camera coordinates (X, Y, Z) = (-d_left, cam_height,
     d_fwd) and projects to u = focal*X/Z + ppx, v = focal*Y/Z + ppy.
+    `_ego_offsets` holds that world-to-ego transform and `_image_point`
+    that projection, with the one near-plane rule; actor boxes and ground
+    flow both go through them.
   - The flow stored at frame t is the displacement of image content from
     frame t-1 to frame t; frame 0 carries zero flow.
 
@@ -101,7 +104,8 @@ class Sample:
     [cx, cy, w, h] per frame; `ego` [delta x 3] is the pose [yaw, x, z] of
     each future frame in the anchor frame (see `egomotion.compose`).  All
     three are read-only float64 copies of what was passed in.  `flow`
-    holds one PooledFlow per past frame, all on one lattice.
+    holds one PooledFlow per past frame, all on one lattice.  `track`,
+    `width` and `height` are ints (not bools), the image dims positive.
     """
 
     track: int
@@ -113,6 +117,13 @@ class Sample:
     height: int
 
     def __post_init__(self):
+        if type(self.track) is not int:
+            raise ValidationError(f"track must be an integer, got {self.track!r}")
+        for key in ("width", "height"):
+            dim = getattr(self, key)
+            if type(dim) is not int or dim <= 0:
+                raise ValidationError(
+                    f"image {key} must be a positive integer, got {dim!r}")
         for name, layout in _SAMPLE_ROWS.items():
             try:
                 rows = np.array(getattr(self, name))
@@ -149,10 +160,6 @@ class Sample:
             raise ValidationError(
                 f"sample has {len(self.future)} future boxes but "
                 f"{len(self.ego)} ego rows")
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(
-                f"sample image dims must be positive, got "
-                f"{self.width}x{self.height}")
 
     @property
     def tau(self) -> int:
@@ -382,57 +389,46 @@ class VideoData(_FlowSource):
             out[hit] = disp[frames[hit]]
 
 
+def _ego_offsets(rotation: np.ndarray, dx, dz):
+    """(d_fwd, d_left) of the world offsets (dx, dz) from the ego in the ego
+    frame of `rotation` [.. x 2 x 2], one pose or one per offset."""
+    return (rotation[..., 0, 0] * dx + rotation[..., 1, 0] * dz,
+            rotation[..., 0, 1] * dx + rotation[..., 1, 1] * dz)
+
+
+def _image_point(camera: CameraSpec, d_fwd, d_left, elevation: float = 0.0):
+    """(ahead, u, v) of the point `elevation` meters above the ground at ego
+    offset (d_fwd, d_left): whether it lies at least NEAR_PLANE_M ahead,
+    and its pixel, projected at d_fwd = 1.0 where it does not.  A NaN
+    d_fwd (an overflowed point) counts as ahead, so its NaN pixel is
+    refused downstream rather than dropped."""
+    ahead = ~(d_fwd < NEAR_PLANE_M)
+    d_fwd = np.where(ahead, d_fwd, 1.0)
+    return (ahead, camera.focal * -d_left / d_fwd + camera.ppx,
+            camera.focal * (camera.cam_height - elevation) / d_fwd + camera.ppy)
+
+
 def _ground_flow(camera: CameraSpec, now, prev, du: np.ndarray,
                  dv: np.ndarray) -> np.ndarray:
     """Flow, [len(du) x 2], of the ground points imaged by the pixel
     offsets (du[i], dv[i]), dv > 0, from pose `prev` to pose `now` (each
-    a (rotation, position) pair).
+    a (rotation, position) pair), zero where a point is not ahead of both.
 
     Each rotation [.. x 2 x 2] and position [.. x 2] is one pose or one
-    per point.  Works in place on a few point-sized arrays; `r * (-x)` is
-    written as `(-r) * x`, which rounds identically.
+    per point.  Both poses reproject through the same operations, so two
+    bit-identical poses (a parked ego) give a true zero.
     """
     depth = camera.focal * camera.cam_height / dv
-    x_cam = du * depth
-    x_cam /= camera.focal
-    # ground point (d_fwd, d_left) = (depth, -x_cam) in the `now` ego
-    # frame, then in the world frame
-    rot_now, pos_now = now
-    gx = x_cam * -rot_now[..., 0, 1]
-    gx += pos_now[..., 0] + rot_now[..., 0, 0] * depth
-    gz = x_cam * -rot_now[..., 1, 1]
-    gz += pos_now[..., 1] + rot_now[..., 1, 0] * depth
-
-    # Reproject that world point through both poses with the same
-    # expression chain.  When the two poses are bit-identical (a parked
-    # ego) the projections cancel exactly and the flow is a true zero,
-    # not rounding noise.
-    def reproject(rot, pos):
-        rx = gx - pos[..., 0]
-        rz = gz - pos[..., 1]
-        fwd = rx * rot[..., 0, 0]
-        fwd += rz * rot[..., 1, 0]
-        ahead = fwd > NEAR_PLANE_M
-        np.copyto(fwd, 1.0, where=~ahead)
-        # rx becomes u_px = (-focal) * left / fwd + ppx, rz becomes v_px
-        rx *= rot[..., 0, 1]
-        rx += rz * rot[..., 1, 1]
-        rx *= -camera.focal
-        rx /= fwd
-        rx += camera.ppx
-        np.divide(camera.focal * camera.cam_height, fwd, out=rz)
-        rz += camera.ppy
-        return ahead, rx, rz
-
-    ahead_now, u_now, v_now = reproject(*now)
-    ahead_prev, u_prev, v_prev = reproject(*prev)
-    u_now -= u_prev
-    v_now -= v_prev
-    flow = np.zeros((du.size, 2))
-    visible = ahead_now & ahead_prev
-    flow[visible, 0] = u_now[visible]
-    flow[visible, 1] = v_now[visible]
-    return flow
+    d_left = -(du * depth / camera.focal)
+    # the ground point (depth, d_left) in the `now` ego frame, in the world frame
+    rot, pos = now
+    gx = pos[..., 0] + rot[..., 0, 0] * depth + rot[..., 0, 1] * d_left
+    gz = pos[..., 1] + rot[..., 1, 0] * depth + rot[..., 1, 1] * d_left
+    (ahead, u, v), (was_ahead, u_prev, v_prev) = [
+        _image_point(camera, *_ego_offsets(rot, gx - pos[..., 0], gz - pos[..., 1]))
+        for rot, pos in (now, prev)]
+    return np.where((ahead & was_ahead)[:, None],
+                    np.column_stack([u - u_prev, v - v_prev]), 0.0)
 
 
 def _project_actor(camera: CameraSpec, rotations: np.ndarray,
@@ -442,12 +438,12 @@ def _project_actor(camera: CameraSpec, rotations: np.ndarray,
     `rotations` [frames x 2 x 2] and `positions` [frames x 2]; returns
     (its track, depth per frame, inf where there is no box).
 
-    A frame has no box when a ground corner lies less than NEAR_PLANE_M
-    ahead, or when its box, clipped to the image, is under MIN_BOX_PX on
-    a side.  Each value goes through a one-frame scalar projection's
-    operations in the same order, so it rounds the same.  A corner that
-    projects to a non-finite u or v in a frame ahead of the near plane
-    raises ValidationError.
+    A frame has no box when a ground corner is not ahead (see
+    `_image_point`), or when its box, clipped to the image, is under
+    MIN_BOX_PX on a side.  Each value goes through a one-frame scalar
+    projection's operations in the same order, so it rounds the same.  A
+    corner that projects to a non-finite u or v in a frame whose corners
+    are all ahead raises ValidationError.
     """
     forward = np.array([math.cos(actor.heading), math.sin(actor.heading)])
     lateral = np.array([-forward[1], forward[0]])
@@ -457,21 +453,13 @@ def _project_actor(camera: CameraSpec, rotations: np.ndarray,
     half_l, half_w = actor.length / 2.0, actor.width / 2.0
     sl = np.array([-half_l, -half_l, half_l, half_l])[:, None]
     sw = np.array([-half_w, half_w, -half_w, half_w])[:, None]
-    rot = rotations[:, None]
-
-    def ego_frame(rel):  # (d_fwd, d_left) of world offsets [frames x k x 2]
-        return (rot[..., 0, 0] * rel[..., 0] + rot[..., 1, 0] * rel[..., 1],
-                rot[..., 0, 1] * rel[..., 0] + rot[..., 1, 1] * rel[..., 1])
-
     # [frames x 4 ground corners]
-    d_fwd, d_left = ego_frame(centers[:, None] + sl * forward + sw * lateral
-                              - positions[:, None])
-    ahead = ~(d_fwd < NEAR_PLANE_M).any(axis=1)
-    d_fwd[~ahead] = 1.0
-    u = camera.focal * -d_left / d_fwd + camera.ppx
+    rel = centers[:, None] + sl * forward + sw * lateral - positions[:, None]
+    d_fwd, d_left = _ego_offsets(rotations[:, None], rel[..., 0], rel[..., 1])
+    ahead, u, v = _image_point(camera, d_fwd, d_left)
+    ahead = ahead.all(axis=1)
     # each corner at the ground, then at the roof
-    v = np.hstack([camera.focal * (camera.cam_height - elevation) / d_fwd + camera.ppy
-                   for elevation in (0.0, actor.height)])
+    v = np.hstack([v, _image_point(camera, d_fwd, d_left, actor.height)[2]])
     finite = np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)
     if not finite[ahead].all():
         t = np.flatnonzero(ahead & ~finite)[0]
@@ -483,7 +471,7 @@ def _project_actor(camera: CameraSpec, rotations: np.ndarray,
     keep = ahead & ~(hi - lo < MIN_BOX_PX).any(axis=1)
     kept = np.flatnonzero(keep)
     track = _track(kept, np.hstack([(lo + hi)[kept] / 2.0, (hi - lo)[kept]]))
-    depths = np.where(keep, ego_frame((centers - positions)[:, None])[0][:, 0],
+    depths = np.where(keep, _ego_offsets(rotations, *(centers - positions).T)[0],
                       np.inf)
     return track, depths
 
@@ -589,12 +577,6 @@ def write_dataset(samples, path) -> None:
     write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
 
 
-def _is_json_int(value) -> bool:
-    """Whether a parsed JSON value is an integer; json yields true as a
-    bool, which Python counts as an int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _holds_bool(value) -> bool:
     """Whether a parsed JSON value is, or nests, true or false, which
     numpy would read as 1.0 and 0.0."""
@@ -608,17 +590,6 @@ def read_dataset(path) -> list[Sample]:
     for lineno, line in text_lines(path):
         try:
             record = json.loads(line)
-            if not _is_json_int(record["track"]):
-                raise ValueError(
-                    f"track must be an integer, got {record['track']!r}")
-            for key in ("width", "height"):
-                dim = record[key]
-                if not _is_json_int(dim) or dim <= 0:
-                    raise ValueError(
-                        f"image {key} must be a positive integer, got {dim!r}")
-            n = record["flow"]["n"]
-            if not _is_json_int(n) or n < 1:
-                raise ValueError(f"flow n must be a positive integer, got {n!r}")
             if "true" in line or "false" in line:  # else no value is a bool
                 for key, rows in [*((name, record[name]) for name in _SAMPLE_ROWS),
                                   ("flow", record["flow"]["values"])]:
@@ -630,7 +601,7 @@ def read_dataset(path) -> list[Sample]:
                 past=record["past"],
                 future=record["future"],
                 ego=record["ego"],
-                flow=tuple(PooledFlow(values=v, n=n)
+                flow=tuple(PooledFlow(values=v, n=record["flow"]["n"])
                            for v in record["flow"]["values"]),
                 width=record["width"],
                 height=record["height"])
@@ -833,7 +804,7 @@ def read_video_dir(path) -> LoadedVideo:
             record = json.loads(line)
             track, frame = record["track"], record["frame"]
             for key, value in (("track", track), ("frame", frame)):
-                if not _is_json_int(value):
+                if type(value) is not int:  # json reads true as a bool
                     raise ValueError(f"{key} must be an integer, got {value!r}")
             if not 0 <= frame < meta["frames"]:
                 raise ValueError(

@@ -47,12 +47,15 @@ FLOW_MAGIC = b"FFGR"
 
 @dataclass(frozen=True)
 class PooledFlow:
-    """Flattened n x n lattice of flow samples, interleaved u then v."""
+    """Flattened n x n lattice of flow samples, interleaved u then v; `n` is
+    a positive int (not a bool)."""
 
     values: np.ndarray
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 1:
+            raise ValidationError(f"flow n must be a positive integer, got {self.n!r}")
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.shape != (2 * self.n * self.n,):

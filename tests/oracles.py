@@ -96,9 +96,9 @@ def background_flow_oracle(camera, headings, positions, t, ix0, iy0, ix1, iy1):
     frame t, computed over every pixel and then masked to the ground rows
     and to points ahead of both cameras.
 
-    Unlike the generator it never skips rows or works in place, but each
-    pixel goes through the same operations in the same order, so the
-    generator must match it bit for bit.  `headings` and `positions`
+    Unlike the generator it never skips rows, but each pixel goes through
+    the same operations in the same order, so the generator must match it
+    bit for bit.  `headings` and `positions`
     hold the simulated ego pose of each frame.
     """
     def rotation(angle):
@@ -125,14 +125,14 @@ def background_flow_oracle(camera, headings, positions, t, ix0, iy0, ix1, iy1):
         rx, rz = gx - pos[0], gz - pos[1]
         fwd = rot[0, 0] * rx + rot[1, 0] * rz
         left = rot[0, 1] * rx + rot[1, 1] * rz
-        safe = np.where(fwd > 0.5, fwd, 1.0)
+        safe = np.where(~(fwd < 0.5), fwd, 1.0)
         u_px = camera.focal * (-left) / safe + camera.ppx
         v_px = camera.focal * camera.cam_height / safe + camera.ppy
         return fwd, u_px, v_px
 
     fwd_now, u_now, v_now = reproject(t)
     fwd_prev, u_prev, v_prev = reproject(t - 1)
-    visible = ground & (fwd_prev > 0.5) & (fwd_now > 0.5)
+    visible = ground & ~(fwd_prev < 0.5) & ~(fwd_now < 0.5)
     out[..., 0] = np.where(visible, u_now - u_prev, 0.0)
     out[..., 1] = np.where(visible, v_now - v_prev, 0.0)
     return out

@@ -431,6 +431,22 @@ def test_an_actor_whose_projection_overflows_is_rejected():
         generate_scenario(scenario)
 
 
+def test_a_point_exactly_at_the_near_plane_is_ahead():
+    # the rear ground corners sit exactly NEAR_PLANE_M ahead in frame 0,
+    # then 0.1 m nearer in each frame after
+    actor = ActorSpec(x=dataio.NEAR_PLANE_M + 2.25, z=0.0, heading=0.0, speed=-0.1)
+    video = generate_scenario(Scenario(frames=3, camera=small_camera(), actors=(actor,),
+                                       width=320, height=160))
+    assert video.tracks[0]["frame"].tolist() == [0]
+    assert_tracks_match_projection_oracle(video)
+    ahead, u, v = dataio._image_point(small_camera(), np.array([0.49, 0.5, 0.51, math.nan]),
+                                      np.full(4, 0.25))
+    # an overflowed (NaN) point counts as ahead, so its NaN pixel is refused
+    assert ahead.tolist() == [False, True, True, True]
+    # a point short of the near plane is projected at d_fwd = 1.0
+    assert (u[0], v[0]) == (250.0 * -0.25 + 160.0, 250.0 * 1.4 + 80.0)
+
+
 def test_random_scenario_deterministic_and_bounded():
     a = random_scenario(31)
     b = random_scenario(31)
@@ -779,21 +795,28 @@ def test_read_dataset_reports_line_numbers(tmp_path):
         path.write_text(good + "\n" + bad + "\n")
         with pytest.raises(DataFormatError, match="bad.jsonl:2: .*finite"):
             read_dataset(path)
-    for bad in (good.replace('"width":64', '"width":Infinity'),
-                good.replace('"height":64', '"height":64.5'),
-                good.replace('"width":64', '"width":true')):
+    for bad, message in (
+            (good.replace('"width":64', '"width":Infinity'), "width must be a "
+             "positive integer, got inf"),
+            (good.replace('"height":64', '"height":64.5'), "height must be a "
+             "positive integer, got 64.5"),
+            (good.replace('"width":64', '"width":true'), "width must be a "
+             "positive integer, got True"),
+            (good.replace('"height":64', '"height":0'), "height must be a "
+             "positive integer, got 0")):
         assert bad != good
         path.write_text(good + "\n" + bad + "\n")
         with pytest.raises(DataFormatError,
-                           match="bad.jsonl:2: .*positive integer"):
+                           match=re.escape(f"bad.jsonl:2: image {message}")):
             read_dataset(path)
-    for bad in (good.replace('"track":0', '"track":"zero"'),
-                good.replace('"track":0', '"track":[1,2]'),
-                good.replace('"track":0', '"track":false')):
+    for bad, value in ((good.replace('"track":0', '"track":"zero"'), "'zero'"),
+                       (good.replace('"track":0', '"track":[1,2]'), "[1, 2]"),
+                       (good.replace('"track":0', '"track":false'), "False"),
+                       (good.replace('"track":0', '"track":0.0'), "0.0")):
         assert bad != good
         path.write_text(good + "\n" + bad + "\n")
-        with pytest.raises(DataFormatError,
-                           match="bad.jsonl:2: track must be an integer"):
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"bad.jsonl:2: track must be an integer, got {value}")):
             read_dataset(path)
     for bad in (good.replace('"past":[[5.0,5.0,2.0,2.0]]',
                              '"past":[[5.0,5.0,2.0,2.0],[5.0,5.0]]'),
@@ -824,11 +847,45 @@ def test_read_dataset_rejects_long_ego_rows_and_bad_lattice_sizes(tmp_path):
              "flow n must be a positive integer, got 1.0"),
             (SAMPLE_LINE.replace('"n":1,"values":[[0.5,0.25]]',
                                  '"n":0,"values":[[]]'),
-             "flow n must be a positive integer, got 0")]:
+             "flow n must be a positive integer, got 0"),
+            (SAMPLE_LINE.replace('"n":1', '"n":-1'),
+             "flow n must be a positive integer, got -1")]:
         assert bad != SAMPLE_LINE
         path.write_text(SAMPLE_LINE + "\n" + bad + "\n")
         with pytest.raises(DataFormatError, match=f"bad.jsonl:2: .*{message}"):
             read_dataset(path)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ({}, None),
+    ({"track": True}, "track must be an integer, got True"),
+    ({"width": 64.5}, "image width must be a positive integer, got 64.5"),
+    ({"width": math.inf}, "image width must be a positive integer, got inf"),
+    ({"n": -1}, "flow n must be a positive integer, got -1"),
+    ({"n": 0}, "flow n must be a positive integer, got 0"),
+])
+def test_a_sample_is_built_only_if_the_reader_takes_it_back(tmp_path, fault, message):
+    # each fault was once built and written, then refused on reading with
+    # the message the constructor now gives
+    fields = {"track": 0, "past": [[5.0, 5.0, 2.0, 2.0]], "future": [[6.0, 5.0, 2.0, 2.0]],
+              "ego": [[0.0, 1.0, 0.0]], "width": 64, "height": 64, "n": 1, **fault}
+    n = fields.pop("n")
+
+    def build():
+        return Sample(flow=[PooledFlow(values=[0.5, 0.25][:2 * n * n], n=n)], **fields)
+
+    if message is not None:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build()
+        return
+    path = tmp_path / "one.jsonl"
+    write_dataset([build()], path)
+    assert path.read_text() == SAMPLE_LINE + "\n"
+    loaded, = read_dataset(path)
+    assert (loaded.track, loaded.width, loaded.height) == (0, 64, 64)
+    assert [loaded.past.tolist(), loaded.future.tolist(), loaded.ego.tolist()] \
+        == [fields["past"], fields["future"], fields["ego"]]
+    assert (loaded.flow[0].n, loaded.flow[0].values.tolist()) == (1, [0.5, 0.25])
 
 
 def test_video_dir_roundtrip(tmp_path, external_flow_dir):
