@@ -238,6 +238,9 @@ def cmd_generate(args) -> int:
     out_root = Path(args.out)
     stems = [Path(path).stem for path in args.scenarios]
     for i, stem in enumerate(stems):
+        if stem.startswith("."):  # `_video_dirs` skips hidden directories
+            raise _UsageError(f"{args.scenarios[i]} would be written to the hidden "
+                              f"directory {out_root / stem}, which no reader lists")
         if stem in stems[:i]:
             raise _UsageError(f"{args.scenarios[stems.index(stem)]} and "
                               f"{args.scenarios[i]} would both be written to "

@@ -119,11 +119,7 @@ class Sample:
     def __post_init__(self):
         if type(self.track) is not int:
             raise ValidationError(f"track must be an integer, got {self.track!r}")
-        for key in ("width", "height"):
-            dim = getattr(self, key)
-            if type(dim) is not int or dim <= 0:
-                raise ValidationError(
-                    f"image {key} must be a positive integer, got {dim!r}")
+        _require_image_dims(self)
         for name, layout in _SAMPLE_ROWS.items():
             try:
                 rows = np.array(getattr(self, name))
@@ -168,6 +164,15 @@ class Sample:
     @property
     def delta(self) -> int:
         return len(self.future)
+
+
+def _require_image_dims(owner) -> None:
+    """Refuse a `width` or `height` that is not a positive int (a bool is
+    not), so that a video meta holding it reads back."""
+    for key in ("width", "height"):
+        dim = getattr(owner, key)
+        if type(dim) is not int or dim <= 0:
+            raise ValidationError(f"image {key} must be a positive integer, got {dim!r}")
 
 
 def _require_finite(spec) -> None:
@@ -238,11 +243,10 @@ class Scenario:
     height: int = 640
 
     def __post_init__(self):
-        if self.frames < 2:
-            raise ValidationError(f"scenario needs >= 2 frames, got {self.frames}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(
-                f"image dims must be positive, got {self.width}x{self.height}")
+        if type(self.frames) is not int or self.frames < 2:
+            raise ValidationError(f"scenario needs >= 2 frames, got {self.frames!r} "
+                                  "(an integer, not a bool)")
+        _require_image_dims(self)
         if not 0 < self.fps < math.inf:
             raise ValidationError(f"fps must be positive and finite, got {self.fps}")
         steps = self.frames - 1

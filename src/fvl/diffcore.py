@@ -479,10 +479,14 @@ def _gru_operands(name, n_in, hidden, w, b, *values):
     [2*hidden x hidden] (update, reset) and w_c [hidden x hidden] of the
     weight, b and ``values``.  A numpy call on the copy type costs up to
     0.7 us more, so the GRU kernels loop on plain views."""
-    if core_shape(w) != (3 * hidden, n_in + hidden) or core_shape(b) != (3 * hidden,):
+    w_shape = core_shape(w)
+    if w_shape != (3 * hidden, n_in + hidden) or core_shape(b) != (3 * hidden,):
+        rows, cols = w_shape if len(w_shape) == 2 else (0, 0)
         raise DimensionError(
-            f"{name} weights must be [{3 * hidden} x {n_in + hidden}] and bias "
-            f"[{3 * hidden}], got {w.shape} and {b.shape}")
+            f"{name} weights {w.shape} and bias {b.shape} take input width "
+            f"{cols - rows // 3} and hidden width {rows // 3}; input width {n_in} "
+            f"and hidden width {hidden} need [{3 * hidden} x {n_in + hidden}] and "
+            f"[{3 * hidden}]")
     parts = (w[..., :n_in], w[..., :2 * hidden, n_in:], w[..., 2 * hidden:, n_in:],
              b, *values)
     return (any(isinstance(v, _Copies) for v in parts),

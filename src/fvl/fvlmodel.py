@@ -23,7 +23,7 @@ one (config, seed, dataset) triple reproduces a training run bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,13 +70,12 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ValidationError(
                 f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.tau < 2 or self.delta < 1:
-            raise ValidationError(
-                f"need tau >= 2 and delta >= 1, got ({self.tau}, {self.delta})")
-        for name in ("hidden", "embed", "pooled_dim"):
-            if getattr(self, name) < 1:
+        # ints, not bools: a checkpoint header must parse back as int
+        for name in ("tau", "delta", "hidden", "embed", "pooled_dim"):
+            value, least = getattr(self, name), 2 if name == "tau" else 1
+            if type(value) is not int or value < least:
                 raise ValidationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+                    f"need an integer {name} >= {least}, got {value!r}")
         # the flow stream is the interleaved (u, v) of an n x n lattice
         if self.pooled_dim != 2 * math.isqrt(self.pooled_dim // 2) ** 2:
             raise ValidationError(f"pooled_dim must be 2 n^2 for a lattice "
@@ -95,26 +94,26 @@ class ModelConfig:
 class Prediction:
     """Decoded future boxes in normalized units.
 
-    `absolute` is literally `anchor + residuals`, so subtracting the
-    anchor from a reported box recovers the emitted residual exactly.
+    `absolute` is not passed in: it is set to `anchor + residuals`, so
+    subtracting the anchor from a reported box recovers the emitted
+    residual exactly.
     """
 
     anchor: np.ndarray
     residuals: np.ndarray
-    absolute: np.ndarray
+    absolute: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("anchor", "residuals", "absolute"):
+        for name in ("anchor", "residuals"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.float64))
         if self.anchor.shape != (4,):
             raise ValidationError(
                 f"anchor must be one box [cx, cy, w, h], got {self.anchor.shape}")
-        if (self.residuals.ndim != 2 or self.residuals.shape[1] != 4
-                or self.absolute.shape != self.residuals.shape):
+        if self.residuals.ndim != 2 or self.residuals.shape[1] != 4:
             raise ValidationError(
-                f"residuals {self.residuals.shape} and absolute "
-                f"{self.absolute.shape} must both be [delta x 4]")
+                f"residuals must be [delta x 4], got {self.residuals.shape}")
+        object.__setattr__(self, "absolute", self.anchor + self.residuals)
 
     def pixel_boxes(self, width: float, height: float) -> np.ndarray:
         """Absolute boxes scaled back to pixels, [delta x 4]."""
@@ -132,7 +131,6 @@ class TrainResult:
     small to hold anything out.
     """
 
-    config: ModelConfig
     params: dict
     best_params: dict
     best_epoch: int
@@ -230,8 +228,8 @@ class BoxForecaster:
 
     def _run_encoder(self, embed, cell, series):
         batch, tau, width = series.shape
-        return cell.unroll(embed(series.reshape(batch * tau, width)),
-                           np.zeros((batch, self.config.hidden)))
+        return dc.gru_sequence(embed(series.reshape(batch * tau, width)),
+                               np.zeros((batch, self.config.hidden)), *cell.params)
 
     def decode_steps(self, fused, ego=None):
         """Unroll the decoder into residuals [batch x delta x 4].
@@ -248,15 +246,6 @@ class BoxForecaster:
         if not c.uses_ego and ego is not None:
             raise ValidationError(
                 f"variant {c.variant!r} does not take ego features")
-        if ego is not None:
-            ego = np.asarray(ego, dtype=np.float64)
-            if ego.ndim != 3 or ego.shape[1:] != (c.delta, 3):
-                raise ValidationError(
-                    f"expected {c.delta} ego features of width 3 per sample, "
-                    f"got shape {ego.shape}")
-            rows = np.shape(fused)[-2:][0]
-            if ego.shape[0] != rows:
-                raise ValidationError(f"{ego.shape[0]} ego rows for {rows} samples")
         ego_layer = ((self.ego_embed.weight, self.ego_embed.bias)
                      if ego is not None else (None, None))
         return dc.gru_decoder(fused, ego, self.state_embed.weight,
@@ -276,7 +265,7 @@ class BoxForecaster:
         data = _prepare(self.config, samples)
         with self.tape.no_grad():
             residuals = _forward(self, data, slice(None))
-        return [Prediction(anchor=anchor, residuals=r, absolute=anchor + r)
+        return [Prediction(anchor=anchor, residuals=r)
                 for anchor, r in zip(data["anchors"], residuals)]
 
 
@@ -420,7 +409,7 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
             best_score = score
             best_epoch = epoch
             best_params = model.parameter_values()
-    return TrainResult(config=config, params=model.parameter_values(),
+    return TrainResult(params=model.parameter_values(),
                        best_params=best_params, best_epoch=best_epoch,
                        train_losses=tuple(train_losses),
                        val_ades=tuple(val_ades),

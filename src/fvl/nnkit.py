@@ -6,8 +6,9 @@ them.  Cells and projections take row-stacked [B x n] batches only
 (a single sample is a batch of one), and each call records one fused
 tape node: :func:`fvl.diffcore.affine` for a projection (plus a relu
 node when it has one) and :func:`fvl.diffcore.gru_sequence` for a GRU
-unroll; a single step is an unroll of length one.  The forecaster's
-decoder hands its layers' leaves to :func:`fvl.diffcore.gru_decoder`.
+step.  The forecaster hands its cells' leaves (:attr:`GruCell.params`)
+to both GRU kernels, :func:`fvl.diffcore.gru_sequence` and
+:func:`fvl.diffcore.gru_decoder`, which check every shape they read.
 A GRU's gates are row blocks of one weight and one bias leaf.
 
 Each layer registers its leaves on the tape it is given, as zeros,
@@ -68,10 +69,7 @@ class Projection:
                  activation: str = "relu", name: str = "proj"):
         if activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {activation!r}")
-        self.in_size = in_size
-        self.out_size = out_size
         self.activation = activation
-        self.name = name
         self.weight = tape.leaf(np.zeros((out_size, in_size)), name=f"{name}.weight")
         self.bias = tape.leaf(np.zeros(out_size), name=f"{name}.bias")
 
@@ -91,8 +89,6 @@ class GruCell:
 
     def __init__(self, tape: Tape, input_size: int, hidden_size: int,
                  name: str = "gru"):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
         self.name = name
         self.weight = tape.leaf(np.zeros((3 * hidden_size, input_size + hidden_size)),
                                 name=f"{name}.weight")
@@ -103,19 +99,6 @@ class GruCell:
         """The gate weight and bias, as the diffcore GRU kernels take them."""
         return self.weight, self.bias
 
-    def unroll(self, xs, h0):
-        """Run row-stacked sequences from h0 [B x hidden]: xs is [B*tau x
-        input] with sample b's step t in row b*tau + t.  Returns the final
-        hidden state [B x hidden] as one gru_sequence node."""
-        x_shape, h_shape = np.shape(xs)[-2:], np.shape(h0)[-2:]
-        if (len(x_shape) != 2 or len(h_shape) != 2
-                or x_shape[1] != self.input_size or h_shape[1] != self.hidden_size):
-            raise DimensionError(
-                f"{self.name}: expected input width {self.input_size} and hidden "
-                f"width {self.hidden_size} as [B x n] batches, got {x_shape} "
-                f"and {h_shape}")
-        return dc.gru_sequence(xs, h0, *self.params)
-
     def step(self, x, h_prev):
         """One recurrence update of a row-stacked batch ([B x input] with
         [B x hidden]); returns the next hidden state [B x hidden]."""
@@ -123,7 +106,7 @@ class GruCell:
             raise DimensionError(
                 f"{self.name}: one step needs as many input rows as hidden "
                 f"rows, got {np.shape(x)} and {np.shape(h_prev)}")
-        return self.unroll(x, h_prev)
+        return dc.gru_sequence(x, h_prev, *self.params)
 
 
 class Adam:

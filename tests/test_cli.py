@@ -85,6 +85,20 @@ def test_generate_refuses_repeated_output_stems(tmp_path, capsys):
         in captured.err
 
 
+def test_generate_refuses_hidden_output_stems(tmp_path, capsys):
+    # before, .b.scn was rendered into the hidden v/.b, which every
+    # dataset reader skips, so evaluate scored a.scn's video alone
+    paths = [tmp_path / "a.scn", tmp_path / ".b.scn"]
+    for path, seed in zip(paths, (2, 4)):
+        write_scenario_file(path, random_scenario(seed, frames=6, width=320, height=160))
+    out = tmp_path / "v"
+    assert main(["generate", *map(str, paths), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    assert f"{paths[1]} would be written to the hidden directory {out / '.b'}" \
+        in captured.err
+
+
 def _tree(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}

@@ -722,6 +722,18 @@ def test_scenario_validation():
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValidationError, match=f"{name} must be finite"):
                 Scenario(frames=4, **{name: value})
+    # counts are ints, not bools; before, width=320.5 generated into a meta
+    # that read_video_dir refuses, and frames=4.5 died on a bare TypeError
+    for value in (4.5, 4.0, True, "4"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"scenario needs >= 2 frames, got {value!r} (an integer, not a bool)")):
+            Scenario(frames=value)
+    for key in ("width", "height"):
+        for value in (320.5, 320.0, True, 0, -4):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"image {key} must be a positive integer, got {value!r}")):
+                Scenario(frames=4, **{key: value})
+
 
 
 # --- files ----------------------------------------------------------------------

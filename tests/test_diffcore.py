@@ -834,6 +834,15 @@ def test_fused_kernels_reject_mismatched_shapes():
         dc.gru_decoder(*dec[:6], dec[6].value[:, 1:], *dec[7:])
     with pytest.raises(DimensionError, match="gru_decoder weights"):
         dc.gru_decoder(*dec[:7], dec[7].value[1:], *dec[8:])
+    # an input of the wrong width is named as such, against the width the
+    # weights take; the decoder's GRU input is the state embedding
+    refusal = ("{} weights (12, 7) and bias (12,) take input width 3 and hidden "
+               "width 4; input width 5 and hidden width 4 need [12 x 9] and [12]")
+    with pytest.raises(DimensionError, match=re.escape(refusal.format("gru_sequence"))):
+        dc.gru_sequence(np.zeros((9, 5)), *seq[1:])
+    with pytest.raises(DimensionError, match=re.escape(refusal.format("gru_decoder"))):
+        dc.gru_decoder(dec[0], None, np.zeros((5, 4)), np.zeros(5), None, None,
+                       *dec[6:])
 
 
 def _oracle_batch_loss(model, data, rows):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -84,6 +85,15 @@ def test_config_validation():
     for bad in (1, 3, 4, 6, 9, 49):
         with pytest.raises(ValidationError, match="pooled_dim must be 2 n"):
             small_config("x", pooled_dim=bad)
+    # sizes are ints, not bools; before, tau=2.5 trained and saved a
+    # checkpoint that load_model refused, and hidden=True or embed=3.0
+    # died on a bare TypeError when the model was built
+    for name, value in [("tau", 2.5), ("tau", 3.0), ("delta", True), ("hidden", True),
+                        ("embed", 3.0), ("pooled_dim", np.int64(8)), ("hidden", "6")]:
+        with pytest.raises(ValidationError, match=re.escape(
+                f"need an integer {name} >= {2 if name == 'tau' else 1}, "
+                f"got {value!r}")):
+            small_config("x", **{name: value})
 
 
 def test_zero_parameters_give_zero_fused_state():
@@ -105,8 +115,7 @@ def test_zero_parameters_decode_to_anchor():
     ego = np.zeros((1, SMALL["delta"], 3))
     with model.tape.no_grad():
         residuals = model.decode_steps(np.zeros((1, SMALL["hidden"])), ego)[0]
-    pred = Prediction(anchor=anchor, residuals=residuals,
-                      absolute=anchor + residuals)
+    pred = Prediction(anchor=anchor, residuals=residuals)
     assert np.array_equal(pred.residuals, np.zeros((SMALL["delta"], 4)))
     assert np.array_equal(pred.absolute, np.tile(anchor, (SMALL["delta"], 1)))
     scaled = pred.pixel_boxes(320.0, 160.0)
@@ -126,11 +135,14 @@ def test_prediction_residuals_recover_absolute():
 
 def test_prediction_shape_validation():
     with pytest.raises(ValidationError, match="anchor"):
-        Prediction(anchor=np.zeros(3), residuals=np.zeros((2, 4)),
-                   absolute=np.zeros((2, 4)))
-    with pytest.raises(ValidationError, match="delta x 4"):
+        Prediction(anchor=np.zeros(3), residuals=np.zeros((2, 4)))
+    with pytest.raises(ValidationError, match=re.escape(
+            "residuals must be [delta x 4], got (2, 3)")):
+        Prediction(anchor=np.zeros(4), residuals=np.zeros((2, 3)))
+    # absolute is derived, so no caller can hand in one that disagrees
+    with pytest.raises(TypeError, match="absolute"):
         Prediction(anchor=np.zeros(4), residuals=np.zeros((2, 4)),
-                   absolute=np.zeros((3, 4)))
+                   absolute=np.ones((2, 4)))
 
 
 def test_same_seed_predicts_identically():
@@ -203,8 +215,8 @@ def test_zero_flow_stream_halves_box_state():
     flows = rng.uniforms((1, cfg.tau, cfg.pooled_dim), -0.5, 0.5)
     with model.tape.no_grad():
         fused = model.encode(boxes, flows)
-        h = model.box_encoder.unroll(model.box_embed(boxes.reshape(cfg.tau, 4)),
-                                     np.zeros((1, cfg.hidden)))
+        h = dc.gru_sequence(model.box_embed(boxes.reshape(cfg.tau, 4)),
+                            np.zeros((1, cfg.hidden)), *model.box_encoder.params)
         halved = model.fuse(0.5 * h)
         unhalved = model.fuse(h)
     assert np.array_equal(np.asarray(fused), np.asarray(halved))
@@ -253,8 +265,18 @@ def test_stream_argument_validation():
         fused = with_ego.encode(boxes)
         with pytest.raises(ValidationError, match="ego features"):
             with_ego.decode_steps(fused)
-        with pytest.raises(ValidationError, match="ego features of width 3"):
+        # the decoder kernel checks the ego steps, width and rows
+        with pytest.raises(ValidationError, match=re.escape(
+                f"ego must be [1 x {SMALL['delta']} x e] with ego_w "
+                f"[{SMALL['embed']} x e]")):
             with_ego.decode_steps(fused, np.hstack([ego, ego[:, :1]]))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"ego_w [{SMALL['embed']} x e]")) as refused:
+            with_ego.decode_steps(fused, np.dstack([ego, ego[..., :1]]))
+        assert f"got shapes (1, {SMALL['delta']}, 4), ({SMALL['embed']}, 3)" \
+            in str(refused.value)
+        with pytest.raises(ValidationError, match=re.escape("ego must be [1 x")):
+            with_ego.decode_steps(fused, np.vstack([ego, ego]))
     with box_only.tape.no_grad():
         fused = box_only.encode(boxes)
         with pytest.raises(ValidationError, match="does not take ego"):

@@ -92,13 +92,16 @@ def test_gru_rejects_mismatched_widths():
     cell = GruCell(tape, input_size=3, hidden_size=4)
     with pytest.raises(DimensionError, match="input width 3"):
         cell.step(tape.leaf(np.zeros((1, 5))), tape.leaf(np.zeros((1, 4))))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError,
+                       match="hidden width 4; input width 3 and hidden width 2"):
         cell.step(tape.leaf(np.zeros((1, 3))), tape.leaf(np.zeros((1, 2))))
     # two input rows for one state would be a two-step unroll, not a step
     with pytest.raises(DimensionError, match="one step"):
         cell.step(tape.leaf(np.zeros((2, 3))), tape.leaf(np.zeros((1, 4))))
+    # the forecaster hands the cell's leaves to the sequence kernel
     with pytest.raises(DimensionError, match="input width 3"):
-        cell.unroll(tape.leaf(np.zeros((2, 5))), tape.leaf(np.zeros((1, 4))))
+        dc.gru_sequence(tape.leaf(np.zeros((2, 5))), tape.leaf(np.zeros((1, 4))),
+                        *cell.params)
 
 
 @settings(max_examples=30, deadline=None)
