@@ -8,10 +8,10 @@ primitives are matrix products, a handful of elementwise functions
 transpose, full reductions, and three fused kernels that the model path
 runs on row-stacked [B x n] batches:
 
-    affine(x, W, b)           x @ W.T + b, one node
-    gru_sequence(xs, h0, ...) a whole GRU encoder unroll, one node
-    gru_decoder(h0, ego, ...) state embed, ego embed, GRU and head over
-                              every decoder step, one node
+    affine(x, W, b)             x @ W.T + b, one node
+    gru_sequence(xs, h0, ...)   a whole GRU encoder unroll, one node
+    gru_decoder(h0, ego_x, ...) the state embed and GRU of every decoder
+                                step, one node
 
 Each fused kernel has a closed-form backward (backpropagation through
 time for the two GRU kernels, which share one gate forward/backward
@@ -19,8 +19,8 @@ pair).  Following Appleyard et al. 2016 (arXiv:1604.01946), a GRU's
 gates are row blocks of one weight leaf, read as views, and work that
 does not depend on the previous step leaves the recurrence: the encoder
 computes the input half of every gate for all timesteps in one product,
-the decoder embeds ego motion before its loop and applies the head after
-it, and a step makes one recurrent product for update and reset.
+the decoder's ego embedding and head are affine nodes of their own, and
+a step makes one recurrent product for update and reset.
 Broadcasting is restricted to exact shape match or scalar-with-array so
 every backward rule stays auditable; the structural exceptions are
 :func:`tile_rows` and the bias rows of the fused kernels, whose
@@ -585,62 +585,49 @@ def gru_sequence(xs, h0, w, b):
     return _emit(h.view(_Copies) if copies else h, backward, xs, h0, w, b)
 
 
-def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w, b, head_w,
-                head_b, steps: int):
-    """A whole GRU decoder unroll, recorded as one node.
+def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
+    """A whole GRU decoder recurrence, recorded as one node.
 
     From h = h0 [B x hidden], each step t of ``steps`` runs
 
-        x = relu(h @ state_w.T + state_b)                  [B x embed]
-        x = 0.5 * (x + relu(ego[:, t] @ ego_w.T + ego_b))  with ego only
-        h = the GRU update of h by x with gates w and b    (see gru_sequence)
-        y[:, t] = h @ head_w.T + head_b                    [B x out]
+        x = relu(h @ state_w.T + state_b)               [B x embed]
+        x[b] = 0.5 * (x[b] + ego_x[b*steps + t])        with ego_x only
+        h = the GRU update of h by x with gates w and b (see gru_sequence)
 
-    and returns y [B x steps x out].  ego is [B x steps x e], or None
-    together with ego_w and ego_b.  The ego embedding runs once over
-    all steps before the loop and the head once over the stacked hidden
-    states after it.
+    and returns the state after each step as rows [B*steps x hidden],
+    sample b's state after step t in row b*steps + t.  ego_x is the
+    embedded ego motion [B*steps x embed] in that row order, or None.
+    Only the work that depends on h runs here: the caller embeds ego
+    motion before the node and applies a head to its rows after it.
     """
-    hv = _value(h0)
-    ws, bs = _value(state_w), _value(state_b)
-    wh, bh = _value(head_w), _value(head_b)
-    h_shape, s_shape, o_shape = core_shape(hv), core_shape(ws), core_shape(wh)
-    if (len(h_shape) != 2 or len(s_shape) != 2 or len(o_shape) != 2 or steps < 1
-            or s_shape[1] != h_shape[1] or core_shape(bs) != s_shape[:1]
-            or o_shape[1] != h_shape[1] or core_shape(bh) != o_shape[:1]):
+    hv, ws, bs = _value(h0), _value(state_w), _value(state_b)
+    h_shape, s_shape = core_shape(hv), core_shape(ws)
+    if (len(h_shape) != 2 or len(s_shape) != 2 or steps < 1
+            or s_shape[1] != h_shape[1] or core_shape(bs) != s_shape[:1]):
         raise DimensionError(
             f"gru_decoder expects h0 [B x hidden], state_w [embed x hidden], "
-            f"state_b [embed], head_w [out x hidden], head_b [out] and "
-            f"steps >= 1, got shapes {hv.shape}, {ws.shape}, {bs.shape}, "
-            f"{wh.shape}, {bh.shape} and steps {steps}")
-    if ego is None and (ego_w is not None or ego_b is not None):
-        raise DimensionError("gru_decoder takes ego_w and ego_b only with ego")
-    batch, hidden = h_shape
-    embed = s_shape[0]
-    ego_x = None
-    if ego is not None:
-        ev, we, be = _value(ego), _value(ego_w), _value(ego_b)
-        e_shape = core_shape(ev)
-        if (len(e_shape) != 3 or e_shape[:2] != (batch, steps)
-                or core_shape(we) != (embed, e_shape[2]) or core_shape(be) != (embed,)):
+            f"state_b [embed] and steps >= 1, got shapes {hv.shape}, "
+            f"{ws.shape}, {bs.shape} and steps {steps}")
+    (batch, hidden), embed = h_shape, s_shape[0]
+    ev = None
+    if ego_x is not None:
+        ev = _value(ego_x)
+        if core_shape(ev) != (batch * steps, embed):
             raise DimensionError(
-                f"gru_decoder ego must be [{batch} x {steps} x e] with ego_w "
-                f"[{embed} x e] and ego_b [{embed}], got shapes {ev.shape}, "
-                f"{we.shape} and {be.shape}")
-        ego_rows = ev.reshape(ev.shape[:-3] + (batch * steps, e_shape[2]))
-        ego_pre = _rows_at(ego_rows, _mT(we)) + be[..., None, :]
-        ego_pre = ego_pre.reshape(ego_pre.shape[:-2] + (batch, steps, embed))
-        ego_x = np.maximum(ego_pre, 0.0)
-    copies, (w_x, w_zr, w_c, bv, hv, ws, bs, wh, bh, ego_x) = _gru_operands(
-        "gru_decoder", embed, hidden, _value(w), _value(b), hv, ws, bs, wh, bh, ego_x)
+                f"gru_decoder ego_x must be [{batch * steps} x {embed}] for h0 "
+                f"{hv.shape}, state_w {ws.shape} and {steps} steps, got shape "
+                f"{ev.shape}")
+        ev = ev.reshape(ev.shape[:-2] + (batch, steps, embed))
+    copies, (w_x, w_zr, w_c, bv, hv, ws, bs, ev) = _gru_operands(
+        "gru_decoder", embed, hidden, _value(w), _value(b), hv, ws, bs, ev)
     h, saved, state_pre, xs = hv, [], [], []
     ws_t, bs_row, w_x_t, b_row = _mT(ws), bs[..., None, :], _mT(w_x), bv[..., None, :]
     w_zr_t, w_c_t = _mT(w_zr), _mT(w_c)
     for t in range(steps):
         pre = _rows_at(h, ws_t) + bs_row
         x = np.maximum(pre, 0.0)
-        if ego is not None:
-            x = 0.5 * (x + ego_x[..., t, :])
+        if ev is not None:
+            x = 0.5 * (x + ev[..., t, :])
         h, record = _gru_forward(_rows_at(x, w_x_t) + b_row, h, w_zr_t, w_c_t)
         saved.append(record)
         state_pre.append(pre)
@@ -648,12 +635,9 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w, b, head_w,
     # every state after step 0 carries the copies or none does
     hs = np.stack([s[0] for s in saved[1:]] + [h], axis=-2)
     hs = hs.reshape(hs.shape[:-3] + (batch * steps, hidden))
-    y = _rows_at(hs, _mT(wh)) + bh[..., None, :]
-    y = y.reshape(y.shape[:-2] + (batch, steps, -1))
 
     def backward(g):
-        g_rows = g.reshape(batch * steps, -1)
-        d_hs = (g_rows @ wh).reshape(batch, steps, hidden)
+        d_hs = g.reshape(batch, steps, hidden)
         d_gates = np.empty((batch, steps, 3 * hidden))
         d_xs = np.empty((batch, steps, embed))
         d_state = np.empty((batch, steps, embed))
@@ -661,7 +645,7 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w, b, head_w,
         for t in reversed(range(steps)):
             d_h = _gru_backward(d_h + d_hs[:, t], saved[t], w_zr, w_c, d_gates[:, t])
             d_x = d_gates[:, t] @ w_x
-            if ego is not None:
+            if ev is not None:
                 d_x = 0.5 * d_x
             d_xs[:, t] = d_x
             d_state[:, t] = d_s = d_x * (state_pre[t] > 0.0)
@@ -673,18 +657,12 @@ def gru_decoder(h0, ego, state_w, state_b, ego_w, ego_b, w, b, head_w,
         h_prev = np.stack([s[0] for s in saved], axis=1).reshape(rows, hidden)
         _accumulate(state_w, d_state.T @ h_prev)
         _accumulate(state_b, d_state.sum(axis=0))
-        if ego is not None:
-            d_ego = (d_xs * (ego_pre > 0.0)).reshape(rows, embed)
-            _accumulate(ego, (d_ego @ we).reshape(ev.shape))
-            _accumulate(ego_w, d_ego.T @ ego_rows)
-            _accumulate(ego_b, d_ego.sum(axis=0))
+        _accumulate(ego_x, d_xs.reshape(rows, embed))
         _accumulate_gru(w, b, d_gates,
                         np.stack(xs, axis=1).reshape(rows, embed), saved)
-        _accumulate(head_w, g_rows.T @ hs)
-        _accumulate(head_b, g_rows.sum(axis=0))
 
-    return _emit(y.view(_Copies) if copies else y, backward, h0, ego, state_w,
-                 state_b, ego_w, ego_b, w, b, head_w, head_b)
+    return _emit(hs.view(_Copies) if copies else hs, backward, h0, ego_x, state_w,
+                 state_b, w, b)
 
 
 def _total(xv: np.ndarray) -> tuple[np.ndarray, int]:

@@ -14,10 +14,11 @@ each future box as a residual against the last observed box.  Variants:
     xoe  boxes + pooled flow + future ego-motion
 
 Each encoder stream is one embed `affine`+`relu` over all of its
-[batch*tau] rows and one `gru_sequence` tape node; the whole decoder,
-head included, is one `gru_decoder` node that returns the residuals as
-[batch x delta x 4].  Everything runs in float64 with explicit seeds, so
-one (config, seed, dataset) triple reproduces a training run bit-for-bit.
+[batch*tau] rows and one `gru_sequence` tape node; the decoder is the ego
+embed `affine`+`relu`, one `gru_decoder` node and the head `affine`, which
+emits residual rows [batch*delta x 4].  Everything runs in float64 with
+explicit seeds, so one (config, seed, dataset) triple reproduces a
+training run bit-for-bit.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ VARIANTS = ("x", "xe", "xo", "xoe")
 _DATA_STREAM = 0x6A09E667F3BCC908
 
 
+def _require_int(name: str, value, least: int) -> None:
+    """Refuse a value that is not an int (a bool is not) or is below least."""
+    if type(value) is not int or value < least:
+        raise ValidationError(f"need an integer {name} >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; `variant` picks the input streams."""
@@ -72,10 +79,7 @@ class ModelConfig:
                 f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         # ints, not bools: a checkpoint header must parse back as int
         for name in ("tau", "delta", "hidden", "embed", "pooled_dim"):
-            value, least = getattr(self, name), 2 if name == "tau" else 1
-            if type(value) is not int or value < least:
-                raise ValidationError(
-                    f"need an integer {name} >= {least}, got {value!r}")
+            _require_int(name, getattr(self, name), 2 if name == "tau" else 1)
         # the flow stream is the interleaved (u, v) of an n x n lattice
         if self.pooled_dim != 2 * math.isqrt(self.pooled_dim // 2) ** 2:
             raise ValidationError(f"pooled_dim must be 2 n^2 for a lattice "
@@ -90,13 +94,14 @@ class ModelConfig:
         return "e" in self.variant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
     """Decoded future boxes in normalized units.
 
     `absolute` is not passed in: it is set to `anchor + residuals`, so
     subtracting the anchor from a reported box recovers the emitted
-    residual exactly.
+    residual exactly.  All three are read-only float64 copies and, as with
+    `Sample`, a prediction equals only itself.
     """
 
     anchor: np.ndarray
@@ -106,7 +111,7 @@ class Prediction:
     def __post_init__(self):
         for name in ("anchor", "residuals"):
             object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=np.float64))
+                               np.array(getattr(self, name), dtype=np.float64))
         if self.anchor.shape != (4,):
             raise ValidationError(
                 f"anchor must be one box [cx, cy, w, h], got {self.anchor.shape}")
@@ -114,6 +119,8 @@ class Prediction:
             raise ValidationError(
                 f"residuals must be [delta x 4], got {self.residuals.shape}")
         object.__setattr__(self, "absolute", self.anchor + self.residuals)
+        for rows in (self.anchor, self.residuals, self.absolute):
+            rows.flags.writeable = False
 
     def pixel_boxes(self, width: float, height: float) -> np.ndarray:
         """Absolute boxes scaled back to pixels, [delta x 4]."""
@@ -232,26 +239,29 @@ class BoxForecaster:
                                np.zeros((batch, self.config.hidden)), *cell.params)
 
     def decode_steps(self, fused, ego=None):
-        """Unroll the decoder into residuals [batch x delta x 4].
+        """Unroll the decoder into residual rows [batch*delta x 4], sample
+        b's residual at horizon t in row b*delta + t.
 
         Batch-only like `encode`: `fused` is [batch x hidden] and `ego`
         [batch x delta x 3].  This is the differentiable core behind
         training and prediction: while the tape is recording, the result
-        is one DiffArray, the `gru_decoder` node.
+        is the DiffArray of the head's `affine` node.
         """
         c = self.config
-        if c.uses_ego and ego is None:
-            raise ValidationError(
-                f"variant {c.variant!r} needs {c.delta} future ego features")
         if not c.uses_ego and ego is not None:
-            raise ValidationError(
-                f"variant {c.variant!r} does not take ego features")
-        ego_layer = ((self.ego_embed.weight, self.ego_embed.bias)
-                     if ego is not None else (None, None))
-        return dc.gru_decoder(fused, ego, self.state_embed.weight,
-                              self.state_embed.bias, *ego_layer,
-                              *self.decoder.params, self.head.weight,
-                              self.head.bias, c.delta)
+            raise ValidationError(f"variant {c.variant!r} does not take ego features")
+        ego_x = None
+        if c.uses_ego:
+            # a grad_check rerun may give `fused` a leading copy axis
+            if np.shape(ego) != (*np.shape(fused)[-2:-1], c.delta, 3):
+                raise ValidationError(
+                    f"variant {c.variant!r} needs future ego features shaped [batch "
+                    f"x {c.delta} x 3] matching the fused state, got "
+                    f"{'none' if ego is None else np.shape(ego)}")
+            ego_x = self.ego_embed(np.reshape(ego, (-1, 3)))
+        states = dc.gru_decoder(fused, ego_x, self.state_embed.weight,
+                                self.state_embed.bias, *self.decoder.params, c.delta)
+        return self.head(states)
 
     def predict(self, sample: Sample) -> Prediction:
         """Pure inference on one dataio sample (pixels in, normalized out)."""
@@ -265,8 +275,8 @@ class BoxForecaster:
         data = _prepare(self.config, samples)
         with self.tape.no_grad():
             residuals = _forward(self, data, slice(None))
-        return [Prediction(anchor=anchor, residuals=r)
-                for anchor, r in zip(data["anchors"], residuals)]
+        return [Prediction(anchor=anchor, residuals=r) for anchor, r
+                in zip(data["anchors"], residuals.reshape(len(samples), -1, 4))]
 
 
 # --- training -----------------------------------------------------------------
@@ -315,8 +325,8 @@ def _prepare(config: ModelConfig, samples) -> dict:
 
 
 def _forward(model: BoxForecaster, data: dict, idx):
-    """Residuals [batch x delta x 4] of the indexed rows of `_prepare`
-    output."""
+    """Residual rows [batch*delta x 4] of the indexed samples of
+    `_prepare` output."""
     c = model.config
     fused = model.encode(data["boxes"][idx],
                          data["flows"][idx] if c.uses_flow else None)
@@ -325,14 +335,14 @@ def _forward(model: BoxForecaster, data: dict, idx):
 
 def _batch_loss(model: BoxForecaster, data: dict, indices):
     idx = np.asarray(indices, dtype=int)
-    return mse_loss(_forward(model, data, idx), data["targets"][idx])
+    return mse_loss(_forward(model, data, idx), data["targets"][idx].reshape(-1, 4))
 
 
 def _pixel_ade(model: BoxForecaster, data: dict, indices) -> float:
     """Mean center displacement error in pixels over the indexed samples."""
     idx = np.asarray(indices, dtype=int)
     with model.tape.no_grad():
-        residuals = _forward(model, data, idx)
+        residuals = _forward(model, data, idx).reshape(len(idx), -1, 4)
     absolute = data["anchors"][idx][:, None, :] + residuals
     pred_px = absolute * data["scales"][idx][:, None, :]
     truth = data["future_px"][idx]
@@ -353,12 +363,11 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
     pixel ADE provides `best_params`; otherwise selection falls back to
     the training loss.
     """
-    if epochs < 0:
-        raise ValidationError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValidationError(f"learning rate must be positive, got {lr}")
+    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
+                               ("seed", seed, 0)):
+        _require_int(name, value, least)
+    if isinstance(lr, bool) or not (math.isfinite(lr) and lr > 0):
+        raise ValidationError(f"learning rate must be positive, got {lr!r}")
     samples = list(samples)
     if not samples:
         raise ValidationError("cannot train on an empty dataset")

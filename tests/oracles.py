@@ -418,13 +418,17 @@ def take(x, index):
 
 
 def stack_steps(ys):
-    """Stack per-step [B x n] outputs into [B x steps x n]."""
+    """Stack per-step [B x n] outputs into rows [B*steps x n], sample b's
+    output at step t in row b*steps + t."""
+    steps = len(ys)
 
     def backward(g):
+        g = g.reshape(-1, steps, g.shape[-1])
         for t, y in enumerate(ys):
             dc._accumulate(y, g[:, t])
 
-    return dc._emit(np.stack([dc._value(y) for y in ys], axis=1), backward, *ys)
+    rows = np.stack([dc._value(y) for y in ys], axis=1)
+    return dc._emit(rows.reshape(-1, rows.shape[-1]), backward, *ys)
 
 
 def gru_sequence_chain(xs, h0, w, b):
@@ -436,19 +440,18 @@ def gru_sequence_chain(xs, h0, w, b):
     return h
 
 
-def gru_decoder_chain(h0, ego, state_w, state_b, ego_w, ego_b, w, b,
-                      head_w, head_b, steps):
-    """`gru_decoder` as a loop of `gru_step` with its embeds and head
-    applied step by step through `affine` and `relu`."""
-    h, ys = h0, []
+def gru_decoder_chain(h0, ego_x, state_w, state_b, w, b, steps):
+    """`gru_decoder` as a loop of `gru_step` with its state embed applied
+    step by step through `affine` and `relu`, averaged with the step's
+    rows of ego_x when given; returns the state rows of every step."""
+    h, hs = h0, []
     for t in range(steps):
         x = dc.relu(dc.affine(h, state_w, state_b))
-        if ego is not None:
-            e = dc.relu(dc.affine(take(ego, (slice(None), t)), ego_w, ego_b))
-            x = dc.mul(dc.add(x, e), 0.5)
+        if ego_x is not None:
+            x = dc.mul(dc.add(x, take(ego_x, slice(t, None, steps))), 0.5)
         h = gru_step(x, h, w, b)
-        ys.append(dc.affine(h, head_w, head_b))
-    return stack_steps(ys)
+        hs.append(h)
+    return stack_steps(hs)
 
 
 # --- the per-element gradient check -----------------------------------------

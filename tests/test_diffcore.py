@@ -284,8 +284,7 @@ PRIMITIVE_OPERANDS = {
     "tile_rows": [(3,)], "transpose": [(2, 3)],
     "affine": [(2, 3), (4, 3), (4,)],
     "gru_sequence": [(6, 3), (2, 4), (12, 7), (12,)],
-    "gru_decoder": [(3, 4), (3, 2, 3), (5, 4), (5,), (5, 3), (5,),
-                    (12, 9), (12,), (2, 4), (2,)],
+    "gru_decoder": [(3, 4), (6, 5), (5, 4), (5,), (12, 9), (12,)],
     "sum_all": [(3,)], "mean_all": [(3,)],
 }
 EXTRA_ARGS = {"tile_rows": (4,), "gru_decoder": (2,)}
@@ -592,9 +591,12 @@ def test_a_leading_extra_axis_is_refused_outside_grad_check():
     with pytest.raises(DimensionError, match="gru_sequence weights"):
         dc.gru_sequence(*seq[:3], extra(seq[3]))
     dec = _decoder_inputs(tape, rng, True)[0]
-    with pytest.raises(DimensionError, match="gru_decoder expects"):
+    with pytest.raises(DimensionError, match=re.escape(
+            "got shapes (2, 3, 4), (3, 4), (3,) and steps 3")):
         dc.gru_decoder(extra(dec[0]), *dec[1:])
-    with pytest.raises(DimensionError, match="gru_decoder ego"):
+    with pytest.raises(DimensionError, match=re.escape(
+            "gru_decoder ego_x must be [9 x 3] for h0 (3, 4), state_w (3, 4) and "
+            "3 steps, got shape (2, 9, 3)")):
         dc.gru_decoder(dec[0], extra(dec[1]), *dec[2:])
     target = rng.uniforms((3, 2), -1.0, 1.0)
     with pytest.raises(DimensionError, match="mse_loss"):
@@ -681,18 +683,17 @@ def _sequence_inputs(tape, rng, batch=3, tau=3, n_in=3, hidden=4):
     return leaves, leaves
 
 
-def _decoder_inputs(tape, rng, with_ego, batch=3, steps=3, embed=3,
-                    hidden=4, out=2):
+def _decoder_inputs(tape, rng, with_ego, batch=3, steps=3, embed=3, hidden=4):
+    """h0, the embedded ego rows or None, the state embed weight and bias,
+    the gate weight and bias, and the step count."""
     h0, state_w, state_b = _leaves(tape, rng, [
         ("h0", (batch, hidden)), ("state_w", (embed, hidden)),
         ("state_b", (embed,))])
-    ego = ego_w = ego_b = None
+    ego_x = None
     if with_ego:
-        ego, ego_w, ego_b = _leaves(tape, rng, [
-            ("ego", (batch, steps, 3)), ("ego_w", (embed, 3)), ("ego_b", (embed,))])
-    rest = _leaves(tape, rng, _gru_parts(embed, hidden)
-                   + [("head_w", (out, hidden)), ("head_b", (out,))])
-    args = [h0, ego, state_w, state_b, ego_w, ego_b, *rest, steps]
+        (ego_x,) = _leaves(tape, rng, [("ego_x", (batch * steps, embed))])
+    gates = _leaves(tape, rng, _gru_parts(embed, hidden))
+    args = [h0, ego_x, state_w, state_b, *gates, steps]
     return args, [a for a in args if isinstance(a, DiffArray)]
 
 
@@ -820,20 +821,27 @@ def test_fused_kernels_reject_mismatched_shapes():
     with pytest.raises(DimensionError, match="gru_sequence weights"):
         dc.gru_sequence(*seq[:3], seq[3].value[1:])
     dec = _decoder_inputs(tape, rng, True)[0]
-    with pytest.raises(DimensionError, match="gru_decoder ego"):
+    with pytest.raises(DimensionError, match=re.escape(
+            "gru_decoder ego_x must be [9 x 3] for h0 (3, 4), state_w (3, 4) and "
+            "3 steps, got shape (9, 2)")):
         dc.gru_decoder(dec[0], dec[1].value[:, :2], *dec[2:])
-    with pytest.raises(DimensionError, match="gru_decoder ego"):
-        dc.gru_decoder(dec[0], dec[1], *dec[2:4], dec[4].value[:, :2], *dec[5:])
-    with pytest.raises(DimensionError, match="ego_w and ego_b only with ego"):
-        dc.gru_decoder(dec[0], None, *dec[2:])
-    with pytest.raises(DimensionError, match="gru_decoder expects"):
+    with pytest.raises(DimensionError, match=re.escape(
+            "gru_decoder expects h0 [B x hidden], state_w [embed x hidden], "
+            "state_b [embed] and steps >= 1, got shapes (3, 4), (3, 3), (3,) "
+            "and steps 3")):
         dc.gru_decoder(dec[0], dec[1], dec[2].value[:, 1:], *dec[3:])
-    with pytest.raises(DimensionError, match="gru_decoder expects"):
+    with pytest.raises(DimensionError, match=re.escape(
+            "got shapes (3, 4), (3, 4), (2,) and steps 3")):
+        dc.gru_decoder(*dec[:3], dec[3].value[1:], *dec[4:])
+    with pytest.raises(DimensionError, match=re.escape(
+            "got shapes (3, 4), (3, 4), (3,) and steps 0")):
         dc.gru_decoder(*dec[:-1], 0)
-    with pytest.raises(DimensionError, match="gru_decoder weights"):
-        dc.gru_decoder(*dec[:6], dec[6].value[:, 1:], *dec[7:])
-    with pytest.raises(DimensionError, match="gru_decoder weights"):
-        dc.gru_decoder(*dec[:7], dec[7].value[1:], *dec[8:])
+    with pytest.raises(DimensionError, match=re.escape(
+            "gru_decoder weights (12, 6) and bias (12,)")):
+        dc.gru_decoder(*dec[:4], dec[4].value[:, 1:], *dec[5:])
+    with pytest.raises(DimensionError, match=re.escape(
+            "gru_decoder weights (12, 7) and bias (11,)")):
+        dc.gru_decoder(*dec[:5], dec[5].value[1:], dec[6])
     # an input of the wrong width is named as such, against the width the
     # weights take; the decoder's GRU input is the state embedding
     refusal = ("{} weights (12, 7) and bias (12,) take input width 3 and hidden "
@@ -841,14 +849,27 @@ def test_fused_kernels_reject_mismatched_shapes():
     with pytest.raises(DimensionError, match=re.escape(refusal.format("gru_sequence"))):
         dc.gru_sequence(np.zeros((9, 5)), *seq[1:])
     with pytest.raises(DimensionError, match=re.escape(refusal.format("gru_decoder"))):
-        dc.gru_decoder(dec[0], None, np.zeros((5, 4)), np.zeros(5), None, None,
-                       *dec[6:])
+        dc.gru_decoder(dec[0], None, np.zeros((5, 4)), np.zeros(5), *dec[4:])
+
+
+@pytest.mark.parametrize("rows", [3, 6, 10])
+def test_gru_decoder_refuses_ego_rows_that_are_not_batch_times_steps(rows):
+    # one row per sample, a row short of each sample's steps, and one
+    # row too many: each is named against the B*steps rows it needs
+    tape = Tape()
+    dec = _decoder_inputs(tape, Xoshiro256(53), False)[0]
+    with pytest.raises(DimensionError, match=re.escape(
+            f"gru_decoder ego_x must be [9 x 3] for h0 (3, 4), state_w (3, 4) "
+            f"and 3 steps, got shape ({rows}, 3)")):
+        dc.gru_decoder(dec[0], np.zeros((rows, 3)), *dec[2:])
+    assert not tape._ops
 
 
 def _oracle_batch_loss(model, data, rows):
     """`_batch_loss` through the per-step oracle chain: each encoder
-    step embeds its own rows, and the loss is the mean over the horizon
-    of one mean squared error per step."""
+    step and each ego step embeds its own rows, the head runs on each
+    horizon's states, and the loss is the mean over the horizon of one
+    mean squared error per step."""
     c = model.config
 
     def encode(embed, cell, series):
@@ -862,16 +883,19 @@ def _oracle_batch_loss(model, data, rows):
     if c.uses_flow:
         h = dc.mul(dc.add(h, encode(model.flow_embed, model.flow_encoder,
                                     data["flows"])), 0.5)
-    ego = ((data["egos"], model.ego_embed.weight, model.ego_embed.bias)
-           if c.uses_ego else (None, None, None))
-    residuals = oracles.gru_decoder_chain(
-        model.fuse(h), ego[0], model.state_embed.weight, model.state_embed.bias,
-        *ego[1:], *model.decoder.params, model.head.weight, model.head.bias,
-        c.delta)
+    ego_x = None
+    if c.uses_ego:
+        ego_x = oracles.stack_steps([
+            dc.relu(dc.affine(data["egos"][:, t], model.ego_embed.weight,
+                              model.ego_embed.bias)) for t in range(c.delta)])
+    states = oracles.gru_decoder_chain(
+        model.fuse(h), ego_x, model.state_embed.weight, model.state_embed.bias,
+        *model.decoder.params, c.delta)
     total = 0.0
     for i in range(c.delta):
-        diff = dc.sub(oracles.take(residuals, (slice(None), i)),
-                      data["targets"][:, i])
+        residual = dc.affine(oracles.take(states, slice(i, None, c.delta)),
+                             model.head.weight, model.head.bias)
+        diff = dc.sub(residual, data["targets"][:, i])
         total = dc.add(total, dc.mean_all(dc.mul(diff, diff)))
     return dc.mul(total, 1.0 / c.delta)
 

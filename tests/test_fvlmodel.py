@@ -114,7 +114,9 @@ def test_zero_parameters_decode_to_anchor():
     anchor = np.array([0.4, 0.5, 0.1, 0.2])
     ego = np.zeros((1, SMALL["delta"], 3))
     with model.tape.no_grad():
-        residuals = model.decode_steps(np.zeros((1, SMALL["hidden"])), ego)[0]
+        # a batch of one decodes to its delta residual rows
+        residuals = model.decode_steps(np.zeros((1, SMALL["hidden"])), ego)
+    assert residuals.shape == (SMALL["delta"], 4)
     pred = Prediction(anchor=anchor, residuals=residuals)
     assert np.array_equal(pred.residuals, np.zeros((SMALL["delta"], 4)))
     assert np.array_equal(pred.absolute, np.tile(anchor, (SMALL["delta"], 1)))
@@ -145,6 +147,23 @@ def test_prediction_shape_validation():
                    absolute=np.ones((2, 4)))
 
 
+def test_predictions_are_read_only_and_equal_only_themselves():
+    anchor, residuals = np.array([0.4, 0.5, 0.1, 0.2]), np.ones((2, 4))
+    pred = Prediction(anchor=anchor, residuals=residuals)
+    twin = Prediction(anchor=anchor, residuals=residuals)
+    assert pred == pred and pred != twin and hash(pred) != hash(twin)
+    # the arrays are copies, so writing the inputs changes nothing
+    anchor[0] = residuals[0, 0] = 9.0
+    assert pred.anchor[0] == 0.4 and pred.residuals[0, 0] == 1.0
+    model = BoxForecaster(small_config(), seed=3)
+    batch = model.predict_batch(make_samples(17, 2))
+    for p in (pred, *batch):
+        for name in ("anchor", "residuals", "absolute"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[0] = 5.0
+        assert np.array_equal(p.absolute, p.anchor + p.residuals)
+
+
 def test_same_seed_predicts_identically():
     sample = make_samples(29, 1)[0]
     a = BoxForecaster(small_config(), seed=11).predict(sample)
@@ -162,9 +181,9 @@ def test_first_horizon_matches_shorter_decoder(variant, batch):
     # identical weights must leave the first residual bit-identical.  The
     # fused state is drawn at random, because an encoded one can be all
     # zero after the fuse relu, and then every residual is exactly 0.
-    # Batch 1 is left out: with one row, numpy computes the hoisted head
-    # and ego products of the delta=1 decoder by a vector path that
-    # rounds differently, by a few 1e-17.
+    # Batch 1 is left out: with one row, numpy computes the head and ego
+    # projections of the delta=1 decoder by a vector path that rounds
+    # differently, by a few 1e-17.
     long_cfg = small_config(variant, delta=5)
     long_model = BoxForecaster(long_cfg, seed=2)
     short_model = BoxForecaster(dataclasses.replace(long_cfg, delta=1),
@@ -177,9 +196,10 @@ def test_first_horizon_matches_shorter_decoder(variant, batch):
     with short_model.tape.no_grad():
         short_steps = short_model.decode_steps(
             fused, None if ego is None else ego[:, :1])
-    assert long_steps.shape == (batch, 5, 4) and short_steps.shape == (batch, 1, 4)
+    # residual rows: sample b's horizon t is row b*delta + t
+    assert long_steps.shape == (batch * 5, 4) and short_steps.shape == (batch, 4)
     assert np.all(long_steps != 0.0)
-    assert np.array_equal(long_steps[:, 0], short_steps[:, 0])
+    assert np.array_equal(long_steps[::5], short_steps)
 
 
 def test_future_ego_cannot_reach_earlier_horizons():
@@ -193,11 +213,13 @@ def test_future_ego_cannot_reach_earlier_horizons():
     altered[:, 2:] += 10.0  # horizons 3 and 4 only
     with model.tape.no_grad():
         fused = model.encode(boxes, flows)
+        # a batch of one: row t is horizon t
         base = model.decode_steps(fused, ego)
         moved = model.decode_steps(fused, altered)
-    assert np.array_equal(base[:, 0], moved[:, 0])
-    assert np.array_equal(base[:, 1], moved[:, 1])
-    assert not np.array_equal(base[:, 2], moved[:, 2])
+    assert base.shape == (cfg.delta, 4)
+    assert np.array_equal(base[0], moved[0])
+    assert np.array_equal(base[1], moved[1])
+    assert not np.array_equal(base[2], moved[2])
 
 
 def test_zero_flow_stream_halves_box_state():
@@ -263,19 +285,20 @@ def test_stream_argument_validation():
     with_ego = BoxForecaster(small_config("xe"), seed=1)
     with with_ego.tape.no_grad():
         fused = with_ego.encode(boxes)
-        with pytest.raises(ValidationError, match="ego features"):
+        # decode_steps checks the ego rows, steps and width, and names
+        # the shape it was given
+        refusal = (f"variant 'xe' needs future ego features shaped [batch x "
+                   f"{SMALL['delta']} x 3] matching the fused state, got ")
+        with pytest.raises(ValidationError, match=re.escape(refusal + "none")):
             with_ego.decode_steps(fused)
-        # the decoder kernel checks the ego steps, width and rows
         with pytest.raises(ValidationError, match=re.escape(
-                f"ego must be [1 x {SMALL['delta']} x e] with ego_w "
-                f"[{SMALL['embed']} x e]")):
+                refusal + f"(1, {SMALL['delta'] + 1}, 3)")):
             with_ego.decode_steps(fused, np.hstack([ego, ego[:, :1]]))
         with pytest.raises(ValidationError, match=re.escape(
-                f"ego_w [{SMALL['embed']} x e]")) as refused:
+                refusal + f"(1, {SMALL['delta']}, 4)")):
             with_ego.decode_steps(fused, np.dstack([ego, ego[..., :1]]))
-        assert f"got shapes (1, {SMALL['delta']}, 4), ({SMALL['embed']}, 3)" \
-            in str(refused.value)
-        with pytest.raises(ValidationError, match=re.escape("ego must be [1 x")):
+        with pytest.raises(ValidationError, match=re.escape(
+                refusal + f"(2, {SMALL['delta']}, 3)")):
             with_ego.decode_steps(fused, np.vstack([ego, ego]))
     with box_only.tape.no_grad():
         fused = box_only.encode(boxes)
@@ -300,12 +323,13 @@ def test_batched_forward_matches_single():
     ego = rng.uniforms((3, cfg.delta, 3), -0.4, 0.4)
     with model.tape.no_grad():
         batch_steps = model.decode_steps(model.encode(boxes, flows), ego)
+        batch_steps = batch_steps.reshape(3, cfg.delta, 4)
         for row in range(3):
             steps = model.decode_steps(
                 model.encode(boxes[row:row + 1], flows[row:row + 1]),
                 ego[row:row + 1])
             for i in range(cfg.delta):
-                np.testing.assert_allclose(batch_steps[row, i], steps[0, i],
+                np.testing.assert_allclose(batch_steps[row, i], steps[i],
                                            rtol=0.0, atol=1e-12)
 
 
@@ -443,6 +467,16 @@ def test_training_validates_inputs():
         train_model(cfg, samples, epochs=1, batch_size=0)
     with pytest.raises(ValidationError, match="learning rate"):
         train_model(cfg, samples, epochs=1, lr=0.0)
+    with pytest.raises(ValidationError,
+                       match="learning rate must be positive, got True"):
+        train_model(cfg, samples, epochs=1, lr=True)
+    # ModelConfig's integer rule: an int, not a float or a bool, from a least value
+    for name, value, least in (("epochs", 2.5, 0), ("epochs", True, 0),
+                               ("batch_size", 2.5, 1), ("batch_size", True, 1),
+                               ("seed", 1.5, 0), ("seed", -1, 0), ("seed", True, 0)):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"need an integer {name} >= {least}, got {value!r}")):
+            train_model(cfg, samples, **{"epochs": 1, name: value})
     with pytest.raises(ValidationError, match="sample 0"):
         train_model(small_config(tau=4), samples, epochs=1)
 

@@ -46,13 +46,17 @@ def test_tracer_installs_on_the_current_package():
     assert result.returncode == 0, result.stderr
     metrics = json.loads(result.stdout.splitlines()[-1])
     # the unfused primitives of one batch: relu after the two encoder
-    # embeds and the fuse layer, the add and mul that average the two
-    # streams, and the sub, mul and mean_all of the loss.  The tracer
-    # does not see the fused affine, gru_sequence and gru_decoder nodes.
-    assert metrics["diffcore.nodes_per_batch"] == 8
+    # embeds, the fuse layer and the ego embed, the add and mul that
+    # average the two streams, and the sub, mul and mean_all of the loss.
+    # The tracer does not see the fused affine, gru_sequence and
+    # gru_decoder nodes.
+    assert metrics["diffcore.nodes_per_batch"] == 9
     # nodes_per_batch divides the node count by the Adam steps, so the
     # one batch must be exactly one step
     assert metrics["nnkit.adam_step.calls"] == 1
+    # the five projections of a forward pass (box, flow and ego embeds,
+    # fuse and head), for the training batch and for the held-out pass
+    assert metrics["nnkit.projection.calls"] == 10
     for prim in ("add", "sub", "mul", "relu", "mean_all"):
         assert metrics[f"diffcore.prim.{prim}.calls"] > 0, prim
 
