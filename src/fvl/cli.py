@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +210,10 @@ def _load_samples(args, tau, delta, n) -> list:
             video, tau, delta, n=1 if n is None else n,
             expand=1.5 if args.roi_expand is None else args.roi_expand)
         return samples
+
+    # imported here: concurrent.futures brings logging, which a run that
+    # reads no video directory does not need
+    from concurrent.futures import ThreadPoolExecutor
 
     merged: list = []
     with ThreadPoolExecutor(max_workers=args.workers) as executor:

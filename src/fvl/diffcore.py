@@ -19,8 +19,12 @@ pair).  Following Appleyard et al. 2016 (arXiv:1604.01946), a GRU's
 gates are row blocks of one weight leaf, read as views, and work that
 does not depend on the previous step leaves the recurrence: the encoder
 computes the input half of every gate for all timesteps in one product,
-the decoder's ego embedding and head are affine nodes of their own, and
-a step makes one recurrent product for update and reset.
+the decoder's ego embedding and head are affine nodes of their own, the
+decoder computes the ego half of every step's input gates in one product
+before its loop, and a step makes one recurrent product for update and
+reset.  A step's gates run in place, the logistic as
+sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, and its state update is
+h + z * (c - h).
 Broadcasting is restricted to exact shape match or scalar-with-array so
 every backward rule stays auditable; the structural exceptions are
 :func:`tile_rows` and the bias rows of the fused kernels, whose
@@ -493,22 +497,30 @@ def _gru_operands(name, n_in, hidden, w, b, *values):
             [v.view(np.ndarray) if isinstance(v, _Copies) else v for v in parts])
 
 
-def _gru_forward(gx, h, w_zr_t, w_c_t):
+def _gru_forward(gx, h, w_zr_t, w_c_t, product):
     """One reset-before-candidate GRU update of h [B x hidden] from its
     input gate terms gx = x @ w_x.T + b [B x 3*hidden], given the
     transposed recurrent weights w_zr_t = w_zr.T and w_c_t = w_c.T:
 
         z, r = sigmoid(gx[update, reset] + h @ w_zr_t)
         c = tanh(gx[cand] + (r * h) @ w_c_t)
-        out = (1 - z) * h + z * c
+        out = h + z * (c - h)
 
-    Returns out and what :func:`_gru_backward` needs."""
+    The logistic runs in place as sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5,
+    which lies in [0, 1] for any float a; the candidate's tanh runs in
+    place too.  ``product`` is the kernel's matrix product, np.matmul or, when
+    an operand carries grad_check copies, :func:`_rows_at`.  Returns out
+    and what :func:`_gru_backward` needs."""
     hidden = h.shape[-1]
-    zr = _sigmoid_value(gx[..., :2 * hidden] + _rows_at(h, w_zr_t))
-    z = zr[..., :hidden]
+    zr = gx[..., :2 * hidden] + product(h, w_zr_t)
+    zr *= 0.5
+    np.tanh(zr, out=zr)
+    zr *= 0.5
+    zr += 0.5
     rh = zr[..., hidden:] * h
-    c = np.tanh(gx[..., 2 * hidden:] + _rows_at(rh, w_c_t))
-    return (1.0 - z) * h + z * c, (h, zr, rh, c)
+    c = gx[..., 2 * hidden:] + product(rh, w_c_t)
+    np.tanh(c, out=c)
+    return h + zr[..., :hidden] * (c - h), (h, zr, rh, c)
 
 
 def _gru_backward(g, saved, w_zr, w_c, d_gates):
@@ -566,11 +578,12 @@ def gru_sequence(xs, h0, w, b):
     copies, (w_x, w_zr, w_c, bv, xv, hv) = _gru_operands(
         "gru_sequence", x_shape[1], hidden, _value(w), _value(b), xv, hv)
     tau = x_shape[0] // batch
-    gx = _rows_at(xv, _mT(w_x)) + bv[..., None, :]
+    product = _rows_at if copies else np.matmul
+    gx = product(xv, _mT(w_x)) + bv[..., None, :]
     gx = gx.reshape(gx.shape[:-2] + (batch, tau, 3 * hidden))
     h, saved, w_zr_t, w_c_t = hv, [], _mT(w_zr), _mT(w_c)
     for t in range(tau):
-        h, record = _gru_forward(gx[..., t, :], h, w_zr_t, w_c_t)
+        h, record = _gru_forward(gx[..., t, :], h, w_zr_t, w_c_t, product)
         saved.append(record)
 
     def backward(g):
@@ -599,6 +612,11 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
     embedded ego motion [B*steps x embed] in that row order, or None.
     Only the work that depends on h runs here: the caller embeds ego
     motion before the node and applies a head to its rows after it.
+    With ego_x, x = relu(h @ (0.5 * state_w).T + 0.5 * state_b) + 0.5 *
+    ego_x[b*steps + t] exactly, so the state embed is halved once per
+    call, and the ego half of every step's input gates,
+    0.5 * ego_x @ w_x.T + b, is one product over all rows before the
+    loop; its adjoint is one product after the backward loop.
     """
     hv, ws, bs = _value(h0), _value(state_w), _value(state_b)
     h_shape, s_shape = core_shape(hv), core_shape(ws)
@@ -609,57 +627,64 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
             f"state_b [embed] and steps >= 1, got shapes {hv.shape}, "
             f"{ws.shape}, {bs.shape} and steps {steps}")
     (batch, hidden), embed = h_shape, s_shape[0]
+    rows = batch * steps
     ev = None
     if ego_x is not None:
         ev = _value(ego_x)
-        if core_shape(ev) != (batch * steps, embed):
+        if core_shape(ev) != (rows, embed):
             raise DimensionError(
-                f"gru_decoder ego_x must be [{batch * steps} x {embed}] for h0 "
+                f"gru_decoder ego_x must be [{rows} x {embed}] for h0 "
                 f"{hv.shape}, state_w {ws.shape} and {steps} steps, got shape "
                 f"{ev.shape}")
-        ev = ev.reshape(ev.shape[:-2] + (batch, steps, embed))
     copies, (w_x, w_zr, w_c, bv, hv, ws, bs, ev) = _gru_operands(
         "gru_decoder", embed, hidden, _value(w), _value(b), hv, ws, bs, ev)
+    product, w_x_t = _rows_at if copies else np.matmul, _mT(w_x)
+    # the input gates' share that does not depend on h: [B x steps x 3*hidden]
+    if ev is None:
+        scale = 1.0
+        gates_in = np.broadcast_to(bv[..., None, None, :],
+                                   bv.shape[:-1] + (batch, steps, 3 * hidden))
+    else:
+        scale = 0.5
+        gates_in = 0.5 * product(ev, w_x_t) + bv[..., None, :]
+        gates_in = gates_in.reshape(gates_in.shape[:-2] + (batch, steps, 3 * hidden))
+    ws, bs = scale * ws, scale * bs
+    ws_t, bs_row = _mT(ws), bs[..., None, :]
     h, saved, state_pre, xs = hv, [], [], []
-    ws_t, bs_row, w_x_t, b_row = _mT(ws), bs[..., None, :], _mT(w_x), bv[..., None, :]
     w_zr_t, w_c_t = _mT(w_zr), _mT(w_c)
     for t in range(steps):
-        pre = _rows_at(h, ws_t) + bs_row
+        pre = product(h, ws_t) + bs_row
         x = np.maximum(pre, 0.0)
-        if ev is not None:
-            x = 0.5 * (x + ev[..., t, :])
-        h, record = _gru_forward(_rows_at(x, w_x_t) + b_row, h, w_zr_t, w_c_t)
+        h, record = _gru_forward(product(x, w_x_t) + gates_in[..., t, :], h,
+                                 w_zr_t, w_c_t, product)
         saved.append(record)
         state_pre.append(pre)
         xs.append(x)
     # every state after step 0 carries the copies or none does
     hs = np.stack([s[0] for s in saved[1:]] + [h], axis=-2)
-    hs = hs.reshape(hs.shape[:-3] + (batch * steps, hidden))
+    hs = hs.reshape(hs.shape[:-3] + (rows, hidden))
 
     def backward(g):
         d_hs = g.reshape(batch, steps, hidden)
         d_gates = np.empty((batch, steps, 3 * hidden))
-        d_xs = np.empty((batch, steps, embed))
         d_state = np.empty((batch, steps, embed))
         d_h = np.zeros((batch, hidden))
         for t in reversed(range(steps)):
             d_h = _gru_backward(d_h + d_hs[:, t], saved[t], w_zr, w_c, d_gates[:, t])
-            d_x = d_gates[:, t] @ w_x
-            if ev is not None:
-                d_x = 0.5 * d_x
-            d_xs[:, t] = d_x
-            d_state[:, t] = d_s = d_x * (state_pre[t] > 0.0)
+            d_state[:, t] = d_s = (d_gates[:, t] @ w_x) * (state_pre[t] > 0.0)
             d_h = d_h + d_s @ ws
-        rows = batch * steps
         d_gates = d_gates.reshape(rows, 3 * hidden)
         d_state = d_state.reshape(rows, embed)
         _accumulate(h0, d_h)
+        # d_state is the adjoint of the scaled state embed's pre-activation
         h_prev = np.stack([s[0] for s in saved], axis=1).reshape(rows, hidden)
-        _accumulate(state_w, d_state.T @ h_prev)
-        _accumulate(state_b, d_state.sum(axis=0))
-        _accumulate(ego_x, d_xs.reshape(rows, embed))
-        _accumulate_gru(w, b, d_gates,
-                        np.stack(xs, axis=1).reshape(rows, embed), saved)
+        _accumulate(state_w, scale * (d_state.T @ h_prev))
+        _accumulate(state_b, scale * d_state.sum(axis=0))
+        x_rows = np.stack(xs, axis=1).reshape(rows, embed)
+        if ev is not None:
+            _accumulate(ego_x, 0.5 * (d_gates @ w_x))
+            x_rows += 0.5 * ev
+        _accumulate_gru(w, b, d_gates, x_rows, saved)
 
     return _emit(hs.view(_Copies) if copies else hs, backward, h0, ego_x, state_w,
                  state_b, w, b)

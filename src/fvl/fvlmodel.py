@@ -308,9 +308,10 @@ def _prepare(config: ModelConfig, samples) -> dict:
     anchors = past[:, -1]
     flows = egos = None
     if config.uses_flow:
-        # interleaved u, v columns take (1/w, 1/h) in turn
-        flows = (np.array([[f.values for f in s.flow] for s in samples])
-                 * np.tile(inverse[..., :2], config.pooled_dim // 2))
+        # interleaved u, v columns take (1/w, 1/h) in turn: [B x tau x n*n x 2]
+        flows = np.array([[f.values for f in s.flow] for s in samples])
+        flows = (flows.reshape(flows.shape[:2] + (-1, 2))
+                 * inverse[:, :, None, :2]).reshape(flows.shape)
     if config.uses_ego:
         egos = np.stack([s.ego for s in samples])
     return {

@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: the pipeline, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +373,17 @@ def test_main_builds_its_parser_once_and_looks_commands_up_per_call(
     assert main([]) == 1
     assert capsys.readouterr().err.startswith("usage: fvl ")
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    # a fresh interpreter, since this one may have imported it already;
+    # only windowing video directories uses the thread pool
+    code = ("import sys, fvl.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ,
+                          "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "concurrent.futures was imported"
 
 
 def test_a_box_outside_the_image_exits_2(tmp_path, external_flow_dir, capsys):

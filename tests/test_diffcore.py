@@ -801,6 +801,19 @@ def test_gru_kernels_read_gate_blocks_as_views_of_the_leaves(label, monkeypatch)
     assert np.shares_memory(b.grad, tape.grads) and np.any(b.grad != 0.0)
 
 
+@pytest.mark.parametrize("label", ["gru_sequence", "gru_decoder", "gru_decoder_ego"])
+def test_gru_kernels_stay_bounded_at_extreme_pre_activations(label):
+    # inputs and weights scaled by 1e3 drive every gate deep into
+    # saturation, where an unguarded exp overflows; a RuntimeWarning fails
+    # the test, and the states of a GRU started in [-1, 1] stay there
+    fused, _, build = FUSED[label]
+    args, _ = build(Tape(), Xoshiro256(59))
+    scaled = [a if not isinstance(a, DiffArray) else
+              a.value if a.name == "h0" else a.value * 1e3 for a in args]
+    out = fused(*scaled)
+    assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.0)
+
+
 def test_fused_kernels_reject_mismatched_shapes():
     tape = Tape()
     rng = Xoshiro256(41)

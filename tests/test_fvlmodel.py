@@ -363,6 +363,21 @@ def test_prepare_scales_each_row_by_its_own_dims_bit_for_bit():
         _prepare(small_config(), samples[:2] + [make_sample(rng, n=3)])
 
 
+def test_prepare_scales_flow_as_the_tiled_reciprocals_do():
+    # the broadcast over [B x tau x n*n x 2] makes the products of a row of
+    # reciprocals tiled across every (u, v) column pair, bit for bit
+    rng = Xoshiro256(45)
+    samples = [make_sample(rng, track=0, width=320, height=160),
+               make_sample(rng, track=1, width=1280, height=640)]
+    config = small_config()
+    data = _prepare(config, samples)
+    inverse = (1.0 / np.array([[s.width, s.height] * 2 for s in samples]))[:, None, :]
+    tiled = (np.array([[f.values for f in s.flow] for s in samples])
+             * np.tile(inverse[..., :2], config.pooled_dim // 2))
+    assert data["flows"].shape == tiled.shape
+    assert np.array_equal(data["flows"], tiled)
+
+
 def test_predict_batch_matches_per_sample_predict():
     samples = make_samples(43, 5)
     for variant in VARIANTS:
