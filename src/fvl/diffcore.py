@@ -56,6 +56,15 @@ named leaves in the order they were registered, and every leaf's value
 and adjoint are views into the flat :attr:`Tape.values` and
 :attr:`Tape.grads`, laid out in that order.
 
+Ownership runs one way.  The tape owns its leaves and its recording,
+and every DiffArray, leaf or node, holds its tape through a weak
+reference.  So a tape, with its buffers and its last recording, is
+freed by reference counting as soon as nothing outside refers to it,
+usually when the model that owns it goes.  Keep the tape, or its model,
+alive while you use its arrays: a leaf's ``value`` stays readable after
+its tape is freed, but recording on the array, differentiating through
+it or reading its ``tape`` raises ValidationError.
+
 Gradient semantics follow the usual tape convention: leaf adjoints
 accumulate across repeated :meth:`Tape.backward` calls, intermediate
 adjoints are recomputed fresh on each call, and :meth:`Tape.reset`
@@ -68,6 +77,7 @@ single thread; run one tape per worker if you want parallelism.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -101,9 +111,15 @@ __all__ = [
 
 class DiffArray:
     """A float64 array plus its adjoint, registered on a tape.  A leaf's
-    ``value`` and ``grad`` are views into the tape's flat buffers."""
+    ``value`` and ``grad`` are views into the tape's flat buffers.
 
-    __slots__ = ("value", "grad", "tape", "name")
+    The array holds its tape weakly: the tape owns its leaves and its
+    recording, not the other way round.  Once the tape is freed, the
+    array's ``value`` stays readable, but recording on it, or reading
+    ``tape``, raises ValidationError.
+    """
+
+    __slots__ = ("value", "grad", "_tape", "name")
 
     # Keep numpy from absorbing us in mixed expressions like `ndarray + leaf`;
     # returning NotImplemented routes those through our reflected operators.
@@ -112,8 +128,18 @@ class DiffArray:
     def __init__(self, value: np.ndarray, tape: "Tape", name: str | None = None):
         self.value = value
         self.grad = np.zeros(value.shape, dtype=np.float64)
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.name = name
+
+    @property
+    def tape(self) -> "Tape":
+        """The tape this array was recorded or registered on."""
+        tape = self._tape()
+        if tape is None:
+            raise ValidationError(
+                f"{self!r}: its tape was freed; keep the tape, or the model "
+                f"that owns it, alive while its arrays are in use")
+        return tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -147,7 +173,10 @@ class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Leaves (parameters) persist across passes; intermediates belong to
-    the current recording and are discarded on :meth:`reset`.
+    the current recording and are discarded on :meth:`reset`.  The tape
+    owns both; they refer back to it only weakly, so a tape (and a model
+    built on it) is freed by reference counting once the last outside
+    reference goes.
     """
 
     def __init__(self):
@@ -284,11 +313,12 @@ def _emit(value: np.ndarray, backward, *operands):
     The first DiffArray among ``operands`` decides: if its tape is
     recording, ``value`` becomes a node on it whose adjoint reaches
     ``backward(g)``; otherwise, or with no DiffArray operand, the bare
-    ndarray is returned.
+    ndarray is returned.  A freed tape raises ValidationError.
     """
     for a in operands:
         if isinstance(a, DiffArray):
-            return a.tape._node(value, backward) if a.tape.recording else value
+            tape = a.tape
+            return tape._node(value, backward) if tape.recording else value
     return value
 
 

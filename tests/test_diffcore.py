@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,33 @@ def test_backward_rejects_foreign_values():
     loss = dc.sum_all(other.leaf(np.array([1.0])))
     with pytest.raises(ValidationError):
         tape.backward(loss)
+
+
+def test_an_array_outliving_its_tape_keeps_its_value_and_refuses_to_record():
+    tape = Tape()
+    w = tape.leaf(np.array([1.0, 2.0]), name="w")
+    y = dc.mul(w, 3.0)
+    loss = dc.sum_all(y)
+    alive = weakref.ref(tape)
+    del tape
+    # the arrays hold the tape weakly, so reference counting frees it
+    assert alive() is None
+    np.testing.assert_array_equal(w.value, [1.0, 2.0])
+    np.testing.assert_array_equal(y.value, [3.0, 6.0])
+    freed = "tape was freed; keep the tape, or the model that owns it, alive"
+    for use in (lambda: w.tape, lambda: dc.mul(w, 2.0), lambda: dc.add(1.0, y),
+                lambda: Tape().backward(loss)):
+        with pytest.raises(ValidationError, match=freed):
+            use()
+
+
+def test_grad_check_refuses_a_loss_whose_tape_was_freed():
+    def loss():
+        tape = Tape()
+        return dc.sum_all(dc.mul(tape.leaf(np.array([1.0, 2.0]), name="w"), 2.0))
+
+    with pytest.raises(ValidationError, match="tape was freed"):
+        grad_check(loss)
 
 
 def test_shape_mismatch_names_both_shapes():

@@ -1,6 +1,7 @@
 """Forecaster behavior: stream wiring, determinism, training, checkpoints."""
 
 import dataclasses
+import gc
 import math
 import os
 import re
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fvl import cli
 from fvl import diffcore as dc
 from fvl import fvlmodel
-from fvl.dataio import Sample
+from fvl.dataio import Sample, write_dataset
 from fvl.errors import DataFormatError, NumericFailure, ValidationError
 from fvl.flowfeat import PooledFlow
 from fvl.fvlmodel import (
@@ -531,6 +533,50 @@ def test_non_finite_checkpoint_value_is_rejected(tmp_path):
     save_model(path, cfg, values)
     with pytest.raises(DataFormatError, match="non-finite value in parameter 'head.bias'"):
         load_model(path)
+
+
+def tapes_left_by(run) -> int:
+    """How many of the tapes that `run()` makes are still alive when it
+    returns, with the cyclic collector off: only reference counting may
+    free them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = {id(o) for o in gc.get_objects() if isinstance(o, dc.Tape)}
+        run()
+        return sum(isinstance(o, dc.Tape) and id(o) not in before
+                   for o in gc.get_objects())
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("case", ["del model", "train_model",
+                                  "load_model and predict_batch",
+                                  "gradient_check_model", "cli train", "cli evaluate"])
+def test_a_model_and_its_tape_are_freed_without_the_cyclic_collector(case, tmp_path):
+    cfg = small_config()
+    samples = make_samples(28, 4)
+    path = tmp_path / "model.fvlw"
+    save_model(path, cfg, BoxForecaster(cfg, seed=13).parameter_values())
+    dataset = tmp_path / "samples.jsonl"
+    write_dataset(samples, dataset)
+    train = ["train", "--dataset", str(dataset), "--out", str(tmp_path / "cli.fvlw"),
+             "--variant", "xoe", "--hidden", "4", "--embed", "4", "--tau", "3",
+             "--delta", "2", "--epochs", "2", "--batch", "2", "--pool-n", "2"]
+    exits = []
+    # each run drops every model it makes before it returns
+    runs = {
+        "del model": lambda: BoxForecaster(cfg, seed=1),
+        "train_model": lambda: train_model(cfg, samples, epochs=2, batch_size=2, seed=3),
+        "load_model and predict_batch": lambda: load_model(path).predict_batch(samples),
+        "gradient_check_model": lambda: gradient_check_model(cfg, seed=4),
+        "cli train": lambda: exits.append(cli.main(train)),
+        "cli evaluate": lambda: exits.append(
+            cli.main(["evaluate", str(path), "--dataset", str(dataset)])),
+    }
+    assert tapes_left_by(runs[case]) == 0
+    assert exits in ([], [0])
 
 
 @pytest.fixture(scope="module")
