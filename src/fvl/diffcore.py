@@ -508,11 +508,11 @@ def affine(x, w, b):
 
 
 def _gru_operands(name, n_in, hidden, w, b, *values):
-    """Check the gate weight's and bias's shapes.  Return whether any
-    operand carries copies, and as plain views w_x [3*hidden x in], w_zr
-    [2*hidden x hidden] (update, reset) and w_c [hidden x hidden] of the
-    weight, b and ``values``.  A numpy call on the copy type costs up to
-    0.7 us more, so the GRU kernels loop on plain views."""
+    """Check the gate weight's and bias's shapes.  Return the copy axis,
+    (copies,) if any operand carries grad_check copies and () if none
+    does, and as plain views (a numpy call on the copy type costs up to
+    0.7 us more) w_x [3*hidden x in], w_zr [2*hidden x hidden] (update,
+    reset) and w_c [hidden x hidden] of the weight, b and ``values``."""
     w_shape = core_shape(w)
     if w_shape != (3 * hidden, n_in + hidden) or core_shape(b) != (3 * hidden,):
         rows, cols = w_shape if len(w_shape) == 2 else (0, 0)
@@ -523,8 +523,10 @@ def _gru_operands(name, n_in, hidden, w, b, *values):
             f"[{3 * hidden}]")
     parts = (w[..., :n_in], w[..., :2 * hidden, n_in:], w[..., 2 * hidden:, n_in:],
              b, *values)
-    return (any(isinstance(v, _Copies) for v in parts),
-            [v.view(np.ndarray) if isinstance(v, _Copies) else v for v in parts])
+    if _Copies not in map(type, parts):  # no Python-level loop when none does
+        return (), parts
+    lead = next(v.shape[:1] for v in parts if type(v) is _Copies)
+    return lead, [v.view(np.ndarray) if type(v) is _Copies else v for v in parts]
 
 
 def _gru_forward(gx, h, w_zr_t, w_c_t, product):
@@ -605,10 +607,10 @@ def gru_sequence(xs, h0, w, b):
             f"gru_sequence expects xs [B*tau x in] and h0 [B x hidden] with "
             f"tau >= 1, got shapes {xv.shape} and {hv.shape}")
     batch, hidden = h_shape
-    copies, (w_x, w_zr, w_c, bv, xv, hv) = _gru_operands(
+    lead, (w_x, w_zr, w_c, bv, xv, hv) = _gru_operands(
         "gru_sequence", x_shape[1], hidden, _value(w), _value(b), xv, hv)
     tau = x_shape[0] // batch
-    product = _rows_at if copies else np.matmul
+    product = _rows_at if lead else np.matmul
     gx = product(xv, _mT(w_x)) + bv[..., None, :]
     gx = gx.reshape(gx.shape[:-2] + (batch, tau, 3 * hidden))
     h, saved, w_zr_t, w_c_t = hv, [], _mT(w_zr), _mT(w_c)
@@ -625,7 +627,7 @@ def gru_sequence(xs, h0, w, b):
         _accumulate(h0, g)
         _accumulate_gru(w, b, d_gates, xv, saved)
 
-    return _emit(h.view(_Copies) if copies else h, backward, xs, h0, w, b)
+    return _emit(h.view(_Copies) if lead else h, backward, xs, h0, w, b)
 
 
 def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
@@ -646,7 +648,10 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
     ego_x[b*steps + t] exactly, so the state embed is halved once per
     call, and the ego half of every step's input gates,
     0.5 * ego_x @ w_x.T + b, is one product over all rows before the
-    loop; its adjoint is one product after the backward loop.
+    loop; its adjoint is one product after the backward loop.  Each step
+    writes its state in place into its rows of one preallocated result,
+    and its relu runs in place: the backward takes x > 0, the same mask
+    as the pre-activation's, from the relu's output.
     """
     hv, ws, bs = _value(h0), _value(state_w), _value(state_b)
     h_shape, s_shape = core_shape(hv), core_shape(ws)
@@ -666,9 +671,9 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
                 f"gru_decoder ego_x must be [{rows} x {embed}] for h0 "
                 f"{hv.shape}, state_w {ws.shape} and {steps} steps, got shape "
                 f"{ev.shape}")
-    copies, (w_x, w_zr, w_c, bv, hv, ws, bs, ev) = _gru_operands(
+    lead, (w_x, w_zr, w_c, bv, hv, ws, bs, ev) = _gru_operands(
         "gru_decoder", embed, hidden, _value(w), _value(b), hv, ws, bs, ev)
-    product, w_x_t = _rows_at if copies else np.matmul, _mT(w_x)
+    product, w_x_t = _rows_at if lead else np.matmul, _mT(w_x)
     # the input gates' share that does not depend on h: [B x steps x 3*hidden]
     if ev is None:
         scale = 1.0
@@ -680,19 +685,18 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
         gates_in = gates_in.reshape(gates_in.shape[:-2] + (batch, steps, 3 * hidden))
     ws, bs = scale * ws, scale * bs
     ws_t, bs_row = _mT(ws), bs[..., None, :]
-    h, saved, state_pre, xs = hv, [], [], []
-    w_zr_t, w_c_t = _mT(w_zr), _mT(w_c)
+    h, saved, xs, w_zr_t, w_c_t = hv, [], [], _mT(w_zr), _mT(w_c)
+    # every state after step 0 carries the copies or none does
+    hs = np.empty(lead + (batch, steps, hidden))
     for t in range(steps):
-        pre = product(h, ws_t) + bs_row
-        x = np.maximum(pre, 0.0)
+        x = product(h, ws_t) + bs_row
+        np.maximum(x, 0.0, out=x)
         h, record = _gru_forward(product(x, w_x_t) + gates_in[..., t, :], h,
                                  w_zr_t, w_c_t, product)
+        hs[..., t, :] = h
         saved.append(record)
-        state_pre.append(pre)
         xs.append(x)
-    # every state after step 0 carries the copies or none does
-    hs = np.stack([s[0] for s in saved[1:]] + [h], axis=-2)
-    hs = hs.reshape(hs.shape[:-3] + (rows, hidden))
+    hs = hs.reshape(lead + (rows, hidden))
 
     def backward(g):
         d_hs = g.reshape(batch, steps, hidden)
@@ -701,7 +705,7 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
         d_h = np.zeros((batch, hidden))
         for t in reversed(range(steps)):
             d_h = _gru_backward(d_h + d_hs[:, t], saved[t], w_zr, w_c, d_gates[:, t])
-            d_state[:, t] = d_s = (d_gates[:, t] @ w_x) * (state_pre[t] > 0.0)
+            d_state[:, t] = d_s = (d_gates[:, t] @ w_x) * (xs[t] > 0.0)
             d_h = d_h + d_s @ ws
         d_gates = d_gates.reshape(rows, 3 * hidden)
         d_state = d_state.reshape(rows, embed)
@@ -716,7 +720,7 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
             x_rows += 0.5 * ev
         _accumulate_gru(w, b, d_gates, x_rows, saved)
 
-    return _emit(hs.view(_Copies) if copies else hs, backward, h0, ego_x, state_w,
+    return _emit(hs.view(_Copies) if lead else hs, backward, h0, ego_x, state_w,
                  state_b, w, b)
 
 

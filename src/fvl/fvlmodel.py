@@ -252,13 +252,14 @@ class BoxForecaster:
             raise ValidationError(f"variant {c.variant!r} does not take ego features")
         ego_x = None
         if c.uses_ego:
+            ego = None if ego is None else np.asarray(ego)
             # a grad_check rerun may give `fused` a leading copy axis
-            if np.shape(ego) != (*np.shape(fused)[-2:-1], c.delta, 3):
+            if ego is None or ego.shape != (*fused.shape[-2:-1], c.delta, 3):
                 raise ValidationError(
                     f"variant {c.variant!r} needs future ego features shaped [batch "
                     f"x {c.delta} x 3] matching the fused state, got "
-                    f"{'none' if ego is None else np.shape(ego)}")
-            ego_x = self.ego_embed(np.reshape(ego, (-1, 3)))
+                    f"{'none' if ego is None else ego.shape}")
+            ego_x = self.ego_embed(ego.reshape(-1, 3))
         states = dc.gru_decoder(fused, ego_x, self.state_embed.weight,
                                 self.state_embed.bias, *self.decoder.params, c.delta)
         return self.head(states)
@@ -303,9 +304,7 @@ def _prepare(config: ModelConfig, samples) -> dict:
     # [B x 4] rows (w, h, w, h) and their [B x 1 x 4] reciprocals
     scales = np.array([(s.width, s.height) * 2 for s in samples], dtype=np.float64)
     inverse = (1.0 / scales)[:, None, :]
-    past = np.stack([s.past for s in samples]) * inverse
-    future_px = np.stack([s.future for s in samples])
-    anchors = past[:, -1]
+    past = np.array([s.past for s in samples]) * inverse
     flows = egos = None
     if config.uses_flow:
         # interleaved u, v columns take (1/w, 1/h) in turn: [B x tau x n*n x 2]
@@ -313,16 +312,9 @@ def _prepare(config: ModelConfig, samples) -> dict:
         flows = (flows.reshape(flows.shape[:2] + (-1, 2))
                  * inverse[:, :, None, :2]).reshape(flows.shape)
     if config.uses_ego:
-        egos = np.stack([s.ego for s in samples])
-    return {
-        "boxes": past,
-        "anchors": anchors,
-        "targets": future_px * inverse - anchors[:, None, :],
-        "flows": flows,
-        "egos": egos,
-        "future_px": future_px,
-        "scales": scales,
-    }
+        egos = np.array([s.ego for s in samples])
+    return {"boxes": past, "anchors": past[:, -1], "flows": flows, "egos": egos,
+            "scales": scales}
 
 
 def _forward(model: BoxForecaster, data: dict, idx):
@@ -375,6 +367,10 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
 
     model = BoxForecaster(config, seed=seed)
     data = _prepare(config, samples)
+    # only training reads the future: in pixels, and as residuals in model units
+    data["future_px"] = future = np.array([s.future for s in samples])
+    data["targets"] = (future * (1.0 / data["scales"])[:, None, :]
+                       - data["anchors"][:, None, :])
     data_rng = Xoshiro256(seed ^ _DATA_STREAM)
 
     n = len(samples)

@@ -335,14 +335,29 @@ def test_batched_forward_matches_single():
                                            rtol=0.0, atol=1e-12)
 
 
-def test_prepare_scales_each_row_by_its_own_dims_bit_for_bit():
+def test_prepare_scales_each_row_by_its_own_dims_bit_for_bit(monkeypatch):
     # A broadcast bug across rows would not show at batch 1 or with equal
     # dims, so the batch mixes two image sizes.
     rng = Xoshiro256(44)
     samples = [make_sample(rng, track=i, width=w, height=h)
                for i, (w, h) in enumerate([(320, 160), (1280, 640),
                                            (1280, 640), (320, 160)])]
-    data = _prepare(small_config(), samples)
+    # train_model adds the targets and the pixel futures, which only
+    # training reads, to the `_prepare` output it holds
+    prepared = []
+
+    def keep(*args):
+        prepared.append(_prepare(*args))
+        return prepared[-1]
+
+    monkeypatch.setattr(fvlmodel, "_prepare", keep)
+    train_model(small_config(), samples, epochs=0)
+    data = prepared[0]
+    # inference builds none of them
+    assert set(_prepare(small_config(), samples)) == {"boxes", "anchors", "flows",
+                                                      "egos", "scales"}
+    assert set(data) == {"boxes", "anchors", "targets", "flows", "egos",
+                         "future_px", "scales"}
     for i, sample in enumerate(samples):
         sx, sy = 1.0 / sample.width, 1.0 / sample.height
 
@@ -394,6 +409,39 @@ def test_predict_batch_matches_per_sample_predict():
             np.testing.assert_allclose(pred.absolute, single.absolute,
                                        rtol=0.0, atol=1e-12)
     assert model.predict_batch([]) == []
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_recording_and_inference_compute_the_same_forward(variant, batch):
+    # predict_batch runs the forward under no_grad, training records it;
+    # the kernels' in-place and preallocated writes must not tell them apart
+    config = small_config(variant)
+    model = BoxForecaster(config, seed=29)
+    samples = make_samples(47, batch)
+    data = _prepare(config, samples)
+    recorded = model.decode_steps(model.encode(data["boxes"], data["flows"]),
+                                  data["egos"])
+    assert isinstance(recorded, dc.DiffArray) and model.tape._ops
+    predictions = model.predict_batch(samples)
+    residuals = np.concatenate([p.residuals for p in predictions])
+    assert residuals.shape == recorded.shape == (batch * config.delta, 4)
+    assert residuals.tobytes() == recorded.value.tobytes()
+    anchors = np.array([p.anchor for p in predictions])
+    assert anchors.tobytes() == data["anchors"].tobytes()
+
+
+@pytest.mark.parametrize("variant, nodes", [("x", 10), ("xe", 12), ("xo", 15),
+                                            ("xoe", 17)])
+def test_one_training_batch_records_a_fixed_number_of_nodes(variant, nodes):
+    # x: box embed affine + relu, gru_sequence, fuse affine + relu,
+    # gru_decoder, head affine and the loss's sub, mul and mean_all; the
+    # ego embed adds an affine and a relu, the flow stream an affine, a
+    # relu, a gru_sequence and the add and mul that average the streams
+    model, data = _gradcheck_problem(small_config(variant), seed=7)
+    loss = _batch_loss(model, data, range(3))
+    assert len(model.tape._ops) == nodes
+    assert model.tape._ops[-1][0] is loss
 
 
 def test_gradients_match_finite_differences_for_every_variant():
