@@ -43,7 +43,7 @@ def main():
     print("checking every parameter against central finite differences")
     # the tape registers every layer's leaves, and grad_check checks them
     # all, rerunning the whole loss once per chunk of at most 64 elements
-    report = grad_check(loss_fn, step=1e-6, tolerance=1e-4)
+    report = grad_check(loss_fn)
     print(report.summary())
 
     # the same primitives compose into anything differentiable

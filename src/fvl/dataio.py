@@ -57,7 +57,8 @@ import numpy as np
 
 from .egomotion import _ego_log_text, compose, read_ego_log, rotation_matrix, \
     wrap_angle
-from .errors import DataFormatError, ValidationError, text_lines, write_atomic
+from .errors import DataFormatError, ValidationError, require_int, text_lines, \
+    write_atomic
 from .flowfeat import PooledFlow, _clip, expand_roi, lattice_pool, read_flow_pixels
 from .rng import Xoshiro256
 
@@ -117,8 +118,7 @@ class Sample:
     height: int
 
     def __post_init__(self):
-        if type(self.track) is not int:
-            raise ValidationError(f"track must be an integer, got {self.track!r}")
+        require_int("track", self.track)
         _require_image_dims(self)
         for name, layout in _SAMPLE_ROWS.items():
             try:
@@ -170,9 +170,7 @@ def _require_image_dims(owner) -> None:
     """Refuse a `width` or `height` that is not a positive int (a bool is
     not), so that a video meta holding it reads back."""
     for key in ("width", "height"):
-        dim = getattr(owner, key)
-        if type(dim) is not int or dim <= 0:
-            raise ValidationError(f"image {key} must be a positive integer, got {dim!r}")
+        require_int(f"image {key}", getattr(owner, key), 1)
 
 
 def _require_finite(spec) -> None:
@@ -243,9 +241,7 @@ class Scenario:
     height: int = 640
 
     def __post_init__(self):
-        if type(self.frames) is not int or self.frames < 2:
-            raise ValidationError(f"scenario needs >= 2 frames, got {self.frames!r} "
-                                  "(an integer, not a bool)")
+        require_int("frames", self.frames, 2)
         _require_image_dims(self)
         if not 0 < self.fps < math.inf:
             raise ValidationError(f"fps must be positive and finite, got {self.fps}")
@@ -524,8 +520,8 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
     rows compose the delta step rows that follow its anchor frame, once
     per anchor for all the tracks that share it.
     """
-    if tau < 1 or delta < 1:
-        raise ValidationError(f"window needs tau, delta >= 1, got ({tau}, {delta})")
+    require_int("tau", tau, 1)
+    require_int("delta", delta, 1)
     samples: list[Sample] = []
     skipped = 0
     ego = {}  # anchor frame -> its composed ego rows
@@ -701,6 +697,8 @@ def write_video_dir(video: VideoData, path, tau: int = 10, delta: int = 10) -> N
     directory whole.  A reader finds the previous directory or the new
     one, and a failed write leaves the previous one as it was.
     """
+    require_int("tau", tau, 1)
+    require_int("delta", delta, 1)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

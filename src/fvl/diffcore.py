@@ -5,8 +5,8 @@ tape that records one backward closure per primitive, replayed in reverse
 order by :meth:`Tape.backward`.  It is deliberately small.  Supported
 primitives are matrix products, a handful of elementwise functions
 (add, sub, mul, sigmoid, tanh, relu), concatenation, row tiling,
-transpose, full reductions, and three fused kernels that the model path
-runs on row-stacked [B x n] batches:
+transpose, the mean of all elements, and three fused kernels that the
+model path runs on row-stacked [B x n] batches:
 
     affine(x, W, b)             x @ W.T + b, one node
     gru_sequence(xs, h0, ...)   a whole GRU encoder unroll, one node
@@ -32,15 +32,15 @@ adjoints are row sums.
 
 Every forward works over trailing axes, for one reason: inside the
 reruns of :func:`grad_check`, and only there, a value may carry one
-leading copy axis, two copies (+step and -step) for each of the at most
-64 leaf elements one rerun perturbs.  Such a value is of a private
-ndarray subclass that numpy carries through ufuncs, products, slicing
-and reshapes, so a value carries copies exactly when the perturbed leaf
-feeds it.  Elementwise operands may then differ by the copy axis, a
-per-copy scalar meets an array copy by copy, rank checks look at
-:func:`core_shape`, and :func:`sum_all` and :func:`mean_all` reduce
-each copy on its own.  Reruns record nothing, so no backward sees a
-copy axis.
+leading copy axis, two copies (+1e-6 and -1e-6) for each of the at most
+64 leaf elements one rerun perturbs; the step and the 1e-4 tolerance
+are module constants.  Such a value is of a private ndarray subclass
+that numpy carries through ufuncs, products, slicing and reshapes, so a
+value carries copies exactly when the perturbed leaf feeds it.
+Elementwise operands may then differ by the copy axis, a per-copy
+scalar meets an array copy by copy, rank checks look at
+:func:`core_shape`, and :func:`mean_all` reduces each copy on its own.
+Reruns record nothing, so no backward sees a copy axis.
 
 A primitive records through one entry point.  It checks its operands,
 computes its forward value, and hands that value to ``_emit`` with a
@@ -50,6 +50,8 @@ decides: if its tape is recording, the value becomes a new node whose
 :meth:`Tape.backward` and adds each operand's share through
 ``_accumulate``, which skips operands that are not DiffArrays.
 Otherwise the bare ndarray is returned and nothing is recorded.
+A primitive is a function and has one spelling: ``add(a, b)``, never
+``a + b``, for DiffArray defines no arithmetic operators.
 
 The tape is also the parameter registry: :attr:`Tape.params` holds the
 named leaves in the order they were registered, and every leaf's value
@@ -76,7 +78,6 @@ single thread; run one tape per worker if you want parallelism.
 
 from __future__ import annotations
 
-import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -102,7 +103,6 @@ __all__ = [
     "affine",
     "gru_sequence",
     "gru_decoder",
-    "sum_all",
     "mean_all",
     "grad_check",
     "core_shape",
@@ -121,8 +121,9 @@ class DiffArray:
 
     __slots__ = ("value", "grad", "_tape", "name")
 
-    # Keep numpy from absorbing us in mixed expressions like `ndarray + leaf`;
-    # returning NotImplemented routes those through our reflected operators.
+    # DiffArray has no arithmetic operators, and this keeps numpy from
+    # absorbing it as an object element: `ndarray + leaf` and ufuncs on a
+    # leaf raise TypeError instead of building an object array.
     __array_ufunc__ = None
 
     def __init__(self, value: np.ndarray, tape: "Tape", name: str | None = None):
@@ -147,26 +148,6 @@ class DiffArray:
 
     def __repr__(self) -> str:
         return f"DiffArray({self.name or 'unnamed'}, shape={self.shape})"
-
-    # Arithmetic sugar; delegates to the module-level primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class Tape:
@@ -263,8 +244,11 @@ class _Copies(np.ndarray):
     """The perturbed leaf of a grad_check rerun and every value it feeds."""
 
 
-# The most leaf elements one grad_check rerun perturbs.
+# The most leaf elements one grad_check rerun perturbs, its central
+# finite-difference step, and the relative error it passes below.
 _FD_CHUNK = 64
+_FD_STEP = 1e-6
+_FD_TOLERANCE = 1e-4
 
 
 def core_shape(v: np.ndarray) -> tuple[int, ...]:
@@ -733,15 +717,6 @@ def _total(xv: np.ndarray) -> tuple[np.ndarray, int]:
     return xv.sum(), xv.size
 
 
-def sum_all(x):
-    """Sum of all elements, as a 0-d scalar (one per copy in grad_check)."""
-
-    def backward(g):
-        _accumulate(x, g)
-
-    return _emit(np.asanyarray(_total(_value(x))[0]), backward, x)
-
-
 def mean_all(x):
     """Mean of all elements, as a 0-d scalar (one per copy in grad_check)."""
     total, n = _total(_value(x))
@@ -755,10 +730,9 @@ def mean_all(x):
 @dataclass
 class GradCheckReport:
     """Per-parameter agreement between analytic adjoints and central
-    finite differences.  Relative error is |a - n| / max(1, |a|, |n|)."""
+    finite differences.  Relative error is |a - n| / max(1, |a|, |n|),
+    and the check passes when every one is below ``_FD_TOLERANCE``."""
 
-    step: float
-    tolerance: float
     per_parameter: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -773,20 +747,19 @@ class GradCheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < _FD_TOLERANCE
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         lines = [f"gradient check: {status} "
-                 f"(max rel err {self.max_rel_error:.3e}, tol {self.tolerance:.1e})"]
+                 f"(max rel err {self.max_rel_error:.3e}, tol {_FD_TOLERANCE:.1e})"]
         width = max((len(n) for n in self.per_parameter), default=0)
         for name, err in sorted(self.per_parameter.items()):
             lines.append(f"  {name:<{width}}  {err:.3e}")
         return "\n".join(lines)
 
 
-def grad_check(loss, step: float = 1e-6,
-               tolerance: float = 1e-4) -> GradCheckReport:
+def grad_check(loss) -> GradCheckReport:
     """Compare the analytic gradient of ``loss`` with central finite
     differences for every named leaf of the tape that ``loss`` records on.
 
@@ -801,8 +774,8 @@ def grad_check(loss, step: float = 1e-6,
     A rerun checks up to ``_FD_CHUNK`` = 64 consecutive elements of one
     flattened leaf.  For a chunk of k elements the leaf's ``value`` is
     rebound to a stacked copy [2k x *shape], marked as carrying copies,
-    in which copy 2j holds element j + step and copy 2j + 1 element
-    j - step, so ``loss`` must return 2k losses, one per copy; a 0-d
+    in which copy 2j holds element j + ``_FD_STEP`` = 1e-6 and copy 2j + 1
+    element j - 1e-6, so ``loss`` must return 2k losses, one per copy; a 0-d
     loss is one that does not read the leaf.  Every primitive carries
     the mark and the copy axis through to the values the leaf feeds and
     to no other, so the losses are those of perturbing one element per
@@ -815,9 +788,6 @@ def grad_check(loss, step: float = 1e-6,
     keeping relu inputs away from their kink; points within
     finite-difference reach of 0 make the numeric estimate meaningless.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValidationError(
-            f"finite-difference step must be positive and finite, got {step}")
     out = loss()
     if not isinstance(out, DiffArray):
         raise ValidationError("grad_check: the loss records on no tape")
@@ -830,7 +800,7 @@ def grad_check(loss, step: float = 1e-6,
     analytic = {name: p.grad.copy() for name, p in params.items()}
     tape.reset()
 
-    report = GradCheckReport(step=step, tolerance=tolerance)
+    report = GradCheckReport()
     for name, p in params.items():
         view = p.value
         flat = view.reshape(-1)
@@ -841,8 +811,8 @@ def grad_check(loss, step: float = 1e-6,
             copies = 2 * index.size
             pairs = np.arange(0, copies, 2)
             stacked = np.tile(flat, (copies, 1))
-            stacked[pairs, index] = flat[index] + step
-            stacked[pairs + 1, index] = flat[index] - step
+            stacked[pairs, index] = flat[index] + _FD_STEP
+            stacked[pairs + 1, index] = flat[index] - _FD_STEP
             p.value = stacked.reshape((copies,) + view.shape).view(_Copies)
             try:
                 with tape.no_grad():
@@ -854,7 +824,7 @@ def grad_check(loss, step: float = 1e-6,
                     f"grad_check: a rerun for {name!r} returned shape "
                     f"{losses.shape}, not one loss per copy ({copies},)")
             losses = np.broadcast_to(losses, (copies,))
-            numeric = (losses[0::2] - losses[1::2]) / (2.0 * step)
+            numeric = (losses[0::2] - losses[1::2]) / (2.0 * _FD_STEP)
             a = grads[index]
             rel = np.abs(a - numeric) / np.maximum(
                 1.0, np.maximum(np.abs(a), np.abs(numeric)))

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, `text_lines`, the one way
-any reader gets at the lines of a text file, and `replacing`, the one
-way an output file replaces an earlier one (`write_atomic` for a file
-on its own).
+"""Exception types shared across the package, `require_int`, the one
+integer rule, `text_lines`, the one way any reader gets at the lines of
+a text file, and `replacing`, the one way an output file replaces an
+earlier one (`write_atomic` for a file on its own).
 
 The CLI maps these onto process exit codes: usage problems exit 1,
 `DataFormatError` and `ValidationError` exit 2, `NumericFailure` exits 3.
@@ -26,6 +26,15 @@ class DataFormatError(ValueError):
 
 class NumericFailure(ArithmeticError):
     """A computation produced non-finite values and cannot continue."""
+
+
+def require_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a `value` that is not an int (a bool is not) or is below
+    `least`, naming it `name`."""
+    if type(value) is not int or (least is not None and value < least):
+        kind = ("an integer" if least is None else "a positive integer" if least == 1
+                else f"an integer >= {least}")
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
 
 
 def text_lines(path) -> list[tuple[int, str]]:

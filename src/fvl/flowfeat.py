@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, write_atomic
+from .errors import DataFormatError, ValidationError, require_int, write_atomic
 
 __all__ = [
     "PooledFlow",
@@ -54,8 +54,7 @@ class PooledFlow:
     n: int
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValidationError(f"flow n must be a positive integer, got {self.n!r}")
+        require_int("flow n", self.n, 1)
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.shape != (2 * self.n * self.n,):
@@ -110,8 +109,7 @@ def lattice_pool(rois, n: int, width: int, height: int, gather) -> np.ndarray:
     once, for the four neighbours of every sample of every ROI, so a
     source renders or reads at most 4 n^2 pixels per ROI.
     """
-    if n < 1:
-        raise ValidationError(f"pooling lattice size must be >= 1, got {n}")
+    require_int("lattice size n", n, 1)
     rois = np.asarray(rois, dtype=np.float64)
     if rois.ndim != 2 or rois.shape[1] != 4:
         raise ValidationError(f"ROIs must be [k x 4], got shape {rois.shape}")

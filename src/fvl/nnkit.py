@@ -149,12 +149,8 @@ class Adam:
 
 
 def mse_loss(pred, target):
-    """Mean of squared differences over all elements; target is constant."""
-    target = np.asarray(target, dtype=np.float64)
-    pv = dc._value(pred)
-    if dc.core_shape(pv) != target.shape:
-        raise DimensionError(
-            f"mse_loss shapes differ: prediction {pv.shape} vs target {target.shape}")
+    """Mean of squared differences over all elements; target is constant
+    and, as for `diffcore.sub`, of pred's shape or a scalar."""
     diff = dc.sub(pred, target)
     return dc.mean_all(dc.mul(diff, diff))
 

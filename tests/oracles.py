@@ -347,6 +347,20 @@ def window_flows(video, tau, delta, expand, n, frame_grid):
     return flows
 
 
+# --- the reduction the gradient tests sum through ---------------------------
+
+
+def sum_all(x):
+    """Sum of all elements as a 0-d scalar, one per copy inside a
+    ``diffcore.grad_check`` rerun; records one tape node through
+    `diffcore._emit`, like the library's own primitives."""
+
+    def backward(g):
+        dc._accumulate(x, g)
+
+    return dc._emit(np.asanyarray(dc._total(dc._value(x))[0]), backward, x)
+
+
 # --- the GRU reference chain ---------------------------------------------------
 #
 # The per-step GRU the library ran before its sequence kernels, kept as

@@ -65,7 +65,7 @@ def test_gradient_integrity(capsys):
     all_passed = True
     for variant in VARIANTS:
         config = ModelConfig(variant=variant, hidden=8, embed=8, tau=3, delta=2)
-        report = gradient_check_model(config, seed=7, step=1e-6, tolerance=1e-4)
+        report = gradient_check_model(config, seed=7)
         worst = max(worst, report.max_rel_error)
         all_passed = all_passed and report.passed
     elapsed = time.perf_counter() - start

@@ -475,7 +475,7 @@ def test_window_counts_match_track_length():
         generate_scenario(static_scenario(frames=25)), tau=10, delta=10, n=2)
     assert len(six) == 6
     for tau, delta in ((0, 1), (1, 0)):
-        with pytest.raises(ValidationError, match="tau, delta"):
+        with pytest.raises(ValidationError, match="must be a positive integer, got 0"):
             windows_from_video(generate_scenario(static_scenario()), tau, delta)
 
 
@@ -644,8 +644,39 @@ def test_run_level_errors_keep_their_messages():
         with pytest.raises(ValidationError, match=re.escape(
                 f"expansion factor must be finite and >= 1, got {factor}")):
             windows_from_video(video, 4, 3, expand=factor)
-    with pytest.raises(ValidationError, match="pooling lattice size must be >= 1, got 0"):
+    with pytest.raises(ValidationError,
+                       match="lattice size n must be a positive integer, got 0"):
         windows_from_video(video, 4, 3, n=0)
+
+
+def test_window_and_lattice_counts_are_ints_of_at_least_one(tmp_path):
+    # before, a tau of 0, True or 2.5 wrote a meta that read_video_dir
+    # refuses, windowing at tau 2.5 died on a bare TypeError and at True
+    # windowed at tau 1, and a lattice size of True or 2.0 died on a
+    # bare TypeError
+    video = generate_scenario(moving_scenario())
+    for value in (0, True, 2.5):
+        for key in ("tau", "delta"):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{key} must be a positive integer, got {value!r}")):
+                write_video_dir(video, tmp_path / "video", **{key: value})
+            assert not (tmp_path / "video").exists()
+    for tau, delta, bad in ((2.5, 3, "tau"), (True, 3, "tau"), (4, 3.0, "delta"),
+                            (4, False, "delta")):
+        value = tau if bad == "tau" else delta
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{bad} must be a positive integer, got {value!r}")):
+            windows_from_video(video, tau, delta)
+
+    def gather(roi, rows, cols):
+        return np.zeros((len(rows), 2))
+
+    for n in (True, 2.0):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"lattice size n must be a positive integer, got {n!r}")):
+            lattice_pool([[10.0, 10.0, 4.0, 4.0]], n, 32, 32, gather)
+        with pytest.raises(ValidationError, match="lattice size n"):
+            windows_from_video(video, 4, 3, n=n)
 
 
 def test_sample_validation():
@@ -726,7 +757,7 @@ def test_scenario_validation():
     # that read_video_dir refuses, and frames=4.5 died on a bare TypeError
     for value in (4.5, 4.0, True, "4"):
         with pytest.raises(ValidationError, match=re.escape(
-                f"scenario needs >= 2 frames, got {value!r} (an integer, not a bool)")):
+                f"frames must be an integer >= 2, got {value!r}")):
             Scenario(frames=value)
     for key in ("width", "height"):
         for value in (320.5, 320.0, True, 0, -4):
@@ -1254,8 +1285,8 @@ def test_scenario_file_errors(tmp_path):
             # too few frames is named before the rate lists are sized from
             # them; before, these read "negative dimensions are not allowed"
             # and "needs 1 or -1 comma-separated values"
-            ("frames=-5\nego_yaw_rate=0.1\n", "bad.scn: scenario needs >= 2 frames, got -5"),
-            ("frames=0\nego_speed=0.1,0.2\n", "bad.scn: scenario needs >= 2 frames, got 0")]:
+            ("frames=-5\nego_yaw_rate=0.1\n", "bad.scn: frames must be an integer >= 2, got -5"),
+            ("frames=0\nego_speed=0.1,0.2\n", "bad.scn: frames must be an integer >= 2, got 0")]:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=message):
             read_scenario_file(path)

@@ -77,7 +77,7 @@ def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
 def test_relu_gradient_at_kink_is_zero():
     tape = Tape()
     x = tape.leaf(np.array([-1.0, 0.0, 2.0]))
-    tape.backward(dc.sum_all(dc.relu(x)))
+    tape.backward(oracles.sum_all(dc.relu(x)))
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
@@ -85,7 +85,7 @@ def test_relu_gradient_at_kink_is_zero():
 # distinct adjoint per element, so the finite-difference oracle sees the
 # full Jacobian rather than just its row sums.
 def _weighted(out, weights):
-    return dc.sum_all(dc.mul(out, weights))
+    return oracles.sum_all(dc.mul(out, weights))
 
 
 def _check_unary(op, values, fd, avoid_kink=False):
@@ -164,7 +164,7 @@ def test_structural_primitives_match_finite_differences(fd):
     for label, op in [("tile_rows", lambda x: dc.tile_rows(x, 4)),
                       ("transpose", dc.transpose),
                       ("mean_all", dc.mean_all),
-                      ("sum_all", dc.sum_all)]:
+                      ("sum_all", oracles.sum_all)]:
         tape = Tape()
         shape = (3, 5) if label == "transpose" else (6,)
         x = tape.leaf(rng.uniforms(shape, -1, 1))
@@ -186,7 +186,7 @@ def test_scalar_broadcast_gradient_reduces(fd):
     tape = Tape()
     s = tape.leaf(np.array(1.5))
     v = tape.leaf(np.array([1.0, -2.0, 3.0]))
-    tape.backward(dc.sum_all(dc.mul(s, v)))
+    tape.backward(oracles.sum_all(dc.mul(s, v)))
     assert s.grad == pytest.approx(2.0)  # sum of v
     np.testing.assert_allclose(v.grad, 1.5)
 
@@ -195,7 +195,7 @@ def test_backward_is_linear_in_the_loss():
     def build(tape):
         a = tape.leaf(np.array([0.3, -0.7, 1.1]))
         b = tape.leaf(np.array([0.5, 0.2, -0.4]))
-        l1 = dc.sum_all(dc.mul(a, b))
+        l1 = oracles.sum_all(dc.mul(a, b))
         l2 = dc.mean_all(dc.sigmoid(a))
         return a, b, l1, l2
 
@@ -215,7 +215,7 @@ def test_backward_is_linear_in_the_loss():
 def test_repeated_backward_accumulates_on_leaves():
     tape = Tape()
     x = tape.leaf(np.array([1.0, 2.0]))
-    loss = dc.sum_all(dc.mul(x, x))
+    loss = oracles.sum_all(dc.mul(x, x))
     tape.backward(loss)
     once = x.grad.copy()
     tape.backward(loss)
@@ -226,14 +226,14 @@ def test_reset_zeroes_every_adjoint_exactly():
     tape = Tape()
     x = tape.leaf(np.array([1.0, 2.0, 3.0]))
     y = tape.leaf(np.array(-0.5))
-    tape.backward(dc.sum_all(dc.mul(dc.mul(x, x), y)))
+    tape.backward(oracles.sum_all(dc.mul(dc.mul(x, x), y)))
     assert np.all(tape.grads != 0.0)
     tape.reset()
     assert np.all(x.grad == 0.0)
     # every bit of the flat adjoint buffer is clear: no -0.0 is left
     assert tape.grads.tobytes() == bytes(8 * tape.grads.size)
     # the tape is reusable after a reset
-    tape.backward(dc.sum_all(x))
+    tape.backward(oracles.sum_all(x))
     np.testing.assert_array_equal(x.grad, 1.0)
 
 
@@ -250,7 +250,7 @@ def test_backward_rejects_foreign_values():
     with pytest.raises(ValidationError):
         tape.backward(np.asarray(3.0))
     other = Tape()
-    loss = dc.sum_all(other.leaf(np.array([1.0])))
+    loss = oracles.sum_all(other.leaf(np.array([1.0])))
     with pytest.raises(ValidationError):
         tape.backward(loss)
 
@@ -259,7 +259,7 @@ def test_an_array_outliving_its_tape_keeps_its_value_and_refuses_to_record():
     tape = Tape()
     w = tape.leaf(np.array([1.0, 2.0]), name="w")
     y = dc.mul(w, 3.0)
-    loss = dc.sum_all(y)
+    loss = oracles.sum_all(y)
     alive = weakref.ref(tape)
     del tape
     # the arrays hold the tape weakly, so reference counting frees it
@@ -276,7 +276,7 @@ def test_an_array_outliving_its_tape_keeps_its_value_and_refuses_to_record():
 def test_grad_check_refuses_a_loss_whose_tape_was_freed():
     def loss():
         tape = Tape()
-        return dc.sum_all(dc.mul(tape.leaf(np.array([1.0, 2.0]), name="w"), 2.0))
+        return oracles.sum_all(dc.mul(tape.leaf(np.array([1.0, 2.0]), name="w"), 2.0))
 
     with pytest.raises(ValidationError, match="tape was freed"):
         grad_check(loss)
@@ -299,8 +299,21 @@ def test_no_grad_returns_plain_arrays():
         out = dc.sigmoid(x)
     assert isinstance(out, np.ndarray)
     # nothing was recorded, so backward on real work is unaffected
-    tape.backward(dc.sum_all(x))
+    tape.backward(oracles.sum_all(x))
     np.testing.assert_array_equal(x.grad, 1.0)
+
+
+def test_a_diffarray_has_no_arithmetic_operators():
+    # each tape operation has one spelling, dc.add(a, b); and numpy, which
+    # would otherwise take a leaf as an object element, refuses it
+    tape = Tape()
+    leaf = tape.leaf(np.array([1.0, 2.0, 3.0]))
+    for expression in (lambda: leaf + leaf, lambda: leaf * 2.0, lambda: 2.0 * leaf,
+                       lambda: leaf - 1.0, lambda: -leaf, lambda: np.ones(3) + leaf,
+                       lambda: np.ones(3) * leaf, lambda: np.add(leaf, 1.0)):
+        with pytest.raises(TypeError):
+            expression()
+    assert not tape._ops
 
 
 # The array operand shapes of every primitive in diffcore.__all__, and
@@ -313,7 +326,7 @@ PRIMITIVE_OPERANDS = {
     "affine": [(2, 3), (4, 3), (4,)],
     "gru_sequence": [(6, 3), (2, 4), (12, 7), (12,)],
     "gru_decoder": [(3, 4), (6, 5), (5, 4), (5,), (12, 9), (12,)],
-    "sum_all": [(3,)], "mean_all": [(3,)],
+    "mean_all": [(3,)],
 }
 EXTRA_ARGS = {"tile_rows": (4,), "gru_decoder": (2,)}
 PRIMITIVES = [name for name in dc.__all__
@@ -343,13 +356,13 @@ def test_every_primitive_records_one_node_through_the_entry_point(name):
         return
     # A plain first operand does not hide the later leaves' tape, gets no
     # adjoint, and leaves theirs as they are when every operand is a leaf.
-    tape.backward(dc.sum_all(out))
+    tape.backward(oracles.sum_all(out))
     want = [leaf.grad.copy() for leaf in leaves[1:]]
     tape = Tape()
     operands, out = _apply(name, tape, plain_first=True)
     assert isinstance(out, DiffArray) and len(tape._ops) == 1
     first = operands[0].copy()
-    tape.backward(dc.sum_all(out))
+    tape.backward(oracles.sum_all(out))
     assert np.array_equal(operands[0], first)
     for leaf, grad in zip(operands[1:], want):
         assert np.array_equal(leaf.grad, grad)
@@ -403,7 +416,7 @@ def test_grad_check_restores_values_bit_exactly():
     tape = Tape()
     values = np.array([0.1, 0.2, 0.30000000000000004])
     x = tape.leaf(values.copy(), name="x")
-    loss = lambda: dc.sum_all(dc.mul(x, x))
+    loss = lambda: oracles.sum_all(dc.mul(x, x))
     grad_check(loss)
     np.testing.assert_array_equal(x.value, values)
 
@@ -418,7 +431,7 @@ def test_grad_check_detects_a_wrong_gradient():
     def inconsistent():
         calls[0] += 1
         scale = 1.0 if calls[0] == 1 else 3.0
-        return dc.sum_all(dc.mul(x, scale * x.value))
+        return oracles.sum_all(dc.mul(x, scale * x.value))
 
     report = grad_check(inconsistent)
     assert not report.passed
@@ -453,7 +466,7 @@ def test_grad_check_restores_a_parameter_when_the_loss_raises():
         calls[0] += 1
         if calls[0] == 2:
             raise FloatingPointError("the first rerun fails")
-        return dc.sum_all(dc.mul(z, z))
+        return oracles.sum_all(dc.mul(z, z))
 
     with pytest.raises(FloatingPointError):
         grad_check(loss)
@@ -463,20 +476,12 @@ def test_grad_check_restores_a_parameter_when_the_loss_raises():
 def test_grad_check_wants_a_loss_recorded_on_named_leaves():
     tape = Tape()
     w = tape.leaf(np.array([1.0, 2.0]))
-    unnamed = lambda: dc.sum_all(dc.mul(w, 2.0))
+    unnamed = lambda: oracles.sum_all(dc.mul(w, 2.0))
     for loss, why in [(unnamed, "has no named leaf"),
                       (lambda: np.float64(1.0), "records on no tape"),
                       (lambda: np.zeros(()), "records on no tape")]:
         with pytest.raises(ValidationError, match=why):
             grad_check(loss)
-
-
-@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
-def test_grad_check_refuses_a_step_that_is_not_positive_and_finite(step):
-    tape = Tape()
-    x = tape.leaf(np.array([1.0]), name="x")
-    with pytest.raises(ValidationError, match="positive and finite"):
-        grad_check(lambda: dc.sum_all(x), step=step)
 
 
 # leaf shapes whose sizes sit on the rerun chunk boundaries (0-d, 1, 63,
@@ -589,7 +594,7 @@ def test_grad_check_wants_one_loss_per_copy(returned):
     def loss():
         # the analytic pass records; the reruns run under no_grad
         if tape.recording:
-            return dc.sum_all(dc.mul(x, x))
+            return oracles.sum_all(dc.mul(x, x))
         return dc.mul(x, x) if isinstance(returned, str) else returned
 
     with pytest.raises(ValidationError, match="not one loss per copy"):
@@ -627,10 +632,10 @@ def test_a_leading_extra_axis_is_refused_outside_grad_check():
             "3 steps, got shape (2, 9, 3)")):
         dc.gru_decoder(dec[0], extra(dec[1]), *dec[2:])
     target = rng.uniforms((3, 2), -1.0, 1.0)
-    with pytest.raises(DimensionError, match="mse_loss"):
+    with pytest.raises(DimensionError, match="sub: shapes"):
         mse_loss(extra(target), target)
     # the reductions still sum every element into one 0-d scalar
-    for reduce, n in ((dc.sum_all, 1), (dc.mean_all, 24)):
+    for reduce, n in ((oracles.sum_all, 1), (dc.mean_all, 24)):
         out = reduce(tape.leaf(extra(x)))
         assert out.shape == () and out.value == extra(x).sum() / n
         with tape.no_grad():
@@ -658,7 +663,7 @@ def test_grad_check_through_a_matrix_vector_product():
     rng = Xoshiro256(67)
     m = tape.leaf(rng.uniforms((3, 4), -1.0, 1.0), name="m")
     v = tape.leaf(rng.uniforms(4, -1.0, 1.0), name="v")
-    loss = lambda: dc.mul(dc.sum_all(dc.tanh(dc.matmul(m, v))), 1000.0)
+    loss = lambda: dc.mul(oracles.sum_all(dc.tanh(dc.matmul(m, v))), 1000.0)
     report = grad_check(loss)
     assert report.passed, report.summary()
     want = oracles.unstaged_grad_check(loss, tape.params)
@@ -813,7 +818,7 @@ def test_gru_kernels_read_gate_blocks_as_views_of_the_leaves(label, monkeypatch)
                 calls["blocks"] = out[1][:4]
             return out
         monkeypatch.setattr(dc, name, spy)
-    tape.backward(dc.sum_all(fused(*args)))
+    tape.backward(oracles.sum_all(fused(*args)))
     w_x, w_zr, w_c, bias = calls["blocks"]
     hidden = w.shape[0] // 3
     assert w_x.shape == (3 * hidden, w.shape[1] - hidden)

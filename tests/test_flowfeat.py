@@ -221,7 +221,8 @@ def test_lattice_pool_rejects_bad_lattices_and_empty_rois():
         return np.zeros((len(rows), 2))
 
     good = [10.0, 10.0, 4.0, 4.0]
-    with pytest.raises(ValidationError, match="lattice size must be >= 1, got 0"):
+    with pytest.raises(ValidationError,
+                       match="lattice size n must be a positive integer, got 0"):
         lattice_pool(np.array([good]), 0, 32, 32, gather)
     for bad in BAD_ROIS:
         with pytest.raises(ValidationError, match=re.escape(

@@ -75,9 +75,9 @@ def test_config_validation():
     assert ModelConfig(variant="xo", **SMALL).uses_flow
     with pytest.raises(ValidationError, match="unknown variant"):
         ModelConfig(variant="q", **SMALL)
-    with pytest.raises(ValidationError, match="tau >= 2"):
+    with pytest.raises(ValidationError, match="tau must be an integer >= 2"):
         small_config(tau=1)
-    with pytest.raises(ValidationError, match="delta >= 1"):
+    with pytest.raises(ValidationError, match="delta must be a positive integer"):
         small_config(delta=0)
     with pytest.raises(ValidationError, match="hidden"):
         small_config(hidden=0)
@@ -93,7 +93,8 @@ def test_config_validation():
     for name, value in [("tau", 2.5), ("tau", 3.0), ("delta", True), ("hidden", True),
                         ("embed", 3.0), ("pooled_dim", np.int64(8)), ("hidden", "6")]:
         with pytest.raises(ValidationError, match=re.escape(
-                f"need an integer {name} >= {2 if name == 'tau' else 1}, "
+                f"{name} must be "
+                f"{'an integer >= 2' if name == 'tau' else 'a positive integer'}, "
                 f"got {value!r}")):
             small_config("x", **{name: value})
 
@@ -540,7 +541,8 @@ def test_training_validates_inputs():
                                ("batch_size", 2.5, 1), ("batch_size", True, 1),
                                ("seed", 1.5, 0), ("seed", -1, 0), ("seed", True, 0)):
         with pytest.raises(ValidationError, match=re.escape(
-                f"need an integer {name} >= {least}, got {value!r}")):
+                f"{name} must be {'a positive integer' if least else 'an integer >= 0'}, "
+                f"got {value!r}")):
             train_model(cfg, samples, **{"epochs": 1, name: value})
     with pytest.raises(ValidationError, match="sample 0"):
         train_model(small_config(tau=4), samples, epochs=1)

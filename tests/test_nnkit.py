@@ -266,7 +266,7 @@ def test_mse_loss_values_and_gradient():
 
 def test_mse_loss_rejects_shape_mismatch():
     tape = Tape()
-    with pytest.raises(DimensionError, match="shapes differ"):
+    with pytest.raises(DimensionError, match="sub: shapes"):
         mse_loss(tape.leaf(np.zeros(3)), np.zeros(4))
 
 

@@ -12,10 +12,13 @@ point sits at x = W/2:
 
 These checks need no oracle, so a convention slip that the code and an
 oracle written alike would share (a half-pixel lattice offset, u and v
-swapped) still shows.  The metrics and the polynomial baselines commute
+swapped) still shows.  The relation holds in memory, through a written
+and re-read video directory, and for a directory of `.ffgr` grids
+flipped left to right.  The metrics and the polynomial baselines commute
 with the mirror too.  All tolerances are 1e-12 times the image width.
 """
 
+import copy
 import dataclasses
 import functools
 
@@ -55,10 +58,13 @@ def videos(seed, width, height):
             dataio.generate_scenario(mirror_scenario(scenario)))
 
 
+def window(video):
+    return dataio.windows_from_video(video, TAU, DELTA, expand=1.5, n=POOL_N)
+
+
 @functools.cache
 def windows(seed, width, height):
-    return tuple(dataio.windows_from_video(video, TAU, DELTA, expand=1.5, n=POOL_N)
-                 for video in videos(seed, width, height))
+    return tuple(map(window, videos(seed, width, height)))
 
 
 def close(actual, expected, width):
@@ -113,20 +119,66 @@ def test_mirrored_scenario_mirrors_the_ego_rows(width, height):
             close(other.ego, sample.ego * [-1.0, 1.0, -1.0], width)
 
 
+def assert_mirrored_windows(original, mirrored, width):
+    """Two `windows_from_video` results are mirror images: the same
+    windows of the same tracks, boxes mirrored, ego rows [-yaw, x, -z],
+    and each pooled lattice with its columns reversed and u negated."""
+    (samples, skipped), (others, mirrored_skipped) = original, mirrored
+    assert (len(others), mirrored_skipped) == (len(samples), skipped)
+    for sample, other in zip(samples, others):
+        assert other.track == sample.track
+        close(other.past, mirror_boxes(sample.past, width), width)
+        close(other.future, mirror_boxes(sample.future, width), width)
+        close(other.ego, sample.ego * [-1.0, 1.0, -1.0], width)
+        for flow, mirrored_flow in zip(sample.flow, other.flow):
+            lattice = flow.values.reshape(POOL_N, POOL_N, 2)
+            expected = lattice[:, ::-1] * [-1.0, 1.0]
+            close(mirrored_flow.values, expected.ravel(), width)
+
+
 @pytest.mark.parametrize("width, height", SIZES)
 def test_mirrored_windows_reverse_the_lattice_columns(width, height):
     assert any(windows(seed, width, height)[0][0] for seed in SEEDS)
     for seed in SEEDS:
-        (samples, skipped), (others, mirrored_skipped) = windows(seed, width, height)
-        assert (len(others), mirrored_skipped) == (len(samples), skipped)
-        for sample, other in zip(samples, others):
-            assert other.track == sample.track
-            close(other.past, mirror_boxes(sample.past, width), width)
-            close(other.future, mirror_boxes(sample.future, width), width)
-            for flow, mirrored_flow in zip(sample.flow, other.flow):
-                lattice = flow.values.reshape(POOL_N, POOL_N, 2)
-                expected = lattice[:, ::-1] * [-1.0, 1.0]
-                close(mirrored_flow.values, expected.ravel(), width)
+        assert_mirrored_windows(*windows(seed, width, height), width)
+
+
+# The disk checks run at the smaller size on a few seeds: each directory
+# re-renders its flow from its scenario file, or holds a grid per frame.
+DISK_SIZE = (320, 160)
+DISK_SEEDS = range(3)
+
+
+def test_the_mirror_holds_through_a_written_video_directory(tmp_path):
+    width = DISK_SIZE[0]
+    assert any(windows(seed, *DISK_SIZE)[0][0] for seed in DISK_SEEDS)
+    for seed in DISK_SEEDS:
+        loaded = []
+        for side, video in zip(("original", "mirrored"), videos(seed, *DISK_SIZE)):
+            dataio.write_video_dir(video, tmp_path / f"{seed}-{side}", TAU, DELTA)
+            loaded.append(dataio.read_video_dir(tmp_path / f"{seed}-{side}"))
+        original, mirrored = loaded
+        assert list(mirrored.tracks) == list(original.tracks)
+        for key, track in original.tracks.items():
+            assert mirrored.tracks[key]["frame"].tolist() == track["frame"].tolist()
+            close(mirrored.tracks[key]["box"], mirror_boxes(track["box"], width), width)
+        close(mirrored.ego_steps, original.ego_steps * [-1.0, 1.0, -1.0], width)
+        assert_mirrored_windows(window(original), window(mirrored), width)
+
+
+def test_a_directory_of_flipped_flow_grids_windows_as_the_mirror(tmp_path,
+                                                                 external_flow_dir):
+    width = DISK_SIZE[0]
+    for seed in DISK_SEEDS:
+        video, mirrored = videos(seed, *DISK_SIZE)
+        # the mirrored boxes and ego log over the original's grids, each
+        # flipped left to right with u negated
+        flipped = copy.copy(mirrored)
+        flipped.flow_grid = lambda t: video.flow_grid(t)[:, ::-1] * [-1.0, 1.0]
+        original = external_flow_dir(video, tmp_path / f"{seed}-original")
+        other = external_flow_dir(flipped, tmp_path / f"{seed}-mirrored")
+        assert_mirrored_windows(window(dataio.read_video_dir(original)),
+                                window(dataio.read_video_dir(other)), width)
 
 
 @pytest.mark.parametrize("width, height", SIZES)
