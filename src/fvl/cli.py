@@ -77,8 +77,6 @@ _POSITIVE_FLOAT = _converter(float, "positive number", _IS_POSITIVE)
 _NON_NEGATIVE = _converter(int, "non-negative integer", _IS_NON_NEGATIVE)
 _SEED = _converter(int, "non-negative integer", _IS_NON_NEGATIVE,
                    (lambda v: v < 2**64, "must be below 2**64"))
-_EXPANSION = _converter(float, "expansion factor", (lambda v: 1.0 <= v < math.inf,
-                                                    "must be finite and at least 1"))
 
 
 # built on the first main() call and kept: parse_args leaves it unchanged
@@ -92,10 +90,6 @@ def _build_parser() -> _Parser:
     reads.add_argument("--dataset", required=True,
                        help="sample JSONL file or video directory tree")
     reads.add_argument("--workers", type=_POSITIVE_INT, default=1)
-    reads.add_argument("--roi-expand", type=_EXPANSION,
-                       help="growth of each box before its flow is pooled, at "
-                            "least 1 (default 1.5); video directories only, "
-                            "since a sample file holds pooled flow")
 
     gen = sub.add_parser(
         "generate", help="render scenario files into video directories")
@@ -178,19 +172,15 @@ def _video_dirs(root: Path) -> list[Path]:
 def _load_samples(args, tau, delta, n) -> list:
     """Samples from --dataset: a JSONL file, a video directory, or a tree.
 
-    --roi-expand is the ROI growth for video windows, None for 1.5; a
-    JSONL file holds flow pooled already and refuses one (a usage error).
-    `n` is the flow lattice the model reads, or None when it reads no
-    flow; then windows pool the smallest lattice and a JSONL file may
-    hold any.  Videos are windowed in sorted-path order and each of
-    --workers handles whole videos, so the sample list is identical for
-    any worker count.
+    A JSONL file holds flow pooled at whatever ROI growth its writer used;
+    video windows pool at `windows_from_video`'s default.  `n` is the flow
+    lattice the model reads, or None when it reads no flow; then windows
+    pool the smallest lattice and a JSONL file may hold any.  Videos are
+    windowed in sorted-path order and each of --workers handles whole
+    videos, so the sample list is identical for any worker count.
     """
     path = Path(args.dataset)
     if path.is_file():
-        if args.roi_expand is not None:
-            raise _UsageError(f"--roi-expand applies to video directories only, "
-                              f"and {path} is a file of pooled samples")
         samples = read_dataset(path)
         for i, sample in enumerate(samples):
             if (sample.tau, sample.delta) != (tau, delta):
@@ -206,10 +196,7 @@ def _load_samples(args, tau, delta, n) -> list:
 
     def load(directory):
         video = read_video_dir(directory)
-        samples, _ = windows_from_video(
-            video, tau, delta, n=1 if n is None else n,
-            expand=1.5 if args.roi_expand is None else args.roi_expand)
-        return samples
+        return windows_from_video(video, tau, delta, n=1 if n is None else n)[0]
 
     # imported here: concurrent.futures brings logging, which a run that
     # reads no video directory does not need

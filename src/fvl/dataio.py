@@ -59,7 +59,8 @@ from .egomotion import _ego_log_text, compose, read_ego_log, rotation_matrix, \
     wrap_angle
 from .errors import DataFormatError, ValidationError, require_int, text_lines, \
     write_atomic
-from .flowfeat import PooledFlow, _clip, expand_roi, lattice_pool, read_flow_pixels
+from .flowfeat import (PooledFlow, _clip, _require_expansion, expand_roi,
+                       lattice_pool, read_flow_pixels)
 from .rng import Xoshiro256
 
 __all__ = [
@@ -520,8 +521,9 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
     rows compose the delta step rows that follow its anchor frame, once
     per anchor for all the tracks that share it.
     """
-    require_int("tau", tau, 1)
-    require_int("delta", delta, 1)
+    for name, value in (("tau", tau), ("delta", delta), ("lattice size n", n)):
+        require_int(name, value, 1)
+    _require_expansion(expand)
     samples: list[Sample] = []
     skipped = 0
     ego = {}  # anchor frame -> its composed ego rows

@@ -65,6 +65,12 @@ class PooledFlow:
             raise ValidationError("pooled flow values must be finite")
 
 
+def _require_expansion(factor) -> None:
+    """Refuse an ROI growth `factor` that is a bool, or not finite and at least 1."""
+    if isinstance(factor, bool) or not (math.isfinite(factor) and factor >= 1.0):
+        raise ValidationError(f"expansion factor must be finite and >= 1, got {factor}")
+
+
 def expand_roi(boxes, factor: float, image_width: float,
                image_height: float) -> np.ndarray:
     """Grow each [cx, cy, w, h] row of `boxes` [k x 4] about its center,
@@ -73,9 +79,7 @@ def expand_roi(boxes, factor: float, image_width: float,
     A row keeps whatever extent survives clipping; a box that ends up
     with no area inside the image is rejected.
     """
-    if not (math.isfinite(factor) and factor >= 1.0):
-        raise ValidationError(
-            f"expansion factor must be finite and >= 1, got {factor}")
+    _require_expansion(factor)
     boxes = np.asarray(boxes, dtype=np.float64)
     (x0, y0, x1, y1), outside = _clip(boxes, factor, image_width, image_height)
     if outside.size:

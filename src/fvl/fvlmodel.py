@@ -350,8 +350,7 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
     pixel ADE provides `best_params`; otherwise selection falls back to
     the training loss.
     """
-    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1),
-                               ("seed", seed, 0)):
+    for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
         require_int(name, value, least)
     if isinstance(lr, bool) or not (math.isfinite(lr) and lr > 0):
         raise ValidationError(f"learning rate must be positive, got {lr!r}")

@@ -49,6 +49,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ValidationError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -119,8 +121,8 @@ class Xoshiro256:
     """xoshiro256** with splitmix64 seeding; 64-bit output per draw."""
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        if type(seed) is not int or not 0 <= seed <= _MASK64:
+            raise ValidationError(f"seed must be in [0, 2**64), got {seed!r}")
         state = seed
         s = []
         for _ in range(4):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,18 @@ def fd_gradient(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
 @pytest.fixture
 def fd():
     return fd_gradient
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a child interpreter that imports from `paths`.
+    It turns the warnings that pyproject.toml's filterwarnings makes
+    errors here into errors there too, but for pytest's own category,
+    which a plain interpreter cannot name."""
+    def env(*paths):
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)),
+                    PYTHONWARNINGS="error::RuntimeWarning,error::ResourceWarning")
+    return env
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: the pipeline, exit codes, determinism."""
 
 import json
-import os
 import shutil
 import struct
 import subprocess
@@ -26,7 +25,7 @@ from fvl.dataio import (
 )
 from fvl.flowfeat import PooledFlow
 from fvl.errors import DataFormatError
-from fvl.fvlmodel import BoxForecaster, ModelConfig, load_model, save_model
+from fvl.fvlmodel import BoxForecaster, ModelConfig, load_model, save_model, train_model
 from fvl.metrics import build_reports, displacement_errors, reports_to_json
 from fvl.nnkit import save_params
 from fvl.rng import Xoshiro256
@@ -202,6 +201,25 @@ def test_evaluate_baseline_runs(suite, capsys):
     assert "fde=" in capsys.readouterr().out
 
 
+def suite_windows(suite):
+    """The suite's windows as the library gives them, video by video in
+    path order, at windows_from_video's default ROI growth."""
+    samples = []
+    for video_dir in sorted(p for p in suite.iterdir() if p.is_dir()):
+        samples += windows_from_video(read_video_dir(video_dir), tau=4, delta=3, n=3)[0]
+    return samples
+
+
+def test_train_matches_library_composition(suite, checkpoint, tmp_path):
+    # The CLI layer may not add hidden state: training by hand on the
+    # library's windows must write the same checkpoint bytes.
+    config = ModelConfig(variant="xoe", hidden=6, embed=5, tau=4, delta=3,
+                         pooled_dim=18)
+    result = train_model(config, suite_windows(suite), epochs=2, batch_size=8)
+    save_model(tmp_path / "manual.fvlw", config, result.best_params)
+    assert (tmp_path / "manual.fvlw").read_bytes() == checkpoint.read_bytes()
+
+
 def test_evaluate_matches_library_composition(suite, checkpoint, tmp_path):
     # The CLI layer may not add hidden state: composing the library calls
     # by hand must reproduce its JSON report exactly.
@@ -210,11 +228,7 @@ def test_evaluate_matches_library_composition(suite, checkpoint, tmp_path):
                  "--out", str(report_path)]) == 0
 
     forecaster = load_model(checkpoint)
-    samples = []
-    for video_dir in sorted(p for p in suite.iterdir() if p.is_dir()):
-        video = read_video_dir(video_dir)
-        found, _ = windows_from_video(video, tau=4, delta=3, expand=1.5, n=3)
-        samples.extend(found)
+    samples = suite_windows(suite)
     past = np.stack([s.past for s in samples])
     truths = np.stack([s.future for s in samples])
     predictions = np.array([
@@ -332,6 +346,14 @@ def test_usage_errors_exit_1(capsys):
     # carry their own) and no flag to skip the easy/challenging split
     assert main(["evaluate", "linear", "--dataset", "d", "--pool-n", "3"]) == 1
     assert main(["evaluate", "linear", "--dataset", "d", "--no-split"]) == 1
+    # video windows pool at `windows_from_video`'s default ROI growth,
+    # which no flag changes, so evaluate and predict pool as train did
+    for command in (["train", "--dataset", "d", "--out", "m"],
+                    ["evaluate", "m.fvlw", "--dataset", "d"],
+                    ["predict", "m.fvlw", "--dataset", "d"]):
+        assert main([*command, "--roi-expand", "1.5"]) == 1
+        assert ("unrecognized arguments: --roi-expand 1.5"
+                in capsys.readouterr().err)
     # a negative seed is refused before any data is read
     assert main(["train", "--dataset", "d", "--out", "m", "--seed", "-3"]) == 1
     assert main(["gradcheck", "--seed", "-1"]) == 1
@@ -375,14 +397,14 @@ def test_main_builds_its_parser_once_and_looks_commands_up_per_call(
     assert cli._build_parser.cache_info().misses == 1
 
 
-def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+def test_importing_the_cli_leaves_concurrent_futures_unloaded(child_env):
     # a fresh interpreter, since this one may have imported it already;
     # only windowing video directories uses the thread pool
     code = ("import sys, fvl.cli; "
             "sys.exit('concurrent.futures' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ,
-                          "PYTHONPATH": src}, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=child_env(Path(cli.__file__).resolve().parents[1]),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "concurrent.futures was imported"
 
 
@@ -691,64 +713,16 @@ def test_sample_file_must_hold_the_requested_window(tmp_path, window, capsys):
             f"tau={tau}, delta={delta}") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("factor", ["inf", "nan", "0.5", "0.999"])
-def test_non_finite_roi_expansion_exits_1(factor, capsys):
-    # refused by the converter before any data is read; before, inf
-    # trained on whole-image ROIs, and a factor below 1 read every video
-    # and then exited 2
-    for command in (["train", "--dataset", "d", "--out", "m"],
-                    ["evaluate", "m.fvlw", "--dataset", "d"],
-                    ["predict", "m.fvlw", "--dataset", "d"]):
-        assert main([*command, "--roi-expand", factor]) == 1
-        assert (f"--roi-expand: must be finite and at least 1, got {factor}"
-                in capsys.readouterr().err)
-
-
 @pytest.mark.parametrize("command", [["train", "--out", "m"],
                                      ["evaluate", "m.fvlw"], ["predict", "m.fvlw"]])
 def test_dataset_flags_are_shared_by_every_command_that_reads_one(command, capsys):
-    # --dataset, --workers and --roi-expand are one declaration each
+    # --dataset and --workers are one declaration each
     assert main([*command, "--dataset", "d", "--workers", "0"]) == 1
     assert "--workers: must be positive and finite, got 0" in capsys.readouterr().err
-    assert main([*command, "--dataset", "d", "--roi-expand", "0.5"]) == 1
-    assert ("--roi-expand: must be finite and at least 1, got 0.5"
-            in capsys.readouterr().err)
     with pytest.raises(SystemExit):
         main([command[0], "--help"])
     help_words = " ".join(capsys.readouterr().out.split())
     assert "--dataset DATASET sample JSONL file or video directory tree" in help_words
-
-
-def test_roi_expansion_is_refused_on_a_sample_file(tmp_path, checkpoint, capsys):
-    # a sample file holds flow pooled already; before, the flag was
-    # accepted and changed nothing
-    dataset = tmp_path / "samples.jsonl"
-    write_dataset(_tiny_samples(huge_future=False), dataset)
-    for command in (["train", "--out", str(tmp_path / "m.fvlw"), "--tau", "3",
-                     "--delta", "2", "--pool-n", "2", "--epochs", "1"],
-                    ["evaluate", "linear", "--tau", "3", "--delta", "2"],
-                    ["predict", str(checkpoint)]):
-        assert main([*command, "--dataset", str(dataset), "--roi-expand", "3.0"]) == 1
-        assert (f"usage error: --roi-expand applies to video directories only, "
-                f"and {dataset} is a file of pooled samples"
-                in capsys.readouterr().err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.jsonl"]
-
-
-def test_roi_expansion_applies_to_video_directories(suite, checkpoint, tmp_path,
-                                                    capsys):
-    outputs = {}
-    for expand in (None, "1.5", "3.0"):
-        flags = [] if expand is None else ["--roi-expand", expand]
-        report, boxes = tmp_path / f"{expand}.json", tmp_path / f"{expand}.jsonl"
-        assert main(["evaluate", str(checkpoint), "--dataset", str(suite),
-                     "--out", str(report), *flags]) == 0
-        assert main(["predict", str(checkpoint), "--dataset", str(suite),
-                     "--out", str(boxes), *flags]) == 0
-        outputs[expand] = (report.read_bytes(), boxes.read_bytes())
-    capsys.readouterr()
-    assert outputs[None] == outputs["1.5"]
-    assert all(a != b for a, b in zip(outputs["1.5"], outputs["3.0"]))
 
 
 def test_train_checks_the_lattice_of_a_sample_file(tmp_path, capsys):

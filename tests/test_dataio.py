@@ -640,13 +640,20 @@ def test_ego_rows_compose_once_per_anchor(monkeypatch):
 
 def test_run_level_errors_keep_their_messages():
     video = generate_scenario(moving_scenario())
-    for factor in (0.5, 0.999, math.inf, math.nan):
-        with pytest.raises(ValidationError, match=re.escape(
-                f"expansion factor must be finite and >= 1, got {factor}")):
-            windows_from_video(video, 4, 3, expand=factor)
-    with pytest.raises(ValidationError,
-                       match="lattice size n must be a positive integer, got 0"):
-        windows_from_video(video, 4, 3, n=0)
+    # the 6-frame video has no run as long as tau + delta = 10: the factor
+    # and lattice are still checked, where before such a video returned
+    # no windows and no error
+    short = generate_scenario(moving_scenario(frames=6))
+    for window, target in (((4, 3), video), ((5, 5), short)):
+        for factor in (0.5, 0.999, math.inf, math.nan, True):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"expansion factor must be finite and >= 1, got {factor}")):
+                windows_from_video(target, *window, expand=factor)
+        for n in (0, True, 2.0):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"lattice size n must be a positive integer, got {n!r}")):
+                windows_from_video(target, *window, n=n)
+    assert windows_from_video(short, 5, 5) == ([], 1)
 
 
 def test_window_and_lattice_counts_are_ints_of_at_least_one(tmp_path):

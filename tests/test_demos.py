@@ -1,7 +1,6 @@
 """Every script in demos/, and README's library quick start, runs to
 completion against the current package."""
 
-import os
 import re
 import subprocess
 import sys
@@ -13,21 +12,21 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run_python(argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+def run_python(argv, child_env):
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT,
+                          env=child_env(ROOT / "src"), capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(script):
-    run_python([str(script)])
+def test_demo_runs(script, child_env):
+    run_python([str(script)], child_env)
 
 
-def test_readme_quick_start_runs():
+def test_readme_quick_start_runs(child_env):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-    assert "mean FDE" in run_python(["-c", code])
+    assert "mean FDE" in run_python(["-c", code], child_env)

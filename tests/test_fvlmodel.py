@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fvl import cli
 from fvl import diffcore as dc
 from fvl import fvlmodel
-from fvl.dataio import Sample, write_dataset
+from fvl.dataio import Sample, random_scenario, split_videos, write_dataset
 from fvl.errors import DataFormatError, NumericFailure, ValidationError
 from fvl.flowfeat import PooledFlow
 from fvl.fvlmodel import (
@@ -538,14 +538,29 @@ def test_training_validates_inputs():
         train_model(cfg, samples, epochs=1, lr=True)
     # ModelConfig's integer rule: an int, not a float or a bool, from a least value
     for name, value, least in (("epochs", 2.5, 0), ("epochs", True, 0),
-                               ("batch_size", 2.5, 1), ("batch_size", True, 1),
-                               ("seed", 1.5, 0), ("seed", -1, 0), ("seed", True, 0)):
+                               ("batch_size", 2.5, 1), ("batch_size", True, 1)):
         with pytest.raises(ValidationError, match=re.escape(
                 f"{name} must be {'a positive integer' if least else 'an integer >= 0'}, "
                 f"got {value!r}")):
             train_model(cfg, samples, **{"epochs": 1, name: value})
     with pytest.raises(ValidationError, match="sample 0"):
         train_model(small_config(tau=4), samples, epochs=1)
+
+
+def test_every_seed_goes_through_the_generator_rule():
+    # before, a bool seeded as 0 or 1, a float or a string died on a bare
+    # TypeError, and 2**64 on a plain ValueError
+    samples = make_samples(25, 4)
+    calls = (lambda seed: train_model(small_config(), samples, epochs=1, seed=seed),
+             lambda seed: BoxForecaster(small_config(), seed=seed),
+             lambda seed: gradient_check_model(small_config(), seed=seed),
+             random_scenario,
+             lambda seed: split_videos(["a", "b", "c"], 0.7, seed))
+    for call in calls:
+        for seed in (True, 1.5, "3", 2.0, -1, 2**64):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"seed must be in [0, 2**64), got {seed!r}")):
+                call(seed)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fvl import rng as rng_module
+from fvl.errors import ValidationError
 from fvl.rng import Xoshiro256
 
 SEEDS = (0, 1, 7, 2**64 - 1)
@@ -97,10 +98,11 @@ def test_uniforms_split_equals_successive_uniforms_calls():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, True, 1.5, "3"])
 def test_seeds_outside_64_bits_are_refused(seed):
-    # 2**64 would otherwise alias seed 0
-    with pytest.raises(ValueError, match="seed must be in"):
+    # 2**64 would otherwise alias seed 0, and True seed 1; only an int is
+    # a seed
+    with pytest.raises(ValidationError, match="seed must be in"):
         Xoshiro256(seed)
 
 

@@ -9,7 +9,6 @@ fvl globally, so it runs in a child process.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,9 +37,8 @@ print(json.dumps(tracer.layer_metrics(1)))
 """
 
 
-def test_tracer_installs_on_the_current_package():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "perfbench"), str(ROOT / "src")]))
+def test_tracer_installs_on_the_current_package(child_env):
+    env = child_env(ROOT / "perfbench", ROOT / "src")
     result = subprocess.run([sys.executable, "-c", CHILD], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -78,9 +76,8 @@ print(json.dumps(tracer.layer_metrics(1)))
 """
 
 
-def test_tracer_installed_after_a_cli_call_sees_the_command():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "perfbench"), str(ROOT / "src")]))
+def test_tracer_installed_after_a_cli_call_sees_the_command(child_env):
+    env = child_env(ROOT / "perfbench", ROOT / "src")
     result = subprocess.run([sys.executable, "-c", CLI_CHILD], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

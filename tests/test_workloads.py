@@ -9,7 +9,6 @@ anything under `perfbench/`.
 """
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
@@ -46,7 +45,7 @@ def test_ingest_check_passes_disk_windows_and_catches_changed_ones(tmp_path):
     assert "samples from disk" in check(disk[1:])
 
 
-def test_ingest_setup_finds_its_two_videos(tmp_path):
+def test_ingest_setup_finds_its_two_videos(tmp_path, child_env):
     # Ingest set-up draws scenarios until INGEST_VIDEOS of them have
     # INGEST_TRACKS tracks of len(track) == INGEST_FRAMES each; were len
     # no longer a track's frame count it would never stop, and the
@@ -60,8 +59,8 @@ def test_ingest_setup_finds_its_two_videos(tmp_path):
         ingest.setup(101, Path(sys.argv[1]))
         print(json.dumps(ingest.paths))
     """)
-    env = dict(os.environ, PYTHONPATH=str(WORKLOADS.parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=child_env(WORKLOADS.parents[1] / "src"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     paths = json.loads(proc.stdout.splitlines()[-1])
