@@ -203,10 +203,11 @@ def test_evaluate_baseline_runs(suite, capsys):
 
 def suite_windows(suite):
     """The suite's windows as the library gives them, video by video in
-    path order, at windows_from_video's default ROI growth."""
+    path order, at the documented ROI growth of 1.5."""
     samples = []
     for video_dir in sorted(p for p in suite.iterdir() if p.is_dir()):
-        samples += windows_from_video(read_video_dir(video_dir), tau=4, delta=3, n=3)[0]
+        samples += windows_from_video(read_video_dir(video_dir), tau=4, delta=3,
+                                      expand=1.5, n=3)[0]
     return samples
 
 
