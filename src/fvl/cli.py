@@ -7,7 +7,7 @@ Every run is a pure function of its flags: all randomness flows from
 concatenated in input order, so any worker count gives identical bytes.
 
 Exit codes: 0 success, 1 usage, 2 data/format problems, 3 numeric
-failure.
+failure, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -337,10 +338,20 @@ def main(argv=None) -> int:
             return 1
         # looked up per call, so a cmd_* replaced after the parser was
         # built (a test's monkeypatch, the benchmark tracer) is the one run
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        # a reader that closed stdout shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout's reader is gone (`fvl ... | head -1`); that is no data
+        # error.  Point stdout at devnull, so the interpreter's final
+        # flush stays quiet, and exit as a writer stopped by SIGPIPE.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (DataFormatError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

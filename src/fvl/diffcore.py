@@ -14,8 +14,8 @@ model path runs on row-stacked [B x n] batches:
                                 step, one node
 
 Each fused kernel has a closed-form backward (backpropagation through
-time for the two GRU kernels, which share one gate forward/backward
-pair).  Following Appleyard et al. 2016 (arXiv:1604.01946), a GRU's
+time for the two GRU kernels, which share one gate forward and one BPTT
+loop).  Following Appleyard et al. 2016 (arXiv:1604.01946), a GRU's
 gates are row blocks of one weight leaf, read as views, and work that
 does not depend on the previous step leaves the recurrence: the encoder
 computes the input half of every gate for all timesteps in one product,
@@ -24,7 +24,13 @@ decoder computes the ego half of every step's input gates in one product
 before its loop, and a step makes one recurrent product for update and
 reset.  A step's gates run in place, the logistic as
 sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, and its state update is
-h + z * (c - h).
+h + z * (c - h).  The backward does the same: the factors of each
+step's gate adjoints that depend only on that step's records,
+1 - z, z * (1 - c**2), (c - h) * z * (1 - z) and h * r * (1 - r), are
+whole-sequence products before the reverse loop, so a step makes only
+its recurrent work.  Step records exist only while the tape records:
+each step writes them into step-major [steps x B x k] buffers, and under
+no_grad a GRU kernel keeps none and builds no backward.
 Broadcasting is restricted to exact shape match or scalar-with-array so
 every backward rule stays auditable; the structural exceptions are
 :func:`tile_rows` and the bias rows of the fused kernels, whose
@@ -45,11 +51,13 @@ Reruns record nothing, so no backward sees a copy axis.
 A primitive records through one entry point.  It checks its operands,
 computes its forward value, and hands that value to ``_emit`` with a
 ``backward(g)`` function and the operands.  The first DiffArray operand
-decides: if its tape is recording, the value becomes a new node whose
-``backward`` receives the node's adjoint ``g`` during
-:meth:`Tape.backward` and adds each operand's share through
+decides (``_recording_tape``): if its tape is recording, the value
+becomes a new node whose ``backward`` receives the node's adjoint ``g``
+during :meth:`Tape.backward` and adds each operand's share through
 ``_accumulate``, which skips operands that are not DiffArrays.
-Otherwise the bare ndarray is returned and nothing is recorded.
+Otherwise the bare ndarray is returned and nothing is recorded.  The
+GRU kernels ask ``_recording_tape`` before their loop, so that they
+keep step records only for a call that ``_emit`` will record.
 A primitive is a function and has one spelling: ``add(a, b)``, never
 ``a + b``, for DiffArray defines no arithmetic operators.
 
@@ -291,19 +299,29 @@ def _value(x) -> np.ndarray:
     return np.asanyarray(x, dtype=np.float64)
 
 
-def _emit(value: np.ndarray, backward, *operands):
-    """Record one primitive application; the single entry point.
+def _recording_tape(operands):
+    """The tape that records a primitive on ``operands``, or None.
 
-    The first DiffArray among ``operands`` decides: if its tape is
-    recording, ``value`` becomes a node on it whose adjoint reaches
-    ``backward(g)``; otherwise, or with no DiffArray operand, the bare
-    ndarray is returned.  A freed tape raises ValidationError.
+    The first DiffArray among them decides: its tape if that tape is
+    recording, None under :meth:`Tape.no_grad` or with no DiffArray
+    operand.  A freed tape raises ValidationError.
     """
     for a in operands:
         if isinstance(a, DiffArray):
             tape = a.tape
-            return tape._node(value, backward) if tape.recording else value
-    return value
+            return tape if tape.recording else None
+    return None
+
+
+def _emit(value: np.ndarray, backward, *operands):
+    """Record one primitive application; the single entry point.
+
+    If :func:`_recording_tape` finds a recording tape among ``operands``,
+    ``value`` becomes a node on it whose adjoint reaches ``backward(g)``;
+    otherwise the bare ndarray is returned.
+    """
+    tape = _recording_tape(operands)
+    return value if tape is None else tape._node(value, backward)
 
 
 def _accumulate(x, g: np.ndarray) -> None:
@@ -513,7 +531,24 @@ def _gru_operands(name, n_in, hidden, w, b, *values):
     return lead, [v.view(np.ndarray) if type(v) is _Copies else v for v in parts]
 
 
-def _gru_forward(gx, h, w_zr_t, w_c_t, product):
+def _records(tape, steps: int, *shapes) -> list:
+    """The step-major buffers [steps x *shape] a GRU kernel writes its
+    step records into, one per shape, while ``tape`` records.  With no
+    recording tape (None), each is a list of ``steps`` Nones instead, so
+    a step's ufuncs take ``out=None``, return new arrays and keep
+    nothing."""
+    if tape is None:
+        return [[None] * steps] * len(shapes)
+    return [np.empty((steps,) + shape) for shape in shapes]
+
+
+def _rows(records: np.ndarray) -> np.ndarray:
+    """Step-major records [steps x B x k] as rows [B*steps x k], sample b's
+    step t in row b*steps + t, the row order of the kernels' inputs."""
+    return records.swapaxes(0, 1).reshape(-1, records.shape[-1])
+
+
+def _gru_forward(gx, h, w_zr_t, w_c_t, product, zr, rh, c, out):
     """One reset-before-candidate GRU update of h [B x hidden] from its
     input gate terms gx = x @ w_x.T + b [B x 3*hidden], given the
     transposed recurrent weights w_zr_t = w_zr.T and w_c_t = w_c.T:
@@ -525,48 +560,73 @@ def _gru_forward(gx, h, w_zr_t, w_c_t, product):
     The logistic runs in place as sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5,
     which lies in [0, 1] for any float a; the candidate's tanh runs in
     place too.  ``product`` is the kernel's matrix product, np.matmul or, when
-    an operand carries grad_check copies, :func:`_rows_at`.  Returns out
-    and what :func:`_gru_backward` needs."""
+    an operand carries grad_check copies, :func:`_rows_at`.  zr, rh, c
+    and out are the arrays that z and r, r * h, c and the new state are
+    written into, each None for a new array.  Returns the new state."""
     hidden = h.shape[-1]
-    zr = gx[..., :2 * hidden] + product(h, w_zr_t)
+    zr = np.add(gx[..., :2 * hidden], product(h, w_zr_t), out=zr)
     zr *= 0.5
     np.tanh(zr, out=zr)
     zr *= 0.5
     zr += 0.5
-    rh = zr[..., hidden:] * h
-    c = gx[..., 2 * hidden:] + product(rh, w_c_t)
+    rh = np.multiply(zr[..., hidden:], h, out=rh)
+    c = np.add(gx[..., 2 * hidden:], product(rh, w_c_t), out=c)
     np.tanh(c, out=c)
-    return h + zr[..., :hidden] * (c - h), (h, zr, rh, c)
+    return np.add(h, zr[..., :hidden] * (c - h), out=out)
 
 
-def _gru_backward(g, saved, w_zr, w_c, d_gates):
-    """Adjoints of one :func:`_gru_forward` update for the adjoint g of
-    its output: writes the gate pre-activations' [B x 3*hidden] into
-    d_gates and returns h's."""
-    h, zr, _, c = saved
-    hidden = h.shape[1]
-    z, r = zr[:, :hidden], zr[:, hidden:]
-    one_zr = 1.0 - zr
-    d_cand = np.multiply(g * z, 1.0 - c * c, out=d_gates[:, 2 * hidden:])
-    d_rh = d_cand @ w_c
-    np.multiply(g * (c - h) * z, one_zr[:, :hidden], out=d_gates[:, :hidden])
-    np.multiply(d_rh * h * r, one_zr[:, hidden:], out=d_gates[:, hidden:2 * hidden])
-    return g * one_zr[:, :hidden] + d_rh * r + d_gates[:, :2 * hidden] @ w_zr
+def _gru_bptt(g, h, zr, c, w_zr, w_c, d_gates, d_out=None, embed=None):
+    """Backpropagation through time over the steps of one GRU kernel call.
+
+    h, zr and c are the kernel's step-major records [steps x B x k]: the
+    state entering each step, its update and reset gates, and its
+    candidate.  g [B x hidden] is the adjoint of the last step's output;
+    d_out [B x steps x hidden], when given, adds each step's own output
+    adjoint at that step.  The factors that do not depend on g, 1 - z,
+    z * (1 - c**2), (c - h) * z * (1 - z) and h * r * (1 - r), are whole-
+    sequence products before the loop, so a step makes the three gate
+    adjoints, written into its slice of d_gates [B x steps x 3*hidden],
+    the products with w_c and w_zr, and the sum that is the adjoint of
+    its entering state.  embed = (w_x, state_w, mask, d_state) is the
+    decoder's: a step's input is relu of an embed of the state entering
+    it, with relu mask [steps x B x embed], so the adjoint of that
+    embed's pre-activation, written into d_state [B x steps x embed],
+    flows back into the state through state_w.  Returns the adjoint of
+    the state entering the first step."""
+    hidden = g.shape[-1]
+    z, r = zr[..., :hidden], zr[..., hidden:]
+    one_z = 1.0 - z
+    c_factor = z * (1.0 - c * c)
+    z_factor = (c - h) * z * one_z
+    r_factor = h * r * (1.0 - r)
+    if embed is not None:
+        w_x, state_w, mask, d_state = embed
+    for t in reversed(range(len(zr))):
+        if d_out is not None:
+            g = g + d_out[:, t]
+        d_gate = d_gates[:, t]
+        d_c = np.multiply(g, c_factor[t], out=d_gate[:, 2 * hidden:])
+        np.multiply(g, z_factor[t], out=d_gate[:, :hidden])
+        d_rh = d_c @ w_c
+        np.multiply(d_rh, r_factor[t], out=d_gate[:, hidden:2 * hidden])
+        g = g * one_z[t] + d_rh * r[t] + d_gate[:, :2 * hidden] @ w_zr
+        if embed is not None:
+            d_s = np.multiply(d_gate @ w_x, mask[t], out=d_state[:, t])
+            g = g + d_s @ state_w
+    return g
 
 
-def _accumulate_gru(w, b, d_gates, xs, saved):
+def _accumulate_gru(w, b, d_gates, x_rows, h_rows, rh_rows):
     """Add the gate weight's and bias's adjoints in place, each block
-    summed over all rows in one product.  Row i of d_gates [N x 3*hidden]
-    and of the inputs xs [N x in] is sample i // steps at step i % steps,
-    with steps = len(saved), each step's :func:`_gru_forward` record."""
+    summed over all rows in one product.  Row i of d_gates [N x 3*hidden],
+    of the inputs x_rows [N x in], of the entering states h_rows
+    [N x hidden] and of r * h, rh_rows [N x hidden], is sample i // steps
+    at step i % steps."""
     if isinstance(w, DiffArray):
-        rows, n_in = xs.shape
-        h = np.stack([s[0] for s in saved], axis=1).reshape(rows, -1)
-        rh = np.stack([s[2] for s in saved], axis=1).reshape(rows, -1)
-        hidden = h.shape[1]
-        w.grad[:, :n_in] += d_gates.T @ xs
-        w.grad[:2 * hidden, n_in:] += d_gates[:, :2 * hidden].T @ h
-        w.grad[2 * hidden:, n_in:] += d_gates[:, 2 * hidden:].T @ rh
+        n_in, hidden = x_rows.shape[1], h_rows.shape[1]
+        w.grad[:, :n_in] += d_gates.T @ x_rows
+        w.grad[:2 * hidden, n_in:] += d_gates[:, :2 * hidden].T @ h_rows
+        w.grad[2 * hidden:, n_in:] += d_gates[:, 2 * hidden:].T @ rh_rows
     _accumulate(b, d_gates.sum(axis=0))
 
 
@@ -580,8 +640,10 @@ def gru_sequence(xs, h0, w, b):
     the final hidden state [B x hidden].  The input half of all three
     gates is one product over every row; each step then makes one
     recurrent product for update and reset and one for the candidate.
-    The backward runs the steps in reverse and sums each weight block's
-    adjoint over all of them in one product.
+    While the tape records, each step writes its records into step-major
+    buffers; the backward runs the steps in reverse and sums each weight
+    block's adjoint over all of them in one product.  Under no_grad the
+    kernel keeps no record and returns the bare array.
     """
     xv, hv = _value(xs), _value(h0)
     x_shape, h_shape = core_shape(xv), core_shape(hv)
@@ -590,6 +652,7 @@ def gru_sequence(xs, h0, w, b):
         raise DimensionError(
             f"gru_sequence expects xs [B*tau x in] and h0 [B x hidden] with "
             f"tau >= 1, got shapes {xv.shape} and {hv.shape}")
+    tape = _recording_tape((xs, h0, w, b))
     batch, hidden = h_shape
     lead, (w_x, w_zr, w_c, bv, xv, hv) = _gru_operands(
         "gru_sequence", x_shape[1], hidden, _value(w), _value(b), xv, hv)
@@ -597,21 +660,26 @@ def gru_sequence(xs, h0, w, b):
     product = _rows_at if lead else np.matmul
     gx = product(xv, _mT(w_x)) + bv[..., None, :]
     gx = gx.reshape(gx.shape[:-2] + (batch, tau, 3 * hidden))
-    h, saved, w_zr_t, w_c_t = hv, [], _mT(w_zr), _mT(w_c)
+    h, w_zr_t, w_c_t = hv, _mT(w_zr), _mT(w_c)
+    # each step's output state, gates, r * h and candidate
+    states, zr, rh, c = _records(tape, tau, (batch, hidden), (batch, 2 * hidden),
+                                 (batch, hidden), (batch, hidden))
     for t in range(tau):
-        h, record = _gru_forward(gx[..., t, :], h, w_zr_t, w_c_t, product)
-        saved.append(record)
+        h = _gru_forward(gx[..., t, :], h, w_zr_t, w_c_t, product,
+                         zr[t], rh[t], c[t], states[t])
+    if tape is None:
+        return h.view(_Copies) if lead else h
 
     def backward(g):
-        d_gates = np.empty_like(gx)
-        for t in reversed(range(tau)):
-            g = _gru_backward(g, saved[t], w_zr, w_c, d_gates[:, t])
+        h_in = np.concatenate([hv[None], states[:-1]])
+        d_gates = np.empty((batch, tau, 3 * hidden))
+        g = _gru_bptt(g, h_in, zr, c, w_zr, w_c, d_gates)
         d_gates = d_gates.reshape(batch * tau, 3 * hidden)
         _accumulate(xs, d_gates @ w_x)
         _accumulate(h0, g)
-        _accumulate_gru(w, b, d_gates, xv, saved)
+        _accumulate_gru(w, b, d_gates, xv, _rows(h_in), _rows(rh))
 
-    return _emit(h.view(_Copies) if lead else h, backward, xs, h0, w, b)
+    return _emit(h, backward, xs, h0, w, b)
 
 
 def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
@@ -633,9 +701,13 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
     call, and the ego half of every step's input gates,
     0.5 * ego_x @ w_x.T + b, is one product over all rows before the
     loop; its adjoint is one product after the backward loop.  Each step
-    writes its state in place into its rows of one preallocated result,
-    and its relu runs in place: the backward takes x > 0, the same mask
-    as the pre-activation's, from the relu's output.
+    writes its state into one preallocated step-major array, whose rows
+    the result takes in one reshape.  While the tape records, a step also
+    writes its relu'd state embed, gates, r * h and candidate into
+    step-major buffers, and its relu runs in place there: the backward
+    takes x > 0, the same mask as the pre-activation's, from the relu's
+    output, for all steps in one comparison.  Under no_grad the kernel
+    keeps no record and returns the bare array.
     """
     hv, ws, bs = _value(h0), _value(state_w), _value(state_b)
     h_shape, s_shape = core_shape(hv), core_shape(ws)
@@ -655,6 +727,7 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
                 f"gru_decoder ego_x must be [{rows} x {embed}] for h0 "
                 f"{hv.shape}, state_w {ws.shape} and {steps} steps, got shape "
                 f"{ev.shape}")
+    tape = _recording_tape((h0, ego_x, state_w, state_b, w, b))
     lead, (w_x, w_zr, w_c, bv, hv, ws, bs, ev) = _gru_operands(
         "gru_decoder", embed, hidden, _value(w), _value(b), hv, ws, bs, ev)
     product, w_x_t = _rows_at if lead else np.matmul, _mT(w_x)
@@ -669,43 +742,47 @@ def gru_decoder(h0, ego_x, state_w, state_b, w, b, steps: int):
         gates_in = gates_in.reshape(gates_in.shape[:-2] + (batch, steps, 3 * hidden))
     ws, bs = scale * ws, scale * bs
     ws_t, bs_row = _mT(ws), bs[..., None, :]
-    h, saved, xs, w_zr_t, w_c_t = hv, [], [], _mT(w_zr), _mT(w_c)
-    # every state after step 0 carries the copies or none does
-    hs = np.empty(lead + (batch, steps, hidden))
+    h, w_zr_t, w_c_t = hv, _mT(w_zr), _mT(w_c)
+    # the state after each step, step-major and each step's copies
+    # contiguous; every state after step 0 carries the copies or none does
+    states = np.empty((steps,) + lead + (batch, hidden))
+    # each step's relu'd state embed, gates, r * h and candidate
+    xs, zr, rh, c = _records(tape, steps, (batch, embed), (batch, 2 * hidden),
+                             (batch, hidden), (batch, hidden))
     for t in range(steps):
-        x = product(h, ws_t) + bs_row
+        x = np.add(product(h, ws_t), bs_row, out=xs[t])
         np.maximum(x, 0.0, out=x)
-        h, record = _gru_forward(product(x, w_x_t) + gates_in[..., t, :], h,
-                                 w_zr_t, w_c_t, product)
-        hs[..., t, :] = h
-        saved.append(record)
-        xs.append(x)
+        h = _gru_forward(product(x, w_x_t) + gates_in[..., t, :], h, w_zr_t,
+                         w_c_t, product, zr[t], rh[t], c[t], states[t])
+    # np.moveaxis costs 3.5 us more than swapaxes, which batch-1
+    # prediction would feel
+    hs = np.moveaxis(states, 0, -2) if lead else states.swapaxes(0, 1)
     hs = hs.reshape(lead + (rows, hidden))
+    if tape is None:
+        return hs.view(_Copies) if lead else hs
 
     def backward(g):
-        d_hs = g.reshape(batch, steps, hidden)
+        h_in = np.concatenate([hv[None], states[:-1]])
         d_gates = np.empty((batch, steps, 3 * hidden))
         d_state = np.empty((batch, steps, embed))
-        d_h = np.zeros((batch, hidden))
-        for t in reversed(range(steps)):
-            d_h = _gru_backward(d_h + d_hs[:, t], saved[t], w_zr, w_c, d_gates[:, t])
-            d_state[:, t] = d_s = (d_gates[:, t] @ w_x) * (xs[t] > 0.0)
-            d_h = d_h + d_s @ ws
+        d_h = _gru_bptt(np.zeros((batch, hidden)), h_in, zr, c, w_zr, w_c, d_gates,
+                        g.reshape(batch, steps, hidden), (w_x, ws, xs > 0.0, d_state))
         d_gates = d_gates.reshape(rows, 3 * hidden)
         d_state = d_state.reshape(rows, embed)
+        h_rows = _rows(h_in)
         _accumulate(h0, d_h)
         # d_state is the adjoint of the scaled state embed's pre-activation
-        h_prev = np.stack([s[0] for s in saved], axis=1).reshape(rows, hidden)
-        _accumulate(state_w, scale * (d_state.T @ h_prev))
+        _accumulate(state_w, scale * (d_state.T @ h_rows))
         _accumulate(state_b, scale * d_state.sum(axis=0))
-        x_rows = np.stack(xs, axis=1).reshape(rows, embed)
+        x_rows = _rows(xs)
         if ev is not None:
             _accumulate(ego_x, 0.5 * (d_gates @ w_x))
-            x_rows += 0.5 * ev
-        _accumulate_gru(w, b, d_gates, x_rows, saved)
+            # not in place: at one sample or one step, x_rows is a view of
+            # the records, which a second backward reads again
+            x_rows = x_rows + 0.5 * ev
+        _accumulate_gru(w, b, d_gates, x_rows, h_rows, _rows(rh))
 
-    return _emit(hs.view(_Copies) if lead else hs, backward, h0, ego_x, state_w,
-                 state_b, w, b)
+    return _emit(hs, backward, h0, ego_x, state_w, state_b, w, b)
 
 
 def _total(xv: np.ndarray) -> tuple[np.ndarray, int]:

@@ -22,6 +22,7 @@ center clamp to the border pixel.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -66,8 +67,10 @@ class PooledFlow:
 
 
 def _require_expansion(factor) -> None:
-    """Refuse an ROI growth `factor` that is a bool, or not finite and at least 1."""
-    if isinstance(factor, bool) or not (math.isfinite(factor) and factor >= 1.0):
+    """Refuse an ROI growth `factor` that is not a real number, is a bool,
+    or is not finite and at least 1."""
+    if (isinstance(factor, bool) or not isinstance(factor, numbers.Real)
+            or not (math.isfinite(factor) and factor >= 1.0)):
         raise ValidationError(f"expansion factor must be finite and >= 1, got {factor}")
 
 

@@ -24,6 +24,7 @@ training run bit-for-bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -352,7 +353,8 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
     """
     for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
         require_int(name, value, least)
-    if isinstance(lr, bool) or not (math.isfinite(lr) and lr > 0):
+    if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+            or not (math.isfinite(lr) and lr > 0)):
         raise ValidationError(f"learning rate must be positive, got {lr!r}")
     samples = list(samples)
     if not samples:

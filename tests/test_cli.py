@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: the pipeline, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -407,6 +408,28 @@ def test_importing_the_cli_leaves_concurrent_futures_unloaded(child_env):
                           env=child_env(Path(cli.__file__).resolve().parents[1]),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "concurrent.futures was imported"
+
+
+def test_a_closed_stdout_exits_141_and_prints_nothing(tmp_path, child_env):
+    # `fvl generate ... | head -1`: the reader goes after one line.  Before,
+    # the broken pipe was an OSError, "error: [Errno 32] Broken pipe" and
+    # exit 2, the data error's status.  The second scenario file is a FIFO
+    # that this test feeds only after closing the pipe, so the second line
+    # (unbuffered, its own write) always meets a closed pipe.
+    first, second = tmp_path / "s0.scn", tmp_path / "s1.scn"
+    write_scenario_file(first, random_scenario(0, frames=12, width=320, height=160))
+    os.mkfifo(second)
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "fvl.cli", "generate", str(first), str(second),
+         "--out", str(tmp_path / "data"), "--tau", "4", "--delta", "3"],
+        env=child_env(Path(cli.__file__).resolve().parents[1]),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == f"wrote {tmp_path / 'data' / 's0'}\n".encode()
+    proc.stdout.close()
+    second.write_text(first.read_text(encoding="utf-8"), encoding="utf-8")
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_a_box_outside_the_image_exits_2(tmp_path, external_flow_dir, capsys):

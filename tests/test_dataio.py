@@ -645,7 +645,9 @@ def test_run_level_errors_keep_their_messages():
     # no windows and no error
     short = generate_scenario(moving_scenario(frames=6))
     for window, target in (((4, 3), video), ((5, 5), short)):
-        for factor in (0.5, 0.999, math.inf, math.nan, True):
+        # a string or None is refused as a number would be, not by a
+        # TypeError from math.isfinite
+        for factor in (0.5, 0.999, math.inf, math.nan, True, "2", None):
             with pytest.raises(ValidationError, match=re.escape(
                     f"expansion factor must be finite and >= 1, got {factor}")):
                 windows_from_video(target, *window, expand=factor)

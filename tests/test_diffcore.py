@@ -708,9 +708,9 @@ def _gru_inputs(tape, rng, rows=3, n_in=3, hidden=4):
     return leaves, leaves
 
 
-def _sequence_inputs(tape, rng, batch=3, tau=3, n_in=3, hidden=4):
+def _sequence_inputs(tape, rng, batch=3, steps=3, n_in=3, hidden=4):
     """Three sequences of three steps from a nonzero h0."""
-    leaves = _leaves(tape, rng, [("xs", (batch * tau, n_in)),
+    leaves = _leaves(tape, rng, [("xs", (batch * steps, n_in)),
                                  ("h0", (batch, hidden))]
                      + _gru_parts(n_in, hidden))
     return leaves, leaves
@@ -759,20 +759,17 @@ FUSED = {
     "gru_sequence": (dc.gru_sequence, oracles.gru_sequence_chain,
                      _sequence_inputs),
     "gru_decoder": (dc.gru_decoder, oracles.gru_decoder_chain,
-                    lambda tape, rng: _decoder_inputs(tape, rng, False)),
+                    lambda tape, rng, **shape: _decoder_inputs(tape, rng, False,
+                                                               **shape)),
     "gru_decoder_ego": (dc.gru_decoder, oracles.gru_decoder_chain,
-                        lambda tape, rng: _decoder_inputs(tape, rng, True)),
+                        lambda tape, rng, **shape: _decoder_inputs(tape, rng, True,
+                                                                   **shape)),
 }
 
 
-@pytest.mark.parametrize("label", FUSED)
-def test_fused_kernels_match_finite_differences(label):
+def _assert_matches_finite_differences(fused, tape, args, rng):
     # The loss is scaled so that adjoints are well above 1, where
     # grad_check's 1e-4 tolerance acts as a relative one.
-    fused, _, build = FUSED[label]
-    tape = Tape()
-    rng = Xoshiro256(31)
-    args, leaves = build(tape, rng)
     weights = rng.uniforms(fused(*args).shape, -1.0, 1.0)
     tape.reset()
     loss = lambda: dc.mul(_weighted(fused(*args), weights), 1000.0)
@@ -781,12 +778,7 @@ def test_fused_kernels_match_finite_differences(label):
     assert report.max_rel_error < 1e-4
 
 
-@pytest.mark.parametrize("label", FUSED)
-def test_fused_kernels_match_primitive_chain(label):
-    fused, reference, build = FUSED[label]
-    tape = Tape()
-    rng = Xoshiro256(37)
-    args, leaves = build(tape, rng)
+def _assert_matches_primitive_chain(label, fused, reference, tape, args, leaves, rng):
     weights = rng.uniforms(fused(*args).shape, -1.0, 1.0)
     results = []
     for op in (fused, reference):
@@ -802,7 +794,62 @@ def test_fused_kernels_match_primitive_chain(label):
                                    err_msg=f"{label} adjoint of {leaf.name}")
 
 
-@pytest.mark.parametrize("label", ["gru_sequence", "gru_decoder", "gru_decoder_ego"])
+@pytest.mark.parametrize("label", FUSED)
+def test_fused_kernels_match_finite_differences(label):
+    fused, _, build = FUSED[label]
+    tape = Tape()
+    rng = Xoshiro256(31)
+    args, _ = build(tape, rng)
+    _assert_matches_finite_differences(fused, tape, args, rng)
+
+
+@pytest.mark.parametrize("label", FUSED)
+def test_fused_kernels_match_primitive_chain(label):
+    fused, reference, build = FUSED[label]
+    tape = Tape()
+    rng = Xoshiro256(37)
+    args, leaves = build(tape, rng)
+    _assert_matches_primitive_chain(label, fused, reference, tape, args, leaves, rng)
+
+
+# The GRU kernels, and the edges of their step-major loops: one sample,
+# one step.  At batch 1 the decoder's state embed has 3 relu units; this
+# seed keeps one of them live, so the state embed gets an adjoint to
+# compare.
+GRU_KERNELS = ["gru_sequence", "gru_decoder", "gru_decoder_ego"]
+EDGE_SEED = 41
+
+
+@pytest.mark.parametrize("batch, steps", [(1, 3), (3, 1), (1, 1)])
+@pytest.mark.parametrize("label", GRU_KERNELS)
+def test_gru_kernels_match_finite_differences_at_the_edges(label, batch, steps):
+    fused, _, build = FUSED[label]
+    tape = Tape()
+    rng = Xoshiro256(EDGE_SEED)
+    args, _ = build(tape, rng, batch=batch, steps=steps)
+    _assert_matches_finite_differences(fused, tape, args, rng)
+
+
+@pytest.mark.parametrize("batch, steps", [(1, 3), (3, 1), (1, 1)])
+@pytest.mark.parametrize("label", GRU_KERNELS)
+def test_gru_kernels_match_primitive_chain_at_the_edges(label, batch, steps):
+    fused, reference, build = FUSED[label]
+    tape = Tape()
+    rng = Xoshiro256(EDGE_SEED)
+    args, leaves = build(tape, rng, batch=batch, steps=steps)
+    _assert_matches_primitive_chain(label, fused, reference, tape, args, leaves, rng)
+    # a second backward of the same recording adds the same adjoints
+    # again: no backward writes into the records it reads
+    weights = rng.uniforms(fused(*args).shape, -1.0, 1.0)
+    tape.reset()
+    loss = _weighted(fused(*args), weights)
+    tape.backward(loss)
+    once = tape.grads.copy()
+    tape.backward(loss)
+    np.testing.assert_array_equal(tape.grads, 2.0 * once)
+
+
+@pytest.mark.parametrize("label", GRU_KERNELS)
 def test_gru_kernels_read_gate_blocks_as_views_of_the_leaves(label, monkeypatch):
     # a per-call copy of the gate weights or bias would fail here
     fused, _, build = FUSED[label]
@@ -810,10 +857,10 @@ def test_gru_kernels_read_gate_blocks_as_views_of_the_leaves(label, monkeypatch)
     args, leaves = build(tape, Xoshiro256(97))
     w, b = (leaf for leaf in leaves if leaf.name in ("weight", "bias"))
     calls = {}
-    for name in ("_gru_operands", "_gru_forward", "_gru_backward"):
-        def spy(*operands, original=getattr(dc, name), name=name):
+    for name in ("_gru_operands", "_gru_forward", "_gru_bptt"):
+        def spy(*operands, original=getattr(dc, name), name=name, **options):
             calls.setdefault(name, []).append(operands)
-            out = original(*operands)
+            out = original(*operands, **options)
             if name == "_gru_operands":
                 calls["blocks"] = out[1][:4]
             return out
@@ -823,10 +870,11 @@ def test_gru_kernels_read_gate_blocks_as_views_of_the_leaves(label, monkeypatch)
     hidden = w.shape[0] // 3
     assert w_x.shape == (3 * hidden, w.shape[1] - hidden)
     assert w_zr.shape == (2 * hidden, hidden) and w_c.shape == (hidden, hidden)
-    assert len(calls["_gru_forward"]) == len(calls["_gru_backward"]) == 3
+    # one gate forward per step, one backpropagation through all of them
+    assert len(calls["_gru_forward"]) == 3 and len(calls["_gru_bptt"]) == 1
     views = [w_x, w_zr, w_c]
     views += [block for call in calls["_gru_forward"] for block in call[2:4]]
-    views += [block for call in calls["_gru_backward"] for block in call[2:4]]
+    views += [block for call in calls["_gru_bptt"] for block in call[4:6]]
     assert all(np.shares_memory(view, w.value) for view in views)
     assert np.shares_memory(bias, b.value)
     # the adjoints were added in place, into the tape's flat buffer
@@ -834,7 +882,27 @@ def test_gru_kernels_read_gate_blocks_as_views_of_the_leaves(label, monkeypatch)
     assert np.shares_memory(b.grad, tape.grads) and np.any(b.grad != 0.0)
 
 
-@pytest.mark.parametrize("label", ["gru_sequence", "gru_decoder", "gru_decoder_ego"])
+@pytest.mark.parametrize("label", GRU_KERNELS)
+def test_gru_kernels_keep_no_record_under_no_grad(label, monkeypatch):
+    # under no_grad a kernel returns the bare array and never reaches the
+    # recording entry point, so it builds no backward and keeps no record
+    fused, _, build = FUSED[label]
+    tape = Tape()
+    args, _ = build(tape, Xoshiro256(97))
+    recorded = fused(*args).value
+    tape.reset()
+
+    def refuse(*_):
+        raise AssertionError("a kernel under no_grad reached _emit")
+
+    monkeypatch.setattr(dc, "_emit", refuse)
+    with tape.no_grad():
+        out = fused(*args)
+    assert type(out) is np.ndarray and not tape._ops
+    assert out.tobytes() == recorded.tobytes()
+
+
+@pytest.mark.parametrize("label", GRU_KERNELS)
 def test_gru_kernels_stay_bounded_at_extreme_pre_activations(label):
     # inputs and weights scaled by 1e3 drive every gate deep into
     # saturation, where an unguarded exp overflows; a RuntimeWarning fails

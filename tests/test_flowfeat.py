@@ -52,7 +52,7 @@ def test_expand_roi_clips_scaled_corners_at_image_edge():
 
 def test_expand_roi_rejects_bad_inputs():
     boxes = np.array([[100.0, 100.0, 40.0, 20.0]])
-    for factor in (0.5, 0.999, float("inf"), float("nan")):
+    for factor in (0.5, 0.999, float("inf"), float("nan"), "2", None):
         with pytest.raises(ValidationError,
                            match="expansion factor must be finite and >= 1"):
             expand_roi(boxes, factor, 1280, 640)

@@ -536,6 +536,12 @@ def test_training_validates_inputs():
     with pytest.raises(ValidationError,
                        match="learning rate must be positive, got True"):
         train_model(cfg, samples, epochs=1, lr=True)
+    # a string or None is refused before the empty dataset, not by a
+    # TypeError from math.isfinite
+    for lr in ("1", None):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"learning rate must be positive, got {lr!r}")):
+            train_model(cfg, [], lr=lr)
     # ModelConfig's integer rule: an int, not a float or a bool, from a least value
     for name, value, least in (("epochs", 2.5, 0), ("epochs", True, 0),
                                ("batch_size", 2.5, 1), ("batch_size", True, 1)):
