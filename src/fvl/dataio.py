@@ -619,25 +619,28 @@ def read_dataset(path) -> list[Sample]:
 # per track), `ego.txt` (see egomotion), and the flow's source: the
 # generator writes `scenario.scn`, from which a reader renders any pixel,
 # while flow from outside the generator comes as `flow/NNNNNN.ffgr` grids
-# (see flowfeat) in a directory without one.  `meta` and scenario `.scn`
-# files share one parser, `read_key_values`, and one comment rule: `#`
-# starts a comment anywhere.
+# (see flowfeat) in a directory without one.  `meta`, scenario `.scn`
+# files and the checkpoint header (see fvlmodel) share one parser,
+# `read_key_values`: `#` starts a comment anywhere, and a refusal names
+# the file and line and, for a value that does not parse, its key.
 
 
-def read_key_values(path, keys, sections=None) -> dict:
-    """Parse `key=value` lines into a dict of strings.
+def read_key_values(path, lines, keys, sections=None) -> dict:
+    """Parse `path`'s `key=value` text, given as (line number, line) pairs.
 
-    `keys` maps each key the file may set to whether it must.  `#` starts
-    a comment.  A `[name]` line opens a section when `sections` maps
-    `name` to its own keys; each section's dict is appended to a list
-    under `name`.  A malformed line, or an unknown, repeated or missing
-    key, raises DataFormatError naming the file and line.
+    `keys` maps each key to `(parse, default)`; a key left out takes its
+    default, and `MISSING` marks a required key.  `#` starts a comment.  A
+    `[name]` line opens a section when `sections` maps `name` to its own
+    keys; each section's values are appended to a list under `name`.  A
+    malformed line, an unknown or repeated key, or a ValueError from `parse`
+    raises DataFormatError naming the file and line (a missing key: the file
+    or its section's header line).
     """
     sections = sections or {}
     result = {name: [] for name in sections}
     # (where, label, keys, values) for the top level, then each section
     blocks = [(str(path), "top-level", keys, result)]
-    for lineno, raw in text_lines(path):
+    for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -654,40 +657,38 @@ def read_key_values(path, keys, sections=None) -> dict:
             raise DataFormatError(f"{path}:{lineno}: unknown {label} key {key!r}")
         if key in values:
             raise DataFormatError(f"{path}:{lineno}: repeated {label} key {key!r}")
-        values[key] = value
+        try:
+            values[key] = known[key][0](value)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{path}:{lineno}: {label} key {key!r}: {exc}") from None
     for where, label, known, values in blocks:
-        missing = [key for key, required in known.items()
-                   if required and key not in values]
+        for key, (_, default) in known.items():
+            values.setdefault(key, default)
+        missing = [key for key, value in values.items() if value is MISSING]
         if missing:
             raise DataFormatError(f"{where}: {label} is missing {', '.join(missing)}")
     return result
 
 
-# key -> (parse, default); None marks a required key
-_META_FIELDS = {"width": (int, None), "height": (int, None),
-                "frames": (int, None), "fps": (float, 10.0),
-                "tau": (int, 10), "delta": (int, 10)}
-
-
-def _read_meta(path: Path) -> dict:
-    """The video meta fields, each parsed and checked to be positive
-    (and, for fps, finite)."""
-    raw = read_key_values(path, {key: default is None
-                                 for key, (_, default) in _META_FIELDS.items()})
-    meta = {}
-    for key, (parse, default) in _META_FIELDS.items():
-        if key not in raw:
-            meta[key] = default
-            continue
+def _positive(parse):
+    """`parse`, refusing a value that is not positive and finite."""
+    def parse_positive(text: str):
         try:
-            meta[key] = parse(raw[key])
-            if not 0 < meta[key] < math.inf:
-                raise ValueError
+            value = parse(text)
         except ValueError:
-            kind = "integer" if parse is int else "finite number"
-            raise DataFormatError(
-                f"{path}: {key} must be a positive {kind}, got {raw[key]!r}") from None
-    return meta
+            value = 0
+        if 0 < value < math.inf:
+            return value
+        kind = "integer" if parse is int else "finite number"
+        raise ValueError(f"must be a positive {kind}, got {text!r}")
+    return parse_positive
+
+
+# key -> (parse, default)
+_META_FIELDS = {"width": (_positive(int), MISSING), "height": (_positive(int), MISSING),
+                "frames": (_positive(int), MISSING), "fps": (_positive(float), 10.0),
+                "tau": (_positive(int), 10), "delta": (_positive(int), 10)}
 
 
 def write_video_dir(video: VideoData, path, tau: int = 10, delta: int = 10) -> None:
@@ -794,7 +795,7 @@ def _render_scenario(path: Path, meta: dict, ego_steps, tracks) -> VideoData:
 
 def read_video_dir(path) -> LoadedVideo:
     path = Path(path)
-    meta = _read_meta(path / "meta")
+    meta = read_key_values(path / "meta", text_lines(path / "meta"), _META_FIELDS)
     ego_steps = read_ego_log(path / "ego.txt")
     if len(ego_steps) != meta["frames"] - 1:
         raise DataFormatError(
@@ -848,43 +849,41 @@ def read_video_dir(path) -> LoadedVideo:
 # a comma-separated list with one entry per frame transition.
 
 
-# top-level key -> parse; the camera keys are CameraSpec's fields
-_SCENARIO_KEYS = {"frames": int, "width": int, "height": int, "fps": float,
-                  "ego_yaw_rate": str, "ego_speed": str,
-                  **{f.name: float for f in fields(CameraSpec)}}
-# rate-list key -> Scenario field
-_RATE_KEYS = {"ego_yaw_rate": "ego_yaw_rates", "ego_speed": "ego_speeds"}
-# actor key -> whether an [actor] must set it
-_ACTOR_KEYS = {f.name: f.default is MISSING for f in fields(ActorSpec)}
-
-
-def _parse_rate_list(text: str, what: str):
+def _parse_rate_list(text: str):
     """A comma-separated list's floats, or its one float; `Scenario` sizes it."""
     parts = text.split(",")
     if not all(p.strip() for p in parts):
-        raise DataFormatError(f"{what} has an empty entry in {text!r}")
+        raise ValueError(f"empty entry in {text!r}")
     values = [float(p) for p in parts]
     return values[0] if len(values) == 1 else values
+
+
+# top-level key -> (parse, default): Scenario's fields, with `ego_yaw_rate`
+# and `ego_speed` for its rate lists, then CameraSpec's fields
+_SCENARIO = {f.name: f.default for f in fields(Scenario)}
+_SCENARIO_KEYS = {
+    "frames": (int, MISSING),
+    **{k: (type(_SCENARIO[k]), _SCENARIO[k]) for k in ("width", "height", "fps")},
+    "ego_yaw_rate": (_parse_rate_list, _SCENARIO["ego_yaw_rates"]),
+    "ego_speed": (_parse_rate_list, _SCENARIO["ego_speeds"]),
+    **{f.name: (float, f.default) for f in fields(CameraSpec)},
+}
 
 
 def read_scenario_file(path) -> Scenario:
     """Parse a scenario file.  A key that is not set takes the default of
     its :class:`Scenario`, :class:`CameraSpec` or :class:`ActorSpec`
-    field; an unknown or repeated key is a DataFormatError."""
-    top = read_key_values(path, {key: key == "frames" for key in _SCENARIO_KEYS},
-                          {"actor": _ACTOR_KEYS})
-    actors = top.pop("actor")
+    field; an unknown or repeated key, or a value that does not parse, is
+    a DataFormatError naming its line."""
+    top = read_key_values(path, text_lines(path), _SCENARIO_KEYS, {
+        "actor": {f.name: (float, f.default) for f in fields(ActorSpec)}})
     try:
-        values = {key: _SCENARIO_KEYS[key](text) for key, text in top.items()}
-        camera = CameraSpec(**{f.name: values.pop(f.name)
-                               for f in fields(CameraSpec) if f.name in values})
-        for key, name in _RATE_KEYS.items():
-            if key in values:
-                values[name] = _parse_rate_list(values.pop(key), key)
-        specs = tuple(ActorSpec(**{key: float(text) for key, text in actor.items()})
-                      for actor in actors)
-        return Scenario(camera=camera, actors=specs, **values)
-    except (ValueError, ValidationError) as exc:
+        camera = CameraSpec(**{f.name: top.pop(f.name) for f in fields(CameraSpec)})
+        actors = tuple(ActorSpec(**actor) for actor in top.pop("actor"))
+        return Scenario(camera=camera, actors=actors,
+                        ego_yaw_rates=top.pop("ego_yaw_rate"),
+                        ego_speeds=top.pop("ego_speed"), **top)
+    except ValidationError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
 

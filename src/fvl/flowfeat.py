@@ -208,6 +208,9 @@ def read_flow_pixels(path, pixels=..., width=None, height=None) -> np.ndarray:
         if len(head) < 12:
             raise DataFormatError(f"{path}: truncated header at offset {len(head)}")
         file_width, file_height = struct.unpack_from("<II", head, 4)
+        if not file_width or not file_height:
+            raise DataFormatError(f"{path}: header holds a {file_width}x"
+                                  f"{file_height} grid, which has no pixels")
         if width is not None and (file_width, file_height) != (width, height):
             raise DataFormatError(
                 f"{path}: header holds a {file_width}x{file_height} grid, "

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import diffcore as dc
-from .dataio import Sample
+from .dataio import Sample, read_key_values
 from .diffcore import DiffArray, GradCheckReport, Tape, grad_check
 from .errors import DataFormatError, NumericFailure, ValidationError, require_int
 from .nnkit import (Adam, GruCell, Projection, init_fan_in, load_params, mse_loss,
@@ -421,7 +421,8 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
 # --- checkpoints ---------------------------------------------------------------
 #
 # A checkpoint is one nnkit weight file whose header holds the ModelConfig
-# as `key=value` lines, one per field in order, so it describes its model.
+# as `key=value` lines, read by `dataio.read_key_values`: any key order,
+# `#` comments, every field required, each value typed as its default.
 
 
 def save_model(path, config: ModelConfig, params) -> None:
@@ -432,15 +433,11 @@ def save_model(path, config: ModelConfig, params) -> None:
 def load_model(path) -> BoxForecaster:
     """Rebuild a forecaster from save_model output, verifying shapes."""
     header, params = load_params(path)
-    lines = [line.partition("=") for line in header.splitlines()]
-    keys = [key for key, _, _ in lines]
-    if keys != [f.name for f in fields(ModelConfig)]:
-        raise DataFormatError(f"{path}: header keys {keys} are not ModelConfig's")
-    # each value parses as the type of its field's default
+    values = read_key_values(path, enumerate(header.splitlines(), start=1), {
+        f.name: (type(f.default), MISSING) for f in fields(ModelConfig)})
     try:
-        config = ModelConfig(**{f.name: type(f.default)(value) for f, (_, _, value)
-                                in zip(fields(ModelConfig), lines)})
-    except (ValueError, ValidationError) as exc:
+        config = ModelConfig(**values)
+    except ValidationError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     return BoxForecaster(config, params=params)
 

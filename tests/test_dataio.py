@@ -1069,7 +1069,9 @@ def test_video_dir_meta_defaults_optional_keys(tmp_path):
 def test_video_dir_meta_rejects_bad_values(tmp_path, key, value):
     meta = {**GOOD_META, key: value}
     (tmp_path / "meta").write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
-    with pytest.raises(DataFormatError, match=f"meta: {key} must be a positive"):
+    line = list(meta).index(key) + 1
+    with pytest.raises(DataFormatError,
+                       match=f"meta:{line}: top-level key '{key}': must be a positive"):
         read_video_dir(tmp_path)
 
 
@@ -1273,7 +1275,7 @@ def test_scenario_file_errors(tmp_path):
     with pytest.raises(DataFormatError, match="bad.scn:2"):
         read_scenario_file(path)
     path.write_text("frames=6\n[actor]\nx=1\nz=0\nheading=oops\nspeed=1\n")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match=r"bad.scn:5: \[actor\] key 'heading': "):
         read_scenario_file(path)
     # unknown and repeated keys name the line; before, a misspelt key
     # silently left its field at the default (a parked ego, accel 0)
@@ -1311,9 +1313,9 @@ def test_scenario_file_rejects_non_finite_or_empty_ego_plan_entries(tmp_path):
             ("frames=4\nego_yaw_rate=0.1,nan,0.1\n",
              "bad.scn: ego_yaw_rates must be finite, got nan at step 1"),
             ("frames=4\nego_speed=0.5,,0.6,0.7\n",
-             "bad.scn: ego_speed has an empty entry in '0.5,,0.6,0.7'"),
+             "bad.scn:2: top-level key 'ego_speed': empty entry in '0.5,,0.6,0.7'"),
             ("frames=4\nego_yaw_rate=0.1,0.2,0.3,\n",
-             "bad.scn: ego_yaw_rate has an empty entry in '0.1,0.2,0.3,'"),
+             "bad.scn:2: top-level key 'ego_yaw_rate': empty entry in '0.1,0.2,0.3,'"),
             # a list holds one value or one per frame transition
             ("frames=4\nego_speed=0.4,0.5\n", re.escape(
                 "bad.scn: ego_speeds needs 3 entries (frames - 1), got shape (2,)"))]:

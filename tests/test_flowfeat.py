@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fvl.dataio import ActorSpec, CameraSpec, Scenario, generate_scenario
 from fvl.errors import DataFormatError, ValidationError
-from fvl.flowfeat import (PooledFlow, expand_roi, lattice_pool,
+from fvl.flowfeat import (FLOW_MAGIC, PooledFlow, expand_roi, lattice_pool,
                           read_flow_grid, read_flow_pixels, roi_pool,
                           write_flow_grid)
 from fvl.rng import Xoshiro256
@@ -286,6 +286,16 @@ def test_flow_file_round_trip(tmp_path):
     write_flow_grid(path, loaded)
     again = read_flow_grid(path)
     np.testing.assert_array_equal(again, loaded)
+
+
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (3, 0)])
+def test_flow_file_with_no_pixels_is_refused(tmp_path, width, height):
+    # as write_flow_grid refuses to write one
+    path = tmp_path / "000000.ffgr"
+    path.write_bytes(FLOW_MAGIC + struct.pack("<II", width, height))
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"000000.ffgr: header holds a {width}x{height} grid, which has no pixels")):
+        read_flow_grid(path)
 
 
 def test_interrupted_flow_file_write_keeps_the_previous_file(tmp_path, monkeypatch):

@@ -759,24 +759,45 @@ def test_checkpoint_mismatches_are_rejected(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("old, new, why", [
-    ("hidden=6", "hiden=6", "header keys"),                      # unknown
-    ("embed=5\n", "", "header keys"),                            # missing
-    ("tau=3\n", "tau=3\ntau=3\n", "header keys"),                # repeated
-    ("hidden=6\nembed=5", "embed=5\nhidden=6", "header keys"),   # reordered
-    ("variant=xoe", "# a comment\nvariant=xoe", "header keys"),
-    ("hidden=6", "hidden 6", "header keys"),
-    ("hidden=6", "hidden=six", "invalid literal"),
-    ("pooled_dim=8", "pooled_dim=9", "pooled_dim must be 2 n"),
+def _header_edit(old, new, kind, message):
+    """One header edit, named by its text and its kind; `message` is the
+    refusal's, or None for an edit the key=value syntax allows."""
+    return pytest.param(old, new, message, id=f"{old}-{new}-{kind}")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    _header_edit("hidden=6", "hiden=6", "header keys",
+                 "model.fvlw:2: unknown top-level key 'hiden'"),
+    _header_edit("embed=5\n", "", "header keys",
+                 "model.fvlw: top-level is missing embed"),
+    _header_edit("tau=3\n", "tau=3\ntau=3\n", "header keys",
+                 "model.fvlw:5: repeated top-level key 'tau'"),
+    _header_edit("hidden=6\nembed=5", "embed=5\nhidden=6", "header keys", None),
+    _header_edit("variant=xoe", "# a comment\nvariant=xoe", "header keys", None),
+    _header_edit("hidden=6", "hidden 6", "header keys",
+                 "model.fvlw:2: expected key=value, got 'hidden 6'"),
+    _header_edit("hidden=6", "hidden=six", "invalid literal",
+                 "model.fvlw:2: top-level key 'hidden': invalid literal for int"),
+    _header_edit("pooled_dim=8", "pooled_dim=9", "pooled_dim must be 2 n",
+                 "model.fvlw: pooled_dim must be 2 n"),
 ])
-def test_checkpoint_header_is_read_strictly(tmp_path, old, new, why):
+def test_checkpoint_header_is_read_strictly(tmp_path, old, new, message):
+    # the header is read like a video's meta: a reordered header or one
+    # with a comment loads the same config, and a refusal names the line
     cfg = small_config()
     path = tmp_path / "model.fvlw"
-    save_model(path, cfg, BoxForecaster(cfg, seed=13).parameter_values())
+    values = BoxForecaster(cfg, seed=13).parameter_values()
+    save_model(path, cfg, values)
     header, _ = load_params(path)
     set_header(path, header.replace(old, new))
-    with pytest.raises(DataFormatError, match=f"model.fvlw: .*{why}"):
-        load_model(path)
+    if message is not None:
+        with pytest.raises(DataFormatError, match=message):
+            load_model(path)
+        return
+    loaded = load_model(path)
+    assert loaded.config == cfg
+    for name, value in values.items():
+        assert np.array_equal(loaded.params[name].value, value)
 
 
 def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 load or raise DataFormatError, and no reader decodes text on its own."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fvl
+from fvl.cli import main
 from fvl.dataio import (ActorSpec, CameraSpec, Scenario, generate_scenario,
                         read_dataset, read_scenario_file, read_video_dir,
                         windows_from_video, write_dataset, write_scenario_file,
                         write_video_dir)
 from fvl.errors import DataFormatError, text_lines
+from fvl.fvlmodel import BoxForecaster, ModelConfig, load_model, save_model
+from fvl.nnkit import load_params, save_params
 
 SRC = Path(fvl.__file__).parent
 
@@ -68,6 +72,74 @@ def test_damaged_text_file_loads_or_raises_data_format_error(text_files, name,
         pass
     finally:
         path.write_bytes(original)
+
+
+# key=value text -> (the required key each fault edits, the section that
+# holds it)
+KEY_VALUE_TEXTS = {"meta": ("height", None), ".scn": ("frames", None),
+                   ".scn [actor]": ("z", "[actor]"), "header": ("hidden", None)}
+
+
+def _key_value_text(root: Path, text: str):
+    """(file, its lines, a loader, the CLI arguments that read it) for one
+    small valid file of a key=value text, written under `root`."""
+    scenario = Scenario(frames=4, camera=CameraSpec(focal=250.0, ppx=40.0, ppy=20.0),
+                        width=80, height=40,
+                        actors=(ActorSpec(x=12.0, z=0.0, heading=0.0, speed=0.0),))
+    if text == "meta":
+        video = root / "tree" / "video"
+        write_video_dir(generate_scenario(scenario), video, tau=2, delta=1)
+        return (video / "meta", (video / "meta").read_text().splitlines(),
+                lambda: read_video_dir(video),
+                ["train", "--dataset", str(root / "tree"), "--out", str(root / "m")])
+    if text == "header":
+        path = root / "model.fvlw"
+        config = ModelConfig(variant="x", hidden=3, embed=2, tau=2, delta=1)
+        save_model(path, config, BoxForecaster(config, seed=1).parameter_values())
+        return (path, load_params(path)[0].splitlines(), lambda: load_model(path),
+                ["evaluate", str(path), "--dataset", str(root)])
+    path = root / "clip.scn"
+    write_scenario_file(path, scenario)
+    return (path, path.read_text().splitlines(), lambda: read_scenario_file(path),
+            ["generate", str(path), "--out", str(root / "out")])
+
+
+@pytest.mark.parametrize("fault", ["no '='", "unknown key", "repeated key",
+                                   "missing key", "bad value"])
+@pytest.mark.parametrize("text", list(KEY_VALUE_TEXTS))
+def test_key_value_faults_name_the_file_and_line(tmp_path, capsys, text, fault):
+    # meta, .scn files and checkpoint headers share one reader, so each
+    # fault is refused the same way in each; a value also names its key
+    path, lines, load, command = _key_value_text(tmp_path, text)
+    key, section = KEY_VALUE_TEXTS[text]
+    at = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key}="))
+    label = section or "top-level"
+    if fault == "no '='":
+        lines[at - 1] = f"{key} {lines[at - 1].split('=')[1]}"
+        message = f"{path.name}:{at}: expected key=value"
+    elif fault == "unknown key":
+        lines.insert(at, "colour=red")
+        message = f"{path.name}:{at + 1}: unknown {label} key 'colour'"
+    elif fault == "repeated key":
+        lines.insert(at, lines[at - 1])
+        message = f"{path.name}:{at + 1}: repeated {label} key '{key}'"
+    elif fault == "missing key":
+        del lines[at - 1]
+        # a section's missing key names its header line
+        where = f":{lines.index(section) + 1}" if section else ""
+        message = f"{path.name}{where}: {label} is missing {key}"
+    else:
+        lines[at - 1] = f"{key}=oops"
+        message = f"{path.name}:{at}: {label} key '{key}': "
+    if text == "header":
+        save_params(path, load_params(path)[1], "\n".join(lines) + "\n")
+    else:
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load()
+    if fault == "bad value":
+        assert main(command) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_text_lines_rejects_bytes_that_are_not_utf8(tmp_path):
