@@ -57,8 +57,8 @@ import numpy as np
 
 from .egomotion import _ego_log_text, compose, read_ego_log, rotation_matrix, \
     wrap_angle
-from .errors import DataFormatError, ValidationError, require_int, text_lines, \
-    write_atomic
+from .errors import (DataFormatError, ValidationError, is_real, require_int, text_lines,
+                     write_atomic)
 from .flowfeat import (PooledFlow, _clip, _require_expansion, expand_roi,
                        lattice_pool, read_flow_pixels)
 from .rng import Xoshiro256
@@ -167,19 +167,23 @@ class Sample:
         return len(self.future)
 
 
+# an image side is a positive int that an FFGR header's u32 holds
+MAX_IMAGE_SIDE = 2**32 - 1
+
+
 def _require_image_dims(owner) -> None:
-    """Refuse a `width` or `height` that is not a positive int (a bool is
-    not), so that a video meta holding it reads back."""
+    """Refuse a `width` or `height` that breaks the image side rule (a
+    bool is not an int), so that a video meta holding it reads back."""
     for key in ("width", "height"):
-        require_int(f"image {key}", getattr(owner, key), 1)
+        require_int(f"image {key}", getattr(owner, key), 1, MAX_IMAGE_SIDE)
 
 
 def _require_finite(spec) -> None:
-    """Reject a camera or actor with a non-finite field."""
+    """Reject a camera or actor with a field that is not a finite real."""
     for f in fields(spec):
-        if not math.isfinite(getattr(spec, f.name)):
+        if not is_real(getattr(spec, f.name)):
             raise ValidationError(f"{type(spec).__name__} {f.name} must be "
-                                  f"finite, got {getattr(spec, f.name)}")
+                                  f"finite, got {getattr(spec, f.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -244,8 +248,8 @@ class Scenario:
     def __post_init__(self):
         require_int("frames", self.frames, 2)
         _require_image_dims(self)
-        if not 0 < self.fps < math.inf:
-            raise ValidationError(f"fps must be positive and finite, got {self.fps}")
+        if not (is_real(self.fps) and self.fps > 0):
+            raise ValidationError(f"fps must be positive and finite, got {self.fps!r}")
         steps = self.frames - 1
         for name in ("ego_yaw_rates", "ego_speeds"):
             raw = np.asarray(getattr(self, name), dtype=np.float64)
@@ -671,22 +675,26 @@ def read_key_values(path, lines, keys, sections=None) -> dict:
     return result
 
 
-def _positive(parse):
-    """`parse`, refusing a value that is not positive and finite."""
+def _positive(parse, most=math.inf):
+    """`parse`, refusing a value that is not positive and finite or is
+    above `most`."""
     def parse_positive(text: str):
         try:
             value = parse(text)
         except ValueError:
             value = 0
-        if 0 < value < math.inf:
-            return value
-        kind = "integer" if parse is int else "finite number"
-        raise ValueError(f"must be a positive {kind}, got {text!r}")
+        if not 0 < value < math.inf:
+            kind = "integer" if parse is int else "finite number"
+            raise ValueError(f"must be a positive {kind}, got {text!r}")
+        if value > most:
+            raise ValueError(f"must be at most {most}, got {text!r}")
+        return value
     return parse_positive
 
 
 # key -> (parse, default)
-_META_FIELDS = {"width": (_positive(int), MISSING), "height": (_positive(int), MISSING),
+_META_FIELDS = {"width": (_positive(int, MAX_IMAGE_SIDE), MISSING),
+                "height": (_positive(int, MAX_IMAGE_SIDE), MISSING),
                 "frames": (_positive(int), MISSING), "fps": (_positive(float), 10.0),
                 "tau": (_positive(int), 10), "delta": (_positive(int), 10)}
 
@@ -955,9 +963,9 @@ def random_scenario(seed: int, frames: int = 40, max_yaw_rate_rps: float = 0.3,
 
 def split_videos(video_ids, train_fraction: float, seed: int):
     """Deterministic 70/30-style split at video granularity."""
-    if not 0.0 < train_fraction < 1.0:
+    if not (is_real(train_fraction) and 0.0 < train_fraction < 1.0):
         raise ValidationError(
-            f"train fraction must be in (0, 1), got {train_fraction}")
+            f"train fraction must be in (0, 1), got {train_fraction!r}")
     ids = sorted(video_ids)
     if not ids:
         raise ValidationError("cannot split an empty video list")

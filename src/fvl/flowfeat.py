@@ -21,8 +21,6 @@ center clamp to the border pixel.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -30,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, require_int, write_atomic
+from .errors import DataFormatError, ValidationError, is_real, require_int, write_atomic
 
 __all__ = [
     "PooledFlow",
@@ -67,10 +65,9 @@ class PooledFlow:
 
 
 def _require_expansion(factor) -> None:
-    """Refuse an ROI growth `factor` that is not a real number, is a bool,
-    or is not finite and at least 1."""
-    if (isinstance(factor, bool) or not isinstance(factor, numbers.Real)
-            or not (math.isfinite(factor) and factor >= 1.0)):
+    """Refuse an ROI growth `factor` that is not a finite real number of
+    at least 1."""
+    if not (is_real(factor) and factor >= 1.0):
         raise ValidationError(f"expansion factor must be finite and >= 1, got {factor}")
 
 

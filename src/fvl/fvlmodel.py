@@ -24,7 +24,6 @@ training run bit-for-bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from . import diffcore as dc
 from .dataio import Sample, read_key_values
 from .diffcore import DiffArray, GradCheckReport, Tape, grad_check
-from .errors import DataFormatError, NumericFailure, ValidationError, require_int
+from .errors import DataFormatError, NumericFailure, ValidationError, is_real, require_int
 from .nnkit import (Adam, GruCell, Projection, init_fan_in, load_params, mse_loss,
                     save_params)
 from .rng import Xoshiro256
@@ -126,15 +125,15 @@ class Prediction:
 class TrainResult:
     """Outcome of one training run.
 
-    `params` are the weights after the last update; `best_params` are the
-    snapshot with the lowest held-out pixel ADE (equal to `params` when
-    no epochs ran).  Losses are per-epoch means of the batch MSE in
-    normalized units; `val_ades` is nan-filled when the dataset was too
-    small to hold anything out.
+    `params` are the flat weight vector after the last update and
+    `best_params` the one with the lowest held-out pixel ADE (equal to
+    `params` when no epochs ran).  Losses are per-epoch means of the batch
+    MSE in normalized units; `val_ades` is nan-filled when the dataset was
+    too small to hold anything out.
     """
 
-    params: dict
-    best_params: dict
+    params: np.ndarray
+    best_params: np.ndarray
     best_epoch: int
     train_losses: tuple
     val_ades: tuple
@@ -147,8 +146,9 @@ class BoxForecaster:
 
     The layers register their leaves in construction order, and the
     weights are then drawn from `seed` as one block in that order, so the
-    initial state is a pure function of (config, seed).  Pass `params` to
-    load checkpoint values instead; then no weights are drawn.
+    initial state is a pure function of (config, seed).  Pass `params`, a
+    flat vector as `parameter_values` gives, to load it; then no weights
+    are drawn.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, params=None):
@@ -177,24 +177,19 @@ class BoxForecaster:
         """Every parameter leaf by name, in construction order."""
         return self.tape.params
 
-    def parameter_values(self) -> dict[str, np.ndarray]:
-        return {name: p.value.copy() for name, p in self.params.items()}
+    def parameter_values(self) -> np.ndarray:
+        """A copy of the flat parameter vector, the tape's value buffer."""
+        return self.tape.values.copy()
 
     def load_values(self, values) -> None:
-        params = self.params
-        missing = sorted(set(params) - set(values))
-        extra = sorted(set(values) - set(params))
-        if missing or extra:
+        """Set every parameter from a flat vector as `parameter_values` gives."""
+        values = np.asarray(values)
+        if values.shape != self.tape.values.shape:
             raise DataFormatError(
-                f"checkpoint does not fit a {self.config.variant!r} model "
-                f"(missing {missing}, unexpected {extra})")
-        for name, p in params.items():
-            arr = np.asarray(values[name], dtype=np.float64)
-            if arr.shape != p.value.shape:
-                raise DataFormatError(
-                    f"parameter {name!r}: checkpoint shape {arr.shape} does "
-                    f"not match model shape {p.value.shape}")
-            p.value[...] = arr
+                f"a {self.config.variant!r} model of this config takes a flat vector "
+                f"of {self.tape.values.size} parameter values, got {values.size} "
+                f"shaped {values.shape}")
+        self.tape.values[...] = values
 
     # --- forward passes ---------------------------------------------------
 
@@ -353,8 +348,7 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
     """
     for name, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
         require_int(name, value, least)
-    if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
-            or not (math.isfinite(lr) and lr > 0)):
+    if not (is_real(lr) and lr > 0):
         raise ValidationError(f"learning rate must be positive, got {lr!r}")
     samples = list(samples)
     if not samples:
@@ -426,20 +420,20 @@ def train_model(config: ModelConfig, samples, epochs: int = 40,
 
 
 def save_model(path, config: ModelConfig, params) -> None:
-    save_params(path, params, "".join(
+    """Write `config` and a flat parameter vector that fits its model."""
+    save_params(path, BoxForecaster(config, params=params).tape.values, "".join(
         f"{f.name}={getattr(config, f.name)}\n" for f in fields(ModelConfig)))
 
 
 def load_model(path) -> BoxForecaster:
-    """Rebuild a forecaster from save_model output, verifying shapes."""
+    """Rebuild a forecaster from save_model output; the vector must fit."""
     header, params = load_params(path)
-    values = read_key_values(path, enumerate(header.splitlines(), start=1), {
+    values = read_key_values(path, enumerate(header.split("\n"), start=1), {
         f.name: (type(f.default), MISSING) for f in fields(ModelConfig)})
     try:
-        config = ModelConfig(**values)
-    except ValidationError as exc:
+        return BoxForecaster(ModelConfig(**values), params=params)
+    except (ValidationError, DataFormatError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    return BoxForecaster(config, params=params)
 
 
 def _gradcheck_problem(config: ModelConfig, seed: int):

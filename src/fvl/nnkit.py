@@ -19,12 +19,16 @@ block of a single :class:`fvl.rng.Xoshiro256` stream, in registration
 order, each [out x in] weight row-major from U(-1/sqrt(in), +1/sqrt(in));
 biases stay zero.  That makes a model's initial state a pure function of
 its seed.
+
+Outside the tape, a model's parameters are one flat float64 vector in
+registration order, :attr:`fvl.diffcore.Tape.values`; :func:`save_params`
+writes it under a text header as an FVLW v3 file that ends with a CRC-32.
 """
 
 from __future__ import annotations
 
-import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +51,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"FVLW"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def init_fan_in(rng: Xoshiro256, leaves) -> None:
@@ -157,74 +161,52 @@ def mse_loss(pred, target):
 
 # --- checkpoint file format -------------------------------------------------
 #
-# Little-endian binary layout, version 2:
+# Little-endian binary layout, version 3:
 #   magic "FVLW" | u32 format version | u32 header length | header (utf-8)
-#   | u32 parameter count | per parameter: u16 name length | name (utf-8)
-#   | u8 rank | u32 dim per axis
-#   then every parameter's float64 values, row-major, in table order
+#   | the flat parameter vector as float64 | u32 zlib.crc32 of every earlier byte
 
 
-def save_params(path, params: dict[str, np.ndarray | DiffArray], header: str) -> None:
-    """Write an opaque text `header` and `params` as one checkpoint file,
-    atomically (see `write_atomic`)."""
-    # note: ascontiguousarray would promote 0-d arrays to 1-d
-    arrays = {name: np.asarray(p.value if isinstance(p, DiffArray) else p,
-                               dtype="<f8", order="C")
-              for name, p in params.items()}
+def save_params(path, values: np.ndarray, header: str) -> None:
+    """Write an opaque text `header` and the flat parameter vector
+    `values` as one checkpoint file, atomically (see `write_atomic`)."""
     head = header.encode("utf-8")
-    chunks = [CHECKPOINT_MAGIC + struct.pack(f"<II{len(head)}sI", CHECKPOINT_VERSION,
-                                             len(head), head, len(arrays))]
-    for name, arr in arrays.items():
-        name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}I", len(name_bytes),
-                                  name_bytes, arr.ndim, *arr.shape))
-    chunks += [arr.tobytes() for arr in arrays.values()]
-    write_atomic(path, b"".join(chunks))
+    body = (CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(head)) + head
+            + np.asarray(values, dtype="<f8").tobytes())
+    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
-def load_params(path) -> tuple[str, dict[str, np.ndarray]]:
-    """The header and the parameters of a save_params file."""
-    path = Path(path)
-    data = path.read_bytes()
+def load_params(path) -> tuple[str, np.ndarray]:
+    """The header and the flat parameter vector of a save_params file."""
+    data = Path(path).read_bytes()
 
     def fail(offset: int, why: str):
-        raise DataFormatError(f"{path}: {why} at offset {offset}")
+        raise DataFormatError(f"{path}: {why} (at offset {offset})")
 
     if data[:4] != CHECKPOINT_MAGIC:
         fail(0, f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    offset = 4
-    shapes: dict[str, tuple] = {}
+    if len(data) < 16:
+        fail(len(data), f"truncated file of {len(data)} bytes")
+    version, header_size = struct.unpack_from("<II", data, 4)
+    if version != CHECKPOINT_VERSION:
+        fail(4, f"unsupported checkpoint version {version}, expected "
+             f"{CHECKPOINT_VERSION}; retrain the model to write one")
+    end = len(data) - 4
+    (stored,) = struct.unpack_from("<I", data, end)
+    computed = zlib.crc32(memoryview(data)[:end])
+    if computed != stored:
+        fail(end, f"damaged file: CRC-32 {computed:#010x}, stored {stored:#010x}")
+    offset = 12 + header_size
+    if offset > end or (end - offset) % 8:
+        fail(8, f"header length {header_size} leaves {end - offset} payload "
+             f"bytes, not whole float64s")
     try:
-        version, header_size = struct.unpack_from("<II", data, offset)
-        if version != CHECKPOINT_VERSION:
-            fail(offset, f"unsupported checkpoint version {version}")
-        offset = 12 + header_size
         header = data[12:offset].decode("utf-8")
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        for _ in range(count):
-            (name_size,) = struct.unpack_from("<H", data, offset)
-            name = data[offset + 2:offset + 2 + name_size].decode("utf-8")
-            offset += 2 + name_size
-            (rank,) = struct.unpack_from("<B", data, offset)
-            shapes[name] = struct.unpack_from(f"<{rank}I", data, offset + 1)
-            offset += 1 + 4 * rank
-    except (struct.error, UnicodeDecodeError) as exc:
-        fail(offset, f"malformed header ({exc})")
-    # a repeated name's earlier values, if it had any, make the payload too long
-    sizes = [math.prod(dims) for dims in shapes.values()]
-    if len(data) - offset != 8 * sum(sizes):
-        fail(offset, f"payload of {len(data) - offset} bytes, the parameter "
-             f"table needs {8 * sum(sizes)}")
-    values = np.frombuffer(data, dtype="<f8", offset=offset).astype(np.float64)
-    params: dict[str, np.ndarray] = {}
-    start = 0
-    for (name, dims), size in zip(shapes.items(), sizes):
-        try:
-            params[name] = values[start:start + size].reshape(dims)
-        except ValueError as exc:  # more axes than numpy allows
-            fail(offset + 8 * start, f"parameter {name!r}: {exc}")
-        if not np.all(np.isfinite(params[name])):
-            fail(offset + 8 * start, f"non-finite value in parameter {name!r}")
-        start += size
-    return header, params
+    except UnicodeDecodeError as exc:
+        fail(12 + exc.start, f"header is not UTF-8 ({exc.reason})")
+    values = np.frombuffer(data, dtype="<f8", count=(end - offset) // 8,
+                           offset=offset).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        at = int(bad[0])
+        fail(offset + 8 * at, f"non-finite parameter value {float(values[at])}")
+    return header, values

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -524,63 +525,108 @@ def test_data_errors_exit_2(tmp_path, capsys):
 
     # a checkpoint cut inside its 12-byte prefix
     cut = tmp_path / "cut.fvlw"
-    save_params(cut, {"w": np.zeros(2)}, X_HEADER)
+    save_params(cut, np.zeros(2), X_HEADER)
     cut.write_bytes(cut.read_bytes()[:8])
     assert main(["evaluate", str(cut), "--dataset", str(bad)]) == 2
-    assert "cut.fvlw: malformed header" in capsys.readouterr().err
+    assert "cut.fvlw: truncated file of 8 bytes (at offset 8)" in capsys.readouterr().err
     # a version 1 checkpoint with its .cfg sidecar is not read; retraining
-    # writes version 2
+    # writes version 3
     old = tmp_path / "old.fvlw"
     old.write_bytes(b"FVLW" + struct.pack("<IIH", 1, 1, 1) + b"w"
                     + struct.pack("<BI", 1, 2) + bytes(16))
     Path(f"{old}.cfg").write_text(X_HEADER)
     assert main(["evaluate", str(old), "--dataset", str(bad)]) == 2
-    assert "old.fvlw: unsupported checkpoint version 1 at offset 4" in \
-        capsys.readouterr().err
+    assert ("old.fvlw: unsupported checkpoint version 1, expected 3; retrain the "
+            "model to write one (at offset 4)") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["evaluate", "predict", "generate"])
+def test_an_image_side_too_large_for_an_ffgr_header_exits_2(entry, suite, checkpoint,
+                                                            tmp_path, capsys):
+    # a 400-digit width died on an OverflowError in evaluate and predict,
+    # and generate wrote a video that could not be read back
+    huge = 10**400
+    video = sorted(suite.iterdir())[0]
+    if entry == "evaluate":
+        shutil.copytree(video, tmp_path / "tree" / "v")
+        meta = tmp_path / "tree" / "v" / "meta"
+        meta.write_text(meta.read_text().replace("width=320", f"width={huge}"))
+        command = ["evaluate", "constaccel", "--dataset", str(tmp_path / "tree")]
+        message = f"meta:1: top-level key 'width': must be at most {2**32 - 1}"
+    elif entry == "predict":
+        samples, _ = windows_from_video(read_video_dir(video), 4, 3, n=3)
+        dataset = tmp_path / "s.jsonl"
+        write_dataset(samples[:1], dataset)
+        dataset.write_text(dataset.read_text().replace('"width":320',
+                                                       f'"width":{huge}'))
+        command = ["predict", str(checkpoint), "--dataset", str(dataset)]
+        message = f"s.jsonl:1: image width must be at most {2**32 - 1}"
+    else:
+        scn = tmp_path / "big.scn"
+        write_scenario_file(scn, random_scenario(2, frames=4, width=320, height=160))
+        scn.write_text(scn.read_text().replace("width=320", f"width={huge}"))
+        command = ["generate", str(scn), "--out", str(tmp_path / "out")]
+        message = f"big.scn: image width must be at most {2**32 - 1}"
+    assert main(command) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def v2_checkpoint(path, header: str, values: dict) -> None:
+    """The version 2 layout: prefix, header, a table of each parameter's
+    name and dims, then every value; version 3 has no table."""
+    head = header.encode()
+    path.write_bytes(
+        b"FVLW" + struct.pack(f"<II{len(head)}sI", 2, len(head), head, len(values))
+        + b"".join(struct.pack(f"<H{len(name)}sB{v.ndim}I", len(name), name.encode(),
+                               v.ndim, *v.shape) for name, v in values.items())
+        + b"".join(v.astype("<f8").tobytes() for v in values.values()))
 
 
 def test_a_checkpoint_with_six_gate_leaves_per_gru_exits_2(tmp_path, capsys):
     # Checkpoints written before a GRU's gates became one weight and one
-    # bias leaf name six per cell, w_update ... b_cand, over the same
-    # float payload.  They are refused by name; retraining migrates them.
+    # bias leaf name six per cell, w_update ... b_cand, in a version 2
+    # table over the same float payload.  Version 2 files, these and the
+    # ones with two leaves per cell, are refused by their version;
+    # retraining migrates them.
     config = ModelConfig(variant="xoe", hidden=6, embed=5, tau=4, delta=3,
                          pooled_dim=18)
-    values = BoxForecaster(config, seed=5).parameter_values()
-    old_values = {}
-    for name, value in values.items():
+    model = BoxForecaster(config, seed=5)
+    six_gate, two_leaf = {}, {}
+    for name, p in model.params.items():
+        two_leaf[name] = p.value
         layer, part = name.split(".")
         if layer not in ("box_encoder", "flow_encoder", "decoder"):
-            old_values[name] = value
+            six_gate[name] = p.value
             continue
-        for gate, block in zip(("update", "reset", "cand"), np.split(value, 3)):
-            old_values[f"{layer}.{part[0]}_{gate}"] = block
-    old, new = tmp_path / "old.fvlw", tmp_path / "new.fvlw"
-    save_model(old, config, old_values)
-    save_model(new, config, values)
-    payload = b"".join(v.astype("<f8").tobytes() for v in values.values())
-    assert old.read_bytes().endswith(payload) and new.read_bytes().endswith(payload)
-    with pytest.raises(DataFormatError) as info:
-        load_model(old)
-    for name in ("box_encoder.weight", "decoder.bias", "decoder.w_update",
-                 "flow_encoder.b_cand"):
-        assert repr(name) in str(info.value)
-    assert "missing ['box_encoder.bias', 'box_encoder.weight'" in str(info.value)
-    assert main(["evaluate", str(old), "--dataset", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "'decoder.weight'" in err and "'decoder.w_update'" in err
+        for gate, block in zip(("update", "reset", "cand"), np.split(p.value, 3)):
+            six_gate[f"{layer}.{part[0]}_{gate}"] = block
+    header = "".join(f"{key}={value}\n" for key, value in vars(config).items())
+    new = tmp_path / "new.fvlw"
+    save_model(new, config, model.parameter_values())
+    payload = model.tape.values.astype("<f8").tobytes()
+    assert new.read_bytes()[:-4].endswith(payload)
+    for values in (six_gate, two_leaf):
+        old = tmp_path / "old.fvlw"
+        v2_checkpoint(old, header, values)
+        # the same payload, under a table and with no CRC
+        assert old.read_bytes().endswith(payload)
+        with pytest.raises(DataFormatError, match="old.fvlw: unsupported checkpoint "
+                           "version 2, expected 3; retrain"):
+            load_model(old)
+        assert main(["evaluate", str(old), "--dataset", str(tmp_path)]) == 2
+        assert "unsupported checkpoint version 2" in capsys.readouterr().err
 
 
 def test_checkpoint_record_larger_than_the_file_exits_2(tmp_path, capsys):
-    # dims (2**31, 2**31, 4) hold 2**64 values, which wraps to 0 in int64;
-    # the reader must size the record exactly and reject it
+    # a header length of 2**32 - 1 under a valid CRC: the reader must
+    # size the header against the file and reject it
     path = tmp_path / "huge.fvlw"
-    header = X_HEADER.encode()
-    path.write_bytes(b"FVLW" + struct.pack("<II", 2, len(header)) + header
-                     + struct.pack("<IH", 1, 1) + b"w"
-                     + struct.pack("<B3I", 3, 2**31, 2**31, 4) + bytes(16))
+    body = b"FVLW" + struct.pack("<II", 3, 2**32 - 1) + X_HEADER.encode() + bytes(16)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     assert main(["evaluate", str(path), "--dataset", str(tmp_path)]) == 2
-    assert f"payload of 16 bytes, the parameter table needs {8 * 2**64}" in \
-        capsys.readouterr().err
+    assert f"header length {2**32 - 1} leaves {16 + len(X_HEADER) - 2**32 + 1} payload " \
+        "bytes, not whole float64s" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["truncate", "swap_dims", "nan"])

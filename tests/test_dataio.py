@@ -773,6 +773,11 @@ def test_scenario_validation():
             with pytest.raises(ValidationError, match=re.escape(
                     f"image {key} must be a positive integer, got {value!r}")):
                 Scenario(frames=4, **{key: value})
+        # a side must fit the u32 of an FFGR flow grid header
+        assert getattr(Scenario(frames=4, **{key: 2**32 - 1}), key) == 2**32 - 1
+        with pytest.raises(ValidationError, match=re.escape(
+                f"image {key} must be at most {2**32 - 1}, got {2**32}")):
+            Scenario(frames=4, **{key: 2**32})
 
 
 
@@ -1337,3 +1342,27 @@ def test_split_videos_deterministic_and_disjoint():
         split_videos(ids, 1.0, seed=0)
     with pytest.raises(ValidationError):
         split_videos([], 0.5, seed=0)
+
+
+def test_library_reals_refuse_a_bool_or_a_non_number():
+    # before, a string died on a bare TypeError and a bool passed as 0 or 1
+    actor = dict(x=12.0, z=0.0, heading=0.0, speed=0.5)
+    for value in ("1", None, True, 10**400):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"CameraSpec focal must be finite, got {value!r}")):
+            CameraSpec(focal=value)
+        for name in ("x", "length"):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"ActorSpec {name} must be finite, got {value!r}")):
+                ActorSpec(**{**actor, name: value})
+        with pytest.raises(ValidationError, match=re.escape(
+                f"fps must be positive and finite, got {value!r}")):
+            Scenario(frames=4, fps=value)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"train fraction must be in (0, 1), got {value!r}")):
+            split_videos(["a", "b"], value, 1)
+    # numpy reals and ints are real numbers
+    assert CameraSpec(focal=np.float64(250.0), ppx=40).focal == 250.0
+    assert Scenario(frames=4, fps=np.float32(5.0)).fps == 5.0
+    train, test = split_videos(["a", "b"], np.float64(0.5), 1)
+    assert sorted(train + test) == ["a", "b"] and len(train) == 1

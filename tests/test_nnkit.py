@@ -1,5 +1,7 @@
+import re
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -293,41 +295,31 @@ def test_initialization_respects_fan_in_bound():
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
-    rng = Xoshiro256(17)
-    params = {
-        "enc.weight": rng.uniforms((3, 4), -1.0, 1.0),
-        "enc.bias": rng.uniforms((3,), -1.0, 1.0),
-        "scale": np.asarray(rng.uniform(0.0, 1.0)),
-    }
+    values = Xoshiro256(17).uniforms((16,), -1.0, 1.0)
     path = tmp_path / "model.fvlw"
-    save_params(path, params, "any text, even é\n")
+    save_params(path, values, "any text, even é\n")
     header, loaded = load_params(path)
     assert header == "any text, even é\n"
-    assert list(loaded) == list(params)
-    for name in params:
-        assert loaded[name].dtype == np.float64
-        assert loaded[name].shape == params[name].shape
-        assert loaded[name].tobytes() == params[name].tobytes()
-    # the whole layout: prefix, header, table, then one payload
+    assert loaded.dtype == np.float64
+    assert loaded.tobytes() == values.tobytes()
+    # the whole layout: prefix, header, the flat payload, then a CRC-32 of
+    # every byte before it
     header_bytes = header.encode()
-    table = b"".join(struct.pack(f"<H{len(name)}sB{arr.ndim}I", len(name),
-                                 name.encode(), arr.ndim, *arr.shape)
-                     for name, arr in params.items())
-    assert path.read_bytes() == (
-        b"FVLW" + struct.pack("<II", 2, len(header_bytes)) + header_bytes
-        + struct.pack("<I", 3) + table
-        + b"".join(arr.astype("<f8").tobytes() for arr in params.values()))
+    body = (b"FVLW" + struct.pack("<II", 3, len(header_bytes)) + header_bytes
+            + values.astype("<f8").tobytes())
+    assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
 
 
-def test_checkpoint_accepts_diffarray_values(tmp_path):
+def test_checkpoint_of_a_tape_is_its_value_buffer(tmp_path):
     tape = Tape()
     proj = Projection(tape, in_size=3, out_size=2)
     init_fan_in(Xoshiro256(2), tape.params.values())
     path = tmp_path / "proj.fvlw"
-    save_params(path, tape.params, "")
+    save_params(path, tape.values, "")
     header, loaded = load_params(path)
     assert header == ""
-    np.testing.assert_array_equal(loaded["proj.weight"], proj.weight.value)
+    np.testing.assert_array_equal(loaded, np.concatenate(
+        [proj.weight.value.ravel(), proj.bias.value]))
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -337,27 +329,40 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_params(path)
 
 
+def write_raw(path, version, header: bytes, payload: bytes) -> None:
+    """A checkpoint with a valid CRC over any prefix, header and payload."""
+    body = b"FVLW" + struct.pack("<II", version, len(header)) + header + payload
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_checkpoint_refuses_what_its_crc_cannot_see(tmp_path):
+    path = tmp_path / "model.fvlw"
+    for version, header, payload, message in (
+            (2, b"", b"", "unsupported checkpoint version 2, expected 3; retrain"),
+            (3, b"k=v\n", bytes(12), "leaves 12 payload bytes, not whole float64s"),
+            (3, b"\xff\n", bytes(8), r"header is not UTF-8 .* \(at offset 12\)"),
+            (3, b"", struct.pack("<2d", 1.0, np.inf),
+             r"non-finite parameter value inf \(at offset 20\)")):
+        write_raw(path, version, header, payload)
+        with pytest.raises(DataFormatError, match=message):
+            load_params(path)
+    # a header length that runs past the CRC
+    path.write_bytes(b"FVLW" + struct.pack("<II", 3, 99))
+    body = path.read_bytes()
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(DataFormatError, match=re.escape(
+            "header length 99 leaves -99 payload bytes, not whole float64s "
+            "(at offset 8)")):
+        load_params(path)
+
+
 def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
     path = tmp_path / "model.fvlw"
-    save_params(path, {"w": np.arange(6.0).reshape(2, 3)}, "k=v\n")
+    save_params(path, np.arange(6.0), "k=v\n")
     blob = path.read_bytes()
-
-    # every cut of the prefix, header and table, then one in the payload
-    for cut in [*range(len(blob) - 48), len(blob) - 4]:
-        path.write_bytes(blob[:cut])
-        with pytest.raises(DataFormatError, match="offset"):
+    # every cut, from the prefix to the CRC's last byte (see also
+    # test_fvlmodel for every single-byte change)
+    for data in [blob[:cut] for cut in range(len(blob))] + [blob + b"xx", blob + b"\x00"]:
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match=r"model.fvlw: .* \(at offset \d+\)"):
             load_params(path)
-
-    path.write_bytes(blob + b"xx")
-    with pytest.raises(DataFormatError,
-                       match="payload of 50 bytes, the parameter table needs 48"):
-        load_params(path)
-
-
-def test_checkpoint_rejects_more_axes_than_numpy_allows(tmp_path):
-    # a consistent table and payload whose one value has 65 axes of size 1
-    path = tmp_path / "deep.fvlw"
-    path.write_bytes(b"FVLW" + struct.pack("<IIIH", 2, 0, 1, 1) + b"w"
-                     + struct.pack("<B65I", 65, *[1] * 65) + bytes(8))
-    with pytest.raises(DataFormatError, match="parameter 'w': .*64"):
-        load_params(path)

@@ -151,6 +151,25 @@ def test_text_lines_rejects_bytes_that_are_not_utf8(tmp_path):
         text_lines(path)
 
 
+def test_lines_end_only_at_a_newline(tmp_path):
+    # str.splitlines also splits at U+0085, U+2028, U+2029, \x0b, \x0c and
+    # \x1c-\x1e: a comment holding one split the line in two, and every
+    # later line number was one too high
+    path = tmp_path / "clip.scn"
+    lines = ["frames=4", "width=80", "ego_speed=0.5 # note\x85more", "height=40"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scenario = read_scenario_file(path)
+    assert (scenario.frames, scenario.width, scenario.height) == (4, 80, 40)
+    assert list(scenario.ego_speeds) == [0.5] * 3
+    path.write_text("\n".join([*lines, "colour=red"]) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="clip.scn:5: unknown top-level key"):
+        read_scenario_file(path)
+    # a CRLF file reads as its LF twin; only the "\r" before a "\n" goes
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert text_lines(path)[2] == (3, "ego_speed=0.5 # note\x85more")
+    assert read_scenario_file(path).height == 40
+
+
 def _reads_text(call: ast.Call) -> bool:
     """Whether a call reads a file as text: `read_text`, or an `open` whose
     mode is not binary and reads (a mode known only at run time counts)."""

@@ -2,6 +2,7 @@
 workflow that does not parse starts no job, and nothing else says so."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,18 @@ def test_workflow_runs_tier1_and_every_benchmark_workload(jobs):
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert sorted(matrix["workload"]) == sorted(w["name"] for w in workloads)
     assert sorted(matrix["trace"]) == [0, 1]
+
+
+def test_tier1_installs_every_package_of_the_test_extra(jobs):
+    # `pip install .[test]` must give what CI runs tier-1 with; before,
+    # the extra lacked pyyaml and this file was silently skipped
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    wanted = {re.split(r"[<>=!~\[; ]", requirement, maxsplit=1)[0].lower()
+              for requirement in [*project["dependencies"],
+                                  *project["optional-dependencies"]["test"]]}
+    installs = [step["run"].split()[2:] for step in jobs["tests"]["steps"]
+                if step.get("run", "").startswith("pip install")]
+    assert len(installs) == 1, installs
+    assert "pyyaml" in wanted
+    assert wanted <= {name.lower() for name in installs[0]}, installs
