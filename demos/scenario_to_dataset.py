@@ -58,7 +58,7 @@ def main():
         print(f"  reloaded {loaded.frames} frames, {len(loaded.tracks)} tracks, "
               f"{len(loaded.ego_steps)} ego steps")
 
-        dataset = Path(tmp) / "windows.jsonl"
+        dataset = Path(tmp) / "windows.fvlw"
         write_dataset(samples, dataset)
         again = read_dataset(dataset)
         boxes_match = all(np.array_equal(a.past, b.past)

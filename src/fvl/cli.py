@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     # the flags of the commands that read a dataset
     reads = argparse.ArgumentParser(add_help=False)
     reads.add_argument("--dataset", required=True,
-                       help="sample JSONL file or video directory tree")
+                       help="sample file or video directory tree")
     reads.add_argument("--workers", type=_POSITIVE_INT, default=1)
 
     gen = sub.add_parser(
@@ -124,10 +124,10 @@ def _build_parser() -> _Parser:
                     help="checkpoint path or baseline name "
                          f"({'/'.join(sorted(BASELINE_DEGREES))})")
     ev.add_argument("--out", help="also write the report as JSON here")
-    ev.add_argument("--tau", type=_POSITIVE_INT, default=10,
-                    help="window for baselines (checkpoints carry their own)")
-    ev.add_argument("--delta", type=_POSITIVE_INT, default=10,
-                    help="horizon for baselines (checkpoints carry their own)")
+    ev.add_argument("--tau", type=_POSITIVE_INT,
+                    help="a baseline's window, default 10 (a checkpoint has its own)")
+    ev.add_argument("--delta", type=_POSITIVE_INT,
+                    help="a baseline's horizon, default 10 (a checkpoint has its own)")
 
     pred = sub.add_parser(
         "predict", parents=[reads], help="write predicted future boxes as JSONL")
@@ -171,27 +171,23 @@ def _video_dirs(root: Path) -> list[Path]:
 
 
 def _load_samples(args, tau, delta, n) -> list:
-    """Samples from --dataset: a JSONL file, a video directory, or a tree.
+    """Samples from --dataset: a sample file, a video directory, or a tree.
 
-    A JSONL file holds flow pooled at whatever ROI growth its writer used;
-    video windows pool at `windows_from_video`'s default.  `n` is the flow
-    lattice the model reads, or None when it reads no flow; then windows
-    pool the smallest lattice and a JSONL file may hold any.  Videos are
-    windowed in sorted-path order and each of --workers handles whole
+    A sample file holds one window, pooled at whatever ROI growth its
+    writer used; video windows pool at `windows_from_video`'s default.  `n`
+    is the flow lattice the model reads, or None when it reads no flow;
+    then windows pool the smallest lattice and a file may hold any.  Videos
+    are windowed in sorted-path order and each of --workers handles whole
     videos, so the sample list is identical for any worker count.
     """
     path = Path(args.dataset)
     if path.is_file():
         samples = read_dataset(path)
-        for i, sample in enumerate(samples):
-            if (sample.tau, sample.delta) != (tau, delta):
-                raise DataFormatError(
-                    f"{path}: sample {i} has a tau={sample.tau}, delta="
-                    f"{sample.delta} window, not tau={tau}, delta={delta}")
-            if n is not None and sample.flow[0].n != n:
-                raise DataFormatError(
-                    f"{path}: sample {i} has an n={sample.flow[0].n} flow lattice, "
-                    f"not n={n}")
+        if samples:  # a file holds one window
+            held = (samples[0].tau, samples[0].delta, samples[0].flow[0].n)
+            if held != (tau, delta, n or held[2]):
+                raise DataFormatError(f"{path}: holds (tau, delta, n) = {held} "
+                                      f"windows, not {(tau, delta, n or held[2])}")
         return samples
     dirs = _video_dirs(path)
 
@@ -216,10 +212,13 @@ def _lattice(config: ModelConfig):
 
 
 def _model_config(args) -> ModelConfig:
-    """The model that the train or gradcheck flags describe."""
-    return ModelConfig(variant=args.variant, hidden=args.hidden,
-                       embed=args.embed, tau=args.tau, delta=args.delta,
-                       pooled_dim=2 * args.pool_n * args.pool_n)
+    """The model that the train or gradcheck flags describe, if any."""
+    try:
+        return ModelConfig(variant=args.variant, hidden=args.hidden,
+                           embed=args.embed, tau=args.tau, delta=args.delta,
+                           pooled_dim=2 * args.pool_n * args.pool_n)
+    except ValidationError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 # --- subcommands ----------------------------------------------------------
@@ -269,8 +268,11 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.model in BASELINE_DEGREES:
         forecaster = None
-        tau, delta, n = args.tau, args.delta, None  # baselines read no flow
+        tau, delta, n = args.tau or 10, args.delta or 10, None  # baselines read no flow
     else:
+        if args.tau or args.delta:
+            raise _UsageError(f"--tau and --delta set a baseline's window; "
+                              f"{args.model} holds its own")
         forecaster = load_model(args.model)
         tau = forecaster.config.tau
         delta = forecaster.config.delta

@@ -61,6 +61,7 @@ from .errors import (DataFormatError, ValidationError, is_real, require_int, tex
                      write_atomic)
 from .flowfeat import (PooledFlow, _clip, _require_expansion, expand_roi,
                        lattice_pool, read_flow_pixels)
+from .nnkit import load_params, save_params
 from .rng import Xoshiro256
 
 __all__ = [
@@ -560,60 +561,56 @@ def windows_from_video(video, tau: int, delta: int, expand: float = 1.5,
 
 # --- sample files ------------------------------------------------------------
 #
-# A dataset of windowed samples is a JSONL file: one object per line with
-# track, width, height, the past/future box rows [cx, cy, w, h], the ego
-# rows [yaw, x, z], and pooled flow {n, values}.  Python's json module
-# prints floats with repr, so every f64 round-trips bit-exactly.
+# A sample file is an FVLW file (see `nnkit.save_params`) whose header holds
+# `count` and the one `tau`, `delta` and flow lattice `n` of all samples.  Its
+# vector holds column blocks over all samples: track, width, height [N], past
+# [N x tau x 4], future [N x delta x 4], ego [N x delta x 3], flow [N x tau x 2n^2].
 
 
 def write_dataset(samples, path) -> None:
-    lines = []
-    for sample in samples:
-        record = {
-            "track": sample.track,
-            "width": sample.width,
-            "height": sample.height,
-            "past": sample.past.tolist(),
-            "future": sample.future.tolist(),
-            "ego": sample.ego.tolist(),
-            "flow": {"n": sample.flow[0].n,
-                     "values": [f.values.tolist() for f in sample.flow]},
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
-
-
-def _holds_bool(value) -> bool:
-    """Whether a parsed JSON value is, or nests, true or false, which
-    numpy would read as 1.0 and 0.0."""
-    if isinstance(value, list):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool)
+    """Write `samples`, of one (tau, delta, n) window and with tracks below
+    2**53 in magnitude (so f64 holds them exactly), as one sample file."""
+    samples = list(samples)
+    windows = sorted({(s.tau, s.delta, s.flow[0].n) for s in samples})
+    if len(windows) > 1:
+        raise ValidationError(f"a sample file holds one (tau, delta, n), got {windows}")
+    if any(abs(s.track) >= 2**53 for s in samples):
+        raise ValidationError("a sample file holds tracks below 2**53 in magnitude")
+    (tau, delta, n), = windows or [(1, 1, 1)]
+    columns = [np.array([getattr(s, name) for s in samples], dtype=np.float64)
+               for name in ("track", "width", "height", "past", "future", "ego")]
+    columns.append(np.array([[f.values for f in s.flow] for s in samples]))
+    save_params(path, np.concatenate([c.ravel() for c in columns]),
+                f"count={len(samples)}\ntau={tau}\ndelta={delta}\nn={n}\n")
 
 
 def read_dataset(path) -> list[Sample]:
+    """The samples of a `write_dataset` file."""
+    header, values = load_params(path)
+    head = read_key_values(path, enumerate(header.split("\n"), start=1), {
+        "count": (int, MISSING), "tau": (_positive(int), MISSING),
+        "delta": (_positive(int), MISSING), "n": (_positive(int), MISSING)})
+    count, tau, delta, n = (head[key] for key in ("count", "tau", "delta", "n"))
+    shapes = [(tau, 4), (delta, 4), (delta, 3), (tau, 2 * n * n)]
+    sizes = [3, *(rows * width for rows, width in shapes)]  # track, width, height
+    if count < 0 or values.size != count * sum(sizes):
+        raise DataFormatError(
+            f"{path}: {values.size} values are not count={count} samples of {sum(sizes)}")
+    ints, *arrays = np.split(values, count * np.cumsum(sizes)[:-1])
+    pasts, futures, egos, flows = (a.reshape(count, *shape)
+                                   for a, shape in zip(arrays, shapes))
     samples = []
-    for lineno, line in text_lines(path):
+    for i, row in enumerate(ints.reshape(3, count).T.tolist()):
         try:
-            record = json.loads(line)
-            if "true" in line or "false" in line:  # else no value is a bool
-                for key, rows in [*((name, record[name]) for name in _SAMPLE_ROWS),
-                                  ("flow", record["flow"]["values"])]:
-                    if _holds_bool(rows):
-                        raise ValueError(
-                            f"{key} values must be numbers, not true or false")
-            sample = Sample(
-                track=record["track"],
-                past=record["past"],
-                future=record["future"],
-                ego=record["ego"],
-                flow=tuple(PooledFlow(values=v, n=record["flow"]["n"])
-                           for v in record["flow"]["values"]),
-                width=record["width"],
-                height=record["height"])
-            samples.append(sample)
-        except (KeyError, IndexError, TypeError, ValueError, ValidationError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            track, width, height = map(int, row)
+            if [track, width, height] != row:
+                raise ValidationError(f"track, width, height must be integers, got {row}")
+            samples.append(Sample(
+                track=track, width=width, height=height, past=pasts[i],
+                future=futures[i], ego=egos[i],
+                flow=[PooledFlow(values=v, n=n) for v in flows[i]]))
+        except ValidationError as exc:
+            raise DataFormatError(f"{path}: sample {i}: {exc}") from None
     return samples
 
 

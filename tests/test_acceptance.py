@@ -316,7 +316,7 @@ def test_round_trips(tmp_path, capsys):
     samples, _ = windows_from_video(video, tau=4, delta=3, expand=1.5, n=3)
     assert samples
 
-    dataset_path = tmp_path / "samples.jsonl"
+    dataset_path = tmp_path / "samples.fvlw"
     write_dataset(samples, dataset_path)
     read_back = read_dataset(dataset_path)
     dataset_exact = len(read_back) == len(samples) and all(

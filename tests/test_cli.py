@@ -19,7 +19,6 @@ from fvl.dataio import (
     Sample,
     generate_scenario,
     random_scenario,
-    read_dataset,
     read_video_dir,
     windows_from_video,
     write_dataset,
@@ -29,7 +28,7 @@ from fvl.flowfeat import PooledFlow
 from fvl.errors import DataFormatError
 from fvl.fvlmodel import BoxForecaster, ModelConfig, load_model, save_model, train_model
 from fvl.metrics import build_reports, displacement_errors, reports_to_json
-from fvl.nnkit import save_params
+from fvl.nnkit import load_params, save_params
 from fvl.rng import Xoshiro256
 
 SCENE_SEEDS = (2, 4)
@@ -460,10 +459,13 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["train", "--dataset", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "m.fvlw")]) == 2
 
+    # a sample file from before samples were FVLW files: one JSON object a line
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("this is not json\n")
+    bad.write_text('{"track":0,"width":64,"height":64}\n')
     assert main(["train", "--dataset", str(bad),
                  "--out", str(tmp_path / "m.fvlw")]) == 2
+    assert "bad.jsonl: bad magic b'{\"tr', expected b'FVLW' (at offset 0)" \
+        in capsys.readouterr().err
 
     scn = tmp_path / "bad.scn"
     scn.write_text("frames=ten\n")
@@ -554,13 +556,15 @@ def test_an_image_side_too_large_for_an_ffgr_header_exits_2(entry, suite, checkp
         command = ["evaluate", "constaccel", "--dataset", str(tmp_path / "tree")]
         message = f"meta:1: top-level key 'width': must be at most {2**32 - 1}"
     elif entry == "predict":
+        # a sample file holds a width as a float64, which cannot be huge
         samples, _ = windows_from_video(read_video_dir(video), 4, 3, n=3)
-        dataset = tmp_path / "s.jsonl"
+        dataset = tmp_path / "s.fvlw"
         write_dataset(samples[:1], dataset)
-        dataset.write_text(dataset.read_text().replace('"width":320',
-                                                       f'"width":{huge}'))
+        header, values = load_params(dataset)
+        values[1] = 2**32  # the width column follows the one track
+        save_params(dataset, values, header)
         command = ["predict", str(checkpoint), "--dataset", str(dataset)]
-        message = f"s.jsonl:1: image width must be at most {2**32 - 1}"
+        message = f"s.fvlw: sample 0: image width must be at most {2**32 - 1}"
     else:
         scn = tmp_path / "big.scn"
         write_scenario_file(scn, random_scenario(2, frames=4, width=320, height=160))
@@ -709,25 +713,6 @@ def _tiny_samples(huge_future: bool):
     return samples
 
 
-@pytest.mark.parametrize("field", ["past", "future", "ego", "flow"])
-def test_a_boolean_among_sample_numbers_exits_2(tmp_path, field, capsys):
-    # before, json true was read as 1.0
-    dataset = tmp_path / "samples.jsonl"
-    write_dataset(_tiny_samples(huge_future=False), dataset)
-    lines = dataset.read_text().splitlines()
-    record = json.loads(lines[1])
-    (record["flow"]["values"] if field == "flow" else record[field])[0][1] = True
-    lines[1] = json.dumps(record)
-    dataset.write_text("\n".join(lines) + "\n")
-    message = f"samples.jsonl:2: {field} values must be numbers, not true or false"
-    with pytest.raises(DataFormatError, match=message):
-        read_dataset(dataset)
-    assert main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.fvlw"),
-                 "--variant", "xoe", "--hidden", "4", "--embed", "4", "--tau", "3",
-                 "--delta", "2", "--epochs", "1", "--pool-n", "2"]) == 2
-    assert message in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
 def test_a_boolean_box_field_exits_2(suite, tmp_path, field, capsys):
     # before, "w": true loaded as a box 1 pixel wide
@@ -748,7 +733,7 @@ def test_a_boolean_box_field_exits_2(suite, tmp_path, field, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_numeric_failure_exits_3(tmp_path, capsys):
-    dataset = tmp_path / "samples.jsonl"
+    dataset = tmp_path / "samples.fvlw"
     write_dataset(_tiny_samples(huge_future=True), dataset)
     code = main(["train", "--dataset", str(dataset),
                  "--out", str(tmp_path / "m.fvlw"), "--variant", "x",
@@ -759,7 +744,7 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
 
 
 def test_train_and_evaluate_on_sample_file(tmp_path, capsys):
-    dataset = tmp_path / "samples.jsonl"
+    dataset = tmp_path / "samples.fvlw"
     write_dataset(_tiny_samples(huge_future=False), dataset)
     out = tmp_path / "m.fvlw"
     assert main(["train", "--dataset", str(dataset), "--out", str(out),
@@ -774,13 +759,13 @@ def test_train_and_evaluate_on_sample_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("window", [("10", "2"), ("3", "10")])
 def test_sample_file_must_hold_the_requested_window(tmp_path, window, capsys):
-    dataset = tmp_path / "samples.jsonl"
+    dataset = tmp_path / "samples.fvlw"
     write_dataset(_tiny_samples(huge_future=False), dataset)
     tau, delta = window
     assert main(["evaluate", "linear", "--dataset", str(dataset),
                  "--tau", tau, "--delta", delta]) == 2
-    assert (f"{dataset}: sample 0 has a tau=3, delta=2 window, not "
-            f"tau={tau}, delta={delta}") in capsys.readouterr().err
+    assert (f"{dataset}: holds (tau, delta, n) = (3, 2, 2) windows, not "
+            f"({tau}, {delta}, 2)") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["train", "--out", "m"],
@@ -792,17 +777,17 @@ def test_dataset_flags_are_shared_by_every_command_that_reads_one(command, capsy
     with pytest.raises(SystemExit):
         main([command[0], "--help"])
     help_words = " ".join(capsys.readouterr().out.split())
-    assert "--dataset DATASET sample JSONL file or video directory tree" in help_words
+    assert "--dataset DATASET sample file or video directory tree" in help_words
 
 
 def test_train_checks_the_lattice_of_a_sample_file(tmp_path, capsys):
-    dataset = tmp_path / "samples.jsonl"
+    dataset = tmp_path / "samples.fvlw"
     write_dataset(_tiny_samples(huge_future=False), dataset)
     flags = ["--dataset", str(dataset), "--out", str(tmp_path / "m.fvlw"),
              "--hidden", "4", "--embed", "4", "--tau", "3", "--delta", "2",
              "--epochs", "1", "--pool-n", "3"]
     assert main(["train", *flags, "--variant", "xo"]) == 2
-    assert (f"{dataset}: sample 0 has an n=2 flow lattice, not n=3"
+    assert (f"{dataset}: holds (tau, delta, n) = (3, 2, 2) windows, not (3, 2, 3)"
             in capsys.readouterr().err)
     # a model that reads no flow takes samples of any lattice
     assert main(["train", *flags, "--variant", "xe"]) == 0
@@ -810,7 +795,7 @@ def test_train_checks_the_lattice_of_a_sample_file(tmp_path, capsys):
 
 
 def test_evaluate_checks_the_lattice_of_a_sample_file(tmp_path, capsys):
-    dataset = tmp_path / "samples.jsonl"
+    dataset = tmp_path / "samples.fvlw"
     write_dataset(_tiny_samples(huge_future=False), dataset)
     for variant in ("x", "xoe"):
         config = ModelConfig(variant=variant, hidden=4, embed=4, tau=3,
@@ -823,7 +808,53 @@ def test_evaluate_checks_the_lattice_of_a_sample_file(tmp_path, capsys):
             assert code == 0
         else:
             assert code == 2
-            assert f"{dataset}: sample 0 has an n=2 flow lattice, not n=3" in err
+            assert f"{dataset}: holds (tau, delta, n) = (3, 2, 2) windows, " \
+                "not (3, 2, 3)" in err
+
+
+def test_a_damaged_sample_file_exits_2(tmp_path, capsys):
+    # before, a changed digit in a JSONL sample file was scored silently
+    dataset = tmp_path / "samples.fvlw"
+    write_dataset(_tiny_samples(huge_future=False), dataset)
+    command = ["evaluate", "linear", "--dataset", str(dataset), "--tau", "3",
+               "--delta", "2"]
+    assert main(command) == 0
+    data = bytearray(dataset.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    dataset.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(command) == 2
+    assert "samples.fvlw: damaged file: CRC-32" in capsys.readouterr().err
+
+
+def test_a_checkpoint_and_a_sample_file_in_each_others_place_exit_2(
+        checkpoint, tmp_path, capsys):
+    dataset = tmp_path / "samples.fvlw"
+    write_dataset(_tiny_samples(huge_future=False), dataset)
+    assert main(["evaluate", "linear", "--dataset", str(checkpoint)]) == 2
+    assert "model.fvlw:1: unknown top-level key 'variant'" in capsys.readouterr().err
+    assert main(["evaluate", str(dataset), "--dataset", str(dataset)]) == 2
+    assert "samples.fvlw:1: unknown top-level key 'count'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--tau", "7"], ["--delta", "9"],
+                                   ["--tau", "4", "--delta", "3"]])
+def test_evaluate_refuses_a_window_for_a_checkpoint(checkpoint, suite, flags, capsys):
+    # before, the flags were ignored and the checkpoint's window was used,
+    # even when it differed from them
+    assert main(["evaluate", str(checkpoint), "--dataset", str(suite), *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"--tau and --delta set a baseline's window; {checkpoint} holds its own" \
+        in err
+
+
+@pytest.mark.parametrize("command", [["train", "--dataset", "missing", "--out", "m"],
+                                     ["gradcheck"]])
+def test_a_window_no_model_takes_is_a_usage_error(command, capsys):
+    # before, --tau 1 exited 2, as a data error, while --tau 0 exited 1
+    assert main([*command, "--tau", "1"]) == 1
+    assert "usage error: tau must be an integer >= 2, got 1" in capsys.readouterr().err
+    assert main([*command, "--tau", "0"]) == 1
 
 
 def test_gradcheck_reports_pass(capsys):

@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import json
 import math
 import re
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -788,7 +790,7 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     video = generate_scenario(moving_scenario())
     samples, _ = windows_from_video(video, tau=4, delta=3, expand=1.5, n=2)
     assert samples
-    path = tmp_path / "train.jsonl"
+    path = tmp_path / "train.fvlw"
     write_dataset(samples, path)
     loaded = read_dataset(path)
     assert len(loaded) == len(samples)
@@ -800,7 +802,7 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
         for fa, fb in zip(a.flow, b.flow):
             assert fa.n == fb.n
             assert np.array_equal(fa.values, fb.values)
-    again = tmp_path / "again.jsonl"
+    again = tmp_path / "again.fvlw"
     write_dataset(loaded, again)
     assert again.read_bytes() == path.read_bytes()
 
@@ -828,88 +830,167 @@ def test_a_library_write_that_fails_midway_keeps_the_previous_file(
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
-SAMPLE_LINE = ('{"track":0,"width":64,"height":64,'
-               '"past":[[5.0,5.0,2.0,2.0]],"future":[[6.0,5.0,2.0,2.0]],'
-               '"ego":[[0.0,1.0,0.0]],"flow":{"n":1,"values":[[0.5,0.25]]}}')
+def sample_file_bytes(header: str, values) -> bytes:
+    """FVLW v3 bytes built by hand: magic, version 3, header length, the
+    header, the values as float64 and a CRC-32 of every earlier byte."""
+    head = header.encode()
+    body = (b"FVLW" + struct.pack("<II", 3, len(head)) + head
+            + struct.pack(f"<{len(values)}d", *values))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+ONE_SAMPLE_HEADER = "count=1\ntau=1\ndelta=1\nn=1\n"
+# track, width, height, past, future, ego, flow
+ONE_SAMPLE = [0, 64, 64, 5, 5, 2, 2, 6, 5, 2, 2, 0, 1, 0, 0.5, 0.25]
+
+
+def sample_file(path, header=ONE_SAMPLE_HEADER, values=ONE_SAMPLE):
+    """`path`, written by hand as a sample file of `header` and `values`."""
+    path.write_bytes(sample_file_bytes(header, values))
+    return path
+
+
+def in_column_blocks(*samples):
+    """The vector of samples each given in ONE_SAMPLE's order (tau = delta
+    = n = 1): each column's values of every sample, column after column."""
+    ends = np.cumsum([1, 1, 1, 4, 4, 3, 2])
+    return [v for start, end in zip([0, *ends[:-1]], ends)
+            for sample in samples for v in sample[start:end]]
 
 
 def test_sample_line_reads_and_writes_back_byte_for_byte(tmp_path):
-    path = tmp_path / "one.jsonl"
-    path.write_text(SAMPLE_LINE + "\n")
-    write_dataset(read_dataset(path), tmp_path / "again.jsonl")
-    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+    path = tmp_path / "one.fvlw"
+    path.write_bytes(sample_file_bytes(ONE_SAMPLE_HEADER, ONE_SAMPLE))
+    sample, = read_dataset(path)
+    assert (sample.track, sample.width, sample.height) == (0, 64, 64)
+    assert [sample.past.tolist(), sample.future.tolist(), sample.ego.tolist()] == \
+        [[[5.0, 5.0, 2.0, 2.0]], [[6.0, 5.0, 2.0, 2.0]], [[0.0, 1.0, 0.0]]]
+    assert (sample.flow[0].n, sample.flow[0].values.tolist()) == (1, [0.5, 0.25])
+    write_dataset([sample], tmp_path / "again.fvlw")
+    assert (tmp_path / "again.fvlw").read_bytes() == path.read_bytes()
+
+
+def test_a_sample_file_holds_one_block_per_column(tmp_path):
+    # two samples with tau=2, delta=1, n=1: each column covers both
+    # samples before the next column starts
+    samples = [Sample(track=track, past=[[10.0 + track, 20.0, 4.0, 3.0]] * 2,
+                      future=[[30.0 + track, 20.0, 4.0, 3.0]],
+                      ego=[[0.5 * track, 1.0, 0.0]],
+                      flow=[PooledFlow(values=[track, -track], n=1)] * 2,
+                      width=100 + track, height=50)
+               for track in (7, -3)]
+    path = tmp_path / "two.fvlw"
+    write_dataset(iter(samples), path)
+    assert path.read_bytes() == sample_file_bytes(
+        "count=2\ntau=2\ndelta=1\nn=1\n",
+        [7, -3, 107, 97, 50, 50,
+         17, 20, 4, 3, 17, 20, 4, 3, 7, 20, 4, 3, 7, 20, 4, 3,
+         37, 20, 4, 3, 27, 20, 4, 3,
+         3.5, 1, 0, -1.5, 1, 0,
+         7, -7, 7, -7, -3, 3, -3, 3])
+    assert [(s.track, s.width, s.past[0, 0], s.flow[1].values[1])
+            for s in read_dataset(path)] == [(7, 107, 17.0, -7.0), (-3, 97, 7.0, 3.0)]
+
+
+def test_an_empty_sample_list_round_trips(tmp_path):
+    path = tmp_path / "empty.fvlw"
+    write_dataset([], path)
+    assert path.read_bytes() == sample_file_bytes("count=0\ntau=1\ndelta=1\nn=1\n", [])
+    assert read_dataset(path) == []
+
+
+def test_the_sample_writer_refuses_what_one_file_cannot_hold(tmp_path):
+    video = generate_scenario(moving_scenario())
+    path = tmp_path / "s.fvlw"
+    window = {"tau": 4, "delta": 3, "n": 2}
+    for other in ({"tau": 3}, {"delta": 2}, {"n": 3}):
+        mixed = (windows_from_video(video, **window)[0][:1]
+                 + windows_from_video(video, **{**window, **other})[0][:1])
+        with pytest.raises(ValidationError,
+                           match=re.escape("a sample file holds one (tau, delta, n)")):
+            write_dataset(mixed, path)
+    sample = read_dataset(sample_file(tmp_path / "one.fvlw"))[0]
+    for track in (2**53 - 1, -(2**53 - 1)):
+        write_dataset([dataclasses.replace(sample, track=track)], path)
+        assert read_dataset(path)[0].track == track
+    for track in (2**53, -(2**53), 10**30):
+        with pytest.raises(ValidationError, match="tracks below 2\\*\\*53"):
+            write_dataset([dataclasses.replace(sample, track=track)], path)
+    assert read_dataset(path)[0].track == -(2**53 - 1)
 
 
 def test_read_dataset_reports_line_numbers(tmp_path):
-    good = SAMPLE_LINE
-    path = tmp_path / "bad.jsonl"
-    path.write_text(good + "\n{not json}\n")
-    with pytest.raises(DataFormatError, match="bad.jsonl:2"):
-        read_dataset(path)
-    for bad in (good.replace("0.25", "NaN"),
-                good.replace("1.0,0.0]", "Infinity,0.0]")):
-        assert bad != good
-        path.write_text(good + "\n" + bad + "\n")
-        with pytest.raises(DataFormatError, match="bad.jsonl:2: .*finite"):
+    # a header fault names the file and line, a sample fault the sample
+    path = tmp_path / "bad.fvlw"
+    for header, message in [
+            ("count=1\ntau=1\ndelta=1\nn=1\ncolour=red\n",
+             "bad.fvlw:5: unknown top-level key 'colour'"),
+            ("count=1\ntau=1\ntau=1\ndelta=1\nn=1\n",
+             "bad.fvlw:3: repeated top-level key 'tau'"),
+            ("count=1\ntau=1\ndelta=1\n", "bad.fvlw: top-level is missing n"),
+            ("count=one\ntau=1\ndelta=1\nn=1\n", "bad.fvlw:1: top-level key 'count'"),
+            ("count=1\ntau=1\ndelta=0\nn=1\n", "bad.fvlw:3: top-level key 'delta': "
+             "must be a positive integer, got '0'"),
+            ("n=1\ndelta=1\ntau=1\ncount=1\n", None)]:
+        sample_file(path, header)
+        if message is None:
+            assert read_dataset(path)[0].ego.tolist() == [[0.0, 1.0, 0.0]]
+            continue
+        with pytest.raises(DataFormatError, match=re.escape(message)):
             read_dataset(path)
-    for bad, message in (
-            (good.replace('"width":64', '"width":Infinity'), "width must be a "
-             "positive integer, got inf"),
-            (good.replace('"height":64', '"height":64.5'), "height must be a "
-             "positive integer, got 64.5"),
-            (good.replace('"width":64', '"width":true'), "width must be a "
-             "positive integer, got True"),
-            (good.replace('"height":64', '"height":0'), "height must be a "
-             "positive integer, got 0")):
-        assert bad != good
-        path.write_text(good + "\n" + bad + "\n")
-        with pytest.raises(DataFormatError,
-                           match=re.escape(f"bad.jsonl:2: image {message}")):
+    for at, value, message in [
+            (0, 0.5, "sample 1: track, width, height must be integers, got "
+             "[0.5, 64.0, 64.0]"),
+            (1, 64.5, "sample 1: track, width, height must be integers, got "
+             "[0.0, 64.5, 64.0]"),
+            (2, 0, "sample 1: image height must be a positive integer, got 0"),
+            (1, 2.0**32, f"sample 1: image width must be at most {2**32 - 1}"),
+            (6, -2, "sample 1: box extent w and h must be positive"),
+            # the second sample's last flow value is the file's last value
+            (15, math.nan, f"non-finite parameter value nan (at offset {38 + 31 * 8})"),
+            (0, math.inf, f"non-finite parameter value inf (at offset {38 + 8})")]:
+        second = list(ONE_SAMPLE)
+        second[at] = value
+        sample_file(path, ONE_SAMPLE_HEADER.replace("1", "2", 1),
+                    in_column_blocks(ONE_SAMPLE, second))
+        with pytest.raises(DataFormatError, match=re.escape(f"bad.fvlw: {message}")):
             read_dataset(path)
-    for bad, value in ((good.replace('"track":0', '"track":"zero"'), "'zero'"),
-                       (good.replace('"track":0', '"track":[1,2]'), "[1, 2]"),
-                       (good.replace('"track":0', '"track":false'), "False"),
-                       (good.replace('"track":0', '"track":0.0'), "0.0")):
-        assert bad != good
-        path.write_text(good + "\n" + bad + "\n")
-        with pytest.raises(DataFormatError, match=re.escape(
-                f"bad.jsonl:2: track must be an integer, got {value}")):
-            read_dataset(path)
-    for bad in (good.replace('"past":[[5.0,5.0,2.0,2.0]]',
-                             '"past":[[5.0,5.0,2.0,2.0],[5.0,5.0]]'),
-                good.replace('"past":[[5.0,5.0,2.0,2.0]]',
-                             '"past":[[5.0,5.0,2.0,2.0,1.0]]')):
-        assert bad != good
-        path.write_text(good + "\n" + bad + "\n")
-        with pytest.raises(DataFormatError,
-                           match=r"bad.jsonl:2: .*each past row must hold 4 numbers"):
-            read_dataset(path)
-    path.write_text(good + "\n")
-    sample = read_dataset(path)[0]
-    assert sample.past.tolist() == [[5.0, 5.0, 2.0, 2.0]]
-    assert sample.flow[0].n == 1
 
 
 def test_read_dataset_rejects_long_ego_rows_and_bad_lattice_sizes(tmp_path):
-    # a fourth ego value was dropped, and "n": true loaded as n=True
-    path = tmp_path / "bad.jsonl"
-    for bad, message in [
-            (SAMPLE_LINE.replace("[[0.0,1.0,0.0]]", "[[0.0,1.0,0.0,9.0]]"),
-             r"ego row must hold 3 numbers"),
-            (SAMPLE_LINE.replace("[[0.0,1.0,0.0]]", "[[0.0,1.0]]"),
-             r"ego row must hold 3 numbers"),
-            (SAMPLE_LINE.replace('"n":1', '"n":true'),
-             "flow n must be a positive integer, got True"),
-            (SAMPLE_LINE.replace('"n":1', '"n":1.0'),
-             "flow n must be a positive integer, got 1.0"),
-            (SAMPLE_LINE.replace('"n":1,"values":[[0.5,0.25]]',
-                                 '"n":0,"values":[[]]'),
-             "flow n must be a positive integer, got 0"),
-            (SAMPLE_LINE.replace('"n":1', '"n":-1'),
-             "flow n must be a positive integer, got -1")]:
-        assert bad != SAMPLE_LINE
-        path.write_text(SAMPLE_LINE + "\n" + bad + "\n")
-        with pytest.raises(DataFormatError, match=f"bad.jsonl:2: .*{message}"):
+    # the vector must hold count whole samples of the header's window
+    path = tmp_path / "bad.fvlw"
+    for header, values, message in [
+            (ONE_SAMPLE_HEADER, ONE_SAMPLE + [9.0], "17 values are not count=1 "
+             "samples of 16"),
+            (ONE_SAMPLE_HEADER, ONE_SAMPLE[:-1], "15 values are not count=1 samples of 16"),
+            (ONE_SAMPLE_HEADER.replace("n=1", "n=2"), ONE_SAMPLE,
+             "16 values are not count=1 samples of 22"),
+            (ONE_SAMPLE_HEADER.replace("count=1", "count=-1"), ONE_SAMPLE,
+             "16 values are not count=-1 samples of 16"),
+            (ONE_SAMPLE_HEADER.replace("count=1", "count=0"), ONE_SAMPLE,
+             "16 values are not count=0 samples of 16"),
+            (ONE_SAMPLE_HEADER.replace("n=1", "n=0"), ONE_SAMPLE,
+             "bad.fvlw:4: top-level key 'n': must be a positive integer, got '0'"),
+            (ONE_SAMPLE_HEADER.replace("n=1", f"n={10**40}"), ONE_SAMPLE,
+             "16 values are not count=1 samples of ")]:
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            read_dataset(sample_file(path, header, values))
+
+
+def test_every_damaged_byte_of_a_sample_file_is_refused(tmp_path):
+    path = tmp_path / "one.fvlw"
+    original = sample_file(path).read_bytes()
+    damaged = [original[:cut] for cut in range(len(original))]
+    damaged += [original + tail for tail in (b"\x00", b"\n", b"\x00\x00", b"\r\n")]
+    for at in range(len(original)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(original)
+            flipped[at] ^= mask
+            damaged.append(bytes(flipped))
+    for data in damaged:
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match="one.fvlw"):
             read_dataset(path)
 
 
@@ -935,9 +1016,9 @@ def test_a_sample_is_built_only_if_the_reader_takes_it_back(tmp_path, fault, mes
         with pytest.raises(ValidationError, match=re.escape(message)):
             build()
         return
-    path = tmp_path / "one.jsonl"
+    path = tmp_path / "one.fvlw"
     write_dataset([build()], path)
-    assert path.read_text() == SAMPLE_LINE + "\n"
+    assert path.read_bytes() == sample_file_bytes(ONE_SAMPLE_HEADER, ONE_SAMPLE)
     loaded, = read_dataset(path)
     assert (loaded.track, loaded.width, loaded.height) == (0, 64, 64)
     assert [loaded.past.tolist(), loaded.future.tolist(), loaded.ego.tolist()] \

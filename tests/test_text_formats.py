@@ -35,9 +35,6 @@ def text_files(tmp_path_factory):
     assert video.tracks
     write_video_dir(video, root / "video", tau=2, delta=1)
     write_scenario_file(root / "clip.scn", scenario)
-    samples, _ = windows_from_video(video, tau=2, delta=1, n=1)
-    assert samples
-    write_dataset(samples[:1], root / "samples.jsonl")
     video_dir = root / "video"
     return {
         "meta": (video_dir / "meta", lambda: read_video_dir(video_dir)),
@@ -45,13 +42,11 @@ def text_files(tmp_path_factory):
         "boxes.jsonl": (video_dir / "boxes.jsonl", lambda: read_video_dir(video_dir)),
         "scenario.scn": (video_dir / "scenario.scn", lambda: read_video_dir(video_dir)),
         ".scn": (root / "clip.scn", lambda: read_scenario_file(root / "clip.scn")),
-        "dataset": (root / "samples.jsonl",
-                    lambda: read_dataset(root / "samples.jsonl")),
     }
 
 
 @pytest.mark.parametrize("name", ["meta", "ego.txt", "boxes.jsonl", "scenario.scn",
-                                  ".scn", "dataset"])
+                                  ".scn"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_damaged_text_file_loads_or_raises_data_format_error(text_files, name,
@@ -77,7 +72,8 @@ def test_damaged_text_file_loads_or_raises_data_format_error(text_files, name,
 # key=value text -> (the required key each fault edits, the section that
 # holds it)
 KEY_VALUE_TEXTS = {"meta": ("height", None), ".scn": ("frames", None),
-                   ".scn [actor]": ("z", "[actor]"), "header": ("hidden", None)}
+                   ".scn [actor]": ("z", "[actor]"), "header": ("hidden", None),
+                   "sample header": ("tau", None)}
 
 
 def _key_value_text(root: Path, text: str):
@@ -92,6 +88,13 @@ def _key_value_text(root: Path, text: str):
         return (video / "meta", (video / "meta").read_text().splitlines(),
                 lambda: read_video_dir(video),
                 ["train", "--dataset", str(root / "tree"), "--out", str(root / "m")])
+    if text == "sample header":
+        path = root / "samples.fvlw"
+        video = generate_scenario(scenario)
+        write_dataset(windows_from_video(video, tau=2, delta=1, n=1)[0][:1], path)
+        return (path, load_params(path)[0].splitlines(), lambda: read_dataset(path),
+                ["evaluate", "linear", "--dataset", str(path), "--tau", "2",
+                 "--delta", "1"])
     if text == "header":
         path = root / "model.fvlw"
         config = ModelConfig(variant="x", hidden=3, embed=2, tau=2, delta=1)
@@ -131,7 +134,7 @@ def test_key_value_faults_name_the_file_and_line(tmp_path, capsys, text, fault):
     else:
         lines[at - 1] = f"{key}=oops"
         message = f"{path.name}:{at}: {label} key '{key}': "
-    if text == "header":
+    if text.endswith("header"):
         save_params(path, load_params(path)[1], "\n".join(lines) + "\n")
     else:
         path.write_text("\n".join(lines) + "\n")

@@ -65,3 +65,28 @@ def test_ingest_setup_finds_its_two_videos(tmp_path, child_env):
     assert proc.returncode == 0, proc.stderr
     paths = json.loads(proc.stdout.splitlines()[-1])
     assert len(paths) == 2 and all(Path(path).is_file() for path in paths)
+
+
+def test_forecast_setup_writes_reads_and_scores_its_sample_file(tmp_path, child_env):
+    # Forecast set-up writes its test windows with `write_dataset`, reads
+    # them back with `read_dataset`, predicts from them and runs `fvl
+    # evaluate` on the file.  No other tier-1 test takes the benchmark's
+    # path through a sample file; a child process keeps its imports apart.
+    code = textwrap.dedent(f"""
+        import json, sys
+        from pathlib import Path
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from test_workloads import load_workloads
+        forecast = load_workloads().Forecast()
+        forecast.setup(101, Path(sys.argv[1]))
+        report = json.loads(forecast.report_path.read_text())
+        print(json.dumps([str(forecast.dataset), len(forecast.samples),
+                          report["all"]["count"]]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=child_env(WORKLOADS.parents[1] / "src"),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    dataset, read, scored = json.loads(proc.stdout.splitlines()[-1])
+    assert read == scored == load_workloads().TEST_SAMPLES
+    assert Path(dataset).read_bytes()[:4] == b"FVLW"
